@@ -23,6 +23,7 @@ per-event cost, which is one of the effects Figures 6 and 8 measure.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -658,7 +659,9 @@ class GroupRuntime:
         ]
         self.stats.selection_checks += len(selections)
         if self._dedup_ctxs and matched:
-            matched = self._apply_dedup(event, matched)
+            matched = self._apply_dedup(
+                (time, event.key, event.value, event.marker), matched
+            )
 
         # ``matched`` is final from here on; both the pre- and post-insert
         # data-driven punctuation passes share one membership set.
@@ -786,57 +789,49 @@ class GroupRuntime:
         if not self.batch_eligible:
             for event in events:
                 self.process(event)
-            return
-        i = 0
-        n = len(events)
-        while i < n:
-            deadline = self.begin_run(events[i].time)
-            if deadline is None:
-                j = n
-            else:
-                j = i + 1
-                while j < n and events[j].time < deadline:
-                    j += 1
-            self._process_run(events, i, j)
-            i = j
+        elif events:
+            _ingest_columns((self,), *_columns(events, bool(self._dedup_ctxs)))
 
-    def _process_run(self, events: Sequence[Event], start: int, stop: int) -> None:
-        """Apply ``events[start:stop]`` — all inside the open slice.
+    def _process_run(
+        self,
+        times: Sequence[int],
+        keys: Sequence[str],
+        values: Sequence[float],
+        markers: dict[int, str],
+        start: int,
+        stop: int,
+    ) -> None:
+        """Apply rows ``[start, stop)`` of the columns — all inside the
+        open slice.
 
-        The caller guarantees no punctuation falls inside the run, so no
-        cuts, window transitions, or result emissions can happen here; the
-        loop only routes selections and buffers matching values per
-        context, then writes each context's run through one bulk insert.
+        The caller guarantees the time column is ordered and that no
+        punctuation falls inside the run, so no cuts, window transitions,
+        or result emissions can happen here; the loop only routes
+        selections and buffers matching values per context, then writes
+        each context's run through one bulk insert.  ``markers`` is sparse
+        (row -> marker) and only feeds the deduplication signature.
         Stats count the batched work as if it had been applied per event
         (``selection_checks`` still bills the full linear scan).
         """
         stats = self.stats
-        router = self._router
-        current = self.current
-        operators = self.operators
+        candidates = self._router.candidates
         dedup = bool(self._dedup_ctxs)
         track = self.track_spans
         spans = self._spans
-        prev = self.stream_time if self.stream_time is not None else events[start].time
         run_values: dict[int, list[float]] = {}
         matched_total = 0
         for k in range(start, stop):
-            event = events[k]
-            time = event.time
-            if time < prev:
-                raise OutOfOrderError(
-                    f"event at t={time} arrived after stream time {prev}"
-                )
-            prev = time
-            value = event.value
+            value = values[k]
             if dedup or track:
                 matched = [
                     index
-                    for index, lo, hi in router.candidates(event.key)
+                    for index, lo, hi in candidates(keys[k])
                     if (lo is None or value >= lo) and (hi is None or value < hi)
                 ]
                 if dedup and matched:
-                    matched = self._apply_dedup(event, matched)
+                    matched = self._apply_dedup(
+                        (times[k], keys[k], value, markers.get(k)), matched
+                    )
                 for ctx in matched:
                     bucket = run_values.get(ctx)
                     if bucket is None:
@@ -845,31 +840,33 @@ class GroupRuntime:
                     if track:
                         span = spans.get(ctx)
                         if span is None:
-                            spans[ctx] = [time, time]
+                            spans[ctx] = [times[k], times[k]]
                         else:
-                            span[1] = time
+                            span[1] = times[k]
                 matched_total += len(matched)
             else:
-                for ctx, lo, hi in router.candidates(event.key):
+                for ctx, lo, hi in candidates(keys[k]):
                     if (lo is None or value >= lo) and (hi is None or value < hi):
                         bucket = run_values.get(ctx)
                         if bucket is None:
                             bucket = run_values[ctx] = []
                         bucket.append(value)
                         matched_total += 1
-        self.stream_time = prev
-        stats.selection_checks += router.total * (stop - start)
+        self.stream_time = times[stop - 1]
+        stats.selection_checks += self._router.total * (stop - start)
         if matched_total:
-            for ctx, values in run_values.items():
-                current.insert_run(ctx, values, operators)
+            current = self.current
+            operators = self.operators
+            for ctx, run in run_values.items():
+                current.insert_run(ctx, run, operators)
             stats.inserts += matched_total
             stats.calculations += matched_total * len(operators)
 
-    def _apply_dedup(self, event: Event, matched: list[int]) -> list[int]:
+    def _apply_dedup(self, signature: tuple, matched: list[int]) -> list[int]:
         """Drop deduplicating contexts that already saw this exact event
-        within the open slice (the deduplication operator, Sec 4.2.3)."""
+        — ``signature`` is its ``(time, key, value, marker)`` — within the
+        open slice (the deduplication operator, Sec 4.2.3)."""
         kept: list[int] = []
-        signature = (event.time, event.key, event.value, event.marker)
         for ctx in matched:
             if ctx in self._dedup_ctxs:
                 seen = self._dedup_seen.get(ctx)
@@ -944,6 +941,92 @@ class GroupRuntime:
         for tracker in self.counts:
             tracker.open_windows.clear()
         self._cut(final, eps, [])
+
+
+def _columns(
+    events: Sequence[Event], with_markers: bool
+) -> tuple[list[int], list[str], list[float], dict[int, str]]:
+    """Split events into the slice-run kernel's columns.
+
+    Markers only feed the deduplication signature there, so the sparse
+    ``row -> marker`` map is built only when a deduplicating context
+    will read it.
+    """
+    markers: dict[int, str] = {}
+    if with_markers:
+        markers = {
+            row: event.marker
+            for row, event in enumerate(events)
+            if event.marker is not None
+        }
+    return (
+        [event.time for event in events],
+        [event.key for event in events],
+        [event.value for event in events],
+        markers,
+    )
+
+
+def _ingest_columns(
+    groups: Sequence[GroupRuntime],
+    times: Sequence[int],
+    keys: Sequence[str],
+    values: Sequence[float],
+    markers: dict[int, str],
+    events: Sequence[Event] | None = None,
+) -> None:
+    """Drive ``groups`` through ordered columns in synchronized slice-runs.
+
+    Every chunk ends at the earliest next punctuation across the
+    batch-eligible groups (found by ``bisect`` on the time column: rows
+    *at* the deadline start the next run), so even the cross-group result
+    interleaving is byte-identical to per-event processing: eligible
+    groups only emit at chunk starts — in group order, exactly when and
+    where the per-event path drains them — while groups with data-driven
+    windows process each chunk event by event out of ``events`` (the rows
+    as objects, required only when such a group exists), emitting at
+    their own events just like under :meth:`GroupRuntime.process`.
+
+    The time column is validated up front so a mid-batch regression
+    cannot leave groups at diverging stream times.
+    """
+    if sorted(times) != times:
+        prev = times[0]
+        for time in times:
+            if time < prev:
+                raise OutOfOrderError(
+                    f"event at t={time} arrived after stream time {prev}"
+                )
+            prev = time
+    batched = [group.batch_eligible for group in groups]
+    eligible = [group for group, ok in zip(groups, batched) if ok]
+    fallback = [group for group, ok in zip(groups, batched) if not ok]
+    i = 0
+    n = len(times)
+    while i < n:
+        time = times[i]
+        deadline: int | None = None
+        # The chunk's first row, in group order: eligible groups drain
+        # (emitting due results) and open their run; data-driven groups
+        # process the event outright.
+        for group, ok in zip(groups, batched):
+            if ok:
+                due = group.begin_run(time)
+                if due is not None and (deadline is None or due < deadline):
+                    deadline = due
+            else:
+                group.process(events[i])
+        j = n if deadline is None else bisect_left(times, deadline, i + 1)
+        # Eligible groups cannot emit again before the deadline, so
+        # data-driven groups may run ahead through the chunk without
+        # disturbing the per-event result interleaving.
+        if fallback:
+            for k in range(i + 1, j):
+                for group in fallback:
+                    group.process(events[k])
+        for group in eligible:
+            group._process_run(times, keys, values, markers, i, j)
+        i = j
 
 
 class AggregationEngine:
@@ -1042,74 +1125,44 @@ class AggregationEngine:
         Equivalent to calling :meth:`process` per event — identical
         results, state, and :class:`EngineStats` — but each query-group
         amortizes punctuation drains, selection matching, and operator
-        dispatch over whole slice-runs (see
-        :meth:`GroupRuntime.process_batch`).
-
-        The groups advance through the batch in *synchronized* slice-runs
-        (every chunk ends at the earliest next punctuation across the
-        batch-eligible groups), so even the cross-group result
-        interleaving is byte-identical to per-event processing: eligible
-        groups only emit at chunk starts — in group order, exactly when
-        and where the per-event path drains them — while groups with
-        data-driven windows process each chunk event by event, emitting at
-        their own events just like under :meth:`process`.
-
-        The batch must be internally time-ordered; this is validated up
-        front so a mid-batch regression cannot leave groups at diverging
-        stream times.
+        dispatch over whole slice-runs: the events are split into columns
+        once and driven through :func:`_ingest_columns`, the same kernel
+        :meth:`process_columns` feeds.  Groups with data-driven windows
+        keep processing the batch event by event.
         """
         if not isinstance(events, (list, tuple)):
             events = list(events)
-        if not events:
-            return
-        prev = events[0].time
-        for event in events:
-            if event.time < prev:
-                raise OutOfOrderError(
-                    f"event at t={event.time} arrived after stream time {prev}"
-                )
-            prev = event.time
-        self.stats.events += len(events)
-        groups = self.groups
-        if len(groups) == 1:
-            groups[0].process_batch(events)
-            return
-        eligible = [group.batch_eligible for group in groups]
-        any_fallback = not all(eligible)
-        i = 0
-        n = len(events)
-        while i < n:
-            time = events[i].time
-            deadline: int | None = None
-            # The chunk's first event, in group order: eligible groups
-            # drain (emitting due results) and open their run; data-driven
-            # groups process the event outright.
-            for index, group in enumerate(groups):
-                if eligible[index]:
-                    due = group.begin_run(time)
-                    if due is not None and (deadline is None or due < deadline):
-                        deadline = due
-                else:
-                    group.process(events[i])
-            if deadline is None:
-                j = n
-            else:
-                j = i + 1
-                while j < n and events[j].time < deadline:
-                    j += 1
-            # Eligible groups cannot emit again before the deadline, so
-            # data-driven groups may run ahead through the chunk without
-            # disturbing the per-event result interleaving.
-            if any_fallback:
-                for k in range(i + 1, j):
-                    event = events[k]
-                    for index, group in enumerate(groups):
-                        if not eligible[index]:
-                            group.process(event)
-            for index, group in enumerate(groups):
-                if eligible[index]:
-                    group._process_run(events, i, j)
-            i = j
+        if not any(group.batch_eligible for group in self.groups):
+            for event in events:  # nothing would read the columns
+                self.process(event)
+        elif events:
+            dedup = any(group._dedup_ctxs for group in self.groups)
+            _ingest_columns(self.groups, *_columns(events, dedup), events)
+            self.stats.events += len(events)
+
+    def process_columns(
+        self,
+        times: Sequence[int],
+        keys: Sequence[str],
+        values: Sequence[float],
+        markers: dict[int, str] | None = None,
+    ) -> None:
+        """:meth:`process_batch` for rows that already are columns.
+
+        ``times``/``keys``/``values`` are parallel, time-ordered lists;
+        ``markers`` sparsely maps row -> marker.  No :class:`Event` is
+        built, which is why engines with data-driven (session, count,
+        user-defined) windows — whose per-event path needs the objects —
+        reject this entry.
+        """
+        if not all(group.batch_eligible for group in self.groups):
+            raise EngineError(
+                "process_columns needs time-driven windows only; feed "
+                "events through process_batch instead"
+            )
+        if times:
+            _ingest_columns(self.groups, times, keys, values, markers or {})
+            self.stats.events += len(times)
 
     def process_many(self, events: Iterable[Event]) -> None:
         """Batched ingestion for any iterable of in-order events."""

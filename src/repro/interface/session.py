@@ -220,7 +220,8 @@ class DesisSession:
 
     def process_many(self, events: Iterable[Event]) -> None:
         engine = self._ensure_engine()
-        events = list(events)
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
         if self._probe is not None:
             for event in events:
                 self._probe.on_ingest(event)

@@ -83,30 +83,6 @@ def _float_struct(n: int) -> struct.Struct:
     return cached
 
 
-_i64_structs: dict[int, struct.Struct] = {}
-_u16_structs: dict[int, struct.Struct] = {}
-
-
-def _i64_struct(n: int) -> struct.Struct:
-    """A cached big-endian ``n``-int64 Struct (shard batch time columns)."""
-    cached = _i64_structs.get(n)
-    if cached is None:
-        cached = struct.Struct(f">{n}q")
-        if len(_i64_structs) < _FLOAT_STRUCT_CACHE_MAX:
-            _i64_structs[n] = cached
-    return cached
-
-
-def _u16_struct(n: int) -> struct.Struct:
-    """A cached big-endian ``n``-uint16 Struct (shard batch key indexes)."""
-    cached = _u16_structs.get(n)
-    if cached is None:
-        cached = struct.Struct(f">{n}H")
-        if len(_u16_structs) < _FLOAT_STRUCT_CACHE_MAX:
-            _u16_structs[n] = cached
-    return cached
-
-
 class _Writer:
     __slots__ = ("parts",)
 
@@ -139,13 +115,13 @@ class _Writer:
         self.u32(len(values))
         self.parts.append(_float_struct(len(values)).pack(*values))
 
-    def i64s(self, values) -> None:
+    def column(self, code: str, values) -> None:
+        """One shard-batch column (struct type ``code``), little-endian:
+        these frames never leave the host, and CPython packs ``<q`` about
+        three times faster than ``>q`` on the little-endian hosts it
+        runs on."""
         self.u32(len(values))
-        self.parts.append(_i64_struct(len(values)).pack(*values))
-
-    def u16s(self, values) -> None:
-        self.u32(len(values))
-        self.parts.append(_u16_struct(len(values)).pack(*values))
+        self.parts.append(struct.pack(f"<{len(values)}{code}", *values))
 
     def bytes(self) -> bytes:
         return b"".join(self.parts)
@@ -190,16 +166,10 @@ class _Reader:
         self.pos += 8 * n
         return values
 
-    def i64s(self) -> list[int]:
-        n = self.u32()
-        values = list(_i64_struct(n).unpack_from(self.data, self.pos))
-        self.pos += 8 * n
-        return values
-
-    def u16s(self) -> list[int]:
-        n = self.u32()
-        values = list(_u16_struct(n).unpack_from(self.data, self.pos))
-        self.pos += 2 * n
+    def column(self, code: str) -> list:
+        fmt = struct.Struct(f"<{self.u32()}{code}")
+        values = list(fmt.unpack_from(self.data, self.pos))
+        self.pos += fmt.size
         return values
 
 
@@ -613,10 +583,6 @@ class BinaryCodec(Codec):
         )
 
     def _encode_shard_batch(self, w: _Writer, msg: ShardBatchMessage) -> None:
-        if len(msg.key_table) > 0xFFFF:
-            raise CodecError(
-                f"shard batch key table too large: {len(msg.key_table)}"
-            )
         w.u8(_TAG_SHARD_BATCH)
         w.i64(msg.seq)
         flags = (
@@ -632,12 +598,12 @@ class BinaryCodec(Codec):
             w.i64(msg.advance_after)
         if msg.final_time is not None:
             w.i64(msg.final_time)
-        w.u16(len(msg.key_table))
+        w.u32(len(msg.key_table))
         for key in msg.key_table:
             w.text(key)
-        w.i64s(msg.times)
-        w.u16s(msg.key_index)
-        w.floats(msg.values)
+        w.column("q", msg.times)
+        w.column("I", msg.key_index)
+        w.column("d", msg.values)
         w.u32(len(msg.markers))
         for row, marker in msg.markers:
             w.u32(row)
@@ -649,10 +615,10 @@ class BinaryCodec(Codec):
         advance_before = r.i64() if flags & 1 else None
         advance_after = r.i64() if flags & 2 else None
         final_time = r.i64() if flags & 8 else None
-        key_table = [r.text() for _ in range(r.u16())]
-        times = r.i64s()
-        key_index = r.u16s()
-        values = r.floats()
+        key_table = [r.text() for _ in range(r.u32())]
+        times = r.column("q")
+        key_index = r.column("I")
+        values = r.column("d")
         markers = [(r.u32(), r.text()) for _ in range(r.u32())]
         return ShardBatchMessage(
             seq=seq,
@@ -788,7 +754,8 @@ class BinaryCodec(Codec):
         r = _Reader(data)
         try:
             return self._decode_any(r)
-        except (struct.error, IndexError, UnicodeDecodeError) as exc:
+        except (struct.error, IndexError, ValueError) as exc:
+            # ValueError: undecodable text, or a snapshot's JSON state cut short
             raise CodecError(f"truncated or corrupt message: {exc}") from exc
 
 
@@ -971,43 +938,6 @@ def _to_jsonable(message: Message) -> dict[str, Any]:
             "records": _records_to_jsonable(message.records),
             "state": state,
         }
-    if isinstance(message, ShardBatchMessage):
-        return {
-            "type": "shard_batch",
-            "seq": message.seq,
-            "advance_before": message.advance_before,
-            "advance_after": message.advance_after,
-            "close": message.close,
-            "final_time": message.final_time,
-            "times": message.times,
-            "values": message.values,
-            "key_table": message.key_table,
-            "key_index": message.key_index,
-            "markers": [list(entry) for entry in message.markers],
-        }
-    if isinstance(message, ShardResultMessage):
-        return {
-            "type": "shard_result",
-            "shard": message.shard,
-            "seq": message.seq,
-            "done": message.done,
-            "busy_ns": message.busy_ns,
-            "stats": message.stats,
-            "error": message.error,
-            "windows": [
-                {
-                    "group_id": rec.group_id,
-                    "ctx": rec.ctx,
-                    "start": rec.start,
-                    "end": rec.end,
-                    "event_count": rec.event_count,
-                    "emitted_at": rec.emitted_at,
-                    "query_ids": list(rec.query_ids),
-                    "ops": _ops_to_jsonable(rec.ops),
-                }
-                for rec in message.windows
-            ],
-        }
     raise CodecError(f"cannot encode message type {type(message).__name__}")
 
 
@@ -1099,40 +1029,5 @@ def _from_jsonable(data: dict[str, Any]) -> Message:
             covered=data["covered"],
             records=_records_from_jsonable(data["records"]),
             state=data["state"],
-        )
-    if kind == "shard_batch":
-        return ShardBatchMessage(
-            seq=data["seq"],
-            advance_before=data["advance_before"],
-            advance_after=data["advance_after"],
-            close=bool(data["close"]),
-            final_time=data["final_time"],
-            times=list(data["times"]),
-            values=list(data["values"]),
-            key_table=list(data["key_table"]),
-            key_index=list(data["key_index"]),
-            markers=[(row, marker) for row, marker in data["markers"]],
-        )
-    if kind == "shard_result":
-        return ShardResultMessage(
-            shard=data["shard"],
-            seq=data["seq"],
-            windows=[
-                ShardWindowRecord(
-                    group_id=rec["group_id"],
-                    ctx=rec["ctx"],
-                    start=rec["start"],
-                    end=rec["end"],
-                    event_count=rec["event_count"],
-                    emitted_at=rec["emitted_at"],
-                    query_ids=tuple(rec["query_ids"]),
-                    ops=_ops_from_jsonable(rec["ops"]),
-                )
-                for rec in data["windows"]
-            ],
-            done=bool(data["done"]),
-            busy_ns=data["busy_ns"],
-            stats=dict(data["stats"]),
-            error=data["error"],
         )
     raise CodecError(f"unknown string message type: {kind!r}")

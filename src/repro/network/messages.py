@@ -43,9 +43,9 @@ Checkpointed recovery adds two more (see DESIGN.md §8):
 Sharded (multi-core) execution adds two single-host frames (DESIGN.md
 §13), carried over OS pipes with the same :class:`BinaryCodec`:
 
-* :class:`ShardBatchMessage` — a columnar event frame the parent
-  broadcasts to every worker; workers filter their own key shard out of
-  it before building events.
+* :class:`ShardBatchMessage` — one shard's rows of a frame as columns,
+  partitioned by the parent; the worker feeds them to its engine as
+  columns, never building events.
 * :class:`ShardResultMessage` — a worker's closed-window partials
   (:class:`ShardWindowRecord` entries) flowing back to the parent's
   deterministic reducer.
@@ -282,21 +282,21 @@ class SnapshotChunk:
 
 @dataclass(slots=True)
 class ShardBatchMessage:
-    """One columnar event frame, broadcast by the sharded-execution parent.
+    """One shard's rows of one frame, as parallel columns.
 
-    The parent encodes each batch **once** and sends the same bytes to
-    every worker; each worker filters the rows whose key hashes to its
-    shard (DESIGN.md §13).  Events are stored as parallel columns —
-    ``times``/``values`` plus a per-frame key dictionary (``key_table``)
-    and per-row indexes into it — so the parent never pays a per-event
-    Python object cost on the send path.
+    The parent routes every row to the shard that owns its key and sends
+    each worker only its own rows (DESIGN.md §13): ``times``/``values``
+    plus ``key_index``, each row's slot in the shard's *session* key
+    table.  ``key_table`` carries just the keys this frame appends to
+    that table, so a key's text crosses the pipe once.
 
-    ``advance_before`` (set on the first frame only) is the global
-    bootstrap origin: every worker anchors its fixed-window schedules at
-    it before touching events, so all shards agree on slice cuts.
-    ``advance_after`` is the batch's progress watermark (the last event
-    time, or an explicit :meth:`advance` time); draining to it after the
-    batch keeps every shard's stream clock synchronized at frame
+    Every shard receives every frame, rows or not, because the
+    watermarks are global.  ``advance_before`` (set on the first frame
+    only) is the bootstrap origin: every worker anchors its fixed-window
+    schedules at it before touching rows, so all shards agree on slice
+    cuts.  ``advance_after`` is the frame's progress watermark (the last
+    event time across all shards, or an explicit :meth:`advance` time);
+    draining to it keeps every shard's stream clock synchronized at frame
     boundaries, which is what makes the per-frame close sets — and hence
     the reduce — deterministic.  The final frame carries ``close=True``
     and ``final_time``.
@@ -309,10 +309,10 @@ class ShardBatchMessage:
     final_time: int | None = None
     times: list[int] = field(default_factory=list)
     values: list[float] = field(default_factory=list)
-    #: per-frame key dictionary; ``key_index[i]`` names row ``i``'s key
+    #: keys new to this shard's session table, in slot order
     key_table: list[str] = field(default_factory=list)
     key_index: list[int] = field(default_factory=list)
-    #: sparse ``(row, marker)`` pairs for user-defined window markers
+    #: sparse ``(row, marker)`` pairs (the dedup signature reads them)
     markers: list[tuple[int, str]] = field(default_factory=list)
 
 

@@ -239,8 +239,9 @@ def publish_shard_stats(registry: MetricsRegistry, shard_stats) -> None:
     """Publish a :class:`~repro.parallel.backend.ShardStats` snapshot.
 
     Per-shard counters land under ``shard="N"`` labels (events processed,
-    worker CPU busy time, in-shard merge ops, peak in-flight frames — the
-    queue-depth signal); reduce-side work lands unlabeled
+    rows shipped to the shard, worker CPU busy time, in-shard merge ops,
+    peak in-flight frames — the queue-depth signal); reduce-side work
+    lands unlabeled
     (``shard.reduce_merge_ops``, ``shard.windows_reduced``,
     ``shard.frames``) plus the parent's two serial-stage CPU times.
     """
@@ -248,6 +249,9 @@ def publish_shard_stats(registry: MetricsRegistry, shard_stats) -> None:
         label = str(shard)
         registry.counter("shard.events", shard=label).inc(
             shard_stats.events[shard]
+        )
+        registry.counter("shard.rows_shipped", shard=label).inc(
+            shard_stats.rows_shipped[shard]
         )
         registry.counter("shard.merge_ops", shard=label).inc(
             shard_stats.merge_ops[shard]

@@ -2,16 +2,18 @@
 
 DESIGN.md §13 describes the architecture; the short version:
 
-* The parent buffers in-order events and, every ``shard_batch_size``
-  events (or at a watermark/close), encodes them **once** as a columnar
-  :class:`~repro.network.messages.ShardBatchMessage` and broadcasts the
-  same bytes to every worker over an OS pipe.  Broadcasting instead of
-  partitioning keeps the parent's per-event cost independent of the
-  shard count — the parent never hashes a key.
-* Each worker decodes the columns, keeps only the rows whose key hashes
-  to its shard (:func:`~repro.parallel.sharding.shard_of`), builds
-  events, and runs a completely ordinary in-process
-  :class:`~repro.core.engine.AggregationEngine` over them.  A
+* The parent makes **one** pass over incoming rows: it checks order,
+  looks the key up in a per-session routing table
+  (:func:`~repro.parallel.sharding.shard_of` runs once per distinct key)
+  and appends time, value and key slot to the owning shard's columns.
+  Every ``shard_batch_size`` rows (or at a watermark/close) each worker
+  is sent a :class:`~repro.network.messages.ShardBatchMessage` holding
+  only *its* rows over an OS pipe — every row crosses a pipe once.  A
+  shard that owns no row of a frame still gets the frame's watermarks,
+  which is what keeps all shards on one cut schedule.
+* Each worker decodes its columns and hands them to a completely
+  ordinary in-process :class:`~repro.core.engine.AggregationEngine`
+  through ``process_columns`` — no event objects are built.  A
   ``window_sink`` hook intercepts every window the worker closes —
   including empty ones — and ships its raw operator partials back as
   :class:`~repro.network.messages.ShardWindowRecord` entries.
@@ -55,6 +57,11 @@ from repro.network.messages import (
 from repro.parallel.reduce import ShardReducer
 from repro.parallel.sharding import shard_of
 
+try:  # POSIX only; without it the pipes keep their default size
+    import fcntl
+except ImportError:  # pragma: no cover
+    fcntl = None
+
 __all__ = ["ShardedEngine", "ShardStats"]
 
 _FIXED_TIME = (WindowType.TUMBLING, WindowType.SLIDING)
@@ -62,17 +69,27 @@ _FIXED_TIME = (WindowType.TUMBLING, WindowType.SLIDING)
 #: seconds to wait for worker results at close before declaring a hang
 _CLOSE_TIMEOUT_S = 120.0
 
+#: frame-pipe buffer asked of the kernel (Linux's unprivileged ceiling,
+#: ``/proc/sys/fs/pipe-max-size``): at the 64 KiB default one frame
+#: fills the pipe and the parent sleeps in ``send_bytes`` whenever a
+#: worker is descheduled; 1 MiB lets it run a dozen frames ahead
+_PIPE_BYTES = 1 << 20
+
 
 @dataclass(slots=True)
 class ShardStats:
     """Parent-side counters for one sharded run (``shard.*`` metrics).
 
     ``busy_ns``/``events``/``merge_ops`` are per-shard (reported by each
-    worker with its final frame); ``peak_inflight`` is the high-water
+    worker with its final frame); ``rows_shipped`` counts the rows the
+    parent sent each shard (every row crosses one pipe once, so the sum
+    is the ingested event count); ``peak_inflight`` is the high-water
     mark of frames sent but not yet answered per shard — the queue-depth
     signal; ``parent_ns``/``reduce_ns`` are the parent's own CPU time
-    spent building/encoding frames and reducing partials (the two serial
-    stages of the pipeline model, see ``benchmarks/bench_parallel.py``).
+    spent routing/encoding frames and reducing partials (the two serial
+    stages of the pipeline, see ``benchmarks/bench_parallel.py``; rows
+    fed through per-event ``process`` are routed untimed — two clock
+    reads per event would cost more than the routing).
     """
 
     shards: int
@@ -81,21 +98,17 @@ class ShardStats:
     busy_ns: list[int] = field(default_factory=list)
     merge_ops: list[int] = field(default_factory=list)
     peak_inflight: list[int] = field(default_factory=list)
+    rows_shipped: list[int] = field(default_factory=list)
     reduce_merge_ops: int = 0
     windows_reduced: int = 0
     parent_ns: int = 0
     reduce_ns: int = 0
 
     def __post_init__(self) -> None:
-        zeros = [0] * self.shards
-        if not self.events:
-            self.events = list(zeros)
-        if not self.busy_ns:
-            self.busy_ns = list(zeros)
-        if not self.merge_ops:
-            self.merge_ops = list(zeros)
-        if not self.peak_inflight:
-            self.peak_inflight = list(zeros)
+        for name in ("events", "busy_ns", "merge_ops", "peak_inflight",
+                     "rows_shipped"):
+            if not getattr(self, name):
+                setattr(self, name, [0] * self.shards)
 
 
 def _stats_to_dict(stats: EngineStats) -> dict[str, int]:
@@ -140,48 +153,26 @@ def _attach_window_sinks(
         runtime.window_sink = sink
 
 
-def _filter_events(
-    msg: ShardBatchMessage, shard_id: int, shards: int
-) -> list[Event]:
-    """Build this shard's events out of a broadcast columnar frame."""
-    table = msg.key_table
-    if shards == 1:
-        owner = [True] * len(table)
-    else:
-        owner = [shard_of(key, shards) == shard_id for key in table]
-    times = msg.times
-    values = msg.values
-    index = msg.key_index
-    out: list[Event] = []
-    append = out.append
-    if not msg.markers:
-        for i in range(len(times)):
-            k = index[i]
-            if owner[k]:
-                append(Event(times[i], table[k], values[i]))
-    else:
-        markers = dict(msg.markers)
-        for i in range(len(times)):
-            k = index[i]
-            if owner[k]:
-                append(Event(times[i], table[k], values[i], markers.get(i)))
-    return out
-
-
 def _worker_main(
     shard_id: int,
-    shards: int,
     queries: list[Query],
     config: EngineConfig,
     recv_conn,
     send_conn,
+    parent_ends: list,
 ) -> None:
-    """One worker process: decode → filter → engine → ship partials."""
+    """One worker process: decode → engine → ship partials."""
+    # A forked child holds the parent's ends of every pipe made so far,
+    # its own included; left open, no worker would ever read EOF when
+    # the parent closes them, and shutdown would wait out its join.
+    for conn in parent_ends:
+        conn.close()
     codec = BinaryCodec()
     try:
         engine = AggregationEngine(queries, config=config)
         records: list[ShardWindowRecord] = []
         _attach_window_sinks(engine, records)
+        key_table: list[str] = []  # this shard's session key table
         busy_ns = 0
         while True:
             data = recv_conn.recv_bytes()
@@ -189,10 +180,14 @@ def _worker_main(
             msg = codec.decode(data)
             if msg.advance_before is not None:
                 engine.advance(msg.advance_before)
+            key_table += msg.key_table
             if msg.times:
-                events = _filter_events(msg, shard_id, shards)
-                if events:
-                    engine.process_batch(events)
+                engine.process_columns(
+                    msg.times,
+                    [key_table[slot] for slot in msg.key_index],
+                    msg.values,
+                    dict(msg.markers),
+                )
             if msg.advance_after is not None:
                 engine.advance(msg.advance_after)
             if msg.close:
@@ -289,11 +284,27 @@ class ShardedEngine:
             emit_empty=self.config.emit_empty,
         )
         self._codec = BinaryCodec()
-        self._pending: list[Event] = []
+        #: markers only feed the deduplication signature in the workers'
+        #: kernel, so they ride along only when a selection deduplicates
+        self._ship_markers = any(
+            selection.deduplicate
+            for group in self.plan.groups
+            for selection in group.selections
+        )
+        #: the frame under construction, one reusable message per shard
+        self._frames = [
+            ShardBatchMessage(seq=0) for _ in range(self.config.shards)
+        ]
+        #: session routing table: key -> its shard's column appenders,
+        #: the key's slot in that shard's key table, and the shard's frame
+        self._route: dict[str, tuple] = {}
+        self._table_sizes: list[int] = [0] * self.config.shards
+        self._buffered = 0
         self._stream_time: int | None = None
         self._bootstrapped = False
         self._seq = 0
-        self._closed = False
+        #: why no more input is accepted ("" while running)
+        self._closed = ""
         self._procs: list = []
         self._send: list = []
         self._recv: list = []
@@ -316,15 +327,15 @@ class ShardedEngine:
         for shard in range(self.config.shards):
             result_recv, result_send = ctx.Pipe(duplex=False)
             frame_recv, frame_send = ctx.Pipe(duplex=False)
+            try:
+                fcntl.fcntl(frame_send.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            except (AttributeError, OSError):
+                pass  # not Linux, or above the ceiling: keep the default
             proc = ctx.Process(
                 target=_worker_main,
                 args=(
-                    shard,
-                    self.config.shards,
-                    self.queries,
-                    self.config,
-                    frame_recv,
-                    result_send,
+                    shard, self.queries, self.config, frame_recv, result_send,
+                    [*self._send, *self._recv, frame_send, result_recv],
                 ),
                 daemon=True,
                 name=f"repro-shard-{shard}",
@@ -352,52 +363,85 @@ class ShardedEngine:
         self._send = []
         self._recv = []
 
+    def _fail(self, reason: str) -> EngineError:
+        """Stop for good: every later call raises the same typed error."""
+        self._closed = reason
+        self._shutdown_workers()
+        return EngineError(reason)
+
     # -- ingestion ------------------------------------------------------------
 
-    def process(self, event: Event) -> None:
-        """Buffer one in-order event; ships a frame at the batch size."""
-        if self._closed:
-            raise EngineError("engine already closed")
-        stream_time = self._stream_time
-        if stream_time is not None and event.time < stream_time:
-            raise OutOfOrderError(
-                f"event at t={event.time} arrived after stream time "
-                f"{stream_time}"
-            )
-        self._stream_time = event.time
-        self._pending.append(event)
-        if len(self._pending) >= self.config.shard_batch_size:
-            batch = self._pending
-            self._pending = []
-            self._flush(batch)
-
-    def process_batch(self, events: Sequence[Event]) -> None:
-        """Buffer an ordered batch (validated parent-side, like the engine)."""
-        if self._closed:
-            raise EngineError("engine already closed")
-        if not isinstance(events, (list, tuple)):
-            events = list(events)
-        if not events:
-            return
-        started = time.process_time_ns()
+    def _buffer(self, events: Sequence[Event]) -> None:
+        """The parent's one pass over incoming rows: order check, key ->
+        shard, append to the owning shard's columns."""
+        route = self._route
+        ship_markers = self._ship_markers
         prev = self._stream_time
         if prev is None:
             prev = events[0].time
         for event in events:
-            if event.time < prev:
+            time_ = event.time
+            if time_ < prev:
+                # the rows before this one stay accepted, like under process()
+                self._stream_time = prev
+                self._buffered = sum(len(f.times) for f in self._frames)
                 raise OutOfOrderError(
-                    f"event at t={event.time} arrived after stream time "
-                    f"{prev}"
+                    f"event at t={time_} arrived after stream time {prev}"
                 )
-            prev = event.time
+            prev = time_
+            key = event.key
+            dest = route.get(key)
+            if dest is None:
+                dest = route[key] = self._assign(key)
+            add_time, add_value, add_slot, slot, frame = dest
+            add_time(time_)
+            add_value(event.value)
+            add_slot(slot)
+            if ship_markers and event.marker is not None:
+                frame.markers.append((len(frame.times) - 1, event.marker))
         self._stream_time = prev
-        self._pending.extend(events)
-        self.shard_stats.parent_ns += time.process_time_ns() - started
+        self._buffered += len(events)
+
+    def _assign(self, key: str) -> tuple:
+        """Route a key seen for the first time this session."""
+        shard = shard_of(key, self.config.shards)
+        frame = self._frames[shard]
+        frame.key_table.append(key)
+        slot = self._table_sizes[shard]
+        self._table_sizes[shard] = slot + 1
+        return (
+            frame.times.append,
+            frame.values.append,
+            frame.key_index.append,
+            slot,
+            frame,
+        )
+
+    def process(self, event: Event) -> None:
+        """Buffer one in-order event; ships a frame at the batch size."""
+        if self._closed:
+            raise EngineError(self._closed)
+        self._buffer((event,))
+        if self._buffered >= self.config.shard_batch_size:
+            self._flush()
+
+    def process_batch(self, events: Sequence[Event]) -> None:
+        """Buffer an ordered batch, shipping a frame per
+        ``shard_batch_size`` rows; the tail waits for the next call."""
+        if self._closed:
+            raise EngineError(self._closed)
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
         size = self.config.shard_batch_size
-        while len(self._pending) >= size:
-            batch = self._pending[:size]
-            self._pending = self._pending[size:]
-            self._flush(batch)
+        offset = 0
+        while offset < len(events):
+            stop = offset + size - self._buffered
+            started = time.process_time_ns()
+            self._buffer(events[offset:stop])
+            self.shard_stats.parent_ns += time.process_time_ns() - started
+            offset = stop
+            if self._buffered >= size:
+                self._flush()
 
     def process_many(self, events: Iterable[Event]) -> None:
         self.process_batch(
@@ -407,7 +451,7 @@ class ShardedEngine:
     def advance(self, time_: int) -> None:
         """Apply a watermark: flush buffered events, then drain to it."""
         if self._closed:
-            raise EngineError("engine already closed")
+            raise EngineError(self._closed)
         stream_time = self._stream_time
         if stream_time is not None and time_ < stream_time:
             raise OutOfOrderError(
@@ -415,28 +459,24 @@ class ShardedEngine:
                 f"{stream_time}"
             )
         self._stream_time = time_
-        batch = self._pending
-        self._pending = []
-        self._flush(batch, advance_to=time_)
+        self._flush(advance_to=time_)
 
     def close(self, at_time: int | None = None) -> ResultSink:
         """Flush everything, reduce every window, and join the workers."""
         if self._closed:
-            raise EngineError("engine already closed")
+            raise EngineError(self._closed)
         if at_time is not None:
             stream_time = self._stream_time
             if stream_time is not None and at_time < stream_time:
                 raise OutOfOrderError(
                     f"close at t={at_time} precedes stream time {stream_time}"
                 )
-        self._closed = True
+        self._closed = "engine already closed"
         final = at_time
         if final is None:
             final = self._stream_time if self._stream_time is not None else 0
-        batch = self._pending
-        self._pending = []
         try:
-            self._flush(batch, close=True, final_time=final)
+            self._flush(close=True, final_time=final)
             self._drain_until_done()
             self._reducer.finish()
         finally:
@@ -449,86 +489,88 @@ class ShardedEngine:
 
     def _flush(
         self,
-        batch: list[Event],
         *,
         advance_to: int | None = None,
         close: bool = False,
         final_time: int | None = None,
     ) -> None:
-        if not batch and advance_to is None and not close:
+        """Ship the buffered rows: one message per shard, rows or not."""
+        rows = self._buffered
+        if not rows and advance_to is None and not close:
             return
         self._ensure_workers()
         started = time.process_time_ns()
+        frames = self._frames
         advance_before = None
         if not self._bootstrapped:
-            if batch:
-                advance_before = batch[0].time
+            if rows:
+                advance_before = min(f.times[0] for f in frames if f.times)
             elif advance_to is not None:
                 advance_before = advance_to
             elif close:
                 advance_before = final_time
-            if advance_before is not None:
-                self._bootstrapped = True
+            self._bootstrapped = advance_before is not None
         advance_after = advance_to
-        if advance_after is None and batch and not close:
-            advance_after = batch[-1].time
-        times = [event.time for event in batch]
-        values = [event.value for event in batch]
-        table_index: dict[str, int] = {}
-        key_index: list[int] = []
-        for event in batch:
-            slot = table_index.get(event.key)
-            if slot is None:
-                slot = len(table_index)
-                table_index[event.key] = slot
-            key_index.append(slot)
-        markers = [
-            (row, event.marker)
-            for row, event in enumerate(batch)
-            if event.marker is not None
-        ]
-        message = ShardBatchMessage(
-            seq=self._seq,
-            advance_before=advance_before,
-            advance_after=advance_after,
-            close=close,
-            final_time=final_time,
-            times=times,
-            values=values,
-            key_table=list(table_index),
-            key_index=key_index,
-            markers=markers,
-        )
-        self._seq += 1
-        frame = self._codec.encode(message)
-        for conn in self._send:
-            conn.send_bytes(frame)
-        self.shard_stats.frames += 1
+        if advance_after is None and rows and not close:
+            advance_after = self._stream_time  # the last buffered row's time
         stats = self.shard_stats
-        for shard in range(self.config.shards):
-            inflight = self._seq - 1 - self._last_acked[shard]
+        for shard, frame in enumerate(frames):
+            frame.seq = self._seq
+            frame.advance_before = advance_before
+            frame.advance_after = advance_after
+            frame.close = close
+            frame.final_time = final_time
+            data = self._codec.encode(frame)
+            stats.rows_shipped[shard] += len(frame.times)
+            for column in (frame.times, frame.values, frame.key_index,
+                           frame.key_table, frame.markers):
+                column.clear()  # in place: the route holds their appenders
+            try:
+                self._send[shard].send_bytes(data)
+            except OSError as exc:  # BrokenPipeError: nobody reads any more
+                raise self._fail(
+                    f"shard {shard} worker died (frame {self._seq} not "
+                    f"delivered: {exc})"
+                ) from exc
+            inflight = self._seq - self._last_acked[shard]
             if inflight > stats.peak_inflight[shard]:
                 stats.peak_inflight[shard] = inflight
+        self._buffered = 0
+        self._seq += 1
+        stats.frames += 1
         stats.parent_ns += time.process_time_ns() - started
         self._poll_results()
 
     # -- results --------------------------------------------------------------
 
-    def _poll_results(self) -> None:
-        """Opportunistically drain worker replies (keeps pipes shallow)."""
+    def _poll_results(self, timeout: float = 0) -> bool:
+        """Drain the worker replies that are ready (keeps pipes shallow);
+        wait up to ``timeout`` seconds per shard for a first one."""
+        progressed = False
         for shard, conn in enumerate(self._recv):
-            while not self._done[shard] and conn.poll(0):
-                self._handle_result(shard, conn.recv_bytes())
+            wait = timeout
+            while not self._done[shard] and conn.poll(wait):
+                try:
+                    data = conn.recv_bytes()
+                except (EOFError, OSError) as exc:
+                    raise self._fail(
+                        f"shard {shard} worker died (result pipe closed "
+                        f"after frame {self._last_acked[shard]})"
+                    ) from exc
+                self._handle_result(shard, data)
+                progressed = True
+                wait = 0
+        return progressed
 
     def _handle_result(self, shard: int, data: bytes) -> None:
         message = self._codec.decode(data)
         if not isinstance(message, ShardResultMessage):
-            raise EngineError(
+            raise self._fail(
                 f"unexpected frame from shard {shard}: "
                 f"{type(message).__name__}"
             )
         if message.error:
-            raise EngineError(f"shard {shard} worker failed: {message.error}")
+            raise self._fail(f"shard {shard} worker failed: {message.error}")
         if message.seq > self._last_acked[shard]:
             self._last_acked[shard] = message.seq
         started = time.process_time_ns()
@@ -547,21 +589,7 @@ class ShardedEngine:
     def _drain_until_done(self) -> None:
         deadline = time.monotonic() + _CLOSE_TIMEOUT_S
         while not all(self._done):
-            progressed = False
-            for shard, conn in enumerate(self._recv):
-                if self._done[shard]:
-                    continue
-                if conn.poll(0.05):
-                    self._handle_result(shard, conn.recv_bytes())
-                    progressed = True
-            if progressed:
+            if self._poll_results(0.05):
                 continue
-            for shard, proc in enumerate(self._procs):
-                if not self._done[shard] and not proc.is_alive():
-                    raise EngineError(
-                        f"shard {shard} worker died without reporting"
-                    )
             if time.monotonic() > deadline:
-                raise EngineError(
-                    "timed out waiting for shard workers to close"
-                )
+                raise self._fail("timed out waiting for shard workers to close")

@@ -6,8 +6,8 @@ The routing function must be:
   interpreter (``PYTHONHASHSEED``), so it would route the same key to
   different shards in the parent and a worker; ``zlib.crc32`` is defined
   by its polynomial and identical everywhere;
-* **cheap** — it runs once per distinct key per frame on the worker's
-  filter path;
+* **cheap** — the parent runs it once per distinct key per session, on
+  its routing pass;
 * **well-spread** — crc32 of short ASCII keys distributes uniformly
   enough that the per-key workload imbalance stays within a few percent
   for the evaluation's key cardinalities.

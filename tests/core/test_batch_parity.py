@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.engine import AggregationEngine
-from repro.core.errors import OutOfOrderError
+from repro.core.errors import EngineError, OutOfOrderError
 from repro.core.event import Event
 from repro.core.predicates import Selection
 from repro.core.query import Query, WindowSpec
@@ -314,3 +314,175 @@ class TestAddQueryBootstrap:
             (955, 1_055, 5.0),
             (1_055, 1_155, 9.0),
         ]
+
+
+def columns_of(events):
+    markers = {
+        row: e.marker for row, e in enumerate(events) if e.marker is not None
+    }
+    return (
+        [e.time for e in events],
+        [e.key for e in events],
+        [e.value for e in events],
+        markers,
+    )
+
+
+def engine_state(engine):
+    """What the next event would find: per group, the clock, the open
+    slice's operator states, the open windows, the store, the span and
+    dedup bookkeeping."""
+    return [
+        (
+            g.stream_time,
+            g.current.index,
+            g.current.start,
+            {ctx: (s.inserts, s.partials()) for ctx, s in g.current.contexts.items()},
+            sorted((w.ctx, w.start, w.end, w.first_slice) for w in g.open_windows.values()),
+            len(g.store),
+            g.slice_seq,
+            g._spans,
+            g._dedup_seen,
+        )
+        for g in engine.groups
+    ]
+
+
+class TestColumnKernel:
+    """``process_columns`` — the entry the shard workers use — against
+    per-event ``process``: results, state and every stats field."""
+
+    def assert_columns_parity(self, queries, events, *, frames=(1, 7, 64, 100_000),
+                              prepare=lambda engine: None):
+        for mode in MODES:
+            reference = AggregationEngine(queries, punctuation_mode=mode)
+            prepare(reference)
+            for event in events:
+                reference.process(event)
+            expected_state = engine_state(reference)
+            reference.close()
+            expected = [result_key(r) for r in reference.sink.results]
+            for frame in frames:
+                engine = AggregationEngine(queries, punctuation_mode=mode)
+                prepare(engine)
+                for i in range(0, len(events), frame):
+                    engine.process_columns(*columns_of(events[i:i + frame]))
+                assert engine_state(engine) == expected_state, (mode, frame)
+                engine.close()
+                got = [result_key(r) for r in engine.sink.results]
+                assert got == expected, (mode, frame, "results diverged")
+                assert engine.stats == reference.stats, (mode, frame)
+
+    def test_key_and_range_selections(self):
+        assert_parity(FIXED_QUERIES, make_stream(800))  # process_batch
+        self.assert_columns_parity(FIXED_QUERIES, make_stream(800))
+
+    def test_dedup_signature_includes_the_marker(self):
+        # Pairs of events equal in (time, key, value): a deduplicating
+        # context drops the twin — unless the marker tells them apart.
+        events = []
+        for i in range(300):
+            t, value = 10 * i, float(i % 13)
+            events.append(Event(t, "b", value))
+            events.append(Event(t, "b", value, "m" if i % 3 == 0 else None))
+        queries = FIXED_QUERIES + [
+            Query.of(
+                "dedup",
+                WindowSpec.tumbling(400),
+                AggFunction.SUM,
+                selection=Selection(key="b", deduplicate=True),
+            ),
+            Query.of(
+                "dedup-range",
+                WindowSpec.sliding(600, 200),
+                AggFunction.COUNT,
+                selection=Selection(lo=2.0, hi=11.0, deduplicate=True),
+            ),
+        ]
+        self.assert_columns_parity(queries, events)
+
+        def twins_dropped(pairs):  # one per deduplicating context matched
+            return sum(1 + (2 <= i % 13 < 11) for i in pairs)
+
+        marked = AggregationEngine(queries)
+        marked.process_columns(*columns_of(events))
+        assert marked.stats.duplicates_dropped == twins_dropped(
+            i for i in range(300) if i % 3
+        )
+        # without the marker column every twin looks like a duplicate
+        blind = AggregationEngine(queries)
+        blind.process_columns(*columns_of(events)[:3])
+        assert blind.stats.duplicates_dropped == twins_dropped(range(300))
+
+    def test_track_spans(self):
+        logs = []  # per engine built: every cut with its per-context spans
+
+        def prepare(engine):
+            cuts = []
+            logs.append(cuts)
+            for runtime in engine.groups:
+                runtime.track_spans = True
+                runtime.slice_sink = lambda closed, eps, spans: cuts.append(
+                    (closed.index, closed.start, closed.end, dict(spans))
+                )
+
+        frames = (1, 7, 64, 100_000)
+        self.assert_columns_parity(
+            FIXED_QUERIES, make_stream(600), frames=frames, prepare=prepare
+        )
+        per_mode = len(frames) + 1  # the per-event reference comes first
+        assert len(logs) == per_mode * len(MODES)
+        for first in range(0, len(logs), per_mode):
+            reference = logs[first]
+            assert any(spans for *_, spans in reference)
+            for cuts in logs[first + 1:first + per_mode]:
+                assert cuts == reference
+
+    def test_run_boundary_exactly_on_a_punctuation(self):
+        # Events *at* a window boundary belong to the next slice: the
+        # bisect must put them in the following run, also when several
+        # share the boundary timestamp and when it opens a frame.
+        events = [
+            Event(t, "a", float(i))
+            for i, t in enumerate(
+                [0, 499, 499, 500, 500, 500, 501, 999, 1_000, 1_000, 1_400,
+                 1_500, 2_100, 2_100, 2_500]
+            )
+        ]
+        queries = [
+            Query.of("t500", WindowSpec.tumbling(500), AggFunction.SUM),
+            Query.of("s1000", WindowSpec.sliding(1_000, 500), AggFunction.MAX),
+        ]
+        self.assert_columns_parity(queries, events, frames=(1, 2, 3, 4, 5, 100))
+
+    def test_equal_timestamps_across_a_frame_boundary(self):
+        events = make_stream(400, dt_choices=(0, 0, 5))  # long equal-time runs
+        self.assert_columns_parity(FIXED_QUERIES, events, frames=(2, 3, 5, 11))
+
+    def test_out_of_order_columns_are_rejected_before_any_row_lands(self):
+        engine = AggregationEngine(FIXED_QUERIES)
+        with pytest.raises(OutOfOrderError):
+            engine.process_columns([10, 30, 20], ["a", "a", "a"], [1.0, 2.0, 3.0])
+        assert engine.stats.events == 0 and engine.stats.inserts == 0
+        engine.process_columns([10, 30], ["a", "a"], [1.0, 2.0])
+        with pytest.raises(OutOfOrderError):  # behind the stream clock
+            engine.process_columns([29], ["a"], [3.0])
+
+    def test_data_driven_group_keeps_the_per_event_fallback(self):
+        # SAME_FUNCTION sharing puts the session and count queries in
+        # groups of their own, next to batch-eligible ones.
+        events = make_stream(500, gap_every=40, gap_dt=5_000)
+        queries = FIXED_QUERIES + [
+            Query.of("ses", WindowSpec.session(1_000), AggFunction.COUNT),
+            Query.of(
+                "cnt",
+                WindowSpec.tumbling(90, measure=WindowMeasure.COUNT),
+                AggFunction.MIN,
+            ),
+        ]
+        engine = AggregationEngine(queries, policy=SharingPolicy.SAME_FUNCTION)
+        assert {g.batch_eligible for g in engine.groups} == {True, False}
+        assert_parity(queries, events, policy=SharingPolicy.SAME_FUNCTION)
+        with pytest.raises(EngineError, match="process_batch"):
+            engine.process_columns(*columns_of(events))
+        assert engine.stats.events == 0

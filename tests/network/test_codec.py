@@ -237,6 +237,49 @@ shard_result_strategy = st.builds(
 )
 
 
+def test_every_truncation_of_a_snapshot_chunk_is_a_codec_error():
+    # the JSON state blob cut short used to escape as JSONDecodeError
+    codec = BinaryCodec()
+    encoded = codec.encode(
+        SnapshotChunk(sender="mid-0", checkpoint_id=4, group_id=0,
+                      kind="assembler", state={"windows": [1, 2, 3]})
+    )
+    for cut in range(1, len(encoded)):
+        with pytest.raises(CodecError):
+            codec.decode(encoded[:cut])
+
+
+class TestShardFrames:
+    """The sharded backend's two pipe frames: ``BinaryCodec`` only — the
+    backend hard-codes it and nothing else encodes them."""
+
+    @given(message=shard_batch_strategy())
+    def test_shard_batch(self, message):
+        codec = BinaryCodec()
+        assert codec.decode(codec.encode(message)) == message
+
+    @given(message=shard_result_strategy)
+    def test_shard_result(self, message):
+        codec = BinaryCodec()
+        assert codec.decode(codec.encode(message)) == message
+
+    def test_key_slots_index_the_session_table_beyond_u16(self):
+        # key_index names slots of the shard's *session* key table, which
+        # outgrows both the frame's own key_table and 16 bits
+        message = ShardBatchMessage(
+            seq=3, times=[5, 5], values=[1.0, 2.0], key_table=["new"],
+            key_index=[2**16, 2**20],
+        )
+        codec = BinaryCodec()
+        assert codec.decode(codec.encode(message)) == message
+
+    def test_string_codec_rejects_shard_frames(self):
+        with pytest.raises(CodecError):
+            StringCodec().encode(ShardBatchMessage(seq=0))
+        with pytest.raises(CodecError):
+            StringCodec().encode(ShardResultMessage(shard=0, seq=0))
+
+
 @pytest.mark.parametrize("codec", CODECS, ids=lambda c: c.name)
 class TestRoundtrip:
     @given(message=partial_msg_strategy)
@@ -276,24 +319,6 @@ class TestRoundtrip:
     @given(message=snapshot_msg_strategy)
     def test_snapshot(self, codec, message):
         assert codec.decode(codec.encode(message)) == message
-
-    @given(message=shard_batch_strategy())
-    def test_shard_batch(self, codec, message):
-        assert codec.decode(codec.encode(message)) == message
-
-    @given(message=shard_result_strategy)
-    def test_shard_result(self, codec, message):
-        assert codec.decode(codec.encode(message)) == message
-
-    def test_shard_batch_key_table_overflow_raises(self, codec):
-        message = ShardBatchMessage(
-            seq=0, key_table=[f"k{i}" for i in range(2**16)]
-        )
-        if isinstance(codec, BinaryCodec):
-            with pytest.raises(CodecError):
-                codec.encode(message)
-        else:  # the string codec has no dictionary-width limit
-            assert codec.decode(codec.encode(message)) == message
 
     def test_checkpoint_empty_state_edge(self, codec):
         """A virgin node's checkpoint — no groups, cursors, or floors."""

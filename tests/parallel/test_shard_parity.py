@@ -135,17 +135,112 @@ class TestParity:
         second, _ = run_sharded(queries, stream(), 4)
         assert repr(first) == repr(second)
 
-    def test_per_shard_events_partition_the_stream(self):
-        events = stream()
+    @pytest.mark.parametrize("shards, keys", [(4, 6), (3, 7), (3, 3)])
+    def test_per_shard_events_partition_the_stream(self, shards, keys):
+        events = stream(keys=keys)
         queries = queries_for(AggFunction.COUNT)
-        _, engine = run_sharded(queries, events, 4)
+        reference, _ = run_inline(queries, events)
+        rows, engine = run_sharded(queries, events, shards)
+        assert_rows_match(reference, rows, exact=True)
         ss = engine.shard_stats
-        assert sum(ss.events) == len(events)
-        expected = [0, 0, 0, 0]
+        expected = [0] * shards
         for event in events:
-            expected[shard_of(event.key, 4)] += 1
+            expected[shard_of(event.key, shards)] += 1
+        if keys == 3:  # crc32 gives shard 2 of 3 no key: it idles all run
+            assert expected[2] == 0
         assert ss.events == expected
-        assert engine.stats.events == len(events)
+        # each row crossed exactly one pipe (a broadcast would read S x N)
+        assert ss.rows_shipped == expected
+        assert sum(ss.rows_shipped) == engine.stats.events == len(events)
+
+
+class TestPartitionedFrames:
+    """Frames carry only the owner's rows, but every shard gets every
+    frame's watermarks — that is what keeps the cut schedule shared."""
+
+    def test_a_shard_without_rows_in_a_frame_still_advances(self):
+        # Key-sorted bursts and a 16-row frame: most frames hold rows of
+        # one shard only, so the other must close windows on the
+        # watermark alone — same window set, same emission order.
+        owners = {}
+        for i in range(40):
+            owners.setdefault(shard_of(f"k{i}", 2), f"k{i}")
+        events = [
+            Event(10 * i, owners[(i // 48) % 2], float(i % 17))
+            for i in range(1_200)
+        ]
+        queries = queries_for(AggFunction.MAX)
+        inline = AggregationEngine(queries)
+        inline.process_batch(events)
+        expected = [
+            (r.query_id, r.start, r.end, r.event_count, r.emitted_at, r.value)
+            for r in inline.close().results
+        ]
+        for shards in (1, 2):
+            engine = ShardedEngine(
+                queries, config=EngineConfig(shards=shards, shard_batch_size=16)
+            )
+            for i in range(0, len(events), 100):
+                engine.process_batch(events[i:i + 100])
+            got = [
+                (r.query_id, r.start, r.end, r.event_count, r.emitted_at, r.value)
+                for r in engine.close().results
+            ]
+            assert got == expected  # unsorted: emission order included
+            assert engine.shard_stats.frames == 1_200 // 16 + 1  # + close
+            assert sum(engine.shard_stats.rows_shipped) == len(events)
+
+    def test_ragged_chunks_and_per_event_feed_cut_the_same_frames(self):
+        events = stream(3_000)
+        queries = queries_for(AggFunction.AVERAGE)
+        outcomes = []
+        for feed in ("batch", "ragged", "per-event"):
+            engine = ShardedEngine(
+                queries, config=EngineConfig(shards=2, shard_batch_size=256)
+            )
+            if feed == "batch":
+                engine.process_batch(events)
+            elif feed == "ragged":
+                cuts = [0, 1, 255, 256, 257, 1_000, 1_001, 2_999, 3_000]
+                for lo, hi in zip(cuts, cuts[1:]):
+                    engine.process_batch(events[lo:hi])
+            else:
+                for event in events:
+                    engine.process(event)
+            rows = rows_of(engine.close())
+            outcomes.append((rows, engine.shard_stats.frames,
+                             engine.shard_stats.rows_shipped))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_markers_reach_the_owning_shards_dedup_signature(self):
+        from repro.core.predicates import Selection
+
+        events = []
+        for i in range(400):
+            key = f"k{i % 5}"
+            events.append(Event(5 * i, key, float(i % 7)))
+            events.append(Event(5 * i, key, float(i % 7), "m" if i % 2 else None))
+        queries = [
+            Query.of(
+                "dd", WindowSpec.tumbling(250), AggFunction.COUNT,
+                selection=Selection(deduplicate=True),
+            )
+        ]
+        reference, ref_stats = run_inline(queries, events)
+        rows, engine = run_sharded(queries, events, 3, shard_batch_size=64)
+        assert_rows_match(reference, rows, exact=True)
+        assert engine.stats.duplicates_dropped == ref_stats.duplicates_dropped == 200
+
+    def test_batch_prefix_before_an_out_of_order_event_is_kept(self):
+        queries = queries_for(AggFunction.COUNT)
+        engine = ShardedEngine(queries, config=EngineConfig(shards=2))
+        batch = [Event(10, "k0", 1.0), Event(20, "k1", 1.0), Event(15, "k0", 1.0)]
+        with pytest.raises(OutOfOrderError):
+            engine.process_batch(batch)
+        with pytest.raises(OutOfOrderError):
+            engine.process(Event(19, "k0", 1.0))  # the clock stands at 20
+        engine.close()
+        assert engine.stats.events == 2
 
 
 class TestRestrictions:
