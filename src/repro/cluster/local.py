@@ -16,6 +16,8 @@ locally — or ``(time, value)`` pairs when the root must count events.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from repro.core.analyzer import QueryGroup, QueryPlan
 from repro.core.engine import EngineStats, GroupRuntime
 from repro.core.event import Event
@@ -177,6 +179,8 @@ class _RootEvalLocalGroup:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.origin = config.origin
         self.selections = list(group.selections)
+        #: key-indexed routing over the same selections (batched ingest)
+        self._router = group.build_router()
         self.needs_timestamps = group.needs_timestamps
         self.track_spans = group_has_sessions(group)
         self.window_start = config.origin
@@ -322,10 +326,40 @@ class _RootEvalLocalGroup:
                 self._cut(event.time, inclusive=True)
 
     def on_events(self, events: list[Event]) -> None:
-        # Root-evaluated groups cut on data-driven boundaries (session
-        # gaps, end markers), so every event still runs the full check.
-        for event in events:
-            self.on_event(event)
+        if self._session_watch or self._userdef_watch:
+            # Session gaps and end markers cut on the events themselves,
+            # so every event still runs the full check.
+            for event in events:
+                self.on_event(event)
+            return
+        # Fixed schedules only, so every cut is a boundary on the time
+        # column: per run, cut what its first row has passed, then buffer
+        # the rows before the next boundary (a row on it starts a slice).
+        times = [event.time for event in events]
+        candidates = self._router.candidates
+        buffers = self.buffers
+        inserted = 0
+        i, n = 0, len(events)
+        while i < n:
+            boundary = self._next_fixed_boundary(self.window_start)
+            while boundary is not None and boundary <= times[i]:
+                self._cut(boundary)
+                boundary = self._next_fixed_boundary(boundary)
+            j = n if boundary is None else bisect_left(times, boundary, i + 1)
+            for event in events[i:j]:
+                value = event.value
+                matched = False
+                for ctx, lo, hi in candidates(event.key):
+                    if (lo is None or value >= lo) and (hi is None or value < hi):
+                        buffer = buffers.get(ctx)
+                        if buffer is None:
+                            buffer = buffers[ctx] = []
+                        buffer.append((event.time, value))
+                        matched = True
+                inserted += matched
+            i = j
+        self.stats.inserts += inserted
+        self.stats.calculations += inserted  # one operator: the sort
 
     def stage(self, now: int) -> None:
         """Cut at every due boundary without shipping (stalled channel)."""

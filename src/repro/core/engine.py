@@ -750,12 +750,15 @@ class GroupRuntime:
 
     @property
     def batch_eligible(self) -> bool:
-        """Whether slice-runs are safe: only time-driven punctuations.
+        """Whether slice-runs are safe: every cut follows from the time
+        column.
 
-        Data-driven windows (session, count, user-defined) can cut on any
-        event, so their groups must process events one at a time.
+        A session's *end* is a heap punctuation like a fixed window's and
+        its *open* a run boundary (:meth:`_session_bound`); count and
+        user-defined windows cut on the events themselves, so their groups
+        must process events one at a time.
         """
-        return not (self.sessions or self.userdef or self.counts)
+        return not (self.userdef or self.counts)
 
     def begin_run(self, time: int) -> int | None:
         """Start a slice-run at ``time``: advance the stream clock, drain
@@ -779,12 +782,14 @@ class GroupRuntime:
         deadline (*slice-run*) lands in the same open slice and is applied
         in one tight loop: punctuations are drained once per run, selection
         matching is routed through the group's key index, and operator
-        updates go through the bulk :meth:`Slice.insert_run` API.  Results,
-        engine state, and :class:`EngineStats` come out identical to
-        per-event :meth:`process` calls.
+        updates go through the bulk :meth:`Slice.insert_run` API.  A
+        session's end is such a punctuation and its open ends the run
+        (:meth:`_session_bound`).  Results, engine state, and
+        :class:`EngineStats` come out identical to per-event
+        :meth:`process` calls.
 
-        Groups that are not :attr:`batch_eligible` fall back to the
-        per-event path.
+        Groups that are not :attr:`batch_eligible` (count-based or
+        user-defined windows) fall back to the per-event path.
         """
         if not self.batch_eligible:
             for event in events:
@@ -801,66 +806,139 @@ class GroupRuntime:
         start: int,
         stop: int,
     ) -> None:
-        """Apply rows ``[start, stop)`` of the columns — all inside the
-        open slice.
+        """Apply rows ``[start, stop)`` of the columns — all inside one
+        slice.
 
-        The caller guarantees the time column is ordered and that no
-        punctuation falls inside the run, so no cuts, window transitions,
-        or result emissions can happen here; the loop only routes
-        selections and buffers matching values per context, then writes
-        each context's run through one bulk insert.  ``markers`` is sparse
-        (row -> marker) and only feeds the deduplication signature.
-        Stats count the batched work as if it had been applied per event
-        (``selection_checks`` still bills the full linear scan).
+        The caller guarantees the time column is ordered, that no
+        punctuation falls inside the run, and that a run with a row
+        matching a still-closed session is one row long
+        (:meth:`_session_bound`).  So no window closes and no result is
+        emitted here; the loop only routes selections and buffers matching
+        values per context, then writes each context's run through one
+        bulk insert (into the slice a session opening here has just cut).
+        ``markers`` is sparse (row -> marker) and only feeds the
+        deduplication signature.  Stats count the batched work as if it
+        had been applied per event (``selection_checks`` still bills the
+        full linear scan).
         """
         stats = self.stats
         candidates = self._router.candidates
-        dedup = bool(self._dedup_ctxs)
-        track = self.track_spans
-        spans = self._spans
+        dedup_ctxs = self._dedup_ctxs
         run_values: dict[int, list[float]] = {}
-        matched_total = 0
-        for k in range(start, stop):
-            value = values[k]
-            if dedup or track:
-                matched = [
-                    index
-                    for index, lo, hi in candidates(keys[k])
-                    if (lo is None or value >= lo) and (hi is None or value < hi)
-                ]
-                if dedup and matched:
-                    matched = self._apply_dedup(
-                        (times[k], keys[k], value, markers.get(k)), matched
-                    )
-                for ctx in matched:
-                    bucket = run_values.get(ctx)
-                    if bucket is None:
-                        bucket = run_values[ctx] = []
-                    bucket.append(value)
-                    if track:
-                        span = spans.get(ctx)
-                        if span is None:
-                            spans[ctx] = [times[k], times[k]]
-                        else:
-                            span[1] = times[k]
-                matched_total += len(matched)
-            else:
+        #: ctx -> first / last matching row (tracked runs only)
+        first: dict[int, int] = {}
+        last: dict[int, int] = {}
+        if dedup_ctxs or self.sessions or self.track_spans:
+            for k in range(start, stop):
+                value = values[k]
+                for ctx, lo, hi in candidates(keys[k]):
+                    if (lo is None or value >= lo) and (hi is None or value < hi):
+                        if ctx in dedup_ctxs and not self._apply_dedup(
+                            (times[k], keys[k], value, markers.get(k)), [ctx]
+                        ):
+                            continue
+                        bucket = run_values.get(ctx)
+                        if bucket is None:
+                            bucket = run_values[ctx] = []
+                            first[ctx] = k
+                        bucket.append(value)
+                        last[ctx] = k
+        else:
+            for k in range(start, stop):
+                value = values[k]
                 for ctx, lo, hi in candidates(keys[k]):
                     if (lo is None or value >= lo) and (hi is None or value < hi):
                         bucket = run_values.get(ctx)
                         if bucket is None:
                             bucket = run_values[ctx] = []
                         bucket.append(value)
-                        matched_total += 1
         self.stream_time = times[stop - 1]
         stats.selection_checks += self._router.total * (stop - start)
-        if matched_total:
-            current = self.current
-            operators = self.operators
-            for ctx, run in run_values.items():
-                current.insert_run(ctx, run, operators)
-            stats.inserts += matched_total
-            stats.calculations += matched_total * len(operators)
+        if not run_values:
+            return
+        if self.sessions:
+            self._touch_sessions(times, start, last, run_values)
+        current = self.current
+        operators = self.operators
+        matched_total = 0
+        for ctx, run in run_values.items():
+            current.insert_run(ctx, run, operators)
+            matched_total += len(run)
+        stats.inserts += matched_total
+        stats.calculations += matched_total * len(operators)
+        if self.track_spans:
+            spans = self._spans
+            for ctx, k in last.items():
+                span = spans.get(ctx)
+                if span is None:
+                    spans[ctx] = [times[first[ctx]], times[k]]
+                else:
+                    span[1] = times[k]
+
+    def _session_bound(
+        self, keys: Sequence[str], values: Sequence[float], start: int, stop: int
+    ) -> int:
+        """Where the run ``[start, stop)`` must end for the sessions' sake.
+
+        A closed session opens — cutting the slice — at the first row
+        matching its context, so that row may only come first in a run:
+        the run ends before it or, when it is row ``start`` itself, right
+        after it (its end punctuation must be in the heap before the next
+        deadline is read).  Open sessions need no bound: their end is
+        part of the deadline and rows before it only extend them.
+        """
+        for tracker in self.sessions:
+            if tracker.window is not None:
+                continue
+            selection = self.selections[tracker.ctx]
+            key, lo, hi = selection.key, selection.lo, selection.hi
+            k = start
+            while k < stop:
+                if key is not None:
+                    try:
+                        k = keys.index(key, k, stop)
+                    except ValueError:
+                        break
+                value = values[k]
+                if (lo is None or value >= lo) and (hi is None or value < hi):
+                    stop = max(k, start + 1)
+                    break
+                k += 1
+        return stop
+
+    def _touch_sessions(
+        self, times: Sequence[int], start: int, last: dict[int, int],
+        run_values: dict[int, list[float]],
+    ) -> None:
+        """What :meth:`process` does for sessions around each insert, once
+        per run.
+
+        Closed trackers whose context received rows cut and open at the
+        run's first row (pre-insert; such a run is that one row), then
+        every tracker that received rows takes its last row's time and
+        one generation per row.  Only a tracker opened here is unarmed, so
+        the end punctuation it pushes carries that row's time and
+        generation; in scan mode ``_scan_next`` already lies at or below
+        every session open at the drain, so only an opening lowers it.
+        """
+        touched = [tracker for tracker in self.sessions if tracker.ctx in last]
+        sps = [
+            self._make_session_opener(tracker, times[start])
+            for tracker in touched
+            if tracker.window is None
+        ]
+        if sps:
+            self._cut(times[start], [], sps)
+        for tracker in touched:
+            tracker.last_time = times[last[tracker.ctx]]
+            tracker.generation += len(run_values[tracker.ctx])
+            end = tracker.tentative_end
+            if self.mode == "heap":
+                if not tracker.armed:
+                    tracker.armed = True
+                    self._push(end, _SESSION_EP, (tracker, tracker.generation))
+            elif self._scan_next is None or end < self._scan_next:
+                self._scan_next = end
 
     def _apply_dedup(self, signature: tuple, matched: list[int]) -> list[int]:
         """Drop deduplicating contexts that already saw this exact event
@@ -979,13 +1057,15 @@ def _ingest_columns(
 
     Every chunk ends at the earliest next punctuation across the
     batch-eligible groups (found by ``bisect`` on the time column: rows
-    *at* the deadline start the next run), so even the cross-group result
+    *at* the deadline start the next run) or, sooner, at the first row
+    that opens a session in any of them, so even the cross-group result
     interleaving is byte-identical to per-event processing: eligible
     groups only emit at chunk starts — in group order, exactly when and
-    where the per-event path drains them — while groups with data-driven
-    windows process each chunk event by event out of ``events`` (the rows
-    as objects, required only when such a group exists), emitting at
-    their own events just like under :meth:`GroupRuntime.process`.
+    where the per-event path drains them — while groups with count-based
+    or user-defined windows, which cut on the events themselves, process
+    each chunk event by event out of ``events`` (the rows as objects,
+    required only when such a group exists), emitting at their own events
+    just like under :meth:`GroupRuntime.process`.
 
     The time column is validated up front so a mid-batch regression
     cannot leave groups at diverging stream times.
@@ -1007,7 +1087,7 @@ def _ingest_columns(
         time = times[i]
         deadline: int | None = None
         # The chunk's first row, in group order: eligible groups drain
-        # (emitting due results) and open their run; data-driven groups
+        # (emitting due results) and open their run; fallback groups
         # process the event outright.
         for group, ok in zip(groups, batched):
             if ok:
@@ -1017,8 +1097,11 @@ def _ingest_columns(
             else:
                 group.process(events[i])
         j = n if deadline is None else bisect_left(times, deadline, i + 1)
+        for group in eligible:
+            if group.sessions:
+                j = group._session_bound(keys, values, i, j)
         # Eligible groups cannot emit again before the deadline, so
-        # data-driven groups may run ahead through the chunk without
+        # fallback groups may run ahead through the chunk without
         # disturbing the per-event result interleaving.
         if fallback:
             for k in range(i + 1, j):
@@ -1127,8 +1210,8 @@ class AggregationEngine:
         amortizes punctuation drains, selection matching, and operator
         dispatch over whole slice-runs: the events are split into columns
         once and driven through :func:`_ingest_columns`, the same kernel
-        :meth:`process_columns` feeds.  Groups with data-driven windows
-        keep processing the batch event by event.
+        :meth:`process_columns` feeds.  Groups with count-based or
+        user-defined windows keep processing the batch event by event.
         """
         if not isinstance(events, (list, tuple)):
             events = list(events)
@@ -1151,14 +1234,15 @@ class AggregationEngine:
 
         ``times``/``keys``/``values`` are parallel, time-ordered lists;
         ``markers`` sparsely maps row -> marker.  No :class:`Event` is
-        built, which is why engines with data-driven (session, count,
-        user-defined) windows — whose per-event path needs the objects —
-        reject this entry.
+        built, which is why engines with count-based or user-defined
+        windows — whose per-event path needs the objects — reject this
+        entry; tumbling, sliding and session windows all run here.
         """
         if not all(group.batch_eligible for group in self.groups):
             raise EngineError(
-                "process_columns needs time-driven windows only; feed "
-                "events through process_batch instead"
+                "process_columns cannot drive count-based or user-defined "
+                "windows, which cut on the events themselves; feed events "
+                "through process_batch instead"
             )
         if times:
             _ingest_columns(self.groups, times, keys, values, markers or {})

@@ -74,6 +74,11 @@ class OperatorKind(enum.Enum):
     #: user-defined extension operator backing variance / stddev
     SUM_OF_SQUARES = "sum_of_squares"
 
+    # Partials are dicts keyed by kind and the merge paths probe them per
+    # slice: hash by identity in C (members are singletons) instead of
+    # ``Enum.__hash__``'s Python-level ``hash(self._name_)``.
+    __hash__ = object.__hash__
+
 
 class SharingPolicy(enum.Enum):
     """How queries may be grouped into query-groups.

@@ -155,3 +155,51 @@ class TestStatsAndResults:
         streams["local-2"] = []
         result, _ = run_desis(avg_query(), streams, three_tier(3, 1))
         assert result.sink.count > 0
+
+
+class TestBatchedInjection:
+    def test_fixed_session_and_median_mix_is_batch_invariant(self):
+        """The end-to-end benchmark's query mix — fixed windows plus one
+        session in the pushed-down group, MEDIAN in the root-evaluated one —
+        on three tiers: per-tick batches (slice-run kernel at the locals,
+        bisect cuts for the root-evaluated group) against per-event
+        injection, same sink rows and the same bytes on the wire."""
+        from repro.datagen.events import DataGenerator, DataGeneratorConfig
+        from repro.interface import parse_query
+
+        texts = [
+            f"SELECT {fn}(value) FROM stream WINDOW TUMBLING {length} MS"
+            for length in (100, 200, 500, 1000, 2000, 5000)
+            for fn in ("AVG", "MAX")
+        ]
+        texts += [
+            f"SELECT AVG(value) FROM stream WINDOW SLIDING {length} MS EVERY {slide} MS"
+            for length, slide in ((1000, 100), (5000, 500), (6400, 100))
+        ]
+        texts.append("SELECT MEDIAN(value) FROM stream WINDOW TUMBLING 1000 MS")
+        texts.append("SELECT COUNT(value) FROM stream WINDOW SESSION GAP 100 MS")
+        generator = DataGeneratorConfig(
+            keys=tuple(f"k{i}" for i in range(10)), rate=500.0,
+            gap_every_ms=2_000, gap_ms=200,
+        )
+
+        def run(batch_ms):
+            queries = [parse_query(t, query_id=f"q{i}") for i, t in enumerate(texts)]
+            cluster = DesisCluster(
+                queries, three_tier(4, 2),
+                config=ClusterConfig(tick_interval=100, batch_ms=batch_ms),
+            )
+            assert [g.root_evaluated for g in cluster.plan.groups] == [False, True]
+            result = cluster.run(DataGenerator(generator, seed=3).streams(4, 2_500))
+            rows = [
+                (r.query_id, r.start, r.end, r.value, r.event_count, r.emitted_at)
+                for r in result.sink.results
+            ]
+            return rows, result.network.total_bytes, result.local_stats
+
+        batched, per_event = run(100), run(None)
+        assert len(batched[0]) > 300
+        assert {"q15", "q16"} <= {row[0] for row in batched[0]}  # MEDIAN, session
+        assert batched[0] == per_event[0]
+        assert batched[1] == per_event[1]
+        assert batched[2] == per_event[2]

@@ -149,3 +149,121 @@ class TestRootEvalLocalGroup:
         message = handler.flush(1_000)
         (record,) = message.records
         assert len(record.contexts) == 2
+
+
+def rooteval_state(handler):
+    return (
+        handler.pending,
+        handler.buffers,
+        handler.window_start,
+        handler.stats,
+        handler.flush(10_000).records,
+    )
+
+
+class TestRootEvalBatchedIngest:
+    """``on_events`` for fixed-schedule groups cuts by bisect on the time
+    column; whatever the batch, it must leave the handler exactly where
+    per-event ``on_event`` does."""
+
+    MEDIAN = (Query.of("m", WindowSpec.tumbling(200), AggFunction.MEDIAN),)
+
+    def assert_same(self, queries, events, batches):
+        reference = rooteval_group(*queries)
+        for event in events:
+            reference.on_event(event)
+        batched = rooteval_group(*queries)
+        done = 0
+        for size in batches:
+            batched.on_events(events[done:done + size])
+            done += size
+        assert done >= len(events)
+        assert rooteval_state(batched) == rooteval_state(reference)
+        return reference
+
+    def test_batch_inside_one_slice(self):
+        events = [Event(t, "k", float(t % 7)) for t in (10, 20, 20, 150, 199)]
+        reference = self.assert_same(self.MEDIAN, events, (5,))
+        assert reference.stats.slices_closed == 1 and reference.stats.inserts == 5
+
+    def test_batch_spanning_several_boundaries(self):
+        # boundaries at 200, 400, ... — with slices that stay empty
+        events = [Event(t, "k", float(t % 11)) for t in (5, 190, 210, 390, 1_010, 1_020, 1_630)]
+        reference = self.assert_same(self.MEDIAN, events, (7,))
+        self.assert_same(self.MEDIAN, events, (2, 3, 2))
+        assert reference.stats.slices_closed == 4
+
+    def test_event_on_a_boundary_belongs_to_the_next_slice(self):
+        events = [Event(t, "k", 1.0) for t in (199, 200, 200, 201, 400)]
+        handler = rooteval_group(*self.MEDIAN)
+        handler.on_events(events)
+        assert [(r.start, r.end, r.contexts[0].count) for r in handler.pending] == [
+            (0, 200, 1), (200, 400, 3),
+        ]
+        assert handler.buffers == {0: [(400, 1.0)]}
+        self.assert_same(self.MEDIAN, events, (5,))
+        self.assert_same(self.MEDIAN, events, (1, 1, 1, 1, 1))
+
+    def test_empty_batch(self):
+        handler = rooteval_group(*self.MEDIAN)
+        handler.on_events([])
+        assert (handler.pending, handler.buffers, handler.window_start) == ([], {}, 0)
+        assert handler.stats == EngineStats()
+        self.assert_same(self.MEDIAN, [Event(250, "k", 1.0)], (0, 1, 0))
+
+    def test_keyed_and_value_range_selections(self):
+        queries = (
+            Query.of("ma", WindowSpec.tumbling(300), AggFunction.MEDIAN,
+                     selection=Selection(key="a")),
+            Query.of("mb", WindowSpec.tumbling(300), AggFunction.MEDIAN,
+                     selection=Selection(key="b", lo=2.0, hi=6.0)),
+            Query.of(
+                "cb", WindowSpec.tumbling(4, measure=WindowMeasure.COUNT),
+                AggFunction.SUM, selection=Selection(key="b", lo=2.0, hi=6.0),
+            ),
+        )
+        events = [
+            Event(17 * i, "abc"[i % 3], float(i % 8)) for i in range(90)
+        ]
+        reference = self.assert_same(queries, events, (40, 1, 49))
+        # rows matching nothing ("c", or "b" outside the range) count nothing
+        assert 0 < reference.stats.inserts < len(events) * 2 // 3
+        assert reference.needs_timestamps
+
+    def test_sliding_schedule_with_ragged_ends(self):
+        # length % slide != 0: window ends (offset 100) cut between starts
+        queries = (
+            Query.of("s", WindowSpec.sliding(700, 300), AggFunction.MEDIAN),
+            Query.of("q", WindowSpec.sliding(500, 200), AggFunction.QUANTILE,
+                     quantile=0.9),
+        )
+        events = [Event(13 * i + (i % 5), "k", float(i % 17)) for i in range(200)]
+        self.assert_same(queries, events, (64, 64, 72))
+        self.assert_same(queries, events, (200,))
+        handler = rooteval_group(*queries)
+        handler.on_events(events)
+        ends = {record.end for record in handler.pending}
+        assert len(ends) > 20 and {end % 100 for end in ends} == {0}
+        assert any(end % 300 and end % 200 for end in ends)  # a window *end*
+
+    @pytest.mark.parametrize(
+        "window",
+        [WindowSpec.session(300), WindowSpec.user_defined(end_marker="end")],
+        ids=["session", "user-defined"],
+    )
+    def test_data_driven_watch_keeps_the_per_event_loop(self, window, monkeypatch):
+        queries = (
+            Query.of("m", WindowSpec.tumbling(200), AggFunction.MEDIAN),
+            Query.of("w", window, AggFunction.MEDIAN),
+        )
+        events = [
+            Event(40 * i + (500 if i > 20 else 0), "k", float(i % 9),
+                  "end" if i % 12 == 11 else None)
+            for i in range(40)
+        ]
+        self.assert_same(queries, events, (15, 25))
+        seen = []
+        handler = rooteval_group(*queries)
+        monkeypatch.setattr(handler, "on_event", seen.append)
+        handler.on_events(events)
+        assert seen == events

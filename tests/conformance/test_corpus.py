@@ -2,7 +2,8 @@
 
 Each ``corpus/*.json`` file is one interesting hand-picked scenario —
 maximum query-group pressure, empty windows, a crash opening exactly on a
-slice boundary, 64-fold sliding overlap, heavy link faults, and so on.
+slice boundary, 64-fold sliding overlap, heavy link faults, sessions
+sharing a batched slice-run group with fixed windows, and so on.
 They replay bit-for-bit from their JSON alone, so any behavioral drift in
 the engines shows up here as a differential failure.
 """
@@ -33,7 +34,8 @@ def test_corpus_is_big_enough():
 def test_corpus_covers_the_interesting_cases():
     names = {name.removesuffix(".json") for name in CORPUS}
     for required in ("max-group-count", "empty-windows",
-                     "crash-at-slice-boundary", "overlap-64-sliding"):
+                     "crash-at-slice-boundary", "overlap-64-sliding",
+                     "session-mixed-batched"):
         assert required in names, required
 
 
@@ -44,6 +46,23 @@ def test_corpus_scenario_conforms(name):
     failures, executions = evaluate_scenario(scenario)
     assert not failures, failures
     assert "engine-exact" in executions
+
+
+def test_session_mixed_batched_is_one_group_fed_in_batches():
+    from repro.core.analyzer import analyze
+    from repro.core.types import WindowType
+
+    scenario = load("session-mixed-batched.json")
+    assert (scenario.topology, scenario.batch_ms) == ("three_tier", 100)
+    (group,) = analyze(scenario.build_queries(), decentralized=True).groups
+    assert not group.root_evaluated
+    assert [q.window.window_type for q in group.queries] == [
+        WindowType.TUMBLING, WindowType.SLIDING,
+        WindowType.SESSION, WindowType.SESSION,
+    ]
+    gaps = {q.window.gap for q in group.queries if q.window.gap}
+    # inter-arrival steps sit at and around the shorter gap length
+    assert min(gaps) in {dt * scenario.n_nodes for dt in scenario.dt_units}
 
 
 def test_overlap_64_actually_overlaps_64():

@@ -12,8 +12,10 @@ runtime query management mid-batch.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.engine import AggregationEngine
+from repro.core.engine import AggregationEngine, GroupRuntime
 from repro.core.errors import EngineError, OutOfOrderError
 from repro.core.event import Event
 from repro.core.predicates import Selection
@@ -123,8 +125,10 @@ class TestFixedWindows:
 
 
 class TestDataDrivenWindows:
-    """Sessions, markers, and counts can cut mid-run: the fast path must
-    fall back per event and still agree exactly."""
+    """Markers and counts cut on the events themselves, so their groups
+    fall back per event; sessions only *open* on an event and ride the
+    slice-run kernel (``TestSessionRuns`` looks at their state).  Either
+    way the batch must agree exactly."""
 
     def test_session_windows(self):
         events = make_stream(500, gap_every=40, gap_dt=5_000)
@@ -338,7 +342,7 @@ def engine_state(engine):
             g.current.index,
             g.current.start,
             {ctx: (s.inserts, s.partials()) for ctx, s in g.current.contexts.items()},
-            sorted((w.ctx, w.start, w.end, w.first_slice) for w in g.open_windows.values()),
+            [(w.uid, w.ctx, w.start, w.end, w.first_slice) for w in g.open_windows.values()],
             len(g.store),
             g.slice_seq,
             g._spans,
@@ -486,3 +490,272 @@ class TestColumnKernel:
         with pytest.raises(EngineError, match="process_batch"):
             engine.process_columns(*columns_of(events))
         assert engine.stats.events == 0
+
+
+def tracker_state(group):
+    return [
+        (
+            t.ctx,
+            None if t.window is None else (t.window.uid, t.window.start, t.window.first_slice),
+            t.last_time,
+            t.generation,
+            t.armed,
+        )
+        for t in group.sessions
+    ]
+
+
+def heap_state(group):
+    """The punctuation heap in its array layout: times, seqs, tags, and
+    what each payload points at (a session entry's generation included)."""
+    entries = []
+    for time, seq, tag, payload in group._heap:
+        if isinstance(payload, tuple):
+            tracker, generation = payload
+            what = ("session", tracker.ctx, tracker.gap, generation)
+        elif hasattr(payload, "uid"):
+            what = ("window", payload.uid, payload.start, payload.end)
+        else:
+            what = ("fixed", payload.ctx, payload.length, payload.slide)
+        entries.append((time, seq, tag, what))
+    return entries
+
+
+def session_state(engine):
+    return (
+        engine_state(engine),
+        [(tracker_state(g), heap_state(g), g._scan_next) for g in engine.groups],
+        engine.stats,
+    )
+
+
+#: one FULL-policy group (key selections are pairwise disjoint); key "c"
+#: matches nothing
+SESSION_QUERIES = [
+    Query.of("tum", WindowSpec.tumbling(400), AggFunction.AVERAGE,
+             selection=Selection(key="b")),
+    Query.of("sli", WindowSpec.sliding(900, 300), AggFunction.MAX,
+             selection=Selection(key="b")),
+    Query.of("ses", WindowSpec.session(100), AggFunction.COUNT,
+             selection=Selection(key="b")),
+    Query.of("ses-a", WindowSpec.session(250), AggFunction.SUM,
+             selection=Selection(key="a")),
+    Query.of("tum-a", WindowSpec.tumbling(500), AggFunction.MIN,
+             selection=Selection(key="a")),
+]
+ABC = ("a", "b", "c")
+
+
+def stream_of(rows):
+    return [Event(time, key, float(n % 7)) for n, (time, key) in enumerate(rows)]
+
+
+class TestSessionRuns:
+    """Sessions inside the slice-run kernel: after every ``process_batch``
+    call the engine is in the state per-event ``process`` reaches after
+    the same rows — results, stats, heap, trackers, spans."""
+
+    def assert_session_parity(self, queries, events, *, policy=SharingPolicy.FULL,
+                              batches=(1, 13, 100_000), splits=(), track=False):
+        splits = [list(s) for s in splits] + [
+            list(range(batch, len(events), batch)) for batch in batches
+        ]
+        for mode in MODES:
+            for split in splits:
+                reference = AggregationEngine(queries, policy=policy, punctuation_mode=mode)
+                engine = AggregationEngine(queries, policy=policy, punctuation_mode=mode)
+                for e in (reference, engine):
+                    for runtime in e.groups:
+                        runtime.track_spans = track
+                done = 0
+                for stop in split + [len(events)]:
+                    for event in events[done:stop]:
+                        reference.process(event)
+                    engine.process_batch(events[done:stop])
+                    done = stop
+                    assert session_state(engine) == session_state(reference), (mode, split, stop)
+                reference.close()
+                engine.close()
+                got = [result_key(r) for r in engine.sink.results]
+                assert got == [result_key(r) for r in reference.sink.results], (mode, split)
+                assert engine.stats == reference.stats, (mode, split)
+
+    def test_session_group_never_takes_the_per_event_path(self, monkeypatch):
+        events = make_stream(400, keys=ABC, gap_every=40, gap_dt=1_000)
+        reference = AggregationEngine(SESSION_QUERIES)
+        for event in events:
+            reference.process(event)
+        reference.close()
+
+        def refuse(self, event):
+            raise AssertionError("process_batch fell back to process")
+
+        monkeypatch.setattr(GroupRuntime, "process", refuse)
+        engine = AggregationEngine(SESSION_QUERIES)
+        assert [g.batch_eligible for g in engine.groups] == [True]
+        for i in range(0, len(events), 50):
+            engine.process_batch(events[i:i + 50])
+        engine.close()
+        assert [result_key(r) for r in engine.sink.results] == [
+            result_key(r) for r in reference.sink.results
+        ]
+        assert engine.stats == reference.stats
+        columns = AggregationEngine(SESSION_QUERIES)
+        columns.process_columns(*columns_of(events))
+        columns.close()
+        assert columns.stats == reference.stats
+
+    def test_opening_row_arms_the_end_before_the_next_deadline(self):
+        # Rule 1: the row that opens a session cuts, and its end
+        # punctuation (time + gap, the generation that row's touch gives)
+        # is in the heap before any later row's run reads its deadline —
+        # so the gap at 130 -> 300 cannot hide inside a run.
+        events = stream_of([(30, "b"), (130, "b"), (300, "b"), (310, "b")])
+        queries = [Query.of("ses", WindowSpec.session(100), AggFunction.COUNT)]
+        engine = AggregationEngine(queries)
+        engine.process_batch(events[:1])
+        (group,) = engine.groups
+        (tracker,) = group.sessions
+        assert [(t, tag, p[1]) for t, _, tag, p in group._heap] == [(130, 2, 1)]
+        assert (tracker.last_time, tracker.generation, tracker.armed) == (30, 1, True)
+        engine.process_batch(events[1:])
+        engine.close()  # ends the still-open session at the stream time
+        assert [(r.start, r.end, r.value) for r in engine.sink.results] == [
+            (30, 130, 1), (130, 230, 1), (300, 310, 2),
+        ]
+        self.assert_session_parity(queries, events, batches=(1, 2, 3, 100))
+
+    def test_keyed_session_stays_closed_while_other_keys_flow(self):
+        # Rule 2: rows of keys "b" and "c" never touch the "a" session;
+        # the run ends at the first "a" row, which then opens it.
+        rows = [(10 * i, "bc"[i % 2]) for i in range(40)]
+        rows += [(400, "a"), (405, "b"), (410, "a")]
+        rows += [(420 + 10 * i, "bc"[i % 2]) for i in range(60)]
+        rows += [(1_020, "a"), (1_020, "a"), (1_030, "b")]
+        events = stream_of(rows)
+        self.assert_session_parity(SESSION_QUERIES, events, batches=(1, 13, 41, 100_000))
+        engine = AggregationEngine(SESSION_QUERIES)
+        engine.process_batch(events[:40])
+        (group,) = engine.groups
+        closed = group.sessions[1]
+        assert (closed.window, closed.generation, closed.armed) == (None, 0, False)
+        engine.process_batch(events[40:])
+        assert (closed.window.start, closed.last_time, closed.generation) == (1_020, 1_020, 4)
+
+    def test_gap_of_exactly_the_gap_length(self):
+        # 100 ms after the last row the session has ended: a row stamped
+        # exactly there opens the next one; 99 ms after still extends it.
+        rows = [(0, "b"), (99, "b"), (199, "b"), (250, "b"), (350, "b"), (449, "b"),
+                (900, "c")]
+        events = stream_of(rows)
+        self.assert_session_parity(SESSION_QUERIES, events, batches=(1, 2, 3, 100))
+        engine = AggregationEngine(SESSION_QUERIES)
+        engine.process_batch(events)
+        engine.close()
+        assert [(r.start, r.end) for r in engine.sink.results if r.query_id == "ses"] == [
+            (0, 199), (199, 350), (350, 549),
+        ]
+
+    def test_gap_straddling_two_batches(self):
+        events = make_stream(300, keys=ABC, gap_every=50, gap_dt=700)
+        # every split point sits right at a gap: the last row before it
+        # ends one call, the row after it (a session open) starts the next
+        self.assert_session_parity(
+            SESSION_QUERIES, events, batches=(), splits=[range(50, 300, 50)]
+        )
+        self.assert_session_parity(SESSION_QUERIES, events)
+
+    def test_equal_timestamps_across_a_batch_boundary(self):
+        events = make_stream(400, keys=ABC, dt_choices=(0, 0, 40), gap_every=45, gap_dt=300)
+        self.assert_session_parity(SESSION_QUERIES, events, batches=(2, 3, 5, 11))
+
+    def test_stale_end_punctuation_fires_mid_batch(self):
+        # Rows every 60 ms keep a 100 ms session alive: each armed end
+        # punctuation fires stale inside the batch and is re-armed at
+        # last_time + gap with the generation of that moment (rule 3).
+        rows = []
+        for i in range(80):
+            rows.append((60 * i, "b"))
+            if i % 5 == 0:
+                rows.append((60 * i + 1, "a"))
+        events = stream_of(rows)
+        self.assert_session_parity(SESSION_QUERIES, events, batches=(1, 13, 100_000))
+        engine = AggregationEngine(SESSION_QUERIES)
+        engine.process_batch(events)
+        tracker = engine.groups[0].sessions[0]
+        assert (tracker.last_time, tracker.generation) == (60 * 79, 80)
+        assert tracker.window is not None and tracker.window.start == 0
+
+    def test_deduplicating_session_context(self):
+        # Twins of ordinary rows and, above all, of the rows that open the
+        # deduplicating session: ``process`` files the opening row's
+        # signature *before* its cut wipes the slice's seen-set, so the
+        # first twin after an open is aggregated and only the second is
+        # dropped.
+        events, last_b, opens = [], None, 0
+        for i, event in enumerate(make_stream(300, keys=ABC, gap_every=30, gap_dt=500)):
+            twins = 1 if i % 4 == 0 else 0
+            if event.key == "b":
+                if last_b is None or event.time - last_b >= 150:
+                    twins, opens = 2, opens + 1
+                last_b = event.time
+            events.extend([event] + [Event(event.time, event.key, event.value)] * twins)
+        assert opens >= 8
+        queries = SESSION_QUERIES + [
+            Query.of(
+                "ses-dedup", WindowSpec.session(150), AggFunction.SUM,
+                selection=Selection(key="b", deduplicate=True),
+            ),
+            Query.of(
+                "tum-dedup", WindowSpec.tumbling(300), AggFunction.COUNT,
+                selection=Selection(key="a", deduplicate=True),
+            ),
+        ]
+        assert len(AggregationEngine(queries).groups) == 1
+        self.assert_session_parity(queries, events, batches=(1, 2, 13, 100_000))
+
+    def test_spans_follow_the_session_cuts(self):
+        events = make_stream(400, keys=ABC, gap_every=35, gap_dt=600)
+        self.assert_session_parity(SESSION_QUERIES, events, track=True)
+
+    def test_groups_interleave_as_per_event(self):
+        # One group per query: a session opening in one group ends the
+        # chunk for all of them, so results come out in per-event order.
+        events = make_stream(500, keys=ABC, gap_every=40, gap_dt=900)
+        queries = SESSION_QUERIES + [
+            Query.of("ses-all", WindowSpec.session(180), AggFunction.MIN),
+            Query.of("ses-long", WindowSpec.session(2_000), AggFunction.MAX,
+                     selection=Selection(lo=20.0, hi=70.0)),
+        ]
+        engine = AggregationEngine(queries, policy=SharingPolicy.NONE)
+        assert len(engine.groups) == len(queries)
+        assert all(g.batch_eligible for g in engine.groups)
+        self.assert_session_parity(queries, events, policy=SharingPolicy.NONE)
+        for policy in POLICIES:
+            assert_parity(queries, events, policy=policy, batches=(1, 13, 100_000))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        deltas=st.lists(
+            st.sampled_from([0, 1, 20, 49, 50, 51, 99, 100, 101, 400]),
+            min_size=1, max_size=80,
+        ),
+        keys=st.lists(st.sampled_from(ABC), min_size=80, max_size=80),
+        cuts=st.sets(st.integers(1, 79), max_size=8),
+    )
+    def test_random_gap_streams_and_batch_splits(self, deltas, keys, cuts):
+        times = [sum(deltas[:i + 1]) for i in range(len(deltas))]
+        events = [
+            Event(t, key, float(i % 5)) for i, (t, key) in enumerate(zip(times, keys))
+        ]
+        queries = [
+            Query.of("tum", WindowSpec.tumbling(150), AggFunction.SUM,
+                     selection=Selection(key="b")),
+            Query.of("ses50", WindowSpec.session(50), AggFunction.COUNT,
+                     selection=Selection(key="b")),
+            Query.of("ses100-a", WindowSpec.session(100), AggFunction.MAX,
+                     selection=Selection(key="a")),
+            Query.of("ses100", WindowSpec.session(100), AggFunction.SUM),
+        ]
+        split = sorted(cut for cut in cuts if cut < len(events))
+        self.assert_session_parity(queries, events, batches=(), splits=[split])
