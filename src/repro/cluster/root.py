@@ -199,19 +199,7 @@ class RootAssembler:
                 self.sessions.append(_SessionState(query, ctx, kinds))
             else:
                 self.userdef.append(_UserDefState(query, ctx, kinds, origin))
-        #: Incremental merging is only safe when the whole group windows on
-        #: fixed time boundaries: then every child cuts at every fixed
-        #: punctuation, the merger releases non-overlapping aligned records
-        #: in start order, and each state's closes follow the FIFO
-        #: discipline the Two-Stacks structure needs.  Sessions, marker
-        #: windows, and count replays produce data-driven (overlapping or
-        #: unaligned) records, so their groups keep the plain scans.
-        self._inc_enabled = (
-            config.merge_mode == "incremental"
-            and not self.sessions
-            and not self.userdef
-            and not self.counts
-        )
+        self.merge_mode = config.merge_mode
 
     # -- overload control (DESIGN.md §12) ----------------------------------------------
 
@@ -301,9 +289,17 @@ class RootAssembler:
     def _merge_fixed_window(self, state: _FixedState, start: int, end: int):
         """Merge ``[start, end)`` for one fixed state, incrementally when
         the window overlaps its predecessor (``slide < length``); tumbling
-        states and gated groups take the plain interval scan."""
+        states and ``exact`` mode take the plain interval scan.
+
+        Whatever else the group holds: every node cuts at every fixed
+        punctuation of the group, so no record straddles a window start,
+        and records arrive in ``(end, start)`` order — those starting
+        below an eviction bound are a *prefix* of push order even when
+        children's session, marker or count cuts interleave (B[50,60) is
+        pushed before A[0,90)), which is all ``evict_below`` needs.
+        """
         if (
-            not self._inc_enabled
+            self.merge_mode != "incremental"
             or state.slide >= state.length
             or not any(k in DECOMPOSABLE_MERGE_KINDS for k in state.kinds)
         ):
@@ -321,9 +317,8 @@ class RootAssembler:
             part = record.contexts.get(state.ctx)
             if part is None:
                 continue
-            # Pushed in start order (aligned records sort equally by end
-            # and start); anything before the window start is evicted
-            # before the query below ever sees it.
+            # Anything before the window start is evicted before the
+            # query below ever sees it.
             agg.push(record.start, part.ops, part.count)
             pushed += 1
         state.next_abs = self.base + index

@@ -172,6 +172,8 @@ class GroupRuntime:
             if assemble and merge_mode == "incremental"
             else None
         )
+        #: a removed query may have left streams that nothing feeds
+        self._stale_streams = False
         #: called at every cut with (closed_slice, eps, spans); eps are
         #: (window, end_time) pairs and spans maps ctx -> [first, last]
         #: matching-event times inside the closed slice (when track_spans).
@@ -309,21 +311,20 @@ class GroupRuntime:
             if tracker in self._userdef_closed:
                 self._userdef_closed.remove(tracker)
             self._tracker_index.pop((tracker.spec, tracker.ctx), None)
-        if drain:
-            # Open windows keep their subscriber snapshot; ``needed`` must
-            # outlive them for result finalization at close.
-            return
-        for window in list(self.open_windows.values()):
-            if not any(q.query_id == query_id for q in window.queries):
-                continue
-            window.queries = tuple(
-                q for q in window.queries if q.query_id != query_id
-            )
-            if not window.queries:
-                del self.open_windows[window.uid]
-                # Release slice references the discarded window still held.
-                self.store.release(window.first_slice, self.current.index - 1)
-        self.needed.pop(query_id, None)
+        if not drain:
+            # (Draining windows keep their subscriber snapshot; ``needed``
+            # must outlive them for result finalization at close.)
+            for window in list(self.open_windows.values()):
+                if not any(q.query_id == query_id for q in window.queries):
+                    continue
+                window.queries = tuple(
+                    q for q in window.queries if q.query_id != query_id
+                )
+                if not window.queries:
+                    del self.open_windows[window.uid]
+            self.needed.pop(query_id, None)
+        self._stale_streams = self.incmerge is not None
+        self._windows_left()
 
     def _tracker_of(self, query_id: str):
         for bucket in (self.fixed, self.sessions, self.userdef, self.counts):
@@ -374,7 +375,6 @@ class GroupRuntime:
         self.stats.windows_closed += 1
         window.end = end
         if not self.assemble:
-            self.store.release(window.first_slice, last_slice)
             return
         # Merge the union of the subscribers' operators once; finalize (and
         # materialize a result) per subscribed query — the only per-query
@@ -396,7 +396,6 @@ class GroupRuntime:
             self.stats.merge_ops += merge_ops
         else:
             merged, events = merged
-        self.store.release(window.first_slice, last_slice)
         if self.window_sink is not None:
             self.window_sink(window, merged, events, end)
             return
@@ -516,11 +515,15 @@ class GroupRuntime:
                 start=closing.start,
                 end=closing.end,
             )
-        refcount = len(self.open_windows) if self.assemble else 0
         if self.assemble:
-            self.store.add(closing, refcount)
-            if len(self.store) > self.stats.peak_live_slices:
-                self.stats.peak_live_slices = len(self.store)
+            if self.open_windows:
+                self.store.add(closing)
+                if len(self.store) > self.stats.peak_live_slices:
+                    self.stats.peak_live_slices = len(self.store)
+            else:
+                # No open window covers the slice (this happens between
+                # windows of non-overlapping queries): dropped at once.
+                self.store.freed += 1
         if self.slice_sink is not None:
             self.slice_sink(closing, eps, self._spans)
             self._spans = {}
@@ -530,8 +533,37 @@ class GroupRuntime:
         for window, end_time in eps:
             if window.uid in self.open_windows:
                 self._close_window(window, end_time, closing.index)
+        if eps:
+            self._windows_left()
         for open_thunk in sps:
             open_thunk()
+
+    def _windows_left(self) -> None:
+        """Windows left ``open_windows``: free what only they still needed.
+
+        ``open_windows`` is ordered by uid and ``first_slice`` never
+        decreases from one open to the next, so its first entry is the
+        oldest window and every slice below that window's first is dead;
+        with no window left, so is everything closed so far.  Two-Stacks
+        streams go with the last tracker or open window of their
+        ``(ctx, length)`` (windows still draining after ``remove_query``
+        keep theirs until they close).
+        """
+        if not self.assemble:
+            return
+        oldest = next(iter(self.open_windows.values()), None)
+        self.store.free_below(
+            self.current.index if oldest is None else oldest.first_slice
+        )
+        if self._stale_streams:
+            tracked = {(t.ctx, t.length) for t in self.fixed}
+            live = tracked | {
+                (w.ctx, w.end - w.start)
+                for w in self.open_windows.values()
+                if w.slide is not None
+            }
+            self.incmerge.retain(live)
+            self._stale_streams = live != tracked  # windows still draining
 
     # -- punctuation draining -------------------------------------------------
 

@@ -30,8 +30,8 @@ incremental result for the decomposable kinds.
 Two cooperating layers live here:
 
 * :class:`FifoAggregator` — one Two-Stacks instance over an ordered
-  stream of partial dicts, keyed by a monotone position (slice index in
-  the engine, record start time at the cluster root).
+  stream of partial dicts, each with a position (slice index in the
+  engine, record start time at the cluster root) eviction bounds refer to.
 * :class:`IncrementalMergeLayer` — the engine-side registry: one
   aggregator per ``(ctx, kinds, window length)`` stream, fed lazily from
   the :class:`~repro.core.slices.SliceStore` at window close.
@@ -70,10 +70,13 @@ class FifoAggregator:
     ``push`` appends the newest item, ``evict_below`` drops the oldest
     items, and ``query`` returns the oldest-to-newest merge of everything
     currently held — each amortized O(1) merges per item per operator
-    kind.  Positions must be pushed in non-decreasing order and eviction
-    bounds must be non-decreasing (both hold for window closes of one
-    ``(ctx, kinds, length)`` stream: the engine closes windows in end-time
-    order, and equal lengths make their first-slice positions monotone).
+    kind.  Eviction bounds must be non-decreasing, and the items with a
+    position below a bound must be a *prefix* of push order — positions
+    themselves need not be monotone.  Both hold for window closes of one
+    ``(ctx, kinds, length)`` stream (the engine closes windows in end-time
+    order, and equal lengths make their first-slice positions monotone)
+    and for one fixed tracker at the cluster root, whose unaligned records
+    never straddle a window start (``RootAssembler._merge_fixed_window``).
 
     Invariant (the classic two stacks): ``_front`` holds older items with
     precomputed *suffix* aggregates (top of stack = oldest item, its
@@ -212,8 +215,8 @@ class IncrementalMergeLayer:
     non-decreasing ``[first_slice, last_slice]`` order, which is exactly
     the FIFO discipline the aggregator needs.  Slices are pulled lazily
     from the group's :class:`~repro.core.slices.SliceStore` at window
-    close — every covered slice is still referenced (hence stored) by the
-    closing window, so nothing extra has to be retained.
+    close — the store is freed only after a cut's windows have closed, so
+    every covered slice is still there and nothing extra is retained.
     """
 
     __slots__ = ("_streams", "merge_ops", "windows", "slices_pushed")
@@ -274,7 +277,8 @@ class IncrementalMergeLayer:
         self.slices_pushed += pushed
         return merged, events, pushed
 
-    def drop_context(self, ctx: int) -> None:
-        """Forget every stream of one selection context (query removal)."""
-        for key in [k for k in self._streams if k[0] == ctx]:
+    def retain(self, live: set[tuple[int, int]]) -> None:
+        """Forget every stream whose ``(ctx, length)`` is not in ``live``
+        (query removal): it would pin its last window's partials."""
+        for key in [k for k in self._streams if (k[0], k[2]) not in live]:
             del self._streams[key]

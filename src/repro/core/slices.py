@@ -6,11 +6,13 @@ punctuations of a query-group.  While open, it holds one mutable
 received events; closing it freezes those states into partial results.
 
 The :class:`SliceStore` keeps closed slices alive exactly as long as some
-open window still needs them: each closed slice carries a reference count
-equal to the number of windows that were open when it closed, and windows
-decrement the counts of their covered slices when they end.  Slices are
-garbage-collected from the front once their count reaches zero, bounding
-memory by the span of the longest open window — the memory behaviour
+open window still needs them.  A window covers every slice from its
+``first_slice`` on and windows open at non-decreasing slice indices, so the
+live slices are those at or above the *oldest* open window's first slice:
+a slice is stored only while a window is open, and whenever a window ends
+the runtime frees the store's front below that watermark
+(:meth:`SliceStore.free_below`) — O(slices freed), not O(window span).
+Memory stays bounded by the span of the longest open window, the behaviour
 Section 2.3 motivates slicing with.
 """
 
@@ -39,7 +41,6 @@ class Slice:
         "contexts",
         "partials",
         "insert_counts",
-        "refcount",
         "closed",
     )
 
@@ -53,7 +54,6 @@ class Slice:
         self.partials: Partials = {}
         #: context index -> number of events inserted
         self.insert_counts: dict[int, int] = {}
-        self.refcount = 0
         self.closed = False
 
     def insert(self, ctx: int, value: float, kinds: Sequence[OperatorKind]) -> None:
@@ -99,7 +99,7 @@ class Slice:
 
 
 class SliceStore:
-    """Closed slices of one query-group, reference-counted by open windows."""
+    """Closed slices of one query-group, freed from the front by watermark."""
 
     __slots__ = ("_slices", "freed")
 
@@ -107,15 +107,11 @@ class SliceStore:
         self._slices: OrderedDict[int, Slice] = OrderedDict()
         self.freed = 0
 
-    def add(self, slice_: Slice, refcount: int) -> None:
+    def add(self, slice_: Slice, _holders: int = 1) -> None:
+        """Store a closed slice some open window covers.  ``_holders`` is
+        ignored: benchmarks/e2e still passes the former reference count."""
         if not slice_.closed:
             raise EngineError("only closed slices can be stored")
-        slice_.refcount = refcount
-        if refcount == 0:
-            # No open window covers the slice; it can be dropped immediately
-            # (this happens between windows of non-overlapping queries).
-            self.freed += 1
-            return
         self._slices[slice_.index] = slice_
 
     def get(self, index: int) -> Slice | None:
@@ -128,20 +124,11 @@ class SliceStore:
             if slice_ is not None:
                 yield slice_
 
-    def release(self, first: int, last: int) -> None:
-        """A window covering slices ``first..last`` ended: drop references."""
-        for index in range(first, last + 1):
-            slice_ = self._slices.get(index)
-            if slice_ is not None:
-                slice_.refcount -= 1
-        self._gc()
-
-    def _gc(self) -> None:
-        while self._slices:
-            index, slice_ = next(iter(self._slices.items()))
-            if slice_.refcount > 0:
-                break
-            del self._slices[index]
+    def free_below(self, low: int) -> None:
+        """No open window reaches below slice ``low``: drop the front."""
+        slices = self._slices
+        while slices and next(iter(slices)) < low:
+            slices.popitem(last=False)
             self.freed += 1
 
     def __len__(self) -> int:

@@ -17,8 +17,9 @@ from repro.cluster import (
     DesisCluster,
     InMemoryCheckpointStore,
 )
+from repro.core.analyzer import analyze
 from repro.core.query import Query, WindowSpec
-from repro.core.types import AggFunction
+from repro.core.types import AggFunction, WindowMeasure
 from repro.network.simnet import CrashWindow, FaultPlan
 from repro.network.topology import star, three_tier
 
@@ -45,6 +46,20 @@ def run_mode(queries, streams, topology, merge_mode, **cfg):
     )
     result = cluster.run({k: list(v) for k, v in streams.items()})
     return result
+
+
+def assert_same_windows(left, right):
+    """Same windows in the same order: floats within 1e-9, everything
+    else identical — the ``merge_mode`` contract."""
+    assert len(left.sink) == len(right.sink)
+    for a, b in zip(left.sink, right.sink):
+        assert (a.query_id, a.start, a.end, a.event_count) == (
+            b.query_id, b.start, b.end, b.event_count
+        )
+        if isinstance(a.value, float):
+            assert a.value == pytest.approx(b.value, rel=1e-9, abs=1e-9)
+        else:
+            assert a.value == b.value
 
 
 def exact_rows(result):
@@ -92,16 +107,129 @@ class TestModeParity:
         assert exact_rows(first) == exact_rows(second)
 
     def test_mixed_group_with_sessions_stays_correct(self):
-        """Session queries disable the root's incremental path for their
-        group (data-driven closes break the FIFO discipline); results must
-        still match between modes."""
+        """A session query in the group no longer sends its sliding
+        trackers back to the full fold: the root decides per tracker, the
+        session's own (unmerged, unaligned) records notwithstanding."""
         queries = SLIDING + [
             Query.of("sess", WindowSpec.session(gap=300), AggFunction.COUNT),
         ]
-        streams = make_streams(3, 300)
+        assert len(analyze(queries, decentralized=True).groups) == 1
+        streams = make_streams(3, 300, gap_every=60)
         exact = run_mode(queries, streams, three_tier(3, 1), "exact")
         inc = run_mode(queries, streams, three_tier(3, 1), "incremental")
-        assert signature(exact.sink) == signature(inc.sink)
+        assert_same_windows(exact, inc)
+        assert len(inc.sink.for_query("sess")) > 1
+        assert inc.root_merge_ops * 2 <= exact.root_merge_ops
+
+
+#: what shares the sliding trackers' deployment, and the streams that make
+#: its data-driven cuts happen
+MIXES = {
+    "session": (
+        [Query.of("x", WindowSpec.session(gap=300), AggFunction.MAX)],
+        dict(gap_every=45),
+    ),
+    "userdef": (
+        [Query.of("x", WindowSpec.user_defined(end_marker="end"),
+                  AggFunction.SUM)],
+        dict(marker_every=37),
+    ),
+    "count": (
+        [Query.of("x", WindowSpec.sliding(40, 10, measure=WindowMeasure.COUNT),
+                  AggFunction.SUM)],
+        {},
+    ),
+}
+
+
+class TestMixedGroups:
+    """Sliding trackers stay incremental whatever shares their group."""
+
+    @pytest.mark.parametrize("topology", [three_tier(3, 1), star(4)],
+                             ids=["three_tier", "star"])
+    @pytest.mark.parametrize("mix", sorted(MIXES))
+    def test_parity_and_less_root_work(self, mix, topology):
+        extra, stream_kw = MIXES[mix]
+        queries = SLIDING + extra
+        groups = analyze(queries, decentralized=True).groups
+        # sessions and marker windows share the sliding queries' group;
+        # the analyzer always roots count windows in a group of their own
+        # (TestUnalignedRecords covers one assembler holding both)
+        assert len(groups) == (2 if mix == "count" else 1)
+        streams = make_streams(len(topology.locals_()), 400, **stream_kw)
+        exact = run_mode(queries, streams, topology, "exact")
+        inc = run_mode(queries, streams, topology, "incremental")
+        assert_same_windows(exact, inc)
+        assert len(inc.sink.for_query("x")) > 1
+        assert 0 < inc.root_merge_ops < exact.root_merge_ops
+
+    def test_root_crash_restores_in_a_mixed_group(self):
+        """Checkpoints carry no Two-Stacks state: after a state-losing
+        root crash each sliding tracker rebuilds its aggregate from the
+        restored records, interleaved session records included."""
+        queries = SLIDING + MIXES["session"][0]
+        streams = make_streams(3, 1500, gap_every=200)
+        fault_free = run_mode(queries, streams, three_tier(3, 1), "incremental")
+        crashed = {
+            mode: run_mode(
+                queries,
+                streams,
+                three_tier(3, 1),
+                mode,
+                fault_plan=FaultPlan(
+                    seed=1,
+                    crashes=(CrashWindow("root", 9_000, 13_000, lose_state=True),),
+                ),
+                checkpoint_store=InMemoryCheckpointStore(),
+                checkpoint_interval=3_000,
+                node_timeout=10**9,
+            )
+            for mode in ("exact", "incremental")
+        }
+        assert crashed["incremental"].recoveries == 1
+        assert signature(crashed["incremental"].sink) == signature(fault_free.sink)
+        assert_same_windows(crashed["exact"], crashed["incremental"])
+        assert (
+            crashed["incremental"].root_merge_ops
+            < crashed["exact"].root_merge_ops
+        )
+
+    def test_shedding_in_a_mixed_group_accounts_the_same(self):
+        """Shed records are simply absent from a tracker's push order, so
+        overload control degrades the same windows by the same coverage
+        in both modes."""
+        queries = SLIDING + MIXES["session"][0]
+        streams = make_streams(2, 1500, gap_every=150)
+        runs = {
+            mode: run_mode(
+                queries,
+                streams,
+                three_tier(2, 2),
+                mode,
+                fault_plan=FaultPlan(seed=7),
+                node_timeout=10**9,
+                channel_credit_bytes=1_500,
+                channel_credit_frames=6,
+                staging_limit=8,
+                latency_ms=20.0,
+                bandwidth_bytes_per_ms=0.2,
+            )
+            for mode in ("exact", "incremental")
+        }
+        exact, inc = runs["exact"], runs["incremental"]
+        assert inc.slices_shed > 0 and inc.degraded_windows > 0
+        assert (inc.slices_shed, inc.degraded_windows, inc.peak_staging) == (
+            exact.slices_shed, exact.degraded_windows, exact.peak_staging
+        )
+        assert [
+            (r.query_id, r.start, r.end, r.shed_slices, r.completeness)
+            for r in inc.sink
+        ] == [
+            (r.query_id, r.start, r.end, r.shed_slices, r.completeness)
+            for r in exact.sink
+        ]
+        assert_same_windows(exact, inc)
+        assert inc.root_merge_ops < exact.root_merge_ops
 
 
 class TestModeParityUnderFaults:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.analyzer import analyze
@@ -158,3 +160,128 @@ class TestTimedDerivation:
         assembler.finish(2_000)
         # The partial fourth-event window flushes at finish.
         assert emitted[-1][4] == 1
+
+
+def checked(assembler):
+    """Hold every incremental sliding close to the plain interval fold
+    over the same records; returns the list of closes seen."""
+    inner = assembler._merge_fixed_window
+    closes = []
+
+    def merge(state, start, end):
+        got = inner(state, start, end)
+        if state.slide < state.length:
+            assert state.agg is not None  # the tracker did go incremental
+            closes.append((state.query.query_id, start, end))
+        assert got == assembler._merge_interval(
+            start, end, state.ctx, state.kinds
+        )
+        return got
+
+    assembler._merge_fixed_window = merge
+    return closes
+
+
+class TestUnalignedRecords:
+    """Sliding trackers stay on the Two-Stacks path beside data-driven
+    windows.  Children's session, marker and count cuts make records
+    overlap and arrive out of *start* order — but every child still cuts at
+    every fixed punctuation and the merger releases in ``(end, start)``
+    order, so the records below any window start are a prefix of what was
+    pushed, which is all eviction needs."""
+
+    def test_records_out_of_start_order(self):
+        assembler, emitted = assembler_for(
+            Query.of("q", WindowSpec.sliding(200, 100), AggFunction.SUM),
+            Query.of("s", WindowSpec.session(5_000), AggFunction.COUNT),
+        )
+        closes = checked(assembler)
+        # children A and B both cut at 100, 200, 300 (the fixed
+        # punctuations) and, in between, wherever their own sessions did;
+        # one power of two each, so a sum names the records it folded
+        intervals = [
+            (50, 60), (0, 90), (60, 100), (90, 100),          # B A B A
+            (100, 130), (100, 200), (130, 200),               # A B A
+            (200, 210), (200, 300), (210, 300),               # B A B
+            (300, 400), (350, 400),                           # A B
+        ]
+        assert intervals == sorted(intervals, key=lambda i: (i[1], i[0]))
+        assert intervals != sorted(intervals)  # not in start order
+        records = [
+            rec(start, end, total=float(2 ** i), count=1, span=(start, start))
+            for i, (start, end) in enumerate(intervals)
+        ]
+        by_bit = {float(2 ** i): iv for i, iv in enumerate(intervals)}
+        for covered in (100, 250, 300, 400):
+            batch = [r for r in records if r.end <= covered]
+            records = records[len(batch):]
+            assembler.consume(covered, batch, now=covered)
+        assert closes == [("q", 0, 200), ("q", 100, 300), ("q", 200, 400)]
+        for _, start, end, ops, count in emitted:
+            inside = sum(
+                bit for bit, (s, e) in by_bit.items() if start <= s and e <= end
+            )
+            assert (ops[K.SUM], count) == (inside, bin(int(inside)).count("1"))
+        assert assembler.fixed[0].agg is not None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_sliding_close_equals_the_interval_fold(self, seed):
+        """Random unaligned records from three children, random coverage
+        steps, sliding trackers beside a session, a marker window and —
+        in one hand-built group, which the decentralized analyzer never
+        forms — a count window."""
+        rng = random.Random(seed)
+        queries = [
+            Query.of("avg", WindowSpec.sliding(400, 100), AggFunction.AVERAGE),
+            Query.of("max", WindowSpec.sliding(300, 100), AggFunction.MAX),
+            Query.of("tum", WindowSpec.tumbling(200), AggFunction.SUM),
+            Query.of("ses", WindowSpec.session(150), AggFunction.SUM),
+            Query.of("usr", WindowSpec.user_defined(end_marker="end"),
+                     AggFunction.COUNT),
+            Query.of("cnt", WindowSpec.sliding(7, 3, measure=WindowMeasure.COUNT),
+                     AggFunction.SUM),
+        ]
+        (group,) = analyze(queries).groups
+        emitted = []
+        assembler = RootAssembler(
+            group, origin=0, config=ClusterConfig(),
+            emit=lambda query, start, end, ops, count, now: emitted.append(
+                (query.query_id, start, end)
+            ),
+        )
+        closes = checked(assembler)
+        horizon = 2_000
+        records = []
+        for _ in range(3):
+            cuts = sorted(
+                set(range(0, horizon + 1, 100))
+                | {rng.randrange(1, horizon) for _ in range(25)}
+            )
+            for start, end in zip(cuts, cuts[1:]):
+                times = sorted(
+                    rng.sample(range(start, end), min(end - start, rng.randint(0, 3)))
+                )
+                record = SliceRecord(start=start, end=end, contexts={}, userdef_eps=[])
+                if times:
+                    record.contexts[0] = ContextPartial(
+                        count=len(times),
+                        timed=[(t, float(rng.randint(1, 9))) for t in times],
+                    )
+                    derive_ops_from_timed(record, group.operators)
+                    if rng.random() < 0.2:
+                        record.userdef_eps.append(("usr", times[-1]))
+                records.append(record)
+        records.sort(key=lambda r: (r.end, r.start))
+        starts = [r.start for r in records]
+        assert starts != sorted(starts)
+        covered = 0
+        while covered < horizon:
+            covered = min(covered + rng.randint(1, 260), horizon)
+            batch = [r for r in records if r.end <= covered]
+            records = records[len(batch):]
+            assembler.consume(covered, batch, now=covered)
+        assembler.finish(horizon)
+        assert len(closes) > 25
+        assert {"avg", "max", "tum", "ses", "usr", "cnt"} == {e[0] for e in emitted}
+        assert all(state.agg is not None for state in assembler.fixed[:2])
+        assert assembler.fixed[2].agg is None  # tumbling: plain scan

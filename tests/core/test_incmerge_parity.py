@@ -332,7 +332,8 @@ class TestRandomizedParity:
 
     def test_sliding_with_runtime_add_and_remove(self):
         """Queries attached at stream time and removed mid-stream exercise
-        the layer's late-start floor and drop_context paths."""
+        the layer's late-start floor, and a removed tracker's stream goes
+        with its last window instead of pinning that window's partials."""
         events = make_stream(1200, keys=("a", "b"))
         first = Query.of("early", WindowSpec.sliding(300, 25),
                          AggFunction.SUM)
@@ -345,9 +346,19 @@ class TestRandomizedParity:
             engine.process_batch(events[:cut])
             engine.add_query(late)
             engine.process_batch(events[cut : 2 * cut])
+            if mode == "incremental":  # "late" got a group of its own
+                assert [stream_keys(g) for g in engine.groups] == [
+                    {(0, 300)}, {(0, 200)}
+                ]
             engine.remove_query("early")
+            if mode == "incremental":
+                assert [stream_keys(g) for g in engine.groups] == [
+                    set(), {(0, 200)}
+                ]
             engine.process_batch(events[2 * cut :])
             engine.close()
+            if mode == "incremental":
+                assert [len(g.incmerge._streams) for g in engine.groups] == [0, 1]
             results[mode] = {
                 q: rows(engine, q) for q in ("early", "late")
             }
@@ -357,6 +368,66 @@ class TestRandomizedParity:
             for (ls, le, lv, ln), (rs, re_, rv, rn) in zip(left, right):
                 assert (ls, le, ln) == (rs, re_, rn), qid
                 assert math.isclose(lv, rv, rel_tol=1e-9, abs_tol=1e-9), qid
+
+    def test_draining_windows_keep_their_stream_until_the_last_closes(self):
+        """``remove_query(drain=True)`` leaves the tracker's open windows
+        to finish: they go on reusing the stream (no refold from scratch),
+        and the stream is dropped with the last of them."""
+        events = make_stream(900)
+        engine = AggregationEngine(
+            [
+                Query.of("gone", WindowSpec.sliding(300, 25), AggFunction.SUM),
+                # same context and length: shares the stream's key space
+                Query.of("twin", WindowSpec.sliding(300, 50), AggFunction.SUM),
+                Query.of("stay", WindowSpec.sliding(200, 25), AggFunction.SUM),
+            ],
+            merge_mode="incremental",
+        )
+        (runtime,) = engine.groups
+        engine.process_batch(events[:300])
+        assert stream_keys(runtime) == {(0, 300), (0, 200)}
+        engine.remove_query("twin", drain=True)
+        engine.remove_query("gone", drain=True)
+        draining = [w for w in runtime.open_windows.values()
+                    if w.end - w.start == 300]
+        assert draining and stream_keys(runtime) == {(0, 300), (0, 200)}
+        last_end = max(w.end for w in draining)
+        pushed = runtime.incmerge.slices_pushed
+        closed = runtime.stats.windows_closed
+        for event in events[300:]:
+            if event.time >= last_end:
+                break
+            engine.process(event)
+            assert (0, 300) in stream_keys(runtime)
+        # the draining closes rode the stream: at most the new slices
+        # were pushed per close, never a window's whole span again
+        closes = runtime.stats.windows_closed - closed
+        assert closes > len(draining)
+        assert runtime.incmerge.slices_pushed - pushed <= 2 * closes
+        engine.process_batch([e for e in events[300:] if e.time >= last_end])
+        assert stream_keys(runtime) == {(0, 200)}
+        engine.close()
+        assert stream_keys(runtime) == {(0, 200)}
+
+    def test_removed_tracker_without_windows_drops_at_once(self):
+        engine = AggregationEngine(
+            [Query.of("q", WindowSpec.sliding(300, 25), AggFunction.SUM),
+             Query.of("t", WindowSpec.tumbling(100), AggFunction.SUM)],
+            merge_mode="incremental",
+        )
+        (runtime,) = engine.groups
+        engine.process_batch(make_stream(400))
+        engine.remove_query("q")  # discards q's open windows with it
+        assert stream_keys(runtime) == set()
+        assert not runtime._stale_streams
+        # exact mode has no layer to sweep
+        exact = AggregationEngine(
+            [Query.of("q", WindowSpec.sliding(300, 25), AggFunction.SUM)],
+            merge_mode="exact",
+        )
+        exact.process_batch(make_stream(400))
+        exact.remove_query("q", drain=True)
+        exact.close()
 
     def test_merge_reuse_trace_recorded(self):
         from repro.obs.tracing import TraceRecorder
@@ -377,6 +448,11 @@ class TestRandomizedParity:
                       "reused", "merge_ops"):
             assert field in event.data
         assert event.data["reused"] >= 0
+
+
+def stream_keys(runtime) -> set[tuple[int, int]]:
+    """The ``(ctx, length)`` of every Two-Stacks stream a runtime holds."""
+    return {(ctx, length) for ctx, _, length in runtime.incmerge._streams}
 
 
 # -- seed replica: exact mode is byte-identical to the pre-layer path ---------------
