@@ -74,7 +74,6 @@ def _engine_config(args, **extra) -> EngineConfig:
     """Resolve the shared engine flags; ``None`` means the engine default."""
     return EngineConfig(
         merge_mode=args.merge_mode or "incremental",
-        punctuation_mode=args.punctuation_mode or "heap",
         shards=args.shards or 1,
         **extra,
     )
@@ -410,8 +409,6 @@ def cmd_conformance(args) -> int:
     overrides = {}
     if args.merge_mode:
         overrides["merge_mode"] = args.merge_mode
-    if args.punctuation_mode:
-        overrides["punctuation_mode"] = args.punctuation_mode
     if args.shards:
         overrides["shards"] = args.shards
     registry = MetricsRegistry()
@@ -469,10 +466,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 #: the flag set every verb shares, pinned by tests/test_cli.py
-SHARED_FLAGS = (
-    "--seed", "--metrics-out", "--shards", "--merge-mode",
-    "--punctuation-mode",
-)
+SHARED_FLAGS = ("--seed", "--metrics-out", "--shards", "--merge-mode")
 
 
 def _common_parent() -> argparse.ArgumentParser:
@@ -491,7 +485,7 @@ def _common_parent() -> argparse.ArgumentParser:
 def _engine_parent() -> argparse.ArgumentParser:
     """The shared engine knobs — registered once, inherited by every verb.
 
-    All three default to ``None`` (= the engine's own default), so each
+    Both default to ``None`` (= the engine's own default), so each
     handler can tell \"user asked for X\" from \"user said nothing\" —
     conformance, for instance, only pins a scenario knob when the flag
     was actually given.
@@ -511,13 +505,6 @@ def _engine_parent() -> argparse.ArgumentParser:
                              "shared-slice merges across overlapping "
                              "windows (default), 'exact' keeps the plain "
                              "full-range scan")
-    parent.add_argument("--punctuation-mode", choices=("heap", "scan"),
-                        default=None, dest="punctuation_mode",
-                        help="how window-close punctuations are found: "
-                             "'heap' (scheduled min-heap, default) or "
-                             "'scan' (linear tracker scan); compare ignores "
-                             "it — each baseline's mode is part of its "
-                             "identity (Sec 6.1.1)")
     return parent
 
 

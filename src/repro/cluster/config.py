@@ -36,15 +36,6 @@ class ClusterConfig:
             handler call.  ``None`` (the default) keeps per-event
             injection; deployments with runtime actions always use
             per-event injection regardless.
-        punctuation_mode: how local engine runtimes find the next window
-            punctuation: ``"heap"`` (default) or ``"scan"`` (see
-            :class:`~repro.core.engine.GroupRuntime`).
-        merge_mode: how the root assembles overlapping fixed windows from
-            slice records: ``"incremental"`` (default) reuses shared-slice
-            merges via the Two-Stacks layer (float aggregates within 1e-9
-            relative of the plain fold, everything else identical);
-            ``"exact"`` keeps the byte-identical full interval scan.  See
-            :mod:`repro.core.incmerge`.
         fault_plan: seeded description of link faults and node crashes
             (see :class:`~repro.network.simnet.FaultPlan`).  ``None`` (the
             default) keeps the lossless network byte-for-byte; any plan —
@@ -106,14 +97,12 @@ class ClusterConfig:
             it through the same :class:`ChildLiveness` resync path as a
             silent child.  ``None`` (default) derives it from
             ``node_timeout``.
-        engine: per-node :class:`~repro.core.config.EngineConfig`.  When
-            given, its ``punctuation_mode``/``merge_mode`` override the
-            loose legacy string fields above (which remain as aliases —
-            cluster internals still read them); when omitted, one is
-            derived from the legacy fields so ``config.engine`` is always
-            populated.  ``engine.shards`` is carried for real multi-core
-            deployments; the simulated clusters model per-node parallelism
-            analytically (see
+        engine: per-node :class:`~repro.core.config.EngineConfig`.  Locals
+            read its ``punctuation_mode``, the root its ``merge_mode`` (how
+            overlapping fixed windows are assembled from slice records, see
+            :mod:`repro.core.incmerge`).  ``engine.shards`` is carried for
+            real multi-core deployments; the simulated clusters model
+            per-node parallelism analytically (see
             :attr:`~repro.cluster.desis.DesisRunResult.modeled_parallel_throughput`)
             and execute each node's engine in-process regardless.
     """
@@ -126,8 +115,6 @@ class ClusterConfig:
     heartbeat_interval: int = 5_000
     node_timeout: int = 15_000
     batch_ms: int | None = None
-    punctuation_mode: str = "heap"
-    merge_mode: str = "incremental"
     fault_plan: FaultPlan | None = None
     retransmit_timeout: float = 100.0
     max_retries: int = 8
@@ -142,17 +129,7 @@ class ClusterConfig:
     retention_limit: int | None = None
     shed_watermark: float = 0.8
     stall_timeout: int | None = None
-    engine: EngineConfig | None = None
-
-    def __post_init__(self) -> None:
-        if self.engine is None:
-            self.engine = EngineConfig(
-                punctuation_mode=self.punctuation_mode,
-                merge_mode=self.merge_mode,
-            )
-        else:
-            self.punctuation_mode = self.engine.punctuation_mode
-            self.merge_mode = self.engine.merge_mode
+    engine: EngineConfig = field(default_factory=EngineConfig)
 
     @property
     def checkpointing(self) -> bool:

@@ -14,7 +14,7 @@ can be invoked mid-run, and heartbeat timeouts surface dead nodes via
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 from repro.core.analyzer import QueryGroup, QueryPlan, analyze
@@ -68,8 +68,8 @@ class ClusterRunResult:
     reroutes: int = 0
     duplicates_suppressed: int = 0
     #: merge operator executions during root window assembly — the work
-    #: the incremental merge layer (``config.merge_mode``) shrinks for
-    #: overlapping fixed windows (see repro.core.incmerge)
+    #: the incremental merge layer (``config.engine.merge_mode``) shrinks
+    #: for overlapping fixed windows (see repro.core.incmerge)
     root_merge_ops: int = 0
     #: overload-control accounting (DESIGN.md §12): windows emitted with
     #: ``completeness`` below 1.0, whole slices deliberately shed under
@@ -231,15 +231,10 @@ class DesisCluster:
         from repro.cluster.local import _RootEvalLocalGroup, _SlicedLocalGroup
         from repro.cluster.merger import GroupMerger
 
+        shifted = replace(self.config, origin=origin)
         for node in self.locals.values():
             handler_cls = (
                 _RootEvalLocalGroup if group.root_evaluated else _SlicedLocalGroup
-            )
-            shifted = ClusterConfig(
-                origin=origin,
-                tick_interval=self.config.tick_interval,
-                heartbeat_interval=self.config.heartbeat_interval,
-                punctuation_mode=self.config.punctuation_mode,
             )
             node.groups.append(
                 handler_cls(node.node_id, group, shifted, node.stats, node.recorder)
@@ -253,11 +248,6 @@ class DesisCluster:
             node._shed_pending.append([])
         self.root.mergers.append(
             GroupMerger(group, self.topology.children(self.topology.root), origin)
-        )
-        shifted = ClusterConfig(
-            origin=origin,
-            tick_interval=self.config.tick_interval,
-            merge_mode=self.config.merge_mode,
         )
         self.root.assemblers.append(
             RootAssembler(group, origin, self.root._emit, shifted,

@@ -51,7 +51,7 @@ class _SlicedLocalGroup:
             group,
             ResultSink(keep=False),
             stats,
-            punctuation_mode=config.punctuation_mode,
+            punctuation_mode=config.engine.punctuation_mode,
             assemble=False,
             slice_sink=self._on_cut,
             track_spans=group_has_sessions(group),

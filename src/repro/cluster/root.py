@@ -199,7 +199,7 @@ class RootAssembler:
                 self.sessions.append(_SessionState(query, ctx, kinds))
             else:
                 self.userdef.append(_UserDefState(query, ctx, kinds, origin))
-        self.merge_mode = config.merge_mode
+        self.merge_mode = config.engine.merge_mode
 
     # -- overload control (DESIGN.md §12) ----------------------------------------------
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.cluster import ClusterConfig, DesisCluster
+from repro.cluster import DesisCluster
 from repro.core.engine import AggregationEngine
 from repro.core.event import Event, merge_streams
 from repro.core.query import Query
@@ -46,6 +46,7 @@ from repro.conformance.executors import (
     canonical_rows,
     executor_matrix,
     in_order_streams,
+    _cluster_config,
     _final_time,
     _merged,
 )
@@ -188,15 +189,9 @@ def check_reshard_invariance(
     resharded: dict[str, list[Event]] = {f"local-{i}": [] for i in range(n)}
     for index, event in enumerate(merged):
         resharded[f"local-{index % n}"].append(event)
-    config = ClusterConfig(
-        tick_interval=scenario.tick_interval,
-        batch_ms=scenario.batch_ms,
-        punctuation_mode=scenario.punctuation_mode,
-        merge_mode=scenario.merge_mode,
-        checkpoint_interval=scenario.checkpoint_interval,
-    )
     result = DesisCluster(
-        scenario.build_queries(), star(n), config=config
+        scenario.build_queries(), star(n),
+        config=_cluster_config(scenario, fault=None),
     ).run(resharded)
     # user-defined windows open per-node, so their rows are legitimately
     # shard-dependent: flag them on this side only, which excludes them
@@ -303,14 +298,7 @@ def check_span_stage_sum(
     ``emitted_at - first ingest`` in integer sim-ms.  Windows evicted
     from the trace ring are skipped only when eviction actually happened.
     """
-    config = ClusterConfig(
-        tick_interval=scenario.tick_interval,
-        batch_ms=scenario.batch_ms,
-        punctuation_mode=scenario.punctuation_mode,
-        merge_mode=scenario.merge_mode,
-        checkpoint_interval=scenario.checkpoint_interval,
-        trace=True,
-    )
+    config = replace(_cluster_config(scenario, fault=None), trace=True)
     result = DesisCluster(
         scenario.build_queries(), scenario.build_topology(), config=config
     ).run({k: list(v) for k, v in streams.items()})

@@ -232,8 +232,10 @@ def _cluster_config(scenario: Scenario, *, fault) -> ClusterConfig:
     return ClusterConfig(
         tick_interval=scenario.tick_interval,
         batch_ms=scenario.batch_ms,
-        punctuation_mode=scenario.punctuation_mode,
-        merge_mode=scenario.merge_mode,
+        engine=EngineConfig(
+            punctuation_mode=scenario.punctuation_mode,
+            merge_mode=scenario.merge_mode,
+        ),
         fault_plan=fault,
         checkpoint_interval=scenario.checkpoint_interval,
         node_timeout=NEVER if fault is not None else 15_000,

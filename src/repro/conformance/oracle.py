@@ -2,9 +2,7 @@
 
 The oracle computes window results directly from the full event list with
 no slicing, no sharing, and no incremental state — the most obviously
-correct implementation possible.  It was promoted here from
-``tests/oracle.py`` (which remains as a compatibility shim) so the
-conformance harness can use it as the independent reference every engine,
+correct implementation possible: the independent reference every engine,
 baseline, and cluster deployment is differentially checked against.
 
 Semantics mirrored from the engine:

@@ -1,16 +1,10 @@
 """Unified engine configuration.
 
-Eight PRs of knob growth left the engine's construction surface sprawling:
-``DesisSession`` took six keyword arguments, ``AggregationEngine`` five,
-and ``ClusterConfig`` duplicated two of them (``punctuation_mode``,
-``merge_mode``) as loose string fields.  :class:`EngineConfig` is the one
-place an engine's behavioural knobs live.  It is frozen — a config is a
-value, shared freely between a session, its engine, and (for sharded
-execution) every worker process without aliasing hazards.
-
-The legacy keyword arguments keep working everywhere they existed, via
-shims that emit :class:`DeprecationWarning` and fold the value into the
-config (see :class:`repro.interface.session.DesisSession`).
+:class:`EngineConfig` is the one place an engine's behavioural knobs live:
+``DesisSession``, ``AggregationEngine`` and ``ClusterConfig.engine`` all
+take it.  It is frozen — a config is a value, shared freely between a
+session, its engine, and (for sharded execution) every worker process
+without aliasing hazards.
 """
 
 from __future__ import annotations
@@ -35,8 +29,7 @@ class EngineConfig:
         policy: slice-sharing policy (Sec 4.3); ``FULL`` shares slices
             across all compatible queries.
         punctuation_mode: ``"heap"`` (punctuation min-heap) or ``"scan"``
-            (linear scan of trackers) — the drain strategy benchmarked in
-            BENCH_hot_path.
+            (linear scan of trackers, the baselines' cost model).
         merge_mode: ``"incremental"`` routes overlapping sliding windows
             through the slice-merge tree; ``"exact"`` re-merges from the
             slice store on every close.

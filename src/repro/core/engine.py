@@ -1346,7 +1346,8 @@ class AggregationEngine:
                 group,
                 self.sink,
                 self.stats,
-                punctuation_mode=self.groups[0].mode if self.groups else "heap",
+                punctuation_mode=self.config.punctuation_mode,
+                emit_empty=self.config.emit_empty,
                 recorder=self.recorder,
                 node_id="engine",
                 merge_mode=self.merge_mode,

@@ -15,8 +15,7 @@ management (Sec 3.2)::
 Behavioural knobs live in one frozen :class:`~repro.core.config.EngineConfig`
 (``DesisSession(config=EngineConfig(...))``); ``shards`` is common enough
 to keep as sugar (``DesisSession(shards=4)`` runs the multi-core sharded
-backend, DESIGN.md §13).  The historical per-knob keyword arguments still
-work but emit :class:`DeprecationWarning`.
+backend, DESIGN.md §13).
 
 For decentralized deployments build a
 :class:`~repro.cluster.desis.DesisCluster` with the same parsed queries.
@@ -24,7 +23,6 @@ For decentralized deployments build a
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable
 
 from repro.core.config import EngineConfig
@@ -37,18 +35,6 @@ from repro.interface.parser import parse_query
 
 __all__ = ["DesisSession"]
 
-_UNSET = object()
-
-#: deprecated ``DesisSession`` keyword → ``EngineConfig`` field; the shim
-#: tests pin this mapping so the aliases cannot silently rot.
-DEPRECATED_KWARGS = {
-    "policy": "policy",
-    "merge_mode": "merge_mode",
-    "measure_latency": "measure_latency",
-    "latency_sample_every": "latency_sample_every",
-    "latency_expiry_horizon_ms": "latency_expiry_horizon_ms",
-}
-
 
 class DesisSession:
     """A centralized Desis instance accepting textual or built queries."""
@@ -59,35 +45,12 @@ class DesisSession:
         *,
         shards: int | None = None,
         recorder=None,
-        policy=_UNSET,
-        merge_mode=_UNSET,
-        measure_latency=_UNSET,
-        latency_sample_every=_UNSET,
-        latency_expiry_horizon_ms=_UNSET,
     ) -> None:
         base = config if config is not None else EngineConfig()
-        overrides: dict[str, object] = {}
-        for keyword, value in (
-            ("policy", policy),
-            ("merge_mode", merge_mode),
-            ("measure_latency", measure_latency),
-            ("latency_sample_every", latency_sample_every),
-            ("latency_expiry_horizon_ms", latency_expiry_horizon_ms),
-        ):
-            if value is _UNSET:
-                continue
-            field = DEPRECATED_KWARGS[keyword]
-            warnings.warn(
-                f"DesisSession({keyword}=...) is deprecated; pass "
-                f"DesisSession(config=EngineConfig({field}=...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            overrides[field] = value
-        if shards is not None:
-            overrides["shards"] = shards
         #: the resolved frozen configuration driving this session
-        self.config = base.with_options(**overrides) if overrides else base
+        self.config = (
+            base if shards is None else base.with_options(shards=shards)
+        )
         #: optional slice-lifecycle trace recorder handed to the engine
         #: (see :mod:`repro.obs.tracing`); ``None`` keeps tracing off.
         #: Not supported with ``shards > 1`` — workers run out of process.
@@ -101,28 +64,6 @@ class DesisSession:
         self._engine = None
         self._pending: list[Query] = []
         self._counter = 0
-
-    # -- legacy knob views (read-only; the config is the truth) ----------------
-
-    @property
-    def policy(self):
-        return self.config.policy
-
-    @property
-    def merge_mode(self) -> str:
-        return self.config.merge_mode
-
-    @property
-    def measure_latency(self) -> bool:
-        return self.config.measure_latency
-
-    @property
-    def latency_sample_every(self) -> int:
-        return self.config.latency_sample_every
-
-    @property
-    def latency_expiry_horizon_ms(self) -> int | None:
-        return self.config.latency_expiry_horizon_ms
 
     @property
     def shards(self) -> int:

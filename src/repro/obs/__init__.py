@@ -55,12 +55,6 @@ from repro.obs.exporters import (
     write_trace_jsonl,
 )
 from repro.obs.log import configure_logging, get_logger, kv
-from repro.obs.regress import (
-    BaselineManifest,
-    RegressionReport,
-    check_benchmarks,
-    render_regression_report,
-)
 
 __all__ = [
     "Counter",
@@ -94,10 +88,6 @@ __all__ = [
     "render_waterfall",
     "top_slowest",
     "write_chrome_trace",
-    "BaselineManifest",
-    "RegressionReport",
-    "check_benchmarks",
-    "render_regression_report",
     "metrics_to_dict",
     "render_metrics_json",
     "render_prometheus",

@@ -87,9 +87,10 @@ class ShardStats:
     mark of frames sent but not yet answered per shard — the queue-depth
     signal; ``parent_ns``/``reduce_ns`` are the parent's own CPU time
     spent routing/encoding frames and reducing partials (the two serial
-    stages of the pipeline, see ``benchmarks/bench_parallel.py``; rows
-    fed through per-event ``process`` are routed untimed — two clock
-    reads per event would cost more than the routing).
+    stages of the pipeline, ``parallel.backend.parent_s`` and
+    ``parallel.reduce.reduce_s`` in ``benchmarks/e2e``; rows fed through
+    per-event ``process`` are routed untimed — two clock reads per event
+    would cost more than the routing).
     """
 
     shards: int

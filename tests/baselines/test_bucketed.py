@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import CeBufferProcessor, DeBucketProcessor
+from repro.conformance.oracle import naive_results
 from repro.core.predicates import Selection
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction, WindowMeasure
 
 from tests.conftest import make_stream
-from tests.oracle import naive_results
 
 SYSTEMS = [CeBufferProcessor, DeBucketProcessor]
 

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import ScottyProcessor
 from repro.cluster import CentralizedCluster, ClusterConfig, DesisCluster
+from repro.core.config import EngineConfig
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction, WindowMeasure
 from repro.network.simnet import CrashWindow, FaultPlan
@@ -234,7 +235,7 @@ class _ParityOracle:
                 QUERY_SETS[kind],
                 three_tier(3, 1),
                 self.streams,
-                punctuation_mode=punctuation_mode,
+                engine=EngineConfig(punctuation_mode=punctuation_mode),
             )
             self.cache[key] = rows(result)
         return self.cache[key]
@@ -269,7 +270,7 @@ def _assert_chaos_parity(
         _ORACLE.streams,
         fault_plan=plan,
         node_timeout=NEVER,
-        punctuation_mode=punctuation_mode,
+        engine=EngineConfig(punctuation_mode=punctuation_mode),
     )
     assert rows(faulty) == _ORACLE.baseline(kind, punctuation_mode)
 
@@ -602,9 +603,10 @@ class TestOverloadInvariants:
         assert rows(bounded) == rows(unbounded)
 
     def test_tight_caps_shed_and_account_exactly(self):
-        # The canonical overload recipe (also bench_overload.py): tight
-        # caps on the slow link must actually shed, emit degraded windows,
-        # and account every shed interval in the completeness figure.
+        # The canonical overload recipe (tests/test_pinned_counters.py pins
+        # its exact counters): tight caps on the slow link must actually
+        # shed, emit degraded windows, and account every shed interval in
+        # the completeness figure.
         _, result = _run_overload(8)
         assert result.network.credit_stalls > 0
         assert result.slices_shed > 0

@@ -18,6 +18,7 @@ from repro.cluster import (
     InMemoryCheckpointStore,
 )
 from repro.core.analyzer import analyze
+from repro.core.config import EngineConfig
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction, WindowMeasure
 from repro.network.simnet import CrashWindow, FaultPlan
@@ -42,7 +43,7 @@ def run_mode(queries, streams, topology, merge_mode, **cfg):
     cluster = DesisCluster(
         queries,
         topology,
-        config=ClusterConfig(merge_mode=merge_mode, **cfg),
+        config=ClusterConfig(engine=EngineConfig(merge_mode=merge_mode), **cfg),
     )
     result = cluster.run({k: list(v) for k, v in streams.items()})
     return result

@@ -67,21 +67,3 @@ class TestValuesMatch:
         assert values_match(None, None, policy)
         assert not values_match(None, 0.0, policy)
         assert not values_match(0.0, None, policy)
-
-
-class TestShim:
-    def test_tests_oracle_module_reexports(self):
-        # six sibling suites import the oracle from its historical home
-        from tests import oracle as shim
-
-        for name in ("naive_results", "naive_windows", "naive_value",
-                     "OracleWindow", "tolerance_for", "values_match",
-                     "TolerancePolicy", "EXACT"):
-            assert hasattr(shim, name), name
-
-    def test_shim_is_the_promoted_module(self):
-        from tests import oracle as shim
-
-        from repro.conformance import oracle as promoted
-
-        assert shim.naive_results is promoted.naive_results

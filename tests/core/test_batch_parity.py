@@ -319,6 +319,42 @@ class TestAddQueryBootstrap:
             (1_055, 1_155, 9.0),
         ]
 
+    @pytest.mark.parametrize("batched", [False, True], ids=["per-event", "batched"])
+    def test_new_group_runs_with_the_engine_config(self, batched):
+        # The late query's selection matches no event, so every window it
+        # emits is an empty one: it must emit exactly what it emits when
+        # submitted up front (the first event sits at 0, so both window
+        # schedules anchor there).
+        base = Query.of("sum", WindowSpec.tumbling(100), AggFunction.SUM)
+        late = Query.of("med", WindowSpec.tumbling(100), AggFunction.MEDIAN,
+                        selection=Selection(key="zz"))
+        events = [Event(time=t, key="a", value=1.0) for t in (0, 120, 250, 390)]
+        emitted = []
+        for up_front in (True, False):
+            engine = AggregationEngine(
+                [base, late] if up_front else [base], emit_empty=True
+            )
+            engine.process(events[0])
+            if not up_front:
+                engine.add_query(late)
+                assert engine.group_count == 2
+            if batched:
+                engine.process_batch(events[1:])
+            else:
+                for event in events[1:]:
+                    engine.process(event)
+            engine.close()
+            emitted.append([
+                result_key(r) for r in engine.sink.results if r.query_id == "med"
+            ])
+        assert len(emitted[0]) == 4
+        assert emitted[1] == emitted[0]
+
+    def test_first_group_takes_the_configured_punctuation_mode(self):
+        engine = AggregationEngine([], punctuation_mode="scan")
+        engine.add_query(Query.of("sum", WindowSpec.tumbling(100), AggFunction.SUM))
+        assert [g.mode for g in engine.groups] == ["scan"]
+
 
 def columns_of(events):
     markers = {

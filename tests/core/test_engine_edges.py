@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.conformance.oracle import naive_results
 from repro.core.engine import AggregationEngine
 from repro.core.event import Event
 from repro.core.predicates import Selection
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction, WindowMeasure
-
-from tests.oracle import naive_results
 
 
 def run(queries, events):

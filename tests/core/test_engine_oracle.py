@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.conformance.oracle import naive_results
 from repro.core.engine import AggregationEngine
 from repro.core.predicates import Selection
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction, SharingPolicy, WindowMeasure
 
 from tests.conftest import make_stream
-from tests.oracle import naive_results
 
 
 def run_engine(queries, events, *, policy=SharingPolicy.FULL, mode="heap"):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.conformance.oracle import naive_results
 from repro.core.engine import AggregationEngine
 from repro.core.errors import OutOfOrderError
 from repro.core.event import Event
@@ -13,8 +14,6 @@ from repro.core.functions import FunctionSpec
 from repro.core.predicates import Selection
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction, SharingPolicy, WindowMeasure
-
-from tests.oracle import naive_results
 
 
 @st.composite

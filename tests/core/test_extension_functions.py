@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.conformance.oracle import naive_results
 from repro.core.engine import AggregationEngine
 from repro.core.functions import FunctionSpec, is_decomposable, plan_operators
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction, OperatorKind, SharingPolicy
 
 from tests.conftest import make_stream
-from tests.oracle import naive_results
 
 K = OperatorKind
 

@@ -23,6 +23,7 @@ import random
 
 import pytest
 
+from repro.conformance.oracle import naive_results
 from repro.core.engine import AggregationEngine, EngineStats, GroupRuntime
 from repro.core.analyzer import analyze
 from repro.core.functions import finalize
@@ -38,7 +39,6 @@ from repro.core.results import ResultSink
 from repro.core.types import AggFunction, OperatorKind, SharingPolicy
 
 from tests.conftest import make_stream
-from tests.oracle import naive_results
 
 # -- helpers ------------------------------------------------------------------------
 

@@ -1,13 +1,10 @@
-"""EngineConfig: the unified knob surface and its deprecation shims.
+"""EngineConfig: the unified knob surface.
 
 Pins the contract of the api_redesign: one frozen ``EngineConfig`` drives
-``DesisSession``, ``AggregationEngine``, and ``ClusterConfig.engine``; the
-historical per-knob keyword arguments keep working but warn.
+``DesisSession``, ``AggregationEngine``, and ``ClusterConfig.engine``.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -15,17 +12,7 @@ from repro.cluster import ClusterConfig
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregationEngine
 from repro.core.errors import EngineError
-from repro.core.types import SharingPolicy
-from repro.interface.session import DEPRECATED_KWARGS, DesisSession
-
-#: a non-default value per deprecated keyword, to see it land in config
-LEGACY_VALUES = {
-    "policy": SharingPolicy.NONE,
-    "merge_mode": "exact",
-    "measure_latency": True,
-    "latency_sample_every": 7,
-    "latency_expiry_horizon_ms": None,
-}
+from repro.interface.session import DesisSession
 
 
 class TestConfigValue:
@@ -57,47 +44,11 @@ class TestConfigValue:
             EngineConfig(**kwargs)
 
 
-class TestSessionShims:
-    def test_deprecated_kwargs_mapping_is_exactly_the_shimmed_set(self):
-        # the shim loop in DesisSession.__init__ and this mapping must
-        # not drift apart
-        assert set(DEPRECATED_KWARGS) == {
-            "policy",
-            "merge_mode",
-            "measure_latency",
-            "latency_sample_every",
-            "latency_expiry_horizon_ms",
-        }
-
-    @pytest.mark.parametrize("keyword", sorted(DEPRECATED_KWARGS))
-    def test_each_legacy_kwarg_warns_and_lands_in_config(self, keyword):
-        value = LEGACY_VALUES[keyword]
-        with pytest.warns(DeprecationWarning, match=keyword):
-            session = DesisSession(**{keyword: value})
-        assert getattr(session.config, DEPRECATED_KWARGS[keyword]) == value
-        # read-only legacy view mirrors the config
-        assert getattr(session, keyword) == value
-
-    def test_config_path_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            session = DesisSession(config=EngineConfig(merge_mode="exact"))
-        assert session.merge_mode == "exact"
-
-    def test_shards_sugar_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            session = DesisSession(shards=4)
-        assert session.config.shards == 4
+class TestSessionSugar:
+    def test_shards_sugar_lands_in_config(self):
+        session = DesisSession(EngineConfig(merge_mode="exact"), shards=4)
+        assert session.config == EngineConfig(merge_mode="exact", shards=4)
         assert session.shards == 4
-
-    def test_legacy_kwarg_overrides_explicit_config(self):
-        with pytest.warns(DeprecationWarning):
-            session = DesisSession(
-                config=EngineConfig(merge_mode="incremental"),
-                merge_mode="exact",
-            )
-        assert session.config.merge_mode == "exact"
 
 
 class TestEngineConfig:
@@ -117,20 +68,10 @@ class TestEngineConfig:
 
 
 class TestClusterConfigSync:
-    def test_engine_derived_from_legacy_strings(self):
-        config = ClusterConfig(punctuation_mode="scan", merge_mode="exact")
-        assert config.engine is not None
-        assert config.engine.punctuation_mode == "scan"
-        assert config.engine.merge_mode == "exact"
-
-    def test_engine_overrides_legacy_strings(self):
-        config = ClusterConfig(
-            merge_mode="incremental",
-            engine=EngineConfig(punctuation_mode="scan", merge_mode="exact"),
-        )
-        assert config.punctuation_mode == "scan"
-        assert config.merge_mode == "exact"
-
     def test_default_engine_always_populated(self):
         config = ClusterConfig()
         assert config.engine == EngineConfig()
+
+    def test_engine_knobs_are_not_mirrored(self):
+        with pytest.raises(TypeError):
+            ClusterConfig(merge_mode="exact")

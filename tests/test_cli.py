@@ -311,13 +311,11 @@ class TestSharedFlags:
     def test_every_verb_parses_the_shared_flag_set(self, verb, tmp_path):
         argv = [verb, *self.VERB_STUB[verb],
                 "--seed", "5", "--shards", "2", "--merge-mode", "exact",
-                "--punctuation-mode", "scan",
                 "--metrics-out", str(tmp_path / "m.json")]
         args = build_parser().parse_args(argv)
         assert args.seed == 5
         assert args.shards == 2
         assert args.merge_mode == "exact"
-        assert args.punctuation_mode == "scan"
 
 
 class TestShardedRun:
