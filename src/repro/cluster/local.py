@@ -184,8 +184,10 @@ class _RootEvalLocalGroup:
         self.needs_timestamps = group.needs_timestamps
         self.track_spans = group_has_sessions(group)
         self.window_start = config.origin
-        #: ctx -> list of (time, value) pairs in the open slice
-        self.buffers: dict[int, list[tuple[int, float]]] = {}
+        #: ctx -> (times, values) columns of the open slice, in time order
+        self.buffers: dict[int, tuple[list[int], list[float]]] = {}
+        #: every row matches every context: batches extend whole columns
+        self._pass_all = all(s.is_pass_all for s in self.selections)
         self.pending: list[SliceRecord] = []
         self.pending_eps: list[tuple[str, int]] = []
         self.ship_seq = 0
@@ -228,35 +230,32 @@ class _RootEvalLocalGroup:
     def _cut(self, at: int, *, inclusive: bool = False) -> None:
         """Close the open batch at ``at`` into a pending slice record."""
         contexts: dict[int, ContextPartial] = {}
-        for ctx, buffer in list(self.buffers.items()):
+        for ctx, (times, values) in list(self.buffers.items()):
             # Half-open intervals: events stamped exactly at the boundary
             # belong to the next slice — unless the cut is an inclusive
             # (post-insert) marker cut.
-            if inclusive:
-                shipped, kept = buffer, []
-            else:
-                shipped = [pair for pair in buffer if pair[0] < at]
-                kept = buffer[len(shipped):]
-            if kept:
-                self.buffers[ctx] = kept
-            else:
-                del self.buffers[ctx]
-            if not shipped:
+            k = len(times) if inclusive else bisect_left(times, at)
+            if not k:
                 continue
-            span = (shipped[0][0], shipped[-1][0]) if self.track_spans else None
+            span = (times[0], times[k - 1]) if self.track_spans else None
+            shipped = values[:k]
             if self.needs_timestamps:
                 contexts[ctx] = ContextPartial(
-                    count=len(shipped), timed=shipped, span=span
+                    count=k, timed=list(zip(times, shipped)), span=span
                 )
             else:
                 # The local executes the non-decomposable sort (Sec 5.2) so
                 # parents and the root only merge sorted runs.
-                values = sorted(value for _, value in shipped)
+                shipped.sort()
                 contexts[ctx] = ContextPartial(
-                    count=len(shipped),
-                    ops={OperatorKind.NON_DECOMPOSABLE_SORT: values},
+                    count=k,
+                    ops={OperatorKind.NON_DECOMPOSABLE_SORT: shipped},
                     span=span,
                 )
+            if k == len(times):
+                del self.buffers[ctx]
+            else:
+                del times[:k], values[:k]
         # Inclusive (post-insert) marker cuts contain an event stamped at
         # the boundary itself; label them with the exclusive end so root
         # interval assembly never misattributes the marker event.
@@ -308,7 +307,9 @@ class _RootEvalLocalGroup:
                         self._cut(cut_at)
                 self._session_last[ctx] = event.time
         for index in matched:
-            self.buffers.setdefault(index, []).append((event.time, event.value))
+            times, values = self.buffers.setdefault(index, ([], []))
+            times.append(event.time)
+            values.append(event.value)
         if matched:
             self.stats.inserts += 1
             self.stats.calculations += 1  # one (non-decomposable sort) operator
@@ -336,6 +337,8 @@ class _RootEvalLocalGroup:
         # column: per run, cut what its first row has passed, then buffer
         # the rows before the next boundary (a row on it starts a slice).
         times = [event.time for event in events]
+        if self._pass_all:
+            values = [event.value for event in events]
         candidates = self._router.candidates
         buffers = self.buffers
         inserted = 0
@@ -346,17 +349,27 @@ class _RootEvalLocalGroup:
                 self._cut(boundary)
                 boundary = self._next_fixed_boundary(boundary)
             j = n if boundary is None else bisect_left(times, boundary, i + 1)
-            for event in events[i:j]:
-                value = event.value
-                matched = False
-                for ctx, lo, hi in candidates(event.key):
-                    if (lo is None or value >= lo) and (hi is None or value < hi):
-                        buffer = buffers.get(ctx)
-                        if buffer is None:
-                            buffer = buffers[ctx] = []
-                        buffer.append((event.time, value))
-                        matched = True
-                inserted += matched
+            if self._pass_all:
+                # Every row matches every context: the run's stretch of
+                # both columns goes in whole.
+                for ctx in range(len(self.selections)):
+                    slice_times, slice_values = buffers.setdefault(ctx, ([], []))
+                    slice_times += times[i:j]
+                    slice_values += values[i:j]
+                inserted += j - i
+            else:
+                for event in events[i:j]:
+                    value = event.value
+                    matched = False
+                    for ctx, lo, hi in candidates(event.key):
+                        if (lo is None or value >= lo) and (hi is None or value < hi):
+                            buffer = buffers.get(ctx)
+                            if buffer is None:
+                                buffer = buffers[ctx] = ([], [])
+                            buffer[0].append(event.time)
+                            buffer[1].append(value)
+                            matched = True
+                    inserted += matched
             i = j
         self.stats.inserts += inserted
         self.stats.calculations += inserted  # one operator: the sort

@@ -65,6 +65,22 @@ _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 
+# The slice-record path packs and unpacks one Struct per fixed-layout
+# stretch: a call per stretch, not per field, is where its speed comes
+# from.  The layout itself is pinned by tests/network/test_wire_golden.py.
+_BATCH_HEAD = struct.Struct(">Hqq")  # group id, first slice seq, covered_to
+_RECORD_HEAD = struct.Struct(">qqH")  # start, end, context count
+_CONTEXT_HEAD = struct.Struct(">HIB")  # ctx, event count, flags
+_SPAN = struct.Struct(">qq")
+_OP_F64 = struct.Struct(">Bd")  # op code, scalar partial
+_OP_I64 = struct.Struct(">Bq")  # op code, count
+_OP_EXTREMA = struct.Struct(">BBdd")  # op code, present, min, max
+_F64_PAIR = struct.Struct(">dd")
+
+_FLOAT_OPS = frozenset(
+    (OperatorKind.SUM, OperatorKind.MULTIPLICATION, OperatorKind.SUM_OF_SQUARES)
+)
+
 #: bound on the float-array Struct memo: partial batches reuse a handful
 #: of run lengths, but raw value arrays can take any length — beyond the
 #: bound, odd sizes fall back to one-shot pack/unpack instead of growing
@@ -154,11 +170,18 @@ class _Reader:
     def f64(self) -> float:
         return self._take(_F64)
 
+    def raw(self, n: int) -> bytes:
+        """``n`` bytes; a slice past the end would come back short
+        without complaint, so the length is checked here."""
+        end = self.pos + n
+        if end > len(self.data):
+            raise CodecError(f"truncated message: {n}-byte block cut short")
+        raw = self.data[self.pos : end]
+        self.pos = end
+        return raw
+
     def text(self) -> str:
-        n = self.u16()
-        raw = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return raw.decode("utf-8")
+        return self.raw(self.u16()).decode("utf-8")
 
     def floats(self) -> list[float]:
         n = self.u32()
@@ -201,104 +224,105 @@ class BinaryCodec(Codec):
         return w.bytes()
 
     def _encode_ops(self, w: _Writer, ops: dict[OperatorKind, Any]) -> None:
-        w.u8(len(ops))
+        append = w.parts.append
+        append(_U8.pack(len(ops)))
         for kind, partial in ops.items():
-            w.u8(_OP_CODES[kind])
-            if kind in (
-                OperatorKind.SUM,
-                OperatorKind.MULTIPLICATION,
-                OperatorKind.SUM_OF_SQUARES,
-            ):
-                w.f64(float(partial))
+            code = _OP_CODES[kind]
+            if kind in _FLOAT_OPS:
+                append(_OP_F64.pack(code, float(partial)))
             elif kind is OperatorKind.COUNT:
-                w.i64(int(partial))
+                append(_OP_I64.pack(code, int(partial)))
             elif kind is OperatorKind.DECOMPOSABLE_SORT:
                 if partial is None:
-                    w.u8(0)
+                    append(bytes((code, 0)))
                 else:
-                    w.u8(1)
-                    w.f64(partial[0])
-                    w.f64(partial[1])
+                    append(_OP_EXTREMA.pack(code, 1, partial[0], partial[1]))
             elif kind is OperatorKind.NON_DECOMPOSABLE_SORT:
+                w.u8(code)
                 w.floats(partial)
             else:  # pragma: no cover - enum exhaustive
                 raise CodecError(f"cannot encode operator {kind!r}")
 
     def _decode_ops(self, r: _Reader) -> dict[OperatorKind, Any]:
+        """The op-set at ``r.pos``.  Single bytes are read by indexing,
+        payloads by one ``unpack_from`` each: both raise on a short
+        buffer (see :meth:`decode`)."""
+        data = r.data
         ops: dict[OperatorKind, Any] = {}
-        for _ in range(r.u8()):
-            kind = _OP_KINDS[r.u8()]
-            if kind in (
-                OperatorKind.SUM,
-                OperatorKind.MULTIPLICATION,
-                OperatorKind.SUM_OF_SQUARES,
-            ):
-                ops[kind] = r.f64()
+        count = data[r.pos]
+        r.pos += 1
+        for _ in range(count):
+            kind = _OP_KINDS[data[r.pos]]
+            r.pos += 1
+            if kind in _FLOAT_OPS:
+                (ops[kind],) = _F64.unpack_from(data, r.pos)
+                r.pos += 8
             elif kind is OperatorKind.COUNT:
-                ops[kind] = r.i64()
+                (ops[kind],) = _I64.unpack_from(data, r.pos)
+                r.pos += 8
             elif kind is OperatorKind.DECOMPOSABLE_SORT:
-                ops[kind] = (r.f64(), r.f64()) if r.u8() else None
+                if data[r.pos]:
+                    ops[kind] = _F64_PAIR.unpack_from(data, r.pos + 1)
+                    r.pos += 17
+                else:
+                    ops[kind] = None
+                    r.pos += 1
             else:
                 ops[kind] = r.floats()
         return ops
 
     def _encode_records(self, w: _Writer, records: list[SliceRecord]) -> None:
-        w.u32(len(records))
+        append = w.parts.append
+        append(_U32.pack(len(records)))
         for record in records:
-            w.i64(record.start)
-            w.i64(record.end)
-            w.u16(len(record.contexts))
-            for ctx, part in record.contexts.items():
-                w.u16(ctx)
-                w.u32(part.count)
-                flags = (1 if part.span is not None else 0) | (
-                    2 if part.timed is not None else 0
-                )
-                w.u8(flags)
-                if part.span is not None:
-                    w.i64(part.span[0])
-                    w.i64(part.span[1])
+            contexts = record.contexts
+            append(_RECORD_HEAD.pack(record.start, record.end, len(contexts)))
+            for ctx, part in contexts.items():
+                span, timed = part.span, part.timed
+                flags = (span is not None) | (timed is not None) << 1
+                append(_CONTEXT_HEAD.pack(ctx, part.count, flags))
+                if span is not None:
+                    append(_SPAN.pack(span[0], span[1]))
                 self._encode_ops(w, part.ops)
-                if part.timed is not None:
-                    w.u32(len(part.timed))
-                    for time, value in part.timed:
+                if timed is not None:
+                    w.u32(len(timed))
+                    for time, value in timed:
                         w.i64(time)
                         w.f64(value)
-            w.u16(len(record.userdef_eps))
+            append(_U16.pack(len(record.userdef_eps)))
             for query_id, end in record.userdef_eps:
                 w.text(query_id)
                 w.i64(end)
 
     def _decode_records(self, r: _Reader) -> list[SliceRecord]:
+        data = r.data
         records = []
         for _ in range(r.u32()):
-            start = r.i64()
-            end = r.i64()
+            start, end, context_count = _RECORD_HEAD.unpack_from(data, r.pos)
+            r.pos += _RECORD_HEAD.size
             contexts: dict[int, ContextPartial] = {}
-            for _ in range(r.u16()):
-                ctx = r.u16()
-                count = r.u32()
-                flags = r.u8()
-                span = (r.i64(), r.i64()) if flags & 1 else None
+            for _ in range(context_count):
+                ctx, count, flags = _CONTEXT_HEAD.unpack_from(data, r.pos)
+                r.pos += _CONTEXT_HEAD.size
+                span = None
+                if flags & 1:
+                    span = _SPAN.unpack_from(data, r.pos)
+                    r.pos += _SPAN.size
                 ops = self._decode_ops(r)
                 timed = None
                 if flags & 2:
                     timed = [(r.i64(), r.f64()) for _ in range(r.u32())]
-                contexts[ctx] = ContextPartial(
-                    count=count, ops=ops, span=span, timed=timed
-                )
+                contexts[ctx] = ContextPartial(count, ops, span, timed)
             eps = [(r.text(), r.i64()) for _ in range(r.u16())]
-            records.append(
-                SliceRecord(start=start, end=end, contexts=contexts, userdef_eps=eps)
-            )
+            records.append(SliceRecord(start, end, contexts, eps))
         return records
 
     def _encode_partial(self, w: _Writer, msg: PartialBatchMessage) -> None:
         w.u8(_TAG_PARTIAL)
         w.text(msg.sender)
-        w.u16(msg.group_id)
-        w.i64(msg.first_slice_seq)
-        w.i64(msg.covered_to)
+        w.parts.append(
+            _BATCH_HEAD.pack(msg.group_id, msg.first_slice_seq, msg.covered_to)
+        )
         self._encode_records(w, msg.records)
         # Shed-coverage report is a trailing optional block: absent when
         # nothing was shed, so overload-free traffic stays byte-identical.
@@ -314,15 +338,16 @@ class BinaryCodec(Codec):
 
     def _decode_partial(self, r: _Reader) -> PartialBatchMessage:
         sender = r.text()
-        group_id = r.u16()
-        first_seq = r.i64()
-        covered = r.i64()
+        group_id, first_seq, covered = _BATCH_HEAD.unpack_from(r.data, r.pos)
+        r.pos += _BATCH_HEAD.size
         records = self._decode_records(r)
         shed: list[tuple[str, int, int]] = []
         if r.pos < len(r.data):
             shed = [
                 (r.text(), r.i64(), r.i64()) for _ in range(r.u32())
             ]
+            if not shed:
+                raise CodecError("empty shed block: trailing bytes")
         return PartialBatchMessage(
             sender=sender,
             group_id=group_id,
@@ -409,9 +434,7 @@ class BinaryCodec(Codec):
     def _decode_control(self, r: _Reader) -> ControlMessage:
         sender = r.text()
         kind = r.text()
-        n = r.u32()
-        raw = r.data[r.pos : r.pos + n]
-        r.pos += n
+        raw = r.raw(r.u32())
         return ControlMessage(
             sender=sender, kind=kind, payload=json.loads(raw.decode("utf-8"))
         )
@@ -566,10 +589,7 @@ class BinaryCodec(Codec):
         records = self._decode_records(r)
         state = None
         if r.u8():
-            n = r.u32()
-            raw = r.data[r.pos : r.pos + n]
-            r.pos += n
-            state = json.loads(raw.decode("utf-8"))
+            state = json.loads(r.raw(r.u32()).decode("utf-8"))
         return SnapshotChunk(
             sender=sender,
             checkpoint_id=checkpoint_id,
@@ -751,12 +771,26 @@ class BinaryCodec(Codec):
         raise CodecError(f"unknown message tag: {tag}")
 
     def decode(self, data: bytes) -> Message:
+        """Decode one whole frame; anything else raises ``CodecError``.
+
+        Every strict prefix of a frame and every frame with bytes appended
+        is rejected, never half-delivered.  The one cut no decoder of this
+        format can see: a :class:`PartialBatchMessage` that ends exactly
+        before its optional trailing shed block is the valid frame of the
+        same batch with nothing shed.
+        """
         r = _Reader(data)
         try:
-            return self._decode_any(r)
-        except (struct.error, IndexError, ValueError) as exc:
-            # ValueError: undecodable text, or a snapshot's JSON state cut short
+            message = self._decode_any(r)
+        except (struct.error, LookupError, ValueError) as exc:
+            # LookupError: a byte indexed past the end, or an unknown op
+            # code; ValueError: undecodable text or JSON cut short
             raise CodecError(f"truncated or corrupt message: {exc}") from exc
+        if r.pos != len(data):
+            raise CodecError(
+                f"{len(data) - r.pos} trailing bytes after the message"
+            )
+        return message
 
 
 class StringCodec(Codec):

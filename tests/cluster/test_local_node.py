@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.analyzer import analyze
 from repro.core.engine import EngineStats
@@ -200,7 +204,7 @@ class TestRootEvalBatchedIngest:
         assert [(r.start, r.end, r.contexts[0].count) for r in handler.pending] == [
             (0, 200, 1), (200, 400, 3),
         ]
-        assert handler.buffers == {0: [(400, 1.0)]}
+        assert handler.buffers == {0: ([400], [1.0])}
         self.assert_same(self.MEDIAN, events, (5,))
         self.assert_same(self.MEDIAN, events, (1, 1, 1, 1, 1))
 
@@ -245,6 +249,91 @@ class TestRootEvalBatchedIngest:
         ends = {record.end for record in handler.pending}
         assert len(ends) > 20 and {end % 100 for end in ends} == {0}
         assert any(end % 300 and end % 200 for end in ends)  # a window *end*
+
+    KEYED = (
+        Query.of("ma", WindowSpec.tumbling(200), AggFunction.MEDIAN,
+                 selection=Selection(key="a")),
+        Query.of("mb", WindowSpec.tumbling(200), AggFunction.MEDIAN,
+                 selection=Selection(key="b", lo=2.0, hi=6.0)),
+    )
+    #: needs_timestamps: every context ships ``(time, value)`` pairs
+    COUNTED = KEYED + (
+        Query.of("cb", WindowSpec.tumbling(4, measure=WindowMeasure.COUNT),
+                 AggFunction.SUM, selection=Selection(key="b", lo=2.0, hi=6.0)),
+    )
+    #: a session watch: spans are tracked (and the per-event loop is kept)
+    SPANNED = COUNTED + (
+        Query.of("s", WindowSpec.session(150), AggFunction.MEDIAN,
+                 selection=Selection(key="c")),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        times=st.lists(
+            st.one_of(
+                # ties on the slice boundaries, and either side of them
+                st.sampled_from([0, 199, 200, 200, 201, 399, 400, 400, 1_000]),
+                st.integers(0, 1_400),
+            ),
+            max_size=40,
+        ).map(sorted),
+        splits=st.lists(st.integers(0, 12), max_size=8),
+        seed=st.integers(0, 2**16),
+        queries=st.sampled_from([MEDIAN, KEYED, COUNTED, SPANNED]),
+    )
+    def test_any_stream_any_split_ships_what_the_rows_say(
+        self, times, splits, seed, queries
+    ):
+        """Batched ingest equals per-event ingest, and both equal what the
+        rows themselves say: every record holds exactly the matching rows
+        of its interval -- contexts in order of first arrival, runs
+        sorted, pairs in arrival order, spans first-to-last -- and no
+        record straddles a 200 ms boundary."""
+        rng = random.Random(seed)
+        events = [
+            Event(t, rng.choice("abc"), float(rng.randrange(8))) for t in times
+        ]
+        self.assert_same(queries, events, splits + [len(events)])
+
+        handler = rooteval_group(*queries)
+        done = 0
+        for size in splits + [len(events)]:
+            handler.on_events(events[done:done + size])
+            done += size
+        records = handler.flush(10_000).records
+        matched = 0
+        covered_to = 0
+        for record in records:
+            assert covered_to <= record.start < record.end
+            assert record.start // 200 == (record.end - 1) // 200
+            covered_to = record.end
+            rows = [e for e in events if record.start <= e.time < record.end]
+            expected = {}
+            for event in rows:
+                for ctx, selection in enumerate(handler.selections):
+                    if selection.matches(event):
+                        expected.setdefault(ctx, []).append(event)
+            assert list(record.contexts) == list(expected)
+            for ctx, part in record.contexts.items():
+                mine = expected[ctx]
+                assert part.count == len(mine)
+                if handler.needs_timestamps:
+                    assert part.timed == [(e.time, e.value) for e in mine]
+                    assert not part.ops
+                else:
+                    assert part.timed is None
+                    assert part.ops == {
+                        K.NON_DECOMPOSABLE_SORT: sorted(e.value for e in mine)
+                    }
+                assert part.span == (
+                    (mine[0].time, mine[-1].time) if handler.track_spans else None
+                )
+                matched += part.count
+        assert matched == sum(
+            selection.matches(event)
+            for event in events
+            for selection in handler.selections
+        )
 
     @pytest.mark.parametrize(
         "window",

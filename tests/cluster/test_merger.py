@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import heapq
+import math
+import random
+import struct
+
 import pytest
 
 from repro.core.analyzer import analyze
@@ -80,6 +85,43 @@ class TestMergeRecords:
         a.userdef_eps.append(("q", 42))
         merged = merge_records([a, record(0, 100)])
         assert merged[0].userdef_eps == [("q", 42)]
+
+    def test_eight_child_sorted_run_fold_matches_the_heapq_reference(self, monkeypatch):
+        # what an intermediate does per interval: fold its children's
+        # sorted runs pairwise; the Timsort merge must leave every bit
+        # where the generator merge it replaced put it
+        from repro.cluster import merger
+
+        rng = random.Random(5)
+        pool = [-math.inf, -3.5, -0.0, 0.0, 5e-324, 1.0, 1.0, 7.25, math.inf]
+        records = [
+            SliceRecord(
+                start=0,
+                end=100,
+                contexts={
+                    0: ContextPartial(
+                        count=size,
+                        ops={K.NON_DECOMPOSABLE_SORT: sorted(rng.choices(pool, k=size))},
+                    )
+                },
+            )
+            for size in (40, 0, 17, 1, 300, 23, 2, 64)
+        ]
+
+        def reference(kind, left, right):
+            assert kind is K.NON_DECOMPOSABLE_SORT
+            return list(heapq.merge(left, right))
+
+        (merged,) = merge_records(records)
+        monkeypatch.setattr(merger, "merge_partials", reference)
+        (expected,) = merge_records(records)
+        assert merged.contexts[0].count == expected.contexts[0].count == 447
+        # compared as bytes: ``==`` cannot tell ``-0.0`` from ``0.0``
+        assert struct.pack(
+            ">447d", *merged.contexts[0].ops[K.NON_DECOMPOSABLE_SORT]
+        ) == struct.pack(
+            ">447d", *expected.contexts[0].ops[K.NON_DECOMPOSABLE_SORT]
+        )
 
     def test_disjoint_contexts_combined(self):
         merged = merge_records([record(0, 100, ctx=0), record(0, 100, ctx=1)])

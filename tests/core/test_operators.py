@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
 import math
+import struct
 
 import pytest
 from hypothesis import given
@@ -27,6 +29,18 @@ ALL_KINDS = list(OperatorKind)
 values_lists = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), max_size=60
 )
+
+#: where a merge could reorder without ``==`` noticing: signed zeros,
+#: duplicates, infinities, denormals
+EDGE_FLOATS = [
+    -math.inf, -2.5, -5e-324, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+    1.0, 1.0, 2.5, math.inf,
+]
+sorted_runs = st.lists(st.sampled_from(EDGE_FLOATS), max_size=40).map(sorted)
+
+
+def bits(values):
+    return [struct.pack(">d", value) for value in values]
 
 
 class TestStates:
@@ -117,6 +131,18 @@ class TestMerge:
             OperatorKind.NON_DECOMPOSABLE_SORT, [1.0, 3.0], [0.0, 2.0, 4.0]
         )
         assert merged == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    @given(left=sorted_runs, right=sorted_runs)
+    def test_ndsort_merge_is_bit_identical_to_heapq_merge(self, left, right):
+        """Concatenate-and-sort is the same stable merge ``heapq.merge``
+        performs: ties (``-0.0 == 0.0``, duplicates) keep left before
+        right, so not one bit of any window result may move."""
+        before = bits(left), bits(right)
+        merged = merge_partials(OperatorKind.NON_DECOMPOSABLE_SORT, left, right)
+        assert bits(merged) == bits(list(heapq.merge(left, right)))
+        assert (bits(left), bits(right)) == before
+        if left and right:
+            assert merged is not left and merged is not right
 
 
 class TestOperatorSetState:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -235,6 +237,154 @@ shard_result_strategy = st.builds(
                           st.integers(0, 2**40), max_size=4),
     error=st.one_of(st.just(""), st.text(min_size=1, max_size=20)),
 )
+
+
+def _representatives():
+    """One message of every binary message type, between them taking every
+    branch of the record path."""
+    contexts = {
+        # the four flag combinations, every operator kind, ``None``
+        # extrema and an empty run
+        0: ContextPartial(
+            count=4,
+            ops={K.SUM: 10.0, K.COUNT: 4, K.MULTIPLICATION: -24.0,
+                 K.SUM_OF_SQUARES: 30.0},
+        ),
+        1: ContextPartial(
+            count=3,
+            ops={K.DECOMPOSABLE_SORT: (1.0, 9.5),
+                 K.NON_DECOMPOSABLE_SORT: [1.0, 2.0, 9.5]},
+            span=(5, 80),
+        ),
+        2: ContextPartial(count=2, timed=[(5, 1.0), (80, 2.0)]),
+        3: ContextPartial(
+            count=1,
+            ops={K.DECOMPOSABLE_SORT: None, K.NON_DECOMPOSABLE_SORT: []},
+            span=(7, 7),
+            timed=[(7, 3.0)],
+        ),
+    }
+    records = [
+        SliceRecord(start=0, end=100, contexts=contexts),
+        SliceRecord(start=100, end=141, userdef_eps=[("trip", 140)]),
+    ]
+    batch = PartialBatchMessage(
+        sender="local-0", group_id=1, first_slice_seq=7, covered_to=200,
+        records=records,
+    )
+    shedding = PartialBatchMessage(
+        sender="mid-0", group_id=1, first_slice_seq=9, covered_to=300,
+        records=records[:1], shed=[("local-1", 100, 200), ("local-1", 200, 300)],
+    )
+    resync = ResyncMessage(
+        sender="root", epoch=2, entries={0: (5, 8_000)}, recover=True,
+        new_parent="mid-1",
+    )
+    return [
+        batch,
+        shedding,
+        EventBatchMessage(
+            sender="local-0", covered_to=1_000,
+            events=[Event(10, "k", 1.5), Event(20, "k", 2.5, "trip_end")],
+        ),
+        WindowPartialMessage(
+            sender="local-0", query_id="q", start=0, end=1_000, count=3,
+            covered_to=1_000, ops={K.SUM: 6.0, K.COUNT: 3},
+            values=[1.0, 2.0, 3.0],
+        ),
+        ControlMessage(sender="local-0", kind="heartbeat", payload=12_345),
+        SequencedMessage(epoch=3, seq=17, inner=shedding),
+        SequencedMessage(epoch=3, seq=18, inner=resync),
+        AckMessage(sender="mid-0", epoch=3, cumulative=16, selective=[18, 21]),
+        resync,
+        CheckpointMessage(
+            sender="mid-0", checkpoint_id=4, at=9_000, emit_seq=12,
+            groups={0: (5, 0, 8_000)}, cursors=[(0, "local-0", 5, 8_000)],
+            safe_to={0: 6_000},
+        ),
+        SnapshotChunk(
+            sender="root", checkpoint_id=4, group_id=1, kind="assembler",
+            covered=8_000, records=records,
+            state={"covered": 8_000, "fixed": [["q", 7_000]]},
+        ),
+        ShardBatchMessage(
+            seq=3, advance_before=0, advance_after=40, close=True,
+            final_time=40, times=[5, 40], values=[1.0, 2.0],
+            key_table=["a", "b"], key_index=[0, 1], markers=[(1, "end")],
+        ),
+        ShardResultMessage(
+            shard=1, seq=3, done=True, busy_ns=99, stats={"events": 2},
+            error="boom",
+            windows=[
+                ShardWindowRecord(
+                    group_id=0, ctx=0, start=0, end=40, event_count=2,
+                    emitted_at=41, query_ids=("q0", "q1"),
+                    ops={K.SUM: 3.0, K.NON_DECOMPOSABLE_SORT: [1.0, 2.0]},
+                )
+            ],
+        ),
+    ]
+
+
+def _without_shed(message):
+    """``message`` as it reads when its trailing shed block is cut off,
+    or ``None`` when it carries none."""
+    if isinstance(message, SequencedMessage):
+        inner = _without_shed(message.inner)
+        return None if inner is None else replace(message, inner=inner)
+    if isinstance(message, PartialBatchMessage) and message.shed:
+        return replace(message, shed=[])
+    return None
+
+
+def _label(message) -> str:
+    if isinstance(message, SequencedMessage):
+        return "Sequenced-" + _label(message.inner)
+    return type(message).__name__ + ("-shed" if getattr(message, "shed", None) else "")
+
+
+@pytest.mark.parametrize("message", _representatives(), ids=_label)
+def test_every_prefix_and_any_appended_byte_is_a_codec_error(message):
+    """A cut or padded frame never decodes into a different message: a
+    marker ``'trip_e'``, a heartbeat at 123 or a parent ``'mid-'`` used to.
+    The one cut the format cannot show -- right before the optional shed
+    block -- reads as the same batch with nothing shed."""
+    codec = BinaryCodec()
+    frame = codec.encode(message)
+    assert codec.decode(frame) == message
+    unshed = _without_shed(message)
+    shed_cut = None if unshed is None else len(codec.encode(unshed))
+    for cut in range(len(frame)):
+        if cut == shed_cut:
+            assert codec.decode(frame[:cut]) == unshed
+            continue
+        with pytest.raises(CodecError):
+            codec.decode(frame[:cut])
+    with pytest.raises(CodecError):
+        codec.decode(frame + b"\x00")
+    with pytest.raises(CodecError):
+        codec.decode(frame + b"junk")
+
+
+def test_an_explicit_empty_shed_block_is_trailing_bytes():
+    # the encoder never writes one, so four zero bytes after a batch are
+    # padding, not a message
+    codec = BinaryCodec()
+    frame = codec.encode(_representatives()[0])
+    with pytest.raises(CodecError):
+        codec.decode(frame + bytes(4))
+
+
+def test_unknown_operator_code_is_a_codec_error():
+    codec = BinaryCodec()
+    message = WindowPartialMessage(
+        sender="l", query_id="q", start=0, end=1, count=1, covered_to=1,
+        ops={K.SUM: 1.0},
+    )
+    frame = bytearray(codec.encode(message))
+    frame[-10] = 0xEE  # op code: count u8, code u8, f64, values flag u8
+    with pytest.raises(CodecError):
+        codec.decode(bytes(frame))
 
 
 def test_every_truncation_of_a_snapshot_chunk_is_a_codec_error():
