@@ -89,23 +89,60 @@ def test_fig7a_scaling_average(benchmark):
 
 
 def test_fig7b_scaling_median(benchmark):
-    """Fig 7b: throughput vs local nodes, median function (root-bound)."""
+    """Fig 7b: throughput vs local nodes, median function (root-bound).
+
+    The claim is asserted on the mechanism, from deterministic byte
+    counters of the same runs: a median ships every value to the root, so
+    the bytes into the root grow with the number of locals (~8 B per
+    event at any scale), where the pushed-down average of Fig 7a sends a
+    few hundred bytes however many events there are.  Busiest-node CPU
+    seconds — the modeled rates and where they stop growing — are printed
+    only: they are single-shot wall-clock readings.
+    """
     rows = []
+    inbound = {}
     rates = {}
     for n in NODE_COUNTS:
-        desis = run_desis(median_queries(), n)
-        rates[n] = desis.modeled_parallel_throughput
+        streams = cluster_streams(n)
+        events = sum(len(stream) for stream in streams.values())
+        median = run_desis(median_queries(), n, events=dict(streams))
+        average = run_desis(avg_queries(), n, events=dict(streams))
+        inbound[n] = tuple(
+            result.network.bytes_from_role[NodeRole.INTERMEDIATE]
+            for result in (median, average)
+        )
+        rates[n] = median.modeled_parallel_throughput
         rows.append(
-            [n, fmt_rate(desis.modeled_parallel_throughput), desis.bottleneck_node[0]]
+            [
+                n,
+                fmt_rate(rates[n]),
+                median.bottleneck_node[0],
+                f"{inbound[n][0]:,}",
+                f"{inbound[n][0] / events:.2f}",
+                f"{inbound[n][1]:,}",
+            ]
         )
     print_table(
-        "Fig 7b: modeled Desis throughput vs local nodes (median)",
-        ["locals", "Desis", "bottleneck"],
+        "Fig 7b: modeled Desis throughput and root-inbound bytes vs local nodes (median)",
+        ["locals", "Desis", "bottleneck", "median B into root", "B/event",
+         "average B into root"],
         rows,
     )
-    # The root collects every value: adding locals cannot scale the system
-    # the way the decomposable workload does (Fig 7a vs 7b).
-    assert rates[8] < 4 * rates[1]
+    saturated = next(
+        (n for n, more in zip(NODE_COUNTS, NODE_COUNTS[1:])
+         if rates[more] < 1.5 * rates[n]),
+        None,
+    )
+    print(
+        "modeled median throughput (single-shot busiest-node CPU) "
+        + (f"stops scaling at {saturated} locals" if saturated
+           else f"still scales at {NODE_COUNTS[-1]} locals")
+    )
+    # Every value travels to the root: its inbound bytes scale with the
+    # locals, and dwarf the decomposable workload's at either scale.
+    assert inbound[8][0] >= 7 * inbound[1][0]
+    for n in (1, 8):
+        assert inbound[n][0] >= 100 * inbound[n][1]
     benchmark.pedantic(
         lambda: run_desis(median_queries(), 2), rounds=1, iterations=1
     )

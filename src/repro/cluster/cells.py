@@ -1,0 +1,184 @@
+"""Cells: slice records folded once, on the grid of fixed punctuations.
+
+Every node cuts its slices at every fixed punctuation of a query-group —
+the window starts ``origin + k*slide`` and the window ends
+``origin + length + k*slide`` of its tumbling and sliding windows — so a
+slice record never straddles one: it lies inside a *cell*, the interval
+between two consecutive punctuations.  A :class:`CellStore` merges each
+record, on arrival, into its cell (pairwise ``merge_partials`` per
+operator kind) and keeps the cells as closed
+:class:`~repro.core.slices.Slice` objects, so whatever closes windows over
+an engine's slices — the plain scan of
+:meth:`~repro.core.slices.SliceStore.merge_context_partials`, the
+Two-Stacks streams of :class:`~repro.core.incmerge.IncrementalMergeLayer` —
+closes them over cells unchanged.  This is the coarsest slicing all fixed
+windows of the group share (the rewrite Factor Windows plans, here read
+off the punctuations); the records of a session group, which
+:mod:`repro.cluster.merger` must pass up unmerged, are merged here.
+
+Cells are derived state, and so are the Two-Stacks streams over them,
+whose positions are this grid's cell indices and which the store therefore
+owns: :meth:`CellStore.records` turns the cells back into ordinary slice
+records that fold into the same cells again, which is how they travel in a
+checkpoint chunk and how they move to a new grid; streams rebuild lazily.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from repro.core.errors import ClusterError
+from repro.core.incmerge import IncrementalMergeLayer
+from repro.core.operators import merge_many_partials, merge_partials
+from repro.core.slices import Slice, SliceStore
+from repro.core.types import OperatorKind
+from repro.network.messages import ContextPartial, SliceRecord
+
+__all__ = ["CellStore"]
+
+
+class CellStore(SliceStore):
+    """The cells of one query-group, indexed along its punctuation grid."""
+
+    __slots__ = ("origin", "kinds", "label", "_merge_ops", "_streams", "_puncts")
+
+    def __init__(
+        self,
+        origin: int,
+        schedules: Iterable[tuple[int, int]],
+        kinds: dict[int, tuple[OperatorKind, ...]],
+        label: str = "",
+    ) -> None:
+        """``schedules`` are the ``(length, slide)`` of the group's fixed
+        windows, all starting at ``origin``; ``kinds`` names, per selection
+        context, the operators a cell folds (contexts left out are not
+        folded at all)."""
+        super().__init__()
+        self.origin = origin
+        self.kinds = kinds
+        self.label = label
+        self._merge_ops = 0
+        self._streams = IncrementalMergeLayer()
+        # The grid as arithmetic progressions (first, step): window starts,
+        # and window ends where ``length % slide`` leaves them off the
+        # starts — those only exist from ``origin + length`` on.  A
+        # progression inside a finer one adds no punctuation and is dropped,
+        # so cell indices are consecutive wherever the periods nest (gaps
+        # elsewhere are harmless: stores skip absent indices).
+        candidates = set()
+        for length, slide in schedules:
+            candidates.add((slide, origin))
+            if length % slide:
+                candidates.add((slide, origin + length))
+        self._puncts: list[tuple[int, int]] = []
+        for step, first in sorted(candidates):
+            if not any(
+                step % fine == 0 and first >= start and (first - start) % fine == 0
+                for start, fine in self._puncts
+            ):
+                self._puncts.append((first, step))
+
+    def index(self, time: int) -> int:
+        """Index of the cell holding ``time``: the punctuations up to it."""
+        index = 0
+        for first, step in self._puncts:
+            if time >= first:
+                index += (time - first) // step + 1
+        return index
+
+    def bounds(self, time: int) -> tuple[int, int]:
+        """The punctuations around ``time``: its cell ``[start, end)``."""
+        start, ends = self.origin, []
+        for first, step in self._puncts:
+            if time < first:
+                ends.append(first)
+            else:
+                below = time - (time - first) % step
+                start = max(start, below)
+                ends.append(below + step)
+        return start, min(ends)
+
+    def fold(self, record: SliceRecord) -> int:
+        """Merge ``record`` into the cell it lies in; returns its index."""
+        index = self.index(record.start)
+        cell = self.get(index)
+        if cell is None:
+            start, end = self.bounds(record.start)
+            cell = Slice(index, start)
+            cell.close(end)
+            self.add(cell)
+        if record.end > cell.end:
+            raise ClusterError(
+                f"{self.label}: record [{record.start}..{record.end}) straddles "
+                f"the fixed punctuation that ends its cell "
+                f"[{cell.start}..{cell.end})"
+            )
+        for ctx, kinds in self.kinds.items():
+            part = record.contexts.get(ctx)
+            if part is None:
+                continue
+            have = cell.partials.setdefault(ctx, {})
+            cell.insert_counts[ctx] = cell.insert_counts.get(ctx, 0) + part.count
+            for kind in kinds:
+                if kind not in part.ops:
+                    continue
+                if kind in have:
+                    have[kind] = merge_partials(kind, have[kind], part.ops[kind])
+                    self._merge_ops += 1
+                else:
+                    have[kind] = part.ops[kind]
+        return index
+
+    def merge_window(
+        self,
+        start: int,
+        end: int,
+        ctx: int,
+        fifo: tuple[OperatorKind, ...],
+        scan: tuple[OperatorKind, ...],
+        length: int,
+    ):
+        """Merge context ``ctx`` over the cells of ``[start, end)`` the way
+        ``GroupRuntime._close_window`` merges slices: kinds ``fifo``
+        through the Two-Stacks stream of ``(ctx, fifo, length)`` — whose
+        windows must come in end-time order — and kinds ``scan`` by the
+        plain scan.  Returns ``(merged, events, pushed)``; ``pushed`` is
+        ``None`` unless a stream served the window."""
+        first = self.index(start)
+        last = self.index(end - 1)
+        merged, events, pushed = {}, 0, None
+        if fifo:
+            got = self._streams.merge_window(self, first, last, ctx, fifo, length)
+            if got is None:  # behind the stream's floor: scan those too
+                scan = fifo + scan
+            else:
+                merged, events, pushed = got
+        if scan:
+            extra, extra_events, scanned = self.merge_context_partials(
+                first, last, ctx, scan, merge_many_partials
+            )
+            merged.update(extra)
+            events = max(events, extra_events)  # the same cells either way
+            self._merge_ops += scanned
+        return merged, events, pushed
+
+    @property
+    def merge_ops(self) -> int:
+        """Merge operator executions so far: ``merge_partials`` calls
+        folding records into cells, partials read by plain scans, and the
+        Two-Stacks streams' merges."""
+        return self._merge_ops + self._streams.merge_ops
+
+    def records(self, low: int, high: int) -> list[SliceRecord]:
+        """The cells between times ``low`` and ``high`` as slice records."""
+        return [
+            SliceRecord(
+                start=cell.start,
+                end=cell.end,
+                contexts={
+                    ctx: ContextPartial(count=cell.insert_counts[ctx], ops=dict(ops))
+                    for ctx, ops in cell.partials.items()
+                },
+            )
+            for cell in self.covered(self.index(low), self.index(high))
+        ]

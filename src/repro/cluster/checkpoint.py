@@ -352,7 +352,9 @@ def assembler_chunks(node_id: str, checkpoint_id: int, assemblers) -> list[Snaps
             "covered": assembler.covered,
             "base": assembler.base,
             "fixed": [
-                [s.query.query_id, s.next_close_start] for s in assembler.fixed
+                [query.query_id, tracker.next_close_start]
+                for tracker in assembler.fixed
+                for query in tracker.queries
             ],
             "sessions": [
                 [
@@ -391,7 +393,13 @@ def assembler_chunks(node_id: str, checkpoint_id: int, assemblers) -> list[Snaps
                 group_id=assembler.group.group_id,
                 kind="assembler",
                 covered=assembler.covered,
-                records=list(assembler.records),
+                # Raw records where user-defined windows still read them
+                # (restore re-folds those into cells), the cells otherwise.
+                records=(
+                    list(assembler.records)
+                    if assembler.userdef
+                    else assembler.cell_records()
+                ),
                 state=state,
             )
         )
@@ -401,20 +409,24 @@ def assembler_chunks(node_id: str, checkpoint_id: int, assemblers) -> list[Snaps
 def restore_assembler(assembler, chunk: SnapshotChunk) -> None:
     """Load one group's window-assembly progress from its chunk."""
     state = chunk.state or {}
-    assembler.records = list(chunk.records)
-    assembler.ends = [record.end for record in assembler.records]
+    if assembler.userdef:
+        assembler.records = list(chunk.records)
+        assembler.ends = [record.end for record in assembler.records]
+        assembler.base = state.get("base", 0)
+    # Cells and Two-Stacks streams are derived state: whatever records the
+    # chunk holds — this root's cells or a cell-less root's raw records —
+    # fold into cells again.
+    assembler.rebuild(chunk.records)
     assembler.covered = state.get("covered", assembler.origin)
-    assembler.base = state.get("base", 0)
     assembler.shed = [
         (node, int(start), int(end))
         for node, start, end in state.get("shed", [])
     ]
-    fixed = {s.query.query_id: s for s in assembler.fixed}
-    for state_ in assembler.fixed:
-        # The incremental merge aggregate is a derived cache over consumed
-        # records; drop it so it rebuilds lazily from the restored records.
-        state_.agg = None
-        state_.next_abs = assembler.base
+    fixed = {
+        query.query_id: tracker
+        for tracker in assembler.fixed
+        for query in tracker.queries
+    }
     for query_id, next_close_start in state.get("fixed", []):
         found = fixed.get(query_id)
         if found is not None:

@@ -67,9 +67,15 @@ class ClusterRunResult:
     recoveries: int = 0
     reroutes: int = 0
     duplicates_suppressed: int = 0
-    #: merge operator executions during root window assembly — the work
-    #: the incremental merge layer (``config.engine.merge_mode``) shrinks
-    #: for overlapping fixed windows (see repro.core.incmerge)
+    #: merge operator executions during root window assembly, three terms:
+    #: ``merge_partials`` calls folding released records into cells (one
+    #: per record, context and kind beyond a cell's first record — zero
+    #: where the merger already merged equal intervals, the same in both
+    #: merge modes), partials read by plain scans (cells x kinds per close
+    #: of a tumbling, ``exact``-mode or sorted-run window, and per
+    #: user-defined close), and Two-Stacks merges (amortized <= 3 per cell
+    #: and kind: push, flip, query — what ``config.engine.merge_mode``
+    #: trades the scans of overlapping windows for; repro.core.incmerge)
     root_merge_ops: int = 0
     #: overload-control accounting (DESIGN.md §12): windows emitted with
     #: ``completeness`` below 1.0, whole slices deliberately shed under
@@ -251,7 +257,7 @@ class DesisCluster:
         )
         self.root.assemblers.append(
             RootAssembler(group, origin, self.root._emit, shifted,
-                          recorder=self.root.recorder)
+                          recorder=self.root.recorder, node_id=self.root.node_id)
         )
 
     def remove_query(self, query_id: str) -> None:
@@ -263,14 +269,7 @@ class DesisCluster:
                 int(self.net.now),
                 self.net,
             )
-        assembler = self.root.assemblers[group.group_id]
-        for bucket in (
-            assembler.fixed,
-            assembler.sessions,
-            assembler.userdef,
-            assembler.counts,
-        ):
-            bucket[:] = [s for s in bucket if s.query.query_id != query_id]
+        self.root.assemblers[group.group_id].remove_query(query_id)
         group.remove_query(query_id)
 
     def add_local_node(self, node_id: str, parent: str,

@@ -10,7 +10,12 @@ merged (the paper's "intermediate slice whose length equals the number of
 child nodes").  Groups containing session windows are passed through
 unmerged instead: merging would fuse different children's activity spans
 and hide cross-child gaps, breaking exact session assembly at the root
-(Sec 5.1.2).
+(Sec 5.1.2).  Their records also do not share intervals — each child cuts
+where its own sessions end — so they merge where that stops mattering:
+at the root, which feeds its session assembly the raw records and folds
+each one, once, into the cell of fixed punctuations it lies in
+(:mod:`repro.cluster.cells`), so the group's tumbling and sliding windows
+read one partial per cell however many children reported.
 
 Duplicate and missing slices are detected with the per-child
 auto-incrementing slice ids (Sec 5.1.1): a batch whose ``first_slice_seq``

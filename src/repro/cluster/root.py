@@ -4,10 +4,13 @@ The root maintains, per query-group, a :class:`GroupMerger` over its
 children plus a :class:`RootAssembler` that turns released slice records
 into window results:
 
-* **Fixed windows** close when coverage passes their deterministic end;
-  their result merges the records fully inside ``[start, end)``.  Slices
-  are cut at every fixed punctuation on every node, so records never
-  straddle a fixed-window boundary.
+* **Fixed windows.**  Each record is folded once, on arrival, into the
+  cell it lies in (:mod:`repro.cluster.cells` — also where the unmerged
+  records of a session group finally merge).  A window then closes once
+  per ``(ctx, length, slide)`` tracker, for all its subscribers, through
+  the layer the engine closes windows over slices with: the store's plain
+  scan, or :class:`~repro.core.incmerge.IncrementalMergeLayer`'s
+  Two-Stacks streams for overlapping windows in ``incremental`` mode.
 * **Session windows** are reassembled by gap covering (Sec 5.1.2): each
   record carries its per-context activity span ``(first, last)``; spans
   closer than the gap cluster into one session, and a session closes once
@@ -15,7 +18,7 @@ into window results:
   from different child nodes cover each other".
 * **User-defined windows** close at their end-marker punctuation once
   coverage (the watermark) passes it; the window consumes the records up
-  to the marker time.
+  to the marker time — the one reader raw records are still kept for.
 * **Count-based windows** (root-evaluated groups, Sec 5.2) replay the
   shipped ``(time, value)`` pairs in time order through per-window
   operator states, since only the root can count the merged stream.
@@ -30,7 +33,7 @@ from repro.core.analyzer import QueryGroup, QueryPlan
 from repro.core.engine import required_kinds
 from repro.core.errors import ClusterError
 from repro.core.functions import finalize, operators_for
-from repro.core.incmerge import DECOMPOSABLE_MERGE_KINDS, FifoAggregator
+from repro.core.incmerge import DECOMPOSABLE_MERGE_KINDS
 from repro.core.operators import (
     OperatorSetState,
     merge_many_partials,
@@ -48,6 +51,7 @@ from repro.cluster.checkpoint import (
     restore_assembler,
     restore_mergers,
 )
+from repro.cluster.cells import CellStore
 from repro.cluster.config import ClusterConfig
 from repro.cluster.merger import GroupMerger
 from repro.cluster.reliability import (
@@ -68,23 +72,20 @@ from repro.obs.tracing import NULL_RECORDER
 __all__ = ["RootNode", "RootAssembler"]
 
 
-class _FixedState:
-    __slots__ = ("query", "ctx", "kinds", "length", "slide",
-                 "next_close_start", "agg", "next_abs")
+class _FixedTracker:
+    """One ``(ctx, length, slide)`` window schedule and its subscribers."""
 
-    def __init__(self, query: Query, ctx: int, kinds, origin: int) -> None:
-        self.query = query
+    #: ``fifo`` / ``scan``: the subscribers' operators merged through the
+    #: Two-Stacks layer / by the plain scan (``RootAssembler.rebuild``)
+    __slots__ = ("ctx", "length", "slide", "queries", "next_close_start",
+                 "fifo", "scan")
+
+    def __init__(self, ctx: int, length: int, slide: int, origin: int) -> None:
         self.ctx = ctx
-        self.kinds = kinds
-        self.length = query.window.length
-        self.slide = query.window.effective_slide
+        self.length = length
+        self.slide = slide
+        self.queries: list[Query] = []
         self.next_close_start = origin
-        #: Two-Stacks FIFO aggregate over consumed records, created lazily
-        #: at the first incremental close; ``None`` on the plain-scan path
-        #: and after a checkpoint restore (it is a derived cache).
-        self.agg: FifoAggregator | None = None
-        #: absolute index of the next record to push into ``agg``
-        self.next_abs = 0
 
 
 class _SessionState:
@@ -162,14 +163,17 @@ class RootAssembler:
     """Turns covered slice records of one query-group into window results."""
 
     def __init__(self, group: QueryGroup, origin: int, emit,
-                 config: ClusterConfig, recorder=None):
+                 config: ClusterConfig, recorder=None, node_id: str = "root"):
         self.group = group
         self.origin = origin
+        self.node_id = node_id
         self._emit_cb = emit  # emit(query, start, end, merged_ops, count, now, ...)
         self.covered = origin
+        #: raw records, kept only for user-defined windows (``base`` is
+        #: the absolute index of ``records[0]``)
         self.records: list[SliceRecord] = []
         self.ends: list[int] = []
-        self.base = 0  # absolute index of records[0]
+        self.base = 0
         #: shed-coverage ledger (DESIGN.md §12): ``(node_id, start, end)``
         #: intervals dropped under overload anywhere below (or at) the
         #: root; consulted when each window closes to stamp the result
@@ -177,12 +181,11 @@ class RootAssembler:
         #: control.
         self.shed: list[tuple[str, int, int]] = []
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        #: merge operator executions during window assembly (partials
-        #: consumed by the plain scans plus ``merge_partials`` calls on
-        #: the incremental path) — surfaced as ``cluster.root_merge_ops``
-        self.merge_ops = 0
+        #: merge ops of user-defined assembly and of cell stores replaced
+        self._merge_ops = 0
+        self.cells = CellStore(origin, (), {})
 
-        self.fixed: list[_FixedState] = []
+        trackers: dict[tuple, _FixedTracker] = {}
         self.sessions: list[_SessionState] = []
         self.userdef: list[_UserDefState] = []
         self.counts: list[_CountState] = []
@@ -194,12 +197,73 @@ class RootAssembler:
             kinds = required_kinds(query, group.operators)
             kind = query.window.window_type
             if kind in (WindowType.TUMBLING, WindowType.SLIDING):
-                self.fixed.append(_FixedState(query, ctx, kinds, origin))
+                key = (ctx, query.window.length, query.window.effective_slide)
+                if key not in trackers:
+                    trackers[key] = _FixedTracker(*key, origin)
+                trackers[key].queries.append(query)
             elif kind is WindowType.SESSION:
                 self.sessions.append(_SessionState(query, ctx, kinds))
             else:
                 self.userdef.append(_UserDefState(query, ctx, kinds, origin))
-        self.merge_mode = config.engine.merge_mode
+        self.fixed = list(trackers.values())
+        self.incremental = config.engine.merge_mode == "incremental"
+        self.rebuild()
+
+    # -- fixed trackers and their derived state ------------------------------------------
+
+    def rebuild(self, records=()) -> None:
+        """(Re)create the derived state of the live trackers: the kinds
+        each one merges, and the cells on their punctuation grid, folded
+        from ``records`` (raw ones, cells or both)."""
+        operators = self.group.operators
+        fold: dict[int, set] = {}
+        for tracker in self.fixed:
+            union = set()
+            for query in tracker.queries:
+                union.update(required_kinds(query, operators))
+            fold.setdefault(tracker.ctx, set()).update(union)
+            overlap = self.incremental and tracker.slide < tracker.length
+            tracker.fifo = tuple(
+                k for k in operators
+                if overlap and k in union and k in DECOMPOSABLE_MERGE_KINDS
+            )
+            tracker.scan = tuple(
+                k for k in operators if k in union and k not in tracker.fifo
+            )
+        self._merge_ops += self.cells.merge_ops
+        self.cells = CellStore(
+            self.origin,
+            [(tracker.length, tracker.slide) for tracker in self.fixed],
+            {ctx: tuple(k for k in operators if k in u) for ctx, u in fold.items()},
+            label=f"group {self.group.group_id}",
+        )
+        if self.fixed:
+            for record in records:
+                self.cells.fold(record)
+
+    @property
+    def merge_ops(self) -> int:
+        """Merge operator executions of fixed and user-defined assembly:
+        ``merge_partials`` calls folding records into cells, partials read
+        by the plain scans, and the Two-Stacks streams' merges — surfaced
+        as ``cluster.root_merge_ops``."""
+        return self._merge_ops + self.cells.merge_ops
+
+    def cell_records(self) -> list[SliceRecord]:
+        """The live cells as ordinary slice records (checkpoint chunks)."""
+        return self.cells.records(self._low_watermark(), self.covered)
+
+    def remove_query(self, query_id: str) -> None:
+        """Stop assembling ``query_id``.  A fixed tracker goes with its
+        last subscriber, and children stop cutting at its punctuations:
+        the cells move to the grid of the trackers left."""
+        for bucket in (self.sessions, self.userdef, self.counts):
+            bucket[:] = [s for s in bucket if s.query.query_id != query_id]
+        cells = self.cell_records()
+        for tracker in self.fixed:
+            tracker.queries = [q for q in tracker.queries if q.query_id != query_id]
+        self.fixed = [tracker for tracker in self.fixed if tracker.queries]
+        self.rebuild(cells)
 
     # -- overload control (DESIGN.md §12) ----------------------------------------------
 
@@ -260,97 +324,26 @@ class RootAssembler:
         self._emit_cb(query, start, end, ops, count, now,
                       shed_slices=shed_slices, completeness=completeness)
 
-    # -- record access ----------------------------------------------------------------
-
-    def _merge_interval(self, start: int, end: int, ctx: int, kinds):
-        """Merge context partials of records fully inside ``[start, end)``."""
-        collected: dict[OperatorKind, list] = {kind: [] for kind in kinds}
-        count = 0
-        index = bisect.bisect_right(self.ends, start)
-        while index < len(self.records) and self.ends[index] <= end:
-            record = self.records[index]
-            index += 1
-            if record.start < start:
-                continue
-            part = record.contexts.get(ctx)
-            if part is None:
-                continue
-            count += part.count
-            for kind, bucket in collected.items():
-                if kind in part.ops:
-                    bucket.append(part.ops[kind])
-        merged = {}
-        for kind, bucket in collected.items():
-            if bucket:
-                merged[kind] = merge_many_partials(kind, bucket)
-                self.merge_ops += len(bucket)
-        return merged, count
-
-    def _merge_fixed_window(self, state: _FixedState, start: int, end: int):
-        """Merge ``[start, end)`` for one fixed state, incrementally when
-        the window overlaps its predecessor (``slide < length``); tumbling
-        states and ``exact`` mode take the plain interval scan.
-
-        Whatever else the group holds: every node cuts at every fixed
-        punctuation of the group, so no record straddles a window start,
-        and records arrive in ``(end, start)`` order — those starting
-        below an eviction bound are a *prefix* of push order even when
-        children's session, marker or count cuts interleave (B[50,60) is
-        pushed before A[0,90)), which is all ``evict_below`` needs.
-        """
-        if (
-            self.merge_mode != "incremental"
-            or state.slide >= state.length
-            or not any(k in DECOMPOSABLE_MERGE_KINDS for k in state.kinds)
-        ):
-            return self._merge_interval(start, end, state.ctx, state.kinds)
-        agg = state.agg
-        if agg is None:
-            agg = state.agg = FifoAggregator(state.kinds)
-            state.next_abs = self.base
-        ops_before = agg.merge_ops
-        pushed = 0
-        index = max(state.next_abs - self.base, 0)
-        while index < len(self.records) and self.ends[index] <= end:
-            record = self.records[index]
-            index += 1
-            part = record.contexts.get(state.ctx)
-            if part is None:
-                continue
-            # Anything before the window start is evicted before the
-            # query below ever sees it.
-            agg.push(record.start, part.ops, part.count)
-            pushed += 1
-        state.next_abs = self.base + index
-        agg.evict_below(start)
-        merged, count = agg.query()
-        merge_ops = agg.merge_ops - ops_before
-        self.merge_ops += merge_ops
-        rest = tuple(k for k in state.kinds if k not in DECOMPOSABLE_MERGE_KINDS)
-        if rest:
-            extra, extra_count = self._merge_interval(start, end, state.ctx, rest)
-            merged.update(extra)
-            count = max(count, extra_count)
-        if self.recorder.enabled:
-            self.recorder.record(
-                "merge.reuse",
-                end,
-                node="root",
-                group=self.group.group_id,
-                ctx=state.ctx,
-                query_id=state.query.query_id,
-                start=start,
-                pushed=pushed,
-                merge_ops=merge_ops,
-            )
-        return merged, count
-
     # -- consumption --------------------------------------------------------------------
 
     def consume(self, covered: int, records: list[SliceRecord], now: int) -> None:
-        self.records.extend(records)
-        self.ends.extend(record.end for record in records)
         self.covered = covered
+        touched = {self.cells.fold(r) for r in records} if self.fixed else ()
+        if self.recorder.enabled and records:
+            self.recorder.record(
+                "root.consume",
+                now,
+                node=self.node_id,
+                group=self.group.group_id,
+                records=len(records),
+                cells=len(touched),
+                start=records[0].start,
+                end=records[-1].end,
+                covered_to=covered,
+            )
+        if self.userdef:
+            self.records.extend(records)
+            self.ends.extend(record.end for record in records)
         for state in self.userdef:
             added = False
             for record in records:
@@ -371,15 +364,43 @@ class RootAssembler:
 
     # -- fixed windows --------------------------------------------------------------------
 
-    def _close_fixed(self, now: int) -> None:
-        for state in self.fixed:
-            while state.next_close_start + state.length <= self.covered:
-                start = state.next_close_start
-                end = start + state.length
-                merged, count = self._merge_fixed_window(state, start, end)
-                if count or self._shed_intersects(start, end):
-                    self.emit(state.query, start, end, merged, count, now)
-                state.next_close_start += state.slide
+    def _close_fixed(self, now: int, final: bool = False) -> None:
+        """Close every due window once per tracker, in end-time order —
+        the engine's order, and the FIFO discipline trackers of one
+        ``(ctx, kinds, length)`` Two-Stacks stream share.  ``final``
+        (end of stream) also closes the windows coverage stops inside."""
+        covered = self.covered
+        due = []
+        for order, tracker in enumerate(self.fixed):
+            start = tracker.next_close_start
+            reach = 1 if final else tracker.length
+            while start + reach <= covered:
+                due.append((start + tracker.length, order, start))
+                start += tracker.slide
+            tracker.next_close_start = start
+        due.sort()
+        for end, order, start in due:
+            tracker = self.fixed[order]
+            seen = min(end, covered)
+            ops_before = self.cells.merge_ops
+            merged, count, pushed = self.cells.merge_window(
+                start, seen, tracker.ctx, tracker.fifo, tracker.scan, tracker.length
+            )
+            if pushed is not None and self.recorder.enabled:
+                self.recorder.record(
+                    "merge.reuse",
+                    seen,
+                    node=self.node_id,
+                    group=self.group.group_id,
+                    ctx=tracker.ctx,
+                    query_ids=[query.query_id for query in tracker.queries],
+                    start=start,
+                    pushed=pushed,
+                    merge_ops=self.cells.merge_ops - ops_before,
+                )
+            if count or self._shed_intersects(start, seen):
+                for query in tracker.queries:
+                    self.emit(query, start, end, merged, count, now)
 
     # -- session windows (gap covering) ------------------------------------------------------
 
@@ -451,7 +472,7 @@ class RootAssembler:
         for kind, bucket in collected.items():
             if bucket:
                 merged[kind] = merge_many_partials(kind, bucket)
-                self.merge_ops += len(bucket)
+                self._merge_ops += len(bucket)
         return merged, count
 
     def _close_userdef(self, now: int) -> None:
@@ -515,6 +536,7 @@ class RootAssembler:
 
     def _gc(self) -> None:
         low = self._low_watermark()
+        self.cells.free_below(self.cells.index(low))
         drop = bisect.bisect_right(self.ends, low)
         if drop:
             del self.records[:drop]
@@ -529,16 +551,7 @@ class RootAssembler:
 
     def finish(self, now: int) -> None:
         """Force-close everything still open (mirrors engine ``close()``)."""
-        for state in self.fixed:
-            while state.next_close_start < self.covered:
-                start = state.next_close_start
-                end = start + state.length
-                merged, count = self._merge_fixed_window(
-                    state, start, min(end, self.covered)
-                )
-                if count or self._shed_intersects(start, min(end, self.covered)):
-                    self.emit(state.query, start, end, merged, count, now)
-                state.next_close_start += state.slide
+        self._close_fixed(now, final=True)
         for state in self.sessions:
             if state.open_start is not None:
                 self._emit_session(
@@ -577,15 +590,7 @@ class RootNode(SimNode):
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.sink = sink if sink is not None else ResultSink()
         self.children = list(children)
-        self.mergers = [
-            GroupMerger(group, children, config.origin) for group in plan.groups
-        ]
-        self.assemblers = [
-            RootAssembler(group, config.origin, self._emit, config,
-                          recorder=self.recorder)
-            for group in plan.groups
-        ]
-        self.last_seen: dict[str, int] = {}
+        self._reset_assembly()
         #: merge-op counts of assemblers discarded by crash recovery (the
         #: replacement assemblers restart their counters at zero)
         self.merge_ops_carried = 0
@@ -619,6 +624,20 @@ class RootNode(SimNode):
         #: deployment hook: called with ``(child, now, net)`` when liveness
         #: sweeps a child whose crash the fault plan declares permanent
         self.on_child_dead = None
+
+    def _reset_assembly(self) -> None:
+        """Virgin merge and assembly state (construction, lossy restart)."""
+        config = self.config
+        self.mergers = [
+            GroupMerger(group, self.children, config.origin)
+            for group in self.plan.groups
+        ]
+        self.assemblers = [
+            RootAssembler(group, config.origin, self._emit, config,
+                          recorder=self.recorder, node_id=self.node_id)
+            for group in self.plan.groups
+        ]
+        self.last_seen: dict[str, int] = {}
 
     def _emit(self, query: Query, start: int, end: int, ops, count: int,
               now: int, shed_slices=(), completeness: float = 1.0) -> None:
@@ -688,17 +707,6 @@ class RootNode(SimNode):
         if group.needs_timestamps:
             for record in records:
                 derive_ops_from_timed(record, group.operators)
-        if self.recorder.enabled and records:
-            self.recorder.record(
-                "root.consume",
-                now,
-                node=self.node_id,
-                group=message.group_id,
-                records=len(records),
-                start=records[0].start,
-                end=records[-1].end,
-                covered_to=covered,
-            )
         self.assemblers[message.group_id].consume(covered, records, now)
         if self.store is not None:
             self._slices_since_ckpt += len(records)
@@ -848,23 +856,13 @@ class RootNode(SimNode):
         self.recoveries += 1
         pre_crash_emits = self._emit_seq
         self.merge_ops_carried += sum(a.merge_ops for a in self.assemblers)
-        config = self.config
-        self.mergers = [
-            GroupMerger(group, self.children, config.origin)
-            for group in self.plan.groups
-        ]
-        self.assemblers = [
-            RootAssembler(group, config.origin, self._emit, config,
-                          recorder=self.recorder)
-            for group in self.plan.groups
-        ]
-        self.last_seen = {}
+        self._reset_assembly()
         self._emit_seq = 0
         self._suppress_below = pre_crash_emits
         self._last_ckpt = now
         self._slices_since_ckpt = 0
         if self.liveness is not None:
-            self.liveness = ChildLiveness(self.children, now, config.node_timeout)
+            self.liveness = ChildLiveness(self.children, now, self.config.node_timeout)
         loaded = self.store.load_latest(self.node_id) if self.store else None
         restored_id = 0
         if loaded is not None:
@@ -925,7 +923,8 @@ class RootNode(SimNode):
 
     @property
     def root_merge_ops(self) -> int:
-        """Total merge operator executions during window assembly."""
+        """Total merge operator executions during window assembly
+        (:attr:`RootAssembler.merge_ops` over all groups and recoveries)."""
         return self.merge_ops_carried + sum(
             assembler.merge_ops for assembler in self.assemblers
         )

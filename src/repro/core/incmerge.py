@@ -30,11 +30,13 @@ incremental result for the decomposable kinds.
 Two cooperating layers live here:
 
 * :class:`FifoAggregator` — one Two-Stacks instance over an ordered
-  stream of partial dicts, each with a position (slice index in the
-  engine, record start time at the cluster root) eviction bounds refer to.
-* :class:`IncrementalMergeLayer` — the engine-side registry: one
-  aggregator per ``(ctx, kinds, window length)`` stream, fed lazily from
-  the :class:`~repro.core.slices.SliceStore` at window close.
+  stream of partial dicts, each with a position (the slice index)
+  eviction bounds refer to.
+* :class:`IncrementalMergeLayer` — the registry: one aggregator per
+  ``(ctx, kinds, window length)`` stream, fed lazily from a
+  :class:`~repro.core.slices.SliceStore` at window close.  It has two
+  callers: the engine over its slices, and the cluster root over its
+  cells (:mod:`repro.cluster.cells`), which are slices too.
 """
 
 from __future__ import annotations
@@ -73,10 +75,9 @@ class FifoAggregator:
     kind.  Eviction bounds must be non-decreasing, and the items with a
     position below a bound must be a *prefix* of push order — positions
     themselves need not be monotone.  Both hold for window closes of one
-    ``(ctx, kinds, length)`` stream (the engine closes windows in end-time
-    order, and equal lengths make their first-slice positions monotone)
-    and for one fixed tracker at the cluster root, whose unaligned records
-    never straddle a window start (``RootAssembler._merge_fixed_window``).
+    ``(ctx, kinds, length)`` stream: the engine and the cluster root both
+    close windows in end-time order, and equal lengths make their
+    first-slice (at the root: first-cell) positions monotone.
 
     Invariant (the classic two stacks): ``_front`` holds older items with
     precomputed *suffix* aggregates (top of stack = oldest item, its

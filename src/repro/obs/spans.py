@@ -167,13 +167,14 @@ class _WindowEvents:
 def _reuse_matches(event: TraceEvent, result) -> bool:
     """Whether a ``merge.reuse`` event served this window's close.
 
-    The root records the window's ``query_id``/``start``; the engine's
+    The root records one event per window close, with the window's
+    ``start`` and the ``query_ids`` of all its subscribers; the engine's
     per-instance record carries neither, but is stamped at the window's
     end time, which identifies the instance within its group.
     """
-    query_id = event.data.get("query_id")
-    if query_id is not None:
-        return query_id == result.query_id and event.data.get("start") == result.start
+    query_ids = event.data.get("query_ids")
+    if query_ids is not None:
+        return result.query_id in query_ids and event.data.get("start") == result.start
     return event.at == result.end
 
 

@@ -13,10 +13,12 @@ kind                      recorded when / by
 ``partial.ship``          a local node ships a :class:`PartialBatchMessage`
 ``merge.release``         an intermediate releases covered records upward
 ``root.consume``          the root's merger hands covered records to assembly
+                          (``cells``: cells the batch's records folded into)
 ``window.emit``           a window result reaches the sink
 ``merge.reuse``           a window close is served by the incremental merge
-                          layer instead of a full slice/record scan (engine
-                          and root; see repro.core.incmerge)
+                          layer instead of a full slice/cell scan (engine
+                          and root, once per close whatever the number of
+                          subscribed queries; see repro.core.incmerge)
 ``net.send``              the reliable channel first offers a partial batch
                           frame to a link (sequenced-envelope path only)
 ``net.transit``           a partial batch finishes crossing a link, right

@@ -3,7 +3,8 @@
 Same-seed runs of one workload through ``merge_mode="exact"`` and
 ``merge_mode="incremental"`` must emit the same windows (values within
 1e-9, everything else identical), while the incremental mode does strictly
-less merge work at the root on overlapping sliding windows — the cluster
+less merge work at the root on overlapping sliding windows (what
+``root_merge_ops`` counts is spelled out on ``ClusterRunResult``) — the cluster
 half of the contract tested per-engine in
 ``tests/core/test_incmerge_parity.py``.
 """
@@ -83,11 +84,18 @@ class TestModeParity:
         )
 
     def test_root_merge_ops_reduced_on_overlap(self):
-        streams = make_streams(4, 400)
+        """``root_merge_ops`` = folds + scanned partials + Two-Stacks
+        merges.  No session in the group, so records arrive merged and
+        nothing folds; the two queries share one tracker of kinds (SUM,
+        COUNT).  ``exact`` reads a full window's 8 cells for both kinds at
+        every close (16), Two-Stacks pays at most push + flip + query per
+        cell and kind (6): 2.67x at steady state, a little more here
+        because the first and last windows are partly empty."""
+        streams = make_streams(4, 1_500)
         exact = run_mode(SLIDING, streams, star(4), "exact")
         inc = run_mode(SLIDING, streams, star(4), "incremental")
-        assert exact.root_merge_ops > 0
-        assert inc.root_merge_ops * 2 <= exact.root_merge_ops
+        assert len(exact.sink.for_query("sum")) >= 30
+        assert 0 < inc.root_merge_ops * 2.5 <= exact.root_merge_ops
 
     def test_tumbling_root_work_is_identical(self):
         """Zero-regression guard: tumbling windows share no records, so
@@ -115,11 +123,14 @@ class TestModeParity:
             Query.of("sess", WindowSpec.session(gap=300), AggFunction.COUNT),
         ]
         assert len(analyze(queries, decentralized=True).groups) == 1
-        streams = make_streams(3, 300, gap_every=60)
+        streams = make_streams(3, 1_500, gap_every=60)
         exact = run_mode(queries, streams, three_tier(3, 1), "exact")
         inc = run_mode(queries, streams, three_tier(3, 1), "incremental")
         assert_same_windows(exact, inc)
         assert len(inc.sink.for_query("sess")) > 1
+        # The session keeps the children's records apart on the way up, so
+        # both modes first pay the same folds into cells; the scans of the
+        # 8x-overlapping windows still dominate the exact total.
         assert inc.root_merge_ops * 2 <= exact.root_merge_ops
 
 

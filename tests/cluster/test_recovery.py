@@ -10,6 +10,8 @@ only ``emitted_at`` may differ.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.cluster import (
@@ -18,17 +20,33 @@ from repro.cluster import (
     DirCheckpointStore,
     InMemoryCheckpointStore,
 )
-from repro.cluster.checkpoint import decode_checkpoint, encode_checkpoint
+from repro.cluster.checkpoint import (
+    assembler_chunks,
+    decode_checkpoint,
+    encode_checkpoint,
+    restore_assembler,
+)
+from repro.cluster.root import RootAssembler, derive_ops_from_timed
+from repro.core.analyzer import analyze
+from repro.core.config import EngineConfig
 from repro.core.errors import ClusterError
+from repro.core.functions import finalize
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction, WindowMeasure
-from repro.network.messages import CheckpointMessage, SnapshotChunk
+from repro.network.codec import BinaryCodec
+from repro.network.messages import (
+    CheckpointMessage,
+    ContextPartial,
+    SliceRecord,
+    SnapshotChunk,
+)
 from repro.network.simnet import CrashWindow, FaultPlan
 from repro.network.topology import three_tier
 from repro.obs import compute_critical_path
 from repro.obs.registry import MetricsRegistry, publish_cluster_result
 
 from tests.cluster.test_desis_parity import TICK, make_streams
+from tests.network.test_wire_golden import ASSEMBLER_CHECKPOINT
 
 NEVER = 10**9  # a node_timeout that never fires: isolate recovery from eviction
 
@@ -437,3 +455,122 @@ class TestExplainSurvivesRecovery:
                     # lifecycle spans only attach inside the window's life
                     assert root.start <= span.start <= root.end
                 assert span.parent_id is not None
+
+
+MIXED = [
+    Query.of("avg", WindowSpec.tumbling(200), AggFunction.AVERAGE),
+    Query.of("max", WindowSpec.tumbling(200), AggFunction.MAX),
+    Query.of("sld", WindowSpec.sliding(450, 100), AggFunction.SUM),
+    Query.of("ses", WindowSpec.session(40), AggFunction.SUM),
+    Query.of("usr", WindowSpec.user_defined(end_marker="end"), AggFunction.COUNT),
+]
+
+
+def mixed_batches(queries=MIXED, seed=5, children=2, horizon=1_600):
+    """``(covered, records)`` batches as the root's merger releases them
+    for the unmerged group of ``queries``: every child cuts at the fixed
+    punctuations (100 ms starts, sliding ends at 450 + k*100) and at a
+    dozen times of its own; integer values, so float sums are exact
+    whatever their association.  ``ASSEMBLER_CHECKPOINT`` was taken from
+    this very generator, so its draws must not change."""
+    rng = random.Random(seed)
+    (group,) = analyze(queries, decentralized=True).groups
+    puncts = set(range(0, horizon + 1, 100)) | set(range(450, horizon + 1, 100))
+    records = []
+    for _ in range(children):
+        cuts = sorted(puncts | {rng.randrange(1, horizon) for _ in range(12)})
+        for start, end in zip(cuts, cuts[1:]):
+            times = sorted(
+                rng.sample(range(start, end), min(end - start, rng.randint(0, 3)))
+            )
+            record = SliceRecord(start=start, end=end)
+            if times:
+                part = record.contexts[0] = ContextPartial(
+                    count=len(times),
+                    timed=[(t, float(rng.randint(1, 9))) for t in times],
+                )
+                derive_ops_from_timed(record, group.operators)
+                part.timed = None
+                if rng.random() < 0.15:
+                    record.userdef_eps.append(("usr", times[-1]))
+            records.append(record)
+    records.sort(key=lambda r: (r.end, r.start))
+    batches = []
+    covered = 0
+    while covered < horizon:
+        covered = min(covered + rng.randint(1, 130), horizon)
+        batch = [r for r in records if r.end <= covered]
+        records = records[len(batch):]
+        batches.append((covered, batch))
+    return group, batches
+
+
+class TestAssemblerCheckpoint:
+    """The root's cells and Two-Stacks streams are derived state: a chunk
+    holds slice records (the raw ones where user-defined windows still
+    read them, the cells otherwise) and restore folds them again."""
+
+    @staticmethod
+    def assembler(group, rows, merge_mode="incremental"):
+        return RootAssembler(
+            group,
+            origin=0,
+            emit=lambda query, start, end, ops, count, now: rows.append(
+                (query.query_id, start, end, count, finalize(query.function, ops))
+            ),
+            config=ClusterConfig(engine=EngineConfig(merge_mode=merge_mode)),
+        )
+
+    def run(self, group, batches, merge_mode="incremental", restore=None, at=0):
+        """Rows emitted from batch ``at`` on, through a fresh assembler
+        that first restores ``restore`` (an encoded chunk)."""
+        rows = []
+        assembler = self.assembler(group, rows, merge_mode)
+        if restore is not None:
+            restore_assembler(assembler, BinaryCodec().decode(restore))
+        for covered, batch in batches[at:]:
+            assembler.consume(covered, batch, now=covered)
+        assembler.finish(batches[-1][0])
+        return rows
+
+    def test_a_checkpoint_written_before_cells_restores(self):
+        """The parent commit's root kept raw records for every window
+        kind; its chunk restores into cells and the run finishes with the
+        crash-free rows."""
+        group, batches = mixed_batches()
+        at = 16
+        assert batches[at - 1][0] == 939  # where the blob was taken
+        crash_free = self.run(group, batches)
+        before = []
+        assembler = self.assembler(group, before)
+        for covered, batch in batches[:at]:
+            assembler.consume(covered, batch, now=covered)
+        after = self.run(
+            group, batches, restore=bytes.fromhex(ASSEMBLER_CHECKPOINT), at=at
+        )
+        assert sorted(before + after) == sorted(crash_free)
+        assert {row[0] for row in after} == {"avg", "max", "sld", "ses", "usr"}
+
+    @pytest.mark.parametrize("merge_mode", ["exact", "incremental"])
+    @pytest.mark.parametrize("userdef", [True, False], ids=["raw", "cells"])
+    def test_a_checkpoint_at_every_batch_restores(self, userdef, merge_mode):
+        """Wherever the checkpoint falls — every third time with a cell
+        half filled — the restored run equals its crash-free twin."""
+        group, batches = mixed_batches(MIXED if userdef else MIXED[:4])
+        crash_free = sorted(self.run(group, batches, merge_mode))
+        before = []
+        assembler = self.assembler(group, before, merge_mode)
+        half_filled = 0
+        for at, (covered, batch) in enumerate(batches[:-1], start=1):
+            assembler.consume(covered, batch, now=covered)
+            (chunk,) = assembler_chunks("root", at, [assembler])
+            (blob,) = encode_checkpoint([chunk])
+            # raw records only where something still reads them
+            assert bool(assembler.records) == (userdef and bool(chunk.records))
+            start, _ = assembler.cells.bounds(covered)
+            half_filled += start < covered and any(
+                r.start >= start for r in chunk.records
+            )
+            after = self.run(group, batches, merge_mode, restore=blob, at=at)
+            assert sorted(before + after) == crash_free, at
+        assert half_filled >= 8

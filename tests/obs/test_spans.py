@@ -99,6 +99,34 @@ class TestSpanTreeShape:
             build_window_trace(result.recorder, Fake())
 
 
+class TestSharedCloseSpans:
+    def test_one_reuse_event_serves_every_subscriber(self):
+        """AVG and MAX over one sliding schedule close together at the
+        root: one ``merge.reuse`` event per close, found from either
+        query's window, and ``root.consume`` says how many cells a batch
+        touched."""
+        queries = [
+            Query.of("avg", WindowSpec.sliding(2_000, 500), AggFunction.AVERAGE),
+            Query.of("max", WindowSpec.sliding(2_000, 500), AggFunction.MAX),
+        ]
+        cluster = DesisCluster(
+            queries, three_tier(3, 1),
+            config=ClusterConfig(tick_interval=TICK, trace=True),
+        )
+        result = cluster.run({k: list(v) for k, v in make_streams(3, 600).items()})
+        reuses = list(result.recorder.events("merge.reuse"))
+        assert {tuple(e.data["query_ids"]) for e in reuses} == {("avg", "max")}
+        assert len(reuses) * 2 == len(result.sink.results)
+        for row in result.sink.results:
+            trace = build_window_trace(result.recorder, row)
+            (reuse,) = [s for s in trace.spans if s.name == "reuse"]
+            assert reuse.attrs["start"] == row.start
+        consumes = list(result.recorder.events("root.consume"))
+        assert consumes and all(
+            1 <= e.data["cells"] <= e.data["records"] for e in consumes
+        )
+
+
 class TestSpanDeterminism:
     KWARGS = dict(
         fault_plan=None,
