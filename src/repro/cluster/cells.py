@@ -1,10 +1,10 @@
 """Cells: slice records folded once, on the grid of fixed punctuations.
 
 Every node cuts its slices at every fixed punctuation of a query-group —
-the window starts ``origin + k*slide`` and the window ends
-``origin + length + k*slide`` of its tumbling and sliding windows — so a
-slice record never straddles one: it lies inside a *cell*, the interval
-between two consecutive punctuations.  A :class:`CellStore` merges each
+the :class:`~repro.core.grid.PunctuationGrid` of its tumbling and sliding
+windows, which locals and root build alike — so a slice record never
+straddles one: it lies inside a *cell*, the interval between two
+consecutive punctuations.  A :class:`CellStore` merges each
 record, on arrival, into its cell (pairwise ``merge_partials`` per
 operator kind) and keeps the cells as closed
 :class:`~repro.core.slices.Slice` objects, so whatever closes windows over
@@ -25,9 +25,8 @@ checkpoint chunk and how they move to a new grid; streams rebuild lazily.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.core.errors import ClusterError
+from repro.core.grid import PunctuationGrid
 from repro.core.incmerge import IncrementalMergeLayer
 from repro.core.operators import merge_many_partials, merge_partials
 from repro.core.slices import Slice, SliceStore
@@ -40,70 +39,30 @@ __all__ = ["CellStore"]
 class CellStore(SliceStore):
     """The cells of one query-group, indexed along its punctuation grid."""
 
-    __slots__ = ("origin", "kinds", "label", "_merge_ops", "_streams", "_puncts")
+    __slots__ = ("grid", "kinds", "label", "_merge_ops", "_streams")
 
     def __init__(
         self,
-        origin: int,
-        schedules: Iterable[tuple[int, int]],
+        grid: PunctuationGrid,
         kinds: dict[int, tuple[OperatorKind, ...]],
         label: str = "",
     ) -> None:
-        """``schedules`` are the ``(length, slide)`` of the group's fixed
-        windows, all starting at ``origin``; ``kinds`` names, per selection
-        context, the operators a cell folds (contexts left out are not
-        folded at all)."""
+        """``grid`` holds the punctuations of the group's fixed windows;
+        ``kinds`` names, per selection context, the operators a cell folds
+        (contexts left out are not folded at all)."""
         super().__init__()
-        self.origin = origin
+        self.grid = grid
         self.kinds = kinds
         self.label = label
         self._merge_ops = 0
         self._streams = IncrementalMergeLayer()
-        # The grid as arithmetic progressions (first, step): window starts,
-        # and window ends where ``length % slide`` leaves them off the
-        # starts — those only exist from ``origin + length`` on.  A
-        # progression inside a finer one adds no punctuation and is dropped,
-        # so cell indices are consecutive wherever the periods nest (gaps
-        # elsewhere are harmless: stores skip absent indices).
-        candidates = set()
-        for length, slide in schedules:
-            candidates.add((slide, origin))
-            if length % slide:
-                candidates.add((slide, origin + length))
-        self._puncts: list[tuple[int, int]] = []
-        for step, first in sorted(candidates):
-            if not any(
-                step % fine == 0 and first >= start and (first - start) % fine == 0
-                for start, fine in self._puncts
-            ):
-                self._puncts.append((first, step))
-
-    def index(self, time: int) -> int:
-        """Index of the cell holding ``time``: the punctuations up to it."""
-        index = 0
-        for first, step in self._puncts:
-            if time >= first:
-                index += (time - first) // step + 1
-        return index
-
-    def bounds(self, time: int) -> tuple[int, int]:
-        """The punctuations around ``time``: its cell ``[start, end)``."""
-        start, ends = self.origin, []
-        for first, step in self._puncts:
-            if time < first:
-                ends.append(first)
-            else:
-                below = time - (time - first) % step
-                start = max(start, below)
-                ends.append(below + step)
-        return start, min(ends)
 
     def fold(self, record: SliceRecord) -> int:
         """Merge ``record`` into the cell it lies in; returns its index."""
-        index = self.index(record.start)
+        index = self.grid.index(record.start)
         cell = self.get(index)
         if cell is None:
-            start, end = self.bounds(record.start)
+            start, end = self.grid.bounds(record.start)
             cell = Slice(index, start)
             cell.close(end)
             self.add(cell)
@@ -144,8 +103,8 @@ class CellStore(SliceStore):
         windows must come in end-time order — and kinds ``scan`` by the
         plain scan.  Returns ``(merged, events, pushed)``; ``pushed`` is
         ``None`` unless a stream served the window."""
-        first = self.index(start)
-        last = self.index(end - 1)
+        first = self.grid.index(start)
+        last = self.grid.index(end - 1)
         merged, events, pushed = {}, 0, None
         if fifo:
             got = self._streams.merge_window(self, first, last, ctx, fifo, length)
@@ -180,5 +139,5 @@ class CellStore(SliceStore):
                     for ctx, ops in cell.partials.items()
                 },
             )
-            for cell in self.covered(self.index(low), self.index(high))
+            for cell in self.covered(self.grid.index(low), self.grid.index(high))
         ]

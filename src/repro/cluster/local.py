@@ -4,9 +4,11 @@ A local node runs the aggregation engine in *slicing-only* mode for every
 pushed-down query-group: events are incrementally aggregated into shared
 slices, and at every watermark tick the closed slices are shipped upward
 as per-slice partial results.  Window *assembly* never happens here — that
-is the root's job — but window punctuations still drive the cuts, so the
-slices a local produces align with every window boundary it can know about
-(fixed schedules, its own session gaps, its own marker events).
+is the root's job — so a local has punctuations, not windows: it cuts at
+every point of the group's :class:`~repro.core.grid.PunctuationGrid` (the
+grid the root folds its records on, built from the same fixed queries) and
+at what only it can know about — its own session gaps, its own marker
+events.  Removing a query rebuilds the grid from the fixed queries left.
 
 Root-evaluated groups (count-based windows, non-decomposable functions;
 Sec 5.2) do not run window logic at all: the local batches each slice's
@@ -21,6 +23,7 @@ from bisect import bisect_left
 from repro.core.analyzer import QueryGroup, QueryPlan
 from repro.core.engine import EngineStats, GroupRuntime
 from repro.core.event import Event
+from repro.core.grid import PunctuationGrid
 from repro.core.results import ResultSink
 from repro.core.types import NodeRole, OperatorKind, WindowType
 from repro.cluster.config import ClusterConfig
@@ -39,88 +42,18 @@ from repro.obs.tracing import NULL_RECORDER
 __all__ = ["LocalNode"]
 
 
-class _SlicedLocalGroup:
-    """Slicing-only engine runtime for one pushed-down query-group."""
+class _LocalGroup:
+    """What both kinds of group handler share: the staging buffer of
+    closed slice records and their upward sequence."""
 
-    def __init__(self, node_id: str, group: QueryGroup, config: ClusterConfig,
-                 stats: EngineStats, recorder=None) -> None:
+    def __init__(self, node_id: str, group: QueryGroup, recorder) -> None:
         self.node_id = node_id
         self.group = group
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.runtime = GroupRuntime(
-            group,
-            ResultSink(keep=False),
-            stats,
-            punctuation_mode=config.engine.punctuation_mode,
-            assemble=False,
-            slice_sink=self._on_cut,
-            track_spans=group_has_sessions(group),
-            recorder=self.recorder,
-            node_id=node_id,
-        )
-        # Anchor fixed-window schedules at the shared origin so slice
-        # boundaries align across all local nodes (Sec 5.1.1).
-        self.runtime.advance(config.origin)
         self.pending: list[SliceRecord] = []
         self.ship_seq = 0
         #: shed coverage awaiting the next flush: (node_id, start, end)
         self.shed_pending: list[tuple[str, int, int]] = []
-        self._userdef_ids = {
-            q.query_id
-            for q in group.queries
-            if q.window.window_type is WindowType.USER_DEFINED
-        }
-
-    def _on_cut(self, closed, eps, spans) -> None:
-        contexts: dict[int, ContextPartial] = {}
-        for ctx, partials in closed.partials.items():
-            span = spans.get(ctx)
-            contexts[ctx] = ContextPartial(
-                count=closed.insert_counts.get(ctx, 0),
-                ops=partials,
-                span=tuple(span) if span is not None else None,
-            )
-        userdef_eps = [
-            (query.query_id, end)
-            for window, end in eps
-            for query in window.queries
-            if query.query_id in self._userdef_ids
-        ]
-        # A marker cut closes *after* inserting the marker event, so the
-        # slice contains an event stamped exactly ``closed.end``.  Ship it
-        # with its truthful exclusive end (``end + 1``) — otherwise a
-        # marker landing on a fixed-window boundary leaks its event into
-        # the windows *ending* there instead of the ones *starting* there.
-        inclusive = any(end == closed.end for _, end in userdef_eps)
-        if contexts or userdef_eps:
-            self.pending.append(
-                SliceRecord(
-                    start=closed.start,
-                    end=closed.end + 1 if inclusive else closed.end,
-                    contexts=contexts,
-                    userdef_eps=userdef_eps,
-                )
-            )
-
-    def on_event(self, event: Event) -> None:
-        self.runtime.process(event)
-
-    def on_events(self, events: list[Event]) -> None:
-        # Slice-run fast path: the runtime splits the batch at its own
-        # punctuations (falling back per-event for data-driven windows).
-        self.runtime.process_batch(events)
-
-    def stage(self, now: int) -> None:
-        """Cut at the watermark boundary without shipping.
-
-        Used when the upward channel is credit-stalled: slices keep
-        accumulating in the bounded staging buffer (``pending``) so the
-        shedding policy has whole slices to account for, and the slice-seq
-        protocol stays gapless — sequences are only assigned at flush.
-        """
-        self.runtime.advance(now)
-        if self.runtime.current.start < now:
-            self.runtime._cut(now, [], [])
 
     def flush(self, now: int) -> PartialBatchMessage:
         """Cut at the watermark boundary and drain pending slice records."""
@@ -161,7 +94,89 @@ class _SlicedLocalGroup:
         self.pending = [r for r in self.pending if r.end > covered]
 
 
-class _RootEvalLocalGroup:
+class _SlicedLocalGroup(_LocalGroup):
+    """Slicing-only engine runtime for one pushed-down query-group."""
+
+    def __init__(self, node_id: str, group: QueryGroup, config: ClusterConfig,
+                 stats: EngineStats, recorder=None) -> None:
+        super().__init__(node_id, group, recorder)
+        self.runtime = GroupRuntime(
+            group,
+            ResultSink(keep=False),
+            stats,
+            punctuation_mode=config.engine.punctuation_mode,
+            assemble=False,
+            slice_sink=self._on_cut,
+            track_spans=group_has_sessions(group),
+            recorder=self.recorder,
+            node_id=node_id,
+        )
+        # Anchor fixed-window schedules at the shared origin so slice
+        # boundaries align across all local nodes (Sec 5.1.1).
+        self.runtime.advance(config.origin)
+        self._userdef_ids = {
+            q.query_id
+            for q in group.queries
+            if q.window.window_type is WindowType.USER_DEFINED
+        }
+
+    def _on_cut(self, closed, eps, spans) -> None:
+        contexts: dict[int, ContextPartial] = {}
+        for ctx, partials in closed.partials.items():
+            span = spans.get(ctx)
+            contexts[ctx] = ContextPartial(
+                count=closed.insert_counts.get(ctx, 0),
+                ops=partials,
+                span=tuple(span) if span is not None else None,
+            )
+        userdef_eps = [
+            (query.query_id, end)
+            for window, end in eps
+            for query in window.queries
+            if query.query_id in self._userdef_ids
+        ]
+        # A marker cut closes *after* inserting the marker event, so the
+        # slice contains an event stamped exactly ``closed.end``.  Ship it
+        # with its truthful exclusive end (``end + 1``) — otherwise a
+        # marker landing on a fixed-window boundary leaks its event into
+        # the windows *ending* there instead of the ones *starting* there.
+        inclusive = any(end == closed.end for _, end in userdef_eps)
+        if contexts or userdef_eps:
+            self.pending.append(
+                SliceRecord(
+                    start=closed.start,
+                    end=closed.end + 1 if inclusive else closed.end,
+                    contexts=contexts,
+                    userdef_eps=userdef_eps,
+                )
+            )
+
+    def remove_query(self, query_id: str) -> None:
+        if query_id in self.runtime.needed:
+            self.runtime.remove_query(query_id)
+
+    def on_event(self, event: Event) -> None:
+        self.runtime.process(event)
+
+    def on_events(self, events: list[Event]) -> None:
+        # Slice-run fast path: the runtime splits the batch at its own
+        # punctuations (falling back per-event for data-driven windows).
+        self.runtime.process_batch(events)
+
+    def stage(self, now: int) -> None:
+        """Cut at the watermark boundary without shipping.
+
+        Used when the upward channel is credit-stalled: slices keep
+        accumulating in the bounded staging buffer (``pending``) so the
+        shedding policy has whole slices to account for, and the slice-seq
+        protocol stays gapless — sequences are only assigned at flush.
+        """
+        self.runtime.advance(now)
+        if self.runtime.current.start < now:
+            self.runtime._cut(now, [], [])
+
+
+class _RootEvalLocalGroup(_LocalGroup):
     """Per-slice value batching for a root-evaluated group (Sec 5.2).
 
     Although windows of these groups are *evaluated* at the root, the
@@ -173,11 +188,8 @@ class _RootEvalLocalGroup:
 
     def __init__(self, node_id: str, group: QueryGroup, config: ClusterConfig,
                  stats: EngineStats, recorder=None) -> None:
-        self.node_id = node_id
-        self.group = group
+        super().__init__(node_id, group, recorder)
         self.stats = stats
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.origin = config.origin
         self.selections = list(group.selections)
         #: key-indexed routing over the same selections (batched ingest)
         self._router = group.build_router()
@@ -188,23 +200,20 @@ class _RootEvalLocalGroup:
         self.buffers: dict[int, tuple[list[int], list[float]]] = {}
         #: every row matches every context: batches extend whole columns
         self._pass_all = all(s.is_pass_all for s in self.selections)
-        self.pending: list[SliceRecord] = []
         self.pending_eps: list[tuple[str, int]] = []
-        self.ship_seq = 0
-        #: shed coverage awaiting the next flush: (node_id, start, end)
-        self.shed_pending: list[tuple[str, int, int]] = []
         self._userdef_watch = [
             (q.query_id, q.selection.key, q.window.end_marker)
             for q in group.queries
             if q.window.window_type is WindowType.USER_DEFINED
         ]
-        #: (length, slide) of fixed time windows: their punctuations are
-        #: deterministic cut points shared with the root
-        self._fixed_schedules = [
-            (q.window.length, q.window.effective_slide)
+        #: query id -> (origin, length, slide) of the live fixed time
+        #: windows: their punctuations are cut points shared with the root
+        self._fixed = {
+            q.query_id: (config.origin, q.window.length, q.window.effective_slide)
             for q in group.queries
             if q.window.is_fixed_size and not q.is_count_based
-        ]
+        }
+        self.grid = PunctuationGrid(self._fixed.values())
         #: (ctx, gap) per session query, with last matching event times
         self._session_watch = [
             (group.context_of[q.query_id], q.window.gap)
@@ -213,19 +222,20 @@ class _RootEvalLocalGroup:
         ]
         self._session_last: dict[int, int] = {}
 
-    def _next_fixed_boundary(self, after: int) -> int | None:
-        """The earliest fixed-window punctuation strictly after ``after``."""
-        best: int | None = None
-        rel = after - self.origin
-        for length, slide in self._fixed_schedules:
-            for offset in (0, length % slide):
-                candidate = (rel - offset) // slide * slide + offset
-                while candidate <= rel:
-                    candidate += slide
-                absolute = candidate + self.origin
-                if best is None or absolute < best:
-                    best = absolute
-        return best
+    def remove_query(self, query_id: str) -> None:
+        """Stop cutting at ``query_id``'s fixed punctuations (the root
+        re-folds its cells on the same coarser grid)."""
+        if self._fixed.pop(query_id, None) is not None:
+            self.grid = PunctuationGrid(self._fixed.values())
+
+    def _cut_due(self, now: int) -> int | None:
+        """Cut at every fixed punctuation passed by ``now``; returns the
+        next one."""
+        boundary = self.grid.after(self.window_start)
+        while boundary is not None and boundary <= now:
+            self._cut(boundary)
+            boundary = self.grid.after(boundary)
+        return boundary
 
     def _cut(self, at: int, *, inclusive: bool = False) -> None:
         """Close the open batch at ``at`` into a pending slice record."""
@@ -286,11 +296,7 @@ class _RootEvalLocalGroup:
     def on_event(self, event: Event) -> None:
         # Pre-insert cuts: fixed punctuations passed by this event, and
         # session gaps this event's arrival proves.
-        if self._fixed_schedules:
-            boundary = self._next_fixed_boundary(self.window_start)
-            while boundary is not None and boundary <= event.time:
-                self._cut(boundary)
-                boundary = self._next_fixed_boundary(boundary)
+        self._cut_due(event.time)
         matched = [
             index
             for index, selection in enumerate(self.selections)
@@ -344,10 +350,7 @@ class _RootEvalLocalGroup:
         inserted = 0
         i, n = 0, len(events)
         while i < n:
-            boundary = self._next_fixed_boundary(self.window_start)
-            while boundary is not None and boundary <= times[i]:
-                self._cut(boundary)
-                boundary = self._next_fixed_boundary(boundary)
+            boundary = self._cut_due(times[i])
             j = n if boundary is None else bisect_left(times, boundary, i + 1)
             if self._pass_all:
                 # Every row matches every context: the run's stretch of
@@ -376,44 +379,9 @@ class _RootEvalLocalGroup:
 
     def stage(self, now: int) -> None:
         """Cut at every due boundary without shipping (stalled channel)."""
-        if self._fixed_schedules:
-            boundary = self._next_fixed_boundary(self.window_start)
-            while boundary is not None and boundary <= now:
-                self._cut(boundary)
-                boundary = self._next_fixed_boundary(boundary)
+        self._cut_due(now)
         if self.window_start < now:
             self._cut(now)
-
-    def flush(self, now: int) -> PartialBatchMessage:
-        self.stage(now)
-        message = PartialBatchMessage(
-            sender=self.node_id,
-            group_id=self.group.group_id,
-            first_slice_seq=self.ship_seq,
-            covered_to=now,
-            records=self.pending,
-            shed=self.shed_pending,
-        )
-        self.shed_pending = []
-        if self.recorder.enabled and self.pending:
-            self.recorder.record(
-                "partial.ship",
-                now,
-                node=self.node_id,
-                group=self.group.group_id,
-                first_seq=self.ship_seq,
-                records=len(self.pending),
-                start=self.pending[0].start,
-                end=self.pending[-1].end,
-                covered_to=now,
-            )
-        self.ship_seq += len(self.pending)
-        self.pending = []
-        return message
-
-    def resync(self, next_seq: int, covered: int) -> None:
-        self.ship_seq = next_seq
-        self.pending = [r for r in self.pending if r.end > covered]
 
 
 class LocalNode(SimNode):
@@ -574,11 +542,8 @@ class LocalNode(SimNode):
                 net.reset_channel(self.node_id, self.parent, message.epoch)
             return
         if isinstance(message, ControlMessage) and message.kind == "query_remove":
-            query_id = message.payload
             for group in self.groups:
-                if isinstance(group, _SlicedLocalGroup):
-                    if query_id in group.runtime.needed:
-                        group.runtime.remove_query(query_id)
+                group.remove_query(message.payload)
 
     # -- recovery support (DESIGN.md §8) -----------------------------------------------
 

@@ -33,6 +33,7 @@ from repro.core.analyzer import QueryGroup, QueryPlan
 from repro.core.engine import required_kinds
 from repro.core.errors import ClusterError
 from repro.core.functions import finalize, operators_for
+from repro.core.grid import PunctuationGrid
 from repro.core.incmerge import DECOMPOSABLE_MERGE_KINDS
 from repro.core.operators import (
     OperatorSetState,
@@ -183,7 +184,7 @@ class RootAssembler:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         #: merge ops of user-defined assembly and of cell stores replaced
         self._merge_ops = 0
-        self.cells = CellStore(origin, (), {})
+        self.cells = CellStore(PunctuationGrid(), {})
 
         trackers: dict[tuple, _FixedTracker] = {}
         self.sessions: list[_SessionState] = []
@@ -232,8 +233,10 @@ class RootAssembler:
             )
         self._merge_ops += self.cells.merge_ops
         self.cells = CellStore(
-            self.origin,
-            [(tracker.length, tracker.slide) for tracker in self.fixed],
+            PunctuationGrid(
+                (self.origin, tracker.length, tracker.slide)
+                for tracker in self.fixed
+            ),
             {ctx: tuple(k for k in operators if k in u) for ctx, u in fold.items()},
             label=f"group {self.group.group_id}",
         )
@@ -536,7 +539,7 @@ class RootAssembler:
 
     def _gc(self) -> None:
         low = self._low_watermark()
-        self.cells.free_below(self.cells.index(low))
+        self.cells.free_below(self.cells.grid.index(low))
         drop = bisect.bisect_right(self.ends, low)
         if drop:
             del self.records[:drop]

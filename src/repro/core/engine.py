@@ -31,6 +31,7 @@ from repro.core.analyzer import QueryGroup, QueryPlan, analyze
 from repro.core.errors import EngineError, OutOfOrderError, QueryError
 from repro.core.event import Event
 from repro.core.functions import finalize, operators_for
+from repro.core.grid import PunctuationGrid
 from repro.core.incmerge import DECOMPOSABLE_MERGE_KINDS, IncrementalMergeLayer
 from repro.core.operators import merge_many_partials
 from repro.core.query import Query
@@ -126,10 +127,15 @@ class GroupRuntime:
 
     The runtime owns the group's slice store, open windows, punctuation
     heap, and window trackers.  It can also run in *slicing-only* mode
-    (``assemble=False``), in which closed slices and window punctuations
-    are handed to a slice sink instead of being assembled into results —
-    this is how local nodes reuse the engine in decentralized aggregation
-    (Sec 5.1).
+    (``assemble=False``), in which closed slices are handed to a slice
+    sink instead of being assembled into results — this is how local
+    nodes reuse the engine in decentralized aggregation (Sec 5.1).
+
+    A slicing-only runtime has punctuations, not windows: in heap mode
+    its fixed trackers open no :class:`WindowInstance`; it cuts at every
+    point of their :class:`~repro.core.grid.PunctuationGrid` (empty slices
+    included, so slice ids count punctuations) and its heap holds session
+    ends only.  Scan mode, the baselines' cost model, opens every window.
     """
 
     def __init__(
@@ -175,7 +181,8 @@ class GroupRuntime:
         #: a removed query may have left streams that nothing feeds
         self._stale_streams = False
         #: called at every cut with (closed_slice, eps, spans); eps are
-        #: (window, end_time) pairs and spans maps ctx -> [first, last]
+        #: the (window, end_time) pairs it closes — data-driven windows
+        #: only on a grid — and spans maps ctx -> [first, last]
         #: matching-event times inside the closed slice (when track_spans).
         self.slice_sink = slice_sink
         #: when set, closed windows are handed over as
@@ -217,6 +224,17 @@ class GroupRuntime:
             self._add_trackers(query)
 
         self._heap: list[tuple[int, int, int, object]] = []
+        #: slicing-only heap mode: the punctuations of the live fixed
+        #: trackers (``None`` everywhere else), the earliest one not cut
+        #: yet, and the trackers attached since the last drain — the time
+        #: they joined at is their first punctuation, and still due
+        self.grid: PunctuationGrid | None = None
+        self._grid_next: int | None = None
+        self._joining: list[FixedWindowTracker] = []
+        if not assemble and punctuation_mode == "heap":
+            self.grid = PunctuationGrid()
+            # Shadows the method: no other runtime's drain tests for a grid.
+            self._drain = self._drain_grid
         #: scan mode: cached earliest due punctuation time (may be early,
         #: never late); None forces a rescan on the next event.
         self._scan_next: int | None = None
@@ -278,7 +296,10 @@ class GroupRuntime:
             tracker = self._tracker_of(query.query_id)
             if isinstance(tracker, FixedWindowTracker):
                 start = tracker.bootstrap(self.stream_time or 0)
-                if self.mode == "heap":
+                if self.grid is not None:
+                    self._joining.append(tracker)
+                    self._regrid(start)
+                elif self.mode == "heap":
                     self._push(start, _SP_FIXED, tracker)
 
     def refresh_selections(self) -> None:
@@ -300,7 +321,8 @@ class GroupRuntime:
 
         Stale heap punctuations for the query are ignored when they fire
         (start punctuations check tracker membership, end punctuations
-        check the open-window table).
+        check the open-window table); on a grid, which has no window to
+        drain, they go with the tracker either way.
         """
         tracker = self._tracker_of(query_id)
         if tracker.unsubscribe(query_id):
@@ -311,6 +333,8 @@ class GroupRuntime:
             if tracker in self._userdef_closed:
                 self._userdef_closed.remove(tracker)
             self._tracker_index.pop((tracker.spec, tracker.ctx), None)
+            if self.grid is not None and self._bootstrapped:
+                self._regrid(self.stream_time)
         if not drain:
             # (Draining windows keep their subscriber snapshot; ``needed``
             # must outlive them for result finalization at close.)
@@ -344,8 +368,26 @@ class GroupRuntime:
         self.current.start = origin
         for tracker in self.fixed:
             start = tracker.bootstrap(origin)
-            if self.mode == "heap":
+            if self.grid is not None:
+                self._joining.append(tracker)
+            elif self.mode == "heap":
                 self._push(start, _SP_FIXED, tracker)
+        if self.grid is not None:
+            self._regrid(origin)
+
+    def _regrid(self, now: int) -> None:
+        """Rebuild the grid from the live fixed trackers (never advanced
+        on a grid, so ``next_start`` is each one's own origin).  All up to
+        the stream time ``now`` is cut, except ``now`` itself while a
+        tracker that joined there awaits the drain."""
+        self.grid = PunctuationGrid(
+            (tracker.next_start, tracker.length, tracker.slide)
+            for tracker in self.fixed
+        )
+        if any(tracker in self.fixed for tracker in self._joining):
+            self._grid_next = now
+        else:
+            self._grid_next = self.grid.after(now)
 
     # -- window lifecycle -----------------------------------------------------
 
@@ -585,6 +627,27 @@ class GroupRuntime:
             if eps or sps:
                 self._cut(time, eps, sps)
 
+    def _drain_grid(self, now: int) -> None:
+        """A grid-driven runtime's drain: one cut per distinct time up to
+        ``now`` that is a grid punctuation (whether or not anything ends
+        there) or closes a session."""
+        heap = self._heap
+        due = self._grid_next
+        while True:
+            time = heap[0][0] if heap and (due is None or heap[0][0] <= due) else due
+            if time is None or time > now:
+                return
+            eps: list = []
+            while heap and heap[0][0] == time:
+                _, _, tag, payload = heapq.heappop(heap)
+                self._classify(time, tag, payload, eps, ())
+            if time == due:
+                due = self._grid_next = self.grid.after(time)
+                self._joining.clear()
+            elif not eps:
+                continue
+            self._cut(time, eps, ())
+
     def _classify(self, time: int, tag: int, payload, eps: list, sps: list) -> None:
         if tag == _EP:
             window = payload
@@ -772,12 +835,16 @@ class GroupRuntime:
         """Earliest upcoming punctuation time (a safe lower bound).
 
         Valid right after a drain: in heap mode the heap top is strictly
-        in the future (possibly stale entries only shorten runs); in scan
+        in the future (possibly stale entries only shorten runs), and so
+        is the next grid punctuation of a grid-driven runtime; in scan
         mode ``_scan_next`` is the cached earliest due time, which may be
         early but never late.  ``None`` means no punctuation is pending.
         """
         if self.mode == "heap":
-            return self._heap[0][0] if self._heap else None
+            due = self._grid_next
+            if self._heap and (due is None or self._heap[0][0] < due):
+                return self._heap[0][0]
+            return due
         return self._scan_next
 
     @property
@@ -1036,8 +1103,8 @@ class GroupRuntime:
         """
         final = at_time if at_time is not None else (self.stream_time or 0)
         self.advance(final)
-        if not self.open_windows:
-            return
+        if not self.open_windows and (self.grid is None or not self.fixed):
+            return  # (the fixed windows a grid stands in for are always open)
         eps = []
         for window in list(self.open_windows.values()):
             end = window.end if window.end is not None else final

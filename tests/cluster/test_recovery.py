@@ -567,7 +567,7 @@ class TestAssemblerCheckpoint:
             (blob,) = encode_checkpoint([chunk])
             # raw records only where something still reads them
             assert bool(assembler.records) == (userdef and bool(chunk.records))
-            start, _ = assembler.cells.bounds(covered)
+            start, _ = assembler.cells.grid.bounds(covered)
             half_filled += start < covered and any(
                 r.start >= start for r in chunk.records
             )

@@ -462,21 +462,30 @@ def seed_reference(queries, events, close_at=None):
     """Replicate the seed engine's merge path independently.
 
     A slicing-only :class:`GroupRuntime` (``assemble=False``) yields the
-    closed slices and window punctuations; each window is then folded with
-    ``merge_many_partials`` over its covered slice range — operator
-    buckets in slice order, exactly the pre-layer ``_close_window`` — and
-    finalized per subscribed query.  Returns rows in emit order.
+    closed slices and the punctuations of data-driven windows; it opens
+    no fixed window, so those are enumerated from the query specs —
+    ``[origin + k*slide, +length)`` from the first event on, over the
+    slices that start inside them (every window start and end is a cut).
+    Each window is then folded with ``merge_many_partials`` over its
+    slices — operator buckets in slice order, exactly the pre-layer
+    ``_close_window`` — and finalized per subscribed query.  Returns rows
+    in emit order.
     """
     plan = analyze(queries, policy=SharingPolicy.FULL)
     out: dict[str, list[tuple]] = {q.query_id: [] for q in queries}
+    final = close_at if close_at is not None else events[-1].time
     for group in plan.groups:
         slices: dict[int, object] = {}
+        #: (subscribers, ctx, start, end, covered slice indices)
         closes: list[tuple] = []
 
         def slice_sink(closing, eps, spans, slices=slices, closes=closes):
             slices[closing.index] = closing
             for window, end_time in eps:
-                closes.append((window, end_time, closing.index))
+                closes.append((
+                    window.queries, window.ctx, window.start, end_time,
+                    range(window.first_slice, closing.index + 1),
+                ))
 
         runtime = GroupRuntime(
             group,
@@ -488,24 +497,32 @@ def seed_reference(queries, events, close_at=None):
         for event in events:
             runtime.process(event)
         runtime.close(close_at)
-        for window, end, last in closes:
-            if len(window.queries) == 1:
-                kinds = runtime.needed[window.queries[0].query_id]
-            else:
-                union = set()
-                for query in window.queries:
-                    union.update(runtime.needed[query.query_id])
-                kinds = tuple(k for k in runtime.operators if k in union)
+        for query in group.queries:
+            if not query.window.is_fixed_size or query.is_count_based:
+                continue
+            start = events[0].time
+            while start <= final:
+                end = start + query.window.length
+                closes.append((
+                    (query,), group.context_of[query.query_id], start, end,
+                    [i for i, s in slices.items() if start <= s.start < end],
+                ))
+                start += query.window.effective_slide
+        for subscribers, ctx, start, end, covered in closes:
+            union = set()
+            for query in subscribers:
+                union.update(runtime.needed[query.query_id])
+            kinds = tuple(k for k in runtime.operators if k in union)
             buckets = {kind: [] for kind in kinds}
             total = 0
-            for index in range(window.first_slice, last + 1):
+            for index in covered:
                 slice_ = slices.get(index)
                 if slice_ is None:
                     continue
-                parts = slice_.partials.get(window.ctx)
+                parts = slice_.partials.get(ctx)
                 if parts is None:
                     continue
-                total += slice_.insert_counts.get(window.ctx, 0)
+                total += slice_.insert_counts.get(ctx, 0)
                 for kind in kinds:
                     if kind in parts:
                         buckets[kind].append(parts[kind])
@@ -516,10 +533,9 @@ def seed_reference(queries, events, close_at=None):
             }
             if total == 0:
                 continue
-            for query in window.queries:
+            for query in subscribers:
                 out[query.query_id].append(
-                    (window.start, end, repr(finalize(query.function, merged)),
-                     total)
+                    (start, end, repr(finalize(query.function, merged)), total)
                 )
     return out
 

@@ -170,11 +170,15 @@ class TestSliceStore:
             slice_sink=lambda slice_, eps, spans: closed.append(slice_.index),
         )
         runtime.store = None  # any walk, add or free would raise
-        feed(runtime, *range(0, 2_000, 70))
+        feed(runtime, *range(0, 1_000, 70), *range(1_500, 2_000, 70))
         runtime.remove_query("s")
         runtime.close()
         assert closed == list(range(runtime.slice_seq))
-        assert runtime.stats.windows_closed > 0
+        # two sessions opened, the gap closed one and the removal dropped
+        # the other; the sliding query has punctuations, not windows
+        assert runtime.stats.windows_opened == 2
+        assert runtime.stats.windows_closed == 1
+        assert runtime.stats.slices_closed > 20
         assert runtime.stats.peak_live_slices == 0
 
     def test_merge_context_partials(self):
