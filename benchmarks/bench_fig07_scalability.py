@@ -186,9 +186,13 @@ def test_fig7cd_per_node_work(benchmark):
 
 def test_fig7e_keys_slow_down_locals(benchmark):
     """Fig 7e: distinct keys add selection operators scanned per event on
-    the local nodes; root and intermediate merge work is per-partial."""
+    the local nodes; root and intermediate merge work is per-partial.
+
+    Asserted on the cause, a deterministic counter: every event is checked
+    against one selection per key.  The CPU columns are printed only —
+    single-shot readings of the per-event local path.
+    """
     rows = []
-    cpu_shares = {}
     checks = {}
     for n_keys in (1, 8, 32):
         keys = tuple(f"k{i}" for i in range(n_keys))
@@ -206,7 +210,6 @@ def test_fig7e_keys_slow_down_locals(benchmark):
             queries, topology(2), config=ClusterConfig(tick_interval=1_000)
         ).run(streams)
         cpu = result.cpu_by_role
-        cpu_shares[n_keys] = cpu[NodeRole.LOCAL]
         checks[n_keys] = sum(
             stats.selection_checks for stats in result.local_stats.values()
         )
@@ -227,8 +230,6 @@ def test_fig7e_keys_slow_down_locals(benchmark):
     # Every event passes through one selection operator per key on the
     # local nodes — the deterministic cause of Fig 7e's slowdown.
     assert checks[32] == 32 * checks[1]
-    # The wall-clock trend follows (asserted with generous noise slack).
-    assert cpu_shares[32] > 1.2 * cpu_shares[1]
     benchmark.pedantic(
         lambda: run_desis(avg_queries(), 2, keys=4), rounds=1, iterations=1
     )

@@ -336,17 +336,19 @@ class OperatorSetState:
     a ``sum``, the slice holds a single :class:`SumState`.
     """
 
-    __slots__ = ("kinds", "states", "inserts")
+    __slots__ = ("kinds", "states", "inserts", "_inserts")
 
     def __init__(self, kinds: Sequence[OperatorKind]) -> None:
         self.kinds = tuple(kinds)
         self.states = tuple(make_state(kind) for kind in kinds)
         self.inserts = 0
+        #: each state's ``insert``, bound once instead of once per value
+        self._inserts = tuple(state.insert for state in self.states)
 
     def insert(self, value: float) -> None:
         self.inserts += 1
-        for state in self.states:
-            state.insert(value)
+        for insert in self._inserts:
+            insert(value)
 
     def insert_many(self, values: Sequence[float]) -> None:
         """Apply a run of values to every operator.

@@ -154,7 +154,9 @@ class DesisSession:
         return self._engine
 
     def process(self, event: Event) -> None:
-        engine = self._ensure_engine()
+        engine = self._engine
+        if engine is None:
+            engine = self._ensure_engine()
         if self._probe is not None:
             self._probe.on_ingest(event)
         engine.process(event)
