@@ -14,7 +14,7 @@ can be invoked mid-run, and heartbeat timeouts surface dead nodes via
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.core.analyzer import QueryGroup, QueryPlan, analyze
@@ -33,7 +33,8 @@ from repro.cluster.checkpoint import (
 from repro.cluster.config import ClusterConfig
 from repro.cluster.intermediate import IntermediateNode
 from repro.cluster.local import LocalNode
-from repro.cluster.root import RootAssembler, RootNode
+from repro.cluster.reliability import resync_entries
+from repro.cluster.root import RootNode
 from repro.network.messages import ControlMessage, ResyncMessage
 from repro.network.simnet import NetworkStats, SimNetwork
 from repro.network.topology import Topology
@@ -195,14 +196,12 @@ class DesisCluster:
                 self.net.add_node(node)
         for child, parent in topo.parents.items():
             self.net.connect(child, parent)
-        store = self.checkpoint_store
-        if store is not None:
-            self.root.store = store
-            for node in self.intermediates.values():
-                node.store = store
-        self.root.on_child_dead = self._on_child_dead
-        for node in self.intermediates.values():
+        for node in (self.root, *self.intermediates.values()):
+            node.store = self.checkpoint_store
             node.on_child_dead = self._on_child_dead
+
+    def _parent_node(self, parent: str) -> RootNode | IntermediateNode:
+        return self.root if parent == self.topology.root else self.intermediates[parent]
 
     def _broadcast_attributes(self) -> None:
         """Ship window attributes and topology down the tree (Sec 3.1)."""
@@ -234,31 +233,8 @@ class DesisCluster:
         self.plan.groups.append(group)
         progress = int(self.net.now) - int(self.net.now) % self.config.tick_interval
         origin = max(self.config.origin, progress)
-        from repro.cluster.local import _RootEvalLocalGroup, _SlicedLocalGroup
-        from repro.cluster.merger import GroupMerger
-
-        shifted = replace(self.config, origin=origin)
-        for node in self.locals.values():
-            handler_cls = (
-                _RootEvalLocalGroup if group.root_evaluated else _SlicedLocalGroup
-            )
-            node.groups.append(
-                handler_cls(node.node_id, group, shifted, node.stats, node.recorder)
-            )
-        for node in self.intermediates.values():
-            node.mergers.append(
-                GroupMerger(group, self.topology.children(node.node_id), origin)
-            )
-            node.ship_seq.append(0)
-            node.forward_floor.append(origin)
-            node._shed_pending.append([])
-        self.root.mergers.append(
-            GroupMerger(group, self.topology.children(self.topology.root), origin)
-        )
-        self.root.assemblers.append(
-            RootAssembler(group, origin, self.root._emit, shifted,
-                          recorder=self.root.recorder, node_id=self.root.node_id)
-        )
+        for node in (*self.locals.values(), *self.intermediates.values(), self.root):
+            node.add_group(group, origin)
 
     def remove_query(self, query_id: str) -> None:
         """Remove a running query immediately on every node."""
@@ -282,14 +258,7 @@ class DesisCluster:
         self.locals[node_id] = node
         self.net.add_node(node)
         self.net.connect(node_id, parent)
-        parent_node = (
-            self.root if parent == self.topology.root else self.intermediates[parent]
-        )
-        parent_node.add_child(node_id)
-        if parent_node.liveness is not None:
-            # The node joins now, not at the origin: it must not be swept
-            # for silence it predates.
-            parent_node.liveness.add(node_id, int(self.net.now))
+        self._parent_node(parent).add_child(node_id, int(self.net.now))
         last = self.net.inject_stream(node_id, stream)
         if last:
             end = self._align_up(last)
@@ -312,10 +281,7 @@ class DesisCluster:
         node.alive = False
         self.topology.remove_node(node_id)
         del self.locals[node_id]
-        parent_node = (
-            self.root if parent == self.topology.root else self.intermediates[parent]
-        )
-        parent_node.remove_child(node_id)
+        self._parent_node(parent).remove_child(node_id)
         # Hard removal frees the transport too: reliable-channel state for
         # a departed node must not linger (or retransmit into the void).
         self.net.forget_node_channels(node_id)
@@ -343,10 +309,8 @@ class DesisCluster:
             w.lose_state or w.end is None or w.end >= end for w in plan.crashes
         )
         if needs_retention:
-            for node in self.locals.values():
-                node._retain = True
-            for node in self.intermediates.values():
-                node._retain = True
+            for node in (*self.locals.values(), *self.intermediates.values()):
+                node.retain_shipped()
         for window in plan.crashes:
             if not window.lose_state:
                 continue
@@ -376,22 +340,13 @@ class DesisCluster:
         dead = self.intermediates.pop(child)
         dead.alive = False
         self._dead_intermediates.append(dead)
-        target_node = (
-            self.root if target == self.topology.root else self.intermediates[target]
-        )
+        target_node = self._parent_node(target)
         target_node.remove_child(child)
-        floors = {
-            group_id: (0, merger.forwarded_to)
-            for group_id, merger in enumerate(target_node.mergers)
-        }
+        floors = resync_entries(target_node.mergers)
         for orphan in orphans:
             if (orphan, target) not in net.links:
                 net.connect(orphan, target)
-            target_node.add_child(orphan)
-            if target_node.liveness is not None:
-                # The orphan joins now, not at the origin: it must not be
-                # swept for silence it predates.
-                target_node.liveness.add(orphan, now)
+            target_node.add_child(orphan, now)
             net.abandon_channel(orphan, child)
             epoch = net.expect_resync(orphan, target)
             net.send(
@@ -503,6 +458,10 @@ class DesisCluster:
                 traced=len(self.recorder) if self.recorder.enabled else 0,
             ),
         )
+        mergers = [
+            self.root, *self.intermediates.values(), *self._dead_intermediates
+        ]
+        nodes = [*mergers, *self.locals.values()]
         return ClusterRunResult(
             sink=self.root.sink,
             network=self.net.stats(),
@@ -517,29 +476,13 @@ class DesisCluster:
                 for node_id, node in self.net.nodes.items()
             },
             recorder=self.recorder,
-            checkpoints=self.root.checkpoints_taken
-            + sum(n.checkpoints_taken for n in self.intermediates.values())
-            + sum(n.checkpoints_taken for n in self._dead_intermediates),
-            recoveries=self.root.recoveries
-            + sum(n.recoveries for n in self.intermediates.values())
-            + sum(n.recoveries for n in self._dead_intermediates),
+            checkpoints=sum(n.checkpoints_taken for n in mergers),
+            recoveries=sum(n.recoveries for n in mergers),
             reroutes=self.reroutes,
             duplicates_suppressed=self.root.duplicates_suppressed,
             root_merge_ops=self.root.root_merge_ops,
             degraded_windows=self.root.degraded_windows,
-            slices_shed=self.root.slices_shed
-            + sum(n.slices_shed for n in self.locals.values())
-            + sum(n.slices_shed for n in self.intermediates.values())
-            + sum(n.slices_shed for n in self._dead_intermediates),
-            peak_staging=max(
-                [self.root.peak_staging]
-                + [n.peak_staging for n in self.locals.values()]
-                + [n.peak_staging for n in self.intermediates.values()]
-                + [n.peak_staging for n in self._dead_intermediates]
-            ),
-            slow_consumer_evictions=self.root.slow_consumer_evictions
-            + sum(
-                n.slow_consumer_evictions for n in self.intermediates.values()
-            )
-            + sum(n.slow_consumer_evictions for n in self._dead_intermediates),
+            slices_shed=sum(n.slices_shed for n in nodes),
+            peak_staging=max(n.peak_staging for n in nodes),
+            slow_consumer_evictions=sum(n.slow_consumer_evictions for n in mergers),
         )

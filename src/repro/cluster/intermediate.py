@@ -11,115 +11,66 @@ Fig 7c exercises).
 
 from __future__ import annotations
 
-from repro.core.analyzer import QueryPlan
+from repro.core.analyzer import QueryGroup, QueryPlan
 from repro.core.types import NodeRole
 from repro.cluster.checkpoint import (
-    decode_checkpoint,
-    encode_checkpoint,
-    merger_cursors,
-    pending_chunks,
-    restore_mergers,
     restore_retained,
     restore_shed,
     retained_chunks,
     shed_chunks,
 )
 from repro.cluster.config import ClusterConfig
-from repro.cluster.merger import GroupMerger
-from repro.cluster.reliability import (
-    ChildLiveness,
-    recovery_entries,
-    resync_entries,
-)
+from repro.cluster.roles import Merger, Shipper
 from repro.network.messages import (
     CheckpointMessage,
     ControlMessage,
     PartialBatchMessage,
     ResyncMessage,
+    SnapshotChunk,
 )
-from repro.network.simnet import SimNetwork, SimNode
-from repro.obs.tracing import NULL_RECORDER
+from repro.network.simnet import SimNetwork
 
 __all__ = ["IntermediateNode"]
 
 
-class IntermediateNode(SimNode):
-    """A Desis intermediate node for one parent and a set of children."""
+class IntermediateNode(Shipper, Merger):
+    """A Desis intermediate node: merges a set of children and ships the
+    merged records to one parent."""
 
     def __init__(self, node_id: str, parent: str, children: list[str],
                  plan: QueryPlan, config: ClusterConfig, recorder=None) -> None:
-        super().__init__(node_id, NodeRole.INTERMEDIATE)
-        self.parent = parent
-        self.children = list(children)
-        self.plan = plan
-        self.config = config
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.mergers = [
-            GroupMerger(group, children, config.origin) for group in plan.groups
-        ]
-        self.ship_seq = [0 for _ in plan.groups]
+        Shipper.__init__(self, node_id, NodeRole.INTERMEDIATE, parent, config, recorder)
+        Merger.__init__(
+            self, node_id, NodeRole.INTERMEDIATE, children, plan, config, recorder
+        )
+
+    def _reset_groups(self) -> None:
+        self.ship_seq: list[int] = []
         #: per-group coverage boundary below which records are not forwarded
         #: (set by a parent resync: those windows closed degraded upstream)
-        self.forward_floor = [config.origin for _ in plan.groups]
-        self.alive = True
-        self._last_heartbeat = config.origin
-        self.liveness = (
-            ChildLiveness(children, config.origin, config.node_timeout)
-            if config.fault_plan is not None
-            else None
-        )
-        # Checkpointing and retention (DESIGN.md §8); the deployment wires
-        # ``store`` and ``_retain`` when recovery is in play.
-        self.store = None
-        self._retain = False
-        self._retained: list[PartialBatchMessage] = []
+        self.forward_floor: list[int] = []
         #: per-group trim floor last broadcast by the parent — our own
         #: trim to children is capped by it, so grandchildren never drop
         #: batches an ancestor recovery could still re-request
-        self._trim_floor = [config.origin for _ in plan.groups]
-        self._ckpt_id = 0
-        self._last_ckpt = config.origin
-        self._slices_since_ckpt = 0
-        self.checkpoints_taken = 0
-        self.recoveries = 0
-        #: deployment hook: called with ``(child, now, net)`` when liveness
-        #: sweeps a child whose crash the fault plan declares permanent
-        self.on_child_dead = None
-        # Overload control (DESIGN.md §12): shed coverage awaiting the
-        # next upward forward, staging high-water mark, eviction counters.
-        # All stay empty/zero at default config.
-        self._shed_pending: list[list[tuple[str, int, int]]] = [
-            [] for _ in plan.groups
-        ]
-        self.peak_staging = 0
-        self.slices_shed = 0
-        self.retention_evicted = 0
-        self.slow_consumer_evictions = 0
+        self._trim_floor: list[int] = []
+        #: per-group shed coverage awaiting the next upward forward
+        #: (DESIGN.md §12); stays empty at default config
+        self._shed_pending: list[list[tuple[str, int, int]]] = []
+        super()._reset_groups()
+
+    def _open_group(self, group: QueryGroup, origin: int) -> None:
+        super()._open_group(group, origin)
+        self.ship_seq.append(0)
+        self.forward_floor.append(origin)
+        self._trim_floor.append(origin)
+        self._shed_pending.append([])
 
     def on_tick(self, now: int, net: SimNetwork) -> None:
         if not self.alive:
             return
-        if now - self._last_heartbeat >= self.config.heartbeat_interval:
-            self._last_heartbeat = now
-            net.send(
-                self.node_id,
-                self.parent,
-                ControlMessage(sender=self.node_id, kind="heartbeat", payload=now),
-            )
-        liveness = self.liveness
-        if liveness is not None:
-            plan = net.fault_plan
-            for child in liveness.sweep(now):
-                for merger in self.mergers:
-                    merger.remove_child(child)
-                if (
-                    self.on_child_dead is not None
-                    and plan is not None
-                    and plan.permanent(child, now)
-                ):
-                    self.on_child_dead(child, now, net)
-            if self.config.overload_control:
-                self._sweep_slow_consumers(now, net)
+        self._heartbeat(now, net)
+        if self.liveness is not None:
+            self._sweep_children(now, net)
         if self.config.overload_control and not net.channel_stalled(
             self.node_id, self.parent
         ):
@@ -132,48 +83,13 @@ class IntermediateNode(SimNode):
         if self.store is not None:
             self._maybe_checkpoint(now, net)
 
-    def _sweep_slow_consumers(self, now: int, net: SimNetwork) -> None:
-        """Soft-evict children whose upward channel has been credit-stalled
-        past the stall timeout — the same resync path as a silent child
-        (their heartbeats keep flowing, so the next one re-admits them)."""
-        liveness = self.liveness
-        timeout = self.config.stall_timeout
-        if timeout is None:
-            timeout = self.config.node_timeout
-        for child in list(self.children):
-            since = net.channel_stalled_since(child, self.node_id)
-            if (
-                since is not None
-                and now - since > timeout
-                and liveness.force_evict(child)
-            ):
-                self.slow_consumer_evictions += 1
-                for merger in self.mergers:
-                    merger.remove_child(child)
-
-    def _readmit(self, child: str, net: SimNetwork) -> None:
-        for merger in self.mergers:
-            merger.add_child(child)
-        epoch = net.expect_resync(child, self.node_id)
-        net.send(
-            self.node_id,
-            child,
-            ResyncMessage(
-                sender=self.node_id,
-                epoch=epoch,
-                entries=resync_entries(self.mergers),
-            ),
-        )
-
     def on_message(self, message, now: int, net: SimNetwork) -> None:
         if isinstance(message, ControlMessage):
             if not self.alive:
                 return
             if message.kind == "heartbeat":
-                liveness = self.liveness
-                if liveness is not None and liveness.tracks(message.sender):
-                    if liveness.beat(message.sender, now):
-                        self._readmit(message.sender, net)
+                if self.liveness is not None:
+                    self._beat(message.sender, now, net)
                 net.send(self.node_id, self.parent, message)
             elif message.kind in ("queries", "topology"):
                 for child in self.children:
@@ -210,17 +126,15 @@ class IntermediateNode(SimNode):
         merger.on_batch(message)
         if message.shed:
             # Coverage shed further down rides up with our next forward.
-            self._shed_pending[message.group_id].extend(message.shed)
+            self._note_shed(message.group_id, message.shed)
         if self.config.overload_control:
-            if net.channel_stalled(self.node_id, self.parent):
-                # Backpressure: leave the released coverage staged in the
-                # merger's pending buffers (bounded below) instead of
-                # growing the stalled channel's unacked backlog.
-                self._shed_staging_overflow(message.group_id, net)
-                self._note_staging()
-                return
             self._shed_staging_overflow(message.group_id, net)
             self._note_staging()
+            if net.channel_stalled(self.node_id, self.parent):
+                # Backpressure: leave the released coverage staged in the
+                # merger's pending buffers (just bounded) instead of
+                # growing the stalled channel's unacked backlog.
+                return
         advanced = merger.advance()
         if advanced is None or not self.alive:
             return
@@ -269,43 +183,6 @@ class IntermediateNode(SimNode):
             self._slices_since_ckpt += len(records)
             self._maybe_checkpoint(now, net)
 
-    # -- overload control (DESIGN.md §12) ----------------------------------------------
-
-    def _shed_staging_overflow(self, group_id: int, net: SimNetwork) -> None:
-        """Shed oldest pending slices once a merger exceeds the staging cap.
-
-        Whole slices only, oldest (smallest ``(end, start)``) first, down
-        to the hysteresis low watermark; shed coverage joins the pending
-        shed report for the next upward batch.
-        """
-        limit = self.config.staging_limit
-        if limit is None:
-            return
-        merger = self.mergers[group_id]
-        occupancy = merger.staging_occupancy()
-        if occupancy <= limit:
-            return
-        low = max(int(limit * self.config.shed_watermark), 0)
-        shed = merger.shed_oldest(occupancy - low)
-        self.slices_shed += len(shed)
-        net.note_shed(self.node_id, group_id, shed)
-        self._shed_pending[group_id].extend(
-            (self.node_id, record.start, record.end) for record in shed
-        )
-
-    def _note_staging(self) -> None:
-        occupancy = sum(
-            merger.staging_occupancy() for merger in self.mergers
-        )
-        if occupancy > self.peak_staging:
-            self.peak_staging = occupancy
-
-    def _cap_retention(self) -> None:
-        limit = self.config.retention_limit
-        if limit is not None and len(self._retained) > limit:
-            self.retention_evicted += len(self._retained) - limit
-            self._retained = self._retained[-limit:]
-
     def on_finish(self, now: int, net: SimNetwork) -> None:
         """End of stream overrides backpressure: release anything still
         staged behind a stalled channel so every closable window closes."""
@@ -322,203 +199,44 @@ class IntermediateNode(SimNode):
                     group_id, (merger.forwarded_to, []), now, net
                 )
 
-    # -- checkpointing and recovery (DESIGN.md §8) ----------------------------------
+    # -- the role halves (repro.cluster.roles) ----------------------------------------
 
-    def _maybe_checkpoint(self, now: int, net: SimNetwork) -> None:
-        if not self.alive:
-            return
-        interval = self.config.checkpoint_interval
-        if interval is None:
-            return
-        due = now - self._last_ckpt >= interval
-        every = self.config.checkpoint_every_slices
-        if not due and every is not None and self._slices_since_ckpt >= every:
-            due = True
-        if not due:
-            return
-        plan = net.fault_plan
-        if plan is not None and plan.crashed(self.node_id, now):
-            # A crashed process takes no snapshots; the last one persisted
-            # before the fault is what recovery will see.
-            return
-        self._checkpoint(now, net)
+    def _rebase(self, group_id: int, next_seq: int, floor: int) -> None:
+        if group_id < len(self.ship_seq):
+            self.ship_seq[group_id] = next_seq
+            self.forward_floor[group_id] = max(self.forward_floor[group_id], floor)
 
-    def _checkpoint(self, now: int, net: SimNetwork) -> None:
-        self._ckpt_id += 1
-        safe_to = {
-            group_id: min(merger.forwarded_to, self._trim_floor[group_id])
-            for group_id, merger in enumerate(self.mergers)
-        }
-        header = CheckpointMessage(
-            sender=self.node_id,
-            checkpoint_id=self._ckpt_id,
-            at=now,
-            groups={
-                group_id: (
-                    self.ship_seq[group_id],
-                    self.forward_floor[group_id],
-                    merger.forwarded_to,
-                )
-                for group_id, merger in enumerate(self.mergers)
-            },
-            cursors=merger_cursors(self.mergers),
-            safe_to=safe_to,
-        )
-        chunks = pending_chunks(self.node_id, self._ckpt_id, self.mergers)
-        chunks.extend(retained_chunks(self.node_id, self._ckpt_id, self._retained))
+    def _note_shed(self, group_id: int, entries) -> None:
+        # Rides up with the next forward; the root's ledger is its home.
+        self._shed_pending[group_id].extend(entries)
+
+    def _snapshot(self, header: CheckpointMessage) -> list[SnapshotChunk]:
+        for group_id, merger in enumerate(self.mergers):
+            header.groups[group_id] = (
+                self.ship_seq[group_id],
+                self.forward_floor[group_id],
+                merger.forwarded_to,
+            )
+            header.safe_to[group_id] = min(
+                merger.forwarded_to, self._trim_floor[group_id]
+            )
+        chunks = retained_chunks(self.node_id, self._ckpt_id, self._retained)
         chunks.extend(shed_chunks(self.node_id, self._ckpt_id, self._shed_pending))
-        self.store.save(
-            self.node_id, self._ckpt_id, encode_checkpoint([header, *chunks])
-        )
-        self.checkpoints_taken += 1
-        self._last_ckpt = now
-        self._slices_since_ckpt = 0
-        if self.recorder.enabled:
-            self.recorder.record(
-                "checkpoint.save",
-                now,
-                node=self.node_id,
-                checkpoint_id=self._ckpt_id,
-                chunks=len(chunks) + 1,
-            )
-        for child in self.children:
-            net.send(
-                self.node_id,
-                child,
-                CheckpointMessage(
-                    sender=self.node_id,
-                    checkpoint_id=self._ckpt_id,
-                    at=now,
-                    safe_to=dict(safe_to),
-                ),
-            )
+        return chunks
 
-    def on_restart(self, now: int, net: SimNetwork) -> None:
-        """Come back from a state-losing crash (DESIGN.md §8).
-
-        Cluster metadata (parent, children, queries) is durable and
-        re-read; merge state is wiped and reloaded from the latest
-        checkpoint — or left virgin when there is none, the
-        checkpoint-less baseline.  Children are then asked to fast-forward
-        re-ship only the retained suffix past the restored cursors.  No
-        upward resync is needed: the send channel to the parent lives in
-        the transport, and the re-forwarded batches replay the original
-        sequence numbers, so the parent prefix-drops what it already has.
-        """
-        self.recoveries += 1
-        config = self.config
-        self.mergers = [
-            GroupMerger(group, self.children, config.origin)
-            for group in self.plan.groups
-        ]
-        self.ship_seq = [0 for _ in self.plan.groups]
-        self.forward_floor = [config.origin for _ in self.plan.groups]
-        self._trim_floor = [config.origin for _ in self.plan.groups]
+    def _reset_for_restart(self, now: int) -> dict:
+        # No upward resync is needed: the send channel to the parent lives
+        # in the transport, and the re-forwarded batches replay the original
+        # sequence numbers, so the parent prefix-drops what it already has.
+        self._reset_groups()
         self._retained = []
-        self._shed_pending = [[] for _ in self.plan.groups]
         self._last_heartbeat = now
-        self._last_ckpt = now
-        self._slices_since_ckpt = 0
-        if self.liveness is not None:
-            self.liveness = ChildLiveness(self.children, now, config.node_timeout)
-        loaded = self.store.load_latest(self.node_id) if self.store else None
-        restored_id = 0
-        if loaded is not None:
-            restored_id, blobs = loaded
-            header, chunks = decode_checkpoint(blobs)
-            self._ckpt_id = restored_id
-            for group_id, (ship, floor, _) in header.groups.items():
-                if group_id < len(self.ship_seq):
-                    self.ship_seq[group_id] = ship
-                    self.forward_floor[group_id] = floor
-            restore_mergers(self.mergers, header, chunks)
-            self._retained = restore_retained(self.node_id, chunks)
-            self._shed_pending = restore_shed(len(self.plan.groups), chunks)
-        if self.recorder.enabled:
-            self.recorder.record(
-                "node.recover",
-                now,
-                node=self.node_id,
-                checkpoint_id=restored_id,
-                from_checkpoint=loaded is not None,
-            )
-        for child in self.children:
-            epoch = net.expect_resync(child, self.node_id)
-            net.send(
-                self.node_id,
-                child,
-                ResyncMessage(
-                    sender=self.node_id,
-                    epoch=epoch,
-                    entries=recovery_entries(self.mergers, child),
-                    recover=True,
-                ),
-            )
+        return {}
 
-    def _apply_trim(self, safe_to: dict[int, int]) -> None:
-        if not self._retained:
-            return
-        self._retained = [
-            batch
-            for batch in self._retained
-            if (floor := safe_to.get(batch.group_id)) is None
-            or batch.covered_to > floor
-        ]
-
-    def _fast_forward(self, message: ResyncMessage, net: SimNetwork) -> None:
-        """Serve a parent restart: re-ship the retained suffix past its
-        restored cursors with the original sequence numbers."""
-        net.reset_channel(self.node_id, self.parent, message.epoch)
-        for batch in self._retained:
-            cursor = message.entries.get(batch.group_id)
-            if cursor is None or batch.covered_to > cursor[1]:
-                net.send(self.node_id, self.parent, batch)
-
-    def _reparent(self, message: ResyncMessage, net: SimNetwork) -> None:
-        """Fail over to the adopter after our parent died permanently.
-
-        The adopter attached us at its own coverage floors; the retained
-        suffix past each floor is renumbered from slice seq zero, records
-        at or below the floor are pruned, and emptied batches are kept —
-        their coverage steps reproduce the original release granularity.
-        """
-        self.parent = message.new_parent
-        counts: dict[int, int] = {}
-        kept: list[PartialBatchMessage] = []
-        for batch in self._retained:
-            entry = message.entries.get(batch.group_id)
-            floor = entry[1] if entry is not None else None
-            if floor is not None:
-                if batch.covered_to <= floor:
-                    continue
-                batch.records = [r for r in batch.records if r.end > floor]
-            batch.first_slice_seq = counts.get(batch.group_id, 0)
-            counts[batch.group_id] = batch.first_slice_seq + len(batch.records)
-            kept.append(batch)
-        self._retained = kept
-        for group_id, (_, floor) in message.entries.items():
+    def _restore(self, header: CheckpointMessage, chunks: list[SnapshotChunk]) -> None:
+        for group_id, (ship, floor, _) in header.groups.items():
             if group_id < len(self.ship_seq):
-                self.ship_seq[group_id] = counts.get(group_id, 0)
-                self.forward_floor[group_id] = max(
-                    self.forward_floor[group_id], floor
-                )
-        net.reset_channel(self.node_id, self.parent, message.epoch)
-        for batch in kept:
-            net.send(self.node_id, self.parent, batch)
-
-    # -- membership (Sec 3.2) -------------------------------------------------------
-
-    def add_child(self, child: str) -> None:
-        self.children.append(child)
-        for merger in self.mergers:
-            merger.add_child(child)
-        if self.liveness is not None:
-            self.liveness.add(child, self.config.origin)
-
-    def remove_child(self, child: str) -> None:
-        if child in self.children:
-            self.children.remove(child)
-        for merger in self.mergers:
-            merger.remove_child(child)
-        if self.liveness is not None:
-            self.liveness.remove(child)
+                self.ship_seq[group_id] = ship
+                self.forward_floor[group_id] = floor
+        self._retained = restore_retained(self.node_id, chunks)
+        self._shed_pending = restore_shed(len(self.plan.groups), chunks)

@@ -19,6 +19,7 @@ locally — or ``(time, value)`` pairs when the root must count events.
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import replace
 
 from repro.core.analyzer import QueryGroup, QueryPlan
 from repro.core.engine import EngineStats, GroupRuntime
@@ -28,6 +29,7 @@ from repro.core.results import ResultSink
 from repro.core.types import NodeRole, OperatorKind, WindowType
 from repro.cluster.config import ClusterConfig
 from repro.cluster.merger import group_has_sessions
+from repro.cluster.roles import Shipper
 from repro.network.messages import (
     CheckpointMessage,
     ContextPartial,
@@ -36,7 +38,7 @@ from repro.network.messages import (
     ResyncMessage,
     SliceRecord,
 )
-from repro.network.simnet import SimNetwork, SimNode
+from repro.network.simnet import SimNetwork
 from repro.obs.tracing import NULL_RECORDER
 
 __all__ = ["LocalNode"]
@@ -384,53 +386,54 @@ class _RootEvalLocalGroup(_LocalGroup):
             self._cut(now)
 
 
-class LocalNode(SimNode):
-    """A Desis local node: one group handler per query-group."""
+class LocalNode(Shipper):
+    """A Desis local node: a shipper with one group handler per query-group."""
 
     def __init__(self, node_id: str, parent: str, plan: QueryPlan,
                  config: ClusterConfig, recorder=None) -> None:
-        super().__init__(node_id, NodeRole.LOCAL)
-        self.parent = parent
-        self.config = config
+        super().__init__(node_id, NodeRole.LOCAL, parent, config, recorder)
         self.stats = EngineStats()
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.groups: list[_SlicedLocalGroup | _RootEvalLocalGroup] = [
-            (
-                _RootEvalLocalGroup(
-                    node_id, group, config, self.stats, self.recorder
-                )
-                if group.root_evaluated
-                else _SlicedLocalGroup(
-                    node_id, group, config, self.stats, self.recorder
-                )
-            )
-            for group in plan.groups
-        ]
-        self.alive = True
-        self._last_heartbeat = config.origin
-        # Retention (DESIGN.md §8): when enabled by the deployment, every
-        # shipped batch — including empty coverage steps — is kept until a
-        # parent checkpoint trims it, so a recovering or adoptive parent
-        # can be served the exact per-tick suffix it is missing.
-        self._retain = False
-        self._retained: list[PartialBatchMessage] = []
+        self.groups: list[_SlicedLocalGroup | _RootEvalLocalGroup] = []
+        for group in plan.groups:
+            self.add_group(group, config.origin)
         # Overload control (DESIGN.md §12): high-water mark of the staging
-        # buffers, slices deliberately shed, retained batches evicted by
-        # the retention cap.  All stay zero at default config.
+        # buffers and slices deliberately shed.  Both stay zero at default
+        # config.
         self.peak_staging = 0
         self.slices_shed = 0
-        self.retention_evicted = 0
+
+    def add_group(self, group: QueryGroup, origin: int) -> None:
+        """Start slicing a query-group, its schedules anchored at ``origin``."""
+        handler = _RootEvalLocalGroup if group.root_evaluated else _SlicedLocalGroup
+        self.groups.append(
+            handler(
+                self.node_id,
+                group,
+                replace(self.config, origin=origin),
+                self.stats,
+                self.recorder,
+            )
+        )
 
     # -- overload control (DESIGN.md §12) ----------------------------------------------
+
+    def _shed(self, group, shed: list[SliceRecord], net: SimNetwork) -> None:
+        """Account whole slices dropped from ``group``'s staging buffer.
+        Their coverage is remembered per group and rides up with the next
+        flushed batch, so the root can stamp affected windows with
+        ``completeness < 1.0``."""
+        self.slices_shed += len(shed)
+        net.note_shed(self.node_id, group.group.group_id, shed)
+        group.shed_pending.extend(
+            (self.node_id, record.start, record.end) for record in shed
+        )
 
     def _shed_overflow(self, group, net: SimNetwork) -> None:
         """Shed oldest whole slices once staging exceeds its cap.
 
         Deterministic oldest-slice-first policy with hysteresis: shed down
         to ``staging_limit * shed_watermark`` records so the buffer does
-        not oscillate at the cap.  Shed coverage is remembered per group
-        and rides up with the next flushed batch, so the root can stamp
-        affected windows with ``completeness < 1.0``.
+        not oscillate at the cap.
         """
         limit = self.config.staging_limit
         if limit is None or len(group.pending) <= limit:
@@ -438,22 +441,7 @@ class LocalNode(SimNode):
         low = max(int(limit * self.config.shed_watermark), 0)
         shed = group.pending[: len(group.pending) - low]
         group.pending = group.pending[len(shed):]
-        self.slices_shed += len(shed)
-        net.note_shed(self.node_id, group.group.group_id, shed)
-        group.shed_pending.extend(
-            (self.node_id, record.start, record.end) for record in shed
-        )
-
-    def _note_staging(self) -> None:
-        occupancy = sum(len(group.pending) for group in self.groups)
-        if occupancy > self.peak_staging:
-            self.peak_staging = occupancy
-
-    def _cap_retention(self) -> None:
-        limit = self.config.retention_limit
-        if limit is not None and len(self._retained) > limit:
-            self.retention_evicted += len(self._retained) - limit
-            self._retained = self._retained[-limit:]
+        self._shed(group, shed, net)
 
     def on_event(self, event: Event, now: int, net: SimNetwork) -> None:
         self.stats.events += 1
@@ -485,15 +473,12 @@ class LocalNode(SimNode):
             if self._retain:
                 self._retained.append(message)
         if deferred or self.config.staging_limit is not None:
-            self._note_staging()
-        self._cap_retention()
-        if now - self._last_heartbeat >= self.config.heartbeat_interval:
-            self._last_heartbeat = now
-            net.send(
-                self.node_id,
-                self.parent,
-                ControlMessage(sender=self.node_id, kind="heartbeat", payload=now),
-            )
+            occupancy = sum(len(group.pending) for group in self.groups)
+            if occupancy > self.peak_staging:
+                self.peak_staging = occupancy
+        if self._retain:
+            self._cap_retention()
+        self._heartbeat(now, net)
 
     def on_finish(self, now: int, net: SimNetwork) -> None:
         if not self.alive:
@@ -509,96 +494,40 @@ class LocalNode(SimNode):
         self._cap_retention()
 
     def on_message(self, message, now: int, net: SimNetwork) -> None:
-        # Locals receive control traffic (queries, topology) and, after a
-        # soft-eviction outage, a state resync from their parent.
+        # Locals receive control traffic (queries, topology), their
+        # parent's retention trims, and its resyncs: after a failover, a
+        # parent restart, or a soft-eviction outage.
         if isinstance(message, CheckpointMessage):
             self._apply_trim(message.safe_to)
-            return
-        if isinstance(message, ResyncMessage):
+        elif isinstance(message, ResyncMessage):
             if message.new_parent:
                 self._reparent(message, net)
             elif message.recover:
                 self._fast_forward(message, net)
             else:
-                for group_id, (next_seq, covered) in message.entries.items():
-                    if group_id < len(self.groups):
-                        group = self.groups[group_id]
-                        if self.config.overload_control:
-                            # Records the resync prunes are data dropped
-                            # under overload (the outage was a stalled,
-                            # not a silent, channel) — account them like
-                            # any other shed so the completeness ledger
-                            # stays truthful.
-                            pruned = [r for r in group.pending if r.end <= covered]
-                            if pruned:
-                                self.slices_shed += len(pruned)
-                                net.note_shed(
-                                    self.node_id, group.group.group_id, pruned
-                                )
-                                group.shed_pending.extend(
-                                    (self.node_id, r.start, r.end) for r in pruned
-                                )
-                        group.resync(next_seq, covered)
-                net.reset_channel(self.node_id, self.parent, message.epoch)
-            return
-        if isinstance(message, ControlMessage) and message.kind == "query_remove":
+                self._resync(message, net)
+        elif isinstance(message, ControlMessage) and message.kind == "query_remove":
             for group in self.groups:
                 group.remove_query(message.payload)
 
-    # -- recovery support (DESIGN.md §8) -----------------------------------------------
-
-    def _apply_trim(self, safe_to: dict[int, int]) -> None:
-        """Drop retained batches the parent has durably checkpointed past."""
-        if not self._retained:
-            return
-        self._retained = [
-            batch
-            for batch in self._retained
-            if (floor := safe_to.get(batch.group_id)) is None
-            or batch.covered_to > floor
-        ]
-
-    def _fast_forward(self, message: ResyncMessage, net: SimNetwork) -> None:
-        """Serve a parent that restarted from a checkpoint: re-ship only
-        the retained suffix past its restored cursors, with the original
-        sequence numbers (the merger prefix-drops any overlap with frames
-        that survived in the reliable channel)."""
-        net.reset_channel(self.node_id, self.parent, message.epoch)
-        for batch in self._retained:
-            cursor = message.entries.get(batch.group_id)
-            if cursor is None or batch.covered_to > cursor[1]:
-                net.send(self.node_id, self.parent, batch)
-
-    def _reparent(self, message: ResyncMessage, net: SimNetwork) -> None:
-        """Fail over to the adopter of this node after its parent died.
-
-        The adoptive parent attached this node at its own coverage floors
-        (``entries`` carries them with ``next_seq`` 0), so the retained
-        suffix past each floor is renumbered from slice seq zero, records
-        at or below the floor are pruned, and emptied batches are *kept* —
-        their coverage steps reproduce the original release granularity.
-        """
-        self.parent = message.new_parent
-        counts: dict[int, int] = {}
-        kept: list[PartialBatchMessage] = []
-        for batch in self._retained:
-            entry = message.entries.get(batch.group_id)
-            floor = entry[1] if entry is not None else None
-            if floor is not None:
-                if batch.covered_to <= floor:
-                    continue
-                batch.records = [r for r in batch.records if r.end > floor]
-            batch.first_slice_seq = counts.get(batch.group_id, 0)
-            counts[batch.group_id] = batch.first_slice_seq + len(batch.records)
-            kept.append(batch)
-        self._retained = kept
-        for group in self.groups:
-            entry = message.entries.get(group.group.group_id)
-            if entry is None:
+    def _resync(self, message: ResyncMessage, net: SimNetwork) -> None:
+        """Rejoin a parent that soft-evicted this node: restart the upward
+        slice sequences past the coverage it assembled meanwhile."""
+        for group_id, (next_seq, covered) in message.entries.items():
+            if group_id >= len(self.groups):
                 continue
-            floor = entry[1]
-            group.pending = [r for r in group.pending if r.end > floor]
-            group.ship_seq = counts.get(group.group.group_id, 0)
+            group = self.groups[group_id]
+            if self.config.overload_control:
+                # Records the resync prunes are data dropped under overload
+                # (the outage was a stalled, not a silent, channel) —
+                # account them like any other shed so the completeness
+                # ledger stays truthful.
+                pruned = [r for r in group.pending if r.end <= covered]
+                if pruned:
+                    self._shed(group, pruned, net)
+            group.resync(next_seq, covered)
         net.reset_channel(self.node_id, self.parent, message.epoch)
-        for batch in kept:
-            net.send(self.node_id, self.parent, batch)
+
+    def _rebase(self, group_id: int, next_seq: int, floor: int) -> None:
+        if group_id < len(self.groups):
+            self.groups[group_id].resync(next_seq, floor)

@@ -43,31 +43,18 @@ from repro.core.operators import (
 from repro.core.query import Query
 from repro.core.results import ResultSink, WindowResult
 from repro.core.types import NodeRole, OperatorKind, WindowMeasure, WindowType
-from repro.cluster.checkpoint import (
-    assembler_chunks,
-    decode_checkpoint,
-    encode_checkpoint,
-    merger_cursors,
-    pending_chunks,
-    restore_assembler,
-    restore_mergers,
-)
+from repro.cluster.checkpoint import assembler_chunks, restore_assembler
 from repro.cluster.cells import CellStore
 from repro.cluster.config import ClusterConfig
-from repro.cluster.merger import GroupMerger
-from repro.cluster.reliability import (
-    ChildLiveness,
-    recovery_entries,
-    resync_entries,
-)
+from repro.cluster.roles import Merger
 from repro.network.messages import (
     CheckpointMessage,
     ControlMessage,
     PartialBatchMessage,
-    ResyncMessage,
     SliceRecord,
+    SnapshotChunk,
 )
-from repro.network.simnet import SimNetwork, SimNode
+from repro.network.simnet import SimNetwork
 from repro.obs.tracing import NULL_RECORDER
 
 __all__ = ["RootNode", "RootAssembler"]
@@ -581,66 +568,42 @@ class RootAssembler:
             state.open = []
 
 
-class RootNode(SimNode):
-    """The Desis root: merges children, assembles windows, emits results."""
+class RootNode(Merger):
+    """The Desis root: merges children, assembles windows, emits results.
+
+    Its ticks are the merger's (silence sweep, checkpoint cadence), and the
+    deployment schedules them only under a fault plan or with checkpointing
+    on."""
 
     def __init__(self, node_id: str, children: list[str], plan: QueryPlan,
                  config: ClusterConfig, sink: ResultSink | None = None,
                  recorder=None) -> None:
-        super().__init__(node_id, NodeRole.ROOT)
-        self.plan = plan
-        self.config = config
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
+        super().__init__(node_id, NodeRole.ROOT, children, plan, config, recorder)
         self.sink = sink if sink is not None else ResultSink()
-        self.children = list(children)
-        self._reset_assembly()
         #: merge-op counts of assemblers discarded by crash recovery (the
         #: replacement assemblers restart their counters at zero)
         self.merge_ops_carried = 0
-        # Overload-control accounting (DESIGN.md §12); all stay zero
-        # without the opt-in caps.
         self.degraded_windows = 0
-        self.slices_shed = 0
-        self.peak_staging = 0
-        self.slow_consumer_evictions = 0
-        # Soft-eviction state, only active under a fault plan: without one
-        # the network is lossless and partitions cannot happen.
-        self.liveness = (
-            ChildLiveness(children, config.origin, config.node_timeout)
-            if config.fault_plan is not None
-            else None
-        )
-        # Exactly-once emission ledger and checkpointing (DESIGN.md §8).
-        # Every window result gets an emit sequence number; after a
-        # state-losing restart the deterministic replay regenerates the
-        # results already emitted before the crash, and ``_suppress_below``
-        # keeps them out of the sink.
+        # Exactly-once emission ledger (DESIGN.md §8).  Every window result
+        # gets an emit sequence number; after a state-losing restart the
+        # deterministic replay regenerates the results already emitted
+        # before the crash, and ``_suppress_below`` keeps them out of the
+        # sink.
         self._emit_seq = 0
         self._suppress_below = 0
         self.duplicates_suppressed = 0
-        self.store = None
-        self._ckpt_id = 0
-        self._last_ckpt = config.origin
-        self._slices_since_ckpt = 0
-        self.checkpoints_taken = 0
-        self.recoveries = 0
-        #: deployment hook: called with ``(child, now, net)`` when liveness
-        #: sweeps a child whose crash the fault plan declares permanent
-        self.on_child_dead = None
 
-    def _reset_assembly(self) -> None:
-        """Virgin merge and assembly state (construction, lossy restart)."""
-        config = self.config
-        self.mergers = [
-            GroupMerger(group, self.children, config.origin)
-            for group in self.plan.groups
-        ]
-        self.assemblers = [
-            RootAssembler(group, config.origin, self._emit, config,
-                          recorder=self.recorder, node_id=self.node_id)
-            for group in self.plan.groups
-        ]
+    def _reset_groups(self) -> None:
+        self.assemblers: list[RootAssembler] = []
         self.last_seen: dict[str, int] = {}
+        super()._reset_groups()
+
+    def _open_group(self, group: QueryGroup, origin: int) -> None:
+        super()._open_group(group, origin)
+        self.assemblers.append(
+            RootAssembler(group, origin, self._emit, self.config,
+                          recorder=self.recorder, node_id=self.node_id)
+        )
 
     def _emit(self, query: Query, start: int, end: int, ops, count: int,
               now: int, shed_slices=(), completeness: float = 1.0) -> None:
@@ -686,10 +649,8 @@ class RootNode(SimNode):
         if isinstance(message, ControlMessage):
             if message.kind == "heartbeat":
                 self.last_seen[message.sender] = now
-                liveness = self.liveness
-                if liveness is not None and liveness.tracks(message.sender):
-                    if liveness.beat(message.sender, now):
-                        self._readmit(message.sender, net)
+                if self.liveness is not None:
+                    self._beat(message.sender, now, net)
             return
         if not isinstance(message, PartialBatchMessage):
             return
@@ -697,7 +658,7 @@ class RootNode(SimNode):
         if message.shed:
             # The ledger must see shed coverage before the advance below
             # can close the windows it degrades.
-            self.assemblers[message.group_id].note_shed(message.shed)
+            self._note_shed(message.group_id, message.shed)
         merger.on_batch(message)
         if self.config.overload_control:
             self._shed_staging_overflow(message.group_id, net)
@@ -715,211 +676,6 @@ class RootNode(SimNode):
             self._slices_since_ckpt += len(records)
             self._maybe_checkpoint(now, net)
 
-    def on_tick(self, now: int, net: SimNetwork) -> None:
-        # Ticks are scheduled for the root under a fault plan (the
-        # heartbeat-silence sweep that soft-evicts partitioned children)
-        # and when checkpointing is on.
-        liveness = self.liveness
-        if liveness is not None:
-            plan = net.fault_plan
-            for child in liveness.sweep(now):
-                for merger in self.mergers:
-                    merger.remove_child(child)
-                if (
-                    self.on_child_dead is not None
-                    and plan is not None
-                    and plan.permanent(child, now)
-                ):
-                    self.on_child_dead(child, now, net)
-            if self.config.overload_control:
-                self._sweep_slow_consumers(now, net)
-        if self.store is not None:
-            self._maybe_checkpoint(now, net)
-
-    # -- overload control (DESIGN.md §12) -------------------------------------------
-
-    def _shed_staging_overflow(self, group_id: int, net: SimNetwork) -> None:
-        """Shed the oldest pending slices of one merger when its staging
-        occupancy exceeds the cap, down to the hysteresis watermark.  Shed
-        coverage lands directly in the group's ledger — the root is its
-        own final consumer."""
-        limit = self.config.staging_limit
-        if limit is None:
-            return
-        merger = self.mergers[group_id]
-        occupancy = merger.staging_occupancy()
-        if occupancy <= limit:
-            return
-        low = max(int(limit * self.config.shed_watermark), 0)
-        shed = merger.shed_oldest(occupancy - low)
-        if not shed:
-            return
-        self.slices_shed += len(shed)
-        net.note_shed(self.node_id, group_id, shed)
-        self.assemblers[group_id].note_shed(
-            (self.node_id, record.start, record.end) for record in shed
-        )
-
-    def _note_staging(self) -> None:
-        occupancy = sum(merger.staging_occupancy() for merger in self.mergers)
-        if occupancy > self.peak_staging:
-            self.peak_staging = occupancy
-
-    def _sweep_slow_consumers(self, now: int, net: SimNetwork) -> None:
-        """Soft-evict children whose reliable channel toward the root has
-        been credit-stalled past the stall timeout (DESIGN.md §12):
-        coverage resumes without them, and the usual heartbeat-rejoin
-        resync path re-attaches them once the backlog drains."""
-        liveness = self.liveness
-        timeout = self.config.stall_timeout
-        if timeout is None:
-            timeout = self.config.node_timeout
-        for child in sorted(liveness.last_seen):
-            since = net.channel_stalled_since(child, self.node_id)
-            if since is None or now - since <= timeout:
-                continue
-            if liveness.force_evict(child):
-                self.slow_consumer_evictions += 1
-                for merger in self.mergers:
-                    merger.remove_child(child)
-
-    # -- checkpointing and recovery (DESIGN.md §8) ---------------------------------
-
-    def _maybe_checkpoint(self, now: int, net: SimNetwork) -> None:
-        interval = self.config.checkpoint_interval
-        if interval is None:
-            return
-        due = now - self._last_ckpt >= interval
-        every = self.config.checkpoint_every_slices
-        if not due and every is not None and self._slices_since_ckpt >= every:
-            due = True
-        if not due:
-            return
-        plan = net.fault_plan
-        if plan is not None and plan.crashed(self.node_id, now):
-            return
-        self._checkpoint(now, net)
-
-    def _checkpoint(self, now: int, net: SimNetwork) -> None:
-        self._ckpt_id += 1
-        safe_to = {
-            group_id: merger.forwarded_to
-            for group_id, merger in enumerate(self.mergers)
-        }
-        header = CheckpointMessage(
-            sender=self.node_id,
-            checkpoint_id=self._ckpt_id,
-            at=now,
-            emit_seq=self._emit_seq,
-            groups={
-                group_id: (0, 0, merger.forwarded_to)
-                for group_id, merger in enumerate(self.mergers)
-            },
-            cursors=merger_cursors(self.mergers),
-            safe_to=safe_to,
-        )
-        chunks = pending_chunks(self.node_id, self._ckpt_id, self.mergers)
-        chunks.extend(assembler_chunks(self.node_id, self._ckpt_id, self.assemblers))
-        self.store.save(
-            self.node_id, self._ckpt_id, encode_checkpoint([header, *chunks])
-        )
-        self.checkpoints_taken += 1
-        self._last_ckpt = now
-        self._slices_since_ckpt = 0
-        if self.recorder.enabled:
-            self.recorder.record(
-                "checkpoint.save",
-                now,
-                node=self.node_id,
-                checkpoint_id=self._ckpt_id,
-                chunks=len(chunks) + 1,
-            )
-        for child in self.children:
-            net.send(
-                self.node_id,
-                child,
-                CheckpointMessage(
-                    sender=self.node_id,
-                    checkpoint_id=self._ckpt_id,
-                    at=now,
-                    safe_to=dict(safe_to),
-                ),
-            )
-
-    def on_restart(self, now: int, net: SimNetwork) -> None:
-        """Come back from a state-losing crash with exactly-once emission.
-
-        Merge and assembly state is wiped and reloaded from the latest
-        checkpoint (or left virgin without one); the emit sequence resumes
-        at the checkpointed ledger value while ``_suppress_below``
-        remembers how far the sink already got, so the deterministic
-        replay regenerates — and drops — exactly the window results
-        emitted between the checkpoint and the crash.
-        """
-        self.recoveries += 1
-        pre_crash_emits = self._emit_seq
-        self.merge_ops_carried += sum(a.merge_ops for a in self.assemblers)
-        self._reset_assembly()
-        self._emit_seq = 0
-        self._suppress_below = pre_crash_emits
-        self._last_ckpt = now
-        self._slices_since_ckpt = 0
-        if self.liveness is not None:
-            self.liveness = ChildLiveness(self.children, now, self.config.node_timeout)
-        loaded = self.store.load_latest(self.node_id) if self.store else None
-        restored_id = 0
-        if loaded is not None:
-            restored_id, blobs = loaded
-            header, chunks = decode_checkpoint(blobs)
-            self._ckpt_id = restored_id
-            self._emit_seq = header.emit_seq
-            restore_mergers(self.mergers, header, chunks)
-            by_group = {
-                chunk.group_id: chunk
-                for chunk in chunks
-                if chunk.kind == "assembler"
-            }
-            for assembler in self.assemblers:
-                chunk = by_group.get(assembler.group.group_id)
-                if chunk is not None:
-                    restore_assembler(assembler, chunk)
-        if self.recorder.enabled:
-            self.recorder.record(
-                "node.recover",
-                now,
-                node=self.node_id,
-                checkpoint_id=restored_id,
-                from_checkpoint=loaded is not None,
-                suppress_below=pre_crash_emits,
-            )
-        for child in self.children:
-            epoch = net.expect_resync(child, self.node_id)
-            net.send(
-                self.node_id,
-                child,
-                ResyncMessage(
-                    sender=self.node_id,
-                    epoch=epoch,
-                    entries=recovery_entries(self.mergers, child),
-                    recover=True,
-                ),
-            )
-
-    def _readmit(self, child: str, net: SimNetwork) -> None:
-        """Re-attach a soft-evicted child whose heartbeats came back."""
-        for merger in self.mergers:
-            merger.add_child(child)
-        epoch = net.expect_resync(child, self.node_id)
-        net.send(
-            self.node_id,
-            child,
-            ResyncMessage(
-                sender=self.node_id,
-                epoch=epoch,
-                entries=resync_entries(self.mergers),
-            ),
-        )
-
     def finish(self, now: int) -> None:
         for assembler in self.assemblers:
             assembler.finish(now)
@@ -932,24 +688,9 @@ class RootNode(SimNode):
             assembler.merge_ops for assembler in self.assemblers
         )
 
-    # -- membership (Sec 3.2) ----------------------------------------------------------------
-
-    def add_child(self, child: str) -> None:
-        if child not in self.children:
-            self.children.append(child)
-        for merger in self.mergers:
-            merger.add_child(child)
-        if self.liveness is not None:
-            self.liveness.add(child, int(self.config.origin))
-
     def remove_child(self, child: str) -> None:
-        if child in self.children:
-            self.children.remove(child)
+        super().remove_child(child)
         self.last_seen.pop(child, None)
-        for merger in self.mergers:
-            merger.remove_child(child)
-        if self.liveness is not None:
-            self.liveness.remove(child)
 
     def timed_out_nodes(self, now: int) -> list[str]:
         """Children whose heartbeats stopped for longer than the timeout."""
@@ -959,3 +700,36 @@ class RootNode(SimNode):
             for node, seen in self.last_seen.items()
             if now - seen > timeout
         )
+
+    # -- the role halves (repro.cluster.roles) ----------------------------------------
+
+    def _note_shed(self, group_id: int, entries) -> None:
+        # The root is its own final consumer: straight into the ledger.
+        self.assemblers[group_id].note_shed(entries)
+
+    def _snapshot(self, header: CheckpointMessage) -> list[SnapshotChunk]:
+        header.emit_seq = self._emit_seq
+        return assembler_chunks(self.node_id, self._ckpt_id, self.assemblers)
+
+    def _reset_for_restart(self, now: int) -> dict:
+        # Exactly-once emission: the emit sequence restarts (and resumes at
+        # the checkpointed ledger value, if any) while ``_suppress_below``
+        # remembers how far the sink already got, so the deterministic
+        # replay regenerates — and drops — exactly the window results
+        # emitted between the checkpoint and the crash.
+        pre_crash_emits = self._emit_seq
+        self.merge_ops_carried += sum(a.merge_ops for a in self.assemblers)
+        self._reset_groups()
+        self._emit_seq = 0
+        self._suppress_below = pre_crash_emits
+        return {"suppress_below": pre_crash_emits}
+
+    def _restore(self, header: CheckpointMessage, chunks: list[SnapshotChunk]) -> None:
+        self._emit_seq = header.emit_seq
+        by_group = {
+            chunk.group_id: chunk for chunk in chunks if chunk.kind == "assembler"
+        }
+        for assembler in self.assemblers:
+            chunk = by_group.get(assembler.group.group_id)
+            if chunk is not None:
+                restore_assembler(assembler, chunk)

@@ -13,11 +13,19 @@ from repro.core.engine import EngineStats
 from repro.core.event import Event
 from repro.core.predicates import Selection
 from repro.core.query import Query, WindowSpec
-from repro.core.types import AggFunction, OperatorKind, WindowMeasure
+from repro.core.types import AggFunction, NodeRole, OperatorKind, WindowMeasure
 from repro.cluster.config import ClusterConfig
-from repro.cluster.local import _RootEvalLocalGroup, _SlicedLocalGroup
+from repro.cluster.intermediate import IntermediateNode
+from repro.cluster.local import LocalNode, _RootEvalLocalGroup, _SlicedLocalGroup
+from repro.network.codec import BinaryCodec
+from repro.network.messages import CheckpointMessage, ResyncMessage
+from repro.network.simnet import SimNetwork
+
+from tests.cluster.test_intermediate import Inbox, batch, record
 
 K = OperatorKind
+
+shipper_kinds = pytest.mark.parametrize("kind", ["local", "intermediate"])
 
 
 def sliced_group(*queries, tick=1_000):
@@ -363,3 +371,103 @@ class TestRootEvalBatchedIngest:
         monkeypatch.setattr(handler, "on_event", seen.append)
         handler.on_events(events)
         assert seen == events
+
+
+class TestShipperHalf:
+    """The shipping half (``repro.cluster.roles``), held once for both of
+    its users: the same retained batches and the same message from the
+    parent leave a local and an intermediate in the same state."""
+
+    QUERY = Query.of("q", WindowSpec.tumbling(1_000), AggFunction.SUM)
+    #: the slice sequence the node's next upward batch of group 0 starts at
+    NEXT_SEQ = {
+        "local": lambda node: node.groups[0].ship_seq,
+        "intermediate": lambda node: node.ship_seq[0],
+    }
+
+    def build(self, kind, **cfg):
+        """A shipper ``n`` under parent ``p`` (adopter ``q`` standing by)
+        that has shipped, and retained, one record per second up to 3 s."""
+        config = ClusterConfig(**cfg)
+        plan = analyze([self.QUERY], decentralized=True)
+        net = SimNetwork(default_codec=BinaryCodec(), default_latency_ms=0.0)
+        if kind == "local":
+            node = LocalNode("n", "p", plan, config)
+        else:
+            node = IntermediateNode("n", "p", ["c"], plan, config)
+        parents = {name: Inbox(name, NodeRole.ROOT) for name in ("p", "q")}
+        for parent in parents.values():
+            net.add_node(parent)
+        net.add_node(node)
+        net.connect("n", "p")
+        net.connect("n", "q")
+        node.retain_shipped()
+        node._retained = [
+            batch("n", seq, end, [record(end - 1_000, end, 1.0, 1)])
+            for seq, end in enumerate((1_000, 2_000, 3_000))
+        ]
+        return net, node, parents
+
+    @staticmethod
+    def shipped(parent):
+        return [
+            (m.first_slice_seq, m.covered_to, [(r.start, r.end) for r in m.records])
+            for m in parent.messages
+        ]
+
+    @shipper_kinds
+    def test_checkpoint_trims_what_the_parent_holds_durably(self, kind):
+        net, node, _ = self.build(kind)
+        trim = CheckpointMessage(sender="p", checkpoint_id=1, at=0, safe_to={0: 2_000})
+        node.on_message(trim, 0, net)
+        assert [b.covered_to for b in node._retained] == [3_000]
+        node.on_message(trim, 0, net)  # an older floor trims nothing more
+        assert [b.covered_to for b in node._retained] == [3_000]
+
+    @shipper_kinds
+    def test_parent_restart_is_served_the_suffix_past_its_cursor(self, kind):
+        net, node, parents = self.build(kind)
+        node.on_message(
+            ResyncMessage(sender="p", epoch=1, entries={0: (1, 1_000)}, recover=True),
+            0,
+            net,
+        )
+        net.run()
+        # original sequence numbers: the merger prefix-drops any overlap
+        assert self.shipped(parents["p"]) == [
+            (1, 2_000, [(1_000, 2_000)]),
+            (2, 3_000, [(2_000, 3_000)]),
+        ]
+        assert len(node._retained) == 3
+
+    @shipper_kinds
+    def test_failover_renumbers_the_suffix_past_the_adopters_floor(self, kind):
+        net, node, parents = self.build(kind)
+        node._retained[1].records.insert(0, record(900, 1_400, 1.0, 1))
+        node.on_message(
+            ResyncMessage(
+                sender="q", epoch=1, entries={0: (0, 1_500)}, recover=True,
+                new_parent="q",
+            ),
+            0,
+            net,
+        )
+        net.run()
+        assert node.parent == "q"
+        assert parents["p"].messages == []
+        # records at or below the floor pruned, the rest numbered from zero
+        assert self.shipped(parents["q"]) == [
+            (0, 2_000, [(1_000, 2_000)]),
+            (1, 3_000, [(2_000, 3_000)]),
+        ]
+        assert [b.first_slice_seq for b in node._retained] == [0, 1]
+        assert self.NEXT_SEQ[kind](node) == 2
+
+    @shipper_kinds
+    def test_retention_cap_evicts_oldest_first(self, kind):
+        net, node, _ = self.build(kind, retention_limit=2)
+        node._cap_retention()
+        assert [b.covered_to for b in node._retained] == [2_000, 3_000]
+        assert node.retention_evicted == 1
+        node._cap_retention()
+        assert node.retention_evicted == 1

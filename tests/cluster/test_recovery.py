@@ -254,6 +254,77 @@ class TestCombinedCrashSchedule:
         assert result.recoveries == 2
 
 
+class TestLateQueryGroup:
+    """A query added mid-run is a group like any other: every node extends
+    all of its per-group state for it, and a restart rebuilds the group at
+    the tick it joined at — its origin is durable node metadata."""
+
+    BASE = Query.of("avg_1000", WindowSpec.tumbling(1_000), AggFunction.AVERAGE)
+
+    def run(self, late, at, n_events, **cfg):
+        cluster = DesisCluster(
+            [self.BASE],
+            three_tier(2, 1),
+            config=ClusterConfig(tick_interval=TICK, **cfg),
+        )
+        return cluster.run(
+            make_streams(2, n_events),
+            actions=[(at, lambda c: c.add_query(late))],
+        )
+
+    def test_checkpoint_after_add_query(self):
+        late = Query.of("late", WindowSpec.tumbling(500), AggFunction.AVERAGE)
+        plain = self.run(late, 3_000, 600)
+        checkpointed = self.run(late, 3_000, 600, checkpoint_interval=1_000)
+        assert rows(checkpointed) == rows(plain)
+        assert any(r.query_id == "late" for r in checkpointed.sink)
+        assert checkpointed.checkpoints > 0
+
+    @pytest.mark.parametrize("checkpoint_interval", [None, 1_000])
+    @pytest.mark.parametrize("node", ["root", "mid-0"])
+    def test_restart_rebuilds_the_group_where_it_joined(
+        self, node, checkpoint_interval
+    ):
+        # 700 ms does not divide the join tick (4 500): anchored at
+        # ``config.origin`` the group's punctuations would fall elsewhere.
+        late = Query.of("late", WindowSpec.tumbling(700), AggFunction.AVERAGE)
+        baseline = self.run(late, 4_500, 3_000)
+        plan = FaultPlan(
+            seed=2, crashes=(CrashWindow(node, 8_000, 9_500, lose_state=True),)
+        )
+        result = self.run(
+            late,
+            4_500,
+            3_000,
+            fault_plan=plan,
+            node_timeout=NEVER,
+            checkpoint_interval=checkpoint_interval,
+        )
+        assert rows(result) == rows(baseline)
+        assert {r.query_id for r in result.sink} == {"avg_1000", "late"}
+        assert result.recoveries == 1
+        assert (result.checkpoints > 0) == (checkpoint_interval is not None)
+
+
+    def test_group_added_while_a_child_is_soft_evicted(self):
+        """The new group's merger attaches the children its siblings hold:
+        the evicted one joins it on the heartbeat that re-admits it (at
+        the parent commit that rejoin raised ``already attached``)."""
+        late = Query.of("late", WindowSpec.tumbling(500), AggFunction.AVERAGE)
+        cfg = dict(node_timeout=4_000, heartbeat_interval=2_000)
+        baseline = self.run(late, 8_000, 3_000, **cfg)
+        outage = CrashWindow("local-0", 2_000, 12_000)
+        result = self.run(
+            late, 8_000, 3_000, fault_plan=FaultPlan(seed=3, crashes=(outage,)), **cfg
+        )
+        # exact again once the rejoin settled: one heartbeat to re-admit,
+        # two ticks to flush the resync
+        settle = outage.end + cfg["heartbeat_interval"] + 2 * TICK
+        after = lambda found: [r for r in rows(found) if r[1] >= settle]  # noqa: E731
+        assert after(result) == after(baseline)
+        assert {r[0] for r in after(result)} == {"avg_1000", "late"}
+
+
 class TestIntermediateFailover:
     @pytest.mark.parametrize("kind", ["mixed", "count"])
     def test_permanent_death_reroutes_children(self, kind, streams, baselines):

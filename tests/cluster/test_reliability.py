@@ -17,11 +17,13 @@ from repro.cluster.reliability import (
 from repro.core.analyzer import analyze
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction
+from repro.network.messages import ControlMessage, ResyncMessage
 from repro.network.simnet import FaultPlan
 from repro.network.topology import three_tier
 from repro.obs.registry import MetricsRegistry, publish_network_stats
 
 from tests.cluster.test_desis_parity import TICK, make_streams
+from tests.cluster.test_intermediate import build_merger, merger_kinds
 
 NEVER = 10**9
 
@@ -111,3 +113,42 @@ class TestRetransmitExhaustionObservability:
             registry.value("net.retransmit_exhausted")
             == result.network.retransmit_exhausted
         )
+
+
+class TestSlowConsumerEviction:
+    """The merger half's liveness (``repro.cluster.roles``), held once for
+    both of its users: an intermediate and the root."""
+
+    @merger_kinds
+    def test_stalled_child_is_evicted_once_and_rejoins_on_a_heartbeat(
+        self, kind, monkeypatch
+    ):
+        net, node, children = build_merger(
+            kind,
+            fault_plan=FaultPlan(seed=0),
+            node_timeout=NEVER,
+            stall_timeout=100,
+            channel_credit_frames=4,
+        )
+        # ``a``'s upward channel has been out of credit since t=0.
+        monkeypatch.setattr(
+            net, "channel_stalled_since", lambda src, dst: 0 if src == "a" else None
+        )
+        node.on_tick(100, net)  # not *past* the timeout yet
+        assert node.slow_consumer_evictions == 0
+        node.on_tick(200, net)
+        node.on_tick(300, net)
+        assert node.slow_consumer_evictions == 1  # force-evicted once
+        assert node.liveness.evicted == {"a"}
+        assert list(node.mergers[0].children) == ["b"]
+        assert node.children == ["a", "b"]  # soft: still a member
+        for at in (400, 500):
+            node.on_message(
+                ControlMessage(sender="a", kind="heartbeat", payload=at), at, net
+            )
+        net.run()
+        assert sorted(node.mergers[0].children) == ["a", "b"]
+        assert node.liveness.rejoins == 1
+        (resync,) = [m for m in children["a"].messages if isinstance(m, ResyncMessage)]
+        assert resync.epoch == 1 and not resync.recover  # a fresh channel epoch
+        assert resync.entries == {0: (0, node.mergers[0].forwarded_to)}
