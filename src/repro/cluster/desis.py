@@ -245,7 +245,7 @@ class DesisCluster:
                 int(self.net.now),
                 self.net,
             )
-        self.root.assemblers[group.group_id].remove_query(query_id)
+        self.root.remove_query(query_id)
         group.remove_query(query_id)
 
     def add_local_node(self, node_id: str, parent: str,

@@ -193,15 +193,14 @@ class _RootEvalLocalGroup(_LocalGroup):
         super().__init__(node_id, group, recorder)
         self.stats = stats
         self.selections = list(group.selections)
-        #: key-indexed routing over the same selections (batched ingest)
+        #: the batched ingest's classification of the same selections:
+        #: whole contexts and key-indexed routing for the others
         self._router = group.build_router()
         self.needs_timestamps = group.needs_timestamps
         self.track_spans = group_has_sessions(group)
         self.window_start = config.origin
         #: ctx -> (times, values) columns of the open slice, in time order
         self.buffers: dict[int, tuple[list[int], list[float]]] = {}
-        #: every row matches every context: batches extend whole columns
-        self._pass_all = all(s.is_pass_all for s in self.selections)
         self.pending_eps: list[tuple[str, int]] = []
         self._userdef_watch = [
             (q.query_id, q.selection.key, q.window.end_marker)
@@ -344,25 +343,32 @@ class _RootEvalLocalGroup(_LocalGroup):
         # Fixed schedules only, so every cut is a boundary on the time
         # column: per run, cut what its first row has passed, then buffer
         # the rows before the next boundary (a row on it starts a slice).
+        router = self._router
+        whole = router.whole
         times = [event.time for event in events]
-        if self._pass_all:
+        if whole:
             values = [event.value for event in events]
-        candidates = self._router.candidates
+        candidates = router.candidates
         buffers = self.buffers
         inserted = 0
         i, n = 0, len(events)
         while i < n:
             boundary = self._cut_due(times[i])
             j = n if boundary is None else bisect_left(times, boundary, i + 1)
-            if self._pass_all:
-                # Every row matches every context: the run's stretch of
-                # both columns goes in whole.
-                for ctx in range(len(self.selections)):
-                    slice_times, slice_values = buffers.setdefault(ctx, ([], []))
+            if whole:
+                # A buffer opens at its context's first row, a row's
+                # contexts in ctx order: a whole one opening here joins the
+                # routed ones row i matches.
+                if any(ctx not in buffers for ctx in whole):
+                    for ctx in router.matches(events[i]):
+                        if ctx not in buffers:
+                            buffers[ctx] = ([], [])
+                # The run's stretch of both columns goes in whole.
+                for ctx in whole:
+                    slice_times, slice_values = buffers[ctx]
                     slice_times += times[i:j]
                     slice_values += values[i:j]
-                inserted += j - i
-            else:
+            if router.routed:
                 for event in events[i:j]:
                     value = event.value
                     matched = False
@@ -376,6 +382,8 @@ class _RootEvalLocalGroup(_LocalGroup):
                             matched = True
                     inserted += matched
             i = j
+        if whole:  # every row matched a context
+            inserted = n
         self.stats.inserts += inserted
         self.stats.calculations += inserted  # one operator: the sort
 

@@ -680,6 +680,11 @@ class RootNode(Merger):
         for assembler in self.assemblers:
             assembler.finish(now)
 
+    def remove_query(self, query_id: str) -> None:
+        """Stop assembling ``query_id`` (call before the plan drops it)."""
+        group = self.plan.group_of(query_id)
+        self.assemblers[group.group_id].remove_query(query_id)
+
     @property
     def root_merge_ops(self) -> int:
         """Total merge operator executions during window assembly

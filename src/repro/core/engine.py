@@ -884,6 +884,14 @@ class GroupRuntime:
         """
         return not (self.userdef or self.counts)
 
+    @property
+    def reads_keys(self) -> bool:
+        """Whether the slice-run kernel reads the key column: only for
+        contexts it routes row by row — the key index, the deduplication
+        signature and a keyed session's run bound (:meth:`_session_bound`)
+        all belong to such contexts."""
+        return self._router.routed
+
     def begin_run(self, time: int) -> int | None:
         """Start a slice-run at ``time``: advance the stream clock, drain
         due punctuations, and return the next punctuation deadline (every
@@ -904,9 +912,10 @@ class GroupRuntime:
         Between two consecutive punctuations no cuts can occur, so every
         maximal prefix of the batch strictly before the next punctuation
         deadline (*slice-run*) lands in the same open slice and is applied
-        in one tight loop: punctuations are drained once per run, selection
-        matching is routed through the group's key index, and operator
-        updates go through the bulk :meth:`Slice.insert_run` API.  A
+        at once: punctuations are drained once per run, a context that
+        takes every row takes the run's values whole, the others are
+        routed through the group's key index, and operator updates go
+        through the bulk :meth:`Slice.insert_run` API.  A
         session's end is such a punctuation and its open ends the run
         (:meth:`_session_bound`).  Results, engine state, and
         :class:`EngineStats` come out identical to per-event
@@ -919,7 +928,9 @@ class GroupRuntime:
             for event in events:
                 self.process(event)
         elif events:
-            _ingest_columns((self,), *_columns(events, bool(self._dedup_ctxs)))
+            _ingest_columns(
+                (self,), *_columns(events, self.reads_keys, bool(self._dedup_ctxs))
+            )
 
     def _process_run(
         self,
@@ -937,47 +948,66 @@ class GroupRuntime:
         punctuation falls inside the run, and that a run with a row
         matching a still-closed session is one row long
         (:meth:`_session_bound`).  So no window closes and no result is
-        emitted here; the loop only routes selections and buffers matching
-        values per context, then writes each context's run through one
-        bulk insert (into the slice a session opening here has just cut).
-        ``markers`` is sparse (row -> marker) and only feeds the
-        deduplication signature.  Stats count the batched work as if it
-        had been applied per event (``selection_checks`` still bills the
-        full linear scan).
+        emitted here: a whole context (see
+        :class:`~repro.core.predicates.SelectionRouter`) takes the run's
+        stretch of the value column as is, a row loop — only when some
+        context is routed — buffers the values of the others, and each
+        context's run goes in through one bulk insert (into the slice a
+        session opening here has just cut).  ``keys`` is read only by
+        that loop; ``markers`` is sparse (row -> marker) and only feeds
+        the deduplication signature.  Stats count the batched work as if
+        it had been applied per event (``selection_checks`` still bills
+        the full linear scan).
         """
         stats = self.stats
-        candidates = self._router.candidates
-        dedup_ctxs = self._dedup_ctxs
+        router = self._router
+        whole = router.whole
         run_values: dict[int, list[float]] = {}
         #: ctx -> first / last matching row (tracked runs only)
         first: dict[int, int] = {}
         last: dict[int, int] = {}
-        if dedup_ctxs or self.sessions or self.track_spans:
-            for k in range(start, stop):
-                value = values[k]
-                for ctx, lo, hi in candidates(keys[k]):
-                    if (lo is None or value >= lo) and (hi is None or value < hi):
-                        if ctx in dedup_ctxs and not self._apply_dedup(
-                            (times[k], keys[k], value, markers.get(k)), [ctx]
-                        ):
-                            continue
-                        bucket = run_values.get(ctx)
-                        if bucket is None:
-                            bucket = run_values[ctx] = []
-                            first[ctx] = k
-                        bucket.append(value)
-                        last[ctx] = k
-        else:
-            for k in range(start, stop):
-                value = values[k]
-                for ctx, lo, hi in candidates(keys[k]):
-                    if (lo is None or value >= lo) and (hi is None or value < hi):
-                        bucket = run_values.get(ctx)
-                        if bucket is None:
-                            bucket = run_values[ctx] = []
-                        bucket.append(value)
+        if router.routed:
+            candidates = router.candidates
+            dedup_ctxs = self._dedup_ctxs
+            if dedup_ctxs or whole or self.sessions or self.track_spans:
+                for k in range(start, stop):
+                    value = values[k]
+                    for ctx, lo, hi in candidates(keys[k]):
+                        if (lo is None or value >= lo) and (hi is None or value < hi):
+                            if ctx in dedup_ctxs and not self._apply_dedup(
+                                (times[k], keys[k], value, markers.get(k)), [ctx]
+                            ):
+                                continue
+                            bucket = run_values.get(ctx)
+                            if bucket is None:
+                                bucket = run_values[ctx] = []
+                                first[ctx] = k
+                            bucket.append(value)
+                            last[ctx] = k
+            else:
+                for k in range(start, stop):
+                    value = values[k]
+                    for ctx, lo, hi in candidates(keys[k]):
+                        if (lo is None or value >= lo) and (hi is None or value < hi):
+                            bucket = run_values.get(ctx)
+                            if bucket is None:
+                                bucket = run_values[ctx] = []
+                            bucket.append(value)
+        if whole:
+            run = values[start:stop]
+            for ctx in whole:
+                run_values[ctx] = run
+                first[ctx] = start
+                last[ctx] = stop - 1
+            if len(run_values) > len(whole):
+                # process() files a context new to the slice at its first
+                # kept row, a row's contexts in ctx order.
+                run_values = {
+                    ctx: run_values[ctx]
+                    for ctx in sorted(run_values, key=lambda ctx: (first[ctx], ctx))
+                }
         self.stream_time = times[stop - 1]
-        stats.selection_checks += self._router.total * (stop - start)
+        stats.selection_checks += router.total * (stop - start)
         if not run_values:
             return
         if self.sessions:
@@ -1146,13 +1176,14 @@ class GroupRuntime:
 
 
 def _columns(
-    events: Sequence[Event], with_markers: bool
-) -> tuple[list[int], list[str], list[float], dict[int, str]]:
+    events: Sequence[Event], with_keys: bool, with_markers: bool
+) -> tuple[list[int], Sequence[str], list[float], dict[int, str]]:
     """Split events into the slice-run kernel's columns.
 
-    Markers only feed the deduplication signature there, so the sparse
-    ``row -> marker`` map is built only when a deduplicating context
-    will read it.
+    The key column is built only when some group reads it
+    (:attr:`GroupRuntime.reads_keys`) and is empty otherwise; markers
+    only feed the deduplication signature, so the sparse ``row ->
+    marker`` map is built only when a deduplicating context will read it.
     """
     markers: dict[int, str] = {}
     if with_markers:
@@ -1163,7 +1194,7 @@ def _columns(
         }
     return (
         [event.time for event in events],
-        [event.key for event in events],
+        [event.key for event in events] if with_keys else (),
         [event.value for event in events],
         markers,
     )
@@ -1343,8 +1374,9 @@ class AggregationEngine:
             for event in events:  # nothing would read the columns
                 self.process(event)
         elif events:
+            keys = any(group.reads_keys for group in self.groups)
             dedup = any(group._dedup_ctxs for group in self.groups)
-            _ingest_columns(self.groups, *_columns(events, dedup), events)
+            _ingest_columns(self.groups, *_columns(events, keys, dedup), events)
             self.stats.events += len(events)
 
     def process_columns(
@@ -1356,17 +1388,23 @@ class AggregationEngine:
     ) -> None:
         """:meth:`process_batch` for rows that already are columns.
 
-        ``times``/``keys``/``values`` are parallel, time-ordered lists;
-        ``markers`` sparsely maps row -> marker.  No :class:`Event` is
-        built, which is why engines with count-based or user-defined
-        windows — whose per-event path needs the objects — reject this
-        entry; tumbling, sliding and session windows all run here.
+        ``times``/``keys``/``values`` are parallel, time-ordered lists of
+        one length (checked before any row lands); ``markers`` sparsely
+        maps row -> marker.  No :class:`Event` is built, which is why
+        engines with count-based or user-defined windows — whose
+        per-event path needs the objects — reject this entry; tumbling,
+        sliding and session windows all run here.
         """
         if not all(group.batch_eligible for group in self.groups):
             raise EngineError(
                 "process_columns cannot drive count-based or user-defined "
                 "windows, which cut on the events themselves; feed events "
                 "through process_batch instead"
+            )
+        if not len(times) == len(keys) == len(values):
+            raise EngineError(
+                f"columns of unequal length: {len(times)} times, "
+                f"{len(keys)} keys, {len(values)} values"
             )
         if times:
             _ingest_columns(self.groups, times, keys, values, markers or {})

@@ -13,7 +13,10 @@ rule, and :func:`selection_relation` exposes the underlying classification.
 Inside a group, each distinct selection becomes one *selection operator*
 executed per event; this linear scan over selection operators is what makes
 local-node throughput drop with the number of distinct keys in Fig 7e (see
-``benchmarks/bench_ablation.py`` for the keyed-dispatch alternative).
+``benchmarks/bench_ablation.py`` for the keyed-dispatch alternative).  The
+batched paths classify the contexts once instead (:class:`SelectionRouter`):
+a context that takes every row takes a run's value column whole, and only
+the contexts that filter or deduplicate rows are routed row by row.
 """
 
 from __future__ import annotations
@@ -93,32 +96,48 @@ class Selection:
 
 
 class SelectionRouter:
-    """Key-indexed routing over a group's selection contexts.
+    """The batched paths' one classification of a group's selection
+    contexts.
 
     The per-event engine path scans every selection operator linearly (the
-    cost model behind Fig 7e).  The batched ingestion fast path instead
-    routes each event by its key: key-equality selections are bucketed
-    under their key, while selections with no key restriction form a
-    *pass-all fallback list* that every event must still consider.  An
-    event therefore only touches contexts that can possibly match it; the
-    remaining per-event work is the value-range check.
+    cost model behind Fig 7e).  The batched paths split the contexts in
+    two instead:
 
-    Candidate lists are ``(ctx_index, lo, hi)`` tuples sorted by context
-    index, so matches come out in the same order the linear scan produces
-    them.  The per-key merged lists are cached; the cache is bounded by
-    the number of distinct selection keys (unknown keys share the
-    fallback list and are never cached).
+    * *whole* contexts — pass-all and not deduplicating — take every row,
+      so a slice-run hands them its stretch of the value column as is;
+    * *routed* contexts (a key, a value range, or the deduplication
+      operator) are routed row by row by key: key-equality selections are
+      bucketed under their key, while the others form a *fallback list*
+      that every row must still consider.  A row therefore only touches
+      routed contexts that can possibly match it; the remaining per-row
+      work is the value-range check.
+
+    Candidate lists are ``(ctx_index, lo, hi)`` tuples of routed contexts
+    sorted by context index, so matches come out in the same order the
+    linear scan produces them.  The per-key merged lists are cached; the
+    cache is bounded by the number of distinct selection keys (unknown
+    keys share the fallback list and are never cached).
     """
 
-    __slots__ = ("total", "_by_key", "_fallback", "_cache")
+    __slots__ = ("total", "whole", "routed", "_by_key", "_fallback", "_cache")
 
     def __init__(self, selections: "list[Selection] | tuple[Selection, ...]") -> None:
         #: number of selection operators a linear scan would execute per
         #: event — used to keep ``selection_checks`` per-event-equivalent
         self.total = len(selections)
+        #: contexts that take every row, ascending
+        self.whole = tuple(
+            index
+            for index, selection in enumerate(selections)
+            if selection.is_pass_all and not selection.deduplicate
+        )
+        #: whether any context must be routed row by row
+        self.routed = len(self.whole) < self.total
         by_key: dict[str, list[tuple[int, float | None, float | None]]] = {}
         fallback: list[tuple[int, float | None, float | None]] = []
         for index, selection in enumerate(selections):
+            if index in self.whole:
+                continue
             entry = (index, selection.lo, selection.hi)
             if selection.key is None:
                 fallback.append(entry)
@@ -129,7 +148,8 @@ class SelectionRouter:
         self._cache: dict[str, list[tuple[int, float | None, float | None]]] = {}
 
     def candidates(self, key: str) -> list[tuple[int, float | None, float | None]]:
-        """Contexts that can match an event with ``key`` (sorted by ctx)."""
+        """Routed contexts that can match a row with ``key`` (sorted by
+        ctx)."""
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -141,14 +161,18 @@ class SelectionRouter:
         return merged
 
     def matches(self, event: Event) -> list[int]:
-        """Context indices matching ``event`` — identical to the linear
-        scan ``[i for i, s in enumerate(selections) if s.matches(event)]``."""
+        """Context indices matching ``event``, whole ones included —
+        identical to the linear scan
+        ``[i for i, s in enumerate(selections) if s.matches(event)]``."""
+        if not self.routed:
+            return list(self.whole)
         value = event.value
-        return [
+        routed = [
             index
             for index, lo, hi in self.candidates(event.key)
             if (lo is None or value >= lo) and (hi is None or value < hi)
         ]
+        return sorted(self.whole + tuple(routed)) if self.whole else routed
 
 
 def _bounds(selection: Selection) -> tuple[float, float]:

@@ -56,21 +56,15 @@ class Slice:
         self.insert_counts: dict[int, int] = {}
         self.closed = False
 
-    def insert(self, ctx: int, value: float, kinds: Sequence[OperatorKind]) -> None:
-        """Apply one event's value to context ``ctx``'s shared operators."""
-        state = self.contexts.get(ctx)
-        if state is None:
-            state = OperatorSetState(kinds)
-            self.contexts[ctx] = state
-        state.insert(value)
-
     def insert_run(
         self, ctx: int, values: Sequence[float], kinds: Sequence[OperatorKind]
     ) -> None:
-        """Apply a run of values to context ``ctx`` in one bulk update.
+        """Apply a run of values to context ``ctx`` in one bulk update,
+        creating its operator states on the first run.
 
-        Produces exactly the state repeated :meth:`insert` calls would —
-        the batched ingestion fast path relies on that equivalence.
+        Produces exactly the state one :meth:`OperatorSetState.insert`
+        per value would — the per-event path inserts that way, and the
+        batched path relies on the equivalence.
         """
         state = self.contexts.get(ctx)
         if state is None:

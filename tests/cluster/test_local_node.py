@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from repro.core.analyzer import analyze
 from repro.core.engine import EngineStats
 from repro.core.event import Event
-from repro.core.predicates import Selection
+from repro.core.predicates import Selection, SelectionRouter
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction, NodeRole, OperatorKind, WindowMeasure
 from repro.cluster.config import ClusterConfig
@@ -164,12 +165,19 @@ class TestRootEvalLocalGroup:
 
 
 def rooteval_state(handler):
-    return (
-        handler.pending,
-        handler.buffers,
+    """Buffers and records, with the context order each one carries (the
+    order the partials go on the wire in)."""
+    state = (
+        list(handler.pending),
+        [list(record.contexts) for record in handler.pending],
+        [(ctx, (list(times), list(values)))
+         for ctx, (times, values) in handler.buffers.items()],
         handler.window_start,
-        handler.stats,
-        handler.flush(10_000).records,
+        replace(handler.stats),
+    )
+    records = handler.flush(10_000).records
+    return state + (
+        records, [list(record.contexts) for record in records], handler.stats
     )
 
 
@@ -274,6 +282,13 @@ class TestRootEvalBatchedIngest:
         Query.of("s", WindowSpec.session(150), AggFunction.MEDIAN,
                  selection=Selection(key="c")),
     )
+    #: a whole context (takes every row) and its deduplicating twin, which
+    #: the batched ingest routes row by row (a root-evaluated group ships
+    #: every matching row to both)
+    TWINS = MEDIAN + (
+        Query.of("md", WindowSpec.tumbling(200), AggFunction.MEDIAN,
+                 selection=Selection(deduplicate=True)),
+    )
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -287,7 +302,7 @@ class TestRootEvalBatchedIngest:
         ).map(sorted),
         splits=st.lists(st.integers(0, 12), max_size=8),
         seed=st.integers(0, 2**16),
-        queries=st.sampled_from([MEDIAN, KEYED, COUNTED, SPANNED]),
+        queries=st.sampled_from([MEDIAN, KEYED, COUNTED, SPANNED, TWINS, TWINS[::-1]]),
     )
     # The session cut at 349 is found late, by the row at 399: the record
     # [349, 400) takes what is left of the open buffers, in their order.
@@ -298,10 +313,10 @@ class TestRootEvalBatchedIngest:
     def test_any_stream_any_split_ships_what_the_rows_say(
         self, times, splits, seed, queries
     ):
-        """Batched ingest equals per-event ingest, and both equal what the
-        rows themselves say: every record holds exactly the matching rows
-        of its interval -- one part per context that saw a row (in no
-        promised order: merger and root fold per context), runs sorted,
+        """Batched ingest equals per-event ingest, context order included,
+        and both equal what the rows themselves say: every record holds
+        exactly the matching rows of its interval -- one part per context
+        that saw a row (merger and root fold per context), runs sorted,
         pairs in arrival order, spans first-to-last -- and no record
         straddles a 200 ms boundary."""
         rng = random.Random(seed)
@@ -349,6 +364,26 @@ class TestRootEvalBatchedIngest:
             for event in events
             for selection in handler.selections
         )
+
+    def test_whole_contexts_take_the_run_without_routing(self, monkeypatch):
+        """The router's classification decides here as in the engine: an
+        all-whole group routes no row, a twin beside it routes its own
+        rows only, and both ship per-event ingest's records."""
+        routed = []
+        candidates = SelectionRouter.candidates
+
+        def counted(self, key):
+            routed.append(key)
+            return candidates(self, key)
+
+        monkeypatch.setattr(SelectionRouter, "candidates", counted)
+        events = [Event(13 * i, "abc"[i % 3], float(i % 8)) for i in range(120)]
+        self.assert_same(self.MEDIAN, events, (50, 70))
+        assert routed == []
+        for queries in (self.TWINS, self.TWINS[::-1]):
+            self.assert_same(queries, events, (50, 70))
+            assert len(routed) >= len(events)  # every row, for the twin
+            routed.clear()
 
     @pytest.mark.parametrize(
         "window",

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import AggregationEngine, GroupRuntime
+from repro.core.engine import AggregationEngine, EngineStats, GroupRuntime
 from repro.core.errors import EngineError, OutOfOrderError
 from repro.core.event import Event
-from repro.core.predicates import Selection
+from repro.core.predicates import Selection, SelectionRouter
 from repro.core.query import Query, WindowSpec
+from repro.core.results import ResultSink
 from repro.core.types import AggFunction, SharingPolicy, WindowMeasure
 
 from tests.conftest import make_stream
@@ -95,6 +96,29 @@ FIXED_QUERIES = [
     ),
 ]
 
+#: one group: a whole context (pass-all, takes every row) first and its
+#: deduplicating twin second, a routed context of the same rows
+TWINS = [
+    Query.of("all-sum", WindowSpec.tumbling(400), AggFunction.SUM),
+    Query.of(
+        "all-dedup",
+        WindowSpec.sliding(600, 200),
+        AggFunction.COUNT,
+        selection=Selection(deduplicate=True),
+    ),
+]
+
+
+def with_twins(events, every=3):
+    """Every ``every``-th event followed by its exact twin (same time, key,
+    value and marker): what a deduplicating context drops."""
+    out = []
+    for i, event in enumerate(events):
+        out.append(event)
+        if i % every == 0:
+            out.append(event)
+    return out
+
 
 class TestFixedWindows:
     def test_tumbling_and_sliding_all_policies(self):
@@ -113,6 +137,12 @@ class TestFixedWindows:
             ),
         ]
         assert_parity(queries, events)
+
+    def test_whole_context_beside_its_dedup_twin(self):
+        events = with_twins(make_stream(600, dt_choices=(0, 5, 10)))
+        for queries in (TWINS, TWINS[::-1], FIXED_QUERIES + TWINS):
+            for policy in POLICIES:
+                assert_parity(queries, events, policy=policy)
 
     def test_single_group_workload(self):
         # One query-group: the batched path skips synchronized chunking.
@@ -370,14 +400,15 @@ def columns_of(events):
 
 def engine_state(engine):
     """What the next event would find: per group, the clock, the open
-    slice's operator states, the open windows, the store, the span and
-    dedup bookkeeping."""
+    slice's operator states (in context order: it becomes the partials'
+    order on the wire), the open windows, the store, the span and dedup
+    bookkeeping."""
     return [
         (
             g.stream_time,
             g.current.index,
             g.current.start,
-            {ctx: (s.inserts, s.partials()) for ctx, s in g.current.contexts.items()},
+            [(ctx, s.inserts, s.partials()) for ctx, s in g.current.contexts.items()],
             [(w.uid, w.ctx, w.start, w.end, w.first_slice) for w in g.open_windows.values()],
             len(g.store),
             g.slice_seq,
@@ -416,6 +447,28 @@ class TestColumnKernel:
     def test_key_and_range_selections(self):
         assert_parity(FIXED_QUERIES, make_stream(800))  # process_batch
         self.assert_columns_parity(FIXED_QUERIES, make_stream(800))
+
+    def test_whole_and_routed_contexts(self):
+        # a whole context's run and a routed twin's rows land in the slice
+        # in the order per-event ingest opens their states
+        events = with_twins(make_stream(600, dt_choices=(0, 5, 10)))
+        for queries in (TWINS, TWINS[::-1], FIXED_QUERIES + TWINS):
+            self.assert_columns_parity(queries, events)
+
+    def test_columns_of_unequal_length_are_rejected_before_any_row_lands(self):
+        engine = AggregationEngine(FIXED_QUERIES + TWINS)
+        untouched = engine_state(engine)
+        for columns in (
+            ([10, 20], ["a", "a"], [1.0]),  # a short value column
+            ([10], ["a"], [1.0, 2.0]),  # a long one
+            ([10, 20], ["a"], [1.0, 2.0]),
+        ):
+            with pytest.raises(EngineError, match="unequal length"):
+                engine.process_columns(*columns)
+        assert engine.stats == EngineStats()
+        assert engine_state(engine) == untouched
+        engine.process_columns([10, 20], ["a", "b"], [1.0, 2.0])
+        assert engine.stats.events == 2
 
     def test_dedup_signature_includes_the_marker(self):
         # Pairs of events equal in (time, key, value): a deduplicating
@@ -463,12 +516,14 @@ class TestColumnKernel:
             for runtime in engine.groups:
                 runtime.track_spans = True
                 runtime.slice_sink = lambda closed, eps, spans: cuts.append(
-                    (closed.index, closed.start, closed.end, dict(spans))
+                    (closed.index, closed.start, closed.end, list(closed.partials),
+                     dict(spans))
                 )
 
         frames = (1, 7, 64, 100_000)
         self.assert_columns_parity(
-            FIXED_QUERIES, make_stream(600), frames=frames, prepare=prepare
+            FIXED_QUERIES + TWINS, with_twins(make_stream(600)), frames=frames,
+            prepare=prepare,
         )
         per_mode = len(frames) + 1  # the per-event reference comes first
         assert len(logs) == per_mode * len(MODES)
@@ -754,6 +809,16 @@ class TestSessionRuns:
         events = make_stream(400, keys=ABC, gap_every=35, gap_dt=600)
         self.assert_session_parity(SESSION_QUERIES, events, track=True)
 
+    def test_whole_session_beside_a_dedup_twin(self):
+        # a pass-all session takes its runs whole (first row ``start``,
+        # last ``stop - 1``) next to a deduplicating twin and keyed groups
+        events = with_twins(make_stream(400, keys=ABC, gap_every=35, gap_dt=600))
+        session = Query.of("ses-all", WindowSpec.session(150), AggFunction.MAX)
+        for twins in (TWINS, TWINS[::-1]):
+            queries = twins + [session] + SESSION_QUERIES
+            assert len(AggregationEngine(queries).groups) == 2
+            self.assert_session_parity(queries, events, track=True)
+
     def test_groups_interleave_as_per_event(self):
         # One group per query: a session opening in one group ends the
         # chunk for all of them, so results come out in per-event order.
@@ -795,3 +860,74 @@ class TestSessionRuns:
         ]
         split = sorted(cut for cut in cuts if cut < len(events))
         self.assert_session_parity(queries, events, batches=(), splits=[split])
+
+
+def spy_on_the_kernel(monkeypatch):
+    """Count the rows routed through ``SelectionRouter.candidates`` and
+    record ``(len(keys), len(times))`` of every slice-run (patched on the
+    classes, before any runtime binds them)."""
+    routed: list[str] = []
+    columns: list[tuple[int, int]] = []
+    candidates = SelectionRouter.candidates
+    process_run = GroupRuntime._process_run
+
+    def counted(self, key):
+        routed.append(key)
+        return candidates(self, key)
+
+    def recorded(self, times, keys, *rest):
+        columns.append((len(keys), len(times)))
+        return process_run(self, times, keys, *rest)
+
+    monkeypatch.setattr(SelectionRouter, "candidates", counted)
+    monkeypatch.setattr(GroupRuntime, "_process_run", recorded)
+    return routed, columns
+
+
+class TestWholeContexts:
+    """A context that takes every row takes its run whole: a group of
+    such contexts routes no row and is handed no key column, however it
+    is fed; one routed context brings both back."""
+
+    #: one group of whole contexts, a session among them
+    WHOLE = [
+        Query.of("tum", WindowSpec.tumbling(400), AggFunction.AVERAGE),
+        Query.of("sli", WindowSpec.sliding(600, 200), AggFunction.MAX),
+        Query.of("ses", WindowSpec.session(150), AggFunction.SUM),
+    ]
+
+    def test_an_all_whole_group_routes_no_row_and_gets_no_keys(self, monkeypatch):
+        events = make_stream(500, gap_every=40, gap_dt=1_000)
+        routed, columns = spy_on_the_kernel(monkeypatch)
+        engine = AggregationEngine(self.WHOLE)
+        assert [g.reads_keys for g in engine.groups] == [False]
+        assert_parity(self.WHOLE, events)
+        (group,) = AggregationEngine(self.WHOLE).plan.groups
+        runtime = GroupRuntime(group, ResultSink(), EngineStats(), assemble=False)
+        runtime.process_batch(events)  # a local node's slicing runtime
+        assert runtime.stats.inserts == len(events)
+        assert routed == []
+        assert columns and {keys for keys, _ in columns} == {0}
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            Query.of("twin", WindowSpec.tumbling(400), AggFunction.COUNT,
+                     selection=Selection(deduplicate=True)),
+            Query.of("ses-a", WindowSpec.session(150), AggFunction.SUM,
+                     selection=Selection(key="a")),
+            Query.of("ranged", WindowSpec.tumbling(400), AggFunction.SUM,
+                     selection=Selection(lo=10.0, hi=50.0)),
+        ],
+        ids=["dedup-twin", "keyed-session", "ranged"],
+    )
+    def test_a_routed_context_brings_the_row_loop_back(self, extra, monkeypatch):
+        events = with_twins(make_stream(500, gap_every=40, gap_dt=1_000))
+        queries = self.WHOLE + [extra]
+        routed, columns = spy_on_the_kernel(monkeypatch)
+        engine = AggregationEngine(queries)
+        reads = [g.reads_keys for g in engine.groups]
+        assert reads == ([True] if extra.selection.deduplicate else [False, True])
+        assert_parity(queries, events)
+        assert routed
+        assert columns and all(keys == rows for keys, rows in columns)

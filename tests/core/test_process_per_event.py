@@ -4,8 +4,10 @@
 per drain mode) and runs the data-driven passes only while the group has
 a session, user-defined or count tracker.  :func:`parent_process` keeps
 the body it replaced (commit 02a0e3e: unconditional ``_drain``, both
-passes on every event, inserts through ``Slice.insert``) verbatim,
-test-side, as the reference: after every event the runtime under test
+passes on every event, one slice insert per matched context) test-side,
+verbatim but for that insert — ``Slice.insert`` is gone, and a one-value
+``Slice.insert_run`` does what it did — as the reference: after every
+event the runtime under test
 must stand exactly where the reference stands — rows, ``EngineStats``,
 heap layout, trackers — in all three drain modes, and the assembled
 results must be the naive oracle's.  The call-count pins at the bottom
@@ -84,7 +86,7 @@ def parent_process(self: GroupRuntime, event: Event) -> None:
         current = self.current
         operators = self.operators
         for ctx in matched:
-            current.insert(ctx, event.value, operators)
+            current.insert_run(ctx, (event.value,), operators)
         self.stats.inserts += len(matched)
         self.stats.calculations += len(matched) * len(operators)
         if self.track_spans:

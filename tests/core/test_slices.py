@@ -22,7 +22,7 @@ def closed_slice(index: int, values_by_ctx: dict[int, list[float]], span=(0, 10)
     s = Slice(index=index, start=span[0])
     for ctx, values in values_by_ctx.items():
         for v in values:
-            s.insert(ctx, v, KINDS)
+            s.insert_run(ctx, (v,), KINDS)
     s.close(span[1])
     return s
 
@@ -31,7 +31,7 @@ class TestSlice:
     def test_lazy_context_creation(self):
         s = Slice(0, 0)
         assert not s.contexts
-        s.insert(3, 1.0, KINDS)
+        s.insert_run(3, (1.0,), KINDS)
         assert set(s.contexts) == {3}
 
     def test_close_freezes_partials(self):
