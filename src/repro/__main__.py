@@ -71,12 +71,8 @@ def _events(args, n_keys: int = 4):
 
 
 def _engine_config(args, **extra) -> EngineConfig:
-    """Resolve the shared engine flags; ``None`` means the engine default."""
-    return EngineConfig(
-        merge_mode=args.merge_mode or "incremental",
-        shards=args.shards or 1,
-        **extra,
-    )
+    """Resolve the shared engine flag; ``None`` means the engine default."""
+    return EngineConfig(shards=args.shards or 1, **extra)
 
 
 def cmd_run(args) -> int:
@@ -151,17 +147,12 @@ def cmd_compare(args) -> int:
         queries = tumbling_queries(args.queries)
     else:
         queries = quantile_queries(args.queries)
-    merge_mode = args.merge_mode or "incremental"
     rows = []
     measured: list[tuple[str, object]] = []
     for name, factory in CENTRALIZED_SYSTEMS.items():
         if name in ("CeBuffer", "DeBucket") and args.queries > 200:
             rows.append([name, "-", "-"])
             continue
-        if name == "Desis":
-            factory = lambda q, sink=None: CENTRALIZED_SYSTEMS["Desis"](  # noqa: E731
-                q, sink=sink, merge_mode=merge_mode
-            )
         stats = run_processor(factory, queries, events)
         measured.append((name, stats))
         rows.append(
@@ -170,9 +161,7 @@ def cmd_compare(args) -> int:
     if (args.shards or 1) > 1:
         shards = args.shards
         stats = run_processor(
-            lambda q, sink=None: ShardedDesisProcessor(
-                q, sink=sink, merge_mode=merge_mode, shards=shards
-            ),
+            lambda q, sink=None: ShardedDesisProcessor(q, sink=sink, shards=shards),
             queries,
             events,
         )
@@ -407,8 +396,6 @@ def cmd_conformance(args) -> int:
     # non-None shared engine flags pin the scenario knobs campaign-wide;
     # left at None the generator's own draws stand
     overrides = {}
-    if args.merge_mode:
-        overrides["merge_mode"] = args.merge_mode
     if args.shards:
         overrides["shards"] = args.shards
     registry = MetricsRegistry()
@@ -466,7 +453,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 #: the flag set every verb shares, pinned by tests/test_cli.py
-SHARED_FLAGS = ("--seed", "--metrics-out", "--shards", "--merge-mode")
+SHARED_FLAGS = ("--seed", "--metrics-out", "--shards")
 
 
 def _common_parent() -> argparse.ArgumentParser:
@@ -483,10 +470,10 @@ def _common_parent() -> argparse.ArgumentParser:
 
 
 def _engine_parent() -> argparse.ArgumentParser:
-    """The shared engine knobs — registered once, inherited by every verb.
+    """The shared engine knob — registered once, inherited by every verb.
 
-    Both default to ``None`` (= the engine's own default), so each
-    handler can tell \"user asked for X\" from \"user said nothing\" —
+    It defaults to ``None`` (= the engine's own default), so each handler
+    can tell \"user asked for X\" from \"user said nothing\" —
     conformance, for instance, only pins a scenario knob when the flag
     was actually given.
     """
@@ -499,12 +486,6 @@ def _engine_parent() -> argparse.ArgumentParser:
                              "record it on ClusterConfig.engine without "
                              "forking (their parallelism is modeled "
                              "analytically)")
-    parent.add_argument("--merge-mode", choices=("incremental", "exact"),
-                        default=None, dest="merge_mode",
-                        help="window-close merging: 'incremental' reuses "
-                             "shared-slice merges across overlapping "
-                             "windows (default), 'exact' keeps the plain "
-                             "full-range scan")
     return parent
 
 

@@ -37,14 +37,12 @@ class DesisProcessor(AggregationEngine):
 
     name = "Desis"
 
-    def __init__(self, queries: Iterable[Query], sink: ResultSink | None = None,
-                 merge_mode: str = "incremental"):
+    def __init__(self, queries: Iterable[Query], sink: ResultSink | None = None):
         super().__init__(
             queries,
             policy=SharingPolicy.FULL,
             punctuation_mode="heap",
             sink=sink,
-            merge_mode=merge_mode,
         )
 
 
@@ -63,12 +61,11 @@ class ShardedDesisProcessor(ShardedEngine):
         self,
         queries: Iterable[Query],
         sink: ResultSink | None = None,
-        merge_mode: str = "incremental",
         shards: int = 4,
     ):
         super().__init__(
             queries,
-            config=EngineConfig(merge_mode=merge_mode, shards=shards),
+            config=EngineConfig(shards=shards),
             sink=sink,
         )
         self.name = f"Desis x{shards}"

@@ -18,9 +18,11 @@ off the punctuations); the records of a session group, which
 
 Cells are derived state, and so are the Two-Stacks streams over them,
 whose positions are this grid's cell indices and which the store therefore
-owns: :meth:`CellStore.records` turns the cells back into ordinary slice
-records that fold into the same cells again, which is how they travel in a
-checkpoint chunk and how they move to a new grid; streams rebuild lazily.
+owns (:attr:`CellStore.streams`, the layer the root closes windows
+through): :meth:`CellStore.records` turns the cells back into ordinary
+slice records that fold into the same cells again, which is how they
+travel in a checkpoint chunk and how they move to a new grid; streams
+rebuild lazily.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from repro.core.errors import ClusterError
 from repro.core.grid import PunctuationGrid
 from repro.core.incmerge import IncrementalMergeLayer
-from repro.core.operators import merge_many_partials, merge_partials
+from repro.core.operators import merge_partials
 from repro.core.slices import Slice, SliceStore
 from repro.core.types import OperatorKind
 from repro.network.messages import ContextPartial, SliceRecord
@@ -39,7 +41,7 @@ __all__ = ["CellStore"]
 class CellStore(SliceStore):
     """The cells of one query-group, indexed along its punctuation grid."""
 
-    __slots__ = ("grid", "kinds", "label", "_merge_ops", "_streams")
+    __slots__ = ("grid", "kinds", "label", "merge_ops", "streams")
 
     def __init__(
         self,
@@ -54,8 +56,10 @@ class CellStore(SliceStore):
         self.grid = grid
         self.kinds = kinds
         self.label = label
-        self._merge_ops = 0
-        self._streams = IncrementalMergeLayer()
+        #: ``merge_partials`` calls folding records into cells
+        self.merge_ops = 0
+        #: the Two-Stacks streams over these cells, and the plain scan
+        self.streams = IncrementalMergeLayer()
 
     def fold(self, record: SliceRecord) -> int:
         """Merge ``record`` into the cell it lies in; returns its index."""
@@ -83,50 +87,10 @@ class CellStore(SliceStore):
                     continue
                 if kind in have:
                     have[kind] = merge_partials(kind, have[kind], part.ops[kind])
-                    self._merge_ops += 1
+                    self.merge_ops += 1
                 else:
                     have[kind] = part.ops[kind]
         return index
-
-    def merge_window(
-        self,
-        start: int,
-        end: int,
-        ctx: int,
-        fifo: tuple[OperatorKind, ...],
-        scan: tuple[OperatorKind, ...],
-        length: int,
-    ):
-        """Merge context ``ctx`` over the cells of ``[start, end)`` the way
-        ``GroupRuntime._close_window`` merges slices: kinds ``fifo``
-        through the Two-Stacks stream of ``(ctx, fifo, length)`` — whose
-        windows must come in end-time order — and kinds ``scan`` by the
-        plain scan.  Returns ``(merged, events, pushed)``; ``pushed`` is
-        ``None`` unless a stream served the window."""
-        first = self.grid.index(start)
-        last = self.grid.index(end - 1)
-        merged, events, pushed = {}, 0, None
-        if fifo:
-            got = self._streams.merge_window(self, first, last, ctx, fifo, length)
-            if got is None:  # behind the stream's floor: scan those too
-                scan = fifo + scan
-            else:
-                merged, events, pushed = got
-        if scan:
-            extra, extra_events, scanned = self.merge_context_partials(
-                first, last, ctx, scan, merge_many_partials
-            )
-            merged.update(extra)
-            events = max(events, extra_events)  # the same cells either way
-            self._merge_ops += scanned
-        return merged, events, pushed
-
-    @property
-    def merge_ops(self) -> int:
-        """Merge operator executions so far: ``merge_partials`` calls
-        folding records into cells, partials read by plain scans, and the
-        Two-Stacks streams' merges."""
-        return self._merge_ops + self._streams.merge_ops
 
     def records(self, low: int, high: int) -> list[SliceRecord]:
         """The cells between times ``low`` and ``high`` as slice records."""

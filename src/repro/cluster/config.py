@@ -98,8 +98,8 @@ class ClusterConfig:
             silent child.  ``None`` (default) derives it from
             ``node_timeout``.
         engine: per-node :class:`~repro.core.config.EngineConfig`.  Locals
-            read its ``punctuation_mode``, the root its ``merge_mode`` (how
-            overlapping fixed windows are assembled from slice records, see
+            read its ``punctuation_mode``; the root closes overlapping
+            fixed windows through Two-Stacks streams whatever it says (see
             :mod:`repro.core.incmerge`).  ``engine.shards`` is carried for
             real multi-core deployments; the simulated clusters model
             per-node parallelism analytically (see

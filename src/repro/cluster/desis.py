@@ -71,12 +71,11 @@ class ClusterRunResult:
     #: merge operator executions during root window assembly, three terms:
     #: ``merge_partials`` calls folding released records into cells (one
     #: per record, context and kind beyond a cell's first record — zero
-    #: where the merger already merged equal intervals, the same in both
-    #: merge modes), partials read by plain scans (cells x kinds per close
-    #: of a tumbling, ``exact``-mode or sorted-run window, and per
-    #: user-defined close), and Two-Stacks merges (amortized <= 3 per cell
-    #: and kind: push, flip, query — what ``config.engine.merge_mode``
-    #: trades the scans of overlapping windows for; repro.core.incmerge)
+    #: where the merger already merged equal intervals), partials read by
+    #: plain scans (cells x kinds per close of a tumbling or sorted-run
+    #: window, and per user-defined close), and Two-Stacks merges
+    #: (amortized <= 3 per cell and kind: push, flip, query — what the
+    #: scans of overlapping windows are traded for; repro.core.incmerge)
     root_merge_ops: int = 0
     #: overload-control accounting (DESIGN.md §12): windows emitted with
     #: ``completeness`` below 1.0, whole slices deliberately shed under

@@ -8,9 +8,9 @@ into window results:
   cell it lies in (:mod:`repro.cluster.cells` — also where the unmerged
   records of a session group finally merge).  A window then closes once
   per ``(ctx, length, slide)`` tracker, for all its subscribers, through
-  the layer the engine closes windows over slices with: the store's plain
-  scan, or :class:`~repro.core.incmerge.IncrementalMergeLayer`'s
-  Two-Stacks streams for overlapping windows in ``incremental`` mode.
+  :meth:`~repro.core.incmerge.IncrementalMergeLayer.close`, the helper
+  the engine closes windows over slices with: Two-Stacks streams for
+  overlapping windows, the plain scan for the rest.
 * **Session windows** are reassembled by gap covering (Sec 5.1.2): each
   record carries its per-context activity span ``(first, last)``; spans
   closer than the gap cluster into one session, and a session closes once
@@ -34,7 +34,6 @@ from repro.core.engine import required_kinds
 from repro.core.errors import ClusterError
 from repro.core.functions import finalize, operators_for
 from repro.core.grid import PunctuationGrid
-from repro.core.incmerge import DECOMPOSABLE_MERGE_KINDS
 from repro.core.operators import (
     OperatorSetState,
     merge_many_partials,
@@ -63,10 +62,10 @@ __all__ = ["RootNode", "RootAssembler"]
 class _FixedTracker:
     """One ``(ctx, length, slide)`` window schedule and its subscribers."""
 
-    #: ``fifo`` / ``scan``: the subscribers' operators merged through the
-    #: Two-Stacks layer / by the plain scan (``RootAssembler.rebuild``)
+    #: ``kinds``: the union of the subscribers' operators, in plan order
+    #: (``RootAssembler.rebuild``)
     __slots__ = ("ctx", "length", "slide", "queries", "next_close_start",
-                 "fifo", "scan")
+                 "kinds")
 
     def __init__(self, ctx: int, length: int, slide: int, origin: int) -> None:
         self.ctx = ctx
@@ -121,28 +120,15 @@ def derive_ops_from_timed(record: SliceRecord, planned) -> None:
 
     Root-evaluated groups with count-based windows ship raw timed values
     (Sec 5.2); time-based queries in the same group still assemble from
-    per-record operator partials, which this derives on arrival.
+    per-record operator partials, which this derives on arrival — folded
+    by the operator states every local folds its slices with.
     """
     for part in record.contexts.values():
         if part.timed is None or part.ops:
             continue
-        values = [value for _, value in part.timed]
-        ops: dict[OperatorKind, object] = {}
-        for kind in planned:
-            if kind is OperatorKind.SUM:
-                ops[kind] = sum(values)
-            elif kind is OperatorKind.COUNT:
-                ops[kind] = len(values)
-            elif kind is OperatorKind.MULTIPLICATION:
-                product = 1.0
-                for value in values:
-                    product *= value
-                ops[kind] = product
-            elif kind is OperatorKind.DECOMPOSABLE_SORT:
-                ops[kind] = (min(values), max(values)) if values else None
-            elif kind is OperatorKind.NON_DECOMPOSABLE_SORT:
-                ops[kind] = sorted(values)
-        part.ops = ops
+        state = OperatorSetState(planned)
+        state.insert_many([value for _, value in part.timed])
+        part.ops = state.partials()
         if part.span is None and part.timed:
             part.span = (part.timed[0][0], part.timed[-1][0])
 
@@ -151,7 +137,7 @@ class RootAssembler:
     """Turns covered slice records of one query-group into window results."""
 
     def __init__(self, group: QueryGroup, origin: int, emit,
-                 config: ClusterConfig, recorder=None, node_id: str = "root"):
+                 recorder=None, node_id: str = "root"):
         self.group = group
         self.origin = origin
         self.node_id = node_id
@@ -169,7 +155,8 @@ class RootAssembler:
         #: control.
         self.shed: list[tuple[str, int, int]] = []
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        #: merge ops of user-defined assembly and of cell stores replaced
+        #: merge ops of window closes, of user-defined assembly and of
+        #: cell stores replaced
         self._merge_ops = 0
         self.cells = CellStore(PunctuationGrid(), {})
 
@@ -194,7 +181,6 @@ class RootAssembler:
             else:
                 self.userdef.append(_UserDefState(query, ctx, kinds, origin))
         self.fixed = list(trackers.values())
-        self.incremental = config.engine.merge_mode == "incremental"
         self.rebuild()
 
     # -- fixed trackers and their derived state ------------------------------------------
@@ -210,14 +196,7 @@ class RootAssembler:
             for query in tracker.queries:
                 union.update(required_kinds(query, operators))
             fold.setdefault(tracker.ctx, set()).update(union)
-            overlap = self.incremental and tracker.slide < tracker.length
-            tracker.fifo = tuple(
-                k for k in operators
-                if overlap and k in union and k in DECOMPOSABLE_MERGE_KINDS
-            )
-            tracker.scan = tuple(
-                k for k in operators if k in union and k not in tracker.fifo
-            )
+            tracker.kinds = tuple(k for k in operators if k in union)
         self._merge_ops += self.cells.merge_ops
         self.cells = CellStore(
             PunctuationGrid(
@@ -369,13 +348,16 @@ class RootAssembler:
                 start += tracker.slide
             tracker.next_close_start = start
         due.sort()
+        cells = self.cells
         for end, order, start in due:
             tracker = self.fixed[order]
             seen = min(end, covered)
-            ops_before = self.cells.merge_ops
-            merged, count, pushed = self.cells.merge_window(
-                start, seen, tracker.ctx, tracker.fifo, tracker.scan, tracker.length
+            merged, count, merge_ops, pushed = cells.streams.close(
+                cells, cells.grid.index(start), cells.grid.index(seen - 1),
+                tracker.ctx, tracker.kinds, tracker.length,
+                tracker.slide < tracker.length,
             )
+            self._merge_ops += merge_ops
             if pushed is not None and self.recorder.enabled:
                 self.recorder.record(
                     "merge.reuse",
@@ -386,7 +368,7 @@ class RootAssembler:
                     query_ids=[query.query_id for query in tracker.queries],
                     start=start,
                     pushed=pushed,
-                    merge_ops=self.cells.merge_ops - ops_before,
+                    merge_ops=merge_ops,
                 )
             if count or self._shed_intersects(start, seen):
                 for query in tracker.queries:
@@ -601,7 +583,7 @@ class RootNode(Merger):
     def _open_group(self, group: QueryGroup, origin: int) -> None:
         super()._open_group(group, origin)
         self.assemblers.append(
-            RootAssembler(group, origin, self._emit, self.config,
+            RootAssembler(group, origin, self._emit,
                           recorder=self.recorder, node_id=self.node_id)
         )
 

@@ -3,7 +3,7 @@
 The subsystem (DESIGN.md §10) generates seeded
 :class:`~repro.conformance.scenario.Scenario` descriptions over the full
 knob cross-product — stream shape, query mix, disorder bound, topology,
-fault plan, batching, merge mode, checkpointing, punctuation mode — runs
+fault plan, batching, checkpointing, punctuation mode — runs
 each through every applicable executor (single-node engine, baselines,
 Desis/Disco/Centralized clusters), checks equivalence against the naive
 oracle and a web of byte-identical and metamorphic relations, and shrinks

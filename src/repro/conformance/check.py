@@ -3,13 +3,13 @@
 Two layers of checking:
 
 1. **Differential**: every executor configuration of a scenario is
-   compared against the reference (``engine-exact``), plus a handful of
-   *byte-identical* pairs where the contract is exact (alternate
-   punctuation mode, batched ingestion under ``merge_mode="exact"``, and
-   fault-plan runs vs their clean twin).  Value comparison is governed by
-   the per-operator-kind :func:`~repro.conformance.oracle.tolerance_for`
-   policy — exact for count/extrema/sorted functions, 1e-9 relative for
-   float folds whenever the two sides fold in different orders.
+   compared against the reference (``engine``: the per-event engine),
+   *byte-identical* where the contract is exact (alternate punctuation
+   mode, batched ingestion, and fault-plan runs vs their clean twin).
+   Value comparison is governed by the per-operator-kind
+   :func:`~repro.conformance.oracle.tolerance_for` policy — exact for
+   count/extrema/sorted functions, 1e-9 relative for float folds
+   whenever the two sides fold in different orders.
 
 2. **Metamorphic**: properties that need no reference implementation —
    re-sharding the same global event multiset over a different number of
@@ -76,11 +76,10 @@ def _drop_queries(rows: list[Row], excluded: frozenset[str]) -> list[Row]:
     return [row for row in rows if row[0] not in excluded]
 
 
-def _policies(scenario: Scenario, *, merge_mode: str,
+def _policies(scenario: Scenario, *,
               cross_fold: bool) -> dict[str, TolerancePolicy]:
     return {
-        query.query_id: tolerance_for(query, merge_mode=merge_mode,
-                                      cross_fold=cross_fold)
+        query.query_id: tolerance_for(query, cross_fold=cross_fold)
         for query in scenario.build_queries()
     }
 
@@ -90,7 +89,6 @@ def compare_results(
     left: ExecutionResult,
     right: ExecutionResult,
     *,
-    merge_mode: str = "exact",
     cross_fold: bool = False,
 ) -> list[str]:
     """Mismatch descriptions between two executions (empty = equivalent).
@@ -103,8 +101,7 @@ def compare_results(
     excluded = left.incomparable_queries ^ right.incomparable_queries
     left_rows = _drop_queries(left.rows, excluded)
     right_rows = _drop_queries(right.rows, excluded)
-    policies = _policies(scenario, merge_mode=merge_mode,
-                         cross_fold=cross_fold)
+    policies = _policies(scenario, cross_fold=cross_fold)
     label = f"{right.name} vs {left.name}"
     failures: list[str] = []
     if len(left_rows) != len(right_rows):
@@ -150,7 +147,7 @@ def check_duplicate_query_invariance(
         selection=original.selection,
     )
     merged = _merged(streams)
-    engine = AggregationEngine(queries + [clone], merge_mode="exact")
+    engine = AggregationEngine(queries + [clone])
     engine.advance(0)
     for event in merged:
         engine.process(event)
@@ -214,10 +211,8 @@ def check_reshard_invariance(
             incomparable_queries=frozenset(),
             meta=baseline.meta,
         )
-    return compare_results(
-        scenario, baseline, resharded_result,
-        merge_mode=scenario.merge_mode, cross_fold=True,
-    )
+    return compare_results(scenario, baseline, resharded_result,
+                           cross_fold=True)
 
 
 def check_engine_shard_invariance(
@@ -242,7 +237,6 @@ def check_engine_shard_invariance(
     engine = ShardedEngine(
         scenario.build_queries(),
         config=EngineConfig(
-            merge_mode=scenario.merge_mode,
             punctuation_mode=scenario.punctuation_mode,
             shards=shards,
         ),
@@ -253,10 +247,7 @@ def check_engine_shard_invariance(
     resharded = ExecutionResult(
         f"parallel-sharded-x{shards}", canonical_rows(sink)
     )
-    return compare_results(
-        scenario, baseline, resharded,
-        merge_mode=scenario.merge_mode, cross_fold=True,
-    )
+    return compare_results(scenario, baseline, resharded, cross_fold=True)
 
 
 def check_fault_goodput(
@@ -361,51 +352,37 @@ def evaluate_scenario(
             executions[name] = fn(scenario, streams)
         except Exception as exc:  # a crash is a conformance failure too
             failures.append(f"{name}: raised {type(exc).__name__}: {exc}")
-    reference = executions.get("engine-exact")
+    reference = executions.get("engine")
     if reference is None:
         return failures, executions
 
-    def against_reference(name: str, *, merge_mode: str, cross_fold: bool):
+    def against_reference(name: str, *, cross_fold: bool):
         execution = executions.get(name)
         if execution is not None:
             failures.extend(
                 compare_results(scenario, reference, execution,
-                                merge_mode=merge_mode, cross_fold=cross_fold)
+                                cross_fold=cross_fold)
             )
 
     # byte-identical contracts
-    against_reference("engine-alt", merge_mode="exact", cross_fold=False)
-    against_reference("engine-batch", merge_mode=scenario.merge_mode,
-                      cross_fold=False)
+    against_reference("engine-alt", cross_fold=False)
+    against_reference("engine-batch", cross_fold=False)
     # independently-ordered folds: tolerance on float folds only
-    against_reference("oracle", merge_mode="exact", cross_fold=True)
-    against_reference("baseline-scotty", merge_mode="exact", cross_fold=True)
-    against_reference("cluster-desis", merge_mode=scenario.merge_mode,
-                      cross_fold=True)
-    against_reference("cluster-centralized", merge_mode=scenario.merge_mode,
-                      cross_fold=True)
-    against_reference("cluster-disco", merge_mode=scenario.merge_mode,
-                      cross_fold=True)
-    against_reference("parallel-sharded", merge_mode=scenario.merge_mode,
-                      cross_fold=True)
+    for name in ("oracle", "baseline-scotty", "cluster-desis",
+                 "cluster-centralized", "cluster-disco", "parallel-sharded"):
+        against_reference(name, cross_fold=True)
     # the faulty run must be byte-identical to its clean twin
     clean = executions.get("cluster-desis")
     faulty = executions.get("cluster-desis-faulty")
     if clean is not None and faulty is not None:
-        failures.extend(
-            compare_results(scenario, clean, faulty,
-                            merge_mode="exact", cross_fold=False)
-        )
+        failures.extend(compare_results(scenario, clean, faulty))
     # overload caps (DESIGN.md §12): shed accounting always holds, and a
     # bounded run that shed nothing is byte-identical to the unbounded one
     overload = executions.get("cluster-desis-overload")
     if overload is not None:
         failures.extend(overload.meta.get("audit_failures", ()))
         if faulty is not None and not overload.meta.get("slices_shed", 0):
-            failures.extend(
-                compare_results(scenario, faulty, overload,
-                                merge_mode="exact", cross_fold=False)
-            )
+            failures.extend(compare_results(scenario, faulty, overload))
 
     if metamorphic:
         try:
@@ -448,10 +425,7 @@ def evaluate_scenario(
         ):
             try:
                 twin = _run_zero_plan_twin(scenario, streams)
-                failures.extend(
-                    compare_results(scenario, twin, faulty,
-                                    merge_mode="exact", cross_fold=False)
-                )
+                failures.extend(compare_results(scenario, twin, faulty))
                 failures.extend(check_fault_goodput(scenario, faulty, twin))
             except Exception as exc:
                 failures.append(

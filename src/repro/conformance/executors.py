@@ -2,7 +2,7 @@
 
 Each adapter runs a :class:`~repro.conformance.scenario.Scenario` through
 one implementation — the single-node engine (per-event and batched, both
-merge modes and punctuation modes), the Scotty baseline, the naive oracle,
+punctuation modes), the Scotty baseline, the naive oracle,
 and the Desis / Disco / Centralized cluster deployments — and normalizes
 the emitted windows into canonical rows::
 
@@ -139,13 +139,11 @@ def run_oracle(scenario: Scenario, streams: dict[str, list[Event]]) -> Execution
     return ExecutionResult("oracle", rows)
 
 
-def _run_engine(scenario, streams, *, name, merge_mode, punctuation_mode,
+def _run_engine(scenario, streams, *, name, punctuation_mode,
                 batched: bool) -> ExecutionResult:
     merged = _merged(streams)
     engine = AggregationEngine(
-        scenario.build_queries(),
-        punctuation_mode=punctuation_mode,
-        merge_mode=merge_mode,
+        scenario.build_queries(), punctuation_mode=punctuation_mode
     )
     engine.advance(0)  # anchor fixed windows at the global origin
     if batched:
@@ -161,29 +159,23 @@ def _run_engine(scenario, streams, *, name, merge_mode, punctuation_mode,
 
 
 def run_engine_reference(scenario, streams) -> ExecutionResult:
-    """The differential reference: per-event, exact merge, heap punctuation."""
-    return _run_engine(scenario, streams, name="engine-exact",
-                       merge_mode="exact", punctuation_mode="heap",
-                       batched=False)
+    """The differential reference: per-event, heap punctuation."""
+    return _run_engine(scenario, streams, name="engine",
+                       punctuation_mode="heap", batched=False)
 
 
 def run_engine_alt_punctuation(scenario, streams) -> ExecutionResult:
     """Opposite punctuation mode — must be byte-identical to the reference."""
     alt = "scan" if scenario.punctuation_mode == "heap" else "heap"
     return _run_engine(scenario, streams, name=f"engine-{alt}",
-                       merge_mode="exact", punctuation_mode=alt,
-                       batched=False)
+                       punctuation_mode=alt, batched=False)
 
 
 def run_engine_batched(scenario, streams) -> ExecutionResult:
-    """Batched ingestion with the scenario's merge mode."""
-    return _run_engine(
-        scenario, streams,
-        name=f"engine-batch-{scenario.merge_mode}",
-        merge_mode=scenario.merge_mode,
-        punctuation_mode=scenario.punctuation_mode,
-        batched=True,
-    )
+    """Batched ingestion — must be byte-identical to the reference."""
+    return _run_engine(scenario, streams, name="engine-batch",
+                       punctuation_mode=scenario.punctuation_mode,
+                       batched=True)
 
 
 def run_parallel_sharded(scenario, streams) -> ExecutionResult:
@@ -201,7 +193,6 @@ def run_parallel_sharded(scenario, streams) -> ExecutionResult:
     engine = ShardedEngine(
         scenario.build_queries(),
         config=EngineConfig(
-            merge_mode=scenario.merge_mode,
             punctuation_mode=scenario.punctuation_mode,
             shards=shards,
         ),
@@ -232,10 +223,7 @@ def _cluster_config(scenario: Scenario, *, fault) -> ClusterConfig:
     return ClusterConfig(
         tick_interval=scenario.tick_interval,
         batch_ms=scenario.batch_ms,
-        engine=EngineConfig(
-            punctuation_mode=scenario.punctuation_mode,
-            merge_mode=scenario.merge_mode,
-        ),
+        engine=EngineConfig(punctuation_mode=scenario.punctuation_mode),
         fault_plan=fault,
         checkpoint_interval=scenario.checkpoint_interval,
         node_timeout=NEVER if fault is not None else 15_000,
@@ -373,7 +361,7 @@ def executor_matrix(scenario: Scenario) -> list[tuple[str, ExecutorFn]]:
     Desis run joins when the scenario carries a fault plan.
     """
     matrix: list[tuple[str, ExecutorFn]] = [
-        ("engine-exact", run_engine_reference),
+        ("engine", run_engine_reference),
         ("oracle", run_oracle),
         ("engine-alt", run_engine_alt_punctuation),
         ("engine-batch", run_engine_batched),

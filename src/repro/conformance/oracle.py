@@ -26,18 +26,16 @@ Tolerance policies
 Differential comparison needs to know how close is close enough.  The
 contract (DESIGN.md §9, §10):
 
-* ``merge_mode="exact"`` paths are **byte-identical** to the reference
-  fold — zero tolerance.
-* ``merge_mode="incremental"`` re-associates floating-point folds, so
-  float-valued operator kinds (sum, multiplication, sum-of-squares — i.e.
+* Two runs of the one engine — per-event or batched, either punctuation
+  mode — close every window through the same slices and the same
+  Two-Stacks streams, so they are **byte-identical**: zero tolerance.
+* Cross-implementation comparisons (a distributed fold vs a centralized
+  one, or either vs this oracle) re-order float additions, so float-valued
+  operator kinds (sum, multiplication, sum-of-squares — i.e.
   SUM/AVERAGE/PRODUCT/GEOMETRIC_MEAN/VARIANCE/STDDEV) are compared within
   ``1e-9`` **relative**; count, extrema, and sorted-value functions
   (COUNT/MAX/MIN/MEDIAN/QUANTILE) stay exact because their partials carry
   the original values unchanged.
-* Cross-implementation comparisons (a distributed fold vs a centralized
-  one, or either vs this oracle) re-order float additions, so the same
-  float-fold kinds get a relative tolerance while everything else stays
-  exact.
 """
 
 from __future__ import annotations
@@ -96,25 +94,22 @@ class TolerancePolicy:
 #: The zero-tolerance policy (byte-identical).
 EXACT = TolerancePolicy()
 
-#: 1e-9 relative: the incremental-merge contract for float folds.
-_INCREMENTAL_FLOAT = TolerancePolicy(rel_tol=1e-9, abs_tol=1e-12)
+#: 1e-9 relative: the contract for float folds in different orders.
+_CROSS_FOLD_FLOAT = TolerancePolicy(rel_tol=1e-9, abs_tol=1e-12)
 
 
-def tolerance_for(query: Query, *, merge_mode: str = "incremental",
-                  cross_fold: bool = False) -> TolerancePolicy:
+def tolerance_for(query: Query, *, cross_fold: bool = False) -> TolerancePolicy:
     """The comparison policy for one query's finalized values.
 
-    ``merge_mode="exact"`` paths are byte-identical unless the comparison
-    crosses independently-ordered folds (``cross_fold=True``: distributed
-    vs centralized, engine vs oracle), which re-associate float additions.
-    ``merge_mode="incremental"`` gets the 1e-9-relative float-fold
-    allowance of DESIGN.md §9; count/extrema/sorted functions are exact in
-    every mode because their partials carry original values unchanged.
+    Byte-identical unless the comparison crosses independently-ordered
+    folds (``cross_fold=True``: distributed vs centralized, engine vs
+    oracle), which re-associate float additions and get the 1e-9-relative
+    float-fold allowance of DESIGN.md §9; count/extrema/sorted functions
+    are exact either way because their partials carry original values
+    unchanged.
     """
-    if query.function.fn not in FLOAT_FOLD_FUNCTIONS:
-        return EXACT
-    if merge_mode == "incremental" or cross_fold:
-        return _INCREMENTAL_FLOAT
+    if cross_fold and query.function.fn in FLOAT_FOLD_FUNCTIONS:
+        return _CROSS_FOLD_FLOAT
     return EXACT
 
 

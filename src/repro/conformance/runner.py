@@ -80,7 +80,7 @@ def run_conformance(
     """Run the differential-fuzzing campaign; return the full report.
 
     ``overrides`` pins scenario knobs across the whole campaign — e.g.
-    ``{"merge_mode": "exact", "shards": 4}`` replays every generated
+    ``{"punctuation_mode": "scan", "shards": 4}`` replays every generated
     scenario under those settings instead of the generator's own draws
     (``repro conformance --shards 4`` uses this).  Keys must be
     :class:`~repro.conformance.scenario.Scenario` field names.

@@ -5,8 +5,8 @@ for one differential-fuzzing case: the stream shape (nodes, events, keys,
 inter-arrival steps, session gaps, user-defined markers), the query mix
 over every operator kind and window type, the disorder bound, the cluster
 topology, the fault plan, and the full knob cross-product the engines
-expose (batch vs per-event ingestion, ``merge_mode``, checkpoint cadence,
-punctuation mode).
+expose (batch vs per-event ingestion, checkpoint cadence, punctuation
+mode).
 
 Determinism is the whole point: ``Scenario.build_streams()`` derives every
 event from the scenario seed alone, so a scenario file replays bit-for-bit
@@ -248,7 +248,6 @@ class Scenario:
     # knob cross-product
     tick_interval: int = 500
     batch_ms: int | None = None
-    merge_mode: str = "exact"
     punctuation_mode: str = "heap"
     #: worker count for the parallel-sharded executor (DESIGN.md §13);
     #: only meaningful when the query mix is fixed-size time windows
@@ -378,7 +377,6 @@ class Scenario:
             "topology": self.topology,
             "n_intermediates": self.n_intermediates,
             "tick_interval": self.tick_interval,
-            "merge_mode": self.merge_mode,
             "punctuation_mode": self.punctuation_mode,
         }
         if self.gap_every is not None:
@@ -519,7 +517,6 @@ class ScenarioGenerator:
             n_intermediates=n_intermediates,
             tick_interval=500,
             batch_ms=rng.choice((None, None, 500)),
-            merge_mode=rng.choice(("incremental", "exact")),
             punctuation_mode=rng.choice(("heap", "scan")),
             checkpoint_interval=checkpoint_interval,
             fault=fault,

@@ -18,7 +18,6 @@ from repro.core.types import SharingPolicy
 __all__ = ["EngineConfig"]
 
 _PUNCTUATION_MODES = ("heap", "scan")
-_MERGE_MODES = ("incremental", "exact")
 
 
 @dataclass(slots=True, frozen=True)
@@ -30,9 +29,6 @@ class EngineConfig:
             across all compatible queries.
         punctuation_mode: ``"heap"`` (punctuation min-heap) or ``"scan"``
             (linear scan of trackers, the baselines' cost model).
-        merge_mode: ``"incremental"`` routes overlapping sliding windows
-            through the slice-merge tree; ``"exact"`` re-merges from the
-            slice store on every close.
         emit_empty: emit results for windows that contained no events.
         shards: number of OS worker processes for sharded execution
             (DESIGN.md §13).  ``1`` runs the classic in-process engine;
@@ -48,7 +44,6 @@ class EngineConfig:
 
     policy: SharingPolicy = SharingPolicy.FULL
     punctuation_mode: str = "heap"
-    merge_mode: str = "incremental"
     emit_empty: bool = False
     shards: int = 1
     shard_batch_size: int = 4096
@@ -61,11 +56,6 @@ class EngineConfig:
             raise EngineError(
                 f"unknown punctuation mode: {self.punctuation_mode!r} "
                 f"(expected one of {_PUNCTUATION_MODES})"
-            )
-        if self.merge_mode not in _MERGE_MODES:
-            raise EngineError(
-                f"unknown merge mode: {self.merge_mode!r} "
-                f"(expected one of {_MERGE_MODES})"
             )
         if self.shards < 1:
             raise EngineError(f"shards must be >= 1, got {self.shards}")

@@ -32,8 +32,8 @@ from repro.core.errors import EngineError, OutOfOrderError, QueryError
 from repro.core.event import Event
 from repro.core.functions import finalize, operators_for
 from repro.core.grid import PunctuationGrid
-from repro.core.incmerge import DECOMPOSABLE_MERGE_KINDS, IncrementalMergeLayer
-from repro.core.operators import OperatorSetState, merge_many_partials
+from repro.core.incmerge import IncrementalMergeLayer
+from repro.core.operators import OperatorSetState
 from repro.core.query import Query
 from repro.core.results import ResultSink, WindowResult
 from repro.core.slices import Slice, SliceStore
@@ -152,12 +152,9 @@ class GroupRuntime:
         track_spans: bool = False,
         recorder=None,
         node_id: str = "",
-        merge_mode: str = "incremental",
     ) -> None:
         if punctuation_mode not in ("heap", "scan"):
             raise EngineError(f"unknown punctuation mode: {punctuation_mode!r}")
-        if merge_mode not in ("incremental", "exact"):
-            raise EngineError(f"unknown merge mode: {merge_mode!r}")
         self.group = group
         self.sink = sink
         self.stats = stats
@@ -168,16 +165,10 @@ class GroupRuntime:
         self.mode = punctuation_mode
         self.emit_empty = emit_empty
         self.assemble = assemble
-        self.merge_mode = merge_mode
-        #: Two-Stacks running aggregates over closed slices, shared by all
-        #: overlapping fixed windows of a (ctx, kinds, length) stream;
-        #: ``None`` keeps every close on the plain full-range scan
-        #: (``merge_mode="exact"``, byte-identical to the pre-layer path).
-        self.incmerge: IncrementalMergeLayer | None = (
-            IncrementalMergeLayer()
-            if assemble and merge_mode == "incremental"
-            else None
-        )
+        #: how windows close: Two-Stacks running aggregates over closed
+        #: slices, shared by all overlapping fixed windows of a
+        #: (ctx, kinds, length) stream, and the plain scan for the rest
+        self.incmerge = IncrementalMergeLayer()
         #: a removed query may have left streams that nothing feeds
         self._stale_streams = False
         #: called at every cut with (closed_slice, eps, spans); eps are
@@ -352,7 +343,7 @@ class GroupRuntime:
                 if not window.queries:
                     del self.open_windows[window.uid]
             self.needed.pop(query_id, None)
-        self._stale_streams = self.incmerge is not None
+        self._stale_streams = True
         self._windows_left()
 
     def _tracker_of(self, query_id: str):
@@ -434,15 +425,29 @@ class GroupRuntime:
             for query in window.queries:
                 union.update(needed[query.query_id])
             kinds = tuple(kind for kind in self.operators if kind in union)
-        merged = self._merge_window(window, end, last_slice, kinds)
-        if merged is None:
-            merged, events, merge_ops = self.store.merge_context_partials(
-                window.first_slice, last_slice, window.ctx, kinds,
-                merge_many_partials,
+        # Only *overlapping* fixed windows ride the Two-Stacks streams:
+        # tumbling windows (``slide == length``) share no slices, and
+        # data-driven ones (``slide is None``) lack the deterministic close
+        # order a stream's FIFO discipline requires.
+        length = end - window.start
+        merged, events, merge_ops, pushed = self.incmerge.close(
+            self.store, window.first_slice, last_slice, window.ctx, kinds,
+            length, window.slide is not None and length > window.slide,
+        )
+        self.stats.merge_ops += merge_ops
+        if pushed is not None and self.recorder.enabled:
+            self.recorder.record(
+                "merge.reuse",
+                end,
+                node=self.node_id,
+                group=self.group.group_id,
+                ctx=window.ctx,
+                first_slice=window.first_slice,
+                last_slice=last_slice,
+                pushed=pushed,
+                reused=(last_slice - window.first_slice + 1) - pushed,
+                merge_ops=merge_ops,
             )
-            self.stats.merge_ops += merge_ops
-        else:
-            merged, events = merged
         if self.window_sink is not None:
             self.window_sink(window, merged, events, end)
             return
@@ -475,69 +480,6 @@ class GroupRuntime:
                     emitted_at=emitted_at,
                 )
             )
-
-    def _merge_window(
-        self,
-        window: WindowInstance,
-        end: int,
-        last_slice: int,
-        kinds: tuple[OperatorKind, ...],
-    ) -> tuple[dict, int] | None:
-        """Try the incremental merge layer; ``None`` means plain scan.
-
-        Only *overlapping* fixed windows qualify: tumbling windows
-        (``slide == length``) share no slices between instances, so the
-        plain scan already touches each slice once and the Two-Stacks
-        machinery would be pure overhead; data-driven windows
-        (``slide is None``) lack the deterministic close order the
-        structure's FIFO discipline requires.  ``NON_DECOMPOSABLE_SORT``
-        partials stay on the plain k-way merge and are combined with the
-        incremental result (see repro.core.incmerge).
-        """
-        incmerge = self.incmerge
-        if (
-            incmerge is None
-            or window.slide is None
-            or end - window.start <= window.slide
-        ):
-            return None
-        decomposable = tuple(k for k in kinds if k in DECOMPOSABLE_MERGE_KINDS)
-        if not decomposable:
-            return None
-        ops_before = incmerge.merge_ops
-        got = incmerge.merge_window(
-            self.store, window.first_slice, last_slice, window.ctx,
-            decomposable, end - window.start,
-        )
-        if got is None:  # regressed behind the stream's eviction floor
-            return None
-        merged, events, pushed = got
-        merge_ops = incmerge.merge_ops - ops_before
-        rest = tuple(k for k in kinds if k not in DECOMPOSABLE_MERGE_KINDS)
-        if rest:
-            extra, extra_events, extra_ops = self.store.merge_context_partials(
-                window.first_slice, last_slice, window.ctx, rest,
-                merge_many_partials,
-            )
-            merged.update(extra)
-            merge_ops += extra_ops
-            # The k-way scan sees the same slices, so counts must agree.
-            events = max(events, extra_events)
-        self.stats.merge_ops += merge_ops
-        if self.recorder.enabled:
-            self.recorder.record(
-                "merge.reuse",
-                end,
-                node=self.node_id,
-                group=self.group.group_id,
-                ctx=window.ctx,
-                first_slice=window.first_slice,
-                last_slice=last_slice,
-                pushed=pushed,
-                reused=(last_slice - window.first_slice + 1) - pushed,
-                merge_ops=merge_ops,
-            )
-        return merged, events
 
     # -- slice cutting --------------------------------------------------------
 
@@ -1287,10 +1229,6 @@ class AggregationEngine:
             model); see the module docstring.
         emit_empty: also emit results for windows without matching events.
         sink: custom result sink (default: an in-memory :class:`ResultSink`).
-        merge_mode: ``"incremental"`` (default) reuses shared-slice merges
-            across overlapping fixed windows via the Two-Stacks layer
-            (float aggregates within 1e-9 relative of the plain fold);
-            ``"exact"`` keeps the byte-identical full-range scan.
     """
 
     def __init__(
@@ -1304,7 +1242,6 @@ class AggregationEngine:
         sink: ResultSink | None = None,
         plan: QueryPlan | None = None,
         recorder=None,
-        merge_mode: str | None = None,
     ) -> None:
         from repro.core.config import EngineConfig
 
@@ -1316,8 +1253,6 @@ class AggregationEngine:
             overrides["punctuation_mode"] = punctuation_mode
         if emit_empty is not None:
             overrides["emit_empty"] = emit_empty
-        if merge_mode is not None:
-            overrides["merge_mode"] = merge_mode
         if overrides:
             resolved = resolved.with_options(**overrides)
         #: the resolved configuration this engine runs with
@@ -1329,7 +1264,6 @@ class AggregationEngine:
         else:
             self.plan = analyze(queries, policy=resolved.policy)
         self.policy = self.plan.policy
-        self.merge_mode = resolved.merge_mode
         #: opt-in slice-lifecycle tracing (repro.obs.tracing.TraceRecorder)
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.groups: list[GroupRuntime] = [
@@ -1341,7 +1275,6 @@ class AggregationEngine:
                 emit_empty=resolved.emit_empty,
                 recorder=self.recorder,
                 node_id="engine",
-                merge_mode=resolved.merge_mode,
             )
             for group in self.plan.groups
         ]
@@ -1480,7 +1413,6 @@ class AggregationEngine:
                 emit_empty=self.config.emit_empty,
                 recorder=self.recorder,
                 node_id="engine",
-                merge_mode=self.merge_mode,
             )
             self.groups.append(target)
             # Bootstrap the new group at the current stream time so its

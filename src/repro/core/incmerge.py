@@ -1,31 +1,32 @@
-"""Incremental slice-merge layer: amortized O(1) merging for overlapping
-fixed windows (Two-Stacks FIFO aggregation).
+"""Window close: the plain scan, and Two-Stacks FIFO aggregation for
+overlapping fixed windows.
 
 Desis assembles every window result by merging the partial results of the
-window's covered slices.  The plain ("exact") path re-merges the full
+window's covered slices.  A plain scan re-merges the full
 ``[first_slice, last_slice]`` range at every window close, so a sliding
-window of length ``L`` and slide ``s`` pays O(L/s) merge work per window
-even though consecutive windows share ``L/s - 1`` slices.  This module
-removes that redundancy with the classic *Two-Stacks* FIFO-aggregation
-structure (Tangwongsan et al., "In-Order Sliding-Window Aggregation in
-Worst-Case Constant Time"): each closed slice is pushed once, evicted
-once, and a window close costs O(1) merges regardless of overlap.
+window of length ``L`` and slide ``s`` would pay O(L/s) merge work per
+window even though consecutive windows share ``L/s - 1`` slices.  This
+module removes that redundancy with the classic *Two-Stacks*
+FIFO-aggregation structure (Tangwongsan et al., "In-Order Sliding-Window
+Aggregation in Worst-Case Constant Time"): each closed slice is pushed
+once, evicted once, and a window close costs O(1) merges regardless of
+overlap.
 
 The structure is *order-preserving*: partials are always combined
 oldest-to-newest, only the association changes.  That makes COUNT, the
 extrema of ``DECOMPOSABLE_SORT``, and every comparison-based result
 identical to the plain fold; float accumulators (SUM, MULTIPLICATION,
-SUM_OF_SQUARES) may differ in the last bits because float addition and
-multiplication are not associative — the documented ``merge_mode``
-contract (DESIGN.md §9): ``exact`` keeps the plain fold byte-for-byte,
-``incremental`` matches within 1e-9 relative.
+SUM_OF_SQUARES) may differ from it in the last bits because float
+addition and multiplication are not associative — the Two-Stacks
+contract (DESIGN.md §9): within 1e-9 relative of the plain fold, which
+the tests keep as the reference.
 
 ``NON_DECOMPOSABLE_SORT`` is excluded: its partials are whole sorted
 value lists, so a FIFO aggregate would have to *copy* the merged list at
 every push/flip (there is no O(1) "uncombine"), making the incremental
-structure strictly worse than the existing single k-way run merge.
-Callers merge that kind through the plain scan and combine it with the
-incremental result for the decomposable kinds.
+structure strictly worse than the existing single k-way run merge.  That
+kind goes through the plain scan and joins the Two-Stacks result for the
+decomposable kinds.
 
 Two cooperating layers live here:
 
@@ -34,16 +35,17 @@ Two cooperating layers live here:
   eviction bounds refer to.
 * :class:`IncrementalMergeLayer` — the registry: one aggregator per
   ``(ctx, kinds, window length)`` stream, fed lazily from a
-  :class:`~repro.core.slices.SliceStore` at window close.  It has two
-  callers: the engine over its slices, and the cluster root over its
-  cells (:mod:`repro.cluster.cells`), which are slices too.
+  :class:`~repro.core.slices.SliceStore` at window close.  Its
+  :meth:`~IncrementalMergeLayer.close` is the one way a window closes,
+  for both callers: the engine over its slices, and the cluster root
+  over its cells (:mod:`repro.cluster.cells`), which are slices too.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.core.operators import merge_partials
+from repro.core.operators import merge_many_partials, merge_partials
 from repro.core.types import OperatorKind
 
 __all__ = [
@@ -207,58 +209,13 @@ class _SliceStream:
         self.agg = FifoAggregator(kinds)
         self.next_push = first
 
-
-class IncrementalMergeLayer:
-    """Per query-group incremental window merging over closed slices.
-
-    One :class:`FifoAggregator` per ``(ctx, kinds, window length)``
-    stream: windows of equal length over one context close in
-    non-decreasing ``[first_slice, last_slice]`` order, which is exactly
-    the FIFO discipline the aggregator needs.  Slices are pulled lazily
-    from the group's :class:`~repro.core.slices.SliceStore` at window
-    close — the store is freed only after a cut's windows have closed, so
-    every covered slice is still there and nothing extra is retained.
-    """
-
-    __slots__ = ("_streams", "merge_ops", "windows", "slices_pushed")
-
-    def __init__(self) -> None:
-        self._streams: dict[tuple, _SliceStream] = {}
-        #: cumulative merge operator executions across all streams
-        self.merge_ops = 0
-        #: window closes served incrementally
-        self.windows = 0
-        #: slice partials pushed (each slice is pushed once per stream)
-        self.slices_pushed = 0
-
-    def merge_window(
-        self,
-        store,
-        first: int,
-        last: int,
-        ctx: int,
-        kinds: tuple[OperatorKind, ...],
-        length: int,
-    ) -> tuple[dict[OperatorKind, Any], int, int] | None:
-        """Merge context ``ctx``'s partials across slices ``first..last``.
-
-        Returns ``(merged, events, pushed)`` for the decomposable kinds in
-        ``kinds`` — or ``None`` when the window regressed behind this
-        stream's eviction floor (the caller falls back to the plain scan;
-        it cannot happen for engine-closed fixed windows, but the layer
-        refuses to guess rather than return a wrong aggregate).
-        """
-        key = (ctx, kinds, length)
-        stream = self._streams.get(key)
-        if stream is None:
-            stream = self._streams[key] = _SliceStream(kinds, first)
-        agg = stream.agg
-        if agg.floor is not None and first < agg.floor:
-            return None
-        before = agg.merge_ops
+    def advance(self, store, first: int, last: int, ctx: int) -> int:
+        """Evict the slices below ``first`` and push those up to ``last``
+        not pushed yet; returns how many were pushed."""
+        agg = self.agg
         agg.evict_below(first)
         pushed = 0
-        start = stream.next_push
+        start = self.next_push
         if start < first:
             start = first  # skipped slices would be evicted immediately
         for index in range(start, last + 1):
@@ -270,13 +227,91 @@ class IncrementalMergeLayer:
                 continue
             agg.push(index, parts, slice_.insert_counts.get(ctx, 0))
             pushed += 1
-        if last + 1 > stream.next_push:
-            stream.next_push = last + 1
-        merged, events = agg.query()
-        self.merge_ops += agg.merge_ops - before
-        self.windows += 1
-        self.slices_pushed += pushed
-        return merged, events, pushed
+        if last + 1 > self.next_push:
+            self.next_push = last + 1
+        return pushed
+
+
+class IncrementalMergeLayer:
+    """Per query-group window close over closed slices.
+
+    One :class:`FifoAggregator` per ``(ctx, kinds, window length)``
+    stream: windows of equal length over one context close in
+    non-decreasing ``[first_slice, last_slice]`` order, which is exactly
+    the FIFO discipline the aggregator needs.  Slices are pulled lazily
+    from the group's :class:`~repro.core.slices.SliceStore` at window
+    close — the store is freed only after a cut's windows have closed, so
+    every covered slice is still there and nothing extra is retained.
+    """
+
+    __slots__ = ("_streams", "_splits", "windows", "slices_pushed")
+
+    def __init__(self) -> None:
+        self._streams: dict[tuple, _SliceStream] = {}
+        #: kinds tuple -> (decomposable kinds, the rest), in kinds order
+        self._splits: dict[tuple, tuple[tuple, tuple]] = {}
+        #: window closes served by a stream
+        self.windows = 0
+        #: slice partials pushed (each slice is pushed once per stream)
+        self.slices_pushed = 0
+
+    def close(
+        self,
+        store,
+        first: int,
+        last: int,
+        ctx: int,
+        kinds: tuple[OperatorKind, ...],
+        length: int,
+        overlap: bool,
+    ) -> tuple[dict[OperatorKind, Any], int, int, int | None]:
+        """Merge context ``ctx``'s ``kinds`` across slices ``first..last``.
+
+        An ``overlap``-ping window (a fixed window sharing slices with the
+        next one of its tracker) merges its decomposable kinds through the
+        Two-Stacks stream of ``(ctx, those kinds, length)`` and the rest by
+        the plain scan.  Every other window — tumbling, data-driven, or
+        behind its stream's eviction floor (where the layer refuses to
+        guess rather than return a wrong aggregate) — takes the plain scan
+        of :meth:`~repro.core.slices.SliceStore.merge_context_partials`.
+
+        Returns ``(merged, events, merge_ops, pushed)``: ``merge_ops``
+        counts the merges this close ran (partials the scan read, and the
+        stream's ``merge_partials`` calls); ``pushed`` is ``None`` unless a
+        stream served the window.
+        """
+        split = self._splits.get(kinds)
+        if split is None:
+            fifo = tuple(k for k in kinds if k in DECOMPOSABLE_MERGE_KINDS)
+            rest = tuple(k for k in kinds if k not in DECOMPOSABLE_MERGE_KINDS)
+            split = self._splits[kinds] = (fifo, rest)
+        fifo, rest = split
+        if overlap and fifo:
+            key = (ctx, fifo, length)
+            stream = self._streams.get(key)
+            if stream is None:
+                stream = self._streams[key] = _SliceStream(fifo, first)
+            agg = stream.agg
+            if agg.floor is None or first >= agg.floor:
+                before = agg.merge_ops
+                pushed = stream.advance(store, first, last, ctx)
+                merged, events = agg.query()
+                merge_ops = agg.merge_ops - before
+                self.windows += 1
+                self.slices_pushed += pushed
+                if rest:
+                    extra, extra_events, scanned = store.merge_context_partials(
+                        first, last, ctx, rest, merge_many_partials
+                    )
+                    merged.update(extra)
+                    merge_ops += scanned
+                    # The k-way scan sees the same slices, so counts agree.
+                    events = max(events, extra_events)
+                return merged, events, merge_ops, pushed
+        merged, events, merge_ops = store.merge_context_partials(
+            first, last, ctx, kinds, merge_many_partials
+        )
+        return merged, events, merge_ops, None
 
     def retain(self, live: set[tuple[int, int]]) -> None:
         """Forget every stream whose ``(ctx, length)`` is not in ``live``

@@ -111,10 +111,6 @@ class SliceRecord:
     #: (query_id, marker event time)
     userdef_eps: list[tuple[str, int]] = field(default_factory=list)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.contexts and not self.userdef_eps
-
 
 @dataclass(slots=True)
 class PartialBatchMessage:

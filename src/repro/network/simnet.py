@@ -701,13 +701,6 @@ class SimNetwork:
         channel = self._send_channels.get((src, dst))
         return channel.stalled_since if channel is not None else None
 
-    def channel_occupancy(self, src: str, dst: str) -> tuple[int, int]:
-        """Current ``(unacked_bytes, unacked_frames)`` of a send channel."""
-        channel = self._send_channels.get((src, dst))
-        if channel is None:
-            return (0, 0)
-        return (channel.unacked_bytes, len(channel.unacked))
-
     def note_shed(self, node_id: str, group: int, records) -> int:
         """Account slice records shed from a node's bounded staging buffer.
 

@@ -28,7 +28,6 @@ from repro.cluster.checkpoint import (
 )
 from repro.cluster.root import RootAssembler, derive_ops_from_timed
 from repro.core.analyzer import analyze
-from repro.core.config import EngineConfig
 from repro.core.errors import ClusterError
 from repro.core.functions import finalize
 from repro.core.query import Query, WindowSpec
@@ -582,21 +581,20 @@ class TestAssemblerCheckpoint:
     read them, the cells otherwise) and restore folds them again."""
 
     @staticmethod
-    def assembler(group, rows, merge_mode="incremental"):
+    def assembler(group, rows):
         return RootAssembler(
             group,
             origin=0,
             emit=lambda query, start, end, ops, count, now: rows.append(
                 (query.query_id, start, end, count, finalize(query.function, ops))
             ),
-            config=ClusterConfig(engine=EngineConfig(merge_mode=merge_mode)),
         )
 
-    def run(self, group, batches, merge_mode="incremental", restore=None, at=0):
+    def run(self, group, batches, restore=None, at=0):
         """Rows emitted from batch ``at`` on, through a fresh assembler
         that first restores ``restore`` (an encoded chunk)."""
         rows = []
-        assembler = self.assembler(group, rows, merge_mode)
+        assembler = self.assembler(group, rows)
         if restore is not None:
             restore_assembler(assembler, BinaryCodec().decode(restore))
         for covered, batch in batches[at:]:
@@ -622,15 +620,14 @@ class TestAssemblerCheckpoint:
         assert sorted(before + after) == sorted(crash_free)
         assert {row[0] for row in after} == {"avg", "max", "sld", "ses", "usr"}
 
-    @pytest.mark.parametrize("merge_mode", ["exact", "incremental"])
     @pytest.mark.parametrize("userdef", [True, False], ids=["raw", "cells"])
-    def test_a_checkpoint_at_every_batch_restores(self, userdef, merge_mode):
+    def test_a_checkpoint_at_every_batch_restores(self, userdef):
         """Wherever the checkpoint falls — every third time with a cell
         half filled — the restored run equals its crash-free twin."""
         group, batches = mixed_batches(MIXED if userdef else MIXED[:4])
-        crash_free = sorted(self.run(group, batches, merge_mode))
+        crash_free = sorted(self.run(group, batches))
         before = []
-        assembler = self.assembler(group, before, merge_mode)
+        assembler = self.assembler(group, before)
         half_filled = 0
         for at, (covered, batch) in enumerate(batches[:-1], start=1):
             assembler.consume(covered, batch, now=covered)
@@ -642,6 +639,6 @@ class TestAssemblerCheckpoint:
             half_filled += start < covered and any(
                 r.start >= start for r in chunk.records
             )
-            after = self.run(group, batches, merge_mode, restore=blob, at=at)
+            after = self.run(group, batches, restore=blob, at=at)
             assert sorted(before + after) == crash_free, at
         assert half_filled >= 8

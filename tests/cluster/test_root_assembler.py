@@ -10,14 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.conformance.oracle import tolerance_for, values_match
 from repro.core.analyzer import analyze
-from repro.core.config import EngineConfig
 from repro.core.engine import required_kinds
 from repro.core.errors import ClusterError
 from repro.core.functions import finalize
 from repro.core.operators import merge_many_partials
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction, OperatorKind, WindowMeasure, WindowType
-from repro.cluster.config import ClusterConfig
 from repro.cluster.root import RootAssembler, derive_ops_from_timed
 from repro.network.messages import ContextPartial, SliceRecord
 from repro.obs.tracing import TraceRecorder
@@ -34,7 +32,7 @@ def assembler_for(*queries):
         emitted.append((query.query_id, start, end, dict(ops), count))
 
     return (
-        RootAssembler(group, origin=0, emit=emit, config=ClusterConfig()),
+        RootAssembler(group, origin=0, emit=emit),
         emitted,
     )
 
@@ -175,11 +173,15 @@ class TestSessionAssembly:
 class TestTimedDerivation:
     def test_derive_ops_from_timed(self):
         record = rec(0, 100, timed=[(10, 4.0), (20, 2.0)], count=2)
-        derive_ops_from_timed(record, (K.SUM, K.COUNT, K.NON_DECOMPOSABLE_SORT))
+        derive_ops_from_timed(
+            record,
+            (K.SUM, K.COUNT, K.NON_DECOMPOSABLE_SORT, K.SUM_OF_SQUARES),
+        )
         part = record.contexts[0]
         assert part.ops[K.SUM] == 6.0
         assert part.ops[K.COUNT] == 2
         assert part.ops[K.NON_DECOMPOSABLE_SORT] == [2.0, 4.0]
+        assert part.ops[K.SUM_OF_SQUARES] == 20.0
         assert part.span == (10, 20)
 
     def test_count_window_replay(self):
@@ -339,7 +341,7 @@ def batches_of(rng, records, origin, horizon, max_step):
         yield covered, batch
 
 
-def run_assembler(group, origin, batches, merge_mode, recorder=None, on_batch=None):
+def run_assembler(group, origin, batches, recorder=None, on_batch=None):
     """Feed ``batches``; returns the fixed rows ``{(qid, start, end): ...}``
     and every emitted query id."""
     rows, seen = {}, set()
@@ -350,10 +352,7 @@ def run_assembler(group, origin, batches, merge_mode, recorder=None, on_batch=No
             assert (query.query_id, start, end) not in rows  # closes once
             rows[query.query_id, start, end] = (dict(ops), count)
 
-    assembler = RootAssembler(
-        group, origin=origin, emit=emit, recorder=recorder,
-        config=ClusterConfig(engine=EngineConfig(merge_mode=merge_mode)),
-    )
+    assembler = RootAssembler(group, origin=origin, emit=emit, recorder=recorder)
     for number, (covered, batch) in enumerate(batches):
         if on_batch is not None:
             on_batch(assembler, number)
@@ -371,7 +370,7 @@ def assert_rows_equal(group, rows, expected):
         query = queries[key[0]]
         want_ops, want_count = expected[key]
         assert count == want_count, key
-        policy = tolerance_for(query, merge_mode="incremental", cross_fold=True)
+        policy = tolerance_for(query, cross_fold=True)
         assert values_match(
             finalize(query.function, want_ops), finalize(query.function, ops), policy
         ), key
@@ -380,7 +379,7 @@ def assert_rows_equal(group, rows, expected):
 class TestCellsAgainstTheRecordScan:
     """Every fixed window the root emits equals the per-query scan of the
     raw records — whatever mixes with it, however records are cut and
-    batched, in both merge modes."""
+    batched."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -393,11 +392,10 @@ class TestCellsAgainstTheRecordScan:
         children=st.integers(1, 8),
         extra_cuts=st.integers(0, 20),
         max_step=st.sampled_from([1, 40, 260, 900]),
-        merge_mode=st.sampled_from(["exact", "incremental"]),
         seed=st.integers(0, 2**16),
     )
     def test_random_mixes(self, picks, extras, origin, children, extra_cuts,
-                          max_step, merge_mode, seed):
+                          max_step, seed):
         rng = random.Random(seed)
         queries = [
             Query.of(
@@ -424,7 +422,7 @@ class TestCellsAgainstTheRecordScan:
         for covered, batch in batches:
             reference.consume(covered, batch)
         reference.finish()
-        assembler, rows, seen = run_assembler(group, origin, batches, merge_mode)
+        assembler, rows, seen = run_assembler(group, origin, batches)
         assert_rows_equal(group, rows, reference.rows)
         assert {q.query_id for q in queries if q.query_id.startswith("q")} >= {
             key[0] for key in rows
@@ -466,7 +464,7 @@ class TestUnalignedRecords:
             records = records[len(batch):]
             batches.append((covered, batch))
         recorder = TraceRecorder()
-        _, rows, _ = run_assembler(group, 0, batches, "incremental", recorder)
+        _, rows, _ = run_assembler(group, 0, batches, recorder)
         assert sorted(rows) == [
             ("q", 0, 200), ("q", 100, 300), ("q", 200, 400), ("q", 300, 500),
         ]
@@ -518,7 +516,7 @@ class TestUnalignedRecords:
             reference.consume(covered, batch)
         reference.finish()
         recorder = TraceRecorder()
-        _, rows, seen = run_assembler(group, 0, batches, "incremental", recorder)
+        _, rows, seen = run_assembler(group, 0, batches, recorder)
         assert_rows_equal(group, rows, reference.rows)
         assert seen == {"avg", "max", "tum", "ses", "usr", "cnt"}
         # the sliding trackers closed incrementally, the tumbling one by
@@ -557,7 +555,7 @@ class TestSharedTrackers:
         (group,) = analyze(self.PAIR, decentralized=True).groups
         recorder = TraceRecorder()
         assembler, rows, _ = run_assembler(
-            group, 0, self.batches(group, self.PAIR), "incremental", recorder
+            group, 0, self.batches(group, self.PAIR), recorder
         )
         assert [t.length for t in assembler.fixed] == [400, 50]
         closes = [e.data["query_ids"] for e in recorder.events("merge.reuse")]
@@ -566,8 +564,7 @@ class TestSharedTrackers:
             k[1:] for k in rows if k[0] == "max"
         }
 
-    @pytest.mark.parametrize("merge_mode", ["exact", "incremental"])
-    def test_remove_query_of_one_subscriber(self, merge_mode):
+    def test_remove_query_of_one_subscriber(self):
         """Removing AVG mid-stream leaves MAX's rows those of a run that
         never had AVG; the tracker, its cells and its Two-Stacks stream
         go with the last subscriber — and with the tracker its
@@ -575,7 +572,7 @@ class TestSharedTrackers:
         (group,) = analyze(self.PAIR, decentralized=True).groups
         (alone,) = analyze(self.PAIR[1:2], decentralized=True).groups
         _, expected, _ = run_assembler(
-            alone, 0, self.batches(alone, self.PAIR[1:2]), merge_mode
+            alone, 0, self.batches(alone, self.PAIR[1:2])
         )
         # up to 1000 children cut at the 50 ms ticks too, then "tum" goes
         early = self.batches(group, self.PAIR, horizon=1_000)
@@ -596,7 +593,7 @@ class TestSharedTrackers:
 
         recorder = TraceRecorder()
         assembler, rows, _ = run_assembler(
-            group, 0, early + late, merge_mode, recorder, on_batch
+            group, 0, early + late, recorder, on_batch
         )
         extrema = lambda found: {
             key: (ops[K.DECOMPOSABLE_SORT], count)
@@ -606,8 +603,7 @@ class TestSharedTrackers:
         assert len(expected) > 15
         assert 0 < sum(1 for k in rows if k[0] == "avg") < 5
         assert max(k[2] for k in rows if k[0] == "tum") == 1_000
-        if merge_mode == "incremental":
-            ids = [e.data["query_ids"] for e in recorder.events("merge.reuse")]
-            assert ["avg", "max"] in ids and ids[-1] == ["max"]
+        ids = [e.data["query_ids"] for e in recorder.events("merge.reuse")]
+        assert ["avg", "max"] in ids and ids[-1] == ["max"]
         assembler.remove_query("max")
         assert assembler.fixed == [] and len(assembler.cells) == 0

@@ -47,7 +47,7 @@ def test_corpus_scenario_conforms(name):
     assert len(executor_matrix(scenario)) >= 4
     failures, executions = evaluate_scenario(scenario)
     assert not failures, failures
-    assert "engine-exact" in executions
+    assert "engine" in executions
 
 
 def test_session_mixed_batched_is_one_group_fed_in_batches():
@@ -72,9 +72,7 @@ def test_sliding_session_incremental_is_one_group_merged_incrementally():
     from repro.core.types import WindowType
 
     scenario = load("sliding-session-incremental.json")
-    assert (scenario.topology, scenario.merge_mode, scenario.batch_ms) == (
-        "three_tier", "incremental", 100
-    )
+    assert (scenario.topology, scenario.batch_ms) == ("three_tier", 100)
     assert scenario.fault is not None and scenario.fault.link_faults_only
     # one group: the session and the marker window share the root
     # assembler (and the unmerged, unaligned records) of the sliding ones

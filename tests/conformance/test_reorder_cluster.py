@@ -16,8 +16,7 @@ from repro.conformance.scenario import QuerySpec
 PUNCTUATION_MODES = ("heap", "scan")
 
 
-def disordered_scenario(seed: int, lateness: int, punctuation: str,
-                        merge_mode: str = "exact") -> Scenario:
+def disordered_scenario(seed: int, lateness: int, punctuation: str) -> Scenario:
     return Scenario(
         name=f"reorder-{seed}",
         seed=seed,
@@ -32,7 +31,6 @@ def disordered_scenario(seed: int, lateness: int, punctuation: str,
         ),
         topology="three_tier",
         punctuation_mode=punctuation,
-        merge_mode=merge_mode,
     )
 
 

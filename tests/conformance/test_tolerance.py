@@ -22,28 +22,33 @@ def query_of(fn: AggFunction) -> Query:
 
 class TestToleranceFor:
     def test_exact_kinds_stay_exact_under_incremental(self):
+        """Count, extrema and sorted results carry original values through
+        every merge — Two-Stacks or cross-implementation alike."""
         for fn in (AggFunction.COUNT, AggFunction.MAX, AggFunction.MIN,
                    AggFunction.MEDIAN, AggFunction.QUANTILE):
-            policy = tolerance_for(query_of(fn), merge_mode="incremental",
-                                   cross_fold=True)
+            policy = tolerance_for(query_of(fn), cross_fold=True)
             assert policy.exact, fn
 
     def test_float_folds_get_relative_tolerance_when_incremental(self):
+        """The Two-Stacks (incremental) close re-associates float folds,
+        so comparing it with an independently-ordered fold gets the
+        1e-9-relative allowance."""
         for fn in (AggFunction.SUM, AggFunction.AVERAGE, AggFunction.PRODUCT,
                    AggFunction.GEOMETRIC_MEAN, AggFunction.VARIANCE,
                    AggFunction.STDDEV):
-            policy = tolerance_for(query_of(fn), merge_mode="incremental")
+            policy = tolerance_for(query_of(fn), cross_fold=True)
             assert not policy.exact, fn
             assert policy.rel_tol == 1e-9
 
     def test_float_folds_exact_on_exact_same_fold(self):
-        policy = tolerance_for(query_of(AggFunction.SUM), merge_mode="exact",
-                               cross_fold=False)
+        """Two runs of the one engine fold in the same order."""
+        policy = tolerance_for(query_of(AggFunction.SUM))
         assert policy is EXACT
 
     def test_cross_fold_relaxes_even_exact_merge(self):
-        policy = tolerance_for(query_of(AggFunction.SUM), merge_mode="exact",
-                               cross_fold=True)
+        """Even where both sides fold by the plain scan (a tumbling window
+        against the oracle), crossing implementations relaxes float folds."""
+        policy = tolerance_for(query_of(AggFunction.SUM), cross_fold=True)
         assert not policy.exact
 
     def test_fold_function_set(self):

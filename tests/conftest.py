@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
 from repro.core.event import Event
+from repro.core.incmerge import IncrementalMergeLayer
 
 
 def make_stream(
@@ -44,6 +46,21 @@ def make_stream(
             )
         )
     return events
+
+
+@contextmanager
+def plain_scan():
+    """Close every window by the plain scan of its slices (or cells): the
+    reference the Two-Stacks close is held to — ``IncrementalMergeLayer.
+    close`` with ``overlap`` off, the path tumbling windows take."""
+    close = IncrementalMergeLayer.close
+
+    def scan(self, store, first, last, ctx, kinds, length, overlap):
+        return close(self, store, first, last, ctx, kinds, length, False)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IncrementalMergeLayer, "close", scan)
+        yield
 
 
 @pytest.fixture

@@ -23,8 +23,8 @@ class TestConfigValue:
 
     def test_with_options_returns_revalidated_copy(self):
         config = EngineConfig()
-        other = config.with_options(shards=4, merge_mode="exact")
-        assert (other.shards, other.merge_mode) == (4, "exact")
+        other = config.with_options(shards=4, punctuation_mode="scan")
+        assert (other.shards, other.punctuation_mode) == (4, "scan")
         assert config.shards == 1  # original untouched
         with pytest.raises(EngineError):
             config.with_options(shards=0)
@@ -33,7 +33,6 @@ class TestConfigValue:
         "kwargs",
         [
             {"punctuation_mode": "btree"},
-            {"merge_mode": "lazy"},
             {"shards": 0},
             {"shard_batch_size": 0},
             {"latency_sample_every": 0},
@@ -46,8 +45,8 @@ class TestConfigValue:
 
 class TestSessionSugar:
     def test_shards_sugar_lands_in_config(self):
-        session = DesisSession(EngineConfig(merge_mode="exact"), shards=4)
-        assert session.config == EngineConfig(merge_mode="exact", shards=4)
+        session = DesisSession(EngineConfig(punctuation_mode="scan"), shards=4)
+        assert session.config == EngineConfig(punctuation_mode="scan", shards=4)
         assert session.shards == 4
 
 
@@ -61,10 +60,10 @@ class TestEngineConfig:
     def test_engine_kwargs_override_config(self):
         engine = AggregationEngine(
             [],
-            config=EngineConfig(merge_mode="incremental"),
-            merge_mode="exact",
+            config=EngineConfig(punctuation_mode="heap"),
+            punctuation_mode="scan",
         )
-        assert engine.config.merge_mode == "exact"
+        assert engine.config.punctuation_mode == "scan"
 
 
 class TestClusterConfigSync:
@@ -74,4 +73,4 @@ class TestClusterConfigSync:
 
     def test_engine_knobs_are_not_mirrored(self):
         with pytest.raises(TypeError):
-            ClusterConfig(merge_mode="exact")
+            ClusterConfig(punctuation_mode="scan")

@@ -310,12 +310,11 @@ class TestSharedFlags:
     @pytest.mark.parametrize("verb", sorted(VERB_STUB))
     def test_every_verb_parses_the_shared_flag_set(self, verb, tmp_path):
         argv = [verb, *self.VERB_STUB[verb],
-                "--seed", "5", "--shards", "2", "--merge-mode", "exact",
+                "--seed", "5", "--shards", "2",
                 "--metrics-out", str(tmp_path / "m.json")]
         args = build_parser().parse_args(argv)
         assert args.seed == 5
         assert args.shards == 2
-        assert args.merge_mode == "exact"
 
 
 class TestShardedRun:
