@@ -200,6 +200,10 @@ class GroupRuntime:
             query.query_id: required_kinds(query, group.operators)
             for query in group.queries
         }
+        #: id of a window's subscriber snapshot -> (that snapshot, pinned so
+        #: the id stays its own; the kinds it merges).  Emptied when
+        #: subscriptions change.
+        self._kinds_of: dict[int, tuple[tuple[Query, ...], tuple]] = {}
 
         self.fixed: list[FixedWindowTracker] = []
         self.sessions: list[SessionWindowTracker] = []
@@ -285,6 +289,7 @@ class GroupRuntime:
         receiving results from the next window that tracker opens.
         """
         self.needed[query.query_id] = required_kinds(query, self.group.operators)
+        self._kinds_of = {}
         created = self._add_trackers(query)
         self._scan_next = None  # the new query may punctuate earlier
         if created and self._bootstrapped:
@@ -343,6 +348,7 @@ class GroupRuntime:
                 if not window.queries:
                     del self.open_windows[window.uid]
             self.needed.pop(query_id, None)
+        self._kinds_of = {}
         self._stale_streams = True
         self._windows_left()
 
@@ -414,17 +420,19 @@ class GroupRuntime:
         window.end = end
         if not self.assemble:
             return
-        # Merge the union of the subscribers' operators once; finalize (and
-        # materialize a result) per subscribed query — the only per-query
-        # cost of a deduplicated window.
-        needed = self.needed
-        if len(window.queries) == 1:
-            kinds = needed[window.queries[0].query_id]
-        else:
+        # Merge the union of the subscribers' operators (worked out once per
+        # snapshot) once; finalize (and materialize a result) per subscribed
+        # query — the only per-query cost of a deduplicated window.
+        queries = window.queries
+        cached = self._kinds_of.get(id(queries))
+        if cached is None:
             union = set()
-            for query in window.queries:
-                union.update(needed[query.query_id])
-            kinds = tuple(kind for kind in self.operators if kind in union)
+            for query in queries:
+                union.update(self.needed[query.query_id])
+            cached = self._kinds_of[id(queries)] = (
+                queries, tuple(kind for kind in self.operators if kind in union)
+            )
+        kinds = cached[1]
         # Only *overlapping* fixed windows ride the Two-Stacks streams:
         # tumbling windows (``slide == length``) share no slices, and
         # data-driven ones (``slide is None``) lack the deterministic close
@@ -454,9 +462,11 @@ class GroupRuntime:
         if events == 0 and not self.emit_empty:
             return
         emitted_at = self.stream_time if self.stream_time is not None else end
-        for query in window.queries:
+        stats = self.stats
+        emit = self.sink.emit
+        for query in queries:
             value = finalize(query.function, merged)
-            self.stats.results += 1
+            stats.results += 1
             if self.recorder.enabled:
                 self.recorder.record(
                     "window.emit",
@@ -470,7 +480,7 @@ class GroupRuntime:
                     first_slice=window.first_slice,
                     last_slice=last_slice,
                 )
-            self.sink.emit(
+            emit(
                 WindowResult(
                     query_id=query.query_id,
                     start=window.start,
@@ -1437,9 +1447,10 @@ class AggregationEngine:
         group.operators = new_ops
         target.operators = new_ops
         target.refresh_selections()
-        target.needed = {
-            q.query_id: required_kinds(q, new_ops) for q in group.queries
-        }
+        # (``update``: a draining query's windows still finalize by it)
+        target.needed.update(
+            (q.query_id, required_kinds(q, new_ops)) for q in group.queries
+        )
         target.add_query(query)
 
 

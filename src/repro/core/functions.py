@@ -113,13 +113,85 @@ def plan_operators(specs: Iterable[FunctionSpec]) -> tuple[OperatorKind, ...]:
     return tuple(sorted(kinds, key=_OPERATOR_ORDER.__getitem__))
 
 
-def _quantile_from_sorted(values: list[float], q: float) -> float:
-    """Linear-interpolation quantile of an ascending ``values`` list."""
-    position = q * (len(values) - 1)
+_SUM = OperatorKind.SUM
+_COUNT = OperatorKind.COUNT
+_PRODUCT = OperatorKind.MULTIPLICATION
+_SQUARES = OperatorKind.SUM_OF_SQUARES
+_EXTREMA = OperatorKind.DECOMPOSABLE_SORT
+_SORTED = OperatorKind.NON_DECOMPOSABLE_SORT
+
+
+def _average(spec, partials):
+    count = partials.get(_COUNT, 0)
+    return partials.get(_SUM, 0.0) / count if count else None
+
+
+def _geometric_mean(spec, partials):
+    count = partials.get(_COUNT, 0)
+    if not count:
+        return None
+    product = partials.get(_PRODUCT, 1.0)
+    if product < 0.0:
+        raise QueryError("geometric mean is undefined for negative products")
+    return product ** (1.0 / count)
+
+
+def _extremum(end: int):
+    """MIN (``end`` 0) or MAX (``end`` -1): the decomposable sort's pair,
+    or the end of the non-decomposable sort's run that subsumes it."""
+
+    def extremum(spec, partials):
+        extrema = partials.get(_EXTREMA)
+        if extrema is not None:
+            return extrema[end]
+        values = partials.get(_SORTED)
+        return values[end] if values else None
+
+    return extremum
+
+
+def _quantile(spec, partials):
+    """Linear-interpolation quantile of the sorted run; MEDIAN is the one
+    spec without a quantile."""
+    values = partials.get(_SORTED)
+    if not values:
+        return None
+    position = (0.5 if spec.quantile is None else spec.quantile) * (len(values) - 1)
     lower = int(position)
     upper = min(lower + 1, len(values) - 1)
     fraction = position - lower
     return values[lower] * (1.0 - fraction) + values[upper] * fraction
+
+
+def _variance(spec, partials):
+    count = partials.get(_COUNT, 0)
+    if not count:
+        return None
+    mean = partials.get(_SUM, 0.0) / count
+    squares = partials.get(_SQUARES, 0.0)
+    # Population variance; clamp tiny negative float residue.
+    return max(squares / count - mean * mean, 0.0)
+
+
+def _stddev(spec, partials):
+    variance = _variance(spec, partials)
+    return None if variance is None else variance**0.5
+
+
+#: each function's finalizer ``(spec, partials) -> value``
+_FINALIZERS = {
+    AggFunction.SUM: lambda spec, partials: partials.get(_SUM, 0.0),
+    AggFunction.COUNT: lambda spec, partials: partials.get(_COUNT, 0),
+    AggFunction.AVERAGE: _average,
+    AggFunction.PRODUCT: lambda spec, partials: partials.get(_PRODUCT, 1.0),
+    AggFunction.GEOMETRIC_MEAN: _geometric_mean,
+    AggFunction.MAX: _extremum(-1),
+    AggFunction.MIN: _extremum(0),
+    AggFunction.MEDIAN: _quantile,
+    AggFunction.QUANTILE: _quantile,
+    AggFunction.VARIANCE: _variance,
+    AggFunction.STDDEV: _stddev,
+}
 
 
 def finalize(spec: FunctionSpec, partials: Mapping[OperatorKind, Any]):
@@ -130,54 +202,8 @@ def finalize(spec: FunctionSpec, partials: Mapping[OperatorKind, Any]):
     entries.  Returns ``None`` for functions that are undefined on empty
     windows (average, geometric mean, min/max, median, quantile).
     """
-    fn = spec.fn
-    if fn is AggFunction.SUM:
-        return partials.get(OperatorKind.SUM, 0.0)
-    if fn is AggFunction.COUNT:
-        return partials.get(OperatorKind.COUNT, 0)
-    if fn is AggFunction.AVERAGE:
-        count = partials.get(OperatorKind.COUNT, 0)
-        if count == 0:
-            return None
-        return partials.get(OperatorKind.SUM, 0.0) / count
-    if fn is AggFunction.PRODUCT:
-        return partials.get(OperatorKind.MULTIPLICATION, 1.0)
-    if fn is AggFunction.GEOMETRIC_MEAN:
-        count = partials.get(OperatorKind.COUNT, 0)
-        if count == 0:
-            return None
-        product = partials.get(OperatorKind.MULTIPLICATION, 1.0)
-        if product < 0.0:
-            raise QueryError("geometric mean is undefined for negative products")
-        return product ** (1.0 / count)
-    if fn in (AggFunction.MAX, AggFunction.MIN):
-        extrema = partials.get(OperatorKind.DECOMPOSABLE_SORT)
-        if extrema is not None:
-            return extrema[1] if fn is AggFunction.MAX else extrema[0]
-        values = partials.get(OperatorKind.NON_DECOMPOSABLE_SORT)
-        if not values:
-            return None
-        return values[-1] if fn is AggFunction.MAX else values[0]
-    if fn is AggFunction.MEDIAN:
-        values = partials.get(OperatorKind.NON_DECOMPOSABLE_SORT)
-        if not values:
-            return None
-        return _quantile_from_sorted(values, 0.5)
-    if fn is AggFunction.QUANTILE:
-        values = partials.get(OperatorKind.NON_DECOMPOSABLE_SORT)
-        if not values:
-            return None
-        assert spec.quantile is not None
-        return _quantile_from_sorted(values, spec.quantile)
-    if fn in (AggFunction.VARIANCE, AggFunction.STDDEV):
-        count = partials.get(OperatorKind.COUNT, 0)
-        if count == 0:
-            return None
-        mean = partials.get(OperatorKind.SUM, 0.0) / count
-        squares = partials.get(OperatorKind.SUM_OF_SQUARES, 0.0)
-        # Population variance; clamp tiny negative float residue.
-        variance = max(squares / count - mean * mean, 0.0)
-        if fn is AggFunction.VARIANCE:
-            return variance
-        return variance**0.5
-    raise QueryError(f"unknown aggregation function: {fn!r}")
+    try:
+        finalizer = _FINALIZERS[spec.fn]
+    except KeyError:
+        raise QueryError(f"unknown aggregation function: {spec.fn!r}") from None
+    return finalizer(spec, partials)

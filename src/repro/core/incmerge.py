@@ -21,6 +21,21 @@ addition and multiplication are not associative — the Two-Stacks
 contract (DESIGN.md §9): within 1e-9 relative of the plain fold, which
 the tests keep as the reference.
 
+The stacks are *columns*, so that merging is one C-level pass per
+operator kind, not a ``merge_partials`` dispatch per item.  The front —
+the last flipped batch, oldest first — holds per kind a suffix column
+built by one ``itertools.accumulate`` (entry ``i`` merges the batch's
+items ``i..``, each step ``older ⊕ newer``), and eviction moves a head
+index along it.  The back holds its items raw; a query folds those pushed
+since the previous query into the back prefix with one
+``functools.reduce`` per kind, then merges the front's head entry with
+that prefix.  ``merge_ops`` counts ``merge_partials``-equivalent merges:
+per kind, a flip's carriers less one, a prefix fold's new carriers (less
+one into an empty prefix), and one per query where both stacks carry it.  When every batch of
+pushes is queried before the next flip, as both callers do, that is the
+count of a Two-Stacks folding its prefix at every push; a batch flipped
+unqueried is never prefix-folded, nor counted.
+
 ``NON_DECOMPOSABLE_SORT`` is excluded: its partials are whole sorted
 value lists, so a FIFO aggregate would have to *copy* the merged list at
 every push/flip (there is no O(1) "uncombine"), making the incremental
@@ -43,9 +58,12 @@ Two cooperating layers live here:
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+from itertools import accumulate
 from typing import Any, Sequence
 
-from repro.core.operators import merge_many_partials, merge_partials
+from repro.core.operators import merge_many_partials
 from repro.core.types import OperatorKind
 
 __all__ = [
@@ -54,18 +72,43 @@ __all__ = [
     "IncrementalMergeLayer",
 ]
 
+
+def _extrema(older: Any, newer: Any) -> Any:
+    """``merge_partials`` of two DECOMPOSABLE_SORT partials: ``None`` is
+    the identity, and a tie keeps the older bound."""
+    if older is None:
+        return newer
+    if newer is None:
+        return older
+    return (min(older[0], newer[0]), max(older[1], newer[1]))
+
+
+#: per kind, ``merge_partials`` as ``(fold, step)``: ``fold(older, newer)``
+#: and, for ``accumulate`` running newest to oldest, ``step(newer, older)``.
+#: Both keep its operand order, so every result has its bits — down to
+#: which NaN or which of two tied zeros survives.
+_MERGES = {
+    OperatorKind.SUM: (operator.add, lambda newer, older: older + newer),
+    OperatorKind.COUNT: (operator.add, lambda newer, older: older + newer),
+    OperatorKind.SUM_OF_SQUARES: (operator.add, lambda newer, older: older + newer),
+    OperatorKind.MULTIPLICATION: (operator.mul, lambda newer, older: older * newer),
+    OperatorKind.DECOMPOSABLE_SORT: (
+        _extrema, lambda newer, older: _extrema(older, newer)
+    ),
+}
+
 #: operator kinds whose partials merge in O(1) and can ride the
 #: incremental structure; NON_DECOMPOSABLE_SORT partials are whole sorted
 #: lists and stay on the plain k-way merge (module docstring).
-DECOMPOSABLE_MERGE_KINDS = frozenset(
-    (
-        OperatorKind.SUM,
-        OperatorKind.COUNT,
-        OperatorKind.MULTIPLICATION,
-        OperatorKind.SUM_OF_SQUARES,
-        OperatorKind.DECOMPOSABLE_SORT,
+DECOMPOSABLE_MERGE_KINDS = frozenset(_MERGES)
+
+
+def _sparse(parts: list, merge):
+    """For a kind some of ``parts`` lack (``None``): how many have it, and
+    ``merge`` made to pass over the others."""
+    return len(parts) - parts.count(None), lambda acc, part: (
+        acc if part is None else part if acc is None else merge(acc, part)
     )
-)
 
 
 class FifoAggregator:
@@ -79,101 +122,99 @@ class FifoAggregator:
     themselves need not be monotone.  Both hold for window closes of one
     ``(ctx, kinds, length)`` stream: the engine and the cluster root both
     close windows in end-time order, and equal lengths make their
-    first-slice (at the root: first-cell) positions monotone.
+    first-slice (at the root: first-cell) positions monotone.  The column
+    layout and the ``merge_ops`` rule are the module docstring's.
 
-    Invariant (the classic two stacks): ``_front`` holds older items with
-    precomputed *suffix* aggregates (top of stack = oldest item, its
-    aggregate covering the whole flipped batch); ``_back`` holds newer raw
-    items plus one running *prefix* aggregate.  A query merges the front
-    top's suffix aggregate with the back prefix aggregate — at most one
-    merge per kind.
+    An item *carries* a kind it has a partial for; every item carries the
+    extrema (a missing pair is ``None``).  A kind no live item carries is
+    absent from the query, and ``None`` in a column or the back prefix
+    marks such a kind.
     """
 
     __slots__ = (
-        "kinds",
-        "_front",
-        "_back",
-        "_back_ops",
-        "_back_count",
-        "floor",
-        "merge_ops",
+        "kinds", "_plan", "_front_pos", "_front_counts", "_front", "_head",
+        "_back_pos", "_back_items", "_back_counts", "_back", "_back_count",
+        "_folded", "floor", "merge_ops",
     )
 
     def __init__(self, kinds: Sequence[OperatorKind]) -> None:
         self.kinds = tuple(
             kind for kind in kinds if kind in DECOMPOSABLE_MERGE_KINDS
         )
-        #: older items: (position, suffix-merged ops, suffix count);
-        #: the list tail is the *oldest* live item
-        self._front: list[tuple[Any, dict[OperatorKind, Any], int]] = []
-        #: newer raw items: (position, ops, count) in arrival order
-        self._back: list[tuple[Any, dict[OperatorKind, Any], int]] = []
-        self._back_ops: dict[OperatorKind, Any] = {}
+        #: per kind: (kind, carried by every item, fold, step)
+        self._plan = tuple(
+            (kind, kind is OperatorKind.DECOMPOSABLE_SORT, *_MERGES[kind])
+            for kind in self.kinds
+        )
+        #: the flipped batch — positions, suffix counts, suffix columns of
+        #: the kinds it carries; items below ``_head`` are evicted
+        self._front_pos: list = []
+        self._front_counts: list[int] = []
+        self._front: dict[OperatorKind, list] = {}
+        self._head = 0
+        #: items pushed since the flip; the first ``_folded`` of them are
+        #: merged into ``_back`` (per kind) and ``_back_count``
+        self._back_pos: list = []
+        self._back_items: list[dict[OperatorKind, Any]] = []
+        self._back_counts: list[int] = []
+        self._back: dict[OperatorKind, Any] = {}
         self._back_count = 0
+        self._folded = 0
         #: highest eviction bound seen; pushes below it are caller bugs
         self.floor: Any = None
-        #: cumulative ``merge_partials`` executions (the work counter the
-        #: ``merge_ops`` stats are built from)
+        #: cumulative merges (the work counter the ``merge_ops`` stats are
+        #: built from)
         self.merge_ops = 0
 
     def __len__(self) -> int:
-        return len(self._front) + len(self._back)
+        return len(self._front_pos) - self._head + len(self._back_pos)
 
     def push(self, pos: Any, ops: dict[OperatorKind, Any], count: int) -> None:
-        """Append the newest item.  Skip items with no activity entirely —
-        their partials are the merge identities."""
-        self._back.append((pos, ops, count))
-        self._back_count += count
-        back_ops = self._back_ops
-        for kind in self.kinds:
-            part = ops.get(kind)
-            if part is None and kind is not OperatorKind.DECOMPOSABLE_SORT:
-                continue
-            if kind in back_ops:
-                back_ops[kind] = merge_partials(kind, back_ops[kind], part)
-                self.merge_ops += 1
-            else:
-                back_ops[kind] = part
+        """Append the newest item; it is merged at the next query or flip."""
+        self._back_pos.append(pos)
+        self._back_items.append(ops)
+        self._back_counts.append(count)
 
     def _flip(self) -> None:
-        """Move the back batch into the front stack, precomputing suffix
-        aggregates newest-to-oldest (so the oldest ends on top)."""
-        front = self._front
-        agg: dict[OperatorKind, Any] = {}
-        count = 0
-        kinds = self.kinds
-        for pos, ops, item_count in reversed(self._back):
-            for kind in kinds:
-                part = ops.get(kind)
-                if part is None and kind is not OperatorKind.DECOMPOSABLE_SORT:
+        """Make the back batch the front: its suffix columns, accumulated
+        newest to oldest."""
+        items = self._back_items
+        front = {}
+        merges = 0
+        for kind, always, _, step in self._plan:
+            parts = [ops.get(kind) for ops in reversed(items)]
+            carried = len(parts)
+            if not always and None in parts:
+                carried, step = _sparse(parts, step)
+                if not carried:
                     continue
-                if kind in agg:
-                    # older ⊕ newer: keeps the oldest-to-newest order
-                    agg[kind] = merge_partials(kind, part, agg[kind])
-                    self.merge_ops += 1
-                else:
-                    agg[kind] = part
-            count += item_count
-            front.append((pos, dict(agg), count))
-        self._back = []
-        self._back_ops = {}
-        self._back_count = 0
+            column = list(accumulate(parts, step))
+            column.reverse()
+            front[kind] = column
+            merges += carried - 1
+        self.merge_ops += merges
+        counts = list(accumulate(reversed(self._back_counts)))
+        counts.reverse()
+        self._front, self._front_counts = front, counts
+        self._front_pos, self._head = self._back_pos, 0
+        self._back_pos, self._back_items, self._back_counts = [], [], []
+        self._back, self._back_count, self._folded = {}, 0, 0
 
     def evict_below(self, bound: Any) -> None:
         """Drop all items with ``position < bound``."""
         if self.floor is None or bound > self.floor:
             self.floor = bound
-        front = self._front
         while True:
-            if front:
-                if front[-1][0] < bound:
-                    front.pop()
-                    continue
+            positions = self._front_pos
+            head = self._head
+            while head < len(positions) and positions[head] < bound:
+                head += 1
+            self._head = head
+            if head < len(positions) or not (
+                self._back_pos and self._back_pos[0] < bound
+            ):
                 return
-            if self._back and self._back[0][0] < bound:
-                self._flip()
-                continue
-            return
+            self._flip()
 
     def query(self) -> tuple[dict[OperatorKind, Any], int]:
         """Merge everything currently held, oldest to newest.
@@ -181,55 +222,44 @@ class FifoAggregator:
         Returns a fresh ``{kind: partial}`` dict (kinds with no activity
         are absent, matching the plain path) and the total event count.
         """
-        front = self._front
-        if front:
-            _, front_ops, front_count = front[-1]
-            merged = dict(front_ops)
-            count = front_count
-        else:
-            merged = {}
-            count = 0
-        back_ops = self._back_ops
-        if back_ops:
-            for kind, part in back_ops.items():
-                if kind in merged:
-                    merged[kind] = merge_partials(kind, merged[kind], part)
-                    self.merge_ops += 1
+        back = self._back
+        merges = 0
+        folded = self._folded
+        if folded < len(self._back_items):
+            pending = self._back_items[folded:]
+            for kind, always, fold, _ in self._plan:
+                parts = [ops.get(kind) for ops in pending]
+                carried = len(parts)
+                if not always and None in parts:
+                    carried, fold = _sparse(parts, fold)
+                    if not carried:
+                        continue
+                if kind in back:
+                    back[kind] = reduce(fold, parts, back[kind])
+                    merges += carried
                 else:
-                    merged[kind] = part
-        return merged, count + self._back_count
-
-
-class _SliceStream:
-    """One aggregator plus its push cursor into the slice index space."""
-
-    __slots__ = ("agg", "next_push")
-
-    def __init__(self, kinds: Sequence[OperatorKind], first: int) -> None:
-        self.agg = FifoAggregator(kinds)
-        self.next_push = first
-
-    def advance(self, store, first: int, last: int, ctx: int) -> int:
-        """Evict the slices below ``first`` and push those up to ``last``
-        not pushed yet; returns how many were pushed."""
-        agg = self.agg
-        agg.evict_below(first)
-        pushed = 0
-        start = self.next_push
-        if start < first:
-            start = first  # skipped slices would be evicted immediately
-        for index in range(start, last + 1):
-            slice_ = store.get(index)
-            if slice_ is None:
-                continue
-            parts = slice_.partials.get(ctx)
-            if parts is None:
-                continue
-            agg.push(index, parts, slice_.insert_counts.get(ctx, 0))
-            pushed += 1
-        if last + 1 > self.next_push:
-            self.next_push = last + 1
-        return pushed
+                    back[kind] = reduce(fold, parts)
+                    merges += carried - 1
+            self._back_count += sum(self._back_counts[folded:])
+            self._folded = len(self._back_items)
+        head = self._head
+        if head == len(self._front_pos):
+            self.merge_ops += merges
+            return dict(back), self._back_count
+        front = self._front
+        merged = {}
+        for kind, always, fold, _ in self._plan:
+            part = front[kind][head] if kind in front else None
+            if part is None and not always:
+                if kind in back:
+                    merged[kind] = back[kind]
+            elif kind in back:
+                merged[kind] = fold(part, back[kind])
+                merges += 1
+            else:
+                merged[kind] = part
+        self.merge_ops += merges
+        return merged, self._front_counts[head] + self._back_count
 
 
 class IncrementalMergeLayer:
@@ -247,7 +277,8 @@ class IncrementalMergeLayer:
     __slots__ = ("_streams", "_splits", "windows", "slices_pushed")
 
     def __init__(self) -> None:
-        self._streams: dict[tuple, _SliceStream] = {}
+        #: (ctx, kinds, length) -> [its aggregator, the next slice to push]
+        self._streams: dict[tuple, list] = {}
         #: kinds tuple -> (decomposable kinds, the rest), in kinds order
         self._splits: dict[tuple, tuple[tuple, tuple]] = {}
         #: window closes served by a stream
@@ -290,11 +321,20 @@ class IncrementalMergeLayer:
             key = (ctx, fifo, length)
             stream = self._streams.get(key)
             if stream is None:
-                stream = self._streams[key] = _SliceStream(fifo, first)
-            agg = stream.agg
+                stream = self._streams[key] = [FifoAggregator(fifo), first]
+            agg, next_push = stream
             if agg.floor is None or first >= agg.floor:
                 before = agg.merge_ops
-                pushed = stream.advance(store, first, last, ctx)
+                agg.evict_below(first)
+                pushed = 0
+                # (slices skipped below ``first`` would be evicted at once)
+                for index in range(max(next_push, first), last + 1):
+                    slice_ = store.get(index)
+                    parts = None if slice_ is None else slice_.partials.get(ctx)
+                    if parts is not None:
+                        agg.push(index, parts, slice_.insert_counts.get(ctx, 0))
+                        pushed += 1
+                stream[1] = max(next_push, last + 1)
                 merged, events = agg.query()
                 merge_ops = agg.merge_ops - before
                 self.windows += 1

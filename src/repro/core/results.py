@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 __all__ = ["WindowResult", "ResultSink"]
 
 
-@dataclass(slots=True, frozen=True)
+@dataclass(slots=True, frozen=True, init=False)
 class WindowResult:
     """The final aggregate of one window of one query.
 
@@ -43,6 +43,19 @@ class WindowResult:
     shed_slices: tuple[tuple[str, int, int], ...] = ()
     completeness: float = 1.0
 
+    def __init__(self, query_id, start, end, value, event_count=0, emitted_at=0,
+                 shed_slices=(), completeness=1.0) -> None:
+        # Straight through the slot descriptors: the generated frozen
+        # __init__ pays an object.__setattr__ (a lookup by name) per field.
+        _set_query_id(self, query_id)
+        _set_start(self, start)
+        _set_end(self, end)
+        _set_value(self, value)
+        _set_event_count(self, event_count)
+        _set_emitted_at(self, emitted_at)
+        _set_shed_slices(self, shed_slices)
+        _set_completeness(self, completeness)
+
     @property
     def degraded(self) -> bool:
         return self.completeness < 1.0
@@ -55,6 +68,12 @@ class WindowResult:
         if self.completeness < 1.0:
             base += f" [degraded: completeness={self.completeness:.3f}]"
         return base
+
+
+(
+    _set_query_id, _set_start, _set_end, _set_value, _set_event_count,
+    _set_emitted_at, _set_shed_slices, _set_completeness,
+) = (WindowResult.__dict__[f.name].__set__ for f in fields(WindowResult))
 
 
 @dataclass(slots=True)

@@ -91,21 +91,23 @@ class _TrackerBase:
     def __init__(self, query: Query, ctx: int) -> None:
         self.spec: WindowSpec = query.window
         self.ctx = ctx
-        self.queries: list[Query] = [query]
+        self.queries: tuple[Query, ...] = (query,)
 
     def subscribe(self, query: Query) -> None:
-        self.queries.append(query)
+        self.queries += (query,)
 
     def unsubscribe(self, query_id: str) -> bool:
         """Drop a subscriber; returns True when the tracker is now empty."""
-        self.queries = [q for q in self.queries if q.query_id != query_id]
+        self.queries = tuple(q for q in self.queries if q.query_id != query_id)
         return not self.queries
 
     def serves(self, query_id: str) -> bool:
         return any(q.query_id == query_id for q in self.queries)
 
     def snapshot(self) -> tuple[Query, ...]:
-        return tuple(self.queries)
+        """The subscribers: one tuple object until they change, by which
+        the engine keys what a window of theirs merges."""
+        return self.queries
 
 
 class FixedWindowTracker(_TrackerBase):

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import os
 import random
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import settings
 
 from repro.core.event import Event
 from repro.core.incmerge import IncrementalMergeLayer
+
+#: HYPOTHESIS_PROFILE=nightly runs every property 2000 times (the nightly
+#: CI job does, for the bit-exact close-path properties)
+settings.register_profile("nightly", max_examples=2000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_stream(

@@ -20,8 +20,11 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.conformance.oracle import naive_results
 from repro.core.engine import AggregationEngine, EngineStats, GroupRuntime
@@ -40,6 +43,7 @@ from repro.core.query import Query, WindowSpec
 from repro.core.results import ResultSink
 from repro.core.slices import Slice, SliceStore
 from repro.core.types import AggFunction, OperatorKind, SharingPolicy
+from repro.datagen import DataGenerator, DataGeneratorConfig
 from repro.network.messages import ContextPartial, SliceRecord
 
 from tests.conftest import make_stream, plain_scan
@@ -271,6 +275,208 @@ class TestFifoAggregator:
             behind = layer.close(store, first - 2, first + 4, 0, kinds, 40, True)
             assert behind == scan(store, first - 2, first + 4)
             assert behind[1] == 7 * 3 and behind[2] == 7 * 3
+
+
+# -- FifoAggregator bit for bit ------------------------------------------------------
+
+#: the NaN every invalid operation returns on this platform, so that a NaN
+#: a merge makes (inf - inf, 0 * inf) has the bits of one it is handed
+NAN = math.inf - math.inf
+
+#: per kind, partials whose fold gives the same bits in every association,
+#: so the brute force is the exact reference however Two-Stacks groups the
+#: merges — but not in every operand order, nor from a seeded identity
+#: (``0.0 + -0.0`` is ``0.0``).  Subnormals only sum exactly among
+#: themselves, and lose a product against an infinity, so they stay in
+#: SUM_OF_SQUARES and in the extrema.
+EXACT_PARTIALS = {
+    OperatorKind.SUM: (-math.inf, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, math.inf, NAN),
+    OperatorKind.SUM_OF_SQUARES: (
+        -math.inf, -5e-324, -0.0, 0.0, 5e-324, 1e-323, math.inf, NAN,
+    ),
+    OperatorKind.MULTIPLICATION: (
+        -math.inf, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, math.inf, NAN,
+    ),
+}
+#: the ends of extrema pairs
+EXTREMA = (-math.inf, -1.0, -0.0, 0.0, 5e-324, 1.0, math.inf)
+#: extrema that tie between 0.0 and -0.0, where the older operand must win
+SIGNED_ZERO_PAIRS = ((0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0))
+
+
+def exact_partial(kind):
+    if kind is OperatorKind.COUNT:
+        return st.integers(0, 9)
+    if kind is OperatorKind.DECOMPOSABLE_SORT:
+        end = st.sampled_from(EXTREMA)
+        return st.none() | st.tuples(end, end).map(lambda pair: tuple(sorted(pair)))
+    return st.sampled_from(EXACT_PARTIALS[kind])
+
+
+def palette(kind):
+    """The few partials of ``kind`` a schedule's items draw from; about
+    half the schedules tie their extrema between zeros of both signs, so
+    which operand a merge keeps shows in every query."""
+    values = st.lists(exact_partial(kind), min_size=1, max_size=3)
+    if kind is OperatorKind.DECOMPOSABLE_SORT:
+        values |= st.just(SIGNED_ZERO_PAIRS)
+    return values
+
+
+@st.composite
+def schedules(draw):
+    """Rounds of (items pushed, items evicted, evict before the pushes,
+    query).  Each schedule draws its items' partials from a
+    :func:`palette` per kind, so tied extrema and windows of nothing but
+    ``-0.0`` are common; any kind may be missing from an item (an operator planned
+    after the slice closed, a record that never carried it)."""
+    palettes = {
+        kind: st.sampled_from(draw(palette(kind)))
+        for kind in TestFifoAggregator.KINDS
+    }
+    item = st.tuples(st.fixed_dictionaries({}, optional=palettes), st.integers(0, 4))
+    return draw(st.lists(
+        st.tuples(st.lists(item, max_size=6), st.integers(0, 6),
+                  st.booleans(), st.booleans()),
+        max_size=40,
+    ))
+
+
+def bits(value):
+    if isinstance(value, float):
+        return struct.pack(">d", value)
+    if isinstance(value, tuple):
+        return tuple(map(bits, value))
+    return value
+
+
+def carries(ops, kind):
+    """Whether an item takes part in ``kind``'s fold: the extrema always
+    (a missing pair is ``None``), any other kind where present."""
+    return kind is OperatorKind.DECOMPOSABLE_SORT or ops.get(kind) is not None
+
+
+class EagerMergeCount:
+    """The ``merge_partials`` calls of a Two-Stacks that folds its back
+    prefix at every push, on the same schedule: a push merges each kind it
+    carries into the back, a flip folds each kind's carriers into suffixes,
+    and a query merges front and back where both carry the kind."""
+
+    def __init__(self, kinds):
+        self.kinds = kinds
+        self.front: list[tuple] = []
+        self.back: list[tuple] = []
+        self.merge_ops = 0
+
+    def _carriers(self, items, kind):
+        return sum(carries(ops, kind) for _, ops, _ in items)
+
+    def push(self, item):
+        self.merge_ops += sum(
+            carries(item[1], kind) and self._carriers(self.back, kind) > 0
+            for kind in self.kinds
+        )
+        self.back.append(item)
+
+    def evict_below(self, bound):
+        while True:
+            if self.front:
+                if self.front[0][0] >= bound:
+                    return
+                self.front.pop(0)
+            elif self.back and self.back[0][0] < bound:
+                self.merge_ops += sum(
+                    max(self._carriers(self.back, kind) - 1, 0)
+                    for kind in self.kinds
+                )
+                self.front, self.back = self.back, []
+            else:
+                return
+
+    def query(self):
+        self.merge_ops += sum(
+            self._carriers(self.front, kind) > 0
+            and self._carriers(self.back, kind) > 0
+            for kind in self.kinds
+        )
+
+
+class TestTwoStacksBitExact:
+    @settings(deadline=None)
+    @given(rounds=schedules())
+    def test_schedule_matches_brute_force_bit_for_bit(self, rounds):
+        """Every query equals the oldest-to-newest ``merge_partials`` fold of
+        the live items in every bit — signed zeros, infinities, NaNs,
+        subnormals, and which of two tied extrema wins; a kind no live item
+        carries is absent.  Where every batch of pushes is queried before
+        the next eviction (the engine's and the root's order), the merge
+        count is the eager structure's; elsewhere it is at most that."""
+        kinds = TestFifoAggregator.KINDS
+        agg = FifoAggregator(kinds)
+        eager = EagerMergeCount(kinds)
+        live: list[tuple] = []
+        pos = 0
+        unqueried = False
+        every_batch_queried = True
+
+        def evict(drop):
+            nonlocal live, every_batch_queried
+            every_batch_queried &= not unqueried
+            bound = live[drop][0] if drop < len(live) else pos
+            agg.evict_below(bound)
+            eager.evict_below(bound)
+            live = live[drop:] if drop < len(live) else []
+
+        for pushes, drop, evict_first, query in rounds:
+            if evict_first:
+                evict(drop)
+            for ops, count in pushes:
+                item = (pos, ops, count)
+                pos += 1
+                live.append(item)
+                agg.push(*item)
+                eager.push(item)
+                unqueried = True
+            if not evict_first:
+                evict(drop)
+            if query:
+                got, got_count = agg.query()
+                eager.query()
+                unqueried = False
+                want, want_count = brute_force(live, kinds)
+                assert got_count == want_count
+                assert {k: bits(v) for k, v in got.items()} == {
+                    k: bits(v) for k, v in want.items()
+                }
+            assert len(agg) == len(live)
+        if every_batch_queried and not unqueried:
+            assert agg.merge_ops == eager.merge_ops
+        else:
+            assert agg.merge_ops <= eager.merge_ops
+
+
+# -- pinned: the merge work of a group with several lengths and slides ---------------
+
+
+def test_sliding_overlap_mix_merge_work_is_pinned():
+    """The benchmark's ``sliding_overlap`` queries — lengths 1.28–12.8 s,
+    slides of one to ten 20 ms slices, all at overlap 64 — over 20 000
+    events: how many merges lazy folding across several-slice slides runs."""
+    events = DataGenerator(
+        DataGeneratorConfig(keys=tuple(f"k{i}" for i in range(10)), rate=5_000.0),
+        seed=1,
+    ).events(20_000)
+    engine = run_engine(
+        [
+            Query.of(f"{fn.name.lower()}_{length}", WindowSpec.sliding(length, slide), fn)
+            for length, slide in ((6400, 100), (3200, 50), (12800, 200), (1280, 20))
+            for fn in (AggFunction.AVERAGE, AggFunction.MAX, AggFunction.SUM,
+                       AggFunction.MIN)
+        ],
+        events,
+    )
+    stats = engine.stats
+    assert (stats.merge_ops, stats.windows_closed, stats.results) == (6_492, 344, 1_376)
 
 
 # -- randomized engine parity -------------------------------------------------------

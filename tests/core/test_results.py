@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
+
 from repro.core.results import ResultSink, WindowResult
 
 
@@ -37,6 +41,55 @@ class TestResultSink:
     def test_str_shows_bounds_and_value(self):
         text = str(result(qid="avg", start=5, end=10, value=2.5, count=3))
         assert "avg" in text and "[5..10)" in text and "2.5" in text and "n=3" in text
+
+
+class TestWindowResultContract:
+    """One frozen, slotted, hashable record, however it is built."""
+
+    def test_keyword_and_positional_builds_agree(self):
+        shed = (("local-0", 10, 20),)
+        by_keyword = WindowResult(
+            query_id="q", start=0, end=100, value=-0.0, event_count=3,
+            emitted_at=105, shed_slices=shed, completeness=0.5,
+        )
+        by_position = WindowResult("q", 0, 100, -0.0, 3, 105, shed, 0.5)
+        assert by_keyword == by_position
+        assert hash(by_keyword) == hash(by_position)
+        assert repr(by_keyword) == repr(by_position) == (
+            "WindowResult(query_id='q', start=0, end=100, value=-0.0, "
+            "event_count=3, emitted_at=105, "
+            "shed_slices=(('local-0', 10, 20),), completeness=0.5)"
+        )
+        assert by_keyword != dataclasses.replace(by_keyword, value=0.5)
+
+    def test_defaults_apply(self):
+        bare = WindowResult("q", 0, 100, None)
+        assert (bare.event_count, bare.emitted_at, bare.shed_slices,
+                bare.completeness) == (0, 0, (), 1.0)
+        assert not bare.degraded
+
+    def test_frozen_and_slotted(self):
+        record = result()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.value = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del record.start
+        assert not hasattr(record, "__dict__")
+
+    def test_dataclass_helpers(self):
+        record = result(value=2.5, count=4)
+        assert [f.name for f in dataclasses.fields(WindowResult)] == [
+            "query_id", "start", "end", "value", "event_count", "emitted_at",
+            "shed_slices", "completeness",
+        ]
+        assert dataclasses.asdict(record) == {
+            "query_id": "q", "start": 0, "end": 100, "value": 2.5,
+            "event_count": 4, "emitted_at": 0, "shed_slices": (),
+            "completeness": 1.0,
+        }
+        moved = dataclasses.replace(record, start=100, end=200)
+        assert (moved.start, moved.end, moved.value) == (100, 200, 2.5)
+        assert record.start == 0
 
 
 class TestWindowTrackers:

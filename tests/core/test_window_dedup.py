@@ -133,6 +133,59 @@ class TestRuntimeInteraction:
         assert [r.value for r in sink.for_query("early")] == [3.0, 4.0]
         assert [r.value for r in sink.for_query("late")] == [4.0]
 
+    @pytest.mark.parametrize("change", ["join", "leave_drain", "leave_now", "swap"])
+    def test_subscriber_change_on_a_shared_sliding_tracker(self, change):
+        """A query joins or leaves a sliding tracker whose windows overlap
+        by 16: every subscriber's rows are those of an engine running that
+        query alone, cut to the windows it was subscribed to.  Each window
+        merges the kinds of the subscribers it opened with — a join adds
+        SUM and COUNT to a MAX tracker, a draining leaver keeps its kind
+        after leaving, a ``drain=False`` leaver is stripped from the windows
+        it had joined, and in a swap the windows of the leaver and of the
+        joiner, as many subscribers each, close one after the other."""
+        spec = WindowSpec.sliding(400, 25)
+        stay = Query.of("stay", spec, AggFunction.MAX)
+        joiner = Query.of("joiner", spec, AggFunction.AVERAGE)
+        leaver = Query.of(
+            "leaver", spec,
+            AggFunction.COUNT if change == "leave_now" else AggFunction.SUM,
+        )
+        events = make_stream(1_500, dt_choices=(2, 5, 9))
+        cut = 600
+        at = events[cut - 1].time
+        engine = AggregationEngine([stay] if change == "join" else [stay, leaver])
+        engine.process_batch(events[:cut])
+        if change != "join":
+            engine.remove_query("leaver", drain=change != "leave_now")
+        if change in ("join", "swap"):
+            engine.add_query(joiner)
+        engine.process_batch(events[cut:])
+        engine.close()
+        assert len(engine.groups[0].fixed) == 1
+
+        subscribed = {
+            "stay": lambda r: True,
+            "joiner": lambda r: r.start > at,
+            "leaver": (
+                (lambda r: r.end <= at) if change == "leave_now"
+                else (lambda r: r.start <= at)
+            ),
+        }
+        for query in (stay, joiner, leaver):
+            alone = AggregationEngine([query])
+            alone.process_batch(events)
+            expected = [r for r in alone.close() if subscribed[query.query_id](r)]
+            if query is joiner and change not in ("join", "swap"):
+                expected = []
+            if query is leaver and change == "join":
+                expected = []
+            assert [
+                (r.start, r.end, repr(r.value), r.event_count)
+                for r in engine.sink.for_query(query.query_id)
+            ] == [
+                (r.start, r.end, repr(r.value), r.event_count) for r in expected
+            ], query.query_id
+
     def test_scaling_many_identical_queries_is_cheap(self):
         """10k identical queries: one shared tracker, per-query work only
         at result materialization (the paper's 'millions of queries')."""
