@@ -33,7 +33,7 @@ from repro.core.event import Event
 from repro.core.functions import finalize, operators_for
 from repro.core.grid import PunctuationGrid
 from repro.core.incmerge import IncrementalMergeLayer
-from repro.core.operators import OperatorSetState
+from repro.core.operators import PENDING_CAP, OperatorSetState
 from repro.core.query import Query
 from repro.core.results import ResultSink, WindowResult
 from repro.core.slices import Slice, SliceStore
@@ -185,7 +185,8 @@ class GroupRuntime:
 
         self.selections = list(group.selections)
         #: key-indexed selection routing used by the batched fast path;
-        #: the per-event path keeps the linear scan (its cost model)
+        #: the per-event path reads only whether any context is routed,
+        #: and if so keeps the linear scan (its cost model)
         self._router = group.build_router()
         #: selection contexts carrying the deduplication operator
         self._dedup_ctxs = frozenset(
@@ -711,21 +712,28 @@ class GroupRuntime:
         elif self._scan_next is None or self._scan_next <= time:
             self._drain(time)
 
-        # The linear scan ``selection_checks`` bills, indexed by hand: a
-        # comprehension over ``enumerate`` would add a call frame, an
-        # iterator and a tuple per event (~0.25 us of this path's ~0.9).
         stats = self.stats
-        matched: list[int] = []
-        index = 0
-        for selection in self.selections:
-            if selection.matches(event):
-                matched.append(index)
-            index += 1
-        stats.selection_checks += index
-        if self._dedup_ctxs and matched:
-            matched = self._apply_dedup(
-                (time, event.key, event.value, event.marker), matched
-            )
+        router = self._router
+        if router.routed:
+            # The linear scan ``selection_checks`` bills (Fig 7e's cost
+            # model), indexed by hand: a comprehension over ``enumerate``
+            # would add a call frame, an iterator and a tuple per event.
+            matched: list[int] = []
+            index = 0
+            for selection in self.selections:
+                if selection.matches(event):
+                    matched.append(index)
+                index += 1
+            stats.selection_checks += index
+            if self._dedup_ctxs and matched:
+                matched = self._apply_dedup(
+                    (time, event.key, event.value, event.marker), matched
+                )
+        else:
+            # Every context is whole: each takes every event, so there is
+            # nothing to test.  The bill is still the linear scan's.
+            matched = router.whole
+            stats.selection_checks += router.total
 
         # ``matched`` is final from here on.  Only session, user-defined
         # and count windows punctuate on the events themselves.
@@ -735,13 +743,19 @@ class GroupRuntime:
             self._open_data_driven(event, matched_set)
 
         if matched:
+            # ``OperatorSetState.insert``, inlined: the value joins the
+            # context's buffer, and the states fold it a cap's worth later.
             contexts = self.current.contexts
             value = event.value
             for ctx in matched:
                 state = contexts.get(ctx)
                 if state is None:
                     state = contexts[ctx] = OperatorSetState(self.operators)
-                state.insert(value)
+                state.inserts += 1
+                pending = state.pending
+                pending.append(value)
+                if len(pending) >= PENDING_CAP:
+                    state.fold()
             stats.inserts += len(matched)
             stats.calculations += len(matched) * len(self.operators)
             if self.track_spans:
@@ -1295,10 +1309,14 @@ class AggregationEngine:
         return len(self.groups)
 
     def process(self, event: Event) -> None:
-        """Process one event (events must arrive in timestamp order)."""
-        self.stats.events += 1
+        """Process one event (events must arrive in timestamp order).
+
+        It is billed once the groups have taken it: one they reject as
+        out of order is not an event, as under :meth:`process_batch`.
+        """
         for group in self.groups:
             group.process(event)
+        self.stats.events += 1
 
     def process_batch(self, events: Sequence[Event]) -> None:
         """Process an ordered batch of events through the fast path.

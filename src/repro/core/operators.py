@@ -7,9 +7,17 @@ different functions can still share per-event work: an ``average`` and a
 
 Each operator has two representations:
 
-* a mutable *state* (:class:`SumState` etc.) updated once per event inside
-  the currently open slice, and
+* a mutable *state* (:class:`SumState` etc.) that folds the values of the
+  currently open slice, and
 * an immutable *partial result* produced when the slice is terminated.
+
+A state has one way in, the bulk ``insert_many`` fold.  The values of one
+selection context are buffered by its :class:`OperatorSetState` — at most
+:data:`PENDING_CAP` of them — and folded through every state at once, so
+an event pays no Python call per operator; a run from the batched path is
+folded directly.  Every fold is the sequential left fold (same float
+order, same extrema comparisons, NaN included), so the partials do not
+depend on where the stream was chunked.
 
 Partial results are plain Python values (floats, ints, tuples, lists) so
 they can be merged associatively across slices and across nodes, and can be
@@ -47,6 +55,7 @@ __all__ = [
     "NonDecomposableSortState",
     "SumOfSquaresState",
     "OperatorSetState",
+    "PENDING_CAP",
     "make_state",
     "empty_partial",
     "merge_partials",
@@ -63,12 +72,10 @@ class SumState:
     def __init__(self) -> None:
         self.total = 0.0
 
-    def insert(self, value: float) -> None:
-        self.total += value
-
     def insert_many(self, values: Sequence[float]) -> None:
-        # Sequential accumulation in a local: bit-identical to repeated
-        # insert() (float addition is order-sensitive), one write-back.
+        # A sequential left fold in a local (float addition is
+        # order-sensitive, so chunking a stream never moves a bit), one
+        # write-back.
         total = self.total
         for value in values:
             total += value
@@ -87,9 +94,6 @@ class CountState:
     def __init__(self) -> None:
         self.count = 0
 
-    def insert(self, value: float) -> None:
-        self.count += 1
-
     def insert_many(self, values: Sequence[float]) -> None:
         self.count += len(values)
 
@@ -105,9 +109,6 @@ class MultiplicationState:
 
     def __init__(self) -> None:
         self.product = 1.0
-
-    def insert(self, value: float) -> None:
-        self.product *= value
 
     def insert_many(self, values: Sequence[float]) -> None:
         product = self.product
@@ -129,19 +130,9 @@ class DecomposableSortState:
         self.lo: float | None = None
         self.hi: float | None = None
 
-    def insert(self, value: float) -> None:
-        if self.lo is None:
-            self.lo = value
-            self.hi = value
-            return
-        if value < self.lo:
-            self.lo = value
-        elif value > self.hi:  # type: ignore[operator]
-            self.hi = value
-
     def insert_many(self, values: Sequence[float]) -> None:
-        # The same comparison sequence as repeated insert() (min()/max()
-        # would treat NaNs differently), run on locals.
+        # One comparison per value, in stream order (min()/max() would
+        # treat NaNs differently), run on locals.
         lo = self.lo
         hi = self.hi
         for value in values:
@@ -175,9 +166,6 @@ class SumOfSquaresState:
     def __init__(self) -> None:
         self.total = 0.0
 
-    def insert(self, value: float) -> None:
-        self.total += value * value
-
     def insert_many(self, values: Sequence[float]) -> None:
         total = self.total
         for value in values:
@@ -200,9 +188,6 @@ class NonDecomposableSortState:
 
     def __init__(self) -> None:
         self.values: list[float] = []
-
-    def insert(self, value: float) -> None:
-        self.values.append(value)
 
     def insert_many(self, values: Sequence[float]) -> None:
         self.values.extend(values)
@@ -328,41 +313,63 @@ def merge_many_partials(kind: OperatorKind, parts: Iterable[Any]) -> Any:
     raise EngineError(f"unknown operator kind: {kind!r}")
 
 
+#: values an :class:`OperatorSetState` buffers before it folds them: the
+#: bound on an open context's buffer, and the run each state's dispatch is
+#: paid once for on the per-event path
+PENDING_CAP = 256
+
+
 class OperatorSetState:
     """The shared operator states of one selection context in one slice.
 
-    ``insert`` applies an event's value to every operator exactly once; this
-    is the paper's core sharing mechanism — no matter how many queries need
-    a ``sum``, the slice holds a single :class:`SumState`.
+    Every value is applied to every operator exactly once; this is the
+    paper's core sharing mechanism — no matter how many queries need a
+    ``sum``, the slice holds a single :class:`SumState`.
+
+    A value reaches the states one way, through their ``insert_many``
+    folds: :meth:`insert` buffers it in ``pending`` (at most
+    :data:`PENDING_CAP` values), and the buffer is folded when it fills,
+    before a run from :meth:`insert_many`, and when :meth:`partials` reads
+    the states.
     """
 
-    __slots__ = ("kinds", "states", "inserts", "_inserts")
+    __slots__ = ("kinds", "states", "inserts", "pending")
 
     def __init__(self, kinds: Sequence[OperatorKind]) -> None:
         self.kinds = tuple(kinds)
         self.states = tuple(make_state(kind) for kind in kinds)
         self.inserts = 0
-        #: each state's ``insert``, bound once instead of once per value
-        self._inserts = tuple(state.insert for state in self.states)
+        #: values inserted one at a time and not folded yet, in order
+        self.pending: list[float] = []
 
     def insert(self, value: float) -> None:
         self.inserts += 1
-        for insert in self._inserts:
-            insert(value)
+        pending = self.pending
+        pending.append(value)
+        if len(pending) >= PENDING_CAP:
+            self.fold()
 
     def insert_many(self, values: Sequence[float]) -> None:
-        """Apply a run of values to every operator.
-
-        Equivalent to repeated :meth:`insert` — including float rounding,
-        since every state accumulates in the same order — but each state
-        pays the Python dispatch once per run instead of once per event.
-        """
+        """Apply a run of values to every operator, after the buffered
+        ones: each state pays its dispatch once per run."""
+        if self.pending:
+            self.fold()
         self.inserts += len(values)
         for state in self.states:
             state.insert_many(values)
 
+    def fold(self) -> None:
+        """Apply the buffered values to every operator and empty the
+        buffer."""
+        pending = self.pending
+        for state in self.states:
+            state.insert_many(pending)
+        pending.clear()
+
     def partials(self) -> dict[OperatorKind, Any]:
         """Freeze this state set into per-operator partial results."""
+        if self.pending:
+            self.fold()
         return {state.kind: state.partial() for state in self.states}
 
     @property

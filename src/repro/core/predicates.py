@@ -100,8 +100,8 @@ class SelectionRouter:
     contexts.
 
     The per-event engine path scans every selection operator linearly (the
-    cost model behind Fig 7e).  The batched paths split the contexts in
-    two instead:
+    cost model behind Fig 7e) unless all contexts are whole, when it
+    scans none.  The batched paths split the contexts in two instead:
 
     * *whole* contexts — pass-all and not deduplicating — take every row,
       so a slice-run hands them its stretch of the value column as is;

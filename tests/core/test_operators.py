@@ -7,7 +7,7 @@ import math
 import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.operators import (
@@ -15,6 +15,7 @@ from repro.core.operators import (
     DecomposableSortState,
     MultiplicationState,
     NonDecomposableSortState,
+    PENDING_CAP,
     OperatorSetState,
     SumState,
     empty_partial,
@@ -46,26 +47,22 @@ def bits(values):
 class TestStates:
     def test_sum(self):
         state = SumState()
-        for v in (1.0, 2.5, -0.5):
-            state.insert(v)
+        state.insert_many([1.0, 2.5, -0.5])
         assert state.partial() == pytest.approx(3.0)
 
     def test_count(self):
         state = CountState()
-        for v in (9.0, 9.0, 9.0, 1.0):
-            state.insert(v)
+        state.insert_many([9.0, 9.0, 9.0, 1.0])
         assert state.partial() == 4
 
     def test_multiplication(self):
         state = MultiplicationState()
-        for v in (2.0, 3.0, 0.5):
-            state.insert(v)
+        state.insert_many([2.0, 3.0, 0.5])
         assert state.partial() == pytest.approx(3.0)
 
     def test_decomposable_sort_tracks_extrema(self):
         state = DecomposableSortState()
-        for v in (5.0, -1.0, 3.0, 7.0):
-            state.insert(v)
+        state.insert_many([5.0, -1.0, 3.0, 7.0])
         assert state.partial() == (-1.0, 7.0)
 
     def test_decomposable_sort_empty_is_none(self):
@@ -73,10 +70,13 @@ class TestStates:
 
     def test_non_decomposable_sort_sorts_lazily(self):
         state = NonDecomposableSortState()
-        for v in (3.0, 1.0, 2.0):
-            state.insert(v)
+        state.insert_many([3.0, 1.0, 2.0])
         assert state.values == [3.0, 1.0, 2.0]
         assert state.partial() == [1.0, 2.0, 3.0]
+
+    def test_states_have_one_way_in(self):
+        for kind in ALL_KINDS:
+            assert not hasattr(make_state(kind), "insert")
 
     def test_make_state_returns_matching_kind(self):
         for kind in ALL_KINDS:
@@ -89,12 +89,10 @@ class TestMerge:
     def test_merge_equals_combined_insert(self, kind, left, right):
         """Merging two partials equals inserting both value lists into one state."""
         a, b, combined = make_state(kind), make_state(kind), make_state(kind)
-        for v in left:
-            a.insert(v)
-            combined.insert(v)
-        for v in right:
-            b.insert(v)
-            combined.insert(v)
+        a.insert_many(left)
+        combined.insert_many(left)
+        b.insert_many(right)
+        combined.insert_many(right)
         merged = merge_partials(kind, a.partial(), b.partial())
         expected = combined.partial()
         if kind is OperatorKind.MULTIPLICATION:
@@ -106,8 +104,7 @@ class TestMerge:
     @given(values=values_lists)
     def test_empty_partial_is_identity(self, kind, values):
         state = make_state(kind)
-        for v in values:
-            state.insert(v)
+        state.insert_many(values)
         part = state.partial()
         assert merge_partials(kind, empty_partial(kind), part) == part
         assert merge_partials(kind, part, empty_partial(kind)) == part
@@ -118,8 +115,7 @@ class TestMerge:
         partials = []
         for chunk in chunks:
             state = make_state(kind)
-            for v in chunk:
-                state.insert(v)
+            state.insert_many(chunk)
             partials.append(state.partial())
         pairwise = empty_partial(kind)
         for part in partials:
@@ -144,6 +140,16 @@ class TestMerge:
         if left and right:
             assert merged is not left and merged is not right
 
+    @given(runs=st.lists(sorted_runs, max_size=8))
+    def test_ndsort_k_way_merge_is_a_stable_sort_of_the_runs_in_order(self, runs):
+        """The k-way close, 0 to 8 runs: a stable ``sorted()`` of the runs
+        concatenated in order, bit for bit (an earlier run's ``-0.0`` or
+        duplicate before a later run's), and no run moves."""
+        before = [bits(run) for run in runs]
+        merged = merge_many_partials(OperatorKind.NON_DECOMPOSABLE_SORT, runs)
+        assert bits(merged) == bits(sorted(v for run in runs for v in run))
+        assert [bits(run) for run in runs] == before
+
 
 class TestOperatorSetState:
     def test_insert_touches_every_operator_once(self):
@@ -161,3 +167,129 @@ class TestOperatorSetState:
         state.insert(1.0)
         assert state.partials() == {}
         assert state.calculations == 0
+
+
+# -- the per-value fold, test-side ---------------------------------------------
+#
+# Each state's ``insert`` as it was before every value went through
+# ``insert_many``, verbatim (``self`` is the state): the reference the
+# buffered bulk fold must match bit for bit.
+
+
+def _insert_sum(self, value: float) -> None:
+    self.total += value
+
+
+def _insert_count(self, value: float) -> None:
+    self.count += 1
+
+
+def _insert_multiplication(self, value: float) -> None:
+    self.product *= value
+
+
+def _insert_decomposable_sort(self, value: float) -> None:
+    if self.lo is None:
+        self.lo = value
+        self.hi = value
+        return
+    if value < self.lo:
+        self.lo = value
+    elif value > self.hi:  # type: ignore[operator]
+        self.hi = value
+
+
+def _insert_sum_of_squares(self, value: float) -> None:
+    self.total += value * value
+
+
+def _insert_non_decomposable_sort(self, value: float) -> None:
+    self.values.append(value)
+
+
+PER_VALUE_INSERT = {
+    OperatorKind.SUM: _insert_sum,
+    OperatorKind.COUNT: _insert_count,
+    OperatorKind.MULTIPLICATION: _insert_multiplication,
+    OperatorKind.DECOMPOSABLE_SORT: _insert_decomposable_sort,
+    OperatorKind.SUM_OF_SQUARES: _insert_sum_of_squares,
+    OperatorKind.NON_DECOMPOSABLE_SORT: _insert_non_decomposable_sort,
+}
+
+
+def partial_bits(part):
+    """A partial with every float as its IEEE-754 bytes (NaN included)."""
+    if part is None or isinstance(part, int):
+        return part
+    if isinstance(part, float):
+        return struct.pack(">d", part)
+    return tuple(bits(part))
+
+
+edge_or_nan = st.sampled_from(EDGE_FLOATS + [math.nan])
+
+#: one step of a slice's life: ``n`` single inserts cycling through a
+#: pattern (up to two caps' worth, so the buffer fills and folds), a run
+#: through ``insert_many``, or a mid-slice read of the partials
+steps = st.one_of(
+    st.tuples(
+        st.just("insert"),
+        st.lists(edge_or_nan, min_size=1, max_size=12),
+        st.integers(0, 2 * PENDING_CAP + 1),
+    ),
+    st.tuples(st.just("many"), st.lists(edge_or_nan, max_size=40)),
+    st.tuples(st.just("read")),
+)
+
+
+class TestBufferedFoldBitExact:
+    """However the values of a slice arrive — one at a time through the
+    buffer, in runs, with partials read in between (as ``engine_state``
+    reads an open slice) — the partials are the per-value fold's, bit for
+    bit, and the buffer never holds a cap's worth."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @given(schedule=st.lists(steps, max_size=8))
+    @example(schedule=[
+        ("insert", [1.5, -0.0, math.nan], PENDING_CAP - 1),
+        ("read",),
+        ("insert", [2.5], 2),
+        ("many", [math.inf, 5e-324]),
+        ("insert", [-2.5, 0.0], 2 * PENDING_CAP + 1),
+        ("read",),
+    ])
+    def test_any_schedule_folds_like_one_value_at_a_time(self, kind, schedule):
+        ops = OperatorSetState((kind,))
+        reference = make_state(kind)
+        insert = PER_VALUE_INSERT[kind]
+        count = 0
+        for step in schedule:
+            if step[0] == "insert":
+                _, pattern, n = step
+                for i in range(n):
+                    value = pattern[i % len(pattern)]
+                    ops.insert(value)
+                    insert(reference, value)
+                    assert len(ops.pending) < PENDING_CAP
+                count += n
+            elif step[0] == "many":
+                ops.insert_many(step[1])
+                for value in step[1]:
+                    insert(reference, value)
+                assert not ops.pending
+                count += len(step[1])
+            else:
+                assert partial_bits(ops.partials()[kind]) == partial_bits(
+                    reference.partial()
+                )
+                assert not ops.pending
+        assert ops.inserts == count
+        assert partial_bits(ops.partials()[kind]) == partial_bits(reference.partial())
+        assert not ops.pending
+
+    def test_an_empty_set_buffers_no_more_than_a_cap(self):
+        ops = OperatorSetState(())
+        for _ in range(3 * PENDING_CAP):
+            ops.insert(1.0)
+            assert len(ops.pending) < PENDING_CAP
+        assert ops.partials() == {} and ops.inserts == 3 * PENDING_CAP

@@ -30,10 +30,11 @@ from repro.core.engine import (
 )
 from repro.core.errors import OutOfOrderError
 from repro.core.event import Event
+from repro.core.operators import PENDING_CAP
 from repro.core.predicates import Selection
 from repro.core.query import Query, WindowSpec
 from repro.core.results import ResultSink
-from repro.core.types import AggFunction, WindowMeasure
+from repro.core.types import AggFunction, OperatorKind, WindowMeasure
 
 from tests.core.test_batch_parity import heap_state, result_key, tracker_state
 from tests.core.test_slicing_grid import Cuts
@@ -441,3 +442,98 @@ class TestCallCounts:
         engine.remove_query("w2")
         feed(60)
         assert set(calls.values()) == {50}
+
+
+def counting_matches(monkeypatch) -> list[int]:
+    """Count ``Selection.matches`` calls (patched on the class)."""
+    calls = [0]
+    original = Selection.matches
+
+    def counted(self, event):
+        calls[0] += 1
+        return original(self, event)
+
+    monkeypatch.setattr(Selection, "matches", counted)
+    return calls
+
+
+class TestSelectionScan:
+    """Fig 7e's cost model: a group that filters scans every selection per
+    event; a group whose contexts all take every event scans none of them,
+    and is billed as if it had."""
+
+    EVENTS = [Event(t, "ab"[t % 2], float(t % 7)) for t in range(0, 600, 3)]
+
+    def run(self, selections, monkeypatch):
+        queries = [
+            Query.of(f"q{i}", WindowSpec.tumbling(100 + 50 * i), AggFunction.SUM,
+                     selection=selection)
+            for i, selection in enumerate(selections)
+        ]
+        engine = AggregationEngine(queries)
+        (runtime,) = engine.groups
+        calls = counting_matches(monkeypatch)
+        for event in self.EVENTS:
+            engine.process(event)
+        engine.close()
+        return engine, runtime, calls[0]
+
+    def test_a_whole_only_group_makes_no_matches_call(self, monkeypatch):
+        engine, runtime, calls = self.run([Selection()] * 3, monkeypatch)
+        assert not runtime._router.routed
+        assert calls == 0
+        n = len(runtime.selections)
+        assert engine.stats.selection_checks == n * len(self.EVENTS)
+        assert engine.stats.inserts == n * len(self.EVENTS)
+
+    def test_a_keyed_context_makes_the_group_scan(self, monkeypatch):
+        engine, runtime, calls = self.run(
+            [Selection(key="a", hi=3.0), Selection(lo=3.0, hi=5.0),
+             Selection(lo=5.0)],
+            monkeypatch,
+        )
+        n = len(runtime.selections)
+        assert n == 3 and runtime._router.routed
+        assert calls == n * len(self.EVENTS)
+        assert engine.stats.selection_checks == calls
+
+
+def test_an_open_context_buffers_less_than_a_cap():
+    """``process`` appends to the open slice's buffer inline; it folds at
+    the same cap ``OperatorSetState.insert`` does."""
+    engine = AggregationEngine(
+        [Query.of("sum", WindowSpec.tumbling(10_000), AggFunction.SUM)]
+    )
+    (runtime,) = engine.groups
+    for t in range(3 * PENDING_CAP):
+        engine.process(Event(t, "k", float(t)))
+        (state,) = runtime.current.contexts.values()
+        assert len(state.pending) < PENDING_CAP
+    assert state.inserts == 3 * PENDING_CAP
+    assert state.partials()[OperatorKind.SUM] == sum(map(float, range(3 * PENDING_CAP)))
+
+
+class TestRejectedEventsAreNotBilled:
+    """An event a group rejects as out of order is not an event, whichever
+    path it came in on."""
+
+    EVENTS = [Event(5, "k", 1.0), Event(7, "k", 2.0), Event(3, "k", 4.0)]
+
+    def engine(self) -> AggregationEngine:
+        return AggregationEngine(
+            [Query.of("sum", WindowSpec.tumbling(10), AggFunction.SUM)]
+        )
+
+    def test_per_event(self):
+        engine = self.engine()
+        engine.process(self.EVENTS[0])
+        engine.process(self.EVENTS[1])
+        with pytest.raises(OutOfOrderError):
+            engine.process(self.EVENTS[2])
+        assert engine.stats.events == engine.stats.inserts == 2
+
+    def test_batched(self):
+        engine = self.engine()
+        with pytest.raises(OutOfOrderError):
+            engine.process_batch(self.EVENTS)
+        assert engine.stats.events == engine.stats.inserts == 0
