@@ -2,8 +2,6 @@
 
 Not figures from the paper — these isolate the mechanisms behind them:
 
-* scheduled-vs-scanned punctuations (the Fig 6 'calculate window ends in
-  advance' claim) on a punctuation-heavy workload;
 * operator sharing on/off with everything else equal (the Table 1
   decomposition, isolated from grouping effects);
 * binary vs string codec bytes on identical messages (the Fig 11b gap);
@@ -31,39 +29,6 @@ N = 80_000
 @pytest.fixture(scope="module")
 def events():
     return stream(N)
-
-
-def test_ablation_punctuation_heap_vs_scan(events, benchmark):
-    """Sliding windows with tiny slides produce dense punctuations; the
-    heap pays O(log n) only when one is due, the scan re-derives the next
-    due time after every cut."""
-    queries = [
-        Query.of(f"s{i}", WindowSpec.sliding(5_000, 100 + 20 * i), AggFunction.SUM)
-        for i in range(64)
-    ]
-
-    def run(mode):
-        engine = AggregationEngine(queries, punctuation_mode=mode)
-        import time as _time
-
-        started = _time.perf_counter()
-        for event in events:
-            engine.process(event)
-        engine.close()
-        return N / (_time.perf_counter() - started)
-
-    heap_rate = run("heap")
-    scan_rate = run("scan")
-    print_table(
-        "Ablation: punctuation strategy (64 dense sliding windows)",
-        ["strategy", "throughput"],
-        [["heap (Desis)", fmt_rate(heap_rate)], ["scan", fmt_rate(scan_rate)]],
-    )
-    # With the lazy next-due cache both are within a small constant; the
-    # scan's O(trackers) rediscovery after every cut is the residual cost.
-    # Reported, not asserted: the margin is a few percent and timing-noisy.
-    assert heap_rate > 0 and scan_rate > 0
-    benchmark.pedantic(lambda: run("heap"), rounds=1, iterations=1)
 
 
 def test_ablation_operator_sharing(events, benchmark):

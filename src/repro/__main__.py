@@ -70,11 +70,6 @@ def _events(args, n_keys: int = 4):
     return DataGenerator(config, seed=args.seed)
 
 
-def _engine_config(args, **extra) -> EngineConfig:
-    """Resolve the shared engine flag; ``None`` means the engine default."""
-    return EngineConfig(shards=args.shards or 1, **extra)
-
-
 def cmd_run(args) -> int:
     trace = bool(args.trace or args.trace_out)
     if trace and (args.shards or 1) > 1:
@@ -84,8 +79,8 @@ def cmd_run(args) -> int:
         )
     recorder = TraceRecorder() if trace else None
     session = DesisSession(
-        config=_engine_config(
-            args,
+        config=EngineConfig(
+            shards=args.shards or 1,
             measure_latency=args.measure_latency,
             latency_expiry_horizon_ms=(
                 args.latency_expiry_ms if args.latency_expiry_ms > 0 else None
@@ -198,9 +193,7 @@ def cmd_cluster(args) -> int:
     topology = three_tier(args.locals, 1)
     streams = _events(args).streams(args.locals, args.events)
     trace = bool(args.trace or args.trace_out)
-    config = ClusterConfig(
-        tick_interval=1_000, trace=trace, engine=_engine_config(args)
-    )
+    config = ClusterConfig(tick_interval=1_000, trace=trace)
     desis = DesisCluster(queries, topology, config=config).run(
         {k: list(v) for k, v in streams.items()}
     )
@@ -267,7 +260,6 @@ def _run_traced_desis(args):
     config = ClusterConfig(
         tick_interval=1_000,
         trace=True,
-        engine=_engine_config(args),
         fault_plan=fault_plan,
         checkpoint_interval=args.checkpoint_interval,
         checkpoint_dir=args.checkpoint_dir,
@@ -393,8 +385,8 @@ def cmd_conformance(args) -> int:
         run_conformance,
     )
 
-    # non-None shared engine flags pin the scenario knobs campaign-wide;
-    # left at None the generator's own draws stand
+    # a given --shards pins the scenario knob campaign-wide; left at None
+    # the generator's own draws stand
     overrides = {}
     if args.shards:
         overrides["shards"] = args.shards
@@ -453,7 +445,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 #: the flag set every verb shares, pinned by tests/test_cli.py
-SHARED_FLAGS = ("--seed", "--metrics-out", "--shards")
+SHARED_FLAGS = ("--seed", "--metrics-out")
 
 
 def _common_parent() -> argparse.ArgumentParser:
@@ -470,7 +462,8 @@ def _common_parent() -> argparse.ArgumentParser:
 
 
 def _engine_parent() -> argparse.ArgumentParser:
-    """The shared engine knob — registered once, inherited by every verb.
+    """The engine knob of the verbs that run the centralized engine (run,
+    compare, conformance) — registered once.
 
     It defaults to ``None`` (= the engine's own default), so each handler
     can tell \"user asked for X\" from \"user said nothing\" —
@@ -482,10 +475,7 @@ def _engine_parent() -> argparse.ArgumentParser:
                         help="partition the stream by key hash across N "
                              "worker processes with a deterministic reduce "
                              "at window close (DESIGN.md §13); fixed-size "
-                             "time windows only; simulated cluster verbs "
-                             "record it on ClusterConfig.engine without "
-                             "forking (their parallelism is modeled "
-                             "analytically)")
+                             "time windows only")
     return parent
 
 
@@ -620,11 +610,11 @@ def build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(handler=cmd_compare)
 
     cluster = sub.add_parser("cluster", help=COMMANDS["cluster"],
-                             parents=[common, engine, trace, deployment])
+                             parents=[common, trace, deployment])
     cluster.set_defaults(handler=cmd_cluster)
 
     report = sub.add_parser("report", help=COMMANDS["report"],
-                            parents=[common, engine, deployment, fault])
+                            parents=[common, deployment, fault])
     report.add_argument("--explain", action="store_true",
                         help="print the last window's slice provenance and "
                              "critical-path waterfall")
@@ -633,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(handler=cmd_report)
 
     profile = sub.add_parser("profile", help=COMMANDS["profile"],
-                             parents=[common, engine, deployment, fault])
+                             parents=[common, deployment, fault])
     profile.add_argument("--top", type=int, default=5,
                          help="how many slowest windows to waterfall "
                               "(default: 5)")

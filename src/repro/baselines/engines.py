@@ -1,14 +1,15 @@
 """Slicing engines under restricted sharing: Desis, Scotty, and DeSW.
 
-All three are the same sliced engine; they differ in the sharing policy the
-query analyzer applies and in how punctuations are found (Sec 6.1.1):
+All three are the same sliced engine, punctuation heap included; they
+differ in the sharing policy the query analyzer applies and in how a batch
+is ingested (Sec 6.1.1):
 
-* :class:`DesisProcessor` — full sharing, punctuation heap.
+* :class:`DesisProcessor` — full sharing, batches in slice-runs.
 * :class:`ScottyProcessor` — shares only between identical aggregation
-  functions (the Scotty API's capability) and checks punctuations per
-  event, like the original stream-slicing implementation.
+  functions (the Scotty API's capability) and ingests one event at a
+  time, like the original stream-slicing implementation.
 * :class:`DeSWProcessor` — shares only between identical functions *and*
-  window measures, per-event punctuation checks.
+  window measures, one event at a time.
 """
 
 from __future__ import annotations
@@ -38,12 +39,7 @@ class DesisProcessor(AggregationEngine):
     name = "Desis"
 
     def __init__(self, queries: Iterable[Query], sink: ResultSink | None = None):
-        super().__init__(
-            queries,
-            policy=SharingPolicy.FULL,
-            punctuation_mode="heap",
-            sink=sink,
-        )
+        super().__init__(queries, policy=SharingPolicy.FULL, sink=sink)
 
 
 class ShardedDesisProcessor(ShardedEngine):
@@ -72,17 +68,12 @@ class ShardedDesisProcessor(ShardedEngine):
 
 
 class ScottyProcessor(AggregationEngine):
-    """The Scotty baseline: same-function sharing, per-event checks."""
+    """The Scotty baseline: same-function sharing, per-event ingestion."""
 
     name = "Scotty"
 
     def __init__(self, queries: Iterable[Query], sink: ResultSink | None = None):
-        super().__init__(
-            queries,
-            policy=SharingPolicy.SAME_FUNCTION,
-            punctuation_mode="scan",
-            sink=sink,
-        )
+        super().__init__(queries, policy=SharingPolicy.SAME_FUNCTION, sink=sink)
 
     def process_batch(self, events: "list[Event]") -> None:
         # Scotty "checks each arriving event" (Sec 6.2.1): batch input
@@ -91,16 +82,13 @@ class ScottyProcessor(AggregationEngine):
 
 
 class DeSWProcessor(AggregationEngine):
-    """The DeSW baseline: same function *and* measure, per-event checks."""
+    """The DeSW baseline: same function *and* measure, per-event ingestion."""
 
     name = "DeSW"
 
     def __init__(self, queries: Iterable[Query], sink: ResultSink | None = None):
         super().__init__(
-            queries,
-            policy=SharingPolicy.SAME_FUNCTION_AND_MEASURE,
-            punctuation_mode="scan",
-            sink=sink,
+            queries, policy=SharingPolicy.SAME_FUNCTION_AND_MEASURE, sink=sink
         )
 
     def process_batch(self, events: "list[Event]") -> None:

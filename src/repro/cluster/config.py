@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import EngineConfig
 from repro.network.codec import BinaryCodec, Codec
 from repro.network.simnet import FaultPlan
 
@@ -97,14 +96,6 @@ class ClusterConfig:
             it through the same :class:`ChildLiveness` resync path as a
             silent child.  ``None`` (default) derives it from
             ``node_timeout``.
-        engine: per-node :class:`~repro.core.config.EngineConfig`.  Locals
-            read its ``punctuation_mode``; the root closes overlapping
-            fixed windows through Two-Stacks streams whatever it says (see
-            :mod:`repro.core.incmerge`).  ``engine.shards`` is carried for
-            real multi-core deployments; the simulated clusters model
-            per-node parallelism analytically (see
-            :attr:`~repro.cluster.desis.DesisRunResult.modeled_parallel_throughput`)
-            and execute each node's engine in-process regardless.
     """
 
     origin: int = 0
@@ -129,7 +120,6 @@ class ClusterConfig:
     retention_limit: int | None = None
     shed_watermark: float = 0.8
     stall_timeout: int | None = None
-    engine: EngineConfig = field(default_factory=EngineConfig)
 
     @property
     def checkpointing(self) -> bool:

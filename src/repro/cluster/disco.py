@@ -4,7 +4,7 @@ Disco also pushes window aggregation down to local nodes, but with three
 differences from Desis that the evaluation measures:
 
 1. locals use Scotty-style slicing, i.e. sharing only between identical
-   aggregation functions, and check punctuations per event;
+   aggregation functions, and ingest one event at a time;
 2. partial results travel **per window**, not per slice — overlapping
    windows each ship their own partials, and intermediate/root nodes
    process every window individually (Fig 11d: traffic grows with the
@@ -72,7 +72,6 @@ class _DiscoLocal(SimNode):
                 group,
                 ResultSink(keep=False),
                 self.stats,
-                punctuation_mode="scan",
                 window_sink=self._on_window,
             )
             for group in plan.groups

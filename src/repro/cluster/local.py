@@ -106,7 +106,6 @@ class _SlicedLocalGroup(_LocalGroup):
             group,
             ResultSink(keep=False),
             stats,
-            punctuation_mode=config.engine.punctuation_mode,
             assemble=False,
             slice_sink=self._on_cut,
             track_spans=group_has_sessions(group),

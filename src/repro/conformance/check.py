@@ -235,11 +235,7 @@ def check_engine_shard_invariance(
     merged = _merged(streams)
     shards = int(baseline.meta.get("shards", 2)) + 1
     engine = ShardedEngine(
-        scenario.build_queries(),
-        config=EngineConfig(
-            punctuation_mode=scenario.punctuation_mode,
-            shards=shards,
-        ),
+        scenario.build_queries(), config=EngineConfig(shards=shards)
     )
     engine.advance(0)
     engine.process_batch(merged)
@@ -364,8 +360,7 @@ def evaluate_scenario(
                                 cross_fold=cross_fold)
             )
 
-    # byte-identical contracts
-    against_reference("engine-alt", cross_fold=False)
+    # the byte-identical contract
     against_reference("engine-batch", cross_fold=False)
     # independently-ordered folds: tolerance on float folds only
     for name in ("oracle", "baseline-scotty", "cluster-desis",

@@ -1,8 +1,8 @@
 """Executor adapters: one scenario, every engine, one canonical form.
 
 Each adapter runs a :class:`~repro.conformance.scenario.Scenario` through
-one implementation — the single-node engine (per-event and batched, both
-punctuation modes), the Scotty baseline, the naive oracle,
+one implementation — the single-node engine (per-event and batched), the
+Scotty baseline, the naive oracle,
 and the Desis / Disco / Centralized cluster deployments — and normalizes
 the emitted windows into canonical rows::
 
@@ -139,12 +139,9 @@ def run_oracle(scenario: Scenario, streams: dict[str, list[Event]]) -> Execution
     return ExecutionResult("oracle", rows)
 
 
-def _run_engine(scenario, streams, *, name, punctuation_mode,
-                batched: bool) -> ExecutionResult:
+def _run_engine(scenario, streams, *, name, batched: bool) -> ExecutionResult:
     merged = _merged(streams)
-    engine = AggregationEngine(
-        scenario.build_queries(), punctuation_mode=punctuation_mode
-    )
+    engine = AggregationEngine(scenario.build_queries())
     engine.advance(0)  # anchor fixed windows at the global origin
     if batched:
         engine.process_batch(merged)
@@ -159,23 +156,13 @@ def _run_engine(scenario, streams, *, name, punctuation_mode,
 
 
 def run_engine_reference(scenario, streams) -> ExecutionResult:
-    """The differential reference: per-event, heap punctuation."""
-    return _run_engine(scenario, streams, name="engine",
-                       punctuation_mode="heap", batched=False)
-
-
-def run_engine_alt_punctuation(scenario, streams) -> ExecutionResult:
-    """Opposite punctuation mode — must be byte-identical to the reference."""
-    alt = "scan" if scenario.punctuation_mode == "heap" else "heap"
-    return _run_engine(scenario, streams, name=f"engine-{alt}",
-                       punctuation_mode=alt, batched=False)
+    """The differential reference: per-event ingestion."""
+    return _run_engine(scenario, streams, name="engine", batched=False)
 
 
 def run_engine_batched(scenario, streams) -> ExecutionResult:
     """Batched ingestion — must be byte-identical to the reference."""
-    return _run_engine(scenario, streams, name="engine-batch",
-                       punctuation_mode=scenario.punctuation_mode,
-                       batched=True)
+    return _run_engine(scenario, streams, name="engine-batch", batched=True)
 
 
 def run_parallel_sharded(scenario, streams) -> ExecutionResult:
@@ -191,11 +178,7 @@ def run_parallel_sharded(scenario, streams) -> ExecutionResult:
     from repro.parallel import ShardedEngine
 
     engine = ShardedEngine(
-        scenario.build_queries(),
-        config=EngineConfig(
-            punctuation_mode=scenario.punctuation_mode,
-            shards=shards,
-        ),
+        scenario.build_queries(), config=EngineConfig(shards=shards)
     )
     engine.advance(0)
     engine.process_batch(merged)
@@ -223,7 +206,6 @@ def _cluster_config(scenario: Scenario, *, fault) -> ClusterConfig:
     return ClusterConfig(
         tick_interval=scenario.tick_interval,
         batch_ms=scenario.batch_ms,
-        engine=EngineConfig(punctuation_mode=scenario.punctuation_mode),
         fault_plan=fault,
         checkpoint_interval=scenario.checkpoint_interval,
         node_timeout=NEVER if fault is not None else 15_000,
@@ -356,14 +338,14 @@ def executor_matrix(scenario: Scenario) -> list[tuple[str, ExecutorFn]]:
     """The applicable executor configurations for ``scenario``, in order.
 
     The first entry is always the differential reference.  Every scenario
-    gets at least six configurations; Disco joins when the query mix is
-    inside its supported domain (fixed-size time windows), and the faulty
-    Desis run joins when the scenario carries a fault plan.
+    gets the first six configurations; Disco and the sharded engine join
+    when the query mix is inside their supported domain (fixed-size time
+    windows), the faulty Desis run when the scenario carries a fault plan,
+    and the overload run when it carries overload caps too.
     """
     matrix: list[tuple[str, ExecutorFn]] = [
         ("engine", run_engine_reference),
         ("oracle", run_oracle),
-        ("engine-alt", run_engine_alt_punctuation),
         ("engine-batch", run_engine_batched),
         ("baseline-scotty", run_scotty),
         ("cluster-desis", run_desis_cluster),

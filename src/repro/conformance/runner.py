@@ -80,11 +80,14 @@ def run_conformance(
     """Run the differential-fuzzing campaign; return the full report.
 
     ``overrides`` pins scenario knobs across the whole campaign — e.g.
-    ``{"punctuation_mode": "scan", "shards": 4}`` replays every generated
-    scenario under those settings instead of the generator's own draws
+    ``{"batch_ms": 500, "shards": 4}`` replays every generated scenario
+    under those settings instead of the generator's own draws
     (``repro conformance --shards 4`` uses this).  Keys must be
-    :class:`~repro.conformance.scenario.Scenario` field names.
+    :class:`~repro.conformance.scenario.Scenario` field names; any other
+    is a ``ValueError`` before the first scenario runs.
     """
+    if overrides:
+        Scenario.check_keys(overrides)
     registry = registry if registry is not None else MetricsRegistry()
     generator = ScenarioGenerator(seed, max_events_per_node=max_events_per_node)
     verdicts: list[dict[str, Any]] = []

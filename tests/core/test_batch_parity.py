@@ -4,9 +4,9 @@ The slice-run fast path must be *observationally invisible*: identical
 results (same values, same order, same ``emitted_at`` stamps) and an
 identical :class:`~repro.core.engine.EngineStats` — batched work is billed
 as if it had been applied per event, because those counters are what
-Figures 8–10 measure.  These tests sweep every window type, both
-punctuation modes, every sharing policy, ragged batch boundaries, and
-runtime query management mid-batch.
+Figures 8–10 measure.  These tests sweep every window type, every
+sharing policy, ragged batch boundaries, and runtime query management
+mid-batch.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.core.types import AggFunction, SharingPolicy, WindowMeasure
 
 from tests.conftest import make_stream
 
-MODES = ("heap", "scan")
 POLICIES = tuple(SharingPolicy)
 
 
@@ -33,7 +32,7 @@ def result_key(r):
     return (r.query_id, r.start, r.end, r.value, r.event_count, r.emitted_at)
 
 
-def replay(queries, events, *, mode, policy=SharingPolicy.FULL, batch=None,
+def replay(queries, events, *, policy=SharingPolicy.FULL, batch=None,
            actions=()):
     """Replay ``events``; return ``(results, stats)``.
 
@@ -44,7 +43,7 @@ def replay(queries, events, *, mode, policy=SharingPolicy.FULL, batch=None,
     the batched path, at the nearest preceding chunk boundary — callers
     align indices to chunk boundaries for strict parity).
     """
-    engine = AggregationEngine(queries, policy=policy, punctuation_mode=mode)
+    engine = AggregationEngine(queries, policy=policy)
     pending = sorted(actions, key=lambda pair: pair[0])
     i = 0
     while i < len(events):
@@ -66,17 +65,13 @@ def replay(queries, events, *, mode, policy=SharingPolicy.FULL, batch=None,
 
 
 def assert_parity(queries, events, *, policy=SharingPolicy.FULL, batches=(1, 7, 64, 100_000), actions=()):
-    for mode in MODES:
-        expected = replay(
-            queries, events, mode=mode, policy=policy, actions=actions
+    expected = replay(queries, events, policy=policy, actions=actions)
+    for batch in batches:
+        got = replay(
+            queries, events, policy=policy, batch=batch, actions=actions
         )
-        for batch in batches:
-            got = replay(
-                queries, events, mode=mode, policy=policy, batch=batch,
-                actions=actions,
-            )
-            assert got[0] == expected[0], (mode, batch, "results diverged")
-            assert got[1] == expected[1], (mode, batch, "stats diverged")
+        assert got[0] == expected[0], (batch, "results diverged")
+        assert got[1] == expected[1], (batch, "stats diverged")
 
 
 FIXED_QUERIES = [
@@ -380,11 +375,6 @@ class TestAddQueryBootstrap:
         assert len(emitted[0]) == 4
         assert emitted[1] == emitted[0]
 
-    def test_first_group_takes_the_configured_punctuation_mode(self):
-        engine = AggregationEngine([], punctuation_mode="scan")
-        engine.add_query(Query.of("sum", WindowSpec.tumbling(100), AggFunction.SUM))
-        assert [g.mode for g in engine.groups] == ["scan"]
-
 
 def columns_of(events):
     markers = {
@@ -425,24 +415,23 @@ class TestColumnKernel:
 
     def assert_columns_parity(self, queries, events, *, frames=(1, 7, 64, 100_000),
                               prepare=lambda engine: None):
-        for mode in MODES:
-            reference = AggregationEngine(queries, punctuation_mode=mode)
-            prepare(reference)
-            for event in events:
-                reference.process(event)
-            expected_state = engine_state(reference)
-            reference.close()
-            expected = [result_key(r) for r in reference.sink.results]
-            for frame in frames:
-                engine = AggregationEngine(queries, punctuation_mode=mode)
-                prepare(engine)
-                for i in range(0, len(events), frame):
-                    engine.process_columns(*columns_of(events[i:i + frame]))
-                assert engine_state(engine) == expected_state, (mode, frame)
-                engine.close()
-                got = [result_key(r) for r in engine.sink.results]
-                assert got == expected, (mode, frame, "results diverged")
-                assert engine.stats == reference.stats, (mode, frame)
+        reference = AggregationEngine(queries)
+        prepare(reference)
+        for event in events:
+            reference.process(event)
+        expected_state = engine_state(reference)
+        reference.close()
+        expected = [result_key(r) for r in reference.sink.results]
+        for frame in frames:
+            engine = AggregationEngine(queries)
+            prepare(engine)
+            for i in range(0, len(events), frame):
+                engine.process_columns(*columns_of(events[i:i + frame]))
+            assert engine_state(engine) == expected_state, frame
+            engine.close()
+            got = [result_key(r) for r in engine.sink.results]
+            assert got == expected, (frame, "results diverged")
+            assert engine.stats == reference.stats, frame
 
     def test_key_and_range_selections(self):
         assert_parity(FIXED_QUERIES, make_stream(800))  # process_batch
@@ -525,13 +514,12 @@ class TestColumnKernel:
             FIXED_QUERIES + TWINS, with_twins(make_stream(600)), frames=frames,
             prepare=prepare,
         )
-        per_mode = len(frames) + 1  # the per-event reference comes first
-        assert len(logs) == per_mode * len(MODES)
-        for first in range(0, len(logs), per_mode):
-            reference = logs[first]
-            assert any(spans for *_, spans in reference)
-            for cuts in logs[first + 1:first + per_mode]:
-                assert cuts == reference
+        # the per-event reference comes first
+        assert len(logs) == len(frames) + 1
+        reference = logs[0]
+        assert any(spans for *_, spans in reference)
+        for cuts in logs[1:]:
+            assert cuts == reference
 
     def test_run_boundary_exactly_on_a_punctuation(self):
         # Events *at* a window boundary belong to the next slice: the
@@ -615,7 +603,7 @@ def heap_state(group):
 def session_state(engine):
     return (
         engine_state(engine),
-        [(tracker_state(g), heap_state(g), g._scan_next) for g in engine.groups],
+        [(tracker_state(g), heap_state(g)) for g in engine.groups],
         engine.stats,
     )
 
@@ -651,25 +639,24 @@ class TestSessionRuns:
         splits = [list(s) for s in splits] + [
             list(range(batch, len(events), batch)) for batch in batches
         ]
-        for mode in MODES:
-            for split in splits:
-                reference = AggregationEngine(queries, policy=policy, punctuation_mode=mode)
-                engine = AggregationEngine(queries, policy=policy, punctuation_mode=mode)
-                for e in (reference, engine):
-                    for runtime in e.groups:
-                        runtime.track_spans = track
-                done = 0
-                for stop in split + [len(events)]:
-                    for event in events[done:stop]:
-                        reference.process(event)
-                    engine.process_batch(events[done:stop])
-                    done = stop
-                    assert session_state(engine) == session_state(reference), (mode, split, stop)
-                reference.close()
-                engine.close()
-                got = [result_key(r) for r in engine.sink.results]
-                assert got == [result_key(r) for r in reference.sink.results], (mode, split)
-                assert engine.stats == reference.stats, (mode, split)
+        for split in splits:
+            reference = AggregationEngine(queries, policy=policy)
+            engine = AggregationEngine(queries, policy=policy)
+            for e in (reference, engine):
+                for runtime in e.groups:
+                    runtime.track_spans = track
+            done = 0
+            for stop in split + [len(events)]:
+                for event in events[done:stop]:
+                    reference.process(event)
+                engine.process_batch(events[done:stop])
+                done = stop
+                assert session_state(engine) == session_state(reference), (split, stop)
+            reference.close()
+            engine.close()
+            got = [result_key(r) for r in engine.sink.results]
+            assert got == [result_key(r) for r in reference.sink.results], split
+            assert engine.stats == reference.stats, split
 
     def test_session_group_never_takes_the_per_event_path(self, monkeypatch):
         events = make_stream(400, keys=ABC, gap_every=40, gap_dt=1_000)

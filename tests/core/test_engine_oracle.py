@@ -19,15 +19,15 @@ from repro.core.types import AggFunction, SharingPolicy, WindowMeasure
 from tests.conftest import make_stream
 
 
-def run_engine(queries, events, *, policy=SharingPolicy.FULL, mode="heap"):
-    engine = AggregationEngine(queries, policy=policy, punctuation_mode=mode)
+def run_engine(queries, events, *, policy=SharingPolicy.FULL):
+    engine = AggregationEngine(queries, policy=policy)
     for event in events:
         engine.process(event)
     return engine.close(), engine
 
 
-def assert_matches_oracle(queries, events, *, policy=SharingPolicy.FULL, mode="heap"):
-    sink, engine = run_engine(queries, events, policy=policy, mode=mode)
+def assert_matches_oracle(queries, events, *, policy=SharingPolicy.FULL):
+    sink, engine = run_engine(queries, events, policy=policy)
     for query in queries:
         expected = naive_results(query, events)
         got = [
@@ -268,19 +268,6 @@ class TestMixedWorkload:
         events = make_stream(900, gap_every=111, gap_dt=2_500, marker_every=80)
         engine = assert_matches_oracle(self.queries(), events)
         assert engine.group_count == 1
-
-    def test_scan_mode_matches_heap_mode(self):
-        """The baselines' per-event punctuation scan yields identical output."""
-        events = make_stream(600, gap_every=90, gap_dt=2_500, marker_every=70)
-        queries = [q for q in self.queries() if q.query_id != "qd"]
-        heap_sink, _ = run_engine(queries, events, mode="heap")
-        scan_sink, _ = run_engine(queries, events, mode="scan")
-        key = lambda r: (r.query_id, r.start, r.end)
-        assert sorted(
-            [(r.query_id, r.start, r.end, r.value) for r in heap_sink], key=str
-        ) == sorted(
-            [(r.query_id, r.start, r.end, r.value) for r in scan_sink], key=str
-        )
 
     def test_policies_produce_identical_results(self):
         """Sharing changes work, never answers: all policies agree."""

@@ -9,7 +9,7 @@ verbatim but for that insert — ``Slice.insert`` is gone, and a one-value
 ``Slice.insert_run`` does what it did — as the reference: after every
 event the runtime under test
 must stand exactly where the reference stands — rows, ``EngineStats``,
-heap layout, trackers — in all three drain modes, and the assembled
+heap layout, trackers — on the heap and on the grid, and the assembled
 results must be the naive oracle's.  The call-count pins at the bottom
 keep the flattening from silently growing back.
 """
@@ -104,19 +104,13 @@ def parent_process(self: GroupRuntime, event: Event) -> None:
         for tracker in self.sessions:
             if tracker.ctx in matched_set and tracker.window is not None:
                 tracker.touch(time)
-                if self.mode == "heap":
-                    if not tracker.armed:
-                        tracker.armed = True
-                        self._push(
-                            tracker.tentative_end,
-                            _SESSION_EP,
-                            (tracker, tracker.generation),
-                        )
-                elif (
-                    self._scan_next is None
-                    or tracker.tentative_end < self._scan_next
-                ):
-                    self._scan_next = tracker.tentative_end
+                if not tracker.armed:
+                    tracker.armed = True
+                    self._push(
+                        tracker.tentative_end,
+                        _SESSION_EP,
+                        (tracker, tracker.generation),
+                    )
         for tracker in self.counts:
             if tracker.ctx in matched_set:
                 for window in tracker.record():
@@ -133,9 +127,8 @@ def parent_process(self: GroupRuntime, event: Event) -> None:
 
 #: drain mode -> what makes a ``GroupRuntime`` drain that way
 MODES = {
-    "heap": dict(punctuation_mode="heap"),
-    "grid": dict(punctuation_mode="heap", assemble=False),
-    "scan": dict(punctuation_mode="scan"),
+    "heap": dict(),
+    "grid": dict(assemble=False),
 }
 
 
@@ -165,7 +158,7 @@ class Driven(Cuts):
             list(self.calls),
             runtime.stats,
             heap_state(runtime),
-            (runtime._seq, runtime._scan_next, runtime._grid_next,
+            (runtime._seq, runtime._grid_next,
              [(t.ctx, t.length, t.slide) for t in runtime._joining]),
             tracker_state(runtime),
             [(t.ctx, t.seen, len(t.open_windows)) for t in runtime.counts],
@@ -346,21 +339,6 @@ class TestProcessStandsWhereTheParentStood:
         if mode != "grid":
             assert late == [(200, 270, 3), (270, 340, 1)]
 
-    def test_scan_mode_with_no_cached_due_time(self):
-        """``_scan_next is None`` forces the rescan: at the first event,
-        and at the first one after ``add_query`` reset it."""
-        events = [Event(t, "b", 1.0) for t in (0, 10, 20, 30, 130)]
-        new = Driven("scan", FIXED, GroupRuntime.process)
-        assert new.runtime._scan_next is None
-        new.feed(events[0])
-        assert new.runtime._scan_next == 100
-        new.feed(events[1])
-        new.attach(LATE[0])  # tumbling(70) from 10 on: due at 10, then at 80
-        assert new.runtime._scan_next is None
-        new.feed(events[2])
-        assert new.runtime._scan_next == 80
-        lockstep("scan", FIXED, events, {2: [joins_on_a_grid_point]})
-
 
 def counting(monkeypatch, *names: str) -> dict[str, int]:
     """Count entries into ``GroupRuntime`` methods (patched on the class,
@@ -380,9 +358,7 @@ def counting(monkeypatch, *names: str) -> dict[str, int]:
 class TestCallCounts:
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_nothing_due_enters_no_drain_and_no_cut(self, mode, monkeypatch):
-        calls = counting(
-            monkeypatch, "_drain_heap", "_drain_grid", "_drain_scan", "_cut"
-        )
+        calls = counting(monkeypatch, "_drain", "_drain_grid", "_cut")
 
         def drains() -> int:
             return sum(n for name, n in calls.items() if name != "_cut")

@@ -162,14 +162,11 @@ def scenarios(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(
-    scenario=scenarios(),
-    punctuation_mode=st.sampled_from(["heap", "scan"]),
-)
-def test_watermark_equals_refcounts(scenario, punctuation_mode):
+@given(scenario=scenarios())
+def test_watermark_equals_refcounts(scenario):
     events, queries, extra, bounds, add_at, remove_at, victim = scenario
     with shadowed():
-        engine = AggregationEngine(queries, punctuation_mode=punctuation_mode)
+        engine = AggregationEngine(queries)
         for call, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             if hi - lo == 1:
                 engine.process(events[lo])

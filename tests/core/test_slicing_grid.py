@@ -36,19 +36,15 @@ _SP_FIXED, _EP, _SESSION_EP = 0, 1, 2
 
 class HeapScheduled(GroupRuntime):
     """The slicing-only runtime as it was before the grid (commit ba802b7):
-    the methods below are that commit's, heap mode only."""
+    the methods below are that commit's, heap branch only."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         del self._drain  # back to the method below
 
-    def _drain(self, now: int) -> None:
-        self._drain_heap(now)
-
     def add_query(self, query: Query) -> None:
         self.needed[query.query_id] = required_kinds(query, self.group.operators)
         created = self._add_trackers(query)
-        self._scan_next = None
         if created and self._bootstrapped:
             tracker = self._tracker_of(query.query_id)
             if isinstance(tracker, FixedWindowTracker):
@@ -62,7 +58,7 @@ class HeapScheduled(GroupRuntime):
             start = tracker.bootstrap(origin)
             self._push(start, _SP_FIXED, tracker)
 
-    def _drain_heap(self, now: int) -> None:
+    def _drain(self, now: int) -> None:
         heap = self._heap
         while heap and heap[0][0] <= now:
             time = heap[0][0]
@@ -330,17 +326,6 @@ class TestGridCutsWhereTheHeapCut:
         assert [(start, end) for _, start, end, *_ in grid.calls][:6] == [
             (0, 0), (0, 100), (100, 200), (200, 250), (250, 300), (300, 350)
         ]
-
-    def test_scan_mode_keeps_opening_windows(self):
-        (group,) = analyze(
-            [Query.of("q", WindowSpec.tumbling(100), AggFunction.SUM)]
-        ).groups
-        stats = EngineStats()
-        runtime = GroupRuntime(group, ResultSink(), stats, assemble=False,
-                               punctuation_mode="scan")
-        for time in range(0, 500, 30):
-            runtime.process(Event(time, "k", 1.0))
-        assert stats.windows_opened == 5 and stats.slices_closed == 5
 
 
 class TestLocalNodeOpensNoFixedWindow:

@@ -1,7 +1,7 @@
 """EngineConfig: the unified knob surface.
 
 Pins the contract of the api_redesign: one frozen ``EngineConfig`` drives
-``DesisSession``, ``AggregationEngine``, and ``ClusterConfig.engine``.
+``DesisSession`` and ``AggregationEngine``; a cluster takes none.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ class TestConfigValue:
 
     def test_with_options_returns_revalidated_copy(self):
         config = EngineConfig()
-        other = config.with_options(shards=4, punctuation_mode="scan")
-        assert (other.shards, other.punctuation_mode) == (4, "scan")
+        other = config.with_options(shards=4, emit_empty=True)
+        assert (other.shards, other.emit_empty) == (4, True)
         assert config.shards == 1  # original untouched
         with pytest.raises(EngineError):
             config.with_options(shards=0)
@@ -32,7 +32,6 @@ class TestConfigValue:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"punctuation_mode": "btree"},
             {"shards": 0},
             {"shard_batch_size": 0},
             {"latency_sample_every": 0},
@@ -45,32 +44,28 @@ class TestConfigValue:
 
 class TestSessionSugar:
     def test_shards_sugar_lands_in_config(self):
-        session = DesisSession(EngineConfig(punctuation_mode="scan"), shards=4)
-        assert session.config == EngineConfig(punctuation_mode="scan", shards=4)
+        session = DesisSession(EngineConfig(emit_empty=True), shards=4)
+        assert session.config == EngineConfig(emit_empty=True, shards=4)
         assert session.shards == 4
 
 
 class TestEngineConfig:
     def test_engine_accepts_config(self):
-        engine = AggregationEngine(
-            [], config=EngineConfig(punctuation_mode="scan")
-        )
-        assert engine.config.punctuation_mode == "scan"
+        engine = AggregationEngine([], config=EngineConfig(emit_empty=True))
+        assert engine.config.emit_empty is True
 
     def test_engine_kwargs_override_config(self):
         engine = AggregationEngine(
-            [],
-            config=EngineConfig(punctuation_mode="heap"),
-            punctuation_mode="scan",
+            [], config=EngineConfig(emit_empty=False), emit_empty=True
         )
-        assert engine.config.punctuation_mode == "scan"
+        assert engine.config.emit_empty is True
 
 
 class TestClusterConfigSync:
-    def test_default_engine_always_populated(self):
-        config = ClusterConfig()
-        assert config.engine == EngineConfig()
+    def test_engine_is_not_a_cluster_knob(self):
+        with pytest.raises(TypeError):
+            ClusterConfig(engine=EngineConfig())
 
     def test_engine_knobs_are_not_mirrored(self):
         with pytest.raises(TypeError):
-            ClusterConfig(punctuation_mode="scan")
+            ClusterConfig(emit_empty=True)

@@ -310,11 +310,18 @@ class TestSharedFlags:
     @pytest.mark.parametrize("verb", sorted(VERB_STUB))
     def test_every_verb_parses_the_shared_flag_set(self, verb, tmp_path):
         argv = [verb, *self.VERB_STUB[verb],
-                "--seed", "5", "--shards", "2",
-                "--metrics-out", str(tmp_path / "m.json")]
+                "--seed", "5", "--metrics-out", str(tmp_path / "m.json")]
         args = build_parser().parse_args(argv)
         assert args.seed == 5
-        assert args.shards == 2
+
+    def test_shards_is_a_flag_of_the_centralized_engine_verbs_only(self):
+        for verb, stub in self.VERB_STUB.items():
+            argv = [verb, *stub, "--shards", "2"]
+            if verb in ("run", "compare", "conformance"):
+                assert build_parser().parse_args(argv).shards == 2
+            else:  # the simulated clusters never read it
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(argv)
 
 
 class TestShardedRun:
