@@ -22,7 +22,12 @@ import difflib
 import sys
 
 from repro.baselines import CENTRALIZED_SYSTEMS, ShardedDesisProcessor
-from repro.cluster import CentralizedCluster, ClusterConfig, DesisCluster
+from repro.cluster import (
+    CentralizedCluster,
+    ClusterConfig,
+    DesisCluster,
+    DirCheckpointStore,
+)
 from repro.core.config import EngineConfig
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction
@@ -42,6 +47,7 @@ from repro.obs import (
     STAGES,
     MetricsRegistry,
     TraceRecorder,
+    build_window_trace,
     build_window_traces,
     compute_critical_path,
     compute_critical_paths,
@@ -262,7 +268,11 @@ def _run_traced_desis(args):
         trace=True,
         fault_plan=fault_plan,
         checkpoint_interval=args.checkpoint_interval,
-        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_store=(
+            DirCheckpointStore(args.checkpoint_dir)
+            if args.checkpoint_dir is not None
+            else None
+        ),
         node_timeout=args.node_timeout,
         # heartbeats must outpace the timeout for the sweep to see silence
         heartbeat_interval=max(1, min(5_000, args.node_timeout // 3)),
@@ -279,6 +289,10 @@ def _run_traced_desis(args):
     )
 
 
+#: the hops ``report --explain`` lists, in pipeline order (ties at one ms)
+_HOP_ORDER = ("ship", "merge", "consume")
+
+
 def cmd_report(args) -> int:
     """Run a Desis deployment and render its full observability report."""
     result = _run_traced_desis(args)
@@ -290,34 +304,38 @@ def cmd_report(args) -> int:
     ))
     print(f"\ntrace: {len(result.recorder)} events recorded")
     if args.explain and len(result.sink):
-        provenance = result.recorder.explain_window(result.sink.results[-1])
+        last = result.sink.results[-1]
+        trace = build_window_trace(result.recorder, last)
+        slices, sheds = trace.named("slice"), trace.named("shed")
+        hops = sorted(
+            (span for span in trace.spans if span.name in _HOP_ORDER),
+            key=lambda s: (s.end, _HOP_ORDER.index(s.name), s.span_id),
+        )
         print("last window provenance:")
         print(
-            f"  {provenance.query_id}[{provenance.start}.."
-            f"{provenance.end}) emitted_at={provenance.emitted_at} "
-            f"events={provenance.event_count}"
+            f"  {trace.query_id}[{trace.start}..{trace.end}) "
+            f"emitted_at={trace.emitted_at} "
+            f"events={trace.root.attrs['event_count']}"
         )
-        print(f"  sources: {', '.join(provenance.sources) or '-'}")
-        print(f"  slices: {len(provenance.slices)}  hops: {len(provenance.hops)}")
-        for hop in provenance.hops:
-            print(f"    t={hop.at} {hop.kind} @ {hop.node}")
-        print(f"  retransmits before emit: {provenance.total_retransmits}")
-        if provenance.completeness < 1.0 or provenance.sheds:
+        sources = sorted({span.node for span in slices})
+        print(f"  sources: {', '.join(sources) or '-'}")
+        print(f"  slices: {len(slices)}  hops: {len(hops)}")
+        for hop in hops:
+            print(f"    t={hop.end} {hop.name} @ {hop.node}")
+        print(f"  retransmits before emit: {len(trace.named('retransmit'))}")
+        if last.completeness < 1.0 or sheds:
             print(
-                f"  DEGRADED: completeness={provenance.completeness:.3f} "
-                f"({len(provenance.sheds)} shed event(s) intersect)"
+                f"  DEGRADED: completeness={last.completeness:.3f} "
+                f"({len(sheds)} shed event(s) intersect)"
             )
-            for shed in provenance.sheds:
+            for shed in sheds:
                 print(
-                    f"    t={shed.at} buffer.shed @ {shed.node} "
-                    f"[{shed.data.get('start')}..{shed.data.get('end')}) "
-                    f"{shed.data.get('records', 0)} record(s)"
+                    f"    t={shed.end} buffer.shed @ {shed.node} "
+                    f"[{shed.attrs.get('start')}..{shed.attrs.get('end')}) "
+                    f"{shed.attrs.get('records', 0)} record(s)"
                 )
-        path = compute_critical_path(
-            result.recorder, result.sink.results[-1]
-        )
         print("critical path:")
-        for line in render_waterfall(path).splitlines():
+        for line in render_waterfall(compute_critical_path(trace)).splitlines():
             print(f"  {line}")
     if args.trace_out:
         written = write_trace_jsonl(result.recorder, args.trace_out)
@@ -332,7 +350,8 @@ def cmd_profile(args) -> int:
     """Profile a Desis run: top-N slowest windows, stage attribution."""
     result = _run_traced_desis(args)
     results = list(result.sink.results)
-    paths = compute_critical_paths(result.recorder, results)
+    traces = build_window_traces(result.recorder, results)
+    paths = compute_critical_paths(traces)
     print(
         f"{len(results)} windows emitted; "
         f"{len(paths)} explainable from the trace ring"
@@ -342,7 +361,7 @@ def cmd_profile(args) -> int:
             f"warning: {result.recorder.dropped} trace events evicted — "
             "the oldest windows have no spans"
         )
-    for rank, path in enumerate(top_slowest(result.recorder, results, args.top), 1):
+    for rank, path in enumerate(top_slowest(traces, args.top), 1):
         print(f"\n#{rank} {render_waterfall(path)}")
     totals: dict[str, int] = {}
     for path in paths:
@@ -357,17 +376,15 @@ def cmd_profile(args) -> int:
                 print(
                     f"  {stage:<14} {ms:>10} ms  {100.0 * ms / grand:5.1f}%"
                 )
-    if args.chrome_out or args.spans_out:
-        traces = build_window_traces(result.recorder, results)
-        if args.chrome_out:
-            write_chrome_trace(traces, args.chrome_out)
-            print(
-                f"chrome trace -> {args.chrome_out} "
-                "(open in Perfetto or chrome://tracing)"
-            )
-        if args.spans_out:
-            written = write_spans_jsonl(traces, args.spans_out)
-            print(f"spans: {written} window traces -> {args.spans_out}")
+    if args.chrome_out:
+        write_chrome_trace(traces, args.chrome_out)
+        print(
+            f"chrome trace -> {args.chrome_out} "
+            "(open in Perfetto or chrome://tracing)"
+        )
+    if args.spans_out:
+        written = write_spans_jsonl(traces, args.spans_out)
+        print(f"spans: {written} window traces -> {args.spans_out}")
     if args.metrics_out:
         registry = MetricsRegistry()
         publish_cluster_result(registry, result)

@@ -57,14 +57,11 @@ class ClusterConfig:
             slice records merged since the last snapshot (``None`` = time
             cadence only).  Only consulted when ``checkpoint_interval``
             is set.
-        checkpoint_store: explicit
+        checkpoint_store: the
             :class:`~repro.cluster.checkpoint.CheckpointStore` to persist
-            snapshots into.  ``None`` resolves to a
-            :class:`~repro.cluster.checkpoint.DirCheckpointStore` when
-            ``checkpoint_dir`` is set, else an in-memory store.
-        checkpoint_dir: directory for on-disk checkpoints (one ``.ckpt``
-            file per node, replaced atomically).  Ignored when
-            ``checkpoint_store`` is given.
+            snapshots into, e.g. a
+            :class:`~repro.cluster.checkpoint.DirCheckpointStore` for
+            on-disk ``.ckpt`` files.  ``None`` means an in-memory store.
         channel_credit_bytes: per-channel credit window in bytes.  A
             sender whose unacked reliable frames hold at least this many
             bytes has exhausted its credit: the channel reports *stalled*
@@ -113,7 +110,6 @@ class ClusterConfig:
     checkpoint_interval: int | None = None
     checkpoint_every_slices: int | None = None
     checkpoint_store: object | None = None
-    checkpoint_dir: str | None = None
     channel_credit_bytes: int | None = None
     channel_credit_frames: int | None = None
     staging_limit: int | None = None

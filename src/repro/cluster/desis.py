@@ -27,7 +27,6 @@ from repro.core.serde import query_to_dict
 from repro.core.types import NodeRole, SharingPolicy
 from repro.cluster.checkpoint import (
     CheckpointStore,
-    DirCheckpointStore,
     InMemoryCheckpointStore,
 )
 from repro.cluster.config import ClusterConfig
@@ -58,7 +57,8 @@ class ClusterRunResult:
     local_stats: dict[str, EngineStats] = field(default_factory=dict)
     node_cpu: dict[str, float] = field(default_factory=dict)
     #: the run's trace recorder (the shared no-op unless ``config.trace``);
-    #: feed emitted results to ``recorder.explain_window`` for provenance
+    #: ``repro.obs.build_window_trace(recorder, result)`` turns an emitted
+    #: result into its span tree
     recorder: TraceRecorder = field(default_factory=lambda: NULL_RECORDER)
     #: recovery accounting (DESIGN.md §8): checkpoints persisted, nodes
     #: restored from a state-losing crash, children rerouted at failover,
@@ -150,14 +150,9 @@ class DesisCluster:
         )
         self.checkpoint_store: CheckpointStore | None = None
         if self.config.checkpoint_interval is not None:
-            store = self.config.checkpoint_store
-            if store is None:
-                store = (
-                    DirCheckpointStore(self.config.checkpoint_dir)
-                    if self.config.checkpoint_dir is not None
-                    else InMemoryCheckpointStore()
-                )
-            self.checkpoint_store = store
+            self.checkpoint_store = (
+                self.config.checkpoint_store or InMemoryCheckpointStore()
+            )
         self.reroutes = 0
         self._dead_intermediates: list[IntermediateNode] = []
         self._build_nodes()

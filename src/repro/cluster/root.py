@@ -395,20 +395,22 @@ class RootAssembler:
                     f"span required for session assembly of "
                     f"{state.query.query_id!r}"
                 )
-            items.append((part.span[0], part.span[1], part.ops, part.count))
+            # only the query's own operators: its finalizer reads no other
+            ops = {k: part.ops[k] for k in state.kinds if k in part.ops}
+            items.append((part.span[0], part.span[1], ops, part.count))
         items.sort(key=lambda item: item[0])
         for first, last, ops, count in items:
             if state.open_start is None:
                 state.open_start = first
                 state.last = last
-                state.ops = dict(ops)
+                state.ops = ops
                 state.count = count
                 continue
             if first - state.last >= state.gap:
                 self._emit_session(state, state.last + state.gap, now)
                 state.open_start = first
                 state.last = last
-                state.ops = dict(ops)
+                state.ops = ops
                 state.count = count
                 continue
             state.last = max(state.last, last)

@@ -52,7 +52,7 @@ from repro.conformance.executors import (
 )
 from repro.conformance.oracle import TolerancePolicy, tolerance_for, values_match
 from repro.conformance.scenario import NEVER, Scenario
-from repro.obs import compute_critical_path
+from repro.obs import build_window_trace, compute_critical_path
 
 __all__ = [
     "compare_results",
@@ -293,7 +293,7 @@ def check_span_stage_sum(
     for row in result.sink.results:
         label = f"span-sum: {row.query_id}[{row.start}..{row.end})"
         try:
-            path = compute_critical_path(result.recorder, row)
+            path = compute_critical_path(build_window_trace(result.recorder, row))
         except KeyError:
             if result.recorder.dropped:
                 continue  # evicted from the ring: legitimately gone

@@ -23,7 +23,6 @@ from repro.obs.tracing import (
     NULL_RECORDER,
     TraceEvent,
     TraceRecorder,
-    WindowProvenance,
 )
 from repro.obs.spans import (
     Span,
@@ -71,7 +70,6 @@ __all__ = [
     "NULL_RECORDER",
     "TraceEvent",
     "TraceRecorder",
-    "WindowProvenance",
     "Span",
     "WindowTrace",
     "build_window_trace",

@@ -1,8 +1,9 @@
 """Critical-path extraction: where did this window's latency come from?
 
-Given one emitted window, walk its causal events *backwards* from the
-emit — each step asks "what was the last thing that had to happen before
-this one could?" — and bucket the end-to-end latency into named stages:
+Given one emitted window's span tree (:mod:`repro.obs.spans`), walk its
+parent links *backwards* from the emit — each step asks "what was the
+last thing that had to happen before this one could?" — and bucket the
+end-to-end latency into named stages:
 
 ==================  ==========================================================
 stage               the time between ...
@@ -40,8 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import WindowTrace, collect_window_events
-from repro.obs.tracing import TraceEvent, TraceRecorder
+from repro.obs.spans import Span, WindowTrace
 
 __all__ = [
     "STAGES",
@@ -144,152 +144,127 @@ class CriticalPath:
         }
 
 
-def _latest_seq(events: list[TraceEvent], before: int, **match: Any):
-    best = None
-    for event in events:
-        if event.seq >= before:
-            continue
-        ok = True
-        for key, want in match.items():
-            if key == "node":
-                got = event.node
-            elif key == "link_dst":
-                link = event.data.get("link", "")
-                got = link.split("->", 1)[1] if "->" in link else ""
-            else:
-                got = event.data.get(key)
-            if got != want:
-                ok = False
-                break
-        if ok and (best is None or event.seq > best.seq):
-            best = event
-    return best
+def _latest(spans: list[Span], before: int, node: str) -> Span | None:
+    """The last of ``spans`` (in id order) on ``node`` before id ``before``."""
+    for span in reversed(spans):
+        if span.span_id < before and span.node == node:
+            return span
+    return None
 
 
-def compute_critical_path(recorder: TraceRecorder, result) -> CriticalPath:
+def compute_critical_path(trace: WindowTrace) -> CriticalPath:
     """Attribute one window's emission latency to pipeline stages.
 
-    Raises ``KeyError`` when the window's emit event is not in the ring
-    (same contract as :meth:`TraceRecorder.explain_window`).
+    The walk follows the trace's span parents from the emit: the latest
+    ``consume``, the ``transit`` that fed it, that transit's sender, then
+    either the sending ``merge``'s own transit one tier down or the
+    ``ship``'s gating ``slice``.
     """
-    ev = collect_window_events(recorder, result)
-    emit = ev.emit
-    t0 = ev.ingested_at
+    t0 = trace.ingested_at
     path = CriticalPath(
-        trace_id=f"{result.query_id}:{result.start}:{result.end}",
-        query_id=result.query_id,
-        start=result.start,
-        end=result.end,
-        group=ev.group,
+        trace_id=trace.trace_id,
+        query_id=trace.query_id,
+        start=trace.start,
+        end=trace.end,
+        group=trace.group,
         ingested_at=t0,
-        emitted_at=emit.at,
+        emitted_at=trace.emitted_at,
     )
+    by_id = {span.span_id: span for span in trace.spans}
+    retransmits = trace.named("retransmit")
     backwards: list[StageSegment] = []
-    bound = emit.at
+    bound = trace.emitted_at
 
-    def push(stage: str, at: int | float, node: str = "", link: str = "") -> None:
+    def parent(span: Span) -> Span | None:
+        """The span's causal parent, ``None`` when it hangs off the root."""
+        up = by_id[span.parent_id]
+        return None if up.parent_id is None else up
+
+    def push(stage: str, at: int, node: str = "", link: str = "") -> None:
         nonlocal bound
-        anchor = max(t0, min(int(at), bound))
+        anchor = max(t0, min(at, bound))
         if anchor < bound:
             backwards.append(StageSegment(stage, anchor, bound, node, link))
         bound = anchor
 
-    def hop(transit: TraceEvent, sender: TraceEvent, link: str) -> None:
+    def hop(transit: Span, sender: Span, link: str) -> None:
         """Split sender → delivery into retransmit + network time."""
         last_resend = max(
             (
-                r.at
-                for r in ev.retransmits
-                if r.data.get("link") == link
-                and r.seq < transit.seq
-                and sender.at <= r.at
+                r.end
+                for r in retransmits
+                if r.attrs.get("link") == link
+                and r.span_id < transit.span_id
+                and sender.end <= r.end
             ),
             default=None,
         )
-        if last_resend is not None and last_resend > sender.at:
+        if last_resend is not None and last_resend > sender.end:
             push("network", last_resend, link=link)
-            push("retransmit", sender.at, link=link)
+            push("retransmit", sender.end, link=link)
         else:
-            push("network", sender.at, link=link)
+            push("network", sender.end, link=link)
 
-    consume = _latest_seq(ev.consumes, emit.seq)
-    if consume is not None:
+    consumes = trace.named("consume")
+    if consumes:
         # Cluster path: emit ← root assembly ← consume ← ... hops ... ←
         # ship ← slice cut ← slice open ← first ingest.
-        push("root-assembly", consume.at, node=emit.node)
-        cur = consume
-        while True:
-            transit = _latest_seq(ev.transits, cur.seq, link_dst=cur.node)
-            if transit is None:
-                break
-            push("merge", transit.at, node=cur.node)
-            link = transit.data.get("link", "")
-            src = link.split("->", 1)[0]
-            sender = _latest_seq(
-                ev.ships + ev.releases,
-                transit.seq,
-                node=src,
-                first_seq=transit.data.get("first_seq"),
-            ) or _latest_seq(ev.ships + ev.releases, transit.seq, node=src)
+        cur = consumes[-1]
+        push("root-assembly", cur.end, node=trace.root.node)
+        while (transit := parent(cur)) is not None:
+            push("merge", transit.end, node=cur.node)
+            link = transit.attrs.get("link", "")
+            sender = parent(transit)
             if sender is None:
                 break
             hop(transit, sender, link)
-            if sender.kind == "merge.release":
-                cur = sender  # descend another tier; seq strictly shrinks
+            if sender.name == "merge":
+                cur = sender  # descend another tier
                 continue
-            gating_slice = _latest_seq(ev.slices, sender.seq, node=sender.node)
+            gating_slice = parent(sender)
             if gating_slice is not None:
                 # Overload control (DESIGN.md §12): a credit stall on the
                 # shipping node delayed this ship, and a shed ended part
                 # of the staging wait — carve both out of "queue".  The
                 # stall counts only while outstanding: an intervening ship
                 # from the same node means the channel resumed first.
-                stall = _latest_seq(ev.stalls, sender.seq, node=sender.node)
-                if stall is not None and sender.at > gating_slice.at:
+                node = sender.node
+                stall = _latest(trace.named("credit-stall"), sender.span_id, node)
+                if stall is not None and sender.end > gating_slice.end:
                     resumed = any(
-                        s.node == sender.node
-                        and stall.seq < s.seq < sender.seq
-                        for s in ev.ships
+                        s.node == node
+                        and stall.span_id < s.span_id < sender.span_id
+                        for s in trace.named("ship")
                     )
                     if not resumed:
                         push("credit-stall",
-                             max(stall.at, gating_slice.at),
-                             node=sender.node)
-                shed = _latest_seq(ev.sheds, sender.seq, node=sender.node)
-                if shed is not None and shed.at > gating_slice.at:
-                    push("shed", shed.at, node=sender.node)
-                push("queue", gating_slice.at, node=sender.node)
-                push("slicing", gating_slice.data["start"], node=sender.node)
+                             max(stall.end, gating_slice.end), node=node)
+                shed = _latest(trace.named("shed"), sender.span_id, node)
+                if shed is not None and shed.end > gating_slice.end:
+                    push("shed", shed.end, node=node)
+                push("queue", gating_slice.end, node=node)
+                push("slicing", gating_slice.attrs["start"], node=node)
             break
     else:
         # Single-engine path: no network hops; the last cut gates the emit.
-        gating_slice = _latest_seq(ev.slices, emit.seq)
-        if gating_slice is not None:
-            push("merge", gating_slice.at, node=emit.node)
-            push("slicing", gating_slice.data["start"], node=gating_slice.node)
+        slices = trace.named("slice")
+        if slices:
+            gating_slice = slices[-1]
+            push("merge", gating_slice.end, node=trace.root.node)
+            push("slicing", gating_slice.attrs["start"], node=gating_slice.node)
     push("ingest-wait", t0)
     path.segments = list(reversed(backwards))
     return path
 
 
-def compute_critical_paths(
-    recorder: TraceRecorder, results
-) -> list[CriticalPath]:
-    """Critical paths for every result still explainable from the ring."""
-    paths: list[CriticalPath] = []
-    for result in results:
-        try:
-            paths.append(compute_critical_path(recorder, result))
-        except KeyError:
-            continue
-    return paths
+def compute_critical_paths(traces: Iterable[WindowTrace]) -> list[CriticalPath]:
+    """Critical paths of ``traces`` (see :func:`build_window_traces`)."""
+    return [compute_critical_path(trace) for trace in traces]
 
 
-def top_slowest(
-    recorder: TraceRecorder, results, n: int = 5
-) -> list[CriticalPath]:
+def top_slowest(traces: Iterable[WindowTrace], n: int = 5) -> list[CriticalPath]:
     """The ``n`` highest-latency windows, slowest first (ties by id)."""
-    paths = compute_critical_paths(recorder, results)
+    paths = compute_critical_paths(traces)
     paths.sort(key=lambda p: (-p.latency, p.trace_id))
     return paths[:n]
 

@@ -126,6 +126,10 @@ class WindowTrace:
         """End-to-end emission latency: first ingest → emit, sim-ms."""
         return self.emitted_at - self.ingested_at
 
+    def named(self, name: str) -> list[Span]:
+        """The child spans called ``name``, in ``span_id`` order."""
+        return [span for span in self.spans[1:] if span.name == name]
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "trace_id": self.trace_id,
@@ -178,11 +182,22 @@ def _reuse_matches(event: TraceEvent, result) -> bool:
     return event.at == result.end
 
 
-def collect_window_events(recorder: TraceRecorder, result) -> _WindowEvents:
+def _overlaps(event: TraceEvent, start: int, end: int) -> bool:
+    """Whether the event's ``[start, end)`` span intersects the window."""
+    span_start = event.data.get("start")
+    span_end = event.data.get("end")
+    if span_start is None or span_end is None:
+        return False
+    if span_start == span_end:  # empty span: boundary slices count once
+        return start <= span_start < end
+    return span_start < end and span_end > start
+
+
+def _collect_window_events(recorder: TraceRecorder, result) -> _WindowEvents:
     """Gather every event attributable to ``result``'s window.
 
-    Same lookup contract as :meth:`TraceRecorder.explain_window`: raises
-    ``KeyError`` when the window's emit event is not in the ring buffer.
+    Raises ``KeyError`` when the window's emit event is not in the ring
+    buffer (never traced, or already evicted).
     """
     emit: TraceEvent | None = None
     for event in reversed(list(recorder.events())):
@@ -202,7 +217,6 @@ def collect_window_events(recorder: TraceRecorder, result) -> _WindowEvents:
         )
     group = emit.group
     start, end = result.start, result.end
-    overlaps = TraceRecorder._overlaps
     ev = _WindowEvents(
         emit=emit, group=group, start=start, end=end, ingested_at=emit.at
     )
@@ -214,11 +228,11 @@ def collect_window_events(recorder: TraceRecorder, result) -> _WindowEvents:
             ev.retransmits.append(event)
             continue
         if kind == "net.transit":
-            if event.group == group and overlaps(event, start, end):
+            if event.group == group and _overlaps(event, start, end):
                 ev.transits.append(event)
             continue
         if kind == "net.send":
-            if event.group == group and overlaps(event, start, end):
+            if event.group == group and _overlaps(event, start, end):
                 ev.sends.append(event)
             continue
         if kind in _LIFECYCLE_KINDS:
@@ -230,20 +244,20 @@ def collect_window_events(recorder: TraceRecorder, result) -> _WindowEvents:
         if event.group != group:
             continue
         if kind == "buffer.shed":
-            if overlaps(event, start, end):
+            if _overlaps(event, start, end):
                 ev.sheds.append(event)
             continue
         if kind == "slice.close":
-            if overlaps(event, start, end):
+            if _overlaps(event, start, end):
                 ev.slices.append(event)
         elif kind == "partial.ship":
-            if overlaps(event, start, end):
+            if _overlaps(event, start, end):
                 ev.ships.append(event)
         elif kind == "merge.release":
-            if overlaps(event, start, end):
+            if _overlaps(event, start, end):
                 ev.releases.append(event)
         elif kind == "root.consume":
-            if overlaps(event, start, end):
+            if _overlaps(event, start, end):
                 ev.consumes.append(event)
         elif kind == "merge.reuse":
             if _reuse_matches(event, result):
@@ -311,7 +325,7 @@ def build_window_trace(recorder: TraceRecorder, result) -> WindowTrace:
     object with ``query_id``/``start``/``end``).  Raises ``KeyError``
     when the window was never traced or already evicted from the ring.
     """
-    ev = collect_window_events(recorder, result)
+    ev = _collect_window_events(recorder, result)
     emit = ev.emit
     trace_id = f"{result.query_id}:{result.start}:{result.end}"
     t0 = ev.ingested_at

@@ -43,12 +43,10 @@ The default recorder everywhere is :data:`NULL_RECORDER`, a shared no-op
 whose ``enabled`` flag is ``False`` — instrumented hot paths guard with
 ``if recorder.enabled:`` and pay one attribute read when tracing is off.
 
-:meth:`TraceRecorder.explain_window` answers the question the motivation
-section of the issue poses ("why did this window degrade under 5%
-drop?"): given an emitted :class:`~repro.core.results.WindowResult` it
-walks the ring buffer backwards and reconstructs the window's provenance
-— contributing slices, source nodes, merge hops with per-hop timestamps,
-and the retransmits that preceded the emit.
+Windows are explained from the ring after the run:
+:func:`repro.obs.spans.build_window_trace` turns one emitted window's
+events into a span tree, and the critical path and ``report --explain``
+read that tree.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ __all__ = [
     "TraceEvent",
     "TraceRecorder",
     "NULL_RECORDER",
-    "WindowProvenance",
 ]
 
 
@@ -98,55 +95,6 @@ class TraceEvent:
             "group": self.group,
             **self.data,
         }
-
-
-@dataclass(slots=True)
-class WindowProvenance:
-    """Everything the trace knows about one emitted window."""
-
-    query_id: str
-    start: int
-    end: int
-    group: int
-    emitted_at: int
-    event_count: int
-    #: local nodes whose slices fed the window, sorted
-    sources: list[str]
-    #: contributing ``slice.close`` events (node, slice bounds, cut time)
-    slices: list[TraceEvent]
-    #: ship/merge/consume hops that carried the window's records, in order
-    hops: list[TraceEvent]
-    #: reliable-channel re-sends per link observed before the emit
-    retransmits: dict[str, int]
-    #: ``buffer.shed`` events whose shed coverage intersects the window
-    #: (DESIGN.md §12); non-empty exactly when the result is degraded
-    sheds: list[TraceEvent] = field(default_factory=list)
-    #: the emitted result's completeness (1.0 unless coverage was shed)
-    completeness: float = 1.0
-
-    @property
-    def total_retransmits(self) -> int:
-        return sum(self.retransmits.values())
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "query_id": self.query_id,
-            "start": self.start,
-            "end": self.end,
-            "group": self.group,
-            "emitted_at": self.emitted_at,
-            "event_count": self.event_count,
-            "sources": self.sources,
-            "slices": [event.to_dict() for event in self.slices],
-            "hops": [event.to_dict() for event in self.hops],
-            "retransmits": self.retransmits,
-            "sheds": [event.to_dict() for event in self.sheds],
-            "completeness": self.completeness,
-        }
-
-
-#: hop kinds, in pipeline order (used for provenance ordering)
-_HOP_KINDS = ("partial.ship", "merge.release", "root.consume")
 
 
 class TraceRecorder:
@@ -212,83 +160,6 @@ class TraceRecorder:
         self._events.clear()
         self.dropped = 0
         self._warned_drop = False
-
-    # -- provenance ------------------------------------------------------------
-
-    def explain_window(self, result) -> WindowProvenance:
-        """Reconstruct the provenance of an emitted window result.
-
-        ``result`` is a :class:`~repro.core.results.WindowResult` (or any
-        object with ``query_id``/``start``/``end``).  Raises ``KeyError``
-        when the window's emit event is not in the buffer (never traced,
-        or already evicted from the ring).
-        """
-        emit: TraceEvent | None = None
-        for event in reversed(self._events):
-            if (
-                event.kind == "window.emit"
-                and event.data.get("query_id") == result.query_id
-                and event.data.get("start") == result.start
-                and event.data.get("end") == result.end
-            ):
-                emit = event
-                break
-        if emit is None:
-            raise KeyError(
-                f"no window.emit trace for {result.query_id!r} "
-                f"[{result.start}..{result.end}); was tracing enabled, and "
-                f"is the window still inside the ring buffer?"
-            )
-        group = emit.group
-        start, end = result.start, result.end
-        slices: list[TraceEvent] = []
-        hops: list[TraceEvent] = []
-        retransmits: dict[str, int] = {}
-        sheds: list[TraceEvent] = []
-        for event in self._events:
-            if event.seq > emit.seq:
-                break
-            if event.kind == "net.retransmit":
-                link = event.data.get("link", "?")
-                retransmits[link] = retransmits.get(link, 0) + 1
-                continue
-            if event.group != group:
-                continue
-            if event.kind == "slice.close":
-                if self._overlaps(event, start, end):
-                    slices.append(event)
-            elif event.kind in _HOP_KINDS:
-                if self._overlaps(event, start, end):
-                    hops.append(event)
-            elif event.kind == "buffer.shed":
-                if self._overlaps(event, start, end):
-                    sheds.append(event)
-        hops.sort(key=lambda e: (e.at, _HOP_KINDS.index(e.kind), e.seq))
-        return WindowProvenance(
-            query_id=result.query_id,
-            start=start,
-            end=end,
-            group=group,
-            emitted_at=emit.at,
-            event_count=emit.data.get("event_count", 0),
-            sources=sorted({e.node for e in slices}),
-            slices=slices,
-            hops=hops,
-            retransmits=retransmits,
-            sheds=sheds,
-            completeness=emit.data.get("completeness", 1.0),
-        )
-
-    @staticmethod
-    def _overlaps(event: TraceEvent, start: int, end: int) -> bool:
-        """Whether the event's ``[start, end)`` span intersects the window."""
-        span_start = event.data.get("start")
-        span_end = event.data.get("end")
-        if span_start is None or span_end is None:
-            return False
-        if span_start == span_end:  # empty span: boundary slices count once
-            return start <= span_start < end
-        return span_start < end and span_end > start
 
 
 class _NullRecorder(TraceRecorder):

@@ -18,12 +18,14 @@ import random
 
 import pytest
 
+from repro.core.analyzer import analyze
 from repro.core.engine import AggregationEngine
 from repro.core.event import Event, merge_streams
 from repro.core.predicates import Selection
 from repro.core.query import Query, WindowSpec
-from repro.core.types import AggFunction, WindowMeasure
+from repro.core.types import AggFunction, OperatorKind, WindowMeasure
 from repro.cluster import ClusterConfig, DesisCluster
+from repro.cluster.root import RootAssembler
 from repro.network.topology import chain, star, three_tier
 
 TICK = 500
@@ -175,6 +177,29 @@ class TestSessionParity:
         assert_parity(
             queries, make_streams(2, 250, gap_every=50), three_tier(2, 1)
         )
+
+    def test_session_merges_only_its_own_operators(self, monkeypatch):
+        """A COUNT session sharing its group with an AVG query merges the
+        COUNT partials only, not the group's SUM."""
+        queries = [
+            Query.of("avg", WindowSpec.tumbling(1_000), AggFunction.AVERAGE),
+            Query.of("n", WindowSpec.session(gap=300), AggFunction.COUNT),
+        ]
+        (group,) = analyze(queries, decentralized=True).groups
+        assert OperatorKind.SUM in group.operators
+        merged: set[OperatorKind] = set()
+        emit = RootAssembler.emit
+
+        def spy(self, query, start, end, ops, count, now):
+            if query.query_id == "n":
+                merged.update(ops)
+            emit(self, query, start, end, ops, count, now)
+
+        monkeypatch.setattr(RootAssembler, "emit", spy)
+        assert_parity(
+            queries, make_streams(3, 400, gap_every=40), three_tier(3, 1)
+        )
+        assert merged == {OperatorKind.COUNT}
 
 
 class TestRootEvaluatedParity:

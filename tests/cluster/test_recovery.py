@@ -41,7 +41,11 @@ from repro.network.messages import (
 )
 from repro.network.simnet import CrashWindow, FaultPlan
 from repro.network.topology import three_tier
-from repro.obs import compute_critical_path
+from repro.obs import (
+    build_window_trace,
+    build_window_traces,
+    compute_critical_path,
+)
 from repro.obs.registry import MetricsRegistry, publish_cluster_result
 
 from tests.cluster.test_desis_parity import TICK, make_streams
@@ -368,7 +372,7 @@ class TestDirStoreEndToEnd:
             fault_plan=plan,
             node_timeout=NEVER,
             checkpoint_interval=3_000,
-            checkpoint_dir=str(tmp_path),
+            checkpoint_store=DirCheckpointStore(str(tmp_path)),
         )
         assert isinstance(cluster.checkpoint_store, DirCheckpointStore)
         assert rows(result) == baselines[("mixed", 1)]
@@ -457,9 +461,10 @@ class TestExplainSurvivesRecovery:
 
     def _check_last_windows(self, result, n=3):
         for res in result.sink.results[-n:]:
-            prov = result.recorder.explain_window(res)
-            assert prov.sources and prov.slices and prov.hops
-            path = compute_critical_path(result.recorder, res)
+            trace = build_window_trace(result.recorder, res)
+            assert trace.named("slice") and trace.named("ship")
+            assert trace.named("consume")
+            path = compute_critical_path(trace)
             assert sum(path.stage_totals().values()) == path.latency
             assert all(seg.duration > 0 for seg in path.segments)
 
@@ -512,8 +517,6 @@ class TestExplainSurvivesRecovery:
             checkpoint_interval=3_000,
             trace=True,
         )
-        from repro.obs import build_window_traces
-
         traces = build_window_traces(result.recorder, result.sink.results)
         assert traces
         names = {s.name for t in traces for s in t.spans}

@@ -137,7 +137,9 @@ class TestSessionAssembly:
             ],
             now=1_000,
         )
-        assert emitted == [("s", 100, 550, {K.SUM: 3.0, K.COUNT: 2}, 2)]
+        # The session merges its query's operators only (SUM), not the
+        # COUNT the records also shipped.
+        assert emitted == [("s", 100, 550, {K.SUM: 3.0}, 2)]
 
     def test_spans_beyond_gap_split(self):
         assembler, emitted = assembler_for(self.query())
@@ -158,7 +160,7 @@ class TestSessionAssembly:
         )
         assert emitted == []  # gap not yet covered (900 + 300 > 1000)
         assembler.consume(2_000, [], now=2_000)
-        assert emitted == [("s", 900, 1_200, {K.SUM: 1.0, K.COUNT: 1}, 1)]
+        assert emitted == [("s", 900, 1_200, {K.SUM: 1.0}, 1)]
 
     def test_missing_span_is_an_error(self):
         from repro.core.errors import ClusterError

@@ -18,6 +18,7 @@ from repro.obs import (
     STAGES,
     MetricsRegistry,
     TraceRecorder,
+    build_window_trace,
     build_window_traces,
     compute_critical_path,
     compute_critical_paths,
@@ -42,6 +43,12 @@ def run_traced(streams, **cfg):
     return cluster.run({k: list(v) for k, v in streams.items()})
 
 
+def traced_paths(result):
+    return compute_critical_paths(
+        build_window_traces(result.recorder, result.sink.results)
+    )
+
+
 def assert_exact_attribution(path):
     """The tentpole invariant: stages sum to the emission latency."""
     assert sum(path.stage_totals().values()) == path.latency
@@ -58,7 +65,7 @@ class TestExactStageSum:
     def test_clean_cluster_run(self):
         streams = make_streams(3, 1_200)
         result = run_traced(streams)
-        paths = compute_critical_paths(result.recorder, result.sink.results)
+        paths = traced_paths(result)
         assert len(paths) == len(result.sink.results)
         for path in paths:
             assert_exact_attribution(path)
@@ -74,7 +81,7 @@ class TestExactStageSum:
             node_timeout=10**9,
         )
         assert result.network.retransmits > 0
-        paths = compute_critical_paths(result.recorder, result.sink.results)
+        paths = traced_paths(result)
         assert paths
         for path in paths:
             assert_exact_attribution(path)
@@ -90,7 +97,7 @@ class TestExactStageSum:
         results = list(engine.close())
         assert len(results) > 2
         for result in results:
-            path = compute_critical_path(recorder, result)
+            path = compute_critical_path(build_window_trace(recorder, result))
             assert_exact_attribution(path)
             totals = path.stage_totals()
             # no network stages on a single engine
@@ -104,20 +111,19 @@ class TestExactStageSum:
             query_id, start, end = "q", 0, 100
 
         with pytest.raises(KeyError):
-            compute_critical_path(recorder, Fake())
+            compute_critical_path(build_window_trace(recorder, Fake()))
 
 
 class TestTopSlowest:
     def test_orders_by_latency_then_id(self):
         streams = make_streams(3, 1_500)
         result = run_traced(streams)
-        top = top_slowest(result.recorder, result.sink.results, n=3)
+        traces = build_window_traces(result.recorder, result.sink.results)
+        top = top_slowest(traces, n=3)
         assert len(top) == 3
         latencies = [p.latency for p in top]
         assert latencies == sorted(latencies, reverse=True)
-        everything = top_slowest(
-            result.recorder, result.sink.results, n=10**6
-        )
+        everything = top_slowest(traces, n=10**6)
         assert len(everything) == len(result.sink.results)
         assert everything[0].latency >= everything[-1].latency
 
@@ -126,7 +132,7 @@ class TestSpanMetrics:
     def test_publish_span_metrics(self):
         streams = make_streams(3, 1_200)
         result = run_traced(streams)
-        paths = compute_critical_paths(result.recorder, result.sink.results)
+        paths = traced_paths(result)
         registry = MetricsRegistry()
         publish_span_metrics(registry, paths)
         assert registry.value("span.windows") == len(paths)
@@ -148,7 +154,7 @@ class TestRenderings:
 
     def test_waterfall_lists_every_segment(self, traced):
         path = compute_critical_path(
-            traced.recorder, traced.sink.results[-1]
+            build_window_trace(traced.recorder, traced.sink.results[-1])
         )
         text = render_waterfall(path)
         lines = text.splitlines()
@@ -161,7 +167,7 @@ class TestRenderings:
 
     def test_waterfall_is_deterministic(self, traced):
         path = compute_critical_path(
-            traced.recorder, traced.sink.results[-1]
+            build_window_trace(traced.recorder, traced.sink.results[-1])
         )
         assert render_waterfall(path) == render_waterfall(path)
 
@@ -265,7 +271,7 @@ class TestPinnedTraces:
             self.PINNED_QUERIES, three_tier(3, 1), config=ClusterConfig(**cfg)
         ).run({k: list(v) for k, v in make_streams(3, 2_000).items()})
         traces = build_window_traces(result.recorder, result.sink.results)
-        paths = compute_critical_paths(result.recorder, result.sink.results)
+        paths = compute_critical_paths(traces)
         assert len(traces) == len(paths) == len(result.sink.results)
         stages = {stage for path in paths for stage in path.stage_totals()
                   if path.stage_totals()[stage]}
@@ -308,7 +314,7 @@ class TestWalkBranches:
         class Res:
             query_id, start, end = "q", 0, 100
 
-        path = compute_critical_path(recorder, Res())
+        path = compute_critical_path(build_window_trace(recorder, Res()))
         assert [
             (s.stage, s.start, s.end, s.node or s.link)
             for s in path.segments

@@ -1,4 +1,8 @@
-"""Tests for the slice-lifecycle trace recorder and window provenance."""
+"""Tests for the slice-lifecycle trace recorder and window provenance.
+
+A window's provenance is its span tree (:mod:`repro.obs.spans`); the
+tests here check what the tree keeps of the raw ring.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +14,12 @@ from repro.core.results import WindowResult
 from repro.core.types import AggFunction
 from repro.network.simnet import FaultPlan
 from repro.network.topology import three_tier
-from repro.obs import NULL_RECORDER, TraceRecorder, render_trace_jsonl
+from repro.obs import (
+    NULL_RECORDER,
+    TraceRecorder,
+    build_window_trace,
+    render_trace_jsonl,
+)
 
 from tests.cluster.test_desis_parity import TICK, make_streams
 
@@ -109,21 +118,23 @@ class TestExplainWindow:
     def test_provenance_contents(self):
         recorder = self._trace_one_window()
         result = WindowResult("q", 0, 100, 1.0, 7, emitted_at=106)
-        prov = recorder.explain_window(result)
-        assert prov.sources == ["local-0", "local-1"]
-        assert len(prov.slices) == 2
-        assert [h.kind for h in prov.hops] == ["partial.ship", "root.consume"]
-        assert prov.retransmits == {"local-0->root": 1}
-        assert prov.total_retransmits == 1
-        assert prov.emitted_at == 106
-        assert prov.event_count == 7
-        assert prov.to_dict()["sources"] == ["local-0", "local-1"]
+        trace = build_window_trace(recorder, result)
+        slices = trace.named("slice")
+        assert [s.node for s in slices] == ["local-0", "local-1"]
+        assert [s.name for s in trace.spans[1:] if s.name != "slice"] == [
+            "ship", "retransmit", "consume"
+        ]
+        assert [r.attrs["link"] for r in trace.named("retransmit")] == [
+            "local-0->root"
+        ]
+        assert trace.emitted_at == 106
+        assert trace.root.attrs["event_count"] == 7
 
     def test_untraced_window_raises(self):
         recorder = self._trace_one_window()
         missing = WindowResult("q", 500, 600, 1.0, 1, emitted_at=601)
         with pytest.raises(KeyError):
-            recorder.explain_window(missing)
+            build_window_trace(recorder, missing)
 
     def test_empty_span_slice_counts_once(self):
         recorder = TraceRecorder()
@@ -131,17 +142,17 @@ class TestExplainWindow:
                         index=0, start=100, end=100)  # boundary cut, no span
         recorder.record("window.emit", 101, node="root", group=0,
                         query_id="q", start=0, end=200, event_count=0)
-        prov = recorder.explain_window(
-            WindowResult("q", 0, 200, 0.0, 0, emitted_at=101)
+        trace = build_window_trace(
+            recorder, WindowResult("q", 0, 200, 0.0, 0, emitted_at=101)
         )
-        assert len(prov.slices) == 1
+        assert len(trace.named("slice")) == 1
         # ... but not for a window the empty cut sits outside of
         recorder.record("window.emit", 201, node="root", group=0,
                         query_id="q", start=200, end=400, event_count=0)
-        prov = recorder.explain_window(
-            WindowResult("q", 200, 400, 0.0, 0, emitted_at=201)
+        trace = build_window_trace(
+            recorder, WindowResult("q", 200, 400, 0.0, 0, emitted_at=201)
         )
-        assert prov.slices == []
+        assert trace.named("slice") == []
 
 
 QUERIES = [Query.of("q", WindowSpec.tumbling(1_000), AggFunction.SUM)]
@@ -170,7 +181,7 @@ class TestClusterTracing:
         assert {"slice.close", "partial.ship", "merge.release",
                 "root.consume", "window.emit"} <= kinds
 
-    def test_explain_window_on_faulty_run(self):
+    def test_window_provenance_on_faulty_run(self):
         """The acceptance scenario: full provenance under >=1% drop."""
         streams = make_streams(3, 1_500)
         result = run_traced(
@@ -180,12 +191,16 @@ class TestClusterTracing:
         )
         assert result.network.retransmits > 0
         assert len(result.sink) > 1
-        prov = result.recorder.explain_window(result.sink.results[-1])
-        assert prov.sources == ["local-0", "local-1", "local-2"]
-        assert prov.slices and prov.hops
+        trace = build_window_trace(result.recorder, result.sink.results[-1])
+        slices = trace.named("slice")
+        assert sorted({s.node for s in slices}) == [
+            "local-0", "local-1", "local-2"
+        ]
+        hops = [s for s in trace.spans if s.name in ("ship", "merge", "consume")]
+        assert slices and hops
         # hop timestamps are simulated ms, causally ordered
-        assert all(h.at <= prov.emitted_at for h in prov.hops)
-        assert prov.total_retransmits > 0
+        assert all(h.end <= trace.emitted_at for h in hops)
+        assert trace.named("retransmit")
 
     def test_same_seed_traces_are_byte_identical(self):
         streams = make_streams(3, 800)

@@ -196,6 +196,45 @@ class TestReport:
 
         assert any(stage in out for stage in STAGES)
 
+    def test_report_explain_lists_the_sheds_of_a_degraded_window(
+        self, capsys
+    ):
+        code = main(
+            [
+                "report", "--locals", "3", "--events", "3000",
+                "--rate", "5000", "--seed", "8",
+                "--channel-credit-bytes", "300",
+                "--channel-credit-frames", "2", "--staging-limit", "1",
+                "--link-latency", "50", "--bandwidth", "0.05", "--explain",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "DEGRADED: completeness=0.000 (1 shed event(s) intersect)" in out
+        assert "t=2610 buffer.shed @ mid-0 [0..1000) 2 record(s)" in out
+
+    def test_report_recovers_from_on_disk_checkpoints(self, capsys, tmp_path):
+        """The weekly chaos job's recovery command line at a small size:
+        a state-losing intermediate crash healed from ``.ckpt`` files."""
+        code = main(
+            [
+                "report", "--locals", "4", "--events", "13000",
+                "--rate", "5000", "--seed", "8", "--drop-rate", "0.02",
+                "--crash", "mid-0:1500:2500", "--checkpoint-interval", "400",
+                "--checkpoint-dir", str(tmp_path), "--explain",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert (tmp_path / "mid-0.ckpt").exists()
+        (recoveries,) = [
+            line.split() for line in out.splitlines()
+            if line.startswith("cluster.recoveries ")
+        ]
+        assert recoveries[-1] == "1"
+        assert "critical path:" in out
+        assert "ms (ingest" in out  # the waterfall header
+
 
 class TestProfile:
     def test_profile_prints_waterfalls_and_stage_totals(self, capsys):
