@@ -216,7 +216,7 @@ class DesisCluster:
 
     def add_query(self, query: Query) -> None:
         """Register a new query at runtime as its own query-group."""
-        if any(q.query_id == query.query_id for q in self.plan.queries):
+        if query.query_id in self.plan:
             raise ClusterError(f"duplicate query id: {query.query_id!r}")
         group = QueryGroup(group_id=len(self.plan.groups))
         group.root_evaluated = (

@@ -153,7 +153,7 @@ class _SlicedLocalGroup(_LocalGroup):
             )
 
     def remove_query(self, query_id: str) -> None:
-        if query_id in self.runtime.needed:
+        if query_id in self.runtime.tracker_by_query:
             self.runtime.remove_query(query_id)
 
     def on_event(self, event: Event) -> None:

@@ -24,7 +24,7 @@ that the root broadcasts to all nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.core.errors import QueryError
 from repro.core.functions import plan_operators
@@ -105,6 +105,9 @@ class QueryPlan:
     policy: SharingPolicy
     decentralized: bool
 
+    def __contains__(self, query_id: str) -> bool:
+        return any(query_id in group.context_of for group in self.groups)
+
     def group_of(self, query_id: str) -> QueryGroup:
         for group in self.groups:
             if query_id in group.context_of:
@@ -114,6 +117,32 @@ class QueryPlan:
     @property
     def queries(self) -> list[Query]:
         return [query for group in self.groups for query in group.queries]
+
+    def admit(self, query: Query) -> QueryGroup:
+        """Add ``query`` to the first group it fits, else to a new one.
+
+        A group fits when it has members, the sharing policy's key and
+        (decentralized) placement match its own, and the query's selection
+        is compatible with each of its selections.  A new group is
+        returned unplanned: its operators are the caller's to plan.
+        """
+        if query.query_id in self:
+            raise QueryError(f"duplicate query id: {query.query_id!r}")
+        key = _policy_key(query, self.policy)
+        root = self.decentralized and _placement_root(query)
+        for group in self.groups:
+            if (
+                group.queries
+                and group.root_evaluated == root
+                and _policy_key(group.queries[0], self.policy) == key
+                and all(compatible(query.selection, s) for s in group.selections)
+            ):
+                break
+        else:
+            group = QueryGroup(group_id=len(self.groups), root_evaluated=root)
+            self.groups.append(group)
+        group._admit(query)
+        return group
 
 
 def _policy_key(query: Query, policy: SharingPolicy):
@@ -134,12 +163,6 @@ def _placement_root(query: Query) -> bool:
     return not query.is_decomposable or query.window.measure is WindowMeasure.COUNT
 
 
-def _fits(group: QueryGroup, query: Query, key, keys: dict[int, object]) -> bool:
-    if keys[group.group_id] != key:
-        return False
-    return all(compatible(query.selection, existing) for existing in group.selections)
-
-
 def analyze(
     queries: Iterable[Query],
     *,
@@ -149,34 +172,12 @@ def analyze(
     """Partition ``queries`` into query-groups under ``policy``.
 
     Raises :class:`QueryError` on duplicate query ids.  Grouping is greedy
-    in submission order: each query joins the first group it is compatible
-    with, otherwise it opens a new group.
+    in submission order (:meth:`QueryPlan.admit`): each query joins the
+    first group it is compatible with, otherwise it opens a new group.
     """
-    ordered: Sequence[Query] = list(queries)
-    seen_ids: set[str] = set()
-    for query in ordered:
-        if query.query_id in seen_ids:
-            raise QueryError(f"duplicate query id: {query.query_id!r}")
-        seen_ids.add(query.query_id)
-
-    groups: list[QueryGroup] = []
-    group_keys: dict[int, object] = {}
-    for query in ordered:
-        key = _policy_key(query, policy)
-        if decentralized:
-            key = (key, _placement_root(query))
-        target = None
-        for group in groups:
-            if _fits(group, query, key, group_keys):
-                target = group
-                break
-        if target is None:
-            target = QueryGroup(group_id=len(groups))
-            target.root_evaluated = decentralized and _placement_root(query)
-            groups.append(target)
-            group_keys[target.group_id] = key
-        target._admit(query)
-
-    for group in groups:
+    plan = QueryPlan(groups=[], policy=policy, decentralized=decentralized)
+    for query in queries:
+        plan.admit(query)
+    for group in plan.groups:
         group._replan()
-    return QueryPlan(groups=groups, policy=policy, decentralized=decentralized)
+    return plan

@@ -27,10 +27,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.analyzer import QueryGroup, QueryPlan, analyze
+from repro.core.analyzer import QueryGroup, analyze
 from repro.core.errors import EngineError, OutOfOrderError, QueryError
 from repro.core.event import Event
-from repro.core.functions import finalize, operators_for
+from repro.core.functions import finalize, operators_for, plan_operators
 from repro.core.grid import PunctuationGrid
 from repro.core.incmerge import IncrementalMergeLayer
 from repro.core.operators import PENDING_CAP, OperatorSetState
@@ -179,24 +179,10 @@ class GroupRuntime:
         self.track_spans = track_spans
         self._spans: dict[int, list[int]] = {}
 
-        self.selections = list(group.selections)
-        #: key-indexed selection routing used by the batched fast path;
-        #: the per-event path reads only whether any context is routed,
-        #: and if so keeps the linear scan (its cost model)
-        self._router = group.build_router()
-        #: selection contexts carrying the deduplication operator
-        self._dedup_ctxs = frozenset(
-            index
-            for index, selection in enumerate(self.selections)
-            if selection.deduplicate
-        )
+        self._sync_selections()
         #: per-open-slice seen-event sets for deduplicating contexts
         self._dedup_seen: dict[int, set] = {}
         self.operators = group.operators
-        self.needed: dict[str, tuple[OperatorKind, ...]] = {
-            query.query_id: required_kinds(query, group.operators)
-            for query in group.queries
-        }
         #: id of a window's subscriber snapshot -> (that snapshot, pinned so
         #: the id stays its own; the kinds it merges).  Emptied when
         #: subscriptions change.
@@ -210,13 +196,13 @@ class GroupRuntime:
         #: must be checked for opens on every event
         self._userdef_closed: list[UserDefinedWindowTracker] = []
         #: whether any session, user-defined or count tracker is live:
-        #: only then do events punctuate (kept by _add_trackers/remove_query)
+        #: only then do events punctuate (kept by add_query/remove_query)
         self._data_driven = False
         #: window deduplication (see repro.core.windows): queries sharing a
         #: window spec and selection context share one tracker
         self._tracker_index: dict[tuple, object] = {}
-        for query in group.queries:
-            self._add_trackers(query)
+        #: query id -> the tracker it subscribes to
+        self.tracker_by_query: dict[str, object] = {}
 
         self._heap: list[tuple[int, int, int, object]] = []
         #: slicing-only: the punctuations of the live fixed trackers
@@ -240,22 +226,56 @@ class GroupRuntime:
         #: cumulative count of slices closed by this group (its local slice
         #: ids in the decentralized protocol, Sec 5.1.1)
         self.slice_seq = 0
+        for query in group.queries:
+            self.add_query(query)
 
     # -- query lifecycle ------------------------------------------------------
 
-    def _add_trackers(self, query: Query) -> bool:
-        """Attach ``query`` to its (possibly shared) tracker.
+    def add_query(self, query: Query) -> None:
+        """Attach a member query of the group (Sec 3.2).
 
-        Returns True when a new tracker was created; queries whose window
-        spec and selection context match an existing tracker simply
-        subscribe to it (window deduplication).
+        The one way a query enters a runtime: construction attaches each
+        planned member, and :meth:`AggregationEngine.add_query` each query
+        :meth:`~repro.core.analyzer.QueryPlan.admit` put into the group.
+        A query needing an operator kind the runtime cannot read yet, or
+        a selection context new to it, cuts the open slice (once events
+        have arrived) so the new operators and contexts apply from the
+        stream time on; kinds are only ever appended, and min/max read a
+        planned non-decomposable sort (as :func:`required_kinds` does), so
+        no running query's kinds change.  The query then subscribes to the
+        tracker of its window spec and context — starting with the next
+        window it opens — or gets a new one, which joins at stream time.
         """
+        operators = self.operators
+        wanted = operators_for(query.function)
+        if OperatorKind.NON_DECOMPOSABLE_SORT in operators:
+            wanted = wanted - {OperatorKind.DECOMPOSABLE_SORT}
+        missing = wanted.difference(operators)
         ctx = self.group.context_of[query.query_id]
+        new_ctx = ctx >= len(self.selections)
+        if missing or new_ctx:
+            if self._bootstrapped and self.stream_time is not None:
+                self._cut(self.stream_time, [], [])
+            if missing:
+                self.operators = self.group.operators = operators + tuple(
+                    kind
+                    for kind in plan_operators((query.function,))
+                    if kind in missing
+                )
+            if new_ctx:
+                self._sync_selections()
+        self._kinds_of = {}
         key = (query.window, ctx)
-        existing = self._tracker_index.get(key)
-        if existing is not None:
-            existing.subscribe(query)
-            return False
+        tracker = self._tracker_index.get(key)
+        if tracker is not None:
+            tracker.subscribe(query)
+        else:
+            tracker = self._tracker_index[key] = self._new_tracker(query, ctx)
+        self.tracker_by_query[query.query_id] = tracker
+
+    def _new_tracker(self, query: Query, ctx: int):
+        """A tracker for ``query``'s window spec; a fixed one joins at
+        stream time once events have arrived."""
         kind = query.window.window_type
         if query.window.measure is WindowMeasure.COUNT:
             tracker = CountWindowTracker(query, ctx)
@@ -263,6 +283,13 @@ class GroupRuntime:
         elif kind in (WindowType.TUMBLING, WindowType.SLIDING):
             tracker = FixedWindowTracker(query, ctx)
             self.fixed.append(tracker)
+            if self._bootstrapped:
+                start = tracker.bootstrap(self.stream_time or 0)
+                if self.grid is not None:
+                    self._joining.append(tracker)
+                    self._regrid(start)
+                else:
+                    self._push(start, _SP_FIXED, tracker)
         elif kind is WindowType.SESSION:
             tracker = SessionWindowTracker(query, ctx)
             self.sessions.append(tracker)
@@ -272,37 +299,22 @@ class GroupRuntime:
             self._userdef_closed.append(tracker)
         else:  # pragma: no cover - enum is exhaustive
             raise QueryError(f"unsupported window type: {kind!r}")
-        self._tracker_index[key] = tracker
         self._data_driven = bool(self.sessions or self.userdef or self.counts)
-        return True
+        return tracker
 
-    def add_query(self, query: Query) -> None:
-        """Attach a query at runtime (Sec 3.2); it joins at stream time.
-
-        A query matching an existing tracker subscribes to it and starts
-        receiving results from the next window that tracker opens.
-        """
-        self.needed[query.query_id] = required_kinds(query, self.group.operators)
-        self._kinds_of = {}
-        created = self._add_trackers(query)
-        if created and self._bootstrapped:
-            tracker = self._tracker_of(query.query_id)
-            if isinstance(tracker, FixedWindowTracker):
-                start = tracker.bootstrap(self.stream_time or 0)
-                if self.grid is not None:
-                    self._joining.append(tracker)
-                    self._regrid(start)
-                else:
-                    self._push(start, _SP_FIXED, tracker)
-
-    def refresh_selections(self) -> None:
-        """Re-sync selections (and their routing index) with the group.
-
-        Called after runtime query admission changes the group's distinct
-        selection contexts.
-        """
+    def _sync_selections(self) -> None:
+        """Take the group's selection contexts, as of now."""
         self.selections = list(self.group.selections)
+        #: key-indexed selection routing used by the batched fast path;
+        #: the per-event path reads only whether any context is routed,
+        #: and if so keeps the linear scan (its cost model)
         self._router = self.group.build_router()
+        #: selection contexts carrying the deduplication operator
+        self._dedup_ctxs = frozenset(
+            index
+            for index, selection in enumerate(self.selections)
+            if selection.deduplicate
+        )
 
     def remove_query(self, query_id: str, *, drain: bool = False) -> None:
         """Detach a query (Sec 3.2).
@@ -317,7 +329,9 @@ class GroupRuntime:
         check the open-window table); on a grid, which has no window to
         drain, they go with the tracker either way.
         """
-        tracker = self._tracker_of(query_id)
+        tracker = self.tracker_by_query.pop(query_id, None)
+        if tracker is None:
+            raise QueryError(f"query {query_id!r} has no tracker in this group")
         if tracker.unsubscribe(query_id):
             # Last subscriber gone: stop opening new windows entirely.
             for bucket in (self.fixed, self.sessions, self.userdef, self.counts):
@@ -330,8 +344,6 @@ class GroupRuntime:
             if self.grid is not None and self._bootstrapped:
                 self._regrid(self.stream_time)
         if not drain:
-            # (Draining windows keep their subscriber snapshot; ``needed``
-            # must outlive them for result finalization at close.)
             for window in list(self.open_windows.values()):
                 if not any(q.query_id == query_id for q in window.queries):
                     continue
@@ -340,17 +352,9 @@ class GroupRuntime:
                 )
                 if not window.queries:
                     del self.open_windows[window.uid]
-            self.needed.pop(query_id, None)
         self._kinds_of = {}
         self._stale_streams = True
         self._windows_left()
-
-    def _tracker_of(self, query_id: str):
-        for bucket in (self.fixed, self.sessions, self.userdef, self.counts):
-            for tracker in bucket:
-                if tracker.serves(query_id):
-                    return tracker
-        raise QueryError(f"query {query_id!r} has no tracker in this group")
 
     # -- punctuation heap -----------------------------------------------------
 
@@ -414,14 +418,16 @@ class GroupRuntime:
         if not self.assemble:
             return
         # Merge the union of the subscribers' operators (worked out once per
-        # snapshot) once; finalize (and materialize a result) per subscribed
-        # query — the only per-query cost of a deduplicated window.
+        # snapshot, per distinct function) once; finalize (and materialize a
+        # result) per subscribed query — the only per-query cost of a
+        # deduplicated window.  A running query's kinds never change (see
+        # add_query), so a draining subscriber reads what it always read.
         queries = window.queries
         cached = self._kinds_of.get(id(queries))
         if cached is None:
             union = set()
-            for query in queries:
-                union.update(self.needed[query.query_id])
+            for query in {query.function: query for query in queries}.values():
+                union.update(required_kinds(query, self.operators))
             cached = self._kinds_of[id(queries)] = (
                 queries, tuple(kind for kind in self.operators if kind in union)
             )
@@ -1166,9 +1172,12 @@ class AggregationEngine:
     """Multi-query window aggregation with cross-query sharing (Sec 4).
 
     This is the centralized engine (and the per-node workhorse of the
-    decentralized clusters).  Construct it with the full query set; feed
-    events in timestamp order via :meth:`process`; results appear in
-    :attr:`sink`.
+    decentralized clusters).  Construct it with a query set; feed events in
+    timestamp order via :meth:`process`; results appear in :attr:`sink`.
+    Queries come and go at runtime through :meth:`add_query` and
+    :meth:`remove_query`.  A query enters one way, construction included:
+    :meth:`~repro.core.analyzer.QueryPlan.admit` groups it first-fit, and
+    :meth:`GroupRuntime.add_query` attaches it to its group's runtime.
 
     Args:
         queries: the continuous queries to execute.
@@ -1190,7 +1199,6 @@ class AggregationEngine:
         policy: SharingPolicy | None = None,
         emit_empty: bool | None = None,
         sink: ResultSink | None = None,
-        plan: QueryPlan | None = None,
         recorder=None,
     ) -> None:
         from repro.core.config import EngineConfig
@@ -1207,25 +1215,24 @@ class AggregationEngine:
         self.config = resolved
         self.sink = sink if sink is not None else ResultSink()
         self.stats = EngineStats()
-        if plan is not None:
-            self.plan = plan
-        else:
-            self.plan = analyze(queries, policy=resolved.policy)
+        self.plan = analyze(queries, policy=resolved.policy)
         self.policy = self.plan.policy
         #: opt-in slice-lifecycle tracing (repro.obs.tracing.TraceRecorder)
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.groups: list[GroupRuntime] = [
-            GroupRuntime(
-                group,
-                self.sink,
-                self.stats,
-                emit_empty=resolved.emit_empty,
-                recorder=self.recorder,
-                node_id="engine",
-            )
-            for group in self.plan.groups
+            self._runtime(group) for group in self.plan.groups
         ]
         self._closed = False
+
+    def _runtime(self, group: QueryGroup) -> GroupRuntime:
+        return GroupRuntime(
+            group,
+            self.sink,
+            self.stats,
+            emit_empty=self.config.emit_empty,
+            recorder=self.recorder,
+            node_id="engine",
+        )
 
     @property
     def group_count(self) -> int:
@@ -1330,77 +1337,27 @@ class AggregationEngine:
     def add_query(self, query: Query) -> None:
         """Attach a new query at runtime (Sec 3.2).
 
-        The query joins an existing compatible group (or a new group) and
-        starts windowing at the current stream time.  Operators already
-        planned for running groups are never dropped, so open windows keep
-        the partials they rely on.
+        :meth:`~repro.core.analyzer.QueryPlan.admit` puts it into the first
+        compatible group, or a new one; it then starts windowing at the
+        current stream time (:meth:`GroupRuntime.add_query`).  Operators
+        already planned for a running group are never dropped, so open
+        windows keep the partials they rely on.
         """
-        from repro.core.analyzer import QueryGroup, _policy_key
-        from repro.core.predicates import compatible as _compatible
-
-        if any(q.query_id == query.query_id for q in self.plan.queries):
-            raise QueryError(f"duplicate query id: {query.query_id!r}")
-        key = _policy_key(query, self.policy)
-        target: GroupRuntime | None = None
-        for runtime in self.groups:
-            group = runtime.group
-            if not group.queries:
-                continue
-            if _policy_key(group.queries[0], self.policy) != key:
-                continue
-            if all(_compatible(query.selection, sel) for sel in group.selections):
-                target = runtime
-                break
-        if target is None:
-            group = QueryGroup(group_id=len(self.plan.groups))
-            self.plan.groups.append(group)
-            group._admit(query)
-            group._replan()
-            target = GroupRuntime(
-                group,
-                self.sink,
-                self.stats,
-                emit_empty=self.config.emit_empty,
-                recorder=self.recorder,
-                node_id="engine",
-            )
-            self.groups.append(target)
-            # Bootstrap the new group at the current stream time so its
-            # first fixed window anchors at the join time — without this,
-            # the group would bootstrap lazily at its next event and its
-            # window schedule could anchor at an arbitrary later (or, via
-            # ``advance``, the origin) timestamp instead.
-            stream_time = max(
-                (g.stream_time for g in self.groups if g.stream_time is not None),
-                default=None,
-            )
-            if stream_time is not None:
-                target.advance(stream_time)
+        group = self.plan.admit(query)
+        if group.group_id < len(self.groups):
+            self.groups[group.group_id].add_query(query)
             return
-        group = target.group
-        # Cut the open slice so new selections/operators apply cleanly from
-        # here; historical slices are only read by pre-existing windows.
-        if target._bootstrapped and target.stream_time is not None:
-            target._cut(target.stream_time, [], [])
-        group._admit(query)
-        new_ops = plan_operators_keeping(group, target.operators)
-        group.operators = new_ops
-        target.operators = new_ops
-        target.refresh_selections()
-        # (``update``: a draining query's windows still finalize by it)
-        target.needed.update(
-            (q.query_id, required_kinds(q, new_ops)) for q in group.queries
+        group._replan()
+        runtime = self._runtime(group)
+        self.groups.append(runtime)
+        # Bootstrap the new group at the current stream time so its first
+        # fixed window anchors at the join time — without this, the group
+        # would bootstrap lazily at its next event and its window schedule
+        # could anchor at an arbitrary later (or, via ``advance``, the
+        # origin) timestamp instead.
+        stream_time = max(
+            (g.stream_time for g in self.groups if g.stream_time is not None),
+            default=None,
         )
-        target.add_query(query)
-
-
-def plan_operators_keeping(group, existing: tuple) -> tuple:
-    """Replan a running group's operators without dropping any in use."""
-    from repro.core.functions import plan_operators
-
-    fresh = plan_operators(q.function for q in group.queries)
-    merged = list(existing)
-    for kind in fresh:
-        if kind not in merged:
-            merged.append(kind)
-    return tuple(merged)
+        if stream_time is not None:
+            runtime.advance(stream_time)

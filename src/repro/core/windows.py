@@ -86,28 +86,31 @@ class WindowInstance:
 class _TrackerBase:
     """Common subscriber bookkeeping for all tracker kinds."""
 
-    __slots__ = ("spec", "ctx", "queries")
+    __slots__ = ("spec", "ctx", "_subscribers", "_snapshot")
 
     def __init__(self, query: Query, ctx: int) -> None:
         self.spec: WindowSpec = query.window
         self.ctx = ctx
-        self.queries: tuple[Query, ...] = (query,)
+        #: query id -> query, in subscription order
+        self._subscribers: dict[str, Query] = {query.query_id: query}
+        self._snapshot: tuple[Query, ...] | None = None
 
     def subscribe(self, query: Query) -> None:
-        self.queries += (query,)
+        self._subscribers[query.query_id] = query
+        self._snapshot = None
 
     def unsubscribe(self, query_id: str) -> bool:
         """Drop a subscriber; returns True when the tracker is now empty."""
-        self.queries = tuple(q for q in self.queries if q.query_id != query_id)
-        return not self.queries
-
-    def serves(self, query_id: str) -> bool:
-        return any(q.query_id == query_id for q in self.queries)
+        del self._subscribers[query_id]
+        self._snapshot = None
+        return not self._subscribers
 
     def snapshot(self) -> tuple[Query, ...]:
         """The subscribers: one tuple object until they change, by which
         the engine keys what a window of theirs merges."""
-        return self.queries
+        if self._snapshot is None:
+            self._snapshot = tuple(self._subscribers.values())
+        return self._snapshot
 
 
 class FixedWindowTracker(_TrackerBase):

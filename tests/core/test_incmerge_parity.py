@@ -27,7 +27,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.conformance.oracle import naive_results
-from repro.core.engine import AggregationEngine, EngineStats, GroupRuntime
+from repro.core.engine import (
+    AggregationEngine,
+    EngineStats,
+    GroupRuntime,
+    required_kinds,
+)
 from repro.core.analyzer import analyze
 from repro.core.functions import finalize
 from repro.cluster.cells import CellStore
@@ -747,7 +752,7 @@ def seed_reference(queries, events, close_at=None):
         for subscribers, ctx, start, end, covered in closes:
             union = set()
             for query in subscribers:
-                union.update(runtime.needed[query.query_id])
+                union.update(required_kinds(query, runtime.operators))
             kinds = tuple(k for k in runtime.operators if k in union)
             buckets = {kind: [] for kind in kinds}
             total = 0

@@ -130,8 +130,7 @@ class TestWindowTrackers:
         q2 = Query.of("q2", spec, AggFunction.AVERAGE)
         tracker = FixedWindowTracker(q1, ctx=0)
         tracker.subscribe(q2)
-        assert tracker.serves("q1") and tracker.serves("q2")
-        assert len(tracker.snapshot()) == 2
+        assert tracker.snapshot() == (q1, q2)
         assert not tracker.unsubscribe("q1")
         assert tracker.unsubscribe("q2")  # now empty
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import AggregationEngine, GroupRuntime
+from repro.core.engine import AggregationEngine, GroupRuntime, required_kinds
 from repro.core.functions import finalize
 from repro.core.operators import merge_many_partials
 from repro.core.query import Query
@@ -85,7 +85,7 @@ def shadowed():
         reference = reference_of(self)
         union = set()
         for query in window.queries:
-            union.update(self.needed[query.query_id])
+            union.update(required_kinds(query, self.operators))
         kinds = tuple(kind for kind in self.operators if kind in union)
         merged, events, _ = reference.merge_context_partials(
             window.first_slice, last_slice, window.ctx, kinds,

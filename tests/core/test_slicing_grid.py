@@ -15,12 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.analyzer import analyze
-from repro.core.engine import (
-    EngineStats,
-    GroupRuntime,
-    plan_operators_keeping,
-    required_kinds,
-)
+from repro.core.engine import EngineStats, GroupRuntime
 from repro.core.errors import EngineError
 from repro.core.event import Event
 from repro.core.predicates import Selection
@@ -36,20 +31,14 @@ _SP_FIXED, _EP, _SESSION_EP = 0, 1, 2
 
 class HeapScheduled(GroupRuntime):
     """The slicing-only runtime as it was before the grid (commit ba802b7):
-    the methods below are that commit's, heap branch only."""
+    the methods below are that commit's, heap branch only.  Without a grid,
+    a fixed tracker joining at runtime pushes its first start onto the
+    heap, as that commit's ``add_query`` did."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         del self._drain  # back to the method below
-
-    def add_query(self, query: Query) -> None:
-        self.needed[query.query_id] = required_kinds(query, self.group.operators)
-        created = self._add_trackers(query)
-        if created and self._bootstrapped:
-            tracker = self._tracker_of(query.query_id)
-            if isinstance(tracker, FixedWindowTracker):
-                start = tracker.bootstrap(self.stream_time or 0)
-                self._push(start, _SP_FIXED, tracker)
+        self.grid = None
 
     def _bootstrap(self, origin: int) -> None:
         self._bootstrapped = True
@@ -163,17 +152,8 @@ class Cuts:
 
     def attach(self, query: Query) -> None:
         """``AggregationEngine.add_query`` for a query that fits the group."""
-        runtime, group = self.runtime, self.runtime.group
-        if runtime._bootstrapped:
-            runtime._cut(runtime.stream_time, [], [])
-        group._admit(query)
-        operators = plan_operators_keeping(group, runtime.operators)
-        group.operators = runtime.operators = operators
-        runtime.refresh_selections()
-        runtime.needed = {
-            q.query_id: required_kinds(q, operators) for q in group.queries
-        }
-        runtime.add_query(query)
+        self.runtime.group._admit(query)
+        self.runtime.add_query(query)
 
     def detach(self, query_id: str) -> None:
         self.runtime.remove_query(query_id)
