@@ -1,7 +1,7 @@
 """Local nodes: slicing and partial aggregation at the data source (Sec 5.1).
 
 A local node runs the aggregation engine in *slicing-only* mode for every
-pushed-down query-group: events are incrementally aggregated into shared
+query-group: events are incrementally aggregated into shared
 slices, and at every watermark tick the closed slices are shipped upward
 as per-slice partial results.  Window *assembly* never happens here — that
 is the root's job — so a local has punctuations, not windows: it cuts at
@@ -11,24 +11,23 @@ at what only it can know about — its own session gaps, its own marker
 events.  Removing a query rebuilds the grid from the fixed queries left.
 
 Root-evaluated groups (count-based windows, non-decomposable functions;
-Sec 5.2) do not run window logic at all: the local batches each slice's
-matching values — sorted, executing the non-decomposable sort operator
-locally — or ``(time, value)`` pairs when the root must count events.
+Sec 5.2) take the same path: their planned non-decomposable sort makes
+each record carry a context's values as a locally sorted run.  A group
+with count-based windows ships ``(time, value)`` pairs in place of the
+partials, since only the root, which sees the merged stream, can count
+its events.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import replace
 
 from repro.core.analyzer import QueryGroup, QueryPlan
 from repro.core.engine import EngineStats, GroupRuntime
 from repro.core.event import Event
-from repro.core.grid import PunctuationGrid
 from repro.core.results import ResultSink
-from repro.core.types import NodeRole, OperatorKind, WindowType
+from repro.core.types import NodeRole, WindowType
 from repro.cluster.config import ClusterConfig
-from repro.cluster.merger import group_has_sessions
 from repro.cluster.roles import Shipper
 from repro.network.messages import (
     CheckpointMessage,
@@ -45,10 +44,11 @@ __all__ = ["LocalNode"]
 
 
 class _LocalGroup:
-    """What both kinds of group handler share: the staging buffer of
-    closed slice records and their upward sequence."""
+    """Slicing-only engine runtime for one query-group, and the staging
+    buffer of its closed slice records with their upward sequence."""
 
-    def __init__(self, node_id: str, group: QueryGroup, recorder) -> None:
+    def __init__(self, node_id: str, group: QueryGroup, config: ClusterConfig,
+                 stats: EngineStats, recorder=None) -> None:
         self.node_id = node_id
         self.group = group
         self.recorder = recorder if recorder is not None else NULL_RECORDER
@@ -56,59 +56,12 @@ class _LocalGroup:
         self.ship_seq = 0
         #: shed coverage awaiting the next flush: (node_id, start, end)
         self.shed_pending: list[tuple[str, int, int]] = []
-
-    def flush(self, now: int) -> PartialBatchMessage:
-        """Cut at the watermark boundary and drain pending slice records."""
-        self.stage(now)
-        message = PartialBatchMessage(
-            sender=self.node_id,
-            group_id=self.group.group_id,
-            first_slice_seq=self.ship_seq,
-            covered_to=now,
-            records=self.pending,
-            shed=self.shed_pending,
-        )
-        self.shed_pending = []
-        if self.recorder.enabled and self.pending:
-            self.recorder.record(
-                "partial.ship",
-                now,
-                node=self.node_id,
-                group=self.group.group_id,
-                first_seq=self.ship_seq,
-                records=len(self.pending),
-                start=self.pending[0].start,
-                end=self.pending[-1].end,
-                covered_to=now,
-            )
-        self.ship_seq += len(self.pending)
-        self.pending = []
-        return message
-
-    def resync(self, next_seq: int, covered: int) -> None:
-        """Restart the upward slice sequence after a parent resync.
-
-        Pending records at or below ``covered`` belong to windows the
-        parent already closed (degraded) without this node — shipping
-        them again would corrupt session and user-defined assembly.
-        """
-        self.ship_seq = next_seq
-        self.pending = [r for r in self.pending if r.end > covered]
-
-
-class _SlicedLocalGroup(_LocalGroup):
-    """Slicing-only engine runtime for one pushed-down query-group."""
-
-    def __init__(self, node_id: str, group: QueryGroup, config: ClusterConfig,
-                 stats: EngineStats, recorder=None) -> None:
-        super().__init__(node_id, group, recorder)
         self.runtime = GroupRuntime(
             group,
             ResultSink(keep=False),
             stats,
             assemble=False,
             slice_sink=self._on_cut,
-            track_spans=group_has_sessions(group),
             recorder=self.recorder,
             node_id=node_id,
         )
@@ -121,14 +74,18 @@ class _SlicedLocalGroup(_LocalGroup):
             if q.window.window_type is WindowType.USER_DEFINED
         }
 
-    def _on_cut(self, closed, eps, spans) -> None:
+    def _on_cut(self, closed, eps, spans, timed) -> None:
         contexts: dict[int, ContextPartial] = {}
         for ctx, partials in closed.partials.items():
             span = spans.get(ctx)
+            # Pairs replace the operator partials: the root derives those
+            # from them on arrival (Sec 5.2).
+            pairs = timed.get(ctx)
             contexts[ctx] = ContextPartial(
                 count=closed.insert_counts.get(ctx, 0),
-                ops=partials,
+                ops=partials if pairs is None else {},
                 span=tuple(span) if span is not None else None,
+                timed=pairs,
             )
         userdef_eps = [
             (query.query_id, end)
@@ -176,221 +133,43 @@ class _SlicedLocalGroup(_LocalGroup):
         if self.runtime.current.start < now:
             self.runtime._cut(now, [], [])
 
-
-class _RootEvalLocalGroup(_LocalGroup):
-    """Per-slice value batching for a root-evaluated group (Sec 5.2).
-
-    Although windows of these groups are *evaluated* at the root, the
-    local must still cut its batches at every boundary the root assembles
-    on: the deterministic fixed-window punctuations, its own session gaps
-    (so record activity spans never hide a gap), and user-defined end
-    markers — in addition to the watermark-tick cadence.
-    """
-
-    def __init__(self, node_id: str, group: QueryGroup, config: ClusterConfig,
-                 stats: EngineStats, recorder=None) -> None:
-        super().__init__(node_id, group, recorder)
-        self.stats = stats
-        self.selections = list(group.selections)
-        #: the batched ingest's classification of the same selections:
-        #: whole contexts and key-indexed routing for the others
-        self._router = group.build_router()
-        self.needs_timestamps = group.needs_timestamps
-        self.track_spans = group_has_sessions(group)
-        self.window_start = config.origin
-        #: ctx -> (times, values) columns of the open slice, in time order
-        self.buffers: dict[int, tuple[list[int], list[float]]] = {}
-        self.pending_eps: list[tuple[str, int]] = []
-        self._userdef_watch = [
-            (q.query_id, q.selection.key, q.window.end_marker)
-            for q in group.queries
-            if q.window.window_type is WindowType.USER_DEFINED
-        ]
-        #: query id -> (origin, length, slide) of the live fixed time
-        #: windows: their punctuations are cut points shared with the root
-        self._fixed = {
-            q.query_id: (config.origin, q.window.length, q.window.effective_slide)
-            for q in group.queries
-            if q.window.is_fixed_size and not q.is_count_based
-        }
-        self.grid = PunctuationGrid(self._fixed.values())
-        #: (ctx, gap) per session query, with last matching event times
-        self._session_watch = [
-            (group.context_of[q.query_id], q.window.gap)
-            for q in group.queries
-            if q.window.window_type is WindowType.SESSION
-        ]
-        self._session_last: dict[int, int] = {}
-
-    def remove_query(self, query_id: str) -> None:
-        """Stop cutting at ``query_id``'s fixed punctuations (the root
-        re-folds its cells on the same coarser grid)."""
-        if self._fixed.pop(query_id, None) is not None:
-            self.grid = PunctuationGrid(self._fixed.values())
-
-    def _cut_due(self, now: int) -> int | None:
-        """Cut at every fixed punctuation passed by ``now``; returns the
-        next one."""
-        boundary = self.grid.after(self.window_start)
-        while boundary is not None and boundary <= now:
-            self._cut(boundary)
-            boundary = self.grid.after(boundary)
-        return boundary
-
-    def _cut(self, at: int, *, inclusive: bool = False) -> None:
-        """Close the open batch at ``at`` into a pending slice record."""
-        contexts: dict[int, ContextPartial] = {}
-        for ctx, (times, values) in list(self.buffers.items()):
-            # Half-open intervals: events stamped exactly at the boundary
-            # belong to the next slice — unless the cut is an inclusive
-            # (post-insert) marker cut.
-            k = len(times) if inclusive else bisect_left(times, at)
-            if not k:
-                continue
-            span = (times[0], times[k - 1]) if self.track_spans else None
-            shipped = values[:k]
-            if self.needs_timestamps:
-                contexts[ctx] = ContextPartial(
-                    count=k, timed=list(zip(times, shipped)), span=span
-                )
-            else:
-                # The local executes the non-decomposable sort (Sec 5.2) so
-                # parents and the root only merge sorted runs.
-                shipped.sort()
-                contexts[ctx] = ContextPartial(
-                    count=k,
-                    ops={OperatorKind.NON_DECOMPOSABLE_SORT: shipped},
-                    span=span,
-                )
-            if k == len(times):
-                del self.buffers[ctx]
-            else:
-                del times[:k], values[:k]
-        # Inclusive (post-insert) marker cuts contain an event stamped at
-        # the boundary itself; label them with the exclusive end so root
-        # interval assembly never misattributes the marker event.
-        shipped_end = at + 1 if inclusive else at
-        if contexts or self.pending_eps:
-            self.pending.append(
-                SliceRecord(
-                    start=self.window_start,
-                    end=shipped_end,
-                    contexts=contexts,
-                    userdef_eps=self.pending_eps,
-                )
+    def flush(self, now: int) -> PartialBatchMessage:
+        """Cut at the watermark boundary and drain pending slice records."""
+        self.stage(now)
+        message = PartialBatchMessage(
+            sender=self.node_id,
+            group_id=self.group.group_id,
+            first_slice_seq=self.ship_seq,
+            covered_to=now,
+            records=self.pending,
+            shed=self.shed_pending,
+        )
+        self.shed_pending = []
+        if self.recorder.enabled and self.pending:
+            self.recorder.record(
+                "partial.ship",
+                now,
+                node=self.node_id,
+                group=self.group.group_id,
+                first_seq=self.ship_seq,
+                records=len(self.pending),
+                start=self.pending[0].start,
+                end=self.pending[-1].end,
+                covered_to=now,
             )
-            self.stats.slices_closed += 1
-            self.pending_eps = []
-            if self.recorder.enabled:
-                self.recorder.record(
-                    "slice.close",
-                    at,
-                    node=self.node_id,
-                    group=self.group.group_id,
-                    index=self.ship_seq + len(self.pending) - 1,
-                    start=self.window_start,
-                    end=shipped_end,
-                )
-        self.window_start = shipped_end
+        self.ship_seq += len(self.pending)
+        self.pending = []
+        return message
 
-    def on_event(self, event: Event) -> None:
-        # Pre-insert cuts: fixed punctuations passed by this event, and
-        # session gaps this event's arrival proves.
-        self._cut_due(event.time)
-        matched = [
-            index
-            for index, selection in enumerate(self.selections)
-            if selection.matches(event)
-        ]
-        if self._session_watch and matched:
-            for ctx, gap in self._session_watch:
-                if ctx not in matched:
-                    continue
-                last = self._session_last.get(ctx)
-                if last is not None and event.time - last >= gap:
-                    cut_at = last + gap
-                    if cut_at > self.window_start:
-                        self._cut(cut_at)
-                self._session_last[ctx] = event.time
-        for index in matched:
-            times, values = self.buffers.setdefault(index, ([], []))
-            times.append(event.time)
-            values.append(event.value)
-        if matched:
-            self.stats.inserts += 1
-            self.stats.calculations += 1  # one (non-decomposable sort) operator
-        if event.marker is not None:
-            ended = False
-            for query_id, key, end_marker in self._userdef_watch:
-                if event.marker == end_marker and (
-                    key is None or event.key == key
-                ):
-                    self.pending_eps.append((query_id, event.time))
-                    ended = True
-            if ended:
-                # Post-insert marker cut: the marker event belongs to the
-                # trip it ends.
-                self._cut(event.time, inclusive=True)
+    def resync(self, next_seq: int, covered: int) -> None:
+        """Restart the upward slice sequence after a parent resync.
 
-    def on_events(self, events: list[Event]) -> None:
-        if self._session_watch or self._userdef_watch:
-            # Session gaps and end markers cut on the events themselves,
-            # so every event still runs the full check.
-            for event in events:
-                self.on_event(event)
-            return
-        # Fixed schedules only, so every cut is a boundary on the time
-        # column: per run, cut what its first row has passed, then buffer
-        # the rows before the next boundary (a row on it starts a slice).
-        router = self._router
-        whole = router.whole
-        times = [event.time for event in events]
-        if whole:
-            values = [event.value for event in events]
-        candidates = router.candidates
-        buffers = self.buffers
-        inserted = 0
-        i, n = 0, len(events)
-        while i < n:
-            boundary = self._cut_due(times[i])
-            j = n if boundary is None else bisect_left(times, boundary, i + 1)
-            if whole:
-                # A buffer opens at its context's first row, a row's
-                # contexts in ctx order: a whole one opening here joins the
-                # routed ones row i matches.
-                if any(ctx not in buffers for ctx in whole):
-                    for ctx in router.matches(events[i]):
-                        if ctx not in buffers:
-                            buffers[ctx] = ([], [])
-                # The run's stretch of both columns goes in whole.
-                for ctx in whole:
-                    slice_times, slice_values = buffers[ctx]
-                    slice_times += times[i:j]
-                    slice_values += values[i:j]
-            if router.routed:
-                for event in events[i:j]:
-                    value = event.value
-                    matched = False
-                    for ctx, lo, hi in candidates(event.key):
-                        if (lo is None or value >= lo) and (hi is None or value < hi):
-                            buffer = buffers.get(ctx)
-                            if buffer is None:
-                                buffer = buffers[ctx] = ([], [])
-                            buffer[0].append(event.time)
-                            buffer[1].append(value)
-                            matched = True
-                    inserted += matched
-            i = j
-        if whole:  # every row matched a context
-            inserted = n
-        self.stats.inserts += inserted
-        self.stats.calculations += inserted  # one operator: the sort
-
-    def stage(self, now: int) -> None:
-        """Cut at every due boundary without shipping (stalled channel)."""
-        self._cut_due(now)
-        if self.window_start < now:
-            self._cut(now)
+        Pending records at or below ``covered`` belong to windows the
+        parent already closed (degraded) without this node — shipping
+        them again would corrupt session and user-defined assembly.
+        """
+        self.ship_seq = next_seq
+        self.pending = [r for r in self.pending if r.end > covered]
 
 
 class LocalNode(Shipper):
@@ -400,7 +179,7 @@ class LocalNode(Shipper):
                  config: ClusterConfig, recorder=None) -> None:
         super().__init__(node_id, NodeRole.LOCAL, parent, config, recorder)
         self.stats = EngineStats()
-        self.groups: list[_SlicedLocalGroup | _RootEvalLocalGroup] = []
+        self.groups: list[_LocalGroup] = []
         for group in plan.groups:
             self.add_group(group, config.origin)
         # Overload control (DESIGN.md §12): high-water mark of the staging
@@ -411,9 +190,8 @@ class LocalNode(Shipper):
 
     def add_group(self, group: QueryGroup, origin: int) -> None:
         """Start slicing a query-group, its schedules anchored at ``origin``."""
-        handler = _RootEvalLocalGroup if group.root_evaluated else _SlicedLocalGroup
         self.groups.append(
-            handler(
+            _LocalGroup(
                 self.node_id,
                 group,
                 replace(self.config, origin=origin),

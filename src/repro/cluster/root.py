@@ -652,7 +652,7 @@ class RootNode(Merger):
             return
         covered, records = advanced
         group = self.plan.groups[message.group_id]
-        if group.needs_timestamps:
+        if group.root_evaluated:
             for record in records:
                 derive_ops_from_timed(record, group.operators)
         self.assemblers[message.group_id].consume(covered, records, now)

@@ -28,7 +28,7 @@ from typing import Iterable
 
 from repro.core.errors import QueryError
 from repro.core.functions import plan_operators
-from repro.core.predicates import Selection, SelectionRouter, compatible
+from repro.core.predicates import Selection, compatible
 from repro.core.query import Query
 from repro.core.types import OperatorKind, SharingPolicy, WindowMeasure
 
@@ -76,12 +76,6 @@ class QueryGroup:
     def _replan(self) -> None:
         self.operators = plan_operators(query.function for query in self.queries)
         self.needs_timestamps = any(q.is_count_based for q in self.queries)
-
-    def build_router(self) -> SelectionRouter:
-        """A key-indexed selection router over the group's current
-        contexts (the batched ingestion fast path's dispatch structure).
-        Callers must rebuild it whenever ``selections`` changes."""
-        return SelectionRouter(self.selections)
 
     def remove_query(self, query_id: str) -> Query:
         """Drop a member query (runtime removal, Sec 3.2) and replan."""

@@ -34,6 +34,7 @@ from repro.core.functions import finalize, operators_for, plan_operators
 from repro.core.grid import PunctuationGrid
 from repro.core.incmerge import IncrementalMergeLayer
 from repro.core.operators import PENDING_CAP, OperatorSetState
+from repro.core.predicates import SelectionRouter
 from repro.core.query import Query
 from repro.core.results import ResultSink, WindowResult
 from repro.core.slices import Slice, SliceStore
@@ -135,7 +136,9 @@ class GroupRuntime:
     trackers open no :class:`WindowInstance`; it cuts at every point of
     their :class:`~repro.core.grid.PunctuationGrid` (empty slices
     included, so slice ids count punctuations) and its heap holds session
-    ends only.
+    ends only.  It keeps no count trackers either: a node slicing its own
+    events cannot tell where a count window of the merged stream ends, so
+    only the root counts (Sec 5.2).
     """
 
     def __init__(
@@ -148,7 +151,6 @@ class GroupRuntime:
         assemble: bool = True,
         slice_sink=None,
         window_sink=None,
-        track_spans: bool = False,
         recorder=None,
         node_id: str = "",
     ) -> None:
@@ -167,17 +169,28 @@ class GroupRuntime:
         self.incmerge = IncrementalMergeLayer()
         #: a removed query may have left streams that nothing feeds
         self._stale_streams = False
-        #: called at every cut with (closed_slice, eps, spans); eps are
-        #: the (window, end_time) pairs it closes — data-driven windows
-        #: only on a grid — and spans maps ctx -> [first, last]
-        #: matching-event times inside the closed slice (when track_spans).
+        #: called at every cut with (closed_slice, eps, spans, timed); eps
+        #: are the (window, end_time) pairs it closes — data-driven windows
+        #: only on a grid — spans maps ctx -> [first, last] matching-event
+        #: times inside the closed slice (when track_spans) and timed ctx ->
+        #: its (time, value) pairs in arrival order (when track_times).
         self.slice_sink = slice_sink
         #: when set, closed windows are handed over as
         #: (window, merged_ops, event_count, end_time) instead of being
         #: finalized into results (Disco's per-window partials).
         self.window_sink = window_sink
-        self.track_spans = track_spans
+        #: what a slicing-only runtime tracks for its sink, read off the
+        #: group: spans when it has sessions (the root covers gaps with
+        #: them, Sec 5.1.2), event times when only the root can count its
+        #: events (Sec 5.2)
+        self.track_spans = not assemble and any(
+            query.window.window_type is WindowType.SESSION
+            for query in group.queries
+        )
+        self.track_times = not assemble and group.needs_timestamps
+        self._tracking = self.track_spans or self.track_times
         self._spans: dict[int, list[int]] = {}
+        self._timed: dict[int, list[tuple[int, float]]] = {}
 
         self._sync_selections()
         #: per-open-slice seen-event sets for deduplicating contexts
@@ -265,6 +278,8 @@ class GroupRuntime:
             if new_ctx:
                 self._sync_selections()
         self._kinds_of = {}
+        if query.is_count_based and not self.assemble:
+            return  # the root counts (see the class docstring)
         key = (query.window, ctx)
         tracker = self._tracker_index.get(key)
         if tracker is not None:
@@ -308,7 +323,7 @@ class GroupRuntime:
         #: key-indexed selection routing used by the batched fast path;
         #: the per-event path reads only whether any context is routed,
         #: and if so keeps the linear scan (its cost model)
-        self._router = self.group.build_router()
+        self._router = SelectionRouter(self.selections)
         #: selection contexts carrying the deduplication operator
         self._dedup_ctxs = frozenset(
             index
@@ -523,8 +538,10 @@ class GroupRuntime:
                 # windows of non-overlapping queries): dropped at once.
                 self.store.freed += 1
         if self.slice_sink is not None:
-            self.slice_sink(closing, eps, self._spans)
-            self._spans = {}
+            self.slice_sink(closing, eps, self._spans, self._timed)
+            if self._tracking:
+                self._spans = {}
+                self._timed = {}
         if self._dedup_seen:
             self._dedup_seen = {}
         self.current = Slice(index=closing.index + 1, start=time)
@@ -705,17 +722,30 @@ class GroupRuntime:
                     state.fold()
             stats.inserts += len(matched)
             stats.calculations += len(matched) * len(self.operators)
-            if self.track_spans:
-                spans = self._spans
-                for ctx in matched:
-                    span = spans.get(ctx)
-                    if span is None:
-                        spans[ctx] = [time, time]
-                    else:
-                        span[1] = time
+            if self._tracking:
+                self._track_event(time, value, matched)
 
         if data_driven:
             self._close_data_driven(event, matched_set)
+
+    def _track_event(self, time: int, value: float, matched: list[int]) -> None:
+        """What a tracking runtime notes of one inserted event."""
+        if self.track_spans:
+            spans = self._spans
+            for ctx in matched:
+                span = spans.get(ctx)
+                if span is None:
+                    spans[ctx] = [time, time]
+                else:
+                    span[1] = time
+        if self.track_times:
+            timed = self._timed
+            for ctx in matched:
+                pairs = timed.get(ctx)
+                if pairs is None:
+                    timed[ctx] = [(time, value)]
+                else:
+                    pairs.append((time, value))
 
     def _open_data_driven(self, event: Event, matched_set: set[int]) -> None:
         """Pre-insert punctuations: windows that open with this event."""
@@ -866,13 +896,15 @@ class GroupRuntime:
         router = self._router
         whole = router.whole
         run_values: dict[int, list[float]] = {}
-        #: ctx -> first / last matching row (tracked runs only)
+        #: ctx -> first / last matching row, and the times of the routed
+        #: rows when tracked (tracked runs only)
         first: dict[int, int] = {}
         last: dict[int, int] = {}
+        run_times: dict[int, list[int]] | None = {} if self.track_times else None
         if router.routed:
             candidates = router.candidates
             dedup_ctxs = self._dedup_ctxs
-            if dedup_ctxs or whole or self.sessions or self.track_spans:
+            if dedup_ctxs or whole or self.sessions or self._tracking:
                 for k in range(start, stop):
                     value = values[k]
                     for ctx, lo, hi in candidates(keys[k]):
@@ -887,6 +919,8 @@ class GroupRuntime:
                                 first[ctx] = k
                             bucket.append(value)
                             last[ctx] = k
+                            if run_times is not None:
+                                run_times.setdefault(ctx, []).append(times[k])
             else:
                 for k in range(start, stop):
                     value = values[k]
@@ -923,6 +957,17 @@ class GroupRuntime:
             matched_total += len(run)
         stats.inserts += matched_total
         stats.calculations += matched_total * len(operators)
+        if self._tracking:
+            self._track_run(times, start, stop, first, last, run_times, run_values)
+
+    def _track_run(
+        self, times: Sequence[int], start: int, stop: int, first: dict[int, int],
+        last: dict[int, int], run_times: dict[int, list[int]] | None,
+        run_values: dict[int, list[float]],
+    ) -> None:
+        """What :meth:`_track_event` notes, for the run ``[start, stop)``:
+        a whole context took every row's time, a routed one the times
+        ``run_times`` collected."""
         if self.track_spans:
             spans = self._spans
             for ctx, k in last.items():
@@ -931,6 +976,15 @@ class GroupRuntime:
                     spans[ctx] = [times[first[ctx]], times[k]]
                 else:
                     span[1] = times[k]
+        if self.track_times:
+            timed = self._timed
+            for ctx, run in run_values.items():
+                at = run_times.get(ctx) or times[start:stop]
+                pairs = timed.get(ctx)
+                if pairs is None:
+                    timed[ctx] = list(zip(at, run))
+                else:
+                    pairs.extend(zip(at, run))
 
     def _session_bound(
         self, keys: Sequence[str], values: Sequence[float], start: int, stop: int

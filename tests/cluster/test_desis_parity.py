@@ -236,6 +236,20 @@ class TestRootEvaluatedParity:
         ]
         assert_parity(queries, make_streams(2, 250), star(2))
 
+    def test_deduplicating_median(self):
+        """Every reading arrives twice; the deduplication operator runs at
+        the locals, so each window counts it once, as the engine does."""
+        queries = [
+            Query.of("m", WindowSpec.tumbling(1_000), AggFunction.MEDIAN,
+                     selection=Selection(deduplicate=True)),
+        ]
+        streams = {
+            node: [twin for event in events for twin in (event, event)]
+            for node, events in make_streams(2, 250).items()
+        }
+        result = assert_parity(queries, streams, three_tier(2, 1))
+        assert sum(r.event_count for r in result.sink.results) == 2 * 250
+
     def test_holistic_session(self):
         queries = [Query.of("m", WindowSpec.session(gap=900), AggFunction.MEDIAN)]
         assert_parity(

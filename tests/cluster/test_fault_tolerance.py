@@ -7,7 +7,7 @@ import pytest
 from repro.core.errors import ClusterError
 from repro.core.event import Event
 from repro.core.query import Query, WindowSpec
-from repro.core.types import AggFunction
+from repro.core.types import AggFunction, WindowMeasure
 from repro.cluster import ClusterConfig, DesisCluster
 from repro.network.simnet import FaultPlan
 from repro.network.topology import star, three_tier
@@ -54,6 +54,32 @@ class TestRuntimeQueries:
         kept = result.sink.for_query("keep")
         assert max(r.end for r in kept) > 3_000
         assert all(r.end <= 3_500 for r in dropped)
+
+    def test_root_evaluated_survivor_of_a_removed_count_query(self):
+        """Once the group's last count-window query goes, the root still
+        derives operators from the timed pairs the locals ship."""
+        median = Query.of("m", WindowSpec.tumbling(1_000), AggFunction.MEDIAN)
+        count = Query.of(
+            "c", WindowSpec.tumbling(10, measure=WindowMeasure.COUNT),
+            AggFunction.SUM,
+        )
+
+        def rows(queries, actions=None):
+            cluster = DesisCluster(
+                queries, three_tier(2, 1), config=ClusterConfig(tick_interval=100)
+            )
+            result = cluster.run(make_streams(2, 1_500), actions=actions)
+            return [
+                (r.start, r.end, r.value, r.event_count)
+                for r in result.sink.for_query("m")
+            ]
+
+        got = rows(
+            [median, count], actions=[(3_000, lambda c: c.remove_query("c"))]
+        )
+        alone = rows([median])
+        assert (3_000, 4_000, 43.5, 360) in alone
+        assert got == alone
 
 
 class TestMembership:

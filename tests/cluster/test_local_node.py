@@ -10,14 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.analyzer import analyze
-from repro.core.engine import EngineStats
+from repro.core.engine import EngineStats, GroupRuntime
 from repro.core.event import Event
 from repro.core.predicates import Selection, SelectionRouter
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction, NodeRole, OperatorKind, WindowMeasure
 from repro.cluster.config import ClusterConfig
 from repro.cluster.intermediate import IntermediateNode
-from repro.cluster.local import LocalNode, _RootEvalLocalGroup, _SlicedLocalGroup
+from repro.cluster.local import LocalNode, _LocalGroup
 from repro.network.codec import BinaryCodec
 from repro.network.messages import CheckpointMessage, ResyncMessage
 from repro.network.simnet import SimNetwork
@@ -29,20 +29,20 @@ K = OperatorKind
 shipper_kinds = pytest.mark.parametrize("kind", ["local", "intermediate"])
 
 
-def sliced_group(*queries, tick=1_000):
+def local_group(root_evaluated, *queries, tick=1_000):
     plan = analyze(queries, decentralized=True)
-    (group,) = [g for g in plan.groups if not g.root_evaluated]
-    return _SlicedLocalGroup(
+    (group,) = [g for g in plan.groups if g.root_evaluated == root_evaluated]
+    return _LocalGroup(
         "local-0", group, ClusterConfig(tick_interval=tick), EngineStats()
     )
+
+
+def sliced_group(*queries, tick=1_000):
+    return local_group(False, *queries, tick=tick)
 
 
 def rooteval_group(*queries, tick=1_000):
-    plan = analyze(queries, decentralized=True)
-    (group,) = [g for g in plan.groups if g.root_evaluated]
-    return _RootEvalLocalGroup(
-        "local-0", group, ClusterConfig(tick_interval=tick), EngineStats()
-    )
+    return local_group(True, *queries, tick=tick)
 
 
 class TestSlicedLocalGroup:
@@ -142,6 +142,15 @@ class TestRootEvalLocalGroup:
         second = handler.flush(2_000)
         assert second.records[0].contexts[0].count == 1
 
+    def test_event_on_a_tick_between_punctuations_joins_the_record_ending_there(self):
+        handler = rooteval_group(
+            Query.of("m", WindowSpec.tumbling(1_000), AggFunction.MEDIAN)
+        )
+        handler.on_event(Event(499, "k", 1.0))
+        handler.on_event(Event(500, "k", 2.0))  # on a tick, not a punctuation
+        (record,) = handler.flush(500).records
+        assert (record.end, record.contexts[0].count) == (500, 2)
+
     def test_selection_contexts_separated(self):
         handler = rooteval_group(
             Query.of(
@@ -165,26 +174,32 @@ class TestRootEvalLocalGroup:
 
 
 def rooteval_state(handler):
-    """Buffers and records, with the context order each one carries (the
-    order the partials go on the wire in)."""
+    """The records staged so far and those a final flush ships, each with
+    the context order it carries (the order the partials go on the wire
+    in), and the counters at both points."""
     state = (
         list(handler.pending),
         [list(record.contexts) for record in handler.pending],
-        [(ctx, (list(times), list(values)))
-         for ctx, (times, values) in handler.buffers.items()],
-        handler.window_start,
-        replace(handler.stats),
+        replace(handler.runtime.stats),
     )
     records = handler.flush(10_000).records
     return state + (
-        records, [list(record.contexts) for record in records], handler.stats
+        records, [list(record.contexts) for record in records], handler.runtime.stats
     )
 
 
+def open_slice(handler):
+    """Where the open slice starts, and the rows each context holds."""
+    current = handler.runtime.current
+    return current.start, {
+        ctx: state.inserts for ctx, state in current.contexts.items()
+    }
+
+
 class TestRootEvalBatchedIngest:
-    """``on_events`` for fixed-schedule groups cuts by bisect on the time
-    column; whatever the batch, it must leave the handler exactly where
-    per-event ``on_event`` does."""
+    """``on_events`` hands the batch to the runtime's slice-run kernel,
+    which cuts by bisect on the time column; whatever the batch, it must
+    ship exactly the records per-event ``on_event`` ships."""
 
     MEDIAN = (Query.of("m", WindowSpec.tumbling(200), AggFunction.MEDIAN),)
 
@@ -204,14 +219,20 @@ class TestRootEvalBatchedIngest:
     def test_batch_inside_one_slice(self):
         events = [Event(t, "k", float(t % 7)) for t in (10, 20, 20, 150, 199)]
         reference = self.assert_same(self.MEDIAN, events, (5,))
-        assert reference.stats.slices_closed == 1 and reference.stats.inserts == 5
+        # the bootstrap cut at the origin, then one per 200 ms up to the flush
+        assert reference.runtime.stats.slices_closed == 1 + 10_000 // 200
+        assert reference.runtime.stats.inserts == 5
 
     def test_batch_spanning_several_boundaries(self):
         # boundaries at 200, 400, ... — with slices that stay empty
         events = [Event(t, "k", float(t % 11)) for t in (5, 190, 210, 390, 1_010, 1_020, 1_630)]
-        reference = self.assert_same(self.MEDIAN, events, (7,))
+        self.assert_same(self.MEDIAN, events, (7,))
         self.assert_same(self.MEDIAN, events, (2, 3, 2))
-        assert reference.stats.slices_closed == 4
+        handler = rooteval_group(*self.MEDIAN)
+        handler.on_events(events)
+        assert [(r.start, r.end) for r in handler.flush(10_000).records] == [
+            (0, 200), (200, 400), (1_000, 1_200), (1_600, 1_800),
+        ]
 
     def test_event_on_a_boundary_belongs_to_the_next_slice(self):
         events = [Event(t, "k", 1.0) for t in (199, 200, 200, 201, 400)]
@@ -220,15 +241,15 @@ class TestRootEvalBatchedIngest:
         assert [(r.start, r.end, r.contexts[0].count) for r in handler.pending] == [
             (0, 200, 1), (200, 400, 3),
         ]
-        assert handler.buffers == {0: ([400], [1.0])}
+        assert open_slice(handler) == (400, {0: 1})
         self.assert_same(self.MEDIAN, events, (5,))
         self.assert_same(self.MEDIAN, events, (1, 1, 1, 1, 1))
 
     def test_empty_batch(self):
         handler = rooteval_group(*self.MEDIAN)
         handler.on_events([])
-        assert (handler.pending, handler.buffers, handler.window_start) == ([], {}, 0)
-        assert handler.stats == EngineStats()
+        assert (handler.pending, open_slice(handler)) == ([], (0, {}))
+        assert handler.runtime.stats == rooteval_group(*self.MEDIAN).runtime.stats
         self.assert_same(self.MEDIAN, [Event(250, "k", 1.0)], (0, 1, 0))
 
     def test_keyed_and_value_range_selections(self):
@@ -247,8 +268,9 @@ class TestRootEvalBatchedIngest:
         ]
         reference = self.assert_same(queries, events, (40, 1, 49))
         # rows matching nothing ("c", or "b" outside the range) count nothing
-        assert 0 < reference.stats.inserts < len(events) * 2 // 3
-        assert reference.needs_timestamps
+        assert 0 < reference.runtime.stats.inserts < len(events) * 2 // 3
+        assert reference.runtime.track_times
+        assert reference.runtime.counts == []  # only the root counts
 
     def test_sliding_schedule_with_ragged_ends(self):
         # length % slide != 0: window ends (offset 100) cut between starts
@@ -277,14 +299,13 @@ class TestRootEvalBatchedIngest:
         Query.of("cb", WindowSpec.tumbling(4, measure=WindowMeasure.COUNT),
                  AggFunction.SUM, selection=Selection(key="b", lo=2.0, hi=6.0)),
     )
-    #: a session watch: spans are tracked (and the per-event loop is kept)
+    #: a session: spans are tracked, and the session's open and end cut
     SPANNED = COUNTED + (
         Query.of("s", WindowSpec.session(150), AggFunction.MEDIAN,
                  selection=Selection(key="c")),
     )
     #: a whole context (takes every row) and its deduplicating twin, which
-    #: the batched ingest routes row by row (a root-evaluated group ships
-    #: every matching row to both)
+    #: the batched ingest routes row by row
     TWINS = MEDIAN + (
         Query.of("md", WindowSpec.tumbling(200), AggFunction.MEDIAN,
                  selection=Selection(deduplicate=True)),
@@ -304,8 +325,9 @@ class TestRootEvalBatchedIngest:
         seed=st.integers(0, 2**16),
         queries=st.sampled_from([MEDIAN, KEYED, COUNTED, SPANNED, TWINS, TWINS[::-1]]),
     )
-    # The session cut at 349 is found late, by the row at 399: the record
-    # [349, 400) takes what is left of the open buffers, in their order.
+    # Key "c"'s session opens at 0, 199 and 399 and ends at 150 and 349:
+    # its opens leave the rows before them on 0 and 399 in [0, 0) and
+    # [349, 399).
     @example(
         times=[0, 0, 199, 199, 200, 200, 399, 399, 399],
         splits=[], seed=954, queries=SPANNED,
@@ -317,7 +339,8 @@ class TestRootEvalBatchedIngest:
         and both equal what the rows themselves say: every record holds
         exactly the matching rows of its interval -- one part per context
         that saw a row (merger and root fold per context), runs sorted,
-        pairs in arrival order, spans first-to-last -- and no record
+        pairs in arrival order, spans first-to-last, a deduplicating
+        context's repeats within the record dropped -- and no record
         straddles a 200 ms boundary."""
         rng = random.Random(seed)
         events = [
@@ -326,28 +349,42 @@ class TestRootEvalBatchedIngest:
         self.assert_same(queries, events, splits + [len(events)])
 
         handler = rooteval_group(*queries)
+        runtime = handler.runtime
         done = 0
         for size in splits + [len(events)]:
             handler.on_events(events[done:done + size])
             done += size
         records = handler.flush(10_000).records
-        matched = 0
+        #: per context, its matching rows not shipped yet, in arrival order
+        queues = {
+            ctx: [e for e in events if selection.matches(e)]
+            for ctx, selection in enumerate(runtime.selections)
+        }
         covered_to = 0
         for record in records:
-            assert covered_to <= record.start < record.end
-            assert record.start // 200 == (record.end - 1) // 200
+            # a cut at a session's open leaves the rows before it on that
+            # time in a zero-width record
+            assert covered_to <= record.start <= record.end
+            assert record.start // 200 == max(record.end - 1, record.start) // 200
             covered_to = record.end
-            rows = [e for e in events if record.start <= e.time < record.end]
-            expected = {}
-            for event in rows:
-                for ctx, selection in enumerate(handler.selections):
-                    if selection.matches(event):
-                        expected.setdefault(ctx, []).append(event)
-            assert set(record.contexts) == set(expected)
-            for ctx, part in record.contexts.items():
-                mine = expected[ctx]
-                assert part.count == len(mine)
-                if handler.needs_timestamps:
+            for ctx, queue in queues.items():
+                part = record.contexts.get(ctx)
+                count = part.count if part is not None else 0
+                # Its rows: every one before its end, and of the ties on
+                # its end those that came before the cut.
+                mine = []
+                while queue and (
+                    queue[0].time < record.end
+                    or (queue[0].time == record.end and len(mine) < count)
+                ):
+                    event = queue.pop(0)
+                    assert event.time >= record.start
+                    if not (runtime.selections[ctx].deduplicate and event in mine):
+                        mine.append(event)
+                assert len(mine) == count
+                if part is None:
+                    continue
+                if runtime.track_times:
                     assert part.timed == [(e.time, e.value) for e in mine]
                     assert not part.ops
                 else:
@@ -356,19 +393,14 @@ class TestRootEvalBatchedIngest:
                         K.NON_DECOMPOSABLE_SORT: sorted(e.value for e in mine)
                     }
                 assert part.span == (
-                    (mine[0].time, mine[-1].time) if handler.track_spans else None
+                    (mine[0].time, mine[-1].time) if runtime.track_spans else None
                 )
-                matched += part.count
-        assert matched == sum(
-            selection.matches(event)
-            for event in events
-            for selection in handler.selections
-        )
+        assert not any(queues.values())
 
     def test_whole_contexts_take_the_run_without_routing(self, monkeypatch):
-        """The router's classification decides here as in the engine: an
-        all-whole group routes no row, a twin beside it routes its own
-        rows only, and both ship per-event ingest's records."""
+        """The router's classification decides: an all-whole group routes
+        no row, a twin beside it routes its own rows only, and both ship
+        per-event ingest's records."""
         routed = []
         candidates = SelectionRouter.candidates
 
@@ -385,12 +417,8 @@ class TestRootEvalBatchedIngest:
             assert len(routed) >= len(events)  # every row, for the twin
             routed.clear()
 
-    @pytest.mark.parametrize(
-        "window",
-        [WindowSpec.session(300), WindowSpec.user_defined(end_marker="end")],
-        ids=["session", "user-defined"],
-    )
-    def test_data_driven_watch_keeps_the_per_event_loop(self, window, monkeypatch):
+    @staticmethod
+    def data_driven(window):
         queries = (
             Query.of("m", WindowSpec.tumbling(200), AggFunction.MEDIAN),
             Query.of("w", window, AggFunction.MEDIAN),
@@ -400,12 +428,38 @@ class TestRootEvalBatchedIngest:
                   "end" if i % 12 == 11 else None)
             for i in range(40)
         ]
+        return queries, events
+
+    @pytest.mark.parametrize(
+        "window", [WindowSpec.user_defined(end_marker="end")], ids=["user-defined"]
+    )
+    def test_data_driven_watch_keeps_the_per_event_loop(self, window, monkeypatch):
+        """End markers cut on the events themselves, so the runtime feeds
+        a user-defined group one event at a time."""
+        queries, events = self.data_driven(window)
         self.assert_same(queries, events, (15, 25))
         seen = []
-        handler = rooteval_group(*queries)
-        monkeypatch.setattr(handler, "on_event", seen.append)
-        handler.on_events(events)
+        process = GroupRuntime.process
+        monkeypatch.setattr(
+            GroupRuntime, "process",
+            lambda runtime, event: (seen.append(event), process(runtime, event)),
+        )
+        rooteval_group(*queries).on_events(events)
         assert seen == events
+
+    def test_sessions_run_in_slice_runs(self, monkeypatch):
+        """A session's open and end follow from the time column, so a
+        session group takes the slice-run kernel."""
+        queries, events = self.data_driven(WindowSpec.session(300))
+        self.assert_same(queries, events, (15, 25))
+        handler = rooteval_group(*queries)
+
+        def refuse(runtime, event):
+            raise AssertionError("process_batch fell back to process")
+
+        monkeypatch.setattr(GroupRuntime, "process", refuse)
+        handler.on_events(events)
+        assert handler.runtime.batch_eligible
 
 
 class TestShipperHalf:

@@ -11,7 +11,7 @@ from repro.core.grid import PunctuationGrid
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction
 from repro.cluster import ClusterConfig, DesisCluster
-from repro.cluster.local import _SlicedLocalGroup
+from repro.network.messages import PartialBatchMessage
 from repro.network.topology import three_tier
 
 from tests.cluster.test_desis_parity import make_streams
@@ -28,15 +28,9 @@ FUNCTIONS = st.sampled_from([AggFunction.AVERAGE, AggFunction.MAX, AggFunction.M
 
 def grids(cluster, group_id):
     """The group's grid at the root and at every local."""
-    found = [cluster.root.assemblers[group_id].cells.grid]
-    for node in cluster.locals.values():
-        handler = node.groups[group_id]
-        found.append(
-            handler.runtime.grid
-            if isinstance(handler, _SlicedLocalGroup)
-            else handler.grid
-        )
-    return found
+    return [cluster.root.assemblers[group_id].cells.grid] + [
+        node.groups[group_id].runtime.grid for node in cluster.locals.values()
+    ]
 
 
 def assert_one_grid(cluster):
@@ -115,15 +109,18 @@ class TestRootEvaluatedGroupStopsCuttingForARemovedQuery:
 
     def run(self, queries, actions=None):
         cluster = DesisCluster(
-            queries, three_tier(2, 1),
-            config=ClusterConfig(tick_interval=1_000, trace=True),
+            queries, three_tier(2, 1), config=ClusterConfig(tick_interval=1_000)
         )
+        cuts = []  # the intervals of the records the locals ship
+        send = cluster.net.send
+
+        def capture(src, dst, message):
+            if src in cluster.locals and isinstance(message, PartialBatchMessage):
+                cuts.extend((record.start, record.end) for record in message.records)
+            send(src, dst, message)
+
+        cluster.net.send = capture
         result = cluster.run(make_streams(2, 1_500), actions=actions)
-        cuts = [
-            (event.data["start"], event.data["end"])
-            for event in result.recorder.events("slice.close")
-            if event.node.startswith("local")
-        ]
         rows = [
             (r.start, r.end, r.value, r.event_count)
             for r in result.sink.for_query("slow")

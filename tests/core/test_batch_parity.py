@@ -503,8 +503,9 @@ class TestColumnKernel:
             cuts = []
             logs.append(cuts)
             for runtime in engine.groups:
-                runtime.track_spans = True
-                runtime.slice_sink = lambda closed, eps, spans: cuts.append(
+                # an assembling runtime tracks nothing of its own accord
+                runtime.track_spans = runtime._tracking = True
+                runtime.slice_sink = lambda closed, eps, spans, timed: cuts.append(
                     (closed.index, closed.start, closed.end, list(closed.partials),
                      dict(spans))
                 )
@@ -644,7 +645,7 @@ class TestSessionRuns:
             engine = AggregationEngine(queries, policy=policy)
             for e in (reference, engine):
                 for runtime in e.groups:
-                    runtime.track_spans = track
+                    runtime.track_spans = runtime._tracking = track
             done = 0
             for stop in split + [len(events)]:
                 for event in events[done:stop]:

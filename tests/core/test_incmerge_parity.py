@@ -720,7 +720,7 @@ def seed_reference(queries, events, close_at=None):
         #: (subscribers, ctx, start, end, covered slice indices)
         closes: list[tuple] = []
 
-        def slice_sink(closing, eps, spans, slices=slices, closes=closes):
+        def slice_sink(closing, eps, spans, timed, slices=slices, closes=closes):
             slices[closing.index] = closing
             for window, end_time in eps:
                 closes.append((

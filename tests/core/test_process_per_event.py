@@ -6,8 +6,9 @@ a session, user-defined or count tracker.  :func:`parent_process` keeps
 the body it replaced (commit 02a0e3e: unconditional ``_drain``, both
 passes on every event, one slice insert per matched context) test-side,
 verbatim but for that insert — ``Slice.insert`` is gone, and a one-value
-``Slice.insert_run`` does what it did — as the reference: after every
-event the runtime under test
+``Slice.insert_run`` does what it did — and for the ``(time, value)``
+pairs a slicing-only runtime of a count-window group now keeps for its
+sink, as the reference: after every event the runtime under test
 must stand exactly where the reference stands — rows, ``EngineStats``,
 heap layout, trackers — on the heap and on the grid, and the assembled
 results must be the naive oracle's.  The call-count pins at the bottom
@@ -98,6 +99,9 @@ def parent_process(self: GroupRuntime, event: Event) -> None:
                     spans[ctx] = [time, time]
                 else:
                     span[1] = time
+        if self.track_times:
+            for ctx in matched:
+                self._timed.setdefault(ctx, []).append((time, event.value))
 
     eps: list = []
     if data_driven:
@@ -143,7 +147,7 @@ class Driven(Cuts):
         self.sink = ResultSink()
         self.runtime = GroupRuntime(
             group, self.sink, self.stats, slice_sink=self._on_cut,
-            track_spans=True, **MODES[mode],
+            **MODES[mode],
         )
         self._process = process
 
@@ -168,6 +172,7 @@ class Driven(Cuts):
             {ctx: (s.inserts, s.partials())
              for ctx, s in runtime.current.contexts.items()},
             {ctx: tuple(span) for ctx, span in runtime._spans.items()},
+            {ctx: list(pairs) for ctx, pairs in runtime._timed.items()},
         )
 
 
@@ -315,7 +320,7 @@ class TestProcessStandsWhereTheParentStood:
         events = [Event(0, "a", 1.0), Event(10, "a", 2.0),
                   Event(160 + delta, "a", 4.0), Event(161 + delta, "c", 0.0)]
         driven = lockstep(mode, queries, events)
-        ends = [data_driven for *_, data_driven, _ in driven.calls if data_driven]
+        ends = [data_driven for *_, data_driven, _, _ in driven.calls if data_driven]
         if delta < 0:  # still inside the gap: one session, open to the last row
             assert ends == [[(("ses",), 0, 161 + delta)]]
         else:  # the end fired before the third event was inserted

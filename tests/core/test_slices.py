@@ -167,7 +167,7 @@ class TestSliceStore:
         closed = []
         runtime = GroupRuntime(
             group, ResultSink(), EngineStats(), assemble=False,
-            slice_sink=lambda slice_, eps, spans: closed.append(slice_.index),
+            slice_sink=lambda slice_, eps, spans, timed: closed.append(slice_.index),
         )
         runtime.store = None  # any walk, add or free would raise
         feed(runtime, *range(0, 1_000, 70), *range(1_500, 2_000, 70))

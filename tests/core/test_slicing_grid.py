@@ -132,12 +132,12 @@ class Cuts:
         self.stats = EngineStats()
         self.runtime = runtime_cls(
             group, ResultSink(keep=False), self.stats, assemble=False,
-            slice_sink=self._on_cut, track_spans=True,
+            slice_sink=self._on_cut,
         )
 
-    def _on_cut(self, closed, eps, spans) -> None:
-        # what ``_SlicedLocalGroup._on_cut`` reads: user-defined ends (and,
-        # here, every other data-driven end: sessions)
+    def _on_cut(self, closed, eps, spans, timed) -> None:
+        # what ``_LocalGroup._on_cut`` reads: user-defined ends (and, here,
+        # every other data-driven end: sessions)
         data_driven = [
             (tuple(q.query_id for q in window.queries), window.start, end)
             for window, end in eps
@@ -148,6 +148,7 @@ class Cuts:
             {ctx: dict(ops) for ctx, ops in closed.partials.items()},
             dict(closed.insert_counts), data_driven,
             {ctx: tuple(span) for ctx, span in spans.items()},
+            {ctx: list(pairs) for ctx, pairs in timed.items()},
         ))
 
     def attach(self, query: Query) -> None:
@@ -156,7 +157,10 @@ class Cuts:
         self.runtime.add_query(query)
 
     def detach(self, query_id: str) -> None:
-        self.runtime.remove_query(query_id)
+        # as ``_LocalGroup.remove_query``: a slicing-only runtime has no
+        # tracker for a count-window query
+        if query_id in self.runtime.tracker_by_query:
+            self.runtime.remove_query(query_id)
         self.runtime.group.remove_query(query_id)
 
     def replay(self, events, splits, actions, close_at) -> None:
