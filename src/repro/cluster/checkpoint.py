@@ -345,12 +345,12 @@ def seed_operator_set(kinds, inserts: int, partials: dict[OperatorKind, Any]):
 
 
 def assembler_chunks(node_id: str, checkpoint_id: int, assemblers) -> list[SnapshotChunk]:
-    """One chunk per group with the record buffer and per-query progress."""
+    """One chunk per group: the live cells as slice records, and each
+    query's progress (open sessions, trips and count windows)."""
     chunks = []
     for assembler in assemblers:
         state = {
             "covered": assembler.covered,
-            "base": assembler.base,
             "fixed": [
                 [query.query_id, tracker.next_close_start]
                 for tracker in assembler.fixed
@@ -367,7 +367,13 @@ def assembler_chunks(node_id: str, checkpoint_id: int, assemblers) -> list[Snaps
                 for s in assembler.sessions
             ],
             "userdef": [
-                [s.query.query_id, list(s.eps), s.prev_end, s.pointer]
+                [
+                    s.query.query_id,
+                    list(s.eps),
+                    s.prev_end,
+                    s.count,
+                    _ops_to_jsonable(s.buckets),
+                ]
                 for s in assembler.userdef
             ],
             "counts": [
@@ -393,13 +399,7 @@ def assembler_chunks(node_id: str, checkpoint_id: int, assemblers) -> list[Snaps
                 group_id=assembler.group.group_id,
                 kind="assembler",
                 covered=assembler.covered,
-                # Raw records where user-defined windows still read them
-                # (restore re-folds those into cells), the cells otherwise.
-                records=(
-                    list(assembler.records)
-                    if assembler.userdef
-                    else assembler.cell_records()
-                ),
+                records=assembler.cell_records(),
                 state=state,
             )
         )
@@ -409,12 +409,8 @@ def assembler_chunks(node_id: str, checkpoint_id: int, assemblers) -> list[Snaps
 def restore_assembler(assembler, chunk: SnapshotChunk) -> None:
     """Load one group's window-assembly progress from its chunk."""
     state = chunk.state or {}
-    if assembler.userdef:
-        assembler.records = list(chunk.records)
-        assembler.ends = [record.end for record in assembler.records]
-        assembler.base = state.get("base", 0)
     # Cells and Two-Stacks streams are derived state: whatever records the
-    # chunk holds — this root's cells or a cell-less root's raw records —
+    # chunk holds — this root's cells or an older root's raw records —
     # fold into cells again.
     assembler.rebuild(chunk.records)
     assembler.covered = state.get("covered", assembler.origin)
@@ -441,13 +437,28 @@ def restore_assembler(assembler, chunk: SnapshotChunk) -> None:
         found.count = count
         found.ops = _ops_from_jsonable(ops)
     userdef = {s.query.query_id: s for s in assembler.userdef}
-    for query_id, eps, prev_end, pointer in state.get("userdef", []):
+    for query_id, eps, prev_end, *trip in state.get("userdef", []):
         found = userdef.get(query_id)
         if found is None:
             continue
         found.eps = list(eps)
         found.prev_end = prev_end
-        found.pointer = pointer
+        if "base" in state:
+            # Written when the root still kept raw records for trips:
+            # ``trip`` is the index of the open trip's first record in
+            # that buffer, which starts at index ``base``.
+            for record in chunk.records[max(trip[0] - state["base"], 0):]:
+                part = record.contexts.get(found.ctx)
+                if part is not None:
+                    found.take(part)
+            continue
+        count, buckets = trip
+        found.count = count
+        for key, partials in buckets.items():
+            kind = OperatorKind(key)
+            if kind is OperatorKind.DECOMPOSABLE_SORT:
+                partials = [p if p is None else tuple(p) for p in partials]
+            found.buckets[kind] = partials
     counts = {s.query.query_id: s for s in assembler.counts}
     for query_id, seen, open_windows in state.get("counts", []):
         found = counts.get(query_id)

@@ -16,9 +16,10 @@ into window results:
   closer than the gap cluster into one session, and a session closes once
   every child has covered ``last + gap`` — exactly "when all session gaps
   from different child nodes cover each other".
-* **User-defined windows** close at their end-marker punctuation once
-  coverage (the watermark) passes it; the window consumes the records up
-  to the marker time — the one reader raw records are still kept for.
+* **User-defined windows** take their context's partials on arrival into
+  the open trip, which closes at its end-marker punctuation once coverage
+  (the watermark) passes it; a record ending at or before ``marker + 1``
+  belongs to the trip the marker closes.
 * **Count-based windows** (root-evaluated groups, Sec 5.2) replay the
   shipped ``(time, value)`` pairs in time order through per-window
   operator states, since only the root can count the merged stream.
@@ -26,7 +27,6 @@ into window results:
 
 from __future__ import annotations
 
-import bisect
 import heapq
 
 from repro.core.analyzer import QueryGroup, QueryPlan
@@ -90,7 +90,7 @@ class _SessionState:
 
 
 class _UserDefState:
-    __slots__ = ("query", "ctx", "kinds", "eps", "prev_end", "pointer")
+    __slots__ = ("query", "ctx", "kinds", "eps", "prev_end", "buckets", "count")
 
     def __init__(self, query: Query, ctx: int, kinds, origin: int) -> None:
         self.query = query
@@ -98,7 +98,17 @@ class _UserDefState:
         self.kinds = kinds
         self.eps: list[int] = []
         self.prev_end = origin
-        self.pointer = 0  # absolute index of the next unconsumed record
+        #: the open trip: its context's partials per kind, in arrival
+        #: order, and its event count
+        self.buckets: dict[OperatorKind, list] = {kind: [] for kind in kinds}
+        self.count = 0
+
+    def take(self, part) -> None:
+        """File one record's partial of this context into the open trip."""
+        self.count += part.count
+        for kind, bucket in self.buckets.items():
+            if kind in part.ops:
+                bucket.append(part.ops[kind])
 
 
 class _CountState:
@@ -143,11 +153,6 @@ class RootAssembler:
         self.node_id = node_id
         self._emit_cb = emit  # emit(query, start, end, merged_ops, count, now, ...)
         self.covered = origin
-        #: raw records, kept only for user-defined windows (``base`` is
-        #: the absolute index of ``records[0]``)
-        self.records: list[SliceRecord] = []
-        self.ends: list[int] = []
-        self.base = 0
         #: shed-coverage ledger (DESIGN.md §12): ``(node_id, start, end)``
         #: intervals dropped under overload anywhere below (or at) the
         #: root; consulted when each window closes to stamp the result
@@ -220,7 +225,7 @@ class RootAssembler:
 
     def cell_records(self) -> list[SliceRecord]:
         """The live cells as ordinary slice records (checkpoint chunks)."""
-        return self.cells.records(self._low_watermark(), self.covered)
+        return self.cells.records(self._fixed_low(), self.covered)
 
     def remove_query(self, query_id: str) -> None:
         """Stop assembling ``query_id``.  A fixed tracker goes with its
@@ -310,25 +315,14 @@ class RootAssembler:
                 end=records[-1].end,
                 covered_to=covered,
             )
-        if self.userdef:
-            self.records.extend(records)
-            self.ends.extend(record.end for record in records)
-        for state in self.userdef:
-            added = False
-            for record in records:
-                for query_id, end in record.userdef_eps:
-                    if query_id == state.query.query_id:
-                        state.eps.append(end)
-                        added = True
-            if added:
-                state.eps.sort()
         for state in self.sessions:
             self._feed_session(state, records, now)
         for state in self.counts:
             self._feed_count(state, records, now)
         self._close_fixed(now)
         self._close_sessions(now)
-        self._close_userdef(now)
+        for state in self.userdef:
+            self._feed_userdef(state, records, now)
         self._gc()
 
     # -- fixed windows --------------------------------------------------------------------
@@ -428,40 +422,40 @@ class RootAssembler:
 
     # -- user-defined windows --------------------------------------------------------------
 
-    def _consume_until(self, state: _UserDefState, boundary: int):
-        collected: dict[OperatorKind, list] = {kind: [] for kind in state.kinds}
-        count = 0
-        index = max(state.pointer - self.base, 0)
-        while index < len(self.records) and self.ends[index] <= boundary:
-            part = self.records[index].contexts.get(state.ctx)
-            index += 1
-            if part is None:
-                continue
-            count += part.count
-            for kind, bucket in collected.items():
-                if kind in part.ops:
-                    bucket.append(part.ops[kind])
-        state.pointer = self.base + index
+    def _feed_userdef(self, state: _UserDefState, records, now: int) -> None:
+        """File each record into the open trip, closing a trip at its
+        marker once coverage is past it.  The marker event belongs to the
+        trip it ends, and its slice is labeled with the exclusive end
+        ``marker + 1``: a record ending later opens the next trip."""
+        added = False
+        for record in records:
+            for query_id, end in record.userdef_eps:
+                if query_id == state.query.query_id:
+                    state.eps.append(end)
+                    added = True
+        if added:
+            state.eps.sort()
+        eps = state.eps
+        for record in records:
+            while eps and eps[0] < self.covered and record.end > eps[0] + 1:
+                self._close_trip(state, eps.pop(0), now)
+            part = record.contexts.get(state.ctx)
+            if part is not None:
+                state.take(part)
+        while eps and eps[0] < self.covered:
+            self._close_trip(state, eps.pop(0), now)
+
+    def _close_trip(self, state: _UserDefState, end: int, now: int) -> None:
         merged = {}
-        for kind, bucket in collected.items():
+        for kind, bucket in state.buckets.items():
             if bucket:
                 merged[kind] = merge_many_partials(kind, bucket)
                 self._merge_ops += len(bucket)
-        return merged, count
-
-    def _close_userdef(self, now: int) -> None:
-        for state in self.userdef:
-            # The marker event belongs to the trip it ends, and its slice
-            # is labeled with the exclusive end ``marker + 1`` — so wait
-            # for coverage strictly past the marker and consume through it.
-            while state.eps and state.eps[0] < self.covered:
-                marker = state.eps.pop(0)
-                merged, count = self._consume_until(state, marker + 1)
-                if count or self._shed_intersects(state.prev_end, marker):
-                    self.emit(
-                        state.query, state.prev_end, marker, merged, count, now
-                    )
-                state.prev_end = marker
+        if state.count or self._shed_intersects(state.prev_end, end):
+            self.emit(state.query, state.prev_end, end, merged, state.count, now)
+        state.prev_end = end
+        state.buckets = {kind: [] for kind in state.kinds}
+        state.count = 0
 
     # -- count windows (root-evaluated replay, Sec 5.2) ---------------------------------------
 
@@ -496,29 +490,22 @@ class RootAssembler:
 
     # -- garbage collection ---------------------------------------------------------------------
 
-    def _low_watermark(self) -> int:
-        lows = [self.covered]
-        for state in self.fixed:
-            lows.append(state.next_close_start)
-        for state in self.sessions:
-            lows.append(
-                state.open_start if state.open_start is not None else self.covered
-            )
-        for state in self.userdef:
-            lows.append(state.prev_end)
-        return min(lows)
+    def _fixed_low(self) -> int:
+        """The earliest time a fixed window still to close reads: only
+        fixed windows read cells."""
+        return min([self.covered, *(t.next_close_start for t in self.fixed)])
 
     def _gc(self) -> None:
-        low = self._low_watermark()
+        low = self._fixed_low()
         self.cells.free_below(self.cells.grid.index(low))
-        drop = bisect.bisect_right(self.ends, low)
-        if drop:
-            del self.records[:drop]
-            del self.ends[:drop]
-            self.base += drop
         if self.shed:
-            # A shed interval entirely below the low watermark can no
-            # longer intersect any window still to close.
+            # A shed interval entirely below the start of every open
+            # window can no longer degrade one still to close.
+            for state in self.sessions:
+                if state.open_start is not None:
+                    low = min(low, state.open_start)
+            for state in self.userdef:
+                low = min(low, state.prev_end)
             self.shed = [entry for entry in self.shed if entry[2] > low]
 
     # -- end of stream ------------------------------------------------------------------------
@@ -532,12 +519,7 @@ class RootAssembler:
                     state, min(state.last + state.gap, self.covered), now
                 )
         for state in self.userdef:
-            merged, count = self._consume_until(state, self.covered)
-            if count:
-                self.emit(
-                    state.query, state.prev_end, self.covered, merged, count, now
-                )
-            state.prev_end = self.covered
+            self._close_trip(state, self.covered, now)
         for state in self.counts:
             for start_time, ops in state.open:
                 if ops.inserts:

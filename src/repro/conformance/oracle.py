@@ -41,6 +41,7 @@ contract (DESIGN.md §9, §10):
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from repro.core.event import Event
@@ -190,15 +191,16 @@ def _fixed_windows(
     length = query.window.length
     slide = query.window.effective_slide
     matching = _matching(query, events)
+    # events come in time order: a window's values are one run of them
+    times = [e.time for e in matching]
+    values = [e.value for e in matching]
     windows = []
     start = origin
     while start <= final:
         end = start + length
-        if end <= final:
-            values = [e.value for e in matching if start <= e.time < end]
-        else:
-            values = [e.value for e in matching if start <= e.time <= final]
-        windows.append(OracleWindow(start, end, values))
+        lo = bisect_left(times, start)
+        hi = bisect_left(times, end) if end <= final else bisect_right(times, final)
+        windows.append(OracleWindow(start, end, values[lo:hi]))
         start += slide
     return windows
 
@@ -278,7 +280,8 @@ def naive_windows(
     *,
     origin: int | None = None,
 ) -> list[OracleWindow]:
-    """All (possibly empty) windows of ``query`` over ``events``.
+    """All (possibly empty) windows of ``query`` over ``events`` (in time
+    order, as a stream delivers them).
 
     ``origin`` anchors fixed-window schedules explicitly (a cluster's
     global time origin); ``None`` keeps the classic first-event anchor.

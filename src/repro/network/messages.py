@@ -260,9 +260,9 @@ class SnapshotChunk:
       ``first_slice_seq``, ``covered`` its ``covered_to``) so a restarted
       intermediate can still serve a later parent recovery.
     * ``"assembler"`` — one root group's window-assembly state:
-      ``records`` is the merged slice buffer, ``state`` a deterministic
-      JSON-able blob of per-query progress (fixed schedules, open
-      sessions, user-defined pointers, open count windows).
+      ``records`` holds the live cells as slice records, ``state`` a
+      deterministic JSON-able blob of per-query progress (fixed
+      schedules, open sessions, open trips, open count windows).
     """
 
     sender: str

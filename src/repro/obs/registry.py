@@ -323,31 +323,21 @@ def publish_cluster_result(registry: MetricsRegistry, result) -> None:
     registry.counter("cluster.events").inc(result.events)
     registry.counter("cluster.results").inc(len(result.sink))
     registry.gauge("cluster.wall_seconds").set(result.wall_seconds)
-    registry.counter("cluster.checkpoints").inc(getattr(result, "checkpoints", 0))
-    registry.counter("cluster.recoveries").inc(getattr(result, "recoveries", 0))
-    registry.counter("net.reroutes").inc(getattr(result, "reroutes", 0))
+    registry.counter("cluster.checkpoints").inc(result.checkpoints)
+    registry.counter("cluster.recoveries").inc(result.recoveries)
+    registry.counter("net.reroutes").inc(result.reroutes)
     registry.counter("cluster.duplicates_suppressed").inc(
-        getattr(result, "duplicates_suppressed", 0)
+        result.duplicates_suppressed
     )
-    registry.counter("cluster.root_merge_ops").inc(
-        getattr(result, "root_merge_ops", 0)
-    )
+    registry.counter("cluster.root_merge_ops").inc(result.root_merge_ops)
     # Overload control (DESIGN.md §12): all zero without the opt-in caps.
-    registry.counter("cluster.degraded_windows").inc(
-        getattr(result, "degraded_windows", 0)
-    )
-    registry.counter("cluster.slices_shed").inc(
-        getattr(result, "slices_shed", 0)
-    )
-    registry.gauge("cluster.peak_staging").set(
-        getattr(result, "peak_staging", 0)
-    )
+    registry.counter("cluster.degraded_windows").inc(result.degraded_windows)
+    registry.counter("cluster.slices_shed").inc(result.slices_shed)
+    registry.gauge("cluster.peak_staging").set(result.peak_staging)
     registry.counter("cluster.slow_consumer_evictions").inc(
-        getattr(result, "slow_consumer_evictions", 0)
+        result.slow_consumer_evictions
     )
-    registry.counter("obs.trace_dropped").inc(
-        getattr(getattr(result, "recorder", None), "dropped", 0)
-    )
+    registry.counter("obs.trace_dropped").inc(result.recorder.dropped)
     publish_network_stats(registry, result.network)
     for role, seconds in result.cpu_by_role.items():
         registry.gauge("cluster.cpu_seconds", role=role.value).set(seconds)

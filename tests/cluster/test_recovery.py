@@ -580,8 +580,8 @@ def mixed_batches(queries=MIXED, seed=5, children=2, horizon=1_600):
 
 class TestAssemblerCheckpoint:
     """The root's cells and Two-Stacks streams are derived state: a chunk
-    holds slice records (the raw ones where user-defined windows still
-    read them, the cells otherwise) and restore folds them again."""
+    holds the live cells as slice records (an older root's chunk: its raw
+    records) and restore folds them again."""
 
     @staticmethod
     def assembler(group, rows):
@@ -636,8 +636,8 @@ class TestAssemblerCheckpoint:
             assembler.consume(covered, batch, now=covered)
             (chunk,) = assembler_chunks("root", at, [assembler])
             (blob,) = encode_checkpoint([chunk])
-            # raw records only where something still reads them
-            assert bool(assembler.records) == (userdef and bool(chunk.records))
+            # the live cells, whatever window kinds the group holds
+            assert chunk.records == assembler.cell_records()
             start, _ = assembler.cells.grid.bounds(covered)
             half_filled += start < covered and any(
                 r.start >= start for r in chunk.records
@@ -645,3 +645,26 @@ class TestAssemblerCheckpoint:
             after = self.run(group, batches, restore=blob, at=at)
             assert sorted(before + after) == crash_free, at
         assert half_filled >= 8
+
+    def test_an_open_trip_restores_its_partials(self):
+        """A trip's open partials travel in the chunk's state, each with
+        its operator's type: MAX's ``(lo, hi)`` pairs come back as tuples."""
+        trip = Query.of("usr", WindowSpec.user_defined(end_marker="end"),
+                        AggFunction.MAX)
+        group, batches = mixed_batches([trip])
+        crash_free = sorted(self.run(group, batches))
+        before = []
+        assembler = self.assembler(group, before)
+        opened = 0
+        for at, (covered, batch) in enumerate(batches[:-1], start=1):
+            assembler.consume(covered, batch, now=covered)
+            (blob,) = encode_checkpoint(assembler_chunks("root", at, [assembler]))
+            restored = self.assembler(group, [])
+            restore_assembler(restored, BinaryCodec().decode(blob))
+            (state,) = assembler.userdef
+            (again,) = restored.userdef
+            assert (again.count, again.buckets) == (state.count, state.buckets)
+            opened += bool(state.count)
+            after = self.run(group, batches, restore=blob, at=at)
+            assert sorted(before + after) == crash_free, at
+        assert opened >= 8

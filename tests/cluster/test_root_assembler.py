@@ -95,7 +95,7 @@ class TestFixedAssembly:
         assert len(assembler.cells) == 1  # [3000, 3500): its window is open
         assembler.consume(4_000, records[7:], now=4_000)
         assert len(assembler.cells) == 0
-        assert assembler.records == []  # raw records: user-defined windows only
+        assert assembler.cell_records() == []  # nothing left to checkpoint
 
     def test_straddling_record_is_an_error(self):
         """A record across a fixed punctuation would lose its events to
@@ -170,6 +170,53 @@ class TestSessionAssembly:
             assembler.consume(
                 1_000, [rec(0, 1_000, total=1.0, count=1)], now=1_000
             )
+
+
+class TestUserDefAssembly:
+    @staticmethod
+    def assembler():
+        (group,) = analyze(
+            [Query.of("u", WindowSpec.user_defined(end_marker="end"),
+                      AggFunction.SUM)],
+            decentralized=True,
+        ).groups
+        rows = []
+
+        def emit(query, start, end, ops, count, now, shed_slices=(),
+                 completeness=1.0):
+            rows.append((start, end, ops.get(K.SUM), count, completeness))
+
+        return RootAssembler(group, origin=0, emit=emit), rows
+
+    def test_records_join_the_trip_their_marker_closes(self):
+        """A record ending at ``marker + 1`` carries the marker event and
+        belongs to the trip it ends; one ending later opens the next."""
+        assembler, rows = self.assembler()
+        assembler.consume(150, [rec(0, 100, total=1.0, count=1)], now=150)
+        assembler.consume(
+            300,
+            [rec(100, 201, total=2.0, count=1, eps=[("u", 200)]),
+             rec(201, 300, total=4.0, count=1)],
+            now=300,
+        )
+        assert rows == [(0, 200, 3.0, 2, 1.0)]
+        assembler.finish(300)
+        assert rows[1:] == [(200, 300, 4.0, 1, 1.0)]
+
+    def test_a_shed_trip_closes_degraded_at_its_marker(self):
+        assembler, rows = self.assembler()
+        assembler.note_shed([("local-0", 0, 500)])
+        assembler.consume(600, [rec(400, 501, eps=[("u", 500)])], now=600)
+        assert rows == [(0, 500, None, 0, 0.0)]
+
+    def test_a_fully_shed_final_trip_closes_degraded(self):
+        """The end of stream closes a trip by the same rule as a marker:
+        shedding that starved it is reported, not swallowed."""
+        assembler, rows = self.assembler()
+        assembler.note_shed([("local-0", 0, 700)])
+        assembler.consume(700, [], now=700)
+        assembler.finish(700)
+        assert rows == [(0, 700, None, 0, 0.0)]
 
 
 class TestTimedDerivation:
