@@ -152,12 +152,9 @@ class _WindowMergeState:
             else:
                 self.ops[kind] = partial
         if message.values is not None:
-            if self.values is None:
-                self.values = list(message.values)
-            else:
-                self.values = merge_partials(
-                    OperatorKind.NON_DECOMPOSABLE_SORT, self.values, message.values
-                )
+            self.values = merge_partials(
+                OperatorKind.NON_DECOMPOSABLE_SORT, self.values or [], message.values
+            )
 
 
 class _DiscoMergeNode(SimNode):

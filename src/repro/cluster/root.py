@@ -467,6 +467,8 @@ class RootAssembler:
                 runs.append(part.timed)
         if not runs:
             return
+        # Not a stable sort: the runs are ordered by time alone, so sorting
+        # the pairs would reorder the values of one timestamp.
         for time, value in heapq.merge(*runs):
             if state.seen % state.slide == 0:
                 state.open.append((time, OperatorSetState(state.kinds)))

@@ -37,11 +37,9 @@ count of a Two-Stacks folding its prefix at every push; a batch flipped
 unqueried is never prefix-folded, nor counted.
 
 ``NON_DECOMPOSABLE_SORT`` is excluded: its partials are whole sorted
-value lists, so a FIFO aggregate would have to *copy* the merged list at
-every push/flip (there is no O(1) "uncombine"), making the incremental
-structure strictly worse than the existing single k-way run merge.  That
-kind goes through the plain scan and joins the Two-Stacks result for the
-decomposable kinds.
+value lists, so a FIFO aggregate would *copy* the merged list at every
+push/flip (there is no O(1) "uncombine").  That kind takes the plain scan,
+one stable sort of the window's runs, and joins the Two-Stacks result.
 
 Two cooperating layers live here:
 
@@ -99,7 +97,7 @@ _MERGES = {
 
 #: operator kinds whose partials merge in O(1) and can ride the
 #: incremental structure; NON_DECOMPOSABLE_SORT partials are whole sorted
-#: lists and stay on the plain k-way merge (module docstring).
+#: lists, merged by the plain scan's one sort (module docstring).
 DECOMPOSABLE_MERGE_KINDS = frozenset(_MERGES)
 
 
@@ -345,7 +343,7 @@ class IncrementalMergeLayer:
                     )
                     merged.update(extra)
                     merge_ops += scanned
-                    # The k-way scan sees the same slices, so counts agree.
+                    # The plain scan sees the same slices, so counts agree.
                     events = max(events, extra_events)
                 return merged, events, merge_ops, pushed
         merged, events, merge_ops = store.merge_context_partials(

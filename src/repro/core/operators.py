@@ -37,11 +37,16 @@ The decomposable sort drops events as it goes (it only keeps the running
 extrema) and can be shared between ``min`` and ``max``.  The non-decomposable
 sort keeps every value and sorts on slice termination; its result can be
 shared between ``min``, ``max``, ``median``, and ``quantile``.
+
+Sorted runs merge one way, two or k at a time: concatenated in order,
+sorted once.  Timsort merges the runs in C and, being stable, keeps ties
+(``-0.0 == 0.0``, duplicates) in run order as ``heapq.merge`` would: no
+bit of a non-NaN value depends on how runs were grouped.  (A slice's own
+``sort()`` leaves a run holding NaN unordered; no merge can repair that.)
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Iterable, Sequence
 
 from repro.core.errors import EngineError
@@ -252,26 +257,16 @@ def merge_partials(kind: OperatorKind, left: Any, right: Any) -> Any:
             return left
         return (min(left[0], right[0]), max(left[1], right[1]))
     if kind is OperatorKind.NON_DECOMPOSABLE_SORT:
-        if not left:
-            return right
-        if not right:
-            return left
-        # Two sorted runs back to back are what Timsort is built for: it
-        # finds both and merges them galloping, in C, and being stable it
-        # orders ties as the k-way ``heapq.merge`` of
-        # :func:`merge_many_partials` does (left before right).
-        merged = left + right
-        merged.sort()
-        return merged
+        return _merge_sorted_runs((left, right))
     raise EngineError(f"unknown operator kind: {kind!r}")
 
 
 def merge_many_partials(kind: OperatorKind, parts: Iterable[Any]) -> Any:
     """Merge an iterable of partial results of the same kind.
 
-    For the non-decomposable sort this performs one k-way merge of all sorted
-    runs instead of repeated pairwise merges.  Single-element lists skip the
-    fold entirely (``x + 0.0`` is bit-identical to ``sum([x], 0.0)``,
+    The non-decomposable sort's runs are sorted once, together: a left
+    fold of :func:`merge_partials`, bit for bit.  Single-element lists skip
+    the fold entirely (``x + 0.0`` is bit-identical to ``sum([x], 0.0)``,
     including for ``-0.0``), the common case for tumbling windows.
     """
     if kind is OperatorKind.SUM or kind is OperatorKind.SUM_OF_SQUARES:
@@ -304,13 +299,21 @@ def merge_many_partials(kind: OperatorKind, parts: Iterable[Any]) -> Any:
                     hi = phi
         return None if lo is None else (lo, hi)
     if kind is OperatorKind.NON_DECOMPOSABLE_SORT:
-        runs = [part for part in parts if part]
-        if not runs:
-            return []
-        if len(runs) == 1:
-            return runs[0]
-        return list(heapq.merge(*runs))
+        return _merge_sorted_runs(parts)
     raise EngineError(f"unknown operator kind: {kind!r}")
+
+
+def _merge_sorted_runs(parts: Iterable[list[float]]) -> list[float]:
+    """The sorted ``parts`` as one sorted list: a lone non-empty run as
+    is, two or more concatenated in order into a new list, sorted once."""
+    runs = [part for part in parts if part]
+    if len(runs) < 2:
+        return runs[0] if runs else []
+    merged = []
+    for run in runs:
+        merged.extend(run)
+    merged.sort()
+    return merged
 
 
 #: values an :class:`OperatorSetState` buffers before it folds them: the

@@ -249,6 +249,28 @@ class TestTimedDerivation:
         # The partial fourth-event window flushes at finish.
         assert emitted[-1][4] == 1
 
+    def test_count_replay_keeps_each_run_in_time_order(self):
+        """A run of ``(time, value)`` pairs is ordered by time alone: the
+        replay must not sort one timestamp's values, which one stable
+        sort of the pairs would (1.0 before 3.0 here)."""
+        assembler, emitted = assembler_for(
+            Query.of(
+                "c",
+                WindowSpec.tumbling(2, measure=WindowMeasure.COUNT),
+                AggFunction.MAX,
+            )
+        )
+        records = [
+            rec(0, 1_000, timed=[(5, 3.0), (5, 1.0)], count=2),
+            rec(0, 1_000, timed=[(5, 2.0)], count=1),
+        ]
+        assembler.consume(1_000, records, now=1_000)
+        assembler.finish(2_000)
+        assert emitted == [
+            ("c", 5, 5, {K.DECOMPOSABLE_SORT: (2.0, 3.0)}, 2),
+            ("c", 5, 1_000, {K.DECOMPOSABLE_SORT: (1.0, 1.0)}, 1),
+        ]
+
 
 class RecordScan:
     """The reference: fixed-window assembly by scanning the raw records
