@@ -30,7 +30,7 @@ from __future__ import annotations
 from repro.core.errors import ClusterError
 from repro.core.grid import PunctuationGrid
 from repro.core.incmerge import IncrementalMergeLayer
-from repro.core.operators import merge_partials
+from repro.core.operators import holds_nan, merge_partials
 from repro.core.slices import Slice, SliceStore
 from repro.core.types import OperatorKind
 from repro.network.messages import ContextPartial, SliceRecord
@@ -85,6 +85,9 @@ class CellStore(SliceStore):
             for kind in kinds:
                 if kind not in part.ops:
                     continue
+                if (kind is OperatorKind.NON_DECOMPOSABLE_SORT
+                        and ctx not in cell.unordered and holds_nan(part.ops[kind])):
+                    cell.unordered += (ctx,)
                 if kind in have:
                     have[kind] = merge_partials(kind, have[kind], part.ops[kind])
                     self.merge_ops += 1

@@ -83,6 +83,8 @@ class _DiscoLocal(SimNode):
         if count == 0 or self._net is None:
             return
         values = merged_ops.get(OperatorKind.NON_DECOMPOSABLE_SORT)
+        if values is not None:
+            values = list(values)  # the shipped list, off a rank-read view
         ops = {
             kind: partial
             for kind, partial in merged_ops.items()

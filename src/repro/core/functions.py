@@ -151,8 +151,10 @@ def _extremum(end: int):
 
 
 def _quantile(spec, partials):
-    """Linear-interpolation quantile of the sorted run; MEDIAN is the one
-    spec without a quantile."""
+    """Linear-interpolation quantile of the sorted values; MEDIAN is the
+    one spec without a quantile.  It reads two neighbouring ranks, by
+    index, off a merged list or a window's
+    :class:`~repro.core.operators.SortedRuns` view alike."""
     values = partials.get(_SORTED)
     if not values:
         return None

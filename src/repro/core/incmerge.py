@@ -38,8 +38,10 @@ unqueried is never prefix-folded, nor counted.
 
 ``NON_DECOMPOSABLE_SORT`` is excluded: its partials are whole sorted
 value lists, so a FIFO aggregate would *copy* the merged list at every
-push/flip (there is no O(1) "uncombine").  That kind takes the plain scan,
-one stable sort of the window's runs, and joins the Two-Stacks result.
+push/flip (there is no O(1) "uncombine").  That kind takes the plain scan
+and joins the Two-Stacks result: the scan hands over the window's runs as
+a view whose ranks are read by bisection, or merges them by one stable
+sort where that is cheaper (:func:`~repro.core.operators.read_many_partials`).
 
 Two cooperating layers live here:
 
@@ -61,7 +63,7 @@ from functools import reduce
 from itertools import accumulate
 from typing import Any, Sequence
 
-from repro.core.operators import merge_many_partials
+from repro.core.operators import read_many_partials
 from repro.core.types import OperatorKind
 
 __all__ = [
@@ -97,7 +99,7 @@ _MERGES = {
 
 #: operator kinds whose partials merge in O(1) and can ride the
 #: incremental structure; NON_DECOMPOSABLE_SORT partials are whole sorted
-#: lists, merged by the plain scan's one sort (module docstring).
+#: lists, read by the plain scan (module docstring).
 DECOMPOSABLE_MERGE_KINDS = frozenset(_MERGES)
 
 
@@ -304,10 +306,12 @@ class IncrementalMergeLayer:
         guess rather than return a wrong aggregate) — takes the plain scan
         of :meth:`~repro.core.slices.SliceStore.merge_context_partials`.
 
-        Returns ``(merged, events, merge_ops, pushed)``: ``merge_ops``
-        counts the merges this close ran (partials the scan read, and the
-        stream's ``merge_partials`` calls); ``pushed`` is ``None`` unless a
-        stream served the window.
+        Returns ``(merged, events, merge_ops, pushed)``: ``merged`` is
+        for finalizing in place, its sorted values possibly a
+        :class:`~repro.core.operators.SortedRuns` view (``list()`` makes
+        the merged list); ``merge_ops`` counts the merges this close ran
+        (partials the scan read, and the stream's ``merge_partials``
+        calls); ``pushed`` is ``None`` unless a stream served the window.
         """
         split = self._splits.get(kinds)
         if split is None:
@@ -339,7 +343,7 @@ class IncrementalMergeLayer:
                 self.slices_pushed += pushed
                 if rest:
                     extra, extra_events, scanned = store.merge_context_partials(
-                        first, last, ctx, rest, merge_many_partials
+                        first, last, ctx, rest, read_many_partials
                     )
                     merged.update(extra)
                     merge_ops += scanned
@@ -347,7 +351,7 @@ class IncrementalMergeLayer:
                     events = max(events, extra_events)
                 return merged, events, merge_ops, pushed
         merged, events, merge_ops = store.merge_context_partials(
-            first, last, ctx, kinds, merge_many_partials
+            first, last, ctx, kinds, read_many_partials
         )
         return merged, events, merge_ops, None
 

@@ -43,11 +43,20 @@ sorted once.  Timsort merges the runs in C and, being stable, keeps ties
 (``-0.0 == 0.0``, duplicates) in run order as ``heapq.merge`` would: no
 bit of a non-NaN value depends on how runs were grouped.  (A slice's own
 ``sort()`` leaves a run holding NaN unordered; no merge can repair that.)
+The merged list is what travels: the sorted batches shipped upward, the
+cells, sessions and intermediate folds.  A window finalized in place
+reads only a rank or two, so its close hands the finalizer a
+:class:`SortedRuns` view instead (:func:`read_many_partials`): item ``k``
+is found by bisection across the runs and is the merged list's item
+``k``, the same object.  A run holding NaN is flagged once, where it is
+made (:func:`holds_nan`), and a window holding one is merged.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from bisect import bisect_left, bisect_right
+from math import isnan
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.errors import EngineError
 from repro.core.types import OperatorKind
@@ -65,6 +74,9 @@ __all__ = [
     "empty_partial",
     "merge_partials",
     "merge_many_partials",
+    "read_many_partials",
+    "holds_nan",
+    "SortedRuns",
 ]
 
 
@@ -305,7 +317,9 @@ def merge_many_partials(kind: OperatorKind, parts: Iterable[Any]) -> Any:
 
 def _merge_sorted_runs(parts: Iterable[list[float]]) -> list[float]:
     """The sorted ``parts`` as one sorted list: a lone non-empty run as
-    is, two or more concatenated in order into a new list, sorted once."""
+    is, two or more concatenated in order into a new list, sorted once.
+    This is the list a window ships; one finalized in place reads its
+    ranks off :class:`SortedRuns` instead (:func:`read_many_partials`)."""
     runs = [part for part in parts if part]
     if len(runs) < 2:
         return runs[0] if runs else []
@@ -314,6 +328,134 @@ def _merge_sorted_runs(parts: Iterable[list[float]]) -> list[float]:
         merged.extend(run)
     merged.sort()
     return merged
+
+
+def holds_nan(run: list[float]) -> bool:
+    """Whether a sorted run holds a NaN, which leaves it out of order: a
+    NaN-free run only sums to NaN when it holds both infinities."""
+    return isnan(sum(run)) and any(map(isnan, run))
+
+
+def read_many_partials(kind: OperatorKind, parts: list) -> Any:
+    """:func:`merge_many_partials` for a window finalized in place.
+
+    The non-decomposable sort's runs come back as a :class:`SortedRuns`
+    view where reading ranks off them beats merging them: ``m >= 2``
+    runs holding ``n >= max(1536, 48 m)`` values, the crossover measured
+    in DESIGN.md ("Reading ranks off the runs").  The runs must be free
+    of NaN (:func:`holds_nan`); runs that may hold one are merged.
+    """
+    if kind is OperatorKind.NON_DECOMPOSABLE_SORT:
+        runs = [part for part in parts if part]
+        if len(runs) > 1:
+            length = sum(map(len, runs))
+            if length >= 1536 and length >= 48 * len(runs):
+                return SortedRuns(runs, length)
+    return merge_many_partials(kind, parts)
+
+
+class SortedRuns:
+    """Read-only view of the stable merge of NaN-free sorted runs.
+
+    Item ``k`` is the very object the merged list
+    (:func:`_merge_sorted_runs`) holds at ``k``: values in order, ties
+    (``-0.0 == 0.0``, duplicates) in run order and, within a run, in
+    position order.  :func:`_select` finds it in O(m log n) bisects for
+    ``m`` runs of ``n`` values, ending on a sorted block of the ranks
+    around it, which the view keeps: a quantile's neighbouring rank is
+    read off that block.  Iteration walks the merged list.
+    """
+
+    __slots__ = ("runs", "_len", "_base", "_block")
+
+    def __init__(self, runs: list[list[float]], length: int) -> None:
+        self.runs = runs
+        self._len = length
+        #: the ranks ``_base ..`` of the merge, in order (the last select's)
+        self._base = 0
+        self._block: list[float] = []
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k: int) -> float:
+        length = self._len
+        if k < 0:
+            k += length
+        if not 0 <= k < length:
+            raise IndexError("SortedRuns index out of range")
+        at = k - self._base
+        if 0 <= at < len(self._block):
+            return self._block[at]
+        runs = self.runs
+        if k == length - 1:
+            # the greatest last item, the latest run's on ties
+            best = runs[0]
+            for run in runs:
+                if not run[-1] < best[-1]:
+                    best = run
+            return best[-1]
+        self._base, self._block = _select(runs, k)
+        return self._block[k - self._base]
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(_merge_sorted_runs(self.runs))
+
+
+#: :func:`_select` sorts what is left once this many values per run, on
+#: average, are live
+_BLOCK_PER_RUN = 32
+
+
+def _select(runs: list[list[float]], k: int) -> tuple[int, list[float]]:
+    """A block of ranks ``base ..`` of the stable merge of ``runs`` that
+    holds rank ``k``, as ``(base, block)``.
+
+    Each round takes the middle of every run's live range, picks the
+    median of those middles weighted by their ranges' sizes, and counts
+    the items before it with one bisect per run: ties with an earlier
+    run come before it, ties with a later run after.  Its rank drops the
+    items on the wrong side of it, at least a quarter of the live ones,
+    so O(log n) rounds of ``m`` bisects leave few enough to sort: the
+    live ranges, concatenated in run order and sorted stably, are the
+    merge's ranks from the sum of their starts on.
+    """
+    m = len(runs)
+    lo = [0] * m
+    hi = [len(run) for run in runs]
+    floor = _BLOCK_PER_RUN * m
+    while True:
+        middles = []
+        live = 0
+        for i in range(m):
+            size = hi[i] - lo[i]
+            if size:
+                middle = lo[i] + (size >> 1)
+                middles.append((runs[i][middle], i, middle, size))
+                live += size
+        if live <= floor or len(middles) == 1:
+            block = []
+            for i, run in enumerate(runs):
+                block += run[lo[i]:hi[i]]
+            block.sort()
+            return sum(lo), block
+        middles.sort()
+        half = live >> 1
+        for item, i, middle, size in middles:
+            half -= size
+            if half < 0:
+                break
+        cut = [bisect_right(runs[j], item, lo[j], hi[j]) for j in range(i)]
+        cut.append(middle)
+        cut.extend(bisect_left(runs[j], item, lo[j], hi[j]) for j in range(i + 1, m))
+        rank = sum(cut)
+        if rank == k:
+            return k, [item]
+        if rank < k:
+            cut[i] = middle + 1
+            lo = cut
+        else:
+            hi = cut
 
 
 #: values an :class:`OperatorSetState` buffers before it folds them: the

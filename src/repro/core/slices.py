@@ -22,7 +22,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.errors import EngineError
-from repro.core.operators import OperatorSetState
+from repro.core.operators import OperatorSetState, holds_nan, merge_many_partials
 from repro.core.types import OperatorKind
 
 __all__ = ["Slice", "SliceStore"]
@@ -41,6 +41,7 @@ class Slice:
         "contexts",
         "partials",
         "insert_counts",
+        "unordered",
         "closed",
     )
 
@@ -54,6 +55,8 @@ class Slice:
         self.partials: Partials = {}
         #: context index -> number of events inserted
         self.insert_counts: dict[int, int] = {}
+        #: contexts whose sorted run holds a NaN (:func:`holds_nan`)
+        self.unordered: tuple[int, ...] = ()
         self.closed = False
 
     def insert_run(
@@ -78,8 +81,11 @@ class Slice:
             raise EngineError(f"slice {self.index} closed twice")
         self.end = end
         for ctx, state in self.contexts.items():
-            self.partials[ctx] = state.partials()
+            parts = self.partials[ctx] = state.partials()
             self.insert_counts[ctx] = state.inserts
+            run = parts.get(OperatorKind.NON_DECOMPOSABLE_SORT)
+            if run and holds_nan(run):
+                self.unordered += (ctx,)
         self.contexts.clear()
         self.closed = True
 
@@ -142,7 +148,9 @@ class SliceStore:
         the number of partials fed to the merge (the scan's work measure,
         comparable with the incremental layer's ``merge_ops``).  Slices
         without activity for the context contribute nothing (their
-        partials are the operator identities).
+        partials are the operator identities).  A sorted run holding a
+        NaN (:attr:`Slice.unordered`) has no order to read ranks off, so
+        ranges that hold one are merged by :func:`merge_many_partials`.
         """
         collected: dict[OperatorKind, list[Any]] = {kind: [] for kind in kinds}
         events = 0
@@ -154,6 +162,8 @@ class SliceStore:
             for kind, bucket in collected.items():
                 if kind in parts:
                     bucket.append(parts[kind])
+            if ctx in slice_.unordered:
+                merge = merge_many_partials
         merged = {}
         merge_ops = 0
         for kind, bucket in collected.items():

@@ -47,7 +47,7 @@ from repro.core.errors import EngineError, OutOfOrderError
 from repro.core.event import Event
 from repro.core.query import Query
 from repro.core.results import ResultSink
-from repro.core.types import WindowMeasure, WindowType
+from repro.core.types import OperatorKind, WindowMeasure, WindowType
 from repro.network.codec import BinaryCodec
 from repro.network.messages import (
     ShardBatchMessage,
@@ -126,15 +126,16 @@ def _attach_window_sinks(
     The hook fires after the engine merged the window's slices but
     before finalization and the empty-window skip, so empty windows are
     reported too — the reducer needs all N records to match a window.
-    Partials are shallow-copied because the store may recycle a
-    single-run sorted list after release.
+    The sorted values are shipped as a new list: the store may recycle a
+    single-run sorted list after release, and a window of several runs
+    comes as a rank-read view.
     """
     for runtime in engine.groups:
         group_id = runtime.group.group_id
 
         def sink(window, merged, events, end, _runtime=runtime, _gid=group_id):
             ops = {
-                kind: (list(part) if isinstance(part, list) else part)
+                kind: (list(part) if kind is OperatorKind.NON_DECOMPOSABLE_SORT else part)
                 for kind, part in merged.items()
             }
             stream_time = _runtime.stream_time

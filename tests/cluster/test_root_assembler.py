@@ -12,8 +12,8 @@ from repro.conformance.oracle import tolerance_for, values_match
 from repro.core.analyzer import analyze
 from repro.core.engine import required_kinds
 from repro.core.errors import ClusterError
-from repro.core.functions import finalize
-from repro.core.operators import merge_many_partials
+from repro.core.functions import FunctionSpec, finalize
+from repro.core.operators import SortedRuns, merge_many_partials
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction, OperatorKind, WindowMeasure, WindowType
 from repro.cluster.root import RootAssembler, derive_ops_from_timed
@@ -217,6 +217,57 @@ class TestUserDefAssembly:
         assembler.consume(700, [], now=700)
         assembler.finish(700)
         assert rows == [(0, 700, None, 0, 0.0)]
+
+
+class TestTripRanks:
+    """A MEDIAN trip of three large sorted runs reads its ranks off them;
+    one of whose runs holds a NaN is merged, as the merge would."""
+
+    @staticmethod
+    def close_trip(runs):
+        (group,) = analyze(
+            [Query.of("m", WindowSpec.user_defined(end_marker="end"),
+                      AggFunction.MEDIAN)],
+            decentralized=True,
+        ).groups
+        rows = []
+
+        def emit(query, start, end, ops, count, now):
+            rows.append((ops[K.NON_DECOMPOSABLE_SORT], finalize(query.function, ops)))
+
+        assembler = RootAssembler(group, origin=0, emit=emit)
+        records = [
+            rec(100 * i, 100 * i + 100, values=run, count=len(run))
+            for i, run in enumerate(runs)
+        ]
+        records[-1].userdef_eps.append(("m", 299))
+        assembler.consume(400, records, now=400)
+        (row,) = rows
+        return row
+
+    @staticmethod
+    def runs(seed):
+        rng = random.Random(seed)
+        ties = [-0.0, 0.0, 1.0, -2.5, 5e-324]
+        return [sorted(rng.choice(ties) for _ in range(700)) for _ in range(3)]
+
+    def test_a_trip_reads_the_merged_lists_ranks(self):
+        for seed in range(4):
+            runs = self.runs(seed)
+            merged = merge_many_partials(K.NON_DECOMPOSABLE_SORT, runs)
+            values, median = self.close_trip(runs)
+            assert type(values) is SortedRuns
+            expected = finalize(
+                FunctionSpec(AggFunction.MEDIAN), {K.NON_DECOMPOSABLE_SORT: merged}
+            )
+            assert repr(median) == repr(expected)
+            assert values[len(merged) // 2] is merged[len(merged) // 2]
+
+    def test_a_trip_holding_a_nan_is_merged(self):
+        runs = self.runs(0)
+        runs[1] = runs[1] + [float("nan")]
+        values, _ = self.close_trip(runs)
+        assert type(values) is list
 
 
 class TestTimedDerivation:

@@ -5,11 +5,13 @@ from __future__ import annotations
 import heapq
 import math
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.core import operators
 from repro.core.operators import (
     CountState,
     DecomposableSortState,
@@ -17,11 +19,15 @@ from repro.core.operators import (
     NonDecomposableSortState,
     PENDING_CAP,
     OperatorSetState,
+    SortedRuns,
     SumState,
+    _merge_sorted_runs,
     empty_partial,
+    holds_nan,
     make_state,
     merge_many_partials,
     merge_partials,
+    read_many_partials,
 )
 from repro.core.types import OperatorKind
 
@@ -42,6 +48,14 @@ EDGE_FLOATS = [
     1.0, 1.0, 2.5, math.inf,
 ]
 sorted_runs = st.lists(st.sampled_from(EDGE_FLOATS), max_size=40).map(sorted)
+#: runs of the tie set and ordinary floats
+mixed_runs = st.lists(
+    st.one_of(
+        st.sampled_from(EDGE_FLOATS),
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    ),
+    max_size=40,
+).map(sorted)
 
 
 def bits(values):
@@ -166,6 +180,63 @@ class TestMerge:
             folded = merge_partials(OperatorKind.NON_DECOMPOSABLE_SORT, folded, run)
         merged = merge_many_partials(OperatorKind.NON_DECOMPOSABLE_SORT, runs)
         assert bits(folded) == bits(merged)
+
+    @pytest.mark.parametrize("block", [0, operators._BLOCK_PER_RUN])
+    @given(runs=st.lists(mixed_runs, max_size=64))
+    def test_sorted_runs_item_k_is_the_merged_item_k(self, block, runs):
+        """A window's 0 to 64 runs, empty ones included, read by rank:
+        item ``k`` of the view — found by a select on a fresh view, or
+        off the block of the one before on a view walked in order — and
+        item ``-1`` are the very objects the merged list holds, ties in
+        run order; ``len``, truth and iteration are the merged list's.
+        With no block to sort at the end, the select's rounds alone find
+        every item."""
+        merged = _merge_sorted_runs(runs)
+        live = [run for run in runs if run]
+
+        def view():
+            return SortedRuns(live, len(merged))
+
+        with mock.patch.object(operators, "_BLOCK_PER_RUN", block):
+            walked = view()
+            for k in range(len(merged)):
+                assert view()[k] is merged[k]
+                assert walked[k] is merged[k]
+            if merged:
+                assert view()[-1] is merged[-1]
+                assert walked[-1] is merged[-1]
+            else:
+                with pytest.raises(IndexError):
+                    view()[-1]
+        assert len(view()) == len(merged)
+        assert bool(view()) is bool(merged)
+        assert bits(list(view())) == bits(merged)
+
+    @given(m=st.integers(0, 64), per_run=st.integers(0, 200), rnd=st.randoms())
+    def test_read_many_partials_reads_what_merge_many_partials_merges(
+        self, m, per_run, rnd
+    ):
+        """The close's merge hands out the view or the merged list, with
+        the same items, on either side of the select/merge rule (``m``
+        runs of ``per_run`` values on average)."""
+        runs = [
+            sorted(rnd.choice(EDGE_FLOATS) for _ in range(rnd.randint(0, 2 * per_run)))
+            for _ in range(m)
+        ]
+        kind = OperatorKind.NON_DECOMPOSABLE_SORT
+        merged = merge_many_partials(kind, runs)
+        read = read_many_partials(kind, runs)
+        assert isinstance(read, (list, SortedRuns))
+        assert bits(list(read)) == bits(merged)
+        if merged:
+            for k in (0, (len(merged) - 1) // 2, len(merged) // 2, -1):
+                assert read[k] is merged[k]
+
+    def test_holds_nan_tells_a_nan_from_both_infinities(self):
+        assert not holds_nan([-math.inf, 0.0, math.inf])
+        assert not holds_nan([1.0, 2.0])
+        assert holds_nan([1.0, math.nan, 0.5])
+        assert holds_nan([-math.inf, math.nan, math.inf])
 
 
 class TestOperatorSetState:
