@@ -37,6 +37,8 @@ from repro.network.messages import ContextPartial, SliceRecord
 
 __all__ = ["CellStore"]
 
+_SORTED = OperatorKind.NON_DECOMPOSABLE_SORT
+
 
 class CellStore(SliceStore):
     """The cells of one query-group, indexed along its punctuation grid."""
@@ -82,12 +84,13 @@ class CellStore(SliceStore):
                 continue
             have = cell.partials.setdefault(ctx, {})
             cell.insert_counts[ctx] = cell.insert_counts.get(ctx, 0) + part.count
+            run = part.ops.get(_SORTED)
+            if (run and _SORTED in kinds and ctx not in cell.unordered
+                    and holds_nan(run)):
+                cell.unordered += (ctx,)
             for kind in kinds:
                 if kind not in part.ops:
                     continue
-                if (kind is OperatorKind.NON_DECOMPOSABLE_SORT
-                        and ctx not in cell.unordered and holds_nan(part.ops[kind])):
-                    cell.unordered += (ctx,)
                 if kind in have:
                     have[kind] = merge_partials(kind, have[kind], part.ops[kind])
                     self.merge_ops += 1

@@ -30,6 +30,8 @@ __all__ = ["Slice", "SliceStore"]
 #: A frozen slice's payload: context index -> operator kind -> partial.
 Partials = dict[int, dict[OperatorKind, Any]]
 
+_SORTED = OperatorKind.NON_DECOMPOSABLE_SORT
+
 
 class Slice:
     """One slice of the stream for one query-group."""
@@ -81,11 +83,8 @@ class Slice:
             raise EngineError(f"slice {self.index} closed twice")
         self.end = end
         for ctx, state in self.contexts.items():
-            parts = self.partials[ctx] = state.partials()
+            self.partials[ctx] = state.partials()
             self.insert_counts[ctx] = state.inserts
-            run = parts.get(OperatorKind.NON_DECOMPOSABLE_SORT)
-            if run and holds_nan(run):
-                self.unordered += (ctx,)
         self.contexts.clear()
         self.closed = True
 
@@ -108,10 +107,17 @@ class SliceStore:
         self.freed = 0
 
     def add(self, slice_: Slice, _holders: int = 1) -> None:
-        """Store a closed slice some open window covers.  ``_holders`` is
-        ignored: benchmarks/e2e still passes the former reference count."""
+        """Store a closed slice some open window covers, flagging the
+        contexts whose sorted run holds a NaN (:attr:`Slice.unordered`):
+        each run is screened once, as it enters the store windows read.
+        ``_holders`` is ignored: benchmarks/e2e still passes the former
+        reference count."""
         if not slice_.closed:
             raise EngineError("only closed slices can be stored")
+        for ctx, parts in slice_.partials.items():
+            run = parts.get(_SORTED)
+            if run and holds_nan(run):
+                slice_.unordered += (ctx,)
         self._slices[slice_.index] = slice_
 
     def get(self, index: int) -> Slice | None:

@@ -219,28 +219,36 @@ class TestUserDefAssembly:
         assert rows == [(0, 700, None, 0, 0.0)]
 
 
-class TestTripRanks:
-    """A MEDIAN trip of three large sorted runs reads its ranks off them;
-    one of whose runs holds a NaN is merged, as the merge would."""
+class TestSortedRanks:
+    """A MEDIAN window of three large sorted runs — a trip, or a fixed
+    window over three cells — reads its ranks off them; one whose runs
+    hold a NaN is merged, as the merge would."""
 
-    @staticmethod
-    def close_trip(runs):
-        (group,) = analyze(
-            [Query.of("m", WindowSpec.user_defined(end_marker="end"),
-                      AggFunction.MEDIAN)],
-            decentralized=True,
-        ).groups
+    WINDOWS = {
+        "trip": [WindowSpec.user_defined(end_marker="end")],
+        # a 100 ms MEDIAN beside it cuts the 300 ms window into three cells
+        "fixed": [WindowSpec.tumbling(300), WindowSpec.tumbling(100)],
+    }
+
+    @classmethod
+    def close(cls, window, runs):
+        queries = [
+            Query.of(f"m{i}", spec, AggFunction.MEDIAN)
+            for i, spec in enumerate(cls.WINDOWS[window])
+        ]
+        (group,) = analyze(queries, decentralized=True).groups
         rows = []
 
         def emit(query, start, end, ops, count, now):
-            rows.append((ops[K.NON_DECOMPOSABLE_SORT], finalize(query.function, ops)))
+            if query.query_id == "m0":
+                rows.append((ops[K.NON_DECOMPOSABLE_SORT], finalize(query.function, ops)))
 
         assembler = RootAssembler(group, origin=0, emit=emit)
         records = [
             rec(100 * i, 100 * i + 100, values=run, count=len(run))
             for i, run in enumerate(runs)
         ]
-        records[-1].userdef_eps.append(("m", 299))
+        records[-1].userdef_eps.append(("m0", 299))
         assembler.consume(400, records, now=400)
         (row,) = rows
         return row
@@ -251,11 +259,12 @@ class TestTripRanks:
         ties = [-0.0, 0.0, 1.0, -2.5, 5e-324]
         return [sorted(rng.choice(ties) for _ in range(700)) for _ in range(3)]
 
-    def test_a_trip_reads_the_merged_lists_ranks(self):
+    @pytest.mark.parametrize("window", list(WINDOWS))
+    def test_a_window_reads_the_merged_lists_ranks(self, window):
         for seed in range(4):
             runs = self.runs(seed)
             merged = merge_many_partials(K.NON_DECOMPOSABLE_SORT, runs)
-            values, median = self.close_trip(runs)
+            values, median = self.close(window, runs)
             assert type(values) is SortedRuns
             expected = finalize(
                 FunctionSpec(AggFunction.MEDIAN), {K.NON_DECOMPOSABLE_SORT: merged}
@@ -263,10 +272,11 @@ class TestTripRanks:
             assert repr(median) == repr(expected)
             assert values[len(merged) // 2] is merged[len(merged) // 2]
 
-    def test_a_trip_holding_a_nan_is_merged(self):
+    @pytest.mark.parametrize("window", list(WINDOWS))
+    def test_a_window_holding_a_nan_is_merged(self, window):
         runs = self.runs(0)
         runs[1] = runs[1] + [float("nan")]
-        values, _ = self.close_trip(runs)
+        values, _ = self.close(window, runs)
         assert type(values) is list
 
 
