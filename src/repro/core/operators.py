@@ -48,8 +48,9 @@ cells, sessions and intermediate folds.  A window finalized in place
 reads only a rank or two, so its close hands the finalizer a
 :class:`SortedRuns` view instead (:func:`read_many_partials`): item ``k``
 is found by bisection across the runs and is the merged list's item
-``k``, the same object.  A run holding NaN is flagged once, where it is
-made (:func:`holds_nan`), and a window holding one is merged.
+``k``, the same object.  A run holding NaN is flagged once, where
+windows first see it (:func:`holds_nan`), and a window holding one is
+merged.
 """
 
 from __future__ import annotations
