@@ -30,7 +30,7 @@ from __future__ import annotations
 from repro.core.errors import ClusterError
 from repro.core.grid import PunctuationGrid
 from repro.core.incmerge import IncrementalMergeLayer
-from repro.core.operators import holds_nan, merge_partials
+from repro.core.operators import merge_partials
 from repro.core.slices import Slice, SliceStore
 from repro.core.types import OperatorKind
 from repro.network.messages import ContextPartial, SliceRecord
@@ -84,10 +84,8 @@ class CellStore(SliceStore):
                 continue
             have = cell.partials.setdefault(ctx, {})
             cell.insert_counts[ctx] = cell.insert_counts.get(ctx, 0) + part.count
-            run = part.ops.get(_SORTED)
-            if (run and _SORTED in kinds and ctx not in cell.unordered
-                    and holds_nan(run)):
-                cell.unordered += (ctx,)
+            if _SORTED in kinds:
+                self.screen(cell, ctx, part.ops.get(_SORTED))
             for kind in kinds:
                 if kind not in part.ops:
                     continue

@@ -27,7 +27,7 @@ from repro.core.engine import EngineStats, GroupRuntime
 from repro.core.errors import ClusterError
 from repro.core.event import Event
 from repro.core.functions import finalize
-from repro.core.operators import merge_partials
+from repro.core.operators import SortedRuns, merge_partials
 from repro.core.query import Query
 from repro.core.results import ResultSink, WindowResult
 from repro.core.types import NodeRole, OperatorKind, SharingPolicy, WindowMeasure, WindowType
@@ -83,7 +83,7 @@ class _DiscoLocal(SimNode):
         if count == 0 or self._net is None:
             return
         values = merged_ops.get(OperatorKind.NON_DECOMPOSABLE_SORT)
-        if values is not None:
+        if type(values) is SortedRuns:
             values = list(values)  # the shipped list, off a rank-read view
         ops = {
             kind: partial

@@ -36,8 +36,6 @@ from repro.core.functions import finalize, operators_for
 from repro.core.grid import PunctuationGrid
 from repro.core.operators import (
     OperatorSetState,
-    holds_nan,
-    merge_many_partials,
     merge_partials,
     read_many_partials,
 )
@@ -451,11 +449,8 @@ class RootAssembler:
         merged = {}
         for kind, bucket in state.buckets.items():
             if bucket:
-                # each run is in one trip: screened here, once
-                unordered = kind is OperatorKind.NON_DECOMPOSABLE_SORT and any(
-                    map(holds_nan, bucket))
-                merge = merge_many_partials if unordered else read_many_partials
-                merged[kind] = merge(kind, bucket)
+                # each run is in one trip: read_many_partials screens it
+                merged[kind] = read_many_partials(kind, bucket)
                 self._merge_ops += len(bucket)
         if state.count or self._shed_intersects(state.prev_end, end):
             self.emit(state.query, state.prev_end, end, merged, state.count, now)

@@ -41,7 +41,8 @@ value lists, so a FIFO aggregate would *copy* the merged list at every
 push/flip (there is no O(1) "uncombine").  That kind takes the plain scan
 and joins the Two-Stacks result: the scan hands over the window's runs as
 a view whose ranks are read by bisection, or merges them by one stable
-sort where that is cheaper (:func:`~repro.core.operators.read_many_partials`).
+sort where a run holds a NaN
+(:meth:`~repro.core.slices.SliceStore.read_context_partials`).
 
 Two cooperating layers live here:
 
@@ -63,7 +64,6 @@ from functools import reduce
 from itertools import accumulate
 from typing import Any, Sequence
 
-from repro.core.operators import read_many_partials
 from repro.core.types import OperatorKind
 
 __all__ = [
@@ -304,7 +304,7 @@ class IncrementalMergeLayer:
         the plain scan.  Every other window — tumbling, data-driven, or
         behind its stream's eviction floor (where the layer refuses to
         guess rather than return a wrong aggregate) — takes the plain scan
-        of :meth:`~repro.core.slices.SliceStore.merge_context_partials`.
+        of :meth:`~repro.core.slices.SliceStore.read_context_partials`.
 
         Returns ``(merged, events, merge_ops, pushed)``: ``merged`` is
         for finalizing in place, its sorted values possibly a
@@ -342,16 +342,16 @@ class IncrementalMergeLayer:
                 self.windows += 1
                 self.slices_pushed += pushed
                 if rest:
-                    extra, extra_events, scanned = store.merge_context_partials(
-                        first, last, ctx, rest, read_many_partials
+                    extra, extra_events, scanned = store.read_context_partials(
+                        first, last, ctx, rest
                     )
                     merged.update(extra)
                     merge_ops += scanned
                     # The plain scan sees the same slices, so counts agree.
                     events = max(events, extra_events)
                 return merged, events, merge_ops, pushed
-        merged, events, merge_ops = store.merge_context_partials(
-            first, last, ctx, kinds, read_many_partials
+        merged, events, merge_ops = store.read_context_partials(
+            first, last, ctx, kinds
         )
         return merged, events, merge_ops, None
 

@@ -337,21 +337,25 @@ def holds_nan(run: list[float]) -> bool:
     return isnan(sum(run)) and any(map(isnan, run))
 
 
-def read_many_partials(kind: OperatorKind, parts: list) -> Any:
+def read_many_partials(
+    kind: OperatorKind, parts: list, *, unordered: bool | None = None
+) -> Any:
     """:func:`merge_many_partials` for a window finalized in place.
 
-    The non-decomposable sort's runs come back as a :class:`SortedRuns`
-    view where reading ranks off them beats merging them: ``m >= 2``
-    runs holding ``n >= max(1536, 48 m)`` values, the crossover measured
-    in DESIGN.md ("Reading ranks off the runs").  The runs must be free
-    of NaN (:func:`holds_nan`); runs that may hold one are merged.
+    Two or more non-empty sorted runs come back as a :class:`SortedRuns`
+    view rather than merged, unless one of them holds a NaN, which
+    leaves it out of order: those are merged.  ``unordered`` says
+    whether one does, when the caller screened each run once already
+    (:meth:`~repro.core.slices.SliceStore.screen`); left ``None``, the
+    runs are screened here (:func:`holds_nan`).
     """
     if kind is OperatorKind.NON_DECOMPOSABLE_SORT:
         runs = [part for part in parts if part]
         if len(runs) > 1:
-            length = sum(map(len, runs))
-            if length >= 1536 and length >= 48 * len(runs):
-                return SortedRuns(runs, length)
+            if unordered is None:
+                unordered = any(map(holds_nan, runs))
+            if not unordered:
+                return SortedRuns(runs, sum(map(len, runs)))
     return merge_many_partials(kind, parts)
 
 
@@ -424,22 +428,17 @@ def _select(runs: list[list[float]], k: int) -> tuple[int, list[float]]:
     m = len(runs)
     lo = [0] * m
     hi = [len(run) for run in runs]
+    live = sum(hi)
     floor = _BLOCK_PER_RUN * m
-    while True:
+    while live > floor:
         middles = []
-        live = 0
         for i in range(m):
             size = hi[i] - lo[i]
             if size:
                 middle = lo[i] + (size >> 1)
                 middles.append((runs[i][middle], i, middle, size))
-                live += size
-        if live <= floor or len(middles) == 1:
-            block = []
-            for i, run in enumerate(runs):
-                block += run[lo[i]:hi[i]]
-            block.sort()
-            return sum(lo), block
+        if len(middles) == 1:
+            break
         middles.sort()
         half = live >> 1
         for item, i, middle, size in middles:
@@ -457,6 +456,12 @@ def _select(runs: list[list[float]], k: int) -> tuple[int, list[float]]:
             lo = cut
         else:
             hi = cut
+        live = sum(hi) - sum(lo)
+    block = []
+    for i, run in enumerate(runs):
+        block += run[lo[i]:hi[i]]
+    block.sort()
+    return sum(lo), block
 
 
 #: values an :class:`OperatorSetState` buffers before it folds them: the

@@ -22,7 +22,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.errors import EngineError
-from repro.core.operators import OperatorSetState, holds_nan, merge_many_partials
+from repro.core.operators import OperatorSetState, holds_nan, read_many_partials
 from repro.core.types import OperatorKind
 
 __all__ = ["Slice", "SliceStore"]
@@ -107,18 +107,24 @@ class SliceStore:
         self.freed = 0
 
     def add(self, slice_: Slice, _holders: int = 1) -> None:
-        """Store a closed slice some open window covers, flagging the
-        contexts whose sorted run holds a NaN (:attr:`Slice.unordered`):
-        each run is screened once, as it enters the store windows read.
-        ``_holders`` is ignored: benchmarks/e2e still passes the former
-        reference count."""
+        """Store a closed slice some open window covers, screening its
+        sorted runs (:meth:`screen`).  ``_holders`` is ignored:
+        benchmarks/e2e still passes the former reference count."""
         if not slice_.closed:
             raise EngineError("only closed slices can be stored")
         for ctx, parts in slice_.partials.items():
-            run = parts.get(_SORTED)
-            if run and holds_nan(run):
-                slice_.unordered += (ctx,)
+            self.screen(slice_, ctx, parts.get(_SORTED))
         self._slices[slice_.index] = slice_
+
+    @staticmethod
+    def screen(slice_: Slice, ctx: int, run: list[float] | None) -> None:
+        """Flag context ``ctx`` of ``slice_`` (:attr:`Slice.unordered`)
+        if ``run``, a sorted run it holds, holds a NaN.  Each run is
+        screened once, as it enters a store windows read, and
+        :meth:`read_context_partials` merges a window holding a flagged
+        run rather than read ranks off it."""
+        if run and ctx not in slice_.unordered and holds_nan(run):
+            slice_.unordered += (ctx,)
 
     def get(self, index: int) -> Slice | None:
         return self._slices.get(index)
@@ -154,22 +160,9 @@ class SliceStore:
         the number of partials fed to the merge (the scan's work measure,
         comparable with the incremental layer's ``merge_ops``).  Slices
         without activity for the context contribute nothing (their
-        partials are the operator identities).  A sorted run holding a
-        NaN (:attr:`Slice.unordered`) has no order to read ranks off, so
-        ranges that hold one are merged by :func:`merge_many_partials`.
+        partials are the operator identities).
         """
-        collected: dict[OperatorKind, list[Any]] = {kind: [] for kind in kinds}
-        events = 0
-        for slice_ in self.covered(first, last):
-            parts = slice_.partials.get(ctx)
-            if parts is None:
-                continue
-            events += slice_.insert_counts.get(ctx, 0)
-            for kind, bucket in collected.items():
-                if kind in parts:
-                    bucket.append(parts[kind])
-            if ctx in slice_.unordered:
-                merge = merge_many_partials
+        collected, events, _ = _collect(self.covered(first, last), ctx, kinds)
         merged = {}
         merge_ops = 0
         for kind, bucket in collected.items():
@@ -177,3 +170,44 @@ class SliceStore:
                 merged[kind] = merge(kind, bucket)
                 merge_ops += len(bucket)
         return merged, events, merge_ops
+
+    def read_context_partials(
+        self, first: int, last: int, ctx: int, kinds: Iterable[OperatorKind]
+    ) -> tuple[dict[OperatorKind, Any], int, int]:
+        """:meth:`merge_context_partials` for a window finalized in place,
+        by :func:`~repro.core.operators.read_many_partials`: its sorted
+        values may come back as a
+        :class:`~repro.core.operators.SortedRuns` view, unless a slice in
+        range flagged ``ctx`` (:meth:`screen`)."""
+        collected, events, unordered = _collect(
+            self.covered(first, last), ctx, kinds
+        )
+        merged = {}
+        merge_ops = 0
+        for kind, bucket in collected.items():
+            if bucket:
+                merged[kind] = read_many_partials(kind, bucket, unordered=unordered)
+                merge_ops += len(bucket)
+        return merged, events, merge_ops
+
+
+def _collect(
+    slices: Iterable[Slice], ctx: int, kinds: Iterable[OperatorKind]
+) -> tuple[dict[OperatorKind, list[Any]], int, bool]:
+    """Context ``ctx``'s partials in ``slices``, per kind in slice order,
+    their event count, and whether a slice flagged ``ctx``'s sorted run
+    (:meth:`SliceStore.screen`)."""
+    collected: dict[OperatorKind, list[Any]] = {kind: [] for kind in kinds}
+    events = 0
+    unordered = False
+    for slice_ in slices:
+        parts = slice_.partials.get(ctx)
+        if parts is None:
+            continue
+        events += slice_.insert_counts.get(ctx, 0)
+        for kind, bucket in collected.items():
+            if kind in parts:
+                bucket.append(parts[kind])
+        if ctx in slice_.unordered:
+            unordered = True
+    return collected, events, unordered

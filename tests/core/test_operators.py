@@ -216,9 +216,10 @@ class TestMerge:
     def test_read_many_partials_reads_what_merge_many_partials_merges(
         self, m, per_run, rnd
     ):
-        """The close's merge hands out the view or the merged list, with
-        the same items, on either side of the select/merge rule (``m``
-        runs of ``per_run`` values on average)."""
+        """The close's merge hands out a view of two or more non-empty
+        runs, the merged list otherwise, with the same items (``m`` runs
+        of ``per_run`` values on average); runs said to hold a NaN are
+        merged."""
         runs = [
             sorted(rnd.choice(EDGE_FLOATS) for _ in range(rnd.randint(0, 2 * per_run)))
             for _ in range(m)
@@ -226,11 +227,19 @@ class TestMerge:
         kind = OperatorKind.NON_DECOMPOSABLE_SORT
         merged = merge_many_partials(kind, runs)
         read = read_many_partials(kind, runs)
-        assert isinstance(read, (list, SortedRuns))
+        live = sum(1 for run in runs if run)
+        assert type(read) is (SortedRuns if live > 1 else list)
+        assert type(read_many_partials(kind, runs, unordered=True)) is list
         assert bits(list(read)) == bits(merged)
         if merged:
             for k in (0, (len(merged) - 1) // 2, len(merged) // 2, -1):
                 assert read[k] is merged[k]
+
+    def test_read_many_partials_screens_runs_it_is_not_told_about(self):
+        kind = OperatorKind.NON_DECOMPOSABLE_SORT
+        runs = [[1.0, 2.0], [0.5, math.nan, 3.0]]
+        assert type(read_many_partials(kind, runs)) is list
+        assert type(read_many_partials(kind, runs, unordered=False)) is SortedRuns
 
     def test_holds_nan_tells_a_nan_from_both_infinities(self):
         assert not holds_nan([-math.inf, 0.0, math.inf])
