@@ -113,7 +113,8 @@ class SliceStore:
         if not slice_.closed:
             raise EngineError("only closed slices can be stored")
         for ctx, parts in slice_.partials.items():
-            self.screen(slice_, ctx, parts.get(_SORTED))
+            if _SORTED in parts:
+                self.screen(slice_, ctx, parts[_SORTED])
         self._slices[slice_.index] = slice_
 
     @staticmethod
@@ -182,13 +183,12 @@ class SliceStore:
         collected, events, unordered = _collect(
             self.covered(first, last), ctx, kinds
         )
-        merged = {}
-        merge_ops = 0
-        for kind, bucket in collected.items():
-            if bucket:
-                merged[kind] = read_many_partials(kind, bucket, unordered=unordered)
-                merge_ops += len(bucket)
-        return merged, events, merge_ops
+        merged = {
+            kind: read_many_partials(kind, bucket, unordered=unordered)
+            for kind, bucket in collected.items()
+            if bucket
+        }
+        return merged, events, sum(map(len, collected.values()))
 
 
 def _collect(
