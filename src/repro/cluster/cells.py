@@ -9,7 +9,7 @@ record, on arrival, into its cell (pairwise ``merge_partials`` per
 operator kind) and keeps the cells as closed
 :class:`~repro.core.slices.Slice` objects, so whatever closes windows over
 an engine's slices — the plain scan of
-:meth:`~repro.core.slices.SliceStore.merge_context_partials`, the
+:meth:`~repro.core.slices.SliceStore.read_context_partials`, the
 Two-Stacks streams of :class:`~repro.core.incmerge.IncrementalMergeLayer` —
 closes them over cells unchanged.  This is the coarsest slicing all fixed
 windows of the group share (the rewrite Factor Windows plans, here read
