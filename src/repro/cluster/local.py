@@ -118,7 +118,7 @@ class _LocalGroup:
 
     def on_events(self, events: list[Event]) -> None:
         # Slice-run fast path: the runtime splits the batch at its own
-        # punctuations (falling back per-event for data-driven windows).
+        # punctuations and at its data-driven windows' opens and closes.
         self.runtime.process_batch(events)
 
     def stage(self, now: int) -> None:

@@ -703,8 +703,8 @@ class GroupRuntime:
         # and count windows punctuate on the events themselves.
         data_driven = self._data_driven
         if data_driven:
-            matched_set = set(matched)
-            self._open_data_driven(event, matched_set)
+            taken = dict.fromkeys(matched, (time, 1))
+            self._open_data_driven(time, event.key, event.marker, taken)
 
         if matched:
             # ``OperatorSetState.insert``, inlined: the value joins the
@@ -726,7 +726,7 @@ class GroupRuntime:
                 self._track_event(time, value, matched)
 
         if data_driven:
-            self._close_data_driven(event, matched_set)
+            self._close_data_driven(time, event.key, event.marker, taken)
 
     def _track_event(self, time: int, value: float, matched: list[int]) -> None:
         """What a tracking runtime notes of one inserted event."""
@@ -747,29 +747,38 @@ class GroupRuntime:
                 else:
                     pairs.append((time, value))
 
-    def _open_data_driven(self, event: Event, matched_set: set[int]) -> None:
-        """Pre-insert punctuations: windows that open with this event."""
-        time = event.time
+    def _open_data_driven(
+        self, time: int, key: str | None, marker: str | None,
+        taken: dict[int, tuple[int, int]],
+    ) -> None:
+        """Pre-insert punctuations: windows that open with an event, or a
+        run's first row (:meth:`_run_bound`); ``taken`` holds the contexts
+        its rows went to."""
         sps: list = []
         for tracker in self.sessions:
-            if tracker.ctx in matched_set and tracker.window is None:
+            if tracker.ctx in taken and tracker.window is None:
                 sps.append(self._make_session_opener(tracker, time))
         for tracker in self._userdef_closed:
-            if tracker.opens_at(event):
+            if tracker.opens_at(key, marker):
                 sps.append(self._make_userdef_opener(tracker, time))
         for tracker in self.counts:
-            if tracker.ctx in matched_set and tracker.opens_now():
+            if tracker.ctx in taken and tracker.opens_now():
                 sps.append(self._make_count_opener(tracker, time))
         if sps:
             self._cut(time, [], sps)
 
-    def _close_data_driven(self, event: Event, matched_set: set[int]) -> None:
-        """Post-insert punctuations: windows that close with this event."""
-        time = event.time
+    def _close_data_driven(
+        self, time: int, key: str | None, marker: str | None,
+        taken: dict[int, tuple[int, int]],
+    ) -> None:
+        """Post-insert punctuations: windows that close with an event, or a
+        run's last row; ``taken`` maps each context its rows went to onto
+        the last one's time and their count."""
         eps: list = []
         for tracker in self.sessions:
-            if tracker.ctx in matched_set and tracker.window is not None:
-                tracker.touch(time)
+            took = taken.get(tracker.ctx)
+            if took is not None and tracker.window is not None:
+                tracker.touch(*took)
                 if not tracker.armed:
                     tracker.armed = True
                     self._push(
@@ -778,12 +787,13 @@ class GroupRuntime:
                         (tracker, tracker.generation),
                     )
         for tracker in self.counts:
-            if tracker.ctx in matched_set:
-                for window in tracker.record():
+            took = taken.get(tracker.ctx)
+            if took is not None:
+                for window in tracker.record(took[1]):
                     eps.append((window, time))
-        if event.marker is not None:
+        if marker is not None:
             for tracker in self.userdef:
-                if tracker.closes_at(event):
+                if tracker.closes_at(key, marker):
                     eps.append((tracker.window, time))
                     tracker.window = None
                     self._userdef_closed.append(tracker)
@@ -806,24 +816,18 @@ class GroupRuntime:
         return due
 
     @property
-    def batch_eligible(self) -> bool:
-        """Whether slice-runs are safe: every cut follows from the time
-        column.
-
-        A session's *end* is a heap punctuation like a fixed window's and
-        its *open* a run boundary (:meth:`_session_bound`); count and
-        user-defined windows cut on the events themselves, so their groups
-        must process events one at a time.
-        """
-        return not (self.userdef or self.counts)
-
-    @property
     def reads_keys(self) -> bool:
         """Whether the slice-run kernel reads the key column: only for
         contexts it routes row by row — the key index, the deduplication
-        signature and a keyed session's run bound (:meth:`_session_bound`)
-        all belong to such contexts."""
+        signature and the run bounds of keyed data-driven windows
+        (:meth:`_run_bound`) all belong to such contexts."""
         return self._router.routed
+
+    @property
+    def reads_markers(self) -> bool:
+        """Whether the slice-run kernel reads the marker map: for the
+        deduplication signature and for user-defined windows."""
+        return bool(self._dedup_ctxs or self.userdef)
 
     def begin_run(self, time: int) -> int | None:
         """Start a slice-run at ``time``: advance the stream clock, drain
@@ -840,29 +844,15 @@ class GroupRuntime:
         return self._next_punctuation()
 
     def process_batch(self, events: Sequence[Event]) -> None:
-        """Process an ordered batch of events, amortizing per-event work.
-
-        Between two consecutive punctuations no cuts can occur, so every
-        maximal prefix of the batch strictly before the next punctuation
-        deadline (*slice-run*) lands in the same open slice and is applied
-        at once: punctuations are drained once per run, a context that
-        takes every row takes the run's values whole, the others are
-        routed through the group's key index, and operator updates go
-        through the bulk :meth:`Slice.insert_run` API.  A
-        session's end is such a punctuation and its open ends the run
-        (:meth:`_session_bound`).  Results, engine state, and
-        :class:`EngineStats` come out identical to per-event
-        :meth:`process` calls.
-
-        Groups that are not :attr:`batch_eligible` (count-based or
-        user-defined windows) fall back to the per-event path.
-        """
-        if not self.batch_eligible:
-            for event in events:
-                self.process(event)
-        elif events:
+        """Process an ordered batch of events in slice-runs: maximal
+        stretches with no punctuation inside, each applied at once
+        (:meth:`_process_run`) — a data-driven window opens only at a
+        run's first row and closes only at its last (:meth:`_run_bound`).
+        Results, state and :class:`EngineStats` are per-event
+        :meth:`process`'s."""
+        if events:
             _ingest_columns(
-                (self,), *_columns(events, self.reads_keys, bool(self._dedup_ctxs))
+                (self,), *_columns(events, self.reads_keys, self.reads_markers)
             )
 
     def _process_run(
@@ -875,26 +865,22 @@ class GroupRuntime:
         stop: int,
     ) -> None:
         """Apply rows ``[start, stop)`` of the columns — all inside one
-        slice.
+        slice, between :meth:`process`'s hooks.
 
-        The caller guarantees the time column is ordered, that no
-        punctuation falls inside the run, and that a run with a row
-        matching a still-closed session is one row long
-        (:meth:`_session_bound`).  So no window closes and no result is
-        emitted here: a whole context (see
+        The caller guarantees an ordered time column, no punctuation
+        inside the run, and data-driven windows opening only at its first
+        row and closing only at its last (:meth:`_run_bound`), where the
+        hooks read those rows' fields.  A whole context (see
         :class:`~repro.core.predicates.SelectionRouter`) takes the run's
-        stretch of the value column as is, a row loop — only when some
-        context is routed — buffers the values of the others, and each
-        context's run goes in through one bulk insert (into the slice a
-        session opening here has just cut).  ``keys`` is read only by
-        that loop; ``markers`` is sparse (row -> marker) and only feeds
-        the deduplication signature.  Stats count the batched work as if
-        it had been applied per event (``selection_checks`` still bills
-        the full linear scan).
+        stretch of the value column as is, a row loop buffers the routed
+        ones', and each context's run goes in through one bulk insert;
+        ``markers`` is sparse (row -> marker).  Stats bill the work as
+        per event (``selection_checks`` the full linear scan).
         """
         stats = self.stats
         router = self._router
         whole = router.whole
+        data_driven = self._data_driven
         run_values: dict[int, list[float]] = {}
         #: ctx -> first / last matching row, and the times of the routed
         #: rows when tracked (tracked runs only)
@@ -904,7 +890,7 @@ class GroupRuntime:
         if router.routed:
             candidates = router.candidates
             dedup_ctxs = self._dedup_ctxs
-            if dedup_ctxs or whole or self.sessions or self._tracking:
+            if dedup_ctxs or whole or data_driven or self._tracking:
                 for k in range(start, stop):
                     value = values[k]
                     for ctx, lo, hi in candidates(keys[k]):
@@ -945,20 +931,30 @@ class GroupRuntime:
                 }
         self.stream_time = times[stop - 1]
         stats.selection_checks += router.total * (stop - start)
-        if not run_values:
-            return
-        if self.sessions:
-            self._touch_sessions(times, start, last, run_values)
-        current = self.current
-        operators = self.operators
-        matched_total = 0
-        for ctx, run in run_values.items():
-            current.insert_run(ctx, run, operators)
-            matched_total += len(run)
-        stats.inserts += matched_total
-        stats.calculations += matched_total * len(operators)
-        if self._tracking:
-            self._track_run(times, start, stop, first, last, run_times, run_values)
+        if data_driven:
+            taken = {
+                ctx: (times[last[ctx]], len(run)) for ctx, run in run_values.items()
+            }
+            self._open_data_driven(
+                times[start], keys[start] if keys else None, markers.get(start),
+                taken,
+            )
+        if run_values:
+            current = self.current
+            operators = self.operators
+            matched_total = 0
+            for ctx, run in run_values.items():
+                current.insert_run(ctx, run, operators)
+                matched_total += len(run)
+            stats.inserts += matched_total
+            stats.calculations += matched_total * len(operators)
+            if self._tracking:
+                self._track_run(times, start, stop, first, last, run_times, run_values)
+        if data_driven:
+            k = stop - 1
+            self._close_data_driven(
+                times[k], keys[k] if keys else None, markers.get(k), taken
+            )
 
     def _track_run(
         self, times: Sequence[int], start: int, stop: int, first: dict[int, int],
@@ -986,68 +982,67 @@ class GroupRuntime:
                 else:
                     pairs.extend(zip(at, run))
 
-    def _session_bound(
-        self, keys: Sequence[str], values: Sequence[float], start: int, stop: int
+    def _run_bound(
+        self, keys: Sequence[str], values: Sequence[float],
+        marked: Sequence[tuple[int, str]], start: int, stop: int,
     ) -> int:
-        """Where the run ``[start, stop)`` must end for the sessions' sake.
+        """Where the run ``[start, stop)`` must end for the data-driven
+        windows (``marked``: the marker map as sorted pairs).
 
-        A closed session opens — cutting the slice — at the first row
-        matching its context, so that row may only come first in a run:
-        the run ends before it or, when it is row ``start`` itself, right
-        after it (its end punctuation must be in the heap before the next
-        deadline is read).  Open sessions need no bound: their end is
-        part of the deadline and rows before it only extend them.
+        A row that opens a window — a closed session's first matching
+        row, a count's matching row at a multiple of its slide, a closed
+        user-defined window's first relevant row (with its start marker)
+        — comes first: the run ends before it, or right after it when it
+        is row ``start`` (a session's end must be in the heap before the
+        next deadline is read, the seen-set the cut wipes hold that row
+        alone).  A row that closes one — a count's matching row that fills
+        a window, a relevant row with an open window's end marker — comes
+        last.  Candidate rows (:meth:`_nth_row`) may include ones the
+        deduplication drops: that only ends a run early, which is safe.
         """
         for tracker in self.sessions:
-            if tracker.window is not None:
-                continue
-            selection = self.selections[tracker.ctx]
-            key, lo, hi = selection.key, selection.lo, selection.hi
-            k = start
-            while k < stop:
-                if key is not None:
-                    try:
-                        k = keys.index(key, k, stop)
-                    except ValueError:
-                        break
-                value = values[k]
-                if (lo is None or value >= lo) and (hi is None or value < hi):
-                    stop = max(k, start + 1)
-                    break
-                k += 1
+            if tracker.window is None:
+                k = self._nth_row(tracker.ctx, 0, keys, values, start, stop)
+                stop = min(stop, max(k, start + 1))
+        for tracker in self.counts:
+            nth, opens = tracker.next_punctuation()
+            k = self._nth_row(tracker.ctx, nth, keys, values, start, stop)
+            stop = min(stop, max(k, start + 1) if opens else k + 1)
+        for tracker in self.userdef:
+            if tracker.window is None:
+                k = _relevant_row(
+                    marked, tracker.start_marker, tracker.key, keys, start, stop
+                )
+                stop = min(stop, max(k, start + 1))
+            else:
+                k = _relevant_row(
+                    marked, tracker.end_marker, tracker.key, keys, start, stop
+                )
+                stop = min(stop, k + 1)
         return stop
 
-    def _touch_sessions(
-        self, times: Sequence[int], start: int, last: dict[int, int],
-        run_values: dict[int, list[float]],
-    ) -> None:
-        """What :meth:`process` does for sessions around each insert, once
-        per run.
-
-        Closed trackers whose context received rows cut and open at the
-        run's first row (pre-insert; such a run is that one row), then
-        every tracker that received rows takes its last row's time and
-        one generation per row.  Only a tracker opened here is unarmed, so
-        the end punctuation it pushes carries that row's time and
-        generation.
-        """
-        touched = [tracker for tracker in self.sessions if tracker.ctx in last]
-        sps = [
-            self._make_session_opener(tracker, times[start])
-            for tracker in touched
-            if tracker.window is None
-        ]
-        if sps:
-            self._cut(times[start], [], sps)
-        for tracker in touched:
-            tracker.last_time = times[last[tracker.ctx]]
-            tracker.generation += len(run_values[tracker.ctx])
-            if not tracker.armed:
-                tracker.armed = True
-                self._push(
-                    tracker.tentative_end, _SESSION_EP,
-                    (tracker, tracker.generation),
-                )
+    def _nth_row(self, ctx: int, nth: int, keys: Sequence[str],
+                 values: Sequence[float], start: int, stop: int) -> int:
+        """The row of context ``ctx``'s ``nth`` (from 0) candidate — a row
+        its key and value range let through — in ``[start, stop)``, or
+        ``stop``; a key is found by C-speed ``list.index``."""
+        selection = self.selections[ctx]
+        key, lo, hi = selection.key, selection.lo, selection.hi
+        if key is None and lo is None and hi is None:
+            return min(start + nth, stop)
+        k = start
+        while k < stop:
+            if key is not None:
+                k = _find(keys, key, k, stop)
+                if k == stop:
+                    break
+            value = values[k]
+            if (lo is None or value >= lo) and (hi is None or value < hi):
+                if not nth:
+                    return k
+                nth -= 1
+            k += 1
+        return stop
 
     def _apply_dedup(self, signature: tuple, matched: list[int]) -> list[int]:
         """Drop deduplicating contexts that already saw this exact event
@@ -1133,26 +1128,42 @@ class GroupRuntime:
 def _columns(
     events: Sequence[Event], with_keys: bool, with_markers: bool
 ) -> tuple[list[int], Sequence[str], list[float], dict[int, str]]:
-    """Split events into the slice-run kernel's columns.
-
-    The key column is built only when some group reads it
-    (:attr:`GroupRuntime.reads_keys`) and is empty otherwise; markers
-    only feed the deduplication signature, so the sparse ``row ->
-    marker`` map is built only when a deduplicating context will read it.
-    """
-    markers: dict[int, str] = {}
-    if with_markers:
-        markers = {
-            row: event.marker
-            for row, event in enumerate(events)
-            if event.marker is not None
-        }
+    """Split events into the slice-run kernel's columns: the key column
+    and the sparse ``row -> marker`` map only when some group reads them
+    (:attr:`GroupRuntime.reads_keys`, :attr:`~GroupRuntime.reads_markers`),
+    empty otherwise."""
     return (
         [event.time for event in events],
         [event.key for event in events] if with_keys else (),
         [event.value for event in events],
-        markers,
+        {row: event.marker for row, event in enumerate(events)
+         if event.marker is not None} if with_markers else {},
     )
+
+
+def _find(keys: Sequence[str], key: str, start: int, stop: int) -> int:
+    """The first row in ``[start, stop)`` with ``key``, or ``stop``."""
+    try:
+        return keys.index(key, start, stop)
+    except ValueError:
+        return stop
+
+
+def _relevant_row(
+    marked: Sequence[tuple[int, str]], marker: str | None, key: str | None,
+    keys: Sequence[str], start: int, stop: int,
+) -> int:
+    """The first row in ``[start, stop)`` with ``key`` and ``marker``
+    (either one any, when ``None``), or ``stop``."""
+    if marker is None:
+        return start if key is None else _find(keys, key, start, stop)
+    at = bisect_left(marked, (start,))
+    while at < len(marked) and marked[at][0] < stop:
+        row, mark = marked[at]
+        if mark == marker and (key is None or keys[row] == key):
+            return row
+        at += 1
+    return stop
 
 
 def _ingest_columns(
@@ -1161,23 +1172,17 @@ def _ingest_columns(
     keys: Sequence[str],
     values: Sequence[float],
     markers: dict[int, str],
-    events: Sequence[Event] | None = None,
 ) -> None:
     """Drive ``groups`` through ordered columns in synchronized slice-runs.
 
-    Every chunk ends at the earliest next punctuation across the
-    batch-eligible groups (found by ``bisect`` on the time column: rows
-    *at* the deadline start the next run) or, sooner, at the first row
-    that opens a session in any of them, so even the cross-group result
-    interleaving is byte-identical to per-event processing: eligible
-    groups only emit at chunk starts — in group order, exactly when and
-    where the per-event path drains them — while groups with count-based
-    or user-defined windows, which cut on the events themselves, process
-    each chunk event by event out of ``events`` (the rows as objects,
-    required only when such a group exists), emitting at their own events
-    just like under :meth:`GroupRuntime.process`.
-
-    The time column is validated up front so a mid-batch regression
+    Every chunk ends at the groups' earliest next punctuation (by
+    ``bisect``: rows *at* it start the next run) or sooner, where a group's
+    data-driven windows need it (:meth:`GroupRuntime._run_bound`).  So
+    results interleave across groups as per event: drains emit at a
+    chunk's first row and data-driven closes at its last, each in group
+    order — and a group that opens or closes a window at the first row,
+    making the chunk that row alone, runs it before the next group drains.
+    The time column is validated up front, so a mid-batch regression
     cannot leave groups at diverging stream times.
     """
     if sorted(times) != times:
@@ -1188,38 +1193,41 @@ def _ingest_columns(
                     f"event at t={time} arrived after stream time {prev}"
                 )
             prev = time
-    batched = [group.batch_eligible for group in groups]
-    eligible = [group for group, ok in zip(groups, batched) if ok]
-    fallback = [group for group, ok in zip(groups, batched) if not ok]
+    marked = sorted(markers.items())
     i = 0
     n = len(times)
     while i < n:
         time = times[i]
         deadline: int | None = None
-        # The chunk's first row, in group order: eligible groups drain
-        # (emitting due results) and open their run; fallback groups
-        # process the event outright.
-        for group, ok in zip(groups, batched):
-            if ok:
-                due = group.begin_run(time)
-                if due is not None and (deadline is None or due < deadline):
-                    deadline = due
-            else:
-                group.process(events[i])
-        j = n if deadline is None else bisect_left(times, deadline, i + 1)
-        for group in eligible:
-            if group.sessions:
-                j = group._session_bound(keys, values, i, j)
-        # Eligible groups cannot emit again before the deadline, so
-        # fallback groups may run ahead through the chunk without
-        # disturbing the per-event result interleaving.
-        if fallback:
-            for k in range(i + 1, j):
-                for group in fallback:
-                    group.process(events[k])
-        for group in eligible:
+        early = []
+        for group in groups:
+            due = group.begin_run(time)
+            if due is not None and (deadline is None or due < deadline):
+                deadline = due
+            # A window opened or closed at row i makes the chunk row i
+            # alone: run it now, before the next group drains there.
+            if group._data_driven and group._run_bound(
+                keys, values, marked, i, min(i + 2, n)
+            ) == i + 1:
+                group._process_run(times, keys, values, markers, i, i + 1)
+                early.append(group)
+        if early:
+            j = i + 1
+            rest = [group for group in groups if group not in early]
+        else:
+            j = n if deadline is None else bisect_left(times, deadline, i + 1)
+            for group in groups:
+                if group._data_driven:
+                    j = group._run_bound(keys, values, marked, i, j)
+            rest = groups
+        for group in rest:
             group._process_run(times, keys, values, markers, i, j)
         i = j
+
+
+def _closed(*_args, **_kwargs):
+    """What a closed engine's entry points do."""
+    raise EngineError("engine already closed")
 
 
 class AggregationEngine:
@@ -1276,7 +1284,6 @@ class AggregationEngine:
         self.groups: list[GroupRuntime] = [
             self._runtime(group) for group in self.plan.groups
         ]
-        self._closed = False
 
     def _runtime(self, group: QueryGroup) -> GroupRuntime:
         return GroupRuntime(
@@ -1310,18 +1317,14 @@ class AggregationEngine:
         amortizes punctuation drains, selection matching, and operator
         dispatch over whole slice-runs: the events are split into columns
         once and driven through :func:`_ingest_columns`, the same kernel
-        :meth:`process_columns` feeds.  Groups with count-based or
-        user-defined windows keep processing the batch event by event.
+        :meth:`process_columns` feeds, whatever the window types.
         """
         if not isinstance(events, (list, tuple)):
             events = list(events)
-        if not any(group.batch_eligible for group in self.groups):
-            for event in events:  # nothing would read the columns
-                self.process(event)
-        elif events:
+        if events:
             keys = any(group.reads_keys for group in self.groups)
-            dedup = any(group._dedup_ctxs for group in self.groups)
-            _ingest_columns(self.groups, *_columns(events, keys, dedup), events)
+            markers = any(group.reads_markers for group in self.groups)
+            _ingest_columns(self.groups, *_columns(events, keys, markers))
             self.stats.events += len(events)
 
     def process_columns(
@@ -1335,17 +1338,9 @@ class AggregationEngine:
 
         ``times``/``keys``/``values`` are parallel, time-ordered lists of
         one length (checked before any row lands); ``markers`` sparsely
-        maps row -> marker.  No :class:`Event` is built, which is why
-        engines with count-based or user-defined windows — whose
-        per-event path needs the objects — reject this entry; tumbling,
-        sliding and session windows all run here.
+        maps row -> marker.  No :class:`Event` is built; every window type
+        runs here.
         """
-        if not all(group.batch_eligible for group in self.groups):
-            raise EngineError(
-                "process_columns cannot drive count-based or user-defined "
-                "windows, which cut on the events themselves; feed events "
-                "through process_batch instead"
-            )
         if not len(times) == len(keys) == len(values):
             raise EngineError(
                 f"columns of unequal length: {len(times)} times, "
@@ -1357,9 +1352,7 @@ class AggregationEngine:
 
     def process_many(self, events: Iterable[Event]) -> None:
         """Batched ingestion for any iterable of in-order events."""
-        self.process_batch(
-            events if isinstance(events, (list, tuple)) else list(events)
-        )
+        self.process_batch(events)
 
     def advance(self, time: int) -> None:
         """Apply a watermark to every group."""
@@ -1367,10 +1360,15 @@ class AggregationEngine:
             group.advance(time)
 
     def close(self, at_time: int | None = None) -> ResultSink:
-        """Flush everything and return the result sink."""
-        if self._closed:
-            raise EngineError("engine already closed")
-        self._closed = True
+        """Flush everything and return the result sink.
+
+        A closed engine takes nothing more: its entry points are rebound
+        to raise :class:`EngineError`, so :meth:`process` tests nothing
+        per event.
+        """
+        for entry in ("process", "process_batch", "process_columns", "advance",
+                      "close"):
+            setattr(self, entry, _closed)
         for group in self.groups:
             group.close(at_time)
         return self.sink

@@ -31,7 +31,6 @@ lifecycle transitions.
 
 from __future__ import annotations
 
-from repro.core.event import Event
 from repro.core.query import Query, WindowSpec
 from repro.core.types import WindowType
 
@@ -157,10 +156,11 @@ class SessionWindowTracker(_TrackerBase):
         #: whether a tentative end punctuation is currently in the heap
         self.armed = False
 
-    def touch(self, time: int) -> None:
-        """Record a matching event at ``time`` (post-insert)."""
+    def touch(self, time: int, rows: int = 1) -> None:
+        """Record ``rows`` matching events, the last at ``time``
+        (post-insert)."""
         self.last_time = time
-        self.generation += 1
+        self.generation += rows
 
     @property
     def tentative_end(self) -> int:
@@ -187,23 +187,25 @@ class UserDefinedWindowTracker(_TrackerBase):
         self.key = query.selection.key
         self.window: WindowInstance | None = None
 
-    def relevant(self, event: Event) -> bool:
-        return self.key is None or event.key == self.key
+    def relevant(self, key: str | None) -> bool:
+        return self.key is None or key == self.key
 
-    def opens_at(self, event: Event) -> bool:
-        """Whether ``event`` should open a window (checked pre-insert)."""
-        if self.window is not None or not self.relevant(event):
+    def opens_at(self, key: str | None, marker: str | None) -> bool:
+        """Whether an event with ``key`` and ``marker`` should open a
+        window (checked pre-insert)."""
+        if self.window is not None or not self.relevant(key):
             return False
         if self.start_marker is None:
             return True
-        return event.marker == self.start_marker
+        return marker == self.start_marker
 
-    def closes_at(self, event: Event) -> bool:
-        """Whether ``event`` ends the open window (checked post-insert)."""
+    def closes_at(self, key: str | None, marker: str | None) -> bool:
+        """Whether an event with ``key`` and ``marker`` ends the open
+        window (checked post-insert)."""
         return (
             self.window is not None
-            and self.relevant(event)
-            and event.marker == self.end_marker
+            and self.relevant(key)
+            and marker == self.end_marker
         )
 
 
@@ -230,9 +232,21 @@ class CountWindowTracker(_TrackerBase):
         """Whether a window starts at the current matching event (pre-insert)."""
         return self.seen % self.slide == 0
 
-    def record(self) -> list[WindowInstance]:
-        """Count one matching event (post-insert); return windows now full."""
-        self.seen += 1
+    def next_punctuation(self) -> tuple[int, bool]:
+        """Which matching event from now (0: the next) punctuates next,
+        and whether it opens a window (pre-insert) or fills one
+        (post-insert); one that does both opens."""
+        opens = -self.seen % self.slide
+        if self.open_windows:
+            fills = self.open_windows[0].start_count + self.length - self.seen - 1
+            if fills < opens:
+                return fills, False
+        return opens, True
+
+    def record(self, rows: int = 1) -> list[WindowInstance]:
+        """Count ``rows`` matching events (post-insert); return windows now
+        full."""
+        self.seen += rows
         full = [
             window
             for window in self.open_windows

@@ -430,23 +430,6 @@ class TestRootEvalBatchedIngest:
         ]
         return queries, events
 
-    @pytest.mark.parametrize(
-        "window", [WindowSpec.user_defined(end_marker="end")], ids=["user-defined"]
-    )
-    def test_data_driven_watch_keeps_the_per_event_loop(self, window, monkeypatch):
-        """End markers cut on the events themselves, so the runtime feeds
-        a user-defined group one event at a time."""
-        queries, events = self.data_driven(window)
-        self.assert_same(queries, events, (15, 25))
-        seen = []
-        process = GroupRuntime.process
-        monkeypatch.setattr(
-            GroupRuntime, "process",
-            lambda runtime, event: (seen.append(event), process(runtime, event)),
-        )
-        rooteval_group(*queries).on_events(events)
-        assert seen == events
-
     def test_sessions_run_in_slice_runs(self, monkeypatch):
         """A session's open and end follow from the time column, so a
         session group takes the slice-run kernel."""
@@ -459,7 +442,32 @@ class TestRootEvalBatchedIngest:
 
         monkeypatch.setattr(GroupRuntime, "process", refuse)
         handler.on_events(events)
-        assert handler.runtime.batch_eligible
+
+    def test_user_defined_runs_in_slice_runs(self, monkeypatch):
+        """An end marker closes its window at the last row of a run, so a
+        user-defined group takes the slice-run kernel too and ships what
+        per-event ingest ships: the same ``userdef_eps``, each on a record
+        whose end is the marker row's time + 1 (inclusive)."""
+        queries, events = self.data_driven(WindowSpec.user_defined(end_marker="end"))
+        reference = rooteval_group(*queries)
+        for event in events:
+            reference.on_event(event)
+        expected = rooteval_state(reference)
+        ends = [(record.userdef_eps, record.end) for record in expected[3]
+                if record.userdef_eps]
+        assert ends == [([("w", e.time)], e.time + 1) for e in events if e.marker]
+
+        def refuse(runtime, event):
+            raise AssertionError("process_batch fell back to process")
+
+        monkeypatch.setattr(GroupRuntime, "process", refuse)
+        for batches in ((40,), (15, 25), (11, 1, 11, 1, 16), (1,) * 40):
+            handler = rooteval_group(*queries)
+            done = 0
+            for size in batches:
+                handler.on_events(events[done:done + size])
+                done += size
+            assert rooteval_state(handler) == expected, batches
 
 
 class TestShipperHalf:

@@ -11,6 +11,8 @@ mid-batch.
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,10 +152,10 @@ class TestFixedWindows:
 
 
 class TestDataDrivenWindows:
-    """Markers and counts cut on the events themselves, so their groups
-    fall back per event; sessions only *open* on an event and ride the
-    slice-run kernel (``TestSessionRuns`` looks at their state).  Either
-    way the batch must agree exactly."""
+    """Sessions, markers and counts cut on the events themselves, and all
+    three ride the slice-run kernel: a window opens only at a run's first
+    row and closes only at its last (``TestSessionRuns`` looks at their
+    state).  The batch must agree exactly."""
 
     def test_session_windows(self):
         events = make_stream(500, gap_every=40, gap_dt=5_000)
@@ -552,37 +554,77 @@ class TestColumnKernel:
         with pytest.raises(OutOfOrderError):  # behind the stream clock
             engine.process_columns([29], ["a"], [3.0])
 
-    def test_data_driven_group_keeps_the_per_event_fallback(self):
-        # SAME_FUNCTION sharing puts the session and count queries in
-        # groups of their own, next to batch-eligible ones.
-        events = make_stream(500, gap_every=40, gap_dt=5_000)
-        queries = FIXED_QUERIES + [
-            Query.of("ses", WindowSpec.session(1_000), AggFunction.COUNT),
-            Query.of(
-                "cnt",
-                WindowSpec.tumbling(90, measure=WindowMeasure.COUNT),
-                AggFunction.MIN,
-            ),
+    def test_data_driven_groups_skip_the_per_event_path(self, monkeypatch):
+        # SAME_FUNCTION sharing puts the count and user-defined queries in
+        # groups of their own, next to fixed-window ones; keyed and ranged
+        # contexts, a start marker and twins for a deduplicating count.
+        events = with_twins(make_stream(500, keys=ABC, marker_every=9), every=5)
+        for n, event in enumerate(events):
+            if n % 7 == 3 and event.marker is None:
+                events[n] = Event(event.time, event.key, event.value, "trip_start")
+        data_driven = [
+            Query.of("trip", WindowSpec.user_defined("trip_end"), AggFunction.MIN),
+            Query.of("trip-b", WindowSpec.user_defined("trip_end", "trip_start"),
+                     AggFunction.MIN, selection=Selection(key="b")),
+            Query.of("cnt", WindowSpec.tumbling(30, measure=WindowMeasure.COUNT),
+                     AggFunction.MIN, selection=Selection(lo=20.0, hi=80.0)),
+            Query.of("cnt-dedup",
+                     WindowSpec.sliding(12, 5, measure=WindowMeasure.COUNT),
+                     AggFunction.MIN, selection=Selection(deduplicate=True)),
         ]
-        engine = AggregationEngine(queries, policy=SharingPolicy.SAME_FUNCTION)
-        assert {g.batch_eligible for g in engine.groups} == {True, False}
-        assert_parity(queries, events, policy=SharingPolicy.SAME_FUNCTION)
-        with pytest.raises(EngineError, match="process_batch"):
-            engine.process_columns(*columns_of(events))
-        assert engine.stats.events == 0
+        # data-driven groups after the fixed ones, and before them: a
+        # window closing at a run's first row is emitted before a later
+        # group drains there, as per event
+        for queries in (FIXED_QUERIES + data_driven, data_driven + FIXED_QUERIES):
+            self.assert_kernel_parity(queries, events, monkeypatch)
+
+    @staticmethod
+    def assert_kernel_parity(queries, events, monkeypatch):
+        policy = SharingPolicy.SAME_FUNCTION
+        reference = AggregationEngine(queries, policy=policy)
+        for event in events:
+            reference.process(event)
+        expected_state = copy.deepcopy(session_state(reference))
+        reference.close()
+        expected = [result_key(r) for r in reference.sink.results]
+
+        def refuse(self, event):
+            raise AssertionError("the kernel fell back to process")
+
+        monkeypatch.setattr(GroupRuntime, "process", refuse)
+        for frame in (1, 7, 64, 100_000):
+            for feed in ("process_batch", "process_columns"):
+                engine = AggregationEngine(queries, policy=policy)
+                assert len(engine.groups) > 1
+                for i in range(0, len(events), frame):
+                    if feed == "process_batch":
+                        engine.process_batch(events[i:i + frame])
+                    else:
+                        engine.process_columns(*columns_of(events[i:i + frame]))
+                assert session_state(engine) == expected_state, (feed, frame)
+                engine.close()
+                got = [result_key(r) for r in engine.sink.results]
+                assert got == expected, (feed, frame, "results diverged")
+                assert engine.stats == reference.stats, (feed, frame)
+        monkeypatch.undo()
 
 
 def tracker_state(group):
-    return [
-        (
-            t.ctx,
-            None if t.window is None else (t.window.uid, t.window.start, t.window.first_slice),
-            t.last_time,
-            t.generation,
-            t.armed,
-        )
-        for t in group.sessions
-    ]
+    """Every data-driven tracker: a session's window, clock, generation
+    and arming; a user-defined tracker's window and its place among the
+    closed ones; a count tracker's rows seen and open windows."""
+
+    def window(w):
+        return None if w is None else (w.uid, w.start, w.first_slice, w.start_count)
+
+    return (
+        [(t.ctx, window(t.window), t.last_time, t.generation, t.armed)
+         for t in group.sessions],
+        [(t.ctx, window(t.window),
+          group._userdef_closed.index(t) if t in group._userdef_closed else None)
+         for t in group.userdef],
+        [(t.ctx, t.seen, [window(w) for w in t.open_windows]) for t in group.counts],
+    )
 
 
 def heap_state(group):
@@ -624,6 +666,27 @@ SESSION_QUERIES = [
              selection=Selection(key="a")),
 ]
 ABC = ("a", "b", "c")
+
+#: the random sweep's count and user-defined specs: markers on every key
+#: and on one, a start marker, counts on whole, keyed, ranged and
+#: deduplicating contexts
+DATA_DRIVEN = [
+    Query.of("trip", WindowSpec.user_defined("end"), AggFunction.SUM),
+    Query.of("trip-a", WindowSpec.user_defined("end", "start"), AggFunction.MAX,
+             selection=Selection(key="a")),
+    Query.of("trip-lo", WindowSpec.user_defined("end", "start"), AggFunction.MIN,
+             selection=Selection(lo=1.0, hi=3.0)),
+    Query.of("cnt", WindowSpec.sliding(5, 2, measure=WindowMeasure.COUNT),
+             AggFunction.SUM),
+    Query.of("cnt-b", WindowSpec.tumbling(3, measure=WindowMeasure.COUNT),
+             AggFunction.COUNT, selection=Selection(key="b")),
+    Query.of("cnt-range", WindowSpec.sliding(4, 3, measure=WindowMeasure.COUNT),
+             AggFunction.MIN, selection=Selection(lo=1.0, hi=4.0)),
+    Query.of("cnt-dedup", WindowSpec.sliding(2, 3, measure=WindowMeasure.COUNT),
+             AggFunction.SUM, selection=Selection(key="c", deduplicate=True)),
+    Query.of("cnt-one", WindowSpec.tumbling(1, measure=WindowMeasure.COUNT),
+             AggFunction.MAX, selection=Selection(key="a")),
+]
 
 
 def stream_of(rows):
@@ -671,7 +734,6 @@ class TestSessionRuns:
 
         monkeypatch.setattr(GroupRuntime, "process", refuse)
         engine = AggregationEngine(SESSION_QUERIES)
-        assert [g.batch_eligible for g in engine.groups] == [True]
         for i in range(0, len(events), 50):
             engine.process_batch(events[i:i + 50])
         engine.close()
@@ -818,25 +880,34 @@ class TestSessionRuns:
         ]
         engine = AggregationEngine(queries, policy=SharingPolicy.NONE)
         assert len(engine.groups) == len(queries)
-        assert all(g.batch_eligible for g in engine.groups)
         self.assert_session_parity(queries, events, policy=SharingPolicy.NONE)
         for policy in POLICIES:
             assert_parity(queries, events, policy=policy, batches=(1, 13, 100_000))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(deadline=None)
     @given(
         deltas=st.lists(
             st.sampled_from([0, 1, 20, 49, 50, 51, 99, 100, 101, 400]),
             min_size=1, max_size=80,
         ),
         keys=st.lists(st.sampled_from(ABC), min_size=80, max_size=80),
-        cuts=st.sets(st.integers(1, 79), max_size=8),
+        marks=st.lists(st.sampled_from([None, None, None, "start", "end"]),
+                       min_size=80, max_size=80),
+        twins=st.sets(st.integers(0, 79), max_size=10),
+        cuts=st.sets(st.integers(1, 89), max_size=8),
+        extra=st.sets(st.integers(0, len(DATA_DRIVEN) - 1)),
+        policy=st.sampled_from(POLICIES),
+        order=st.randoms(use_true_random=False),
     )
-    def test_random_gap_streams_and_batch_splits(self, deltas, keys, cuts):
+    def test_random_gap_streams_and_batch_splits(
+        self, deltas, keys, marks, twins, cuts, extra, policy, order
+    ):
         times = [sum(deltas[:i + 1]) for i in range(len(deltas))]
-        events = [
-            Event(t, key, float(i % 5)) for i, (t, key) in enumerate(zip(times, keys))
-        ]
+        events = []
+        for i, (t, key, mark) in enumerate(zip(times, keys, marks)):
+            events.append(Event(t, key, float(i % 5), mark))
+            if i in twins:
+                events.append(events[-1])
         queries = [
             Query.of("tum", WindowSpec.tumbling(150), AggFunction.SUM,
                      selection=Selection(key="b")),
@@ -845,9 +916,12 @@ class TestSessionRuns:
             Query.of("ses100-a", WindowSpec.session(100), AggFunction.MAX,
                      selection=Selection(key="a")),
             Query.of("ses100", WindowSpec.session(100), AggFunction.SUM),
-        ]
+        ] + [DATA_DRIVEN[index] for index in sorted(extra)]
+        order.shuffle(queries)  # and so the groups: who drains, who closes first
         split = sorted(cut for cut in cuts if cut < len(events))
-        self.assert_session_parity(queries, events, batches=(), splits=[split])
+        self.assert_session_parity(
+            queries, events, policy=policy, batches=(), splits=[split]
+        )
 
 
 def spy_on_the_kernel(monkeypatch):

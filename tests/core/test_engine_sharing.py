@@ -6,6 +6,8 @@ much work is done per event, which the stats counters expose.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.engine import AggregationEngine, required_kinds
@@ -177,6 +179,30 @@ class TestRuntimeQueries:
         engine.close()
         with pytest.raises(EngineError):
             engine.close()
+
+    def test_a_closed_engine_takes_nothing_more(self):
+        # Every entry point refuses, and neither the returned sink nor the
+        # counters move.
+        engine = AggregationEngine(
+            [Query.of("q", WindowSpec.tumbling(10), AggFunction.SUM)]
+        )
+        for t in (0, 10, 20):
+            engine.process(Event(t, "a", 1.0))
+        sink = engine.close()
+        results, stats = list(sink.results), replace(engine.stats)
+        assert len(results) == 3
+        for call in (
+            lambda: engine.process(Event(30, "a", 1.0)),
+            lambda: engine.process_batch([Event(30, "a", 1.0)]),
+            lambda: engine.process_many([Event(30, "a", 1.0)]),
+            lambda: engine.process_columns([30], ["a"], [1.0]),
+            lambda: engine.advance(40),
+            lambda: engine.close(),
+        ):
+            with pytest.raises(EngineError, match="already closed"):
+                call()
+        assert sink.results == results
+        assert engine.stats == stats
 
     def test_added_query_new_group_when_incompatible(self):
         engine = AggregationEngine(

@@ -76,7 +76,7 @@ def parent_process(self: GroupRuntime, event: Event) -> None:
             if tracker.ctx in matched_set and tracker.window is None:
                 sps.append(self._make_session_opener(tracker, time))
         for tracker in self._userdef_closed:
-            if tracker.opens_at(event):
+            if tracker.opens_at(event.key, event.marker):
                 sps.append(self._make_userdef_opener(tracker, time))
         for tracker in self.counts:
             if tracker.ctx in matched_set and tracker.opens_now():
@@ -121,7 +121,7 @@ def parent_process(self: GroupRuntime, event: Event) -> None:
                     eps.append((window, time))
         if event.marker is not None:
             for tracker in self.userdef:
-                if tracker.closes_at(event):
+                if tracker.closes_at(event.key, event.marker):
                     eps.append((tracker.window, time))
                     tracker.window = None
                     self._userdef_closed.append(tracker)
