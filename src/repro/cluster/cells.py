@@ -37,8 +37,6 @@ from repro.network.messages import ContextPartial, SliceRecord
 
 __all__ = ["CellStore"]
 
-_SORTED = OperatorKind.NON_DECOMPOSABLE_SORT
-
 
 class CellStore(SliceStore):
     """The cells of one query-group, indexed along its punctuation grid."""
@@ -84,8 +82,6 @@ class CellStore(SliceStore):
                 continue
             have = cell.partials.setdefault(ctx, {})
             cell.insert_counts[ctx] = cell.insert_counts.get(ctx, 0) + part.count
-            if _SORTED in kinds:
-                self.screen(cell, ctx, part.ops.get(_SORTED))
             for kind in kinds:
                 if kind not in part.ops:
                     continue

@@ -449,7 +449,6 @@ class RootAssembler:
         merged = {}
         for kind, bucket in state.buckets.items():
             if bucket:
-                # each run is in one trip: read_many_partials screens it
                 merged[kind] = read_many_partials(kind, bucket)
                 self._merge_ops += len(bucket)
         if state.count or self._shed_intersects(state.prev_end, end):

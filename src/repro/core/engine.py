@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.core.analyzer import QueryGroup, analyze
-from repro.core.errors import EngineError, OutOfOrderError, QueryError
-from repro.core.event import Event
+from repro.core.errors import EngineError, NaNValueError, OutOfOrderError, QueryError
+from repro.core.event import Event, holds_nan
 from repro.core.functions import finalize, operators_for, plan_operators
 from repro.core.grid import PunctuationGrid
 from repro.core.incmerge import IncrementalMergeLayer
@@ -1337,15 +1337,17 @@ class AggregationEngine:
         """:meth:`process_batch` for rows that already are columns.
 
         ``times``/``keys``/``values`` are parallel, time-ordered lists of
-        one length (checked before any row lands); ``markers`` sparsely
-        maps row -> marker.  No :class:`Event` is built; every window type
-        runs here.
+        one length, and ``values`` holds no NaN (both checked before any
+        row lands); ``markers`` sparsely maps row -> marker.  No
+        :class:`Event` is built; every window type runs here.
         """
         if not len(times) == len(keys) == len(values):
             raise EngineError(
                 f"columns of unequal length: {len(times)} times, "
                 f"{len(keys)} keys, {len(values)} values"
             )
+        if holds_nan(values):
+            raise NaNValueError("a values column holding NaN refused")
         if times:
             _ingest_columns(self.groups, times, keys, values, markers or {})
             self.stats.events += len(times)

@@ -13,6 +13,7 @@ __all__ = [
     "WindowError",
     "EngineError",
     "OutOfOrderError",
+    "NaNValueError",
     "TopologyError",
     "CodecError",
     "ClusterError",
@@ -40,6 +41,13 @@ class OutOfOrderError(EngineError):
 
     The paper's evaluation replays in-order streams; the engine checks this
     invariant instead of silently producing wrong windows.
+    """
+
+
+class NaNValueError(EngineError, ValueError):
+    """A NaN value was offered to the stream, which refuses it where a
+    value enters (:mod:`repro.core.event`).  A ``ValueError`` too, so a
+    decoder reports a frame holding one as corrupt.
     """
 
 

@@ -7,17 +7,25 @@ called ``marker`` here to avoid clashing with the class name).
 Timestamps are integers in milliseconds of event time.  All engines in this
 package consume streams ordered by ``time``; helpers below validate and merge
 ordered streams.
+
+NaN is refused where a value enters, and this module is where: an
+:class:`Event` holding one is never built, and a value column offered
+without events is screened by :func:`holds_nan` before any row lands.
+``min``, ``max`` and ``sort`` over NaN depend on input order, so a window
+holding one would read differently depending on where other queries cut
+the slices.  ±inf, ±0.0 and subnormals are ordinary values.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from math import isnan
+from typing import Iterable, Iterator, Sequence
 
-from repro.core.errors import OutOfOrderError
+from repro.core.errors import NaNValueError, OutOfOrderError
 
-__all__ = ["Event", "Watermark", "ensure_ordered", "merge_streams"]
+__all__ = ["Event", "Watermark", "ensure_ordered", "holds_nan", "merge_streams"]
 
 
 @dataclass(slots=True, frozen=True)
@@ -30,12 +38,18 @@ class Event:
         value: the numeric payload that aggregation functions consume.
         marker: optional user-defined window marker (e.g. ``"trip_end"``);
             ``None`` for ordinary events.
+
+    Raises :class:`~repro.core.errors.NaNValueError` if ``value`` is NaN.
     """
 
     time: int
     key: str
     value: float
     marker: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.value != self.value:
+            raise NaNValueError(f"event at t={self.time}: NaN value refused")
 
 
 @dataclass(slots=True, frozen=True)
@@ -47,6 +61,13 @@ class Watermark:
     """
 
     time: int
+
+
+def holds_nan(values: Sequence[float]) -> bool:
+    """Whether ``values`` holds a NaN: summed in C, and confirmed item by
+    item only when the sum is NaN, which a NaN-free column also reaches
+    when it holds both infinities."""
+    return isnan(sum(values)) and any(map(isnan, values))
 
 
 def ensure_ordered(events: Iterable[Event]) -> Iterator[Event]:

@@ -40,8 +40,7 @@ unqueried is never prefix-folded, nor counted.
 value lists, so a FIFO aggregate would *copy* the merged list at every
 push/flip (there is no O(1) "uncombine").  That kind takes the plain scan
 and joins the Two-Stacks result: the scan hands over the window's runs as
-a view whose ranks are read by bisection, or merges them by one stable
-sort where a run holds a NaN
+a view whose ranks are read by bisection
 (:meth:`~repro.core.slices.SliceStore.read_context_partials`).
 
 Two cooperating layers live here:

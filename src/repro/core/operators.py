@@ -16,8 +16,8 @@ selection context are buffered by its :class:`OperatorSetState` — at most
 :data:`PENDING_CAP` of them — and folded through every state at once, so
 an event pays no Python call per operator; a run from the batched path is
 folded directly.  Every fold is the sequential left fold (same float
-order, same extrema comparisons, NaN included), so the partials do not
-depend on where the stream was chunked.
+order, same extrema comparisons), so the partials do not depend on where
+the stream was chunked.
 
 Partial results are plain Python values (floats, ints, tuples, lists) so
 they can be merged associatively across slices and across nodes, and can be
@@ -41,22 +41,18 @@ shared between ``min``, ``max``, ``median``, and ``quantile``.
 Sorted runs merge one way, two or k at a time: concatenated in order,
 sorted once.  Timsort merges the runs in C and, being stable, keeps ties
 (``-0.0 == 0.0``, duplicates) in run order as ``heapq.merge`` would: no
-bit of a non-NaN value depends on how runs were grouped.  (A slice's own
-``sort()`` leaves a run holding NaN unordered; no merge can repair that.)
-The merged list is what travels: the sorted batches shipped upward, the
+bit of a value depends on how runs were grouped.  The merged list is what travels: the sorted batches shipped upward, the
 cells, sessions and intermediate folds.  A window finalized in place
 reads only a rank or two, so its close hands the finalizer a
 :class:`SortedRuns` view instead (:func:`read_many_partials`): item ``k``
 is found by bisection across the runs and is the merged list's item
-``k``, the same object.  A run holding NaN is flagged once, where
-windows first see it (:func:`holds_nan`), and a window holding one is
-merged.
+``k``, the same object.  Both rest on every run being in order, which
+holds because no value is NaN (:mod:`repro.core.event` refuses it).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from math import isnan
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.errors import EngineError
@@ -76,7 +72,6 @@ __all__ = [
     "merge_partials",
     "merge_many_partials",
     "read_many_partials",
-    "holds_nan",
     "SortedRuns",
 ]
 
@@ -331,36 +326,19 @@ def _merge_sorted_runs(parts: Iterable[list[float]]) -> list[float]:
     return merged
 
 
-def holds_nan(run: list[float]) -> bool:
-    """Whether a sorted run holds a NaN, which leaves it out of order: a
-    NaN-free run only sums to NaN when it holds both infinities."""
-    return isnan(sum(run)) and any(map(isnan, run))
-
-
-def read_many_partials(
-    kind: OperatorKind, parts: list, *, unordered: bool | None = None
-) -> Any:
-    """:func:`merge_many_partials` for a window finalized in place.
-
-    Two or more non-empty sorted runs come back as a :class:`SortedRuns`
-    view rather than merged, unless one of them holds a NaN, which
-    leaves it out of order: those are merged.  ``unordered`` says
-    whether one does, when the caller screened each run once already
-    (:meth:`~repro.core.slices.SliceStore.screen`); left ``None``, the
-    runs are screened here (:func:`holds_nan`).
-    """
+def read_many_partials(kind: OperatorKind, parts: list) -> Any:
+    """:func:`merge_many_partials` for a window finalized in place: two
+    or more non-empty sorted runs come back as a :class:`SortedRuns`
+    view rather than merged."""
     if kind is OperatorKind.NON_DECOMPOSABLE_SORT:
         runs = [part for part in parts if part]
         if len(runs) > 1:
-            if unordered is None:
-                unordered = any(map(holds_nan, runs))
-            if not unordered:
-                return SortedRuns(runs, sum(map(len, runs)))
+            return SortedRuns(runs, sum(map(len, runs)))
     return merge_many_partials(kind, parts)
 
 
 class SortedRuns:
-    """Read-only view of the stable merge of NaN-free sorted runs.
+    """Read-only view of the stable merge of sorted runs.
 
     Item ``k`` is the very object the merged list
     (:func:`_merge_sorted_runs`) holds at ``k``: values in order, ties

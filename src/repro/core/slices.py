@@ -22,15 +22,13 @@ from collections import OrderedDict
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.errors import EngineError
-from repro.core.operators import OperatorSetState, holds_nan, read_many_partials
+from repro.core.operators import OperatorSetState, read_many_partials
 from repro.core.types import OperatorKind
 
 __all__ = ["Slice", "SliceStore"]
 
 #: A frozen slice's payload: context index -> operator kind -> partial.
 Partials = dict[int, dict[OperatorKind, Any]]
-
-_SORTED = OperatorKind.NON_DECOMPOSABLE_SORT
 
 
 class Slice:
@@ -43,7 +41,6 @@ class Slice:
         "contexts",
         "partials",
         "insert_counts",
-        "unordered",
         "closed",
     )
 
@@ -57,8 +54,6 @@ class Slice:
         self.partials: Partials = {}
         #: context index -> number of events inserted
         self.insert_counts: dict[int, int] = {}
-        #: contexts whose sorted run holds a NaN (:func:`holds_nan`)
-        self.unordered: tuple[int, ...] = ()
         self.closed = False
 
     def insert_run(
@@ -107,25 +102,11 @@ class SliceStore:
         self.freed = 0
 
     def add(self, slice_: Slice, _holders: int = 1) -> None:
-        """Store a closed slice some open window covers, screening its
-        sorted runs (:meth:`screen`).  ``_holders`` is ignored:
-        benchmarks/e2e still passes the former reference count."""
+        """Store a closed slice some open window covers.  ``_holders`` is
+        ignored: benchmarks/e2e still passes the former reference count."""
         if not slice_.closed:
             raise EngineError("only closed slices can be stored")
-        for ctx, parts in slice_.partials.items():
-            if _SORTED in parts:
-                self.screen(slice_, ctx, parts[_SORTED])
         self._slices[slice_.index] = slice_
-
-    @staticmethod
-    def screen(slice_: Slice, ctx: int, run: list[float] | None) -> None:
-        """Flag context ``ctx`` of ``slice_`` (:attr:`Slice.unordered`)
-        if ``run``, a sorted run it holds, holds a NaN.  Each run is
-        screened once, as it enters a store windows read, and
-        :meth:`read_context_partials` merges a window holding a flagged
-        run rather than read ranks off it."""
-        if run and ctx not in slice_.unordered and holds_nan(run):
-            slice_.unordered += (ctx,)
 
     def get(self, index: int) -> Slice | None:
         return self._slices.get(index)
@@ -163,7 +144,7 @@ class SliceStore:
         without activity for the context contribute nothing (their
         partials are the operator identities).
         """
-        collected, events, _ = _collect(self.covered(first, last), ctx, kinds)
+        collected, events = _collect(self.covered(first, last), ctx, kinds)
         merged = {}
         merge_ops = 0
         for kind, bucket in collected.items():
@@ -178,13 +159,10 @@ class SliceStore:
         """:meth:`merge_context_partials` for a window finalized in place,
         by :func:`~repro.core.operators.read_many_partials`: its sorted
         values may come back as a
-        :class:`~repro.core.operators.SortedRuns` view, unless a slice in
-        range flagged ``ctx`` (:meth:`screen`)."""
-        collected, events, unordered = _collect(
-            self.covered(first, last), ctx, kinds
-        )
+        :class:`~repro.core.operators.SortedRuns` view."""
+        collected, events = _collect(self.covered(first, last), ctx, kinds)
         merged = {
-            kind: read_many_partials(kind, bucket, unordered=unordered)
+            kind: read_many_partials(kind, bucket)
             for kind, bucket in collected.items()
             if bucket
         }
@@ -193,13 +171,11 @@ class SliceStore:
 
 def _collect(
     slices: Iterable[Slice], ctx: int, kinds: Iterable[OperatorKind]
-) -> tuple[dict[OperatorKind, list[Any]], int, bool]:
+) -> tuple[dict[OperatorKind, list[Any]], int]:
     """Context ``ctx``'s partials in ``slices``, per kind in slice order,
-    their event count, and whether a slice flagged ``ctx``'s sorted run
-    (:meth:`SliceStore.screen`)."""
+    and their event count."""
     collected: dict[OperatorKind, list[Any]] = {kind: [] for kind in kinds}
     events = 0
-    unordered = False
     for slice_ in slices:
         parts = slice_.partials.get(ctx)
         if parts is None:
@@ -208,6 +184,4 @@ def _collect(
         for kind, bucket in collected.items():
             if kind in parts:
                 bucket.append(parts[kind])
-        if ctx in slice_.unordered:
-            unordered = True
-    return collected, events, unordered
+    return collected, events

@@ -784,7 +784,8 @@ class BinaryCodec(Codec):
             message = self._decode_any(r)
         except (struct.error, LookupError, ValueError) as exc:
             # LookupError: a byte indexed past the end, or an unknown op
-            # code; ValueError: undecodable text or JSON cut short
+            # code; ValueError: undecodable text, JSON cut short, or
+            # an event value that is NaN (NaNValueError)
             raise CodecError(f"truncated or corrupt message: {exc}") from exc
         if r.pos != len(data):
             raise CodecError(

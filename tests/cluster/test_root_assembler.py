@@ -221,8 +221,7 @@ class TestUserDefAssembly:
 
 class TestSortedRanks:
     """A MEDIAN window of three large sorted runs — a trip, or a fixed
-    window over three cells — reads its ranks off them; one whose runs
-    hold a NaN is merged, as the merge would."""
+    window over three cells — reads its ranks off them."""
 
     WINDOWS = {
         "trip": [WindowSpec.user_defined(end_marker="end")],
@@ -271,13 +270,6 @@ class TestSortedRanks:
             )
             assert repr(median) == repr(expected)
             assert values[len(merged) // 2] is merged[len(merged) // 2]
-
-    @pytest.mark.parametrize("window", list(WINDOWS))
-    def test_a_window_holding_a_nan_is_merged(self, window):
-        runs = self.runs(0)
-        runs[1] = runs[1] + [float("nan")]
-        values, _ = self.close(window, runs)
-        assert type(values) is list
 
 
 class TestTimedDerivation:

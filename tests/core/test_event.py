@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.errors import OutOfOrderError
-from repro.core.event import Event, Watermark, ensure_ordered, merge_streams
+from repro.core.engine import AggregationEngine
+from repro.core.errors import NaNValueError, OutOfOrderError
+from repro.core.event import (
+    Event,
+    Watermark,
+    ensure_ordered,
+    holds_nan,
+    merge_streams,
+)
+from repro.core.query import Query, WindowSpec
+from repro.core.types import AggFunction
+from repro.interface import DesisSession
+
+#: ±inf, ±0.0 and subnormals: values like any other
+SPECIALS = [math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-310]
 
 
 class TestEvent:
@@ -27,6 +43,100 @@ class TestEvent:
 
     def test_marker_defaults_none(self):
         assert Event(1, "a", 1.0).marker is None
+
+
+class TestNaNIsRefused:
+    """NaN is refused where a value enters: by :class:`Event`, and by
+    ``process_columns``, the one entry that takes values without one."""
+
+    def test_an_event_refuses_nan(self):
+        with pytest.raises(NaNValueError, match="t=7"):
+            Event(7, "a", math.nan)
+        with pytest.raises(ValueError):
+            Event(7, "a", -math.nan, "end")
+
+    def test_special_floats_are_values(self):
+        for value in SPECIALS:
+            assert repr(Event(1, "a", value).value) == repr(value)
+
+    @staticmethod
+    def sharing_stream(seed: int = 7, n: int = 4_000):
+        """4 000 events 1 ms apart, uniform on [0, 100) with 2 % NaN: the
+        stream on which adding an unrelated query once moved 9 of 12
+        MEDIAN/MAX/MIN rows."""
+        rng = random.Random(seed)
+        return [
+            (i, math.nan if rng.random() < 0.02 else rng.uniform(0.0, 100.0))
+            for i in range(n)
+        ]
+
+    def test_the_stream_that_made_sharing_visible_cannot_be_built(self):
+        rows = self.sharing_stream()
+        first = next(i for i, (_, value) in enumerate(rows) if math.isnan(value))
+        built = []
+        with pytest.raises(NaNValueError, match=f"t={first}:"):
+            for time, value in rows:
+                built.append(Event(time, "k", value))
+        assert len(built) == first
+
+    def test_sharing_is_invisible_once_nans_are_infinities(self):
+        """The same stream with every NaN drawn as an infinity: adding
+        unrelated queries moves the cuts and no row."""
+        events = [
+            Event(t, "k", v if v == v else math.copysign(math.inf, t % 2 - 0.5))
+            for t, v in self.sharing_stream()
+        ]
+        texts = [
+            f"SELECT {fn}(value) FROM stream WINDOW TUMBLING 1000 MS"
+            for fn in ("MEDIAN", "MAX", "MIN")
+        ]
+        extra = [
+            "SELECT SUM(value) FROM stream WINDOW TUMBLING 70 MS",
+            "SELECT MEDIAN(value) FROM stream WINDOW TUMBLING 130 MS",
+        ]
+
+        def rows(queries):
+            session = DesisSession()
+            for i, text in enumerate(queries):
+                session.submit(text, query_id=f"q{i}")
+            session.process_many(events)
+            session.close()
+            return [
+                (r.query_id, r.start, r.end, r.event_count, repr(r.value))
+                for r in session.results
+                if r.query_id in ("q0", "q1", "q2")
+            ]
+
+        alone = rows(texts)
+        assert len(alone) == 12
+        assert rows(texts + extra[:1]) == alone
+        assert rows(texts + extra) == alone
+
+    @staticmethod
+    def engine():
+        query = Query.of("s", WindowSpec.tumbling(10), AggFunction.MAX)
+        return AggregationEngine([query])
+
+    def test_a_column_holding_a_nan_is_refused_before_any_row_lands(self):
+        engine = self.engine()
+        with pytest.raises(NaNValueError):
+            engine.process_columns([0, 5, 20], ["a"] * 3, [1.0, math.nan, 2.0])
+        assert engine.stats.events == 0
+        assert list(engine.close(100)) == []
+
+    def test_a_column_holding_both_infinities_is_taken(self):
+        engine = self.engine()
+        engine.process_columns([0, 5, 20], ["a"] * 3, [-math.inf, math.inf, 0.0])
+        assert engine.stats.events == 3
+        assert [r.value for r in engine.close(100)] == [math.inf, 0.0]
+
+
+def test_holds_nan_tells_a_nan_from_both_infinities():
+    assert not holds_nan([-math.inf, 0.0, math.inf])
+    assert not holds_nan([1.0, 2.0])
+    assert not holds_nan([])
+    assert holds_nan([1.0, math.nan, 0.5])
+    assert holds_nan([-math.inf, math.nan, math.inf])
 
 
 class TestEnsureOrdered:

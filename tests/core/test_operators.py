@@ -23,7 +23,6 @@ from repro.core.operators import (
     SumState,
     _merge_sorted_runs,
     empty_partial,
-    holds_nan,
     make_state,
     merge_many_partials,
     merge_partials,
@@ -33,10 +32,8 @@ from repro.core.types import OperatorKind
 
 ALL_KINDS = list(OperatorKind)
 
-# No NaN in any strategy: a slice's ``sort()`` leaves a run holding NaN
-# unordered, so no merge of such runs has an order to keep, and the
-# bit-identity of merges is claimed for non-NaN values only (module
-# docstring of ``repro.core.operators``).
+# No NaN in any merge strategy: NaN is refused where a value enters
+# (``repro.core.event``), so no sorted run ever holds one.
 values_lists = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), max_size=60
 )
@@ -218,8 +215,7 @@ class TestMerge:
     ):
         """The close's merge hands out a view of two or more non-empty
         runs, the merged list otherwise, with the same items (``m`` runs
-        of ``per_run`` values on average); runs said to hold a NaN are
-        merged."""
+        of ``per_run`` values on average)."""
         runs = [
             sorted(rnd.choice(EDGE_FLOATS) for _ in range(rnd.randint(0, 2 * per_run)))
             for _ in range(m)
@@ -229,23 +225,10 @@ class TestMerge:
         read = read_many_partials(kind, runs)
         live = sum(1 for run in runs if run)
         assert type(read) is (SortedRuns if live > 1 else list)
-        assert type(read_many_partials(kind, runs, unordered=True)) is list
         assert bits(list(read)) == bits(merged)
         if merged:
             for k in (0, (len(merged) - 1) // 2, len(merged) // 2, -1):
                 assert read[k] is merged[k]
-
-    def test_read_many_partials_screens_runs_it_is_not_told_about(self):
-        kind = OperatorKind.NON_DECOMPOSABLE_SORT
-        runs = [[1.0, 2.0], [0.5, math.nan, 3.0]]
-        assert type(read_many_partials(kind, runs)) is list
-        assert type(read_many_partials(kind, runs, unordered=False)) is SortedRuns
-
-    def test_holds_nan_tells_a_nan_from_both_infinities(self):
-        assert not holds_nan([-math.inf, 0.0, math.inf])
-        assert not holds_nan([1.0, 2.0])
-        assert holds_nan([1.0, math.nan, 0.5])
-        assert holds_nan([-math.inf, math.nan, math.inf])
 
 
 class TestOperatorSetState:

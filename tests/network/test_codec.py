@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import replace
 
 import pytest
@@ -385,6 +387,18 @@ def test_unknown_operator_code_is_a_codec_error():
     frame[-10] = 0xEE  # op code: count u8, code u8, f64, values flag u8
     with pytest.raises(CodecError):
         codec.decode(bytes(frame))
+
+
+def test_an_event_frame_holding_a_nan_value_is_a_codec_error():
+    # NaN is refused where a value enters, and a frame is where one does
+    codec = BinaryCodec()
+    value = struct.pack(">d", 0.25)
+    frame = codec.encode(
+        EventBatchMessage(sender="l", covered_to=3, events=[Event(3, "k", 0.25)])
+    )
+    assert frame.count(value) == 1
+    with pytest.raises(CodecError, match="NaN"):
+        codec.decode(frame.replace(value, struct.pack(">d", math.nan)))
 
 
 def test_every_truncation_of_a_snapshot_chunk_is_a_codec_error():
