@@ -580,8 +580,7 @@ def mixed_batches(queries=MIXED, seed=5, children=2, horizon=1_600):
 
 class TestAssemblerCheckpoint:
     """The root's cells and Two-Stacks streams are derived state: a chunk
-    holds the live cells as slice records (an older root's chunk: its raw
-    records) and restore folds them again."""
+    holds the live cells as slice records and restore folds them again."""
 
     @staticmethod
     def assembler(group, rows):
@@ -605,10 +604,9 @@ class TestAssemblerCheckpoint:
         assembler.finish(batches[-1][0])
         return rows
 
-    def test_a_checkpoint_written_before_cells_restores(self):
-        """The parent commit's root kept raw records for every window
-        kind; its chunk restores into cells and the run finishes with the
-        crash-free rows."""
+    def test_the_golden_checkpoint_restores(self):
+        """The chunk pinned in ``test_wire_golden`` restores, and the run
+        finishes with the crash-free rows."""
         group, batches = mixed_batches()
         at = 16
         assert batches[at - 1][0] == 939  # where the blob was taken
