@@ -409,9 +409,8 @@ def assembler_chunks(node_id: str, checkpoint_id: int, assemblers) -> list[Snaps
 def restore_assembler(assembler, chunk: SnapshotChunk) -> None:
     """Load one group's window-assembly progress from its chunk."""
     state = chunk.state or {}
-    # Cells and Two-Stacks streams are derived state: whatever records the
-    # chunk holds — this root's cells or an older root's raw records —
-    # fold into cells again.
+    # Cells and Two-Stacks streams are derived state: the chunk's records
+    # are this root's cells, and fold into cells again.
     assembler.rebuild(chunk.records)
     assembler.covered = state.get("covered", assembler.origin)
     assembler.shed = [
@@ -437,22 +436,12 @@ def restore_assembler(assembler, chunk: SnapshotChunk) -> None:
         found.count = count
         found.ops = _ops_from_jsonable(ops)
     userdef = {s.query.query_id: s for s in assembler.userdef}
-    for query_id, eps, prev_end, *trip in state.get("userdef", []):
+    for query_id, eps, prev_end, count, buckets in state.get("userdef", []):
         found = userdef.get(query_id)
         if found is None:
             continue
         found.eps = list(eps)
         found.prev_end = prev_end
-        if "base" in state:
-            # Written when the root still kept raw records for trips:
-            # ``trip`` is the index of the open trip's first record in
-            # that buffer, which starts at index ``base``.
-            for record in chunk.records[max(trip[0] - state["base"], 0):]:
-                part = record.contexts.get(found.ctx)
-                if part is not None:
-                    found.take(part)
-            continue
-        count, buckets = trip
         found.count = count
         for key, partials in buckets.items():
             kind = OperatorKind(key)
