@@ -19,6 +19,7 @@ Entry points::
 
 from repro.conformance.check import (
     check_duplicate_query_invariance,
+    check_query_alone_invariance,
     check_fault_goodput,
     check_reshard_invariance,
     compare_results,
@@ -75,6 +76,7 @@ __all__ = [
     "TolerancePolicy",
     "canonical_rows",
     "check_duplicate_query_invariance",
+    "check_query_alone_invariance",
     "check_fault_goodput",
     "check_reshard_invariance",
     "compare_results",

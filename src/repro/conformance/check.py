@@ -16,7 +16,9 @@ Two layers of checking:
    local nodes must not change results; re-dealing the key space over a
    different number of parallel worker processes (DESIGN.md §13) must not
    change results either; submitting the same query twice
-   must yield twice the identical rows; a recoverable fault plan must
+   must yield twice the identical rows; a query run alone must yield its
+   rows of the full run, although its slices are cut elsewhere; a
+   recoverable fault plan must
    leave both the results and the *goodput* (unique delivered payload
    bytes) of the clean reliable run unchanged; on a traced run every
    window's critical-path stage breakdown must sum *exactly* to its
@@ -58,6 +60,7 @@ __all__ = [
     "compare_results",
     "evaluate_scenario",
     "check_duplicate_query_invariance",
+    "check_query_alone_invariance",
     "check_engine_shard_invariance",
     "check_reshard_invariance",
     "check_fault_goodput",
@@ -160,13 +163,48 @@ def check_duplicate_query_invariance(
         (r.start, r.end, r.event_count, r.value)
         for r in sink.for_query("__dup__")
     ]
-    if original_rows != clone_rows:
+    if len(original_rows) != len(clone_rows) or not all(
+        left[:3] == right[:3] and values_match(left[3], right[3])
+        for left, right in zip(original_rows, clone_rows)
+    ):
         return [
             "duplicate-query: clone of "
             f"{original.query_id!r} produced {len(clone_rows)} rows vs "
             f"{len(original_rows)}, or differing values"
         ]
     return []
+
+
+def check_query_alone_invariance(
+    scenario: Scenario,
+    streams: dict[str, list[Event]],
+    reference: ExecutionResult,
+) -> list[str]:
+    """Each query run alone yields its rows of the ``reference`` run.
+
+    Sharing is invisible (PAPER.md §1): alone, the engine cuts slices at
+    this query's punctuations only, so float folds re-associate and the
+    rows must match within ``tolerance_for(query, cross_fold=True)``,
+    exact for every other fold.
+    """
+    merged = _merged(streams)
+    final = _final_time(scenario, merged)
+    failures = []
+    for query in scenario.build_queries():
+        engine = AggregationEngine([query])
+        engine.advance(0)
+        engine.process_batch(merged)
+        alone = ExecutionResult(
+            f"query-alone:{query.query_id}", canonical_rows(engine.close(final))
+        )
+        shared = ExecutionResult(
+            reference.name,
+            [row for row in reference.rows if row[0] == query.query_id],
+        )
+        failures.extend(
+            compare_results(scenario, shared, alone, cross_fold=True)
+        )
+    return failures
 
 
 def check_reshard_invariance(
@@ -387,6 +425,14 @@ def evaluate_scenario(
         except Exception as exc:
             failures.append(
                 f"duplicate-query: raised {type(exc).__name__}: {exc}"
+            )
+        try:
+            failures.extend(
+                check_query_alone_invariance(scenario, streams, reference)
+            )
+        except Exception as exc:
+            failures.append(
+                f"query-alone: raised {type(exc).__name__}: {exc}"
             )
         if clean is not None:
             try:

@@ -115,9 +115,12 @@ def tolerance_for(query: Query, *, cross_fold: bool = False) -> TolerancePolicy:
 
 
 def values_match(expected, got, policy: TolerancePolicy = EXACT) -> bool:
-    """Whether two finalized window values agree under ``policy``."""
+    """Whether two finalized window values agree under ``policy``; two
+    NaNs agree (``inf - inf`` is NaN whoever folds it)."""
     if expected is None or got is None:
         return expected is got
+    if expected != expected and got != got:
+        return True
     if policy.exact:
         return expected == got
     if isinstance(expected, bool) or isinstance(got, bool):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
@@ -37,6 +38,7 @@ from repro.network.simnet import CrashWindow, FaultPlan
 from repro.network.topology import Topology, chain, star, three_tier
 
 __all__ = [
+    "SPECIAL_VALUES",
     "QuerySpec",
     "CrashSpec",
     "FaultSpec",
@@ -51,6 +53,17 @@ __all__ = [
 NEVER = 10**9
 
 _END_MARKER = "end"
+
+#: the floats a scenario may draw in place of ordinary values: the
+#: infinities, the signed zeros and subnormals (NaN is refused at the door)
+SPECIAL_VALUES = (math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.5e-310)
+#: a product family's: no subnormal, whose products round differently as
+#: slice cuts re-associate them, and no negative, as GEOMETRIC_MEAN
+#: refuses a negative product (DESIGN.md §9)
+_PRODUCT_SPECIALS = (math.inf, 0.0, -0.0)
+
+#: the share of events whose value is drawn from ``Scenario.specials``
+_SPECIAL_SHARE = 0.05
 
 
 # -- query specs -------------------------------------------------------------
@@ -237,6 +250,9 @@ class Scenario:
     marker_every: int | None = None  # user-defined end marker cadence
     value_lo: float = 0.0
     value_hi: float = 100.0
+    #: values drawn in place of ``value_lo..value_hi`` for about one event
+    #: in 20 (a subset of ``SPECIAL_VALUES``; empty = none)
+    specials: tuple[float, ...] = ()
     # query mix
     queries: tuple[QuerySpec, ...] = ()
     # disorder
@@ -282,6 +298,8 @@ class Scenario:
         gap_dt = ((self.gap_ms // n) + 1) * n  # stays on node residue
         for i in range(n):
             rng = random.Random(self.seed * 7_919 + i)
+            # its own stream, so the ordinary draws are the same without
+            special = random.Random((self.seed, "specials", i).__repr__())
             t = i
             events = []
             for j in range(self.events_per_node):
@@ -295,10 +313,11 @@ class Scenario:
                     and j % self.marker_every == self.marker_every - 1
                     else None
                 )
-                events.append(
-                    Event(t, rng.choice(keys),
-                          rng.uniform(self.value_lo, self.value_hi), marker)
-                )
+                key = rng.choice(keys)
+                value = rng.uniform(self.value_lo, self.value_hi)
+                if self.specials and special.random() < _SPECIAL_SHARE:
+                    value = special.choice(self.specials)
+                events.append(Event(t, key, value, marker))
             streams[f"local-{i}"] = events
         return streams
 
@@ -324,6 +343,23 @@ class Scenario:
             ranked.sort()
             out[node] = [e for _, _, e in ranked]
         return out
+
+    def without_specials(self) -> "Scenario":
+        """The same scenario drawing no special value; explicit streams
+        get the middle of the value range in place of each."""
+        if not self.specials:
+            return self
+        explicit = self.explicit_streams
+        if explicit is not None:
+            plain = (self.value_lo + self.value_hi) / 2
+            explicit = {
+                node: [
+                    [t, k, plain if v in self.specials else v, m]
+                    for t, k, v, m in rows
+                ]
+                for node, rows in explicit.items()
+            }
+        return replace(self, specials=(), explicit_streams=explicit)
 
     def build_fault_plan(self) -> FaultPlan | None:
         return self.fault.build() if self.fault is not None else None
@@ -383,10 +419,12 @@ class Scenario:
             out["marker_every"] = self.marker_every
         if self.batch_ms is not None:
             out["batch_ms"] = self.batch_ms
+        # shards and specials are emitted only when set, so the committed
+        # corpus digests (written before either existed) stay stable
         if self.shards != 1:
-            # emitted only when set, so the committed corpus digests
-            # (written before the knob existed) stay stable
             out["shards"] = self.shards
+        if self.specials:
+            out["specials"] = list(self.specials)
         if self.checkpoint_interval is not None:
             out["checkpoint_interval"] = self.checkpoint_interval
         if self.fault is not None:
@@ -422,6 +460,7 @@ class Scenario:
         if overload is not None:
             overload = OverloadSpec.from_dict(overload)
         dt_units = tuple(data.pop("dt_units", (1, 2, 5)))
+        specials = tuple(data.pop("specials", ()))
         explicit = data.pop("explicit_streams", None)
         if explicit is not None:
             explicit = {
@@ -431,7 +470,8 @@ class Scenario:
                 for node, rows in explicit.items()
             }
         return cls(queries=queries, fault=fault, overload=overload,
-                   dt_units=dt_units, explicit_streams=explicit, **data)
+                   dt_units=dt_units, specials=specials,
+                   explicit_streams=explicit, **data)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -535,6 +575,11 @@ class ScenarioGenerator:
             shards = rng.choice((1, 1, 2, 4))
             if shards != 1:
                 scenario = replace(scenario, shards=shards)
+        # special values in about one scenario in ten, drawn after every
+        # other knob for the same reason
+        if rng.random() < 0.1:
+            specials = _PRODUCT_SPECIALS if product_family else SPECIAL_VALUES
+            scenario = replace(scenario, specials=specials)
         return scenario
 
     # -- pieces --------------------------------------------------------------

@@ -3,9 +3,9 @@
 Given a scenario the checkers reject, the shrinker searches for a smaller
 scenario that *still fails*, in four phases:
 
-1. **Knob simplification** — drop the overload caps, fault plan,
-   checkpointing, batching, and disorder if the failure survives without
-   them (a failure that needs none of them is an engine bug, not a
+1. **Knob simplification** — drop the special values, overload caps,
+   fault plan, checkpointing, batching, and disorder if the failure
+   survives without them (a failure that needs none of them is an engine bug, not a
    distributed-systems bug).
 2. **Query reduction** — remove queries one at a time while the failure
    persists.
@@ -92,6 +92,7 @@ def _with_events(scenario: Scenario,
 def _shrink_knobs(scenario: Scenario, predicate: Predicate,
                   budget: _Budget) -> Scenario:
     for simplify in (
+        Scenario.without_specials,
         lambda s: replace(s, overload=None),
         lambda s: replace(s, fault=None),
         lambda s: replace(s, checkpoint_interval=None),

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.conformance import Scenario, ScenarioGenerator, run_conformance
-from repro.conformance.scenario import FaultSpec, QuerySpec
+from repro.conformance.scenario import SPECIAL_VALUES, FaultSpec, QuerySpec
 
 
 def small_scenario(**overrides) -> Scenario:
@@ -90,6 +92,53 @@ class TestStreams:
             for event in events:
                 high = max(high, event.time)
                 assert high - event.time <= scenario.max_lateness
+
+
+class TestSpecials:
+    """About one scenario in ten draws ±inf, ±0.0 and subnormals in place
+    of some values; the key is written only when set."""
+
+    def test_about_one_value_in_twenty_is_special_and_the_rest_unchanged(self):
+        plain = small_scenario(events_per_node=400)
+        special = small_scenario(events_per_node=400, specials=SPECIAL_VALUES)
+        drawn = 0
+        for node, events in plain.build_streams().items():
+            for before, after in zip(events, special.build_streams()[node]):
+                assert (before.time, before.key) == (after.time, after.key)
+                if repr(before.value) != repr(after.value):
+                    assert after.value in SPECIAL_VALUES
+                    drawn += 1
+        assert 30 <= drawn <= 90  # 5 % of 1 200
+
+    def test_the_key_is_written_only_when_set(self):
+        assert "specials" not in small_scenario().to_dict()
+        scenario = small_scenario(specials=SPECIAL_VALUES)
+        again = Scenario.from_json(scenario.to_json())
+        assert again == scenario
+        assert list(map(repr, again.specials)) == list(map(repr, SPECIAL_VALUES))
+        assert again.digest == scenario.digest != small_scenario().digest
+
+    def test_the_generator_draws_them_in_about_one_scenario_in_ten(self):
+        generator = ScenarioGenerator(1)
+        drawn = [generator.generate(i) for i in range(100)]
+        special = [s for s in drawn if s.specials]
+        assert 4 <= len(special) <= 20
+        for scenario in special:
+            if (scenario.value_lo, scenario.value_hi) == (0.5, 1.5):
+                # a product family draws no subnormal and no negative
+                assert scenario.specials == (math.inf, 0.0, -0.0)
+            else:
+                assert scenario.specials == SPECIAL_VALUES
+
+    def test_without_specials_drops_them_from_explicit_streams(self):
+        scenario = small_scenario(specials=SPECIAL_VALUES).materialized()
+        plain = scenario.without_specials()
+        assert plain.specials == ()
+        values = [
+            e.value for events in plain.build_streams().values() for e in events
+        ]
+        assert all(0.0 < value < 100.0 for value in values)
+        assert small_scenario().without_specials() == small_scenario()
 
 
 class TestFlags:

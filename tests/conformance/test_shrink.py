@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.conformance import (
     shrink_scenario,
     write_repro_script,
 )
+from repro.conformance.scenario import SPECIAL_VALUES
 from repro.core.types import AggFunction
 
 
@@ -104,3 +106,14 @@ class TestShrinkBasics:
 
         result = shrink_scenario(scenario, has_any_event)
         assert result.events_after == 1
+
+    def test_special_values_are_dropped_when_not_needed(self):
+        scenario = replace(
+            ScenarioGenerator(7).generate(0), specials=SPECIAL_VALUES
+        )
+
+        def has_any_event(candidate):
+            return candidate.total_events >= 1
+
+        result = shrink_scenario(scenario, has_any_event)
+        assert result.scenario.specials == ()

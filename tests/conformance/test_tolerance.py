@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from repro.conformance import (
     EXACT,
     FLOAT_FOLD_FUNCTIONS,
@@ -72,3 +74,11 @@ class TestValuesMatch:
         assert values_match(None, None, policy)
         assert not values_match(None, 0.0, policy)
         assert not values_match(0.0, None, policy)
+
+    def test_two_nans_match(self):
+        # inf - inf is NaN whoever folds it
+        nan = math.inf - math.inf
+        for policy in (EXACT, TolerancePolicy(rel_tol=1e-9)):
+            assert values_match(nan, -nan, policy)
+            assert not values_match(nan, 0.0, policy)
+            assert not values_match(math.inf, nan, policy)
