@@ -51,6 +51,7 @@ from repro.conformance.executors import (
     _cluster_config,
     _final_time,
     _merged,
+    _run_engine,
 )
 from repro.conformance.oracle import TolerancePolicy, tolerance_for, values_match
 from repro.conformance.scenario import NEVER, Scenario
@@ -180,30 +181,18 @@ def check_query_alone_invariance(
     streams: dict[str, list[Event]],
     reference: ExecutionResult,
 ) -> list[str]:
-    """Each query run alone yields its rows of the ``reference`` run.
-
-    Sharing is invisible (PAPER.md §1): alone, the engine cuts slices at
-    this query's punctuations only, so float folds re-associate and the
-    rows must match within ``tolerance_for(query, cross_fold=True)``,
-    exact for every other fold.
-    """
-    merged = _merged(streams)
-    final = _final_time(scenario, merged)
+    """Each query run alone yields its rows of the ``reference`` run
+    (sharing is invisible, PAPER.md §1).  Alone, its slices are cut at
+    its own punctuations only, so float folds re-associate: rows match
+    under ``tolerance_for(query, cross_fold=True)``."""
     failures = []
-    for query in scenario.build_queries():
-        engine = AggregationEngine([query])
-        engine.advance(0)
-        engine.process_batch(merged)
-        alone = ExecutionResult(
-            f"query-alone:{query.query_id}", canonical_rows(engine.close(final))
-        )
+    for spec in scenario.queries:
+        alone = _run_engine(replace(scenario, queries=(spec,)), streams,
+                            name=f"query-alone:{spec.query_id}", batched=True)
         shared = ExecutionResult(
-            reference.name,
-            [row for row in reference.rows if row[0] == query.query_id],
+            reference.name, [row for row in reference.rows if row[0] == spec.query_id]
         )
-        failures.extend(
-            compare_results(scenario, shared, alone, cross_fold=True)
-        )
+        failures.extend(compare_results(scenario, shared, alone, cross_fold=True))
     return failures
 
 
@@ -356,15 +345,19 @@ def check_span_stage_sum(
     return failures
 
 
-def _run_zero_plan_twin(scenario: Scenario,
-                        streams: dict[str, list[Event]]) -> ExecutionResult:
+def _check_zero_plan_twin(scenario: Scenario,
+                          streams: dict[str, list[Event]],
+                          faulty: ExecutionResult) -> list[str]:
+    """The faulty run against its twin under an empty fault plan: the
+    same rows, and the same goodput."""
     from repro.conformance.executors import _run_cluster
 
-    zero = replace(scenario, fault=None)
-    return _run_cluster(
-        zero, streams, name="cluster-desis-zeroplan", deployment="desis",
-        fault=FaultPlan(seed=0),
+    twin = _run_cluster(
+        replace(scenario, fault=None), streams, name="cluster-desis-zeroplan",
+        deployment="desis", fault=FaultPlan(seed=0),
     )
+    return (compare_results(scenario, twin, faulty)
+            + check_fault_goodput(scenario, faulty, twin))
 
 
 # -- the full evaluation -----------------------------------------------------
@@ -417,59 +410,29 @@ def evaluate_scenario(
         if faulty is not None and not overload.meta.get("slices_shed", 0):
             failures.extend(compare_results(scenario, faulty, overload))
 
+    def guarded(label: str, check, *args) -> None:
+        try:
+            failures.extend(check(*args))
+        except Exception as exc:  # a crash is a conformance failure too
+            failures.append(f"{label}: raised {type(exc).__name__}: {exc}")
+
     if metamorphic:
-        try:
-            failures.extend(
-                check_duplicate_query_invariance(scenario, streams)
-            )
-        except Exception as exc:
-            failures.append(
-                f"duplicate-query: raised {type(exc).__name__}: {exc}"
-            )
-        try:
-            failures.extend(
-                check_query_alone_invariance(scenario, streams, reference)
-            )
-        except Exception as exc:
-            failures.append(
-                f"query-alone: raised {type(exc).__name__}: {exc}"
-            )
+        guarded("duplicate-query", check_duplicate_query_invariance,
+                scenario, streams)
+        guarded("query-alone", check_query_alone_invariance,
+                scenario, streams, reference)
         if clean is not None:
-            try:
-                failures.extend(
-                    check_reshard_invariance(scenario, streams, clean)
-                )
-            except Exception as exc:
-                failures.append(
-                    f"reshard: raised {type(exc).__name__}: {exc}"
-                )
+            guarded("reshard", check_reshard_invariance,
+                    scenario, streams, clean)
         sharded = executions.get("parallel-sharded")
         if sharded is not None:
-            try:
-                failures.extend(
-                    check_engine_shard_invariance(scenario, streams, sharded)
-                )
-            except Exception as exc:
-                failures.append(
-                    f"shard-invariance: raised {type(exc).__name__}: {exc}"
-                )
-        try:
-            failures.extend(check_span_stage_sum(scenario, streams))
-        except Exception as exc:
-            failures.append(
-                f"span-sum: raised {type(exc).__name__}: {exc}"
-            )
+            guarded("shard-invariance", check_engine_shard_invariance,
+                    scenario, streams, sharded)
+        guarded("span-sum", check_span_stage_sum, scenario, streams)
         if (
             faulty is not None
             and scenario.fault is not None
             and scenario.fault.link_faults_only
         ):
-            try:
-                twin = _run_zero_plan_twin(scenario, streams)
-                failures.extend(compare_results(scenario, twin, faulty))
-                failures.extend(check_fault_goodput(scenario, faulty, twin))
-            except Exception as exc:
-                failures.append(
-                    f"goodput: raised {type(exc).__name__}: {exc}"
-                )
+            guarded("goodput", _check_zero_plan_twin, scenario, streams, faulty)
     return failures, executions

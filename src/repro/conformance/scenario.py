@@ -54,16 +54,12 @@ NEVER = 10**9
 
 _END_MARKER = "end"
 
-#: the floats a scenario may draw in place of ordinary values: the
-#: infinities, the signed zeros and subnormals (NaN is refused at the door)
+#: floats a scenario may draw in place of ordinary values (NaN is
+#: refused at the door); a product family draws no subnormal and no
+#: negative (DESIGN.md §10, "Scenario model")
 SPECIAL_VALUES = (math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.5e-310)
-#: a product family's: no subnormal, whose products round differently as
-#: slice cuts re-associate them, and no negative, as GEOMETRIC_MEAN
-#: refuses a negative product (DESIGN.md §9)
 _PRODUCT_SPECIALS = (math.inf, 0.0, -0.0)
-
-#: the share of events whose value is drawn from ``Scenario.specials``
-_SPECIAL_SHARE = 0.05
+_SPECIAL_SHARE = 0.05  # of the events of a scenario that draws them
 
 
 # -- query specs -------------------------------------------------------------
@@ -250,9 +246,7 @@ class Scenario:
     marker_every: int | None = None  # user-defined end marker cadence
     value_lo: float = 0.0
     value_hi: float = 100.0
-    #: values drawn in place of ``value_lo..value_hi`` for about one event
-    #: in 20 (a subset of ``SPECIAL_VALUES``; empty = none)
-    specials: tuple[float, ...] = ()
+    specials: tuple[float, ...] = ()  # drawn for about one event in 20
     # query mix
     queries: tuple[QuerySpec, ...] = ()
     # disorder
@@ -345,20 +339,14 @@ class Scenario:
         return out
 
     def without_specials(self) -> "Scenario":
-        """The same scenario drawing no special value; explicit streams
-        get the middle of the value range in place of each."""
-        if not self.specials:
-            return self
-        explicit = self.explicit_streams
-        if explicit is not None:
-            plain = (self.value_lo + self.value_hi) / 2
-            explicit = {
-                node: [
-                    [t, k, plain if v in self.specials else v, m]
-                    for t, k, v, m in rows
-                ]
-                for node, rows in explicit.items()
-            }
+        """The same scenario drawing no special value; in explicit streams
+        the middle of the value range takes each one's place."""
+        plain = (self.value_lo + self.value_hi) / 2
+        explicit = self.explicit_streams and {
+            node: [[t, k, plain if v in self.specials else v, m]
+                   for t, k, v, m in rows]
+            for node, rows in self.explicit_streams.items()
+        }
         return replace(self, specials=(), explicit_streams=explicit)
 
     def build_fault_plan(self) -> FaultPlan | None:

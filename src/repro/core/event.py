@@ -8,12 +8,9 @@ Timestamps are integers in milliseconds of event time.  All engines in this
 package consume streams ordered by ``time``; helpers below validate and merge
 ordered streams.
 
-NaN is refused where a value enters, and this module is where: an
-:class:`Event` holding one is never built, and a value column offered
-without events is screened by :func:`holds_nan` before any row lands.
-``min``, ``max`` and ``sort`` over NaN depend on input order, so a window
-holding one would read differently depending on where other queries cut
-the slices.  ±inf, ±0.0 and subnormals are ordinary values.
+NaN is refused where a value enters, here: by :class:`Event`, and by
+:func:`holds_nan` for a value column offered without events (DESIGN.md
+§9, "NaN").  ±inf, ±0.0 and subnormals are ordinary values.
 """
 
 from __future__ import annotations
