@@ -15,14 +15,14 @@ Two layers of checking:
    re-sharding the same global event multiset over a different number of
    local nodes must not change results; re-dealing the key space over a
    different number of parallel worker processes (DESIGN.md §13) must not
-   change results either; submitting the same query twice
-   must yield twice the identical rows; a query run alone must yield its
-   rows of the full run, although its slices are cut elsewhere; a
-   recoverable fault plan must
-   leave both the results and the *goodput* (unique delivered payload
-   bytes) of the clean reliable run unchanged; on a traced run every
-   window's critical-path stage breakdown must sum *exactly* to its
-   end-to-end emission latency in sim-ms (see repro.obs.critical_path);
+   change results either; submitting the same query twice must yield
+   twice the identical rows; a query run alone must yield its rows of
+   the full run, although its slices are cut elsewhere; a recoverable
+   fault plan must leave both the results and the *goodput* (unique
+   delivered payload bytes) of the clean reliable run unchanged; on a
+   traced run every window's critical-path stage breakdown must sum
+   *exactly* to its end-to-end emission latency in sim-ms (see
+   repro.obs.critical_path);
    and a Desis run under overload caps (DESIGN.md §12) that shed nothing
    must be byte-identical to the unbounded faulty run, while a run that
    did shed must account every degraded window's ``completeness``

@@ -41,13 +41,14 @@ shared between ``min``, ``max``, ``median``, and ``quantile``.
 Sorted runs merge one way, two or k at a time: concatenated in order,
 sorted once.  Timsort merges the runs in C and, being stable, keeps ties
 (``-0.0 == 0.0``, duplicates) in run order as ``heapq.merge`` would: no
-bit of a value depends on how runs were grouped.  The merged list is what travels: the sorted batches shipped upward, the
-cells, sessions and intermediate folds.  A window finalized in place
-reads only a rank or two, so its close hands the finalizer a
-:class:`SortedRuns` view instead (:func:`read_many_partials`): item ``k``
-is found by bisection across the runs and is the merged list's item
-``k``, the same object.  Both rest on every run being in order, which
-holds because no value is NaN (:mod:`repro.core.event` refuses it).
+bit of a value depends on how runs were grouped.  The merged list is
+what travels: the sorted batches shipped upward, the cells, sessions and
+intermediate folds.  A window finalized in place reads only a rank or
+two, so its close hands the finalizer a :class:`SortedRuns` view instead
+(:func:`read_many_partials`): item ``k`` is found by bisection across the
+runs and is the merged list's item ``k``, the same object.  Both rest on
+every run being in order, which holds because no value is NaN
+(:mod:`repro.core.event` refuses it).
 """
 
 from __future__ import annotations

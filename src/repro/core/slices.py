@@ -144,10 +144,18 @@ class SliceStore:
         without activity for the context contribute nothing (their
         partials are the operator identities).
         """
-        collected, events = _collect(self.covered(first, last), ctx, kinds)
-        merged = {}
-        merge_ops = 0
-        for kind, bucket in collected.items():
+        merged: dict[OperatorKind, Any] = {}
+        events = merge_ops = 0
+        buckets: dict[OperatorKind, list[Any]] = {kind: [] for kind in kinds}
+        for slice_ in self.covered(first, last):
+            parts = slice_.partials.get(ctx)
+            if parts is None:
+                continue
+            events += slice_.insert_counts.get(ctx, 0)
+            for kind, bucket in buckets.items():
+                if kind in parts:
+                    bucket.append(parts[kind])
+        for kind, bucket in buckets.items():
             if bucket:
                 merged[kind] = merge(kind, bucket)
                 merge_ops += len(bucket)
@@ -160,28 +168,4 @@ class SliceStore:
         by :func:`~repro.core.operators.read_many_partials`: its sorted
         values may come back as a
         :class:`~repro.core.operators.SortedRuns` view."""
-        collected, events = _collect(self.covered(first, last), ctx, kinds)
-        merged = {
-            kind: read_many_partials(kind, bucket)
-            for kind, bucket in collected.items()
-            if bucket
-        }
-        return merged, events, sum(map(len, collected.values()))
-
-
-def _collect(
-    slices: Iterable[Slice], ctx: int, kinds: Iterable[OperatorKind]
-) -> tuple[dict[OperatorKind, list[Any]], int]:
-    """Context ``ctx``'s partials in ``slices``, per kind in slice order,
-    and their event count."""
-    collected: dict[OperatorKind, list[Any]] = {kind: [] for kind in kinds}
-    events = 0
-    for slice_ in slices:
-        parts = slice_.partials.get(ctx)
-        if parts is None:
-            continue
-        events += slice_.insert_counts.get(ctx, 0)
-        for kind, bucket in collected.items():
-            if kind in parts:
-                bucket.append(parts[kind])
-    return collected, events
+        return self.merge_context_partials(first, last, ctx, kinds, read_many_partials)
