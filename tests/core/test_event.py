@@ -20,10 +20,6 @@ from repro.core.event import (
 )
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction
-from repro.interface import DesisSession
-
-#: ±inf, ±0.0 and subnormals: values like any other
-SPECIALS = [math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-310]
 
 
 class TestEvent:
@@ -56,61 +52,24 @@ class TestNaNIsRefused:
             Event(7, "a", -math.nan, "end")
 
     def test_special_floats_are_values(self):
-        for value in SPECIALS:
+        for value in (math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-310):
             assert repr(Event(1, "a", value).value) == repr(value)
 
-    @staticmethod
-    def sharing_stream(seed: int = 7, n: int = 4_000):
+    def test_the_stream_that_made_sharing_visible_cannot_be_built(self):
         """4 000 events 1 ms apart, uniform on [0, 100) with 2 % NaN: the
         stream on which adding an unrelated query once moved 9 of 12
         MEDIAN/MAX/MIN rows."""
-        rng = random.Random(seed)
-        return [
+        rng = random.Random(7)
+        rows = [
             (i, math.nan if rng.random() < 0.02 else rng.uniform(0.0, 100.0))
-            for i in range(n)
+            for i in range(4_000)
         ]
-
-    def test_the_stream_that_made_sharing_visible_cannot_be_built(self):
-        rows = self.sharing_stream()
         first = next(i for i, (_, value) in enumerate(rows) if math.isnan(value))
         built = []
         with pytest.raises(NaNValueError, match=f"t={first}:"):
             for time, value in rows:
                 built.append(Event(time, "k", value))
         assert len(built) == first
-
-    def test_sharing_is_invisible_once_nans_are_infinities(self):
-        """The same stream with every NaN drawn as an infinity: adding
-        unrelated queries moves the cuts and no row."""
-        events = [
-            Event(t, "k", v if v == v else math.copysign(math.inf, t % 2 - 0.5))
-            for t, v in self.sharing_stream()
-        ]
-        texts = [
-            f"SELECT {fn}(value) FROM stream WINDOW TUMBLING 1000 MS"
-            for fn in ("MEDIAN", "MAX", "MIN")
-        ]
-        extra = [
-            "SELECT SUM(value) FROM stream WINDOW TUMBLING 70 MS",
-            "SELECT MEDIAN(value) FROM stream WINDOW TUMBLING 130 MS",
-        ]
-
-        def rows(queries):
-            session = DesisSession()
-            for i, text in enumerate(queries):
-                session.submit(text, query_id=f"q{i}")
-            session.process_many(events)
-            session.close()
-            return [
-                (r.query_id, r.start, r.end, r.event_count, repr(r.value))
-                for r in session.results
-                if r.query_id in ("q0", "q1", "q2")
-            ]
-
-        alone = rows(texts)
-        assert len(alone) == 12
-        assert rows(texts + extra[:1]) == alone
-        assert rows(texts + extra) == alone
 
     @staticmethod
     def engine():
