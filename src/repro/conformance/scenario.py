@@ -292,7 +292,7 @@ class Scenario:
         gap_dt = ((self.gap_ms // n) + 1) * n  # stays on node residue
         for i in range(n):
             rng = random.Random(self.seed * 7_919 + i)
-            # its own stream, so the ordinary draws are the same without
+            # special values draw from their own stream: the others stay put
             special = random.Random((self.seed, "specials", i).__repr__())
             t = i
             events = []
