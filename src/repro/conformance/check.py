@@ -4,8 +4,9 @@ Two layers of checking:
 
 1. **Differential**: every executor configuration of a scenario is
    compared against the reference (``engine``: the per-event engine),
-   *byte-identical* where the contract is exact (alternate punctuation
-   mode, batched ingestion, and fault-plan runs vs their clean twin).
+   *byte-identical* where the contract is exact (batched ingestion, a
+   session holding events between punctuations, and fault-plan runs vs
+   their clean twin).
    Value comparison is governed by the per-operator-kind
    :func:`~repro.conformance.oracle.tolerance_for` policy — exact for
    count/extrema/sorted functions, 1e-9 relative for float folds
@@ -133,12 +134,14 @@ def compare_results(
 
 
 def check_duplicate_query_invariance(
-    scenario: Scenario, streams: dict[str, list[Event]]
+    scenario: Scenario,
+    streams: dict[str, list[Event]],
+    reference: ExecutionResult,
 ) -> list[str]:
     """Submitting the first query twice must not change anything.
 
     The clone's rows must be byte-identical to the original's, and every
-    pre-existing query's rows must match the reference run exactly.
+    pre-existing query's rows must match the ``reference`` run exactly.
     """
     queries = scenario.build_queries()
     if not queries:
@@ -155,25 +158,22 @@ def check_duplicate_query_invariance(
     engine.advance(0)
     for event in merged:
         engine.process(event)
-    sink = engine.close(_final_time(scenario, merged))
-    original_rows = [
-        (r.start, r.end, r.event_count, r.value)
-        for r in sink.for_query(original.query_id)
-    ]
-    clone_rows = [
-        (r.start, r.end, r.event_count, r.value)
-        for r in sink.for_query("__dup__")
-    ]
+    rows = canonical_rows(engine.close(_final_time(scenario, merged)))
+    failures = compare_results(scenario, reference, ExecutionResult(
+        "duplicate-query", [row for row in rows if row[0] != clone.query_id]
+    ))
+    original_rows = [row[1:] for row in rows if row[0] == original.query_id]
+    clone_rows = [row[1:] for row in rows if row[0] == clone.query_id]
     if len(original_rows) != len(clone_rows) or not all(
         left[:3] == right[:3] and values_match(left[3], right[3])
         for left, right in zip(original_rows, clone_rows)
     ):
-        return [
+        failures.append(
             "duplicate-query: clone of "
             f"{original.query_id!r} produced {len(clone_rows)} rows vs "
             f"{len(original_rows)}, or differing values"
-        ]
-    return []
+        )
+    return failures
 
 
 def check_query_alone_invariance(
@@ -393,6 +393,7 @@ def evaluate_scenario(
 
     # the byte-identical contract
     against_reference("engine-batch", cross_fold=False)
+    against_reference("engine-session", cross_fold=False)
     # independently-ordered folds: tolerance on float folds only
     for name in ("oracle", "baseline-scotty", "cluster-desis",
                  "cluster-centralized", "cluster-disco", "parallel-sharded"):
@@ -418,7 +419,7 @@ def evaluate_scenario(
 
     if metamorphic:
         guarded("duplicate-query", check_duplicate_query_invariance,
-                scenario, streams)
+                scenario, streams, reference)
         guarded("query-alone", check_query_alone_invariance,
                 scenario, streams, reference)
         if clean is not None:

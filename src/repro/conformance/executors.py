@@ -1,7 +1,8 @@
 """Executor adapters: one scenario, every engine, one canonical form.
 
 Each adapter runs a :class:`~repro.conformance.scenario.Scenario` through
-one implementation — the single-node engine (per-event and batched), the
+one implementation — the single-node engine (per-event, batched, and
+through a :class:`~repro.interface.DesisSession` fed per event), the
 Scotty baseline, the naive oracle,
 and the Desis / Disco / Centralized cluster deployments — and normalizes
 the emitted windows into canonical rows::
@@ -40,6 +41,7 @@ from repro.core.engine import AggregationEngine
 from repro.core.event import Event, merge_streams
 from repro.core.ordering import ReorderBuffer
 from repro.core.types import WindowType
+from repro.interface import DesisSession
 from repro.conformance.oracle import naive_results
 from repro.conformance.scenario import NEVER, Scenario
 
@@ -163,6 +165,24 @@ def run_engine_reference(scenario, streams) -> ExecutionResult:
 def run_engine_batched(scenario, streams) -> ExecutionResult:
     """Batched ingestion — must be byte-identical to the reference."""
     return _run_engine(scenario, streams, name="engine-batch", batched=True)
+
+
+def run_engine_session(scenario, streams) -> ExecutionResult:
+    """A session fed per event, which holds the events that fire no
+    punctuation and applies them in slice-runs — must be byte-identical
+    to the reference."""
+    merged = _merged(streams)
+    session = DesisSession()
+    for query in scenario.build_queries():
+        session.submit(query)
+    session.advance(0)
+    for event in merged:
+        session.process(event)
+    sink = session.close(_final_time(scenario, merged))
+    return ExecutionResult(
+        "engine-session", canonical_rows(sink),
+        meta={"calculations": session.stats.calculations},
+    )
 
 
 def run_parallel_sharded(scenario, streams) -> ExecutionResult:
@@ -338,7 +358,7 @@ def executor_matrix(scenario: Scenario) -> list[tuple[str, ExecutorFn]]:
     """The applicable executor configurations for ``scenario``, in order.
 
     The first entry is always the differential reference.  Every scenario
-    gets the first six configurations; Disco and the sharded engine join
+    gets the first seven configurations; Disco and the sharded engine join
     when the query mix is inside their supported domain (fixed-size time
     windows), the faulty Desis run when the scenario carries a fault plan,
     and the overload run when it carries overload caps too.
@@ -347,6 +367,7 @@ def executor_matrix(scenario: Scenario) -> list[tuple[str, ExecutorFn]]:
         ("engine", run_engine_reference),
         ("oracle", run_oracle),
         ("engine-batch", run_engine_batched),
+        ("engine-session", run_engine_session),
         ("baseline-scotty", run_scotty),
         ("cluster-desis", run_desis_cluster),
         ("cluster-centralized", run_centralized_cluster),

@@ -156,9 +156,10 @@ def naive_value(query: Query, values: list[float]):
     if fn is AggFunction.PRODUCT:
         return math.prod(values)
     if fn is AggFunction.GEOMETRIC_MEAN:
-        if not values:
-            return None
-        return math.prod(values) ** (1.0 / len(values))
+        product = math.prod(values)
+        if not values or product < 0.0:
+            return None  # undefined, as the engine finalizes it
+        return product ** (1.0 / len(values))
     if fn is AggFunction.MAX:
         return max(values) if values else None
     if fn is AggFunction.MIN:

@@ -1356,6 +1356,28 @@ class AggregationEngine:
         """Batched ingestion for any iterable of in-order events."""
         self.process_batch(events)
 
+    def quiet_until(self) -> int | None:
+        """The earliest time at which any group could drain.
+
+        An in-order event strictly before it fires no punctuation: it
+        only extends the open slices, so it may wait and join a later
+        :meth:`process_batch` with nothing observable moved.  ``None``
+        when that cannot be read ahead: a group not bootstrapped yet,
+        one whose session, count or user-defined windows open and close
+        on the events themselves, one with no punctuation pending, or no
+        group at all.  Valid until the next call that changes state.
+        """
+        quiet = None
+        for group in self.groups:
+            if not group._bootstrapped or group._data_driven:
+                return None
+            due = group._next_punctuation()
+            if due is None:
+                return None
+            if quiet is None or due < quiet:
+                quiet = due
+        return quiet
+
     def advance(self, time: int) -> None:
         """Apply a watermark to every group."""
         for group in self.groups:

@@ -132,7 +132,7 @@ def _geometric_mean(spec, partials):
         return None
     product = partials.get(_PRODUCT, 1.0)
     if product < 0.0:
-        raise QueryError("geometric mean is undefined for negative products")
+        return None  # undefined (no real root), like an empty window's
     return product ** (1.0 / count)
 
 
@@ -202,7 +202,8 @@ def finalize(spec: FunctionSpec, partials: Mapping[OperatorKind, Any]):
     ``partials`` may omit operators the window never executed (an empty
     selection context); the operator identities are assumed for the missing
     entries.  Returns ``None`` for functions that are undefined on empty
-    windows (average, geometric mean, min/max, median, quantile).
+    windows (average, geometric mean, min/max, median, quantile), and for
+    the geometric mean of a negative product.
     """
     try:
         finalizer = _FINALIZERS[spec.fn]

@@ -804,11 +804,18 @@ class StringCodec(Codec):
         return json.dumps(payload).encode("utf-8")
 
     def decode(self, data: bytes) -> Message:
+        """Decode one frame; anything malformed raises ``CodecError``:
+        text that is not JSON, a missing key, a field of the wrong shape,
+        an unknown message type or operator kind, and an event whose
+        value is not a number or is NaN."""
         try:
-            payload = json.loads(data.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+            return _from_jsonable(json.loads(data.decode("utf-8")))
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            # LookupError: a missing key; TypeError / AttributeError: a
+            # field of the wrong JSON type; ValueError: undecodable text,
+            # an unknown operator kind, a row of the wrong length, or an
+            # event value that is NaN (NaNValueError)
             raise CodecError(f"corrupt string message: {exc}") from exc
-        return _from_jsonable(payload)
 
 
 def _ops_to_jsonable(ops: dict[OperatorKind, Any]) -> dict[str, Any]:
@@ -865,6 +872,18 @@ def _records_from_jsonable(data: list[dict[str, Any]]) -> list[SliceRecord]:
         )
         for record in data
     ]
+
+
+def _event_from_jsonable(row: list[Any]) -> Event:
+    time, key, value, marker = row
+    if (
+        type(time) is not int
+        or type(key) is not str
+        or type(value) not in (float, int)
+        or not (marker is None or type(marker) is str)
+    ):
+        raise TypeError(f"malformed event row: {row!r}")
+    return Event(time, key, value, marker)
 
 
 def _to_jsonable(message: Message) -> dict[str, Any]:
@@ -994,7 +1013,7 @@ def _from_jsonable(data: dict[str, Any]) -> Message:
         return EventBatchMessage(
             sender=data["sender"],
             covered_to=data["covered_to"],
-            events=[Event(t, k, v, m) for t, k, v, m in data["events"]],
+            events=[_event_from_jsonable(row) for row in data["events"]],
         )
     if kind == "window":
         return WindowPartialMessage(

@@ -106,6 +106,28 @@ class TestTumbling:
         ]
         assert_matches_oracle(queries, events)
 
+    def test_negative_geomean_window_is_none_and_spares_the_others(self):
+        """One negative value makes its window's geometric mean undefined
+        (``None``, engine and oracle alike); the run goes on, and a SUM
+        beside it reads the rows it reads alone."""
+        events = [
+            type(e)(e.time, e.key, e.value + 1.0, e.marker)
+            for e in make_stream(300, value_mod=7)
+        ]
+        events[40] = type(events[40])(events[40].time, "a", -2.0)
+        total = Query.of("s", WindowSpec.tumbling(50), AggFunction.SUM)
+        queries = [
+            total,
+            Query.of("g", WindowSpec.tumbling(50), AggFunction.GEOMETRIC_MEAN),
+        ]
+        sink, _ = run_engine(queries, events)
+        alone, _ = run_engine([total], events)
+        assert sink.for_query("s") == alone.for_query("s")
+        undefined = [r for r in sink.for_query("g") if r.value is None]
+        assert len(undefined) == 1
+        assert undefined[0].start <= events[40].time < undefined[0].end
+        assert_matches_oracle(queries, events)
+
 
 class TestSliding:
     @pytest.mark.parametrize("fn,quantile", FUNCTIONS)

@@ -116,9 +116,10 @@ class TestFinalize:
     def test_geometric_mean(self):
         assert _run(FunctionSpec(F.GEOMETRIC_MEAN), [1.0, 4.0]) == pytest.approx(2.0)
 
-    def test_geometric_mean_negative_product_rejected(self):
-        with pytest.raises(QueryError):
-            _run(FunctionSpec(F.GEOMETRIC_MEAN), [-1.0, 2.0])
+    def test_geometric_mean_negative_product_is_none(self):
+        """No real root: undefined, like an empty window, not an error."""
+        assert _run(FunctionSpec(F.GEOMETRIC_MEAN), [-1.0, 2.0]) is None
+        assert _run(FunctionSpec(F.GEOMETRIC_MEAN), [-1.0, -4.0]) == 2.0
 
     def test_min_max_from_dsort(self):
         assert _run(FunctionSpec(F.MAX), [3.0, 9.0, 1.0]) == 9.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 from dataclasses import replace
@@ -399,6 +400,58 @@ def test_an_event_frame_holding_a_nan_value_is_a_codec_error():
     assert frame.count(value) == 1
     with pytest.raises(CodecError, match="NaN"):
         codec.decode(frame.replace(value, struct.pack(">d", math.nan)))
+
+
+class TestMalformedStringFrames:
+    """Hand-edited JSON frames: whatever is wrong with one, decoding it
+    raises ``CodecError`` and nothing else."""
+
+    FRAME = {"type": "events", "sender": "l", "covered_to": 3,
+             "events": [[3, "k", 0.25, None]]}
+
+    @staticmethod
+    def decode(frame):
+        return StringCodec().decode(json.dumps(frame).encode())
+
+    def test_the_unedited_frame_decodes(self):
+        message = self.decode(self.FRAME)
+        assert message.events == [Event(3, "k", 0.25)]
+
+    def test_a_missing_key(self):
+        for key in ("sender", "covered_to", "events"):
+            frame = {k: v for k, v in self.FRAME.items() if k != key}
+            with pytest.raises(CodecError):
+                self.decode(frame)
+
+    def test_an_unknown_operator_kind(self):
+        frame = json.loads(StringCodec().encode(WindowPartialMessage(
+            sender="l", query_id="q", start=0, end=1, count=1, covered_to=1,
+            ops={K.SUM: 1.0},
+        )))
+        frame["ops"] = {"no-such-kind": 1.0}
+        with pytest.raises(CodecError):
+            self.decode(frame)
+
+    def test_a_nan_event_value(self):
+        # json writes and reads NaN as a bare literal
+        with pytest.raises(CodecError, match="NaN"):
+            self.decode({**self.FRAME, "events": [[3, "k", math.nan, None]]})
+
+    @pytest.mark.parametrize("value", ["x", None, True, [1.0]])
+    def test_an_event_value_that_is_not_a_number(self, value):
+        with pytest.raises(CodecError):
+            self.decode({**self.FRAME, "events": [[3, "k", value, None]]})
+
+    @pytest.mark.parametrize("row", [[3, "k", 0.25], ["3", "k", 0.25, None],
+                                     [3, 7, 0.25, None], [3, "k", 0.25, 1]])
+    def test_an_event_row_of_the_wrong_shape(self, row):
+        with pytest.raises(CodecError):
+            self.decode({**self.FRAME, "events": [row]})
+
+    def test_a_frame_that_is_not_an_object(self):
+        for payload in ([], "events", 3, None):
+            with pytest.raises(CodecError):
+                self.decode(payload)
 
 
 def test_every_truncation_of_a_snapshot_chunk_is_a_codec_error():

@@ -27,13 +27,11 @@ def test_binary_decode_never_crashes(data):
 @settings(max_examples=200, deadline=None)
 @given(data=st.binary(max_size=300))
 def test_string_decode_never_crashes(data):
+    """JSON that parses but has the wrong shape is a CodecError too."""
     codec = StringCodec()
     try:
         message = codec.decode(data)
-    except (CodecError, KeyError, TypeError, AttributeError):
-        # JSON that parses but has the wrong shape may surface shape
-        # errors; they must at least be deterministic exceptions, not
-        # crashes deeper in the stack.
+    except CodecError:
         return
     assert isinstance(message, Message)
 
