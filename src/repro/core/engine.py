@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import inf
 from typing import Iterable, Sequence
 
 from repro.core.analyzer import QueryGroup, analyze
@@ -1356,24 +1357,26 @@ class AggregationEngine:
         """Batched ingestion for any iterable of in-order events."""
         self.process_batch(events)
 
-    def quiet_until(self) -> int | None:
+    def quiet_until(self) -> float | None:
         """The earliest time at which any group could drain.
 
         An in-order event strictly before it fires no punctuation: it
         only extends the open slices, so it may wait and join a later
-        :meth:`process_batch` with nothing observable moved.  ``None``
-        when that cannot be read ahead: a group not bootstrapped yet,
-        one whose session, count or user-defined windows open and close
-        on the events themselves, one with no punctuation pending, or no
-        group at all.  Valid until the next call that changes state.
+        :meth:`process_batch` with nothing observable moved.  ``-inf``
+        while a group is not bootstrapped yet or has no punctuation
+        pending: no event may wait now, but one may after the next event.
+        ``None`` while the queries never let events wait: a group whose
+        session, count or user-defined windows open and close on the
+        events themselves, or no group at all.  Valid until the next call
+        that changes state.
         """
         quiet = None
         for group in self.groups:
-            if not group._bootstrapped or group._data_driven:
+            if group._data_driven:
                 return None
-            due = group._next_punctuation()
+            due = group._next_punctuation() if group._bootstrapped else None
             if due is None:
-                return None
+                due = -inf
             if quiet is None or due < quiet:
                 quiet = due
         return quiet

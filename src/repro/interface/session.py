@@ -19,7 +19,7 @@ backend, DESIGN.md §13).
 
 An in-process session holds in-order events that fire no punctuation
 (those strictly before :meth:`AggregationEngine.quiet_until`) and applies
-them as one slice-run batch with the first event that may, or at
+them as one slice-run batch right before the first event that may, or at
 :data:`HOLD_CAP`, or before anything reads or changes the engine: results
 come out in the call, and with the ``emitted_at``, of per-event
 ingestion (DESIGN.md §3, "The session holds what fires no punctuation").
@@ -48,8 +48,9 @@ __all__ = ["DesisSession"]
 HOLD_CAP = 4096
 #: fewer held events than this are applied per event: below it the
 #: batch's fixed cost (columns, order check, deadline bisect) is more
-#: than the per-event calls it saves
-BATCH_MIN = 8
+#: than the per-event calls it saves (EXPERIMENTS.md, "Dense
+#: punctuations")
+BATCH_MIN = 16
 
 
 def _hold_nothing() -> None:
@@ -91,9 +92,10 @@ class DesisSession:
         self._held: list[Event] = []
         #: the stream time the engine has once ``_held`` is applied
         self._last: float = -inf
-        #: an event in ``[_last, _quiet)`` is held; ``None`` holds none.
-        #: ``-inf`` until the first event, which is applied at once and
-        #: bootstraps the groups
+        #: an event in ``[_last, _quiet)`` is held. ``-inf`` holds none
+        #: and reads the quiet time again after the next event (the first
+        #: one, which bootstraps the groups); ``None`` holds none until
+        #: the queries change
         self._quiet: float | None = None
         self._read_quiet = _hold_nothing
 
@@ -222,16 +224,19 @@ class DesisSession:
             self._apply_held()
             engine.process(event)
             return
-        held = self._held
-        held.append(event)
         self._last = time
-        if time >= quiet:
-            # It may drain: applied with the list, it emits in this call,
-            # as it would alone.
+        if time < quiet:
+            held = self._held
+            held.append(event)
+            if len(held) >= HOLD_CAP:
+                self._apply_held()
+            return
+        # It may drain: applied right after the list, it emits in this
+        # call, as it would alone.
+        if self._held:
             self._apply_held()
-            self._quiet = self._read_quiet()
-        elif len(held) >= HOLD_CAP:
-            self._apply_held()
+        engine.process(event)
+        self._quiet = self._read_quiet()
 
     def process_many(self, events: Iterable[Event]) -> None:
         engine = self._ensure_engine()
@@ -268,6 +273,16 @@ class DesisSession:
 
     @property
     def stats(self) -> EngineStats:
+        """The engine's live counters, with the held events applied.
+
+        A kept reference moves with the engine, which sees held events
+        only when they are applied. So its per-event counters
+        (``events``, ``inserts``, ``calculations``, ``selection_checks``,
+        ``duplicates_dropped``) are exact right after a read of this
+        property and may lag by up to :data:`HOLD_CAP` events between
+        reads. The counters that move at a punctuation (slices, windows,
+        results, merges) are exact after every call.
+        """
         engine = self._ensure_engine()
         self._apply_held()
         return engine.stats

@@ -3,9 +3,9 @@ per-event engine.
 
 ``DesisSession.process`` holds an in-order event that fires no
 punctuation (strictly before ``AggregationEngine.quiet_until()``) and
-applies the held list through ``process_batch`` with the first event
-that may drain, at ``HOLD_CAP``, or before anything reads or changes the
-engine.  None of that may show: after every call the rows so far (value,
+applies the held list through ``process_batch`` right before the first
+event that may drain, at ``HOLD_CAP``, or before anything reads or
+changes the engine.  None of that may show: after every call the rows so far (value,
 order and ``emitted_at``) are those of an ``AggregationEngine`` fed the
 same calls per event, stats read equal, and an out-of-order event or
 watermark raises the same error in the same call.
@@ -250,18 +250,18 @@ class TestCallCounts:
         batches, singles = spy(monkeypatch)
         session = DesisSession()
         session.submit(Query.of("tum", WindowSpec.tumbling(100), F.SUM))
-        for time in range(0, 1_000, 10):
+        for time in range(0, 1_000, 5):
             session.process(Event(time, "a", 1.0))
-            if time % 100 == 90:  # held up to the next punctuation
-                assert not batches or batches[-1] == 10
-        # the first event alone (too few to batch), then one batch per
-        # punctuation: the nine held events and the one at it
-        assert singles == [0]
-        assert batches == [10] * 9
-        session.process(Event(995, "a", 1.0))
-        assert batches == [10] * 9
-        assert session.stats.events == 101  # the read flushes first
-        assert batches == [10] * 9 + [10]
+            if time % 100 == 95:  # held up to the next punctuation
+                assert not batches or batches[-1] == 19
+        # at each punctuation one batch of the 19 held events, then the
+        # event at it alone
+        assert singles == list(range(0, 1_000, 100))
+        assert batches == [19] * 9
+        session.process(Event(999, "a", 1.0))
+        assert batches == [19] * 9
+        assert session.stats.events == 201  # the read flushes first
+        assert batches == [19] * 9 + [20]
 
     def test_the_cap_flushes_a_long_quiet_stretch(self, monkeypatch):
         batches, singles = spy(monkeypatch)
@@ -298,18 +298,34 @@ class TestCallCounts:
     ):
         batches, _ = spy(monkeypatch)
         session = DesisSession()
-        session.submit(Query.of("tum", WindowSpec.tumbling(100), F.SUM))
-        session.submit(Query.of("ses", WindowSpec.session(50), F.SUM))
+        session.submit(Query.of("tum", WindowSpec.tumbling(200), F.SUM))
+        session.submit(Query.of("ses", WindowSpec.session(100), F.SUM))
         session.process(Event(0, "a", 1.0))
         session.remove("ses")
-        for time in range(5, 100, 5):
+        for time in range(5, 200, 5):
             session.process(Event(time, "a", 1.0))
-        # the removed session's end at 50 is still on the heap: a lower
-        # bound, so one flush there, and the next one at 100
-        assert batches == [10]
-        assert len(session._held) == 9
-        session.process(Event(100, "a", 1.0))
-        assert batches == [10, 10]
+        # the removed session's end at 100 is still on the heap: a lower
+        # bound, so one flush there, and the next one at 200
+        assert batches == [19]
+        assert len(session._held) == 19
+        session.process(Event(200, "a", 1.0))
+        assert batches == [19, 19]
+
+    def test_a_query_submitted_after_a_stats_read_still_holds(
+        self, monkeypatch
+    ):
+        """Reading ``stats`` builds the engine before any query; the one
+        submitted next has no stream time to bootstrap at, so the quiet
+        time is read again after the first event."""
+        batches, singles = spy(monkeypatch)
+        session = DesisSession()
+        assert session.stats.events == 0
+        session.submit(Query.of("tum", WindowSpec.tumbling(100), F.SUM))
+        for time in range(0, 200, 5):
+            session.process(Event(time, "a", 1.0))
+        assert singles == [0, 100]
+        assert batches == [19]
+        assert len(session._held) == 19
 
     def test_a_sharded_session_holds_nothing(self):
         session = DesisSession(shards=2)
@@ -327,6 +343,5 @@ class TestCallCounts:
         session.submit(Query.of("tum", WindowSpec.tumbling(100), F.SUM))
         session.process(Event(0, "a", 1.0))
         session.close()
-        session.submit(Query.of("late", WindowSpec.tumbling(50), F.SUM))
         with pytest.raises(Exception, match="closed"):
             session.process(Event(10, "a", 1.0))
