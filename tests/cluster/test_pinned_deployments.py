@@ -1,0 +1,197 @@
+"""The three simulated deployments' outputs, pinned.
+
+Desis (clean and batched, over a lossy network, and checkpointed through
+a state-losing crash of its intermediate, with a node and a query added
+mid-run), centralized Scotty and Disco each replay one seeded stream.
+Every run pins its rows in emission order with their emission times, its
+trace, all
+of its :class:`~repro.network.simnet.NetworkStats` counters, and every
+field of its :class:`~repro.cluster.ClusterRunResult` that does not
+measure seconds.  The deployments share one driver; a change to how it
+builds the network, injects, ticks or finishes moves a digest here.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from repro.baselines import ScottyProcessor
+from repro.cluster import CentralizedCluster, ClusterConfig, DesisCluster, DiscoCluster
+from repro.core.event import Event
+from repro.core.query import Query, WindowSpec
+from repro.core.types import AggFunction
+from repro.network.simnet import CrashWindow, FaultPlan
+from repro.obs.exporters import render_trace_jsonl
+from repro.network.topology import three_tier
+
+from tests.cluster.test_desis_parity import make_streams
+
+NEVER = 10**9  # a node_timeout that never fires
+
+#: fixed time windows: what every deployment, Disco included, supports
+FIXED = [
+    Query.of("tum", WindowSpec.tumbling(1_000), AggFunction.AVERAGE),
+    Query.of("sld", WindowSpec.sliding(1_000, 250), AggFunction.SUM),
+    Query.of("med", WindowSpec.tumbling(500), AggFunction.MEDIAN),
+]
+#: beside them a session window, which only Desis and Scotty run
+MIXED = [*FIXED, Query.of("ses", WindowSpec.session(gap=60), AggFunction.MAX)]
+
+
+def _add_node_and_query(cluster):
+    extra = [Event(4_600 + 7 * i, "k", float(i % 13)) for i in range(150)]
+    cluster.add_local_node("local-9", "mid-0", extra)
+    cluster.add_query(
+        Query.of("late", WindowSpec.tumbling(400), AggFunction.COUNT)
+    )
+
+
+def _desis(**cfg):
+    actions = cfg.pop("actions", None)
+    cluster = DesisCluster(
+        MIXED, three_tier(3, 1), config=ClusterConfig(tick_interval=100, **cfg)
+    )
+    return cluster.run(_streams(), actions=actions)
+
+
+def _streams():
+    return make_streams(3, 1_000, seed=5, gap_every=150)
+
+
+RUNS = {
+    "desis-clean": lambda: _desis(batch_ms=50),
+    "desis-faulty": lambda: _desis(
+        fault_plan=FaultPlan(
+            seed=3, drop_rate=0.05, duplicate_rate=0.02, jitter_ms=2.0
+        ),
+        node_timeout=NEVER,
+    ),
+    "desis-checkpointed": lambda: _desis(
+        fault_plan=FaultPlan(
+            seed=2, crashes=(CrashWindow("mid-0", 2_500, 4_000, lose_state=True),)
+        ),
+        checkpoint_interval=700,
+        node_timeout=NEVER,
+        trace=True,
+        actions=[(4_500, _add_node_and_query)],
+    ),
+    "scotty": lambda: CentralizedCluster(
+        MIXED, three_tier(3, 1), ScottyProcessor,
+        config=ClusterConfig(tick_interval=100, batch_ms=50),
+    ).run(_streams()),
+    # batch_ms is set and must not matter: Disco's locals ingest per event
+    "disco": lambda: DiscoCluster(
+        FIXED, three_tier(4, 2), config=ClusterConfig(tick_interval=100, batch_ms=50),
+    ).run(make_streams(4, 800, seed=9)),
+}
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(
+        json.dumps(obj, sort_keys=True, default=repr).encode()
+    ).hexdigest()
+
+
+def observe(result) -> dict:
+    """Everything a run produced that does not take seconds."""
+    net = dataclasses.asdict(result.network)
+    for name, value in net.items():
+        if isinstance(value, dict):
+            net[name] = sorted((repr(k), v) for k, v in value.items())
+    return {
+        "rows": len(result.sink),
+        "rows_sha": _digest([
+            (r.query_id, r.start, r.end, r.event_count, repr(r.value), r.emitted_at)
+            for r in result.sink
+        ]),
+        "network_sha": _digest(net),
+        "data_bytes": result.network.data_bytes,
+        "events": result.events,
+        "local_stats_sha": _digest(
+            {node: dataclasses.asdict(stats)
+             for node, stats in result.local_stats.items()}
+        ),
+        "nodes": list(result.node_cpu),
+        "roles": sorted(role.value for role in result.cpu_by_role),
+        "trace_sha": _digest(render_trace_jsonl(result.recorder)),
+        "counters": [
+            result.checkpoints, result.recoveries, result.reroutes,
+            result.duplicates_suppressed, result.root_merge_ops,
+            result.degraded_windows, result.slices_shed, result.peak_staging,
+            result.slow_consumer_evictions,
+        ],
+    }
+
+
+#: run -> its observed outputs (``observe``)
+PINNED = {
+    "desis-clean": {
+        "rows": 108,
+        "rows_sha": "177a544dc7c57ae0fcf710dd57c9067c1b0acb1b05939dd995f693993729030b",
+        "network_sha": "ac06b4e6956adebf0c9b6863510b1f2d06de1310fb88b19c66324a85a19d6585",
+        "data_bytes": 158973,
+        "events": 3000,
+        "local_stats_sha": "3413861b8ccc0dcf6930e58d221cf3b901a307aae35d41b16fa03fa03c82dde0",
+        "nodes": ["root", "local-0", "local-1", "local-2", "mid-0"],
+        "roles": ["intermediate", "local", "root"],
+        "trace_sha": "12ae32cb1ec02d01eda3581b127c1fee3b0dc53572ed6baf239721a03d82e126",
+        "counters": [0, 0, 0, 0, 780, 0, 0, 0, 0],
+    },
+    "desis-faulty": {
+        "rows": 108,
+        "rows_sha": "10ee9faadeecf5c547bab31275074035d8e006dc10a5fe5fd5debd21be796ced",
+        "network_sha": "52e590d28b2aeb17115abf1778e7257cc46413888f6e7ef6a9ba49e69fdda4c0",
+        "data_bytes": 195782,
+        "events": 3000,
+        "local_stats_sha": "3413861b8ccc0dcf6930e58d221cf3b901a307aae35d41b16fa03fa03c82dde0",
+        "nodes": ["root", "local-0", "local-1", "local-2", "mid-0"],
+        "roles": ["intermediate", "local", "root"],
+        "trace_sha": "12ae32cb1ec02d01eda3581b127c1fee3b0dc53572ed6baf239721a03d82e126",
+        "counters": [0, 0, 0, 0, 780, 0, 0, 0, 0],
+    },
+    "desis-checkpointed": {
+        "rows": 139,
+        "rows_sha": "2e84490d6bda17961af14354fd68673f2c5fedc28312ffd98b78f2a52e72fa1b",
+        "network_sha": "fc13634b123b5dd79429d23e3d5cc934786e9e2888388ce0c5a01a22627dee13",
+        "data_bytes": 237820,
+        "events": 3000,
+        "local_stats_sha": "84e5b29f3679c06adbf76e1691788f84187b1c18ca305d4ccdc8638feacd1a68",
+        "nodes": ["root", "local-0", "local-1", "local-2", "mid-0", "local-9"],
+        "roles": ["intermediate", "local", "root"],
+        "trace_sha": "50350189aff05248ec9bef153ef45886e1bc146dc56cbe2228c95be3eaf8994b",
+        "counters": [17, 1, 0, 0, 912, 0, 0, 0, 0],
+    },
+    "scotty": {
+        "rows": 108,
+        "rows_sha": "480db16e3206cc1dae81db5be1e258815f3533c78ee741e177f47b4cfd45d704",
+        "network_sha": "53107921da206d7c6307f102ad5f8e3bf01eeaae44eb7b200b34b260adaaa4a2",
+        "data_bytes": 146664,
+        "events": 3000,
+        "local_stats_sha": "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
+        "nodes": ["root", "local-0", "local-1", "local-2", "mid-0"],
+        "roles": ["intermediate", "local", "root"],
+        "trace_sha": "12ae32cb1ec02d01eda3581b127c1fee3b0dc53572ed6baf239721a03d82e126",
+        "counters": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+    },
+    "disco": {
+        "rows": 63,
+        "rows_sha": "1ae4716d1a13472c4f3af4855dfc9444e57854f05fe8027715a27641595c9fbc",
+        "network_sha": "bf77885a72c56b8f6358d68c2d3c085f8bbdd32e064ef9a6fd3e0516624159c0",
+        "data_bytes": 95333,
+        "events": 3200,
+        "local_stats_sha": "2bb9b8a5294012f737111639d9465f62a4801ef44bdaa6b683497683e953561d",
+        "nodes": ["root", "local-0", "local-1", "local-2", "local-3", "mid-0", "mid-1"],
+        "roles": ["intermediate", "local", "root"],
+        "trace_sha": "12ae32cb1ec02d01eda3581b127c1fee3b0dc53572ed6baf239721a03d82e126",
+        "counters": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+    },
+}
+
+
+@pytest.mark.parametrize("run", list(RUNS))
+def test_deployment_outputs_are_pinned(run):
+    assert observe(RUNS[run]()) == PINNED[run]
