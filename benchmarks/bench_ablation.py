@@ -16,8 +16,13 @@ from repro.baselines import DeBucketProcessor, DesisProcessor
 from repro.core.engine import AggregationEngine
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction, SharingPolicy
-from repro.harness import fmt_rate, print_table, run_processor, tumbling_queries
-from repro.metrics import fmt_bytes
+from repro.harness import (
+    fmt_bytes,
+    fmt_rate,
+    print_table,
+    run_processor,
+    tumbling_queries,
+)
 from repro.network.codec import BinaryCodec, StringCodec
 from repro.network.messages import EventBatchMessage
 

@@ -50,7 +50,7 @@ def test_fig6a_single_window_latency(events, benchmark):
             tumbling_queries(1),
             events,
             measure_latency=True,
-            latency_sample_every=500,
+            sample_every=500,
         )
         rows.append(
             [

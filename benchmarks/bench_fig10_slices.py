@@ -77,7 +77,7 @@ def sweep(events, configurations):
                 window_query(slice_size, n_slices, sliced=sliced),
                 events,
                 measure_latency=True,
-                latency_sample_every=997,
+                sample_every=997,
             )
             cells.append(stats)
         table[name] = cells

@@ -21,8 +21,7 @@ from repro.core.predicates import Selection
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction, NodeRole
 from repro.cluster import CentralizedCluster, ClusterConfig, DesisCluster, DiscoCluster
-from repro.harness import print_table
-from repro.metrics import breakdown, fmt_bytes
+from repro.harness import fmt_bytes, print_table
 from repro.network.topology import three_tier
 
 from conftest import cluster_streams
@@ -64,13 +63,12 @@ def run_all(queries, streams):
 def _table(figure, runs):
     rows = []
     for name, run in runs.items():
-        rolled = breakdown(run.network)
         rows.append(
             [
                 name,
-                fmt_bytes(rolled.local_bytes),
-                fmt_bytes(rolled.intermediate_bytes),
-                fmt_bytes(rolled.data_bytes),
+                fmt_bytes(run.network.local_bytes),
+                fmt_bytes(run.network.intermediate_bytes),
+                fmt_bytes(run.network.data_bytes),
             ]
         )
     print_table(figure, ["system", "local", "intermediate", "total data"], rows)
@@ -80,11 +78,11 @@ def test_fig11a_decomposable_savings(benchmark):
     streams = cluster_streams(1, N)
     runs = run_all(avg_query(), streams)
     _table("Fig 11a: network bytes, 1 average query", runs)
-    desis = breakdown(runs["Desis"].network).data_bytes
-    scotty = breakdown(runs["Scotty"].network).data_bytes
+    desis = runs["Desis"].network.data_bytes
+    scotty = runs["Scotty"].network.data_bytes
     # The paper's "saves 99% of network overhead".
     assert desis < scotty / 50
-    disco = breakdown(runs["Disco"].network).data_bytes
+    disco = runs["Disco"].network.data_bytes
     assert disco < scotty / 10
     benchmark.pedantic(
         lambda: DesisCluster(avg_query(), topo(), config=config()).run(
@@ -98,7 +96,7 @@ def test_fig11b_non_decomposable_ships_all(benchmark):
     streams = cluster_streams(1, N)
     runs = run_all(median_query(), streams)
     _table("Fig 11b: network bytes, 1 median query", runs)
-    rolled = {name: breakdown(run.network).data_bytes for name, run in runs.items()}
+    rolled = {name: run.network.data_bytes for name, run in runs.items()}
     # Everyone ships every value: same order of magnitude (paper: all
     # around 3 GB for 100M events)...
     assert rolled["Desis"] > rolled["Scotty"] / 4
@@ -129,7 +127,7 @@ def test_fig11c_bytes_vs_keys(benchmark):
         ]
         streams = cluster_streams(1, N, keys=n_keys)
         run = DesisCluster(queries, topo(), config=config()).run(streams)
-        desis_bytes[n_keys] = breakdown(run.network).data_bytes
+        desis_bytes[n_keys] = run.network.data_bytes
         rows.append([n_keys, fmt_bytes(desis_bytes[n_keys])])
     print_table(
         "Fig 11c: Desis network bytes vs distinct keys",
@@ -154,8 +152,8 @@ def test_fig11d_bytes_vs_windows(benchmark):
         streams = cluster_streams(1, N, keys=1)
         desis = DesisCluster(queries, topo(), config=config()).run(dict(streams))
         disco = DiscoCluster(queries, topo(), config=config()).run(dict(streams))
-        collected[("Desis", n_windows)] = breakdown(desis.network).data_bytes
-        collected[("Disco", n_windows)] = breakdown(disco.network).data_bytes
+        collected[("Desis", n_windows)] = desis.network.data_bytes
+        collected[("Disco", n_windows)] = disco.network.data_bytes
         rows.append(
             [
                 n_windows,

@@ -26,8 +26,8 @@ from repro.baselines import (
 from repro.core.types import WindowType
 from repro.cluster import CentralizedCluster, ClusterConfig, DesisCluster
 from repro.datagen import DebsConfig, DebsGenerator, QueryGenerator, QueryGeneratorConfig
-from repro.harness import fmt_rate, print_table, run_processor
-from repro.metrics import breakdown, fmt_bytes, modeled_sustainable_throughput
+from repro.harness import fmt_bytes, fmt_rate, print_table, run_processor
+from repro.metrics import modeled_sustainable_throughput
 from repro.network.topology import three_tier
 
 N = 50_000
@@ -129,14 +129,14 @@ def test_fig13b_pi_cluster_scaling(benchmark):
         # Bandwidth-capped sustainable throughput for the centralized
         # system: bytes/event on the shared uplink vs the 1G budget.
         central_bytes_per_event = (
-            breakdown(central.network).data_bytes / 2 / events
+            central.network.data_bytes / 2 / events
         )
         central_rate = modeled_sustainable_throughput(
             node_rates=[central.modeled_parallel_throughput],
             bytes_per_event=central_bytes_per_event,
             link_bandwidth_bytes_per_s=GIGABIT * 1_000,
         )
-        desis_bytes_per_event = breakdown(desis.network).data_bytes / 2 / events
+        desis_bytes_per_event = desis.network.data_bytes / 2 / events
         desis_rate = modeled_sustainable_throughput(
             node_rates=[desis.modeled_parallel_throughput],
             bytes_per_event=desis_bytes_per_event,
@@ -187,7 +187,7 @@ def test_fig13cd_pi_network_and_latency(benchmark):
         rows.append(
             [
                 name,
-                fmt_bytes(breakdown(run.network).data_bytes / span_s) + "/s",
+                fmt_bytes(run.network.data_bytes / span_s) + "/s",
                 f"{statistics.fmean(lags):.0f} ms" if lags else "-",
             ]
         )
@@ -196,7 +196,7 @@ def test_fig13cd_pi_network_and_latency(benchmark):
         ["system", "network rate", "mean event-time latency"],
         rows,
     )
-    desis_rate = breakdown(runs["Desis"].network).data_bytes / span_s
-    scotty_rate = breakdown(runs["Scotty"].network).data_bytes / span_s
+    desis_rate = runs["Desis"].network.data_bytes / span_s
+    scotty_rate = runs["Scotty"].network.data_bytes / span_s
     assert desis_rate < scotty_rate / 50
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

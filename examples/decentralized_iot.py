@@ -19,9 +19,9 @@ from repro.cluster import CentralizedCluster, ClusterConfig, DesisCluster
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction
 from repro.datagen import DataGenerator, DataGeneratorConfig
-from repro.harness import print_table
+from repro.harness import fmt_bytes, print_table
 from repro.interface import parse_query
-from repro.metrics import breakdown, event_time_latencies, fmt_bytes
+from repro.metrics import event_time_latencies
 from repro.network.topology import three_tier
 
 
@@ -66,13 +66,12 @@ def main() -> None:
 
     rows = []
     for name, run in (("Desis (decentralized)", desis), ("Scotty (centralized)", central)):
-        rolled = breakdown(run.network)
         lags = event_time_latencies(run.sink)
         rows.append(
             [
                 name,
                 len(run.sink),
-                fmt_bytes(rolled.data_bytes),
+                fmt_bytes(run.network.data_bytes),
                 f"{statistics.fmean(lags):.0f} ms" if lags else "-",
             ]
         )
@@ -81,7 +80,7 @@ def main() -> None:
         ["deployment", "results", "network data", "mean result latency"],
         rows,
     )
-    saved = 1 - breakdown(desis.network).data_bytes / breakdown(central.network).data_bytes
+    saved = 1 - desis.network.data_bytes / central.network.data_bytes
     print(f"\nDesis saves {saved:.1%} of network traffic.")
 
     same = sorted(

@@ -33,6 +33,7 @@ from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction
 from repro.datagen import DataGenerator, DataGeneratorConfig
 from repro.harness import (
+    fmt_bytes,
     fmt_rate,
     print_table,
     quantile_queries,
@@ -40,7 +41,6 @@ from repro.harness import (
     tumbling_queries,
 )
 from repro.interface import DesisSession
-from repro.metrics import breakdown, fmt_bytes
 from repro.network.simnet import CrashWindow, FaultPlan
 from repro.network.topology import three_tier
 from repro.obs import (
@@ -215,13 +215,13 @@ def cmd_cluster(args) -> int:
             [
                 "Desis (decentralized)",
                 len(desis.sink),
-                fmt_bytes(breakdown(desis.network).data_bytes),
+                fmt_bytes(desis.network.data_bytes),
                 fmt_rate(desis.modeled_parallel_throughput),
             ],
             [
                 "Scotty (centralized)",
                 len(central.sink),
-                fmt_bytes(breakdown(central.network).data_bytes),
+                fmt_bytes(central.network.data_bytes),
                 fmt_rate(central.modeled_parallel_throughput),
             ],
         ],

@@ -7,7 +7,8 @@ from repro.cluster.checkpoint import (
     InMemoryCheckpointStore,
 )
 from repro.cluster.config import ClusterConfig
-from repro.cluster.desis import ClusterRunResult, DesisCluster
+from repro.cluster.deployment import ClusterRunResult
+from repro.cluster.desis import DesisCluster
 from repro.cluster.disco import DiscoCluster
 from repro.cluster.intermediate import IntermediateNode
 from repro.cluster.local import LocalNode

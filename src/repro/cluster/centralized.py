@@ -18,7 +18,7 @@ from repro.core.event import Event
 from repro.core.query import Query
 from repro.core.types import NodeRole
 from repro.cluster.config import ClusterConfig
-from repro.cluster.desis import ClusterRunResult
+from repro.cluster.deployment import ClusterRunResult, Deployment
 from repro.network.messages import ControlMessage, EventBatchMessage
 from repro.network.simnet import SimNetwork, SimNode
 from repro.network.topology import Topology
@@ -117,7 +117,7 @@ class _CentralRoot(SimNode):
         self.processor.close(self.fed_to)
 
 
-class CentralizedCluster:
+class CentralizedCluster(Deployment):
     """CeBuffer/Scotty deployed over a topology: only the root computes."""
 
     def __init__(
@@ -128,79 +128,29 @@ class CentralizedCluster:
         *,
         config: ClusterConfig | None = None,
     ) -> None:
-        self.config = config if config is not None else ClusterConfig()
-        self.topology = topology
-        self.queries = list(queries)
-        self.net = SimNetwork(
-            default_codec=self.config.codec,
-            default_latency_ms=self.config.latency_ms,
-            default_bandwidth_bytes_per_ms=self.config.bandwidth_bytes_per_ms,
-            fault_plan=self.config.fault_plan,
-            retransmit_timeout_ms=self.config.retransmit_timeout,
-            max_retries=self.config.max_retries,
+        super().__init__(
+            topology, config if config is not None else ClusterConfig()
         )
+        self.queries = list(queries)
         self.processor = processor_factory(self.queries)
         # Anchor fixed-window schedules at the shared origin, like every
         # node of the decentralized deployments.
         self.processor.advance(self.config.origin)
         self.name = getattr(self.processor, "name", "centralized")
         self.root = _CentralRoot(topology.root, topology.locals_(), self.processor)
-        self.net.add_node(self.root)
-        self.locals: dict[str, _ForwardingLocal] = {}
-        for node_id in topology.nodes():
-            role = topology.role(node_id)
-            if role is NodeRole.LOCAL:
-                node = _ForwardingLocal(node_id, topology.parent(node_id))
-                self.locals[node_id] = node
-                self.net.add_node(node)
-            elif role is NodeRole.INTERMEDIATE:
-                self.net.add_node(
-                    _ForwardingIntermediate(node_id, topology.parent(node_id))
-                )
-        for child, parent in topology.parents.items():
-            self.net.connect(child, parent)
-
-    def _align_up(self, time: int) -> int:
-        interval = self.config.tick_interval
-        return ((time // interval) + 1) * interval
+        self._add_nodes(
+            self.root,
+            lambda node_id: _ForwardingLocal(node_id, topology.parent(node_id)),
+            lambda node_id: _ForwardingIntermediate(
+                node_id, topology.parent(node_id)
+            ),
+        )
 
     def run(self, streams: dict[str, Iterable[Event]]) -> ClusterRunResult:
         started = _time.perf_counter()
-        last = self.config.origin
-        events = 0
-        for node_id, stream in streams.items():
-            if node_id not in self.locals:
-                raise ClusterError(f"{node_id!r} is not a local node")
-            materialized = list(stream)
-            events += len(materialized)
-            last = max(
-                last,
-                self.net.inject_stream(
-                    node_id, materialized, batch_ms=self.config.batch_ms
-                ),
-            )
-        end = self._align_up(last)
-        for node_id in self.locals:
-            self.net.schedule_ticks(
-                node_id,
-                start=self.config.origin,
-                end=end,
-                interval=self.config.tick_interval,
-            )
+        events, end = self._inject(streams, batch_ms=self.config.batch_ms)
+        self._tick_locals(self.locals, start=self.config.origin, end=end)
         self.net.run()
-        for node in self.locals.values():
-            node.on_finish(end, self.net)
-        self.net.run()
+        self._finish_locals()
         self.root.finish()
-        wall = _time.perf_counter() - started
-        return ClusterRunResult(
-            sink=self.processor.sink,
-            network=self.net.stats(),
-            cpu_by_role=self.net.cpu_time_by_role(),
-            wall_seconds=wall,
-            events=events,
-            node_cpu={
-                node_id: node.cpu_time
-                for node_id, node in self.net.nodes.items()
-            },
-        )
+        return self._result(self.processor.sink, started, events)

@@ -53,10 +53,6 @@ class ClusterConfig:
             and the root persist incremental state snapshots (DESIGN.md
             §8).  ``None`` (the default) disables checkpointing entirely —
             no snapshots, no retention trimming, zero overhead.
-        checkpoint_every_slices: additionally checkpoint after this many
-            slice records merged since the last snapshot (``None`` = time
-            cadence only).  Only consulted when ``checkpoint_interval``
-            is set.
         checkpoint_store: the
             :class:`~repro.cluster.checkpoint.CheckpointStore` to persist
             snapshots into, e.g. a
@@ -76,18 +72,14 @@ class ClusterConfig:
         staging_limit: cap on a node's per-group staging buffer (pending
             slice records not yet shipped).  When a flush is deferred by a
             stalled channel and the buffer would exceed this many records,
-            the oldest whole slices are shed deterministically and their
-            coverage intervals are reported downstream so the root emits
+            the oldest whole slices are shed deterministically, down to
+            ``SHED_WATERMARK`` (0.8) of the cap, and their coverage intervals are reported downstream so the root emits
             degraded windows with ``completeness < 1.0`` instead of
             silently wrong totals.  ``None`` (default) = unbounded.
         retention_limit: cap on the number of re-ship retention batches a
             node keeps for crash recovery.  Oldest batches are evicted
             beyond the cap (recovery may then need a checkpoint to cover
             the gap).  ``None`` (default) = unbounded.
-        shed_watermark: low-watermark fraction of ``staging_limit``
-            (hysteresis): once shedding starts, it continues down to
-            ``staging_limit * shed_watermark`` records so the buffer does
-            not oscillate at the cap.  Default 0.8.
         stall_timeout: ms a child's upward channel may stay credit-stalled
             before the parent treats it as a slow consumer and soft-evicts
             it through the same :class:`ChildLiveness` resync path as a
@@ -108,13 +100,11 @@ class ClusterConfig:
     max_retries: int = 8
     trace: bool = False
     checkpoint_interval: int | None = None
-    checkpoint_every_slices: int | None = None
     checkpoint_store: object | None = None
     channel_credit_bytes: int | None = None
     channel_credit_frames: int | None = None
     staging_limit: int | None = None
     retention_limit: int | None = None
-    shed_watermark: float = 0.8
     stall_timeout: int | None = None
 
     @property

@@ -14,15 +14,12 @@ can be invoked mid-run, and heartbeat timeouts surface dead nodes via
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.core.analyzer import QueryGroup, QueryPlan, analyze
-from repro.core.engine import EngineStats
 from repro.core.errors import ClusterError
 from repro.core.event import Event
 from repro.core.query import Query
-from repro.core.results import ResultSink
 from repro.core.serde import query_to_dict
 from repro.core.types import NodeRole, SharingPolicy
 from repro.cluster.checkpoint import (
@@ -30,95 +27,23 @@ from repro.cluster.checkpoint import (
     InMemoryCheckpointStore,
 )
 from repro.cluster.config import ClusterConfig
+from repro.cluster.deployment import ClusterRunResult, Deployment
 from repro.cluster.intermediate import IntermediateNode
 from repro.cluster.local import LocalNode
 from repro.cluster.reliability import resync_entries
 from repro.cluster.root import RootNode
 from repro.network.messages import ControlMessage, ResyncMessage
-from repro.network.simnet import NetworkStats, SimNetwork
+from repro.network.simnet import SimNetwork
 from repro.network.topology import Topology
 from repro.obs.log import get_logger, kv
 from repro.obs.tracing import NULL_RECORDER, TraceRecorder
 
 _log = get_logger(__name__)
 
-__all__ = ["DesisCluster", "ClusterRunResult"]
+__all__ = ["DesisCluster"]
 
 
-@dataclass(slots=True)
-class ClusterRunResult:
-    """Everything a decentralized run produced."""
-
-    sink: ResultSink
-    network: NetworkStats
-    cpu_by_role: dict[NodeRole, float]
-    wall_seconds: float
-    events: int
-    local_stats: dict[str, EngineStats] = field(default_factory=dict)
-    node_cpu: dict[str, float] = field(default_factory=dict)
-    #: the run's trace recorder (the shared no-op unless ``config.trace``);
-    #: ``repro.obs.build_window_trace(recorder, result)`` turns an emitted
-    #: result into its span tree
-    recorder: TraceRecorder = field(default_factory=lambda: NULL_RECORDER)
-    #: recovery accounting (DESIGN.md §8): checkpoints persisted, nodes
-    #: restored from a state-losing crash, children rerouted at failover,
-    #: and replayed window results the exactly-once ledger kept out of the
-    #: sink.  All zero when checkpointing is off and no node loses state.
-    checkpoints: int = 0
-    recoveries: int = 0
-    reroutes: int = 0
-    duplicates_suppressed: int = 0
-    #: merge operator executions during root window assembly, three terms:
-    #: ``merge_partials`` calls folding released records into cells (one
-    #: per record, context and kind beyond a cell's first record — zero
-    #: where the merger already merged equal intervals), partials read by
-    #: plain scans (cells x kinds per close of a tumbling or sorted-run
-    #: window, and per user-defined close), and Two-Stacks merges
-    #: (amortized <= 3 per cell and kind: push, flip, query — what the
-    #: scans of overlapping windows are traded for; repro.core.incmerge)
-    root_merge_ops: int = 0
-    #: overload-control accounting (DESIGN.md §12): windows emitted with
-    #: ``completeness`` below 1.0, whole slices deliberately shed under
-    #: the staging cap, the cluster-wide staging high-water mark, and
-    #: children soft-evicted for persistent credit stalls.  All zero
-    #: without the opt-in caps.
-    degraded_windows: int = 0
-    slices_shed: int = 0
-    peak_staging: int = 0
-    slow_consumer_evictions: int = 0
-
-    @property
-    def throughput(self) -> float:
-        """Events per wall-clock second across the whole cluster run.
-
-        The simulation executes every node on one CPU, so this is total
-        cluster work, not scale-out throughput — see
-        :attr:`modeled_parallel_throughput` for the paper's metric.
-        """
-        return self.events / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    @property
-    def bottleneck_node(self) -> tuple[str, float]:
-        """The node whose handlers consumed the most CPU time."""
-        if not self.node_cpu:
-            return ("", 0.0)
-        node = max(self.node_cpu, key=self.node_cpu.__getitem__)
-        return node, self.node_cpu[node]
-
-    @property
-    def modeled_parallel_throughput(self) -> float:
-        """Sustainable throughput with one core per node (Sec 6.1).
-
-        Every node runs concurrently in a real deployment, so the system
-        sustains ``events / busiest-node-time``: pushed-down aggregation
-        scales with local nodes (Fig 7a) while root-bound work does not
-        (Fig 7b).
-        """
-        _, busiest = self.bottleneck_node
-        return self.events / busiest if busiest > 0 else 0.0
-
-
-class DesisCluster:
+class DesisCluster(Deployment):
     """A Desis deployment over a topology (Sec 2.4)."""
 
     name = "Desis"
@@ -131,23 +56,12 @@ class DesisCluster:
         config: ClusterConfig | None = None,
         policy: SharingPolicy = SharingPolicy.FULL,
     ) -> None:
-        self.config = config if config is not None else ClusterConfig()
-        self.topology = topology
+        config = config if config is not None else ClusterConfig()
         self.plan: QueryPlan = analyze(
             queries, policy=policy, decentralized=True
         )
-        self.recorder = TraceRecorder() if self.config.trace else NULL_RECORDER
-        self.net = SimNetwork(
-            default_codec=self.config.codec,
-            default_latency_ms=self.config.latency_ms,
-            default_bandwidth_bytes_per_ms=self.config.bandwidth_bytes_per_ms,
-            fault_plan=self.config.fault_plan,
-            retransmit_timeout_ms=self.config.retransmit_timeout,
-            max_retries=self.config.max_retries,
-            channel_credit_bytes=self.config.channel_credit_bytes,
-            channel_credit_frames=self.config.channel_credit_frames,
-            recorder=self.recorder,
-        )
+        self.recorder = TraceRecorder() if config.trace else NULL_RECORDER
+        super().__init__(topology, config, recorder=self.recorder)
         self.checkpoint_store: CheckpointStore | None = None
         if self.config.checkpoint_interval is not None:
             self.checkpoint_store = (
@@ -165,31 +79,17 @@ class DesisCluster:
             topo.root, topo.children(topo.root), self.plan, self.config,
             recorder=self.recorder,
         )
-        self.net.add_node(self.root)
-        self.locals: dict[str, LocalNode] = {}
-        self.intermediates: dict[str, IntermediateNode] = {}
-        for node_id in topo.nodes():
-            role = topo.role(node_id)
-            if role is NodeRole.LOCAL:
-                node = LocalNode(
-                    node_id, topo.parent(node_id), self.plan, self.config,
-                    recorder=self.recorder,
-                )
-                self.locals[node_id] = node
-                self.net.add_node(node)
-            elif role is NodeRole.INTERMEDIATE:
-                node = IntermediateNode(
-                    node_id,
-                    topo.parent(node_id),
-                    topo.children(node_id),
-                    self.plan,
-                    self.config,
-                    recorder=self.recorder,
-                )
-                self.intermediates[node_id] = node
-                self.net.add_node(node)
-        for child, parent in topo.parents.items():
-            self.net.connect(child, parent)
+        self.intermediates: dict[str, IntermediateNode] = self._add_nodes(
+            self.root,
+            lambda node_id: LocalNode(
+                node_id, topo.parent(node_id), self.plan, self.config,
+                recorder=self.recorder,
+            ),
+            lambda node_id: IntermediateNode(
+                node_id, topo.parent(node_id), topo.children(node_id),
+                self.plan, self.config, recorder=self.recorder,
+            ),
+        )
         for node in (self.root, *self.intermediates.values()):
             node.store = self.checkpoint_store
             node.on_child_dead = self._on_child_dead
@@ -253,16 +153,11 @@ class DesisCluster:
         self.net.add_node(node)
         self.net.connect(node_id, parent)
         self._parent_node(parent).add_child(node_id, int(self.net.now))
-        last = self.net.inject_stream(node_id, stream)
-        if last:
-            end = self._align_up(last)
-            self._end_boundary = max(self._end_boundary, end)
-            self.net.schedule_ticks(
-                node_id,
-                start=int(self.net.now)
-                - int(self.net.now) % self.config.tick_interval,
-                end=end,
-                interval=self.config.tick_interval,
+        events, end = self._inject({node_id: stream})
+        if events:
+            now = int(self.net.now)
+            self._tick_locals(
+                [node_id], start=now - now % self.config.tick_interval, end=end
             )
         self._broadcast_attributes()
 
@@ -366,10 +261,6 @@ class DesisCluster:
 
     # -- driving ---------------------------------------------------------------------------
 
-    def _align_up(self, time: int) -> int:
-        interval = self.config.tick_interval
-        return ((time // interval) + 1) * interval
-
     def run(
         self,
         streams: dict[str, Iterable[Event]],
@@ -387,28 +278,11 @@ class DesisCluster:
         # action fires between queue pops (``net.run(until=at)``), and a
         # batch spanning its timestamp would let events past the action
         # be processed before it runs.
-        batch_ms = self.config.batch_ms if not actions else None
-        last = self.config.origin
-        events = 0
-        for node_id, stream in streams.items():
-            if node_id not in self.locals:
-                raise ClusterError(f"{node_id!r} is not a local node")
-            materialized = list(stream)
-            events += len(materialized)
-            last = max(
-                last,
-                self.net.inject_stream(node_id, materialized, batch_ms=batch_ms),
-            )
-        end = self._align_up(last)
-        self._end_boundary = end
+        events, end = self._inject(
+            streams, batch_ms=self.config.batch_ms if not actions else None
+        )
         self._arm_recovery(end)
-        for node_id in list(self.locals):
-            self.net.schedule_ticks(
-                node_id,
-                start=self.config.origin,
-                end=end,
-                interval=self.config.tick_interval,
-            )
+        self._tick_locals(list(self.locals), start=self.config.origin, end=end)
         for node_id in self.intermediates:
             self.net.schedule_ticks(
                 node_id,
@@ -431,9 +305,7 @@ class DesisCluster:
         self.net.run()
         # Flush every surviving local at the global end boundary (it may
         # have moved if nodes with longer streams joined mid-run).
-        for node in self.locals.values():
-            node.on_finish(self._end_boundary, self.net)
-        self.net.run()
+        self._finish_locals()
         # Under overload control, intermediates may hold deferred staging
         # and unshipped shed metadata behind a stalled channel; end of
         # stream overrides backpressure so every closable window closes
@@ -442,32 +314,16 @@ class DesisCluster:
             node.on_finish(self._end_boundary, self.net)
         self.net.run()
         self.root.finish(int(self.net.now))
-        wall = _time.perf_counter() - started
-        _log.info(
-            "run finished %s",
-            kv(
-                events=events,
-                results=len(self.root.sink),
-                wall_s=round(wall, 3),
-                traced=len(self.recorder) if self.recorder.enabled else 0,
-            ),
-        )
         mergers = [
             self.root, *self.intermediates.values(), *self._dead_intermediates
         ]
         nodes = [*mergers, *self.locals.values()]
-        return ClusterRunResult(
-            sink=self.root.sink,
-            network=self.net.stats(),
-            cpu_by_role=self.net.cpu_time_by_role(),
-            wall_seconds=wall,
-            events=events,
+        result = self._result(
+            self.root.sink,
+            started,
+            events,
             local_stats={
                 node_id: node.stats for node_id, node in self.locals.items()
-            },
-            node_cpu={
-                node_id: node.cpu_time
-                for node_id, node in self.net.nodes.items()
             },
             recorder=self.recorder,
             checkpoints=sum(n.checkpoints_taken for n in mergers),
@@ -480,3 +336,13 @@ class DesisCluster:
             peak_staging=max(n.peak_staging for n in nodes),
             slow_consumer_evictions=sum(n.slow_consumer_evictions for n in mergers),
         )
+        _log.info(
+            "run finished %s",
+            kv(
+                events=events,
+                results=len(self.root.sink),
+                wall_s=round(result.wall_seconds, 3),
+                traced=len(self.recorder) if self.recorder.enabled else 0,
+            ),
+        )
+        return result

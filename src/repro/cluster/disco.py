@@ -20,6 +20,7 @@ holistic functions (holistic windows ship their collected values).
 from __future__ import annotations
 
 import time as _time
+from dataclasses import replace
 from typing import Iterable
 
 from repro.core.analyzer import analyze
@@ -32,7 +33,7 @@ from repro.core.query import Query
 from repro.core.results import ResultSink, WindowResult
 from repro.core.types import NodeRole, OperatorKind, SharingPolicy, WindowMeasure, WindowType
 from repro.cluster.config import ClusterConfig
-from repro.cluster.desis import ClusterRunResult
+from repro.cluster.deployment import ClusterRunResult, Deployment
 from repro.network.codec import StringCodec
 from repro.network.messages import ControlMessage, WindowPartialMessage
 from repro.network.simnet import SimNetwork, SimNode
@@ -286,7 +287,7 @@ class _DiscoRoot(_DiscoMergeNode):
             self._emit(key, self.windows.pop(key), now)
 
 
-class DiscoCluster:
+class DiscoCluster(Deployment):
     """The Disco deployment: Scotty locals, per-window string messages."""
 
     name = "Disco"
@@ -295,82 +296,33 @@ class DiscoCluster:
                  config: ClusterConfig | None = None) -> None:
         base = config if config is not None else ClusterConfig()
         # Disco always talks JSON strings, whatever the cluster default is.
-        self.config = ClusterConfig(
-            origin=base.origin,
-            tick_interval=base.tick_interval,
-            latency_ms=base.latency_ms,
-            bandwidth_bytes_per_ms=base.bandwidth_bytes_per_ms,
-            codec=StringCodec(),
-            heartbeat_interval=base.heartbeat_interval,
-            node_timeout=base.node_timeout,
-            fault_plan=base.fault_plan,
-            retransmit_timeout=base.retransmit_timeout,
-            max_retries=base.max_retries,
-        )
-        self.topology = topology
+        super().__init__(topology, replace(base, codec=StringCodec()))
         self.queries = list(queries)
         _check_supported(self.queries)
-        self.net = SimNetwork(
-            default_codec=self.config.codec,
-            default_latency_ms=self.config.latency_ms,
-            default_bandwidth_bytes_per_ms=self.config.bandwidth_bytes_per_ms,
-            fault_plan=self.config.fault_plan,
-            retransmit_timeout_ms=self.config.retransmit_timeout,
-            max_retries=self.config.max_retries,
-        )
         origin = self.config.origin
         self.root = _DiscoRoot(
             topology.root, topology.children(topology.root), self.queries, origin
         )
-        self.net.add_node(self.root)
-        self.locals: dict[str, _DiscoLocal] = {}
-        self.mids: dict[str, _DiscoIntermediate] = {}
-        for node_id in topology.nodes():
-            role = topology.role(node_id)
-            if role is NodeRole.LOCAL:
-                node = _DiscoLocal(
-                    node_id, topology.parent(node_id), self.queries, self.config
-                )
-                self.locals[node_id] = node
-                self.net.add_node(node)
-            elif role is NodeRole.INTERMEDIATE:
-                mid = _DiscoIntermediate(
-                    node_id,
-                    topology.parent(node_id),
-                    topology.children(node_id),
-                    origin,
-                )
-                self.mids[node_id] = mid
-                self.net.add_node(mid)
-        for child, parent in topology.parents.items():
-            self.net.connect(child, parent)
-
-    def _align_up(self, time: int) -> int:
-        interval = self.config.tick_interval
-        return ((time // interval) + 1) * interval
+        self.mids: dict[str, _DiscoIntermediate] = self._add_nodes(
+            self.root,
+            lambda node_id: _DiscoLocal(
+                node_id, topology.parent(node_id), self.queries, self.config
+            ),
+            lambda node_id: _DiscoIntermediate(
+                node_id, topology.parent(node_id), topology.children(node_id),
+                origin,
+            ),
+        )
 
     def run(self, streams: dict[str, Iterable[Event]]) -> ClusterRunResult:
         started = _time.perf_counter()
-        last = self.config.origin
-        events = 0
-        for node_id, stream in streams.items():
-            if node_id not in self.locals:
-                raise ClusterError(f"{node_id!r} is not a local node")
-            materialized = list(stream)
-            events += len(materialized)
-            last = max(last, self.net.inject_stream(node_id, materialized))
-        end = self._align_up(last)
-        for node_id in self.locals:
-            self.net.schedule_ticks(
-                node_id,
-                start=self.config.origin,
-                end=end,
-                interval=self.config.tick_interval,
-            )
+        # Per event whatever ``batch_ms`` says: a local sends a window's
+        # partials when an event closes it, and a batch would send them
+        # at the batch's first event.
+        events, end = self._inject(streams)
+        self._tick_locals(self.locals, start=self.config.origin, end=end)
         self.net.run()
-        for node in self.locals.values():
-            node.on_finish(end, self.net)
-        self.net.run()
+        self._finish_locals()
         # Flush windows force-closed past coverage, deepest layer first.
         for node_id in sorted(
             self.mids, key=self.topology.hops_to_root, reverse=True
@@ -378,18 +330,11 @@ class DiscoCluster:
             self.mids[node_id].finish(self.net)
             self.net.run()
         self.root.finish(int(self.net.now))
-        wall = _time.perf_counter() - started
-        return ClusterRunResult(
-            sink=self.root.sink,
-            network=self.net.stats(),
-            cpu_by_role=self.net.cpu_time_by_role(),
-            wall_seconds=wall,
-            events=events,
+        return self._result(
+            self.root.sink,
+            started,
+            events,
             local_stats={
                 node_id: node.stats for node_id, node in self.locals.items()
-            },
-            node_cpu={
-                node_id: node.cpu_time
-                for node_id, node in self.net.nodes.items()
             },
         )

@@ -180,7 +180,6 @@ class IntermediateNode(Shipper, Merger):
             self._retained.append(out)
             self._cap_retention()
         if self.store is not None:
-            self._slices_since_ckpt += len(records)
             self._maybe_checkpoint(now, net)
 
     def on_finish(self, now: int, net: SimNetwork) -> None:

@@ -28,7 +28,7 @@ from repro.core.event import Event
 from repro.core.results import ResultSink
 from repro.core.types import NodeRole, WindowType
 from repro.cluster.config import ClusterConfig
-from repro.cluster.roles import Shipper
+from repro.cluster.roles import SHED_WATERMARK, Shipper
 from repro.network.messages import (
     CheckpointMessage,
     ContextPartial,
@@ -217,13 +217,13 @@ class LocalNode(Shipper):
         """Shed oldest whole slices once staging exceeds its cap.
 
         Deterministic oldest-slice-first policy with hysteresis: shed down
-        to ``staging_limit * shed_watermark`` records so the buffer does
+        to ``staging_limit * SHED_WATERMARK`` records so the buffer does
         not oscillate at the cap.
         """
         limit = self.config.staging_limit
         if limit is None or len(group.pending) <= limit:
             return
-        low = max(int(limit * self.config.shed_watermark), 0)
+        low = max(int(limit * SHED_WATERMARK), 0)
         shed = group.pending[: len(group.pending) - low]
         group.pending = group.pending[len(shed):]
         self._shed(group, shed, net)

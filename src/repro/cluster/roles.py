@@ -47,6 +47,11 @@ from repro.obs.tracing import NULL_RECORDER
 
 __all__ = ["Shipper", "Merger"]
 
+#: shedding hysteresis: a staging buffer over its cap sheds down to this
+#: share of ``staging_limit``, not just under it, so it does not shed again
+#: at the next record (DESIGN.md §12)
+SHED_WATERMARK = 0.8
+
 
 class Shipper(SimNode):
     """The half of a node that has a parent: heartbeats, retention of what
@@ -175,7 +180,6 @@ class Merger(SimNode):
         self.store = None
         self._ckpt_id = 0
         self._last_ckpt = config.origin
-        self._slices_since_ckpt = 0
         self.checkpoints_taken = 0
         self.recoveries = 0
         # Overload-control accounting (DESIGN.md §12); all stay zero
@@ -299,7 +303,7 @@ class Merger(SimNode):
         """Shed oldest pending slices once a merger exceeds the staging cap.
 
         Whole slices only, oldest (smallest ``(end, start)``) first, down
-        to the hysteresis low watermark ``staging_limit * shed_watermark``
+        to the hysteresis low watermark ``staging_limit * SHED_WATERMARK``
         so the buffer does not oscillate at the cap.
         """
         limit = self.config.staging_limit
@@ -309,7 +313,7 @@ class Merger(SimNode):
         occupancy = merger.staging_occupancy()
         if occupancy <= limit:
             return
-        low = max(int(limit * self.config.shed_watermark), 0)
+        low = max(int(limit * SHED_WATERMARK), 0)
         shed = merger.shed_oldest(occupancy - low)
         self.slices_shed += len(shed)
         net.note_shed(self.node_id, group_id, shed)
@@ -333,11 +337,7 @@ class Merger(SimNode):
         interval = self.config.checkpoint_interval
         if interval is None:
             return
-        due = now - self._last_ckpt >= interval
-        every = self.config.checkpoint_every_slices
-        if not due and every is not None and self._slices_since_ckpt >= every:
-            due = True
-        if not due:
+        if now - self._last_ckpt < interval:
             return
         plan = net.fault_plan
         if plan is not None and plan.crashed(self.node_id, now):
@@ -369,7 +369,6 @@ class Merger(SimNode):
         )
         self.checkpoints_taken += 1
         self._last_ckpt = now
-        self._slices_since_ckpt = 0
         if self.recorder.enabled:
             self.recorder.record(
                 "checkpoint.save",
@@ -413,7 +412,6 @@ class Merger(SimNode):
             )
         traced = self._reset_for_restart(now)
         self._last_ckpt = now
-        self._slices_since_ckpt = 0
         loaded = self.store.load_latest(self.node_id) if self.store else None
         restored_id = 0
         if loaded is not None:

@@ -641,7 +641,6 @@ class RootNode(Merger):
                 derive_ops_from_timed(record, group.operators)
         self.assemblers[message.group_id].consume(covered, records, now)
         if self.store is not None:
-            self._slices_since_ckpt += len(records)
             self._maybe_checkpoint(now, net)
 
     def finish(self, now: int) -> None:

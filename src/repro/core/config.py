@@ -31,8 +31,8 @@ class EngineConfig:
             workers with a deterministic reduce at window close.
         shard_batch_size: events buffered before a frame is shipped to
             the workers (sharded execution only).
-        measure_latency: attach a latency probe to the result path.
-        latency_sample_every: probe sampling period, in events.
+        measure_latency: attach a latency probe to the result path; it
+            samples every 100th event.
         latency_expiry_horizon_ms: probe expiry horizon for abandoned
             samples; ``None`` disables expiry.
     """
@@ -42,7 +42,6 @@ class EngineConfig:
     shards: int = 1
     shard_batch_size: int = 4096
     measure_latency: bool = False
-    latency_sample_every: int = 100
     latency_expiry_horizon_ms: int | None = 600_000
 
     def __post_init__(self) -> None:
@@ -51,11 +50,6 @@ class EngineConfig:
         if self.shard_batch_size < 1:
             raise EngineError(
                 f"shard_batch_size must be >= 1, got {self.shard_batch_size}"
-            )
-        if self.latency_sample_every < 1:
-            raise EngineError(
-                "latency_sample_every must be >= 1, got "
-                f"{self.latency_sample_every}"
             )
 
     def with_options(self, **changes: Any) -> "EngineConfig":

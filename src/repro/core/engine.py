@@ -1285,6 +1285,10 @@ class AggregationEngine:
         self.groups: list[GroupRuntime] = [
             self._runtime(group) for group in self.plan.groups
         ]
+        #: stream time while no group keeps it (:meth:`_process_ungrouped`)
+        self._ungrouped_time: int | None = None
+        if not self.groups:
+            self.process = self._process_ungrouped
 
     def _runtime(self, group: QueryGroup) -> GroupRuntime:
         return GroupRuntime(
@@ -1308,6 +1312,18 @@ class AggregationEngine:
         """
         for group in self.groups:
             group.process(event)
+        self.stats.events += 1
+
+    def _process_ungrouped(self, event: Event) -> None:
+        """:meth:`process` until the first query-group exists: no group
+        keeps stream time yet, so the engine does, and refuses an event
+        out of order as :meth:`process_batch` does."""
+        last = self._ungrouped_time
+        if last is not None and event.time < last:
+            raise OutOfOrderError(
+                f"event at t={event.time} arrived after stream time {last}"
+            )
+        self._ungrouped_time = event.time
         self.stats.events += 1
 
     def process_batch(self, events: Sequence[Event]) -> None:
@@ -1389,12 +1405,12 @@ class AggregationEngine:
     def close(self, at_time: int | None = None) -> ResultSink:
         """Flush everything and return the result sink.
 
-        A closed engine takes nothing more: its entry points are rebound
-        to raise :class:`EngineError`, so :meth:`process` tests nothing
-        per event.
+        A closed engine takes nothing more, neither events nor queries: its
+        entry points are rebound to raise :class:`EngineError`, so
+        :meth:`process` tests nothing per event.
         """
         for entry in ("process", "process_batch", "process_columns", "advance",
-                      "close"):
+                      "close", "add_query", "remove_query"):
             setattr(self, entry, _closed)
         for group in self.groups:
             group.close(at_time)
@@ -1429,6 +1445,8 @@ class AggregationEngine:
         group._replan()
         runtime = self._runtime(group)
         self.groups.append(runtime)
+        if len(self.groups) == 1:
+            del self.process  # the group keeps stream time from here
         # Bootstrap the new group at the current stream time so its first
         # fixed window anchors at the join time — without this, the group
         # would bootstrap lazily at its next event and its window schedule
@@ -1436,7 +1454,7 @@ class AggregationEngine:
         # origin) timestamp instead.
         stream_time = max(
             (g.stream_time for g in self.groups if g.stream_time is not None),
-            default=None,
+            default=self._ungrouped_time,
         )
         if stream_time is not None:
             runtime.advance(stream_time)

@@ -7,10 +7,11 @@ from repro.harness.experiments import (
     run_systems,
     tumbling_queries,
 )
-from repro.harness.reporting import fmt_ms, fmt_rate, print_table
+from repro.harness.reporting import fmt_bytes, fmt_ms, fmt_rate, print_table
 
 __all__ = [
     "CentralRunStats",
+    "fmt_bytes",
     "fmt_ms",
     "fmt_rate",
     "print_table",

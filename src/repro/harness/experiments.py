@@ -48,43 +48,30 @@ def run_processor(
     events: list[Event],
     *,
     measure_latency: bool = False,
-    latency_sample_every: int = 100,
+    sample_every: int = 100,
 ) -> CentralRunStats:
-    """Replay ``events`` through a fresh processor and collect its stats."""
+    """Replay ``events`` through a fresh processor and collect its stats.
+
+    With ``measure_latency`` a :class:`LatencyProbe` sampling every
+    ``sample_every``-th event is the processor's sink.
+    """
     queries = list(queries)
     if measure_latency:
-        probe = LatencyProbe(sample_every=latency_sample_every)
+        probe = LatencyProbe(sample_every=sample_every)
         processor = factory(queries, sink=probe)  # type: ignore[call-arg]
-        ingest = probe.on_ingest
-        process = processor.process
-        import time as _time
-
-        started = _time.perf_counter()
-        for event in events:
-            ingest(event)
-            process(event)
-        processed = _time.perf_counter()
-        processor.close()
-        closed = _time.perf_counter()
-        throughput = ThroughputResult(
-            events=len(events),
-            seconds=closed - started,
-            results=processor.sink.count,
-            process_seconds=processed - started,
-            close_seconds=closed - processed,
+        throughput = measure_throughput(
+            processor, events, on_ingest=probe.on_ingest
         )
-        latency = probe.summary()
     else:
         processor = factory(queries)
         throughput = measure_throughput(processor, events)
-        latency = None
     return CentralRunStats(
         name=getattr(processor, "name", factory.__name__),
         throughput=throughput,
         calculations=processor.stats.calculations,
         slices=processor.stats.slices_closed,
         results=processor.sink.count,
-        latency=latency,
+        latency=probe.summary() if measure_latency else None,
     )
 
 

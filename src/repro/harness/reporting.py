@@ -17,6 +17,7 @@ __all__ = [
     "remove_table_collector",
     "fmt_rate",
     "fmt_ms",
+    "fmt_bytes",
 ]
 
 #: callables receiving ``(title, headers, rows)`` for every printed table
@@ -48,6 +49,15 @@ def fmt_rate(events_per_second: float) -> str:
 
 def fmt_ms(seconds: float) -> str:
     return f"{seconds * 1e3:.3f} ms"
+
+
+def fmt_bytes(n: float) -> str:
+    """Human-readable byte counts for result tables."""
+    for unit in ("B", "KB", "MB", "GB"):
+        if abs(n) < 1024.0:
+            return f"{n:.1f} {unit}"
+        n /= 1024.0
+    return f"{n:.1f} TB"
 
 
 def render_table(title: str, headers: Sequence[str],

@@ -171,7 +171,6 @@ class DesisSession:
                 from repro.metrics.latency import LatencyProbe
 
                 sink = self._probe = LatencyProbe(
-                    sample_every=self.config.latency_sample_every,
                     keep=True,
                     expiry_horizon_ms=self.config.latency_expiry_horizon_ms,
                 )

@@ -1,4 +1,8 @@
-"""Measurement utilities: throughput, latency, network overhead."""
+"""Measurement utilities: throughput and latency.
+
+Network overhead is read off a run's
+:class:`~repro.network.simnet.NetworkStats` directly.
+"""
 
 from repro.metrics.latency import (
     LatencyProbe,
@@ -6,7 +10,6 @@ from repro.metrics.latency import (
     event_time_latencies,
     summarize,
 )
-from repro.metrics.network import NetworkBreakdown, breakdown, fmt_bytes
 from repro.metrics.throughput import (
     ThroughputResult,
     measure_throughput,
@@ -16,11 +19,8 @@ from repro.metrics.throughput import (
 __all__ = [
     "LatencyProbe",
     "LatencySummary",
-    "NetworkBreakdown",
     "ThroughputResult",
-    "breakdown",
     "event_time_latencies",
-    "fmt_bytes",
     "measure_throughput",
     "modeled_sustainable_throughput",
     "summarize",

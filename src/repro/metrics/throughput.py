@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.baselines.api import StreamProcessor
 from repro.core.errors import ReproError
@@ -32,25 +32,39 @@ class ThroughputResult:
     events: int
     seconds: float
     results: int
-    #: ingest-loop time only; 0.0 on results from older callers that
-    #: never measured the split
-    process_seconds: float = 0.0
+    #: ingest-loop time only
+    process_seconds: float
     #: end-of-stream ``close()`` time only
-    close_seconds: float = 0.0
+    close_seconds: float
 
     @property
     def events_per_second(self) -> float:
-        """Sustained ingest rate (excludes ``close()`` when measured)."""
-        elapsed = self.process_seconds if self.process_seconds > 0 else self.seconds
+        """Sustained ingest rate (excludes ``close()``)."""
+        elapsed = self.process_seconds
         return self.events / elapsed if elapsed > 0 else 0.0
 
 
 def measure_throughput(
-    processor: StreamProcessor, events: Iterable[Event], *, close: bool = True
+    processor: StreamProcessor,
+    events: Iterable[Event],
+    *,
+    close: bool = True,
+    on_ingest: Callable[[Event], None] | None = None,
 ) -> ThroughputResult:
-    """Replay ``events`` through ``processor`` and time the hot loop."""
+    """Replay ``events`` through ``processor`` and time the hot loop.
+
+    ``on_ingest`` sees each event just before the processor does, e.g. a
+    :class:`~repro.metrics.latency.LatencyProbe` stamping its ingest time.
+    """
     materialized = events if isinstance(events, list) else list(events)
     process = processor.process
+    if on_ingest is not None:
+        ingested = process
+
+        def process(event: Event) -> None:
+            on_ingest(event)
+            ingested(event)
+
     started = _time.perf_counter()
     for event in materialized:
         process(event)

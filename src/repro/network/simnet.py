@@ -70,6 +70,10 @@ _EVENT_BATCH = 4
 _RETRY = 5
 _RESTART = 6
 
+#: a stalled channel resumes once its unacked buffer is back down to this
+#: share of the credit cap that stalled it (hysteresis, DESIGN.md §12)
+CREDIT_RESUME_FRACTION = 0.8
+
 
 @dataclass(frozen=True, slots=True)
 class LinkFaults:
@@ -411,6 +415,16 @@ class NetworkStats:
     def total_messages(self) -> int:
         return sum(self.messages_by_link.values())
 
+    @property
+    def local_bytes(self) -> int:
+        """Data bytes sent by local nodes (Fig 11's first tier)."""
+        return self.data_bytes_from_role.get(NodeRole.LOCAL, 0)
+
+    @property
+    def intermediate_bytes(self) -> int:
+        """Data bytes sent by intermediate nodes (Fig 11's second tier)."""
+        return self.data_bytes_from_role.get(NodeRole.INTERMEDIATE, 0)
+
 
 class SimNetwork:
     """The discrete-event simulator driving nodes, links, and streams."""
@@ -423,7 +437,6 @@ class SimNetwork:
                  max_retries: int = 8,
                  channel_credit_bytes: int | None = None,
                  channel_credit_frames: int | None = None,
-                 credit_resume_fraction: float = 0.8,
                  recorder=None) -> None:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.nodes: dict[str, SimNode] = {}
@@ -437,7 +450,6 @@ class SimNetwork:
         # -- credit-based flow control (DESIGN.md §12); ``None`` = off --
         self.channel_credit_bytes = channel_credit_bytes
         self.channel_credit_frames = channel_credit_frames
-        self.credit_resume_fraction = credit_resume_fraction
         #: high-water marks over every send channel's unacked buffer
         self.peak_unacked_bytes = 0
         self.peak_unacked_frames = 0
@@ -652,7 +664,7 @@ class SimNetwork:
 
         A channel stalls when its unacked buffer reaches either credit cap
         and resumes, with hysteresis, once occupancy drops to
-        ``credit_resume_fraction`` of the cap — acks are the credit grants
+        :data:`CREDIT_RESUME_FRACTION` of the cap — acks are the credit grants
         (the receiver piggybacks them on every delivery), so no extra wire
         traffic is involved.
         """
@@ -681,7 +693,7 @@ class SimNetwork:
                         unacked_frames=len(channel.unacked),
                     )
             return
-        resume = self.credit_resume_fraction
+        resume = CREDIT_RESUME_FRACTION
         below_bytes = (
             cap_bytes is None or channel.unacked_bytes <= cap_bytes * resume
         )

@@ -313,7 +313,7 @@ def publish_network_stats(registry: MetricsRegistry, stats) -> None:
 
 
 def publish_cluster_result(registry: MetricsRegistry, result) -> None:
-    """Publish a :class:`~repro.cluster.desis.ClusterRunResult`.
+    """Publish a :class:`~repro.cluster.deployment.ClusterRunResult`.
 
     Covers the run totals (``cluster.*``), the full network snapshot, the
     per-node CPU gauges, and every local node's engine stats under

@@ -200,25 +200,24 @@ def test_add_child_is_idempotent_and_joins_now(kind):
 
 @merger_kinds
 def test_staging_overflow_sheds_oldest_to_the_low_watermark(kind):
-    net, node, _ = build_merger(kind, staging_limit=4, shed_watermark=0.5)
+    net, node, _ = build_merger(kind, staging_limit=4)
     # ``b`` never reports, so nothing is released: six records stage.
     records = [record(t, t + 100, 1.0, 1) for t in range(0, 600, 100)]
     node.on_message(batch("a", 0, 600, records), 0, net)
-    assert node.slices_shed == 4  # down to 4 * 0.5, not just under the cap
-    assert node.mergers[0].staging_occupancy() == node.peak_staging == 2
+    assert node.slices_shed == 3  # down to int(4 * 0.8), not just to the cap
+    assert node.mergers[0].staging_occupancy() == node.peak_staging == 3
     assert SHED_LANDS[kind](node) == [
-        ("m", t, t + 100) for t in range(0, 400, 100)
+        ("m", t, t + 100) for t in range(0, 300, 100)
     ]
-    assert net.records_shed == 4
+    assert net.records_shed == 3
 
 
 @merger_kinds
-def test_checkpoint_is_due_by_interval_or_slices_never_while_crashed(kind):
+def test_checkpoint_is_due_by_interval_not_while_crashed(kind):
     store = InMemoryCheckpointStore()
     net, node, children = build_merger(
         kind,
         checkpoint_interval=1_000,
-        checkpoint_every_slices=3,
         fault_plan=FaultPlan(seed=0, crashes=(CrashWindow("m", 5_000, 6_000),)),
     )
     node.store = store
@@ -226,17 +225,17 @@ def test_checkpoint_is_due_by_interval_or_slices_never_while_crashed(kind):
     assert node.checkpoints_taken == 0
     node.on_tick(1_000, net)  # the interval
     assert node.checkpoints_taken == 1
-    for child in ("a", "b"):  # three merged slices, well inside the interval
+    for child in ("a", "b"):  # merged slices do not make one due
         records = [record(t, t + 100, 1.0, 1) for t in range(0, 300, 100)]
         node.on_message(batch(child, 0, 300, records), 1_200, net)
-    assert node.checkpoints_taken == 2
+    assert node.checkpoints_taken == 1
     node.on_tick(5_500, net)  # due, but a crashed process takes no snapshot
-    assert node.checkpoints_taken == 2
+    assert node.checkpoints_taken == 1
     node.on_tick(6_000, net)
-    assert node.checkpoints_taken == store.saves == 3
-    assert store.load_latest("m")[0] == 3
+    assert node.checkpoints_taken == store.saves == 2
+    assert store.load_latest("m")[0] == 2
     net.run()
     trims = [m for m in children["a"].messages if isinstance(m, CheckpointMessage)]
-    assert [m.checkpoint_id for m in trims] == [1, 2, 3]
+    assert [m.checkpoint_id for m in trims] == [1, 2]
     # an intermediate's trim is capped by the floor its own parent sent
     assert trims[-1].safe_to == {0: 300 if kind == "root" else 0}

@@ -198,11 +198,16 @@ class TestRuntimeQueries:
             lambda: engine.process_columns([30], ["a"], [1.0]),
             lambda: engine.advance(40),
             lambda: engine.close(),
+            lambda: engine.add_query(
+                Query.of("late", WindowSpec.tumbling(10), AggFunction.COUNT)
+            ),
+            lambda: engine.remove_query("q"),
         ):
             with pytest.raises(EngineError, match="already closed"):
                 call()
         assert sink.results == results
         assert engine.stats == stats
+        assert [q.query_id for q in engine.plan.queries] == ["q"]
 
     def test_added_query_new_group_when_incompatible(self):
         engine = AggregationEngine(

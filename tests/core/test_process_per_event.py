@@ -518,3 +518,22 @@ class TestRejectedEventsAreNotBilled:
         with pytest.raises(OutOfOrderError):
             engine.process_batch(self.EVENTS)
         assert engine.stats.events == engine.stats.inserts == 0
+
+    def test_per_event_without_a_group(self):
+        # No group keeps stream time, so the engine keeps it until the
+        # first query brings one, and refuses what process_batch refuses.
+        engine = AggregationEngine([])
+        engine.process(Event(10, "k", 1.0))
+        with pytest.raises(OutOfOrderError):
+            engine.process(Event(5, "k", 1.0))
+        with pytest.raises(OutOfOrderError):
+            AggregationEngine([]).process_batch(
+                [Event(10, "k", 1.0), Event(5, "k", 1.0)]
+            )
+        assert engine.stats.events == 1
+        engine.add_query(Query.of("sum", WindowSpec.tumbling(10), AggFunction.SUM))
+        with pytest.raises(OutOfOrderError):
+            engine.process(Event(7, "k", 1.0))
+        engine.process(Event(12, "k", 2.0))
+        # the query joined at stream time 10: its first window starts there
+        assert [(r.start, r.value) for r in engine.close(30)] == [(10, 2.0)]

@@ -53,7 +53,7 @@ class TestRunners:
             tumbling_queries(2),
             make_stream(600),
             measure_latency=True,
-            latency_sample_every=50,
+            sample_every=50,
         )
         assert stats.latency is not None
         assert stats.latency.count > 0

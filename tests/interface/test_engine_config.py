@@ -34,7 +34,6 @@ class TestConfigValue:
         [
             {"shards": 0},
             {"shard_batch_size": 0},
-            {"latency_sample_every": 0},
         ],
     )
     def test_validation_rejects_bad_knobs(self, kwargs):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregationEngine
-from repro.core.errors import OutOfOrderError
+from repro.core.errors import EngineError, OutOfOrderError
 from repro.core.event import Event
 from repro.core.predicates import Selection
 from repro.core.query import Query, WindowSpec
@@ -345,3 +345,14 @@ class TestCallCounts:
         session.close()
         with pytest.raises(Exception, match="closed"):
             session.process(Event(10, "a", 1.0))
+
+    def test_a_closed_session_takes_no_query(self):
+        session = DesisSession()
+        session.submit(Query.of("tum", WindowSpec.tumbling(100), F.SUM))
+        session.process(Event(0, "a", 1.0))
+        session.close()
+        with pytest.raises(EngineError, match="closed"):
+            session.submit(Query.of("late", WindowSpec.tumbling(100), F.SUM))
+        with pytest.raises(EngineError, match="closed"):
+            session.remove("tum")
+        assert [q.query_id for q in session.queries] == ["tum"]

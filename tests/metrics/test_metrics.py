@@ -10,11 +10,10 @@ from repro.core.event import Event
 from repro.core.query import Query, WindowSpec
 from repro.core.results import WindowResult
 from repro.core.types import AggFunction, NodeRole
+from repro.harness import fmt_bytes
 from repro.metrics import (
     LatencyProbe,
-    breakdown,
     event_time_latencies,
-    fmt_bytes,
     measure_throughput,
     modeled_sustainable_throughput,
     summarize,
@@ -48,12 +47,6 @@ class TestThroughput:
         assert result.events_per_second == pytest.approx(
             result.events / result.process_seconds
         )
-
-    def test_legacy_results_fall_back_to_total_seconds(self):
-        from repro.metrics import ThroughputResult
-
-        legacy = ThroughputResult(events=100, seconds=2.0, results=1)
-        assert legacy.events_per_second == 50.0
 
     def test_modeled_sustainable_is_minimum(self):
         assert modeled_sustainable_throughput(node_rates=[5e6, 2e6, 9e6]) == 2e6
@@ -173,11 +166,10 @@ class TestNetworkBreakdown:
             data_bytes_from_role={NodeRole.LOCAL: 90, NodeRole.INTERMEDIATE: 40},
             control_bytes=10,
         )
-        rolled = breakdown(stats)
-        assert rolled.local_bytes == 90
-        assert rolled.intermediate_bytes == 40
-        assert rolled.total_bytes == 140
-        assert rolled.data_bytes == 130
+        assert stats.local_bytes == 90
+        assert stats.intermediate_bytes == 40
+        assert stats.total_bytes == 140
+        assert stats.data_bytes == 130
 
     def test_data_bytes_with_reliability_counters(self):
         # data_bytes stays total - control even when repair traffic is
@@ -197,15 +189,11 @@ class TestNetworkBreakdown:
             duplicate_data_bytes=30,
             dedup_dropped=1,
         )
-        rolled = breakdown(stats)
-        assert rolled.data_bytes == 420
-        assert rolled.retransmit_bytes == 60
-        assert rolled.ack_bytes == 40
-        assert rolled.dedup_dropped == 1
+        assert stats.data_bytes == 420
         # goodput identity: payload minus repair and duplicate bytes
         assert (
-            rolled.goodput_data_bytes
-            == rolled.data_bytes - rolled.retransmit_bytes - 30
+            stats.goodput_data_bytes
+            == stats.data_bytes - stats.retransmit_bytes - 30
         )
 
     def test_bandwidth_cap_ignored_without_both_inputs(self):
