@@ -73,9 +73,10 @@ class ClusterConfig:
             slice records not yet shipped).  When a flush is deferred by a
             stalled channel and the buffer would exceed this many records,
             the oldest whole slices are shed deterministically, down to
-            ``SHED_WATERMARK`` (0.8) of the cap, and their coverage intervals are reported downstream so the root emits
-            degraded windows with ``completeness < 1.0`` instead of
-            silently wrong totals.  ``None`` (default) = unbounded.
+            ``SHED_WATERMARK`` (0.8) of the cap, and their coverage
+            intervals are reported downstream so the root emits degraded
+            windows with ``completeness < 1.0`` instead of silently wrong
+            totals.  ``None`` (default) = unbounded.
         retention_limit: cap on the number of re-ship retention batches a
             node keeps for crash recovery.  Oldest batches are evicted
             beyond the cap (recovery may then need a checkpoint to cover
