@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -234,6 +235,32 @@ class TestReport:
         assert recoveries[-1] == "1"
         assert "critical path:" in out
         assert "ms (ingest" in out  # the waterfall header
+
+    #: the CI span-smoke ``report --trace-out`` command lines, each with
+    #: the sha256 of the trace file it writes
+    CI_TRACES = {
+        "drop-rate": (
+            ["--locals", "3", "--drop-rate", "0.05", "--explain"],
+            "ff49999c56729485ba5429988e6e07eb341592381c6d911d01c426dfe720f96e",
+        ),
+        "crash-checkpoint": (
+            ["--locals", "4", "--drop-rate", "0.02",
+             "--crash", "mid-0:1500:2500", "--checkpoint-interval", "400"],
+            "afcae1b529fad0a2cc8ecc5d1eb4d4f8608d5285953b239d5b1cdeb2a1e86933",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CI_TRACES))
+    def test_ci_span_smoke_traces_are_pinned(self, name, capsys, tmp_path):
+        flags, pinned = self.CI_TRACES[name]
+        trace = tmp_path / "trace.jsonl"
+        code = main(
+            ["report", "--events", "4000", "--rate", "5000", "--seed", "8",
+             *flags, "--trace-out", str(trace)]
+        )
+        capsys.readouterr()
+        assert code == 0
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == pinned
 
 
 class TestProfile:
