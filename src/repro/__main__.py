@@ -274,15 +274,12 @@ def _run_traced_desis(args):
             else None
         ),
         node_timeout=args.node_timeout,
-        # heartbeats must outpace the timeout for the sweep to see silence
-        heartbeat_interval=max(1, min(5_000, args.node_timeout // 3)),
         latency_ms=args.link_latency,
         bandwidth_bytes_per_ms=args.bandwidth,
         channel_credit_bytes=args.channel_credit_bytes,
         channel_credit_frames=args.channel_credit_frames,
         staging_limit=args.staging_limit,
         retention_limit=args.retention_limit,
-        stall_timeout=args.stall_timeout,
     )
     return DesisCluster(queries, topology, config=config).run(
         {k: list(v) for k, v in streams.items()}
@@ -544,7 +541,8 @@ def _fault_parent() -> argparse.ArgumentParser:
                         dest="node_timeout", metavar="MS",
                         help="heartbeat silence before a parent declares a "
                              "child dead (drives failover of permanent "
-                             "--crash windows)")
+                             "--crash windows); children beat every third "
+                             "of it, at most every 5000 ms")
     parent.add_argument("--link-latency", type=float, default=1.0,
                         dest="link_latency", metavar="MS",
                         help="per-link one-way latency (default: 1)")
@@ -569,11 +567,6 @@ def _fault_parent() -> argparse.ArgumentParser:
                         dest="retention_limit", metavar="BATCHES",
                         help="cap on re-ship retention batches kept for "
                              "crash recovery")
-    parent.add_argument("--stall-timeout", type=int, default=None,
-                        dest="stall_timeout", metavar="MS",
-                        help="credit-stall duration before a parent "
-                             "soft-evicts a slow consumer (default: "
-                             "--node-timeout)")
     return parent
 
 

@@ -25,9 +25,11 @@ class ClusterConfig:
         latency_ms: per-link one-way latency.
         bandwidth_bytes_per_ms: per-link bandwidth cap (``None`` =
             unlimited; ~131 bytes/ms models the Pi cluster's 1G Ethernet).
-        codec: wire format for data traffic.
-        heartbeat_interval: cadence of node heartbeats to the root (ms).
-        node_timeout: silence after which a parent evicts a node (ms).
+        codec: wire format of every frame on the network.
+        node_timeout: silence after which a parent evicts a node (ms); a
+            child whose upward channel stays credit-stalled this long is
+            evicted as a slow consumer too.  Heartbeats follow from it
+            (:attr:`heartbeat_interval`).
         batch_ms: when set, inject each local stream in per-tick event
             batches of this granularity (see
             :meth:`~repro.network.simnet.SimNetwork.inject_stream`), so
@@ -40,10 +42,6 @@ class ClusterConfig:
             default) keeps the lossless network byte-for-byte; any plan —
             even an all-zero one — routes data traffic through the
             reliable ack/retransmit channel.
-        retransmit_timeout: ms before an unacked reliable frame is
-            retransmitted (doubling on each retry).
-        max_retries: retransmissions before a frame is abandoned and the
-            link counts it as ``retransmit_exhausted``.
         trace: opt into slice-lifecycle tracing: the deployment builds a
             :class:`~repro.obs.tracing.TraceRecorder`, threads it through
             every node and the network, and returns it on the run result.
@@ -81,11 +79,10 @@ class ClusterConfig:
             node keeps for crash recovery.  Oldest batches are evicted
             beyond the cap (recovery may then need a checkpoint to cover
             the gap).  ``None`` (default) = unbounded.
-        stall_timeout: ms a child's upward channel may stay credit-stalled
-            before the parent treats it as a slow consumer and soft-evicts
-            it through the same :class:`ChildLiveness` resync path as a
-            silent child.  ``None`` (default) derives it from
-            ``node_timeout``.
+
+    The reliable channel's retry policy is fixed
+    (:data:`~repro.network.simnet.RETRANSMIT_TIMEOUT_MS`,
+    :data:`~repro.network.simnet.MAX_RETRIES`).
     """
 
     origin: int = 0
@@ -93,12 +90,9 @@ class ClusterConfig:
     latency_ms: float = 1.0
     bandwidth_bytes_per_ms: float | None = None
     codec: Codec = field(default_factory=BinaryCodec)
-    heartbeat_interval: int = 5_000
     node_timeout: int = 15_000
     batch_ms: int | None = None
     fault_plan: FaultPlan | None = None
-    retransmit_timeout: float = 100.0
-    max_retries: int = 8
     trace: bool = False
     checkpoint_interval: int | None = None
     checkpoint_store: object | None = None
@@ -106,11 +100,14 @@ class ClusterConfig:
     channel_credit_frames: int | None = None
     staging_limit: int | None = None
     retention_limit: int | None = None
-    stall_timeout: int | None = None
 
     @property
-    def checkpointing(self) -> bool:
-        return self.checkpoint_interval is not None
+    def heartbeat_interval(self) -> int:
+        """Cadence of node heartbeats to the parent (ms): a third of
+        ``node_timeout``, so a live node beats well inside the timeout,
+        and at most 5 000.  It is also the cadence at which intermediates
+        and the root tick for their liveness sweeps."""
+        return max(1, min(5_000, self.node_timeout // 3))
 
     @property
     def overload_control(self) -> bool:

@@ -113,12 +113,10 @@ class Deployment:
         self.topology = topology
         self.config = config
         self.net = SimNetwork(
-            default_codec=config.codec,
-            default_latency_ms=config.latency_ms,
-            default_bandwidth_bytes_per_ms=config.bandwidth_bytes_per_ms,
+            codec=config.codec,
+            latency_ms=config.latency_ms,
+            bandwidth_bytes_per_ms=config.bandwidth_bytes_per_ms,
             fault_plan=config.fault_plan,
-            retransmit_timeout_ms=config.retransmit_timeout,
-            max_retries=config.max_retries,
             channel_credit_bytes=config.channel_credit_bytes,
             channel_credit_frames=config.channel_credit_frames,
             recorder=recorder,

@@ -259,12 +259,10 @@ class Merger(SimNode):
 
     def _sweep_slow_consumers(self, now: int, net: SimNetwork) -> None:
         """Soft-evict children whose upward channel has been credit-stalled
-        past the stall timeout (DESIGN.md §12) — the same resync path as a
+        past ``node_timeout`` (DESIGN.md §12) — the same resync path as a
         silent child: coverage resumes without them, their heartbeats keep
         flowing, and the next one re-admits them."""
-        timeout = self.config.stall_timeout
-        if timeout is None:
-            timeout = self.config.node_timeout
+        timeout = self.config.node_timeout
         for child in self.children:
             since = net.channel_stalled_since(child, self.node_id)
             if (

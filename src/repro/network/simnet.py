@@ -65,7 +65,6 @@ __all__ = [
 _EVENT = 0
 _TICK = 1
 _MESSAGE = 2
-_FINISH = 3
 _EVENT_BATCH = 4
 _RETRY = 5
 _RESTART = 6
@@ -73,6 +72,13 @@ _RESTART = 6
 #: a stalled channel resumes once its unacked buffer is back down to this
 #: share of the credit cap that stalled it (hysteresis, DESIGN.md §12)
 CREDIT_RESUME_FRACTION = 0.8
+
+#: simulated ms before an unacked reliable frame is first retransmitted;
+#: retry ``k`` waits ``RETRANSMIT_TIMEOUT_MS * 2**k`` (DESIGN.md §6)
+RETRANSMIT_TIMEOUT_MS = 100.0
+#: retransmissions of one frame before the channel abandons it and counts
+#: it as ``retransmit_exhausted``
+MAX_RETRIES = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -319,7 +325,6 @@ class Link:
     latency_ms: float = 1.0
     #: bytes per simulated millisecond; ``None`` means unlimited.
     bandwidth_bytes_per_ms: float | None = None
-    codec: Codec = field(default_factory=BinaryCodec)
     bytes_sent: int = 0
     control_bytes: int = 0
     messages_sent: int = 0
@@ -334,7 +339,7 @@ class Link:
     #: timeout-triggered re-sends of unacked frames
     retransmits: int = 0
     retransmit_bytes: int = 0
-    #: frames abandoned after ``max_retries`` (the link gave up)
+    #: frames abandoned after ``MAX_RETRIES`` (the link gave up)
     retransmit_exhausted: int = 0
     acks: int = 0
     ack_bytes: int = 0
@@ -427,26 +432,26 @@ class NetworkStats:
 
 
 class SimNetwork:
-    """The discrete-event simulator driving nodes, links, and streams."""
+    """The discrete-event simulator driving nodes, links, and streams.
 
-    def __init__(self, *, default_codec: Codec | None = None,
-                 default_latency_ms: float = 1.0,
-                 default_bandwidth_bytes_per_ms: float | None = None,
+    Every link has the same latency and bandwidth, and one codec encodes
+    and decodes every frame on the network.
+    """
+
+    def __init__(self, *, codec: Codec | None = None,
+                 latency_ms: float = 1.0,
+                 bandwidth_bytes_per_ms: float | None = None,
                  fault_plan: FaultPlan | None = None,
-                 retransmit_timeout_ms: float = 100.0,
-                 max_retries: int = 8,
                  channel_credit_bytes: int | None = None,
                  channel_credit_frames: int | None = None,
                  recorder=None) -> None:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.nodes: dict[str, SimNode] = {}
         self.links: dict[tuple[str, str], Link] = {}
-        self.default_codec = default_codec if default_codec is not None else BinaryCodec()
-        self.default_latency_ms = default_latency_ms
-        self.default_bandwidth = default_bandwidth_bytes_per_ms
+        self.codec = codec if codec is not None else BinaryCodec()
+        self.latency_ms = latency_ms
+        self.bandwidth_bytes_per_ms = bandwidth_bytes_per_ms
         self.fault_plan = fault_plan
-        self.retransmit_timeout = retransmit_timeout_ms
-        self.max_retries = max_retries
         # -- credit-based flow control (DESIGN.md §12); ``None`` = off --
         self.channel_credit_bytes = channel_credit_bytes
         self.channel_credit_frames = channel_credit_frames
@@ -475,32 +480,16 @@ class SimNetwork:
         self.nodes[node.node_id] = node
         self._forgotten.discard(node.node_id)
 
-    def connect(
-        self,
-        src: str,
-        dst: str,
-        *,
-        latency_ms: float | None = None,
-        bandwidth_bytes_per_ms: float | None = None,
-        codec: Codec | None = None,
-        bidirectional: bool = True,
-    ) -> None:
-        """Create a link (both directions by default) between two nodes."""
-        for a, b in ((src, dst), (dst, src)) if bidirectional else ((src, dst),):
+    def connect(self, src: str, dst: str) -> None:
+        """Create the links in both directions between two nodes."""
+        for a, b in ((src, dst), (dst, src)):
             if a not in self.nodes or b not in self.nodes:
                 raise TopologyError(f"cannot link unknown nodes {a!r} -> {b!r}")
             self.links[(a, b)] = Link(
                 src=a,
                 dst=b,
-                latency_ms=(
-                    latency_ms if latency_ms is not None else self.default_latency_ms
-                ),
-                bandwidth_bytes_per_ms=(
-                    bandwidth_bytes_per_ms
-                    if bandwidth_bytes_per_ms is not None
-                    else self.default_bandwidth
-                ),
-                codec=codec if codec is not None else self.default_codec,
+                latency_ms=self.latency_ms,
+                bandwidth_bytes_per_ms=self.bandwidth_bytes_per_ms,
             )
 
     # -- scheduling ----------------------------------------------------------------
@@ -559,9 +548,6 @@ class SimNetwork:
             self._push(float(t), _TICK, (node_id, t))
             t += interval
 
-    def schedule_finish(self, node_id: str, at: float) -> None:
-        self._push(at, _FINISH, node_id)
-
     def schedule_restart(self, node_id: str, at: float) -> None:
         """Schedule a state-loss restart: :meth:`SimNode.on_restart` fires
         at ``at`` (the close of a ``lose_state`` crash window).  Scheduled
@@ -586,11 +572,11 @@ class SimNetwork:
             raise TopologyError(f"no link {src!r} -> {dst!r}")
         plan = self.fault_plan
         if plan is None:
-            data = link.codec.encode(message)
+            data = self.codec.encode(message)
             arrival = link.transfer(
                 len(data), self.now, control=isinstance(message, ControlMessage)
             )
-            self._push(arrival, _MESSAGE, (dst, link.codec, data, link))
+            self._push(arrival, _MESSAGE, (dst, data, link))
             return
         control = isinstance(
             message, (ControlMessage, AckMessage, ResyncMessage, CheckpointMessage)
@@ -599,12 +585,12 @@ class SimNetwork:
             if plan.crashed(src, self.now):
                 link.drops += 1
                 return
-            self._transmit(link, link.codec.encode(message), control=control)
+            self._transmit(link, self.codec.encode(message), control=control)
             return
         channel = self._send_channel(src, dst)
         seq = channel.next_seq
         channel.next_seq += 1
-        data = link.codec.encode(
+        data = self.codec.encode(
             SequencedMessage(epoch=channel.epoch, seq=seq, inner=message)
         )
         channel.unacked[seq] = (data, control)
@@ -634,7 +620,7 @@ class SimNetwork:
         if not plan.crashed(src, self.now):
             self._transmit(link, data, control=control)
         self._push(
-            self.now + self.retransmit_timeout,
+            self.now + RETRANSMIT_TIMEOUT_MS,
             _RETRY,
             (src, dst, channel.epoch, seq),
         )
@@ -717,7 +703,7 @@ class SimNetwork:
         """Account slice records shed from a node's bounded staging buffer.
 
         Returns the serialized size the shed records would have cost on the
-        wire (measured with the default codec — the shedding path is cold,
+        wire (measured with the network's codec — the shedding path is cold,
         so the extra encode is irrelevant).  Also emits the ``buffer.shed``
         trace event carrying the shed coverage span.
         """
@@ -731,7 +717,7 @@ class SimNetwork:
             covered_to=0,
             records=records,
         )
-        nbytes = len(self.default_codec.encode(probe))
+        nbytes = len(self.codec.encode(probe))
         self.records_shed += len(records)
         self.bytes_shed += nbytes
         if self.recorder.enabled:
@@ -817,7 +803,7 @@ class SimNetwork:
                 delay += rng.uniform(0.0, faults.jitter_ms)
             if faults.reorder_rate and rng.random() < faults.reorder_rate:
                 delay += rng.uniform(0.0, faults.reorder_delay_ms)
-            self._push(arrival + delay, _MESSAGE, (link.dst, link.codec, data, link))
+            self._push(arrival + delay, _MESSAGE, (link.dst, data, link))
 
     def _handle_retry(self, at: float, payload: tuple[str, str, int, int]) -> None:
         src, dst, epoch, seq = payload
@@ -838,11 +824,11 @@ class SimNetwork:
                 return
             # The interface is down; retry after restart without spending
             # the retry budget on a frame that never reached the wire.
-            retry_at = max(plan.crash_end(src, self.now), at + self.retransmit_timeout)
+            retry_at = max(plan.crash_end(src, self.now), at + RETRANSMIT_TIMEOUT_MS)
             self._push(retry_at, _RETRY, (src, dst, epoch, seq))
             return
         attempt = channel.retries.get(seq, 0) + 1
-        if attempt > self.max_retries:
+        if attempt > MAX_RETRIES:
             channel.drop_frame(seq)
             self._update_stall(src, dst, channel)
             link.retransmit_exhausted += 1
@@ -861,7 +847,7 @@ class SimNetwork:
             )
         self._transmit(link, data, control=control)
         self._push(
-            at + self.retransmit_timeout * (2 ** attempt),
+            at + RETRANSMIT_TIMEOUT_MS * (2 ** attempt),
             _RETRY,
             (src, dst, epoch, seq),
         )
@@ -943,7 +929,7 @@ class SimNetwork:
             cumulative=channel.next_deliver,
             selective=sorted(channel.buffer),
         )
-        data = reverse.codec.encode(ack)
+        data = self.codec.encode(ack)
         reverse.acks += 1
         reverse.ack_bytes += len(data)
         self._transmit(reverse, data, control=True)
@@ -978,7 +964,7 @@ class SimNetwork:
                 node.cpu_time += _time.perf_counter() - started
                 node.events_handled += len(events)
             elif kind == _MESSAGE:
-                node_id, codec, data, link = payload
+                node_id, data, link = payload
                 if self.fault_plan is not None and self.fault_plan.crashed(
                     node_id, self.now
                 ):
@@ -992,7 +978,7 @@ class SimNetwork:
                     continue
                 node = self.nodes[node_id]
                 started = _time.perf_counter()
-                message = codec.decode(data)
+                message = self.codec.decode(data)
                 if isinstance(message, AckMessage):
                     # Transport housekeeping at the sender; no node handler
                     # runs and no cpu time is billed to the node.
@@ -1023,11 +1009,6 @@ class SimNetwork:
                     continue  # removed (e.g. failed over) before restarting
                 started = _time.perf_counter()
                 node.on_restart(int(self.now), self)
-                node.cpu_time += _time.perf_counter() - started
-            elif kind == _FINISH:
-                node = self.nodes[payload]
-                started = _time.perf_counter()
-                node.on_finish(int(self.now), self)
                 node.cpu_time += _time.perf_counter() - started
 
     # -- statistics --------------------------------------------------------------------

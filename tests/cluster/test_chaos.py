@@ -338,7 +338,8 @@ class TestSoftEvictionRejoin:
     """Outages past the timeout: evict, rejoin via heartbeat, resync."""
 
     CRASH = CrashWindow("local-0", 2_000, 16_000)
-    CFG = dict(node_timeout=4_000, heartbeat_interval=2_000)
+    #: evicts after 6 s of silence; heartbeats every 2 s
+    CFG = dict(node_timeout=6_000)
 
     def _run(self):
         streams = make_streams(3, 3000)
@@ -376,7 +377,8 @@ class TestSoftEvictionRejoin:
         _, baseline, faulty = self._run()
         # Exact before the crash, and after the rejoin settles (one
         # heartbeat to readmit plus two ticks to flush the resync).
-        settle = self.CRASH.end + self.CFG["heartbeat_interval"] + 2 * TICK
+        heartbeat = ClusterConfig(**self.CFG).heartbeat_interval
+        settle = self.CRASH.end + heartbeat + 2 * TICK
         before = lambda r: r[2] < self.CRASH.start
         after = lambda r: r[1] >= settle
         assert [r for r in faulty if before(r)] == [r for r in baseline if before(r)]
@@ -384,7 +386,7 @@ class TestSoftEvictionRejoin:
 
 
 class TestUnrecoverable:
-    """A dead link past ``max_retries`` degrades, never hangs or lies."""
+    """A dead link past ``MAX_RETRIES`` degrades, never hangs or lies."""
 
     def test_blackout_terminates_and_reports_exhaustion(self):
         streams = make_streams(3, 300)
@@ -395,8 +397,6 @@ class TestUnrecoverable:
             streams,
             fault_plan=plan,
             node_timeout=NEVER,
-            retransmit_timeout=50.0,
-            max_retries=2,
         )
         assert rows(result) == []
         assert result.network.retransmit_exhausted > 0

@@ -141,12 +141,9 @@ class TestMembership:
 
     def test_heartbeat_timeout_eviction(self):
         streams = make_streams(2, 800)
-        cluster = build(
-            [avg()],
-            star(2),
-            heartbeat_interval=TICK,
-            node_timeout=2 * TICK,
-        )
+        # node_timeout=3 * TICK beats every tick
+        cluster = build([avg()], star(2), node_timeout=3 * TICK)
+        assert cluster.config.heartbeat_interval == TICK
 
         def kill(c):
             c.locals["local-1"].alive = False
@@ -167,9 +164,8 @@ class TestMembership:
 
     def test_no_eviction_while_heartbeats_flow(self):
         streams = make_streams(2, 600)
-        cluster = build(
-            [avg()], star(2), heartbeat_interval=TICK, node_timeout=3 * TICK
-        )
+        cluster = build([avg()], star(2), node_timeout=3 * TICK)
+        assert cluster.config.heartbeat_interval == TICK
         checked = []
 
         def check(c):

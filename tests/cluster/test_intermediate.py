@@ -37,7 +37,7 @@ class Inbox(SimNode):
 
 def build(*queries):
     plan = analyze(queries, decentralized=True)
-    net = SimNetwork(default_codec=BinaryCodec(), default_latency_ms=0.0)
+    net = SimNetwork(codec=BinaryCodec(), latency_ms=0.0)
     sink = Inbox("root", NodeRole.ROOT)
     mid = IntermediateNode("mid", "root", ["a", "b"], plan, ClusterConfig())
     net.add_node(sink)
@@ -162,8 +162,8 @@ def build_merger(kind, **cfg):
     config = ClusterConfig(**cfg)
     plan = analyze([QUERY], decentralized=True)
     net = SimNetwork(
-        default_codec=BinaryCodec(),
-        default_latency_ms=0.0,
+        codec=BinaryCodec(),
+        latency_ms=0.0,
         fault_plan=config.fault_plan,
     )
     if kind == "root":

@@ -487,7 +487,7 @@ class TestShipperHalf:
         that has shipped, and retained, one record per second up to 3 s."""
         config = ClusterConfig(**cfg)
         plan = analyze([self.QUERY], decentralized=True)
-        net = SimNetwork(default_codec=BinaryCodec(), default_latency_ms=0.0)
+        net = SimNetwork(codec=BinaryCodec(), latency_ms=0.0)
         if kind == "local":
             node = LocalNode("n", "p", plan, config)
         else:

@@ -314,7 +314,7 @@ class TestLateQueryGroup:
         the evicted one joins it on the heartbeat that re-admits it (at
         the parent commit that rejoin raised ``already attached``)."""
         late = Query.of("late", WindowSpec.tumbling(500), AggFunction.AVERAGE)
-        cfg = dict(node_timeout=4_000, heartbeat_interval=2_000)
+        cfg = dict(node_timeout=6_000)  # heartbeats every 2 s
         baseline = self.run(late, 8_000, 3_000, **cfg)
         outage = CrashWindow("local-0", 2_000, 12_000)
         result = self.run(
@@ -322,7 +322,8 @@ class TestLateQueryGroup:
         )
         # exact again once the rejoin settled: one heartbeat to re-admit,
         # two ticks to flush the resync
-        settle = outage.end + cfg["heartbeat_interval"] + 2 * TICK
+        heartbeat = ClusterConfig(**cfg).heartbeat_interval
+        settle = outage.end + heartbeat + 2 * TICK
         after = lambda found: [r for r in rows(found) if r[1] >= settle]  # noqa: E731
         assert after(result) == after(baseline)
         assert {r[0] for r in after(result)} == {"avg_1000", "late"}
@@ -338,7 +339,6 @@ class TestIntermediateFailover:
             streams,
             fault_plan=plan,
             node_timeout=6_000,
-            heartbeat_interval=2_000,
             checkpoint_interval=3_000,
         )
         assert rows(result) == baselines[(kind, 2)]
@@ -352,7 +352,6 @@ class TestIntermediateFailover:
             streams,
             fault_plan=plan,
             node_timeout=6_000,
-            heartbeat_interval=2_000,
         )
         assert rows(result) == baselines[("mixed", 2)]
         assert result.reroutes > 0
@@ -429,7 +428,6 @@ class TestRecoveryObservability:
             streams,
             fault_plan=plan,
             node_timeout=6_000,
-            heartbeat_interval=2_000,
             checkpoint_interval=3_000,
             trace=True,
         )
@@ -494,7 +492,6 @@ class TestExplainSurvivesRecovery:
             streams,
             fault_plan=plan,
             node_timeout=6_000,
-            heartbeat_interval=2_000,
             trace=True,
         )
         assert result.reroutes > 0

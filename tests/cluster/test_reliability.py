@@ -101,8 +101,6 @@ class TestRetransmitExhaustionObservability:
                 tick_interval=TICK,
                 fault_plan=FaultPlan(seed=0, drop_rate=1.0),
                 node_timeout=NEVER,
-                retransmit_timeout=50.0,
-                max_retries=2,
             ),
         )
         result = cluster.run({k: list(v) for k, v in streams.items()})
@@ -126,18 +124,29 @@ class TestSlowConsumerEviction:
         net, node, children = build_merger(
             kind,
             fault_plan=FaultPlan(seed=0),
-            node_timeout=NEVER,
-            stall_timeout=100,
+            node_timeout=100,
             channel_credit_frames=4,
         )
-        # ``a``'s upward channel has been out of credit since t=0.
+
+        def beat(at, *senders):
+            for child in senders:
+                node.on_message(
+                    ControlMessage(sender=child, kind="heartbeat", payload=at),
+                    at, net,
+                )
+
+        # ``a``'s upward channel has been out of credit since t=0 while it
+        # keeps beating, so only the stall can evict it; ``b`` beats on.
         monkeypatch.setattr(
             net, "channel_stalled_since", lambda src, dst: 0 if src == "a" else None
         )
-        node.on_tick(100, net)  # not *past* the timeout yet
+        node.on_tick(100, net)  # not *past* node_timeout yet
         assert node.slow_consumer_evictions == 0
+        beat(150, "a", "b")
         node.on_tick(200, net)
+        beat(250, "b")
         node.on_tick(300, net)
+        assert node.liveness.soft_evictions == 1  # no silence sweep
         assert node.slow_consumer_evictions == 1  # force-evicted once
         assert node.liveness.evicted == {"a"}
         assert list(node.mergers[0].children) == ["b"]

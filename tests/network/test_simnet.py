@@ -10,6 +10,8 @@ from repro.core.types import NodeRole
 from repro.network.codec import BinaryCodec, StringCodec
 from repro.network.messages import ControlMessage, EventBatchMessage
 from repro.network.simnet import (
+    MAX_RETRIES,
+    RETRANSMIT_TIMEOUT_MS,
     CrashWindow,
     FaultPlan,
     LinkFaults,
@@ -26,7 +28,6 @@ class Recorder(SimNode):
         self.events: list[tuple[int, Event]] = []
         self.messages: list[tuple[int, object]] = []
         self.ticks: list[int] = []
-        self.finished_at: int | None = None
 
     def on_event(self, event, now, net):
         self.events.append((now, event))
@@ -36,9 +37,6 @@ class Recorder(SimNode):
 
     def on_tick(self, now, net):
         self.ticks.append(now)
-
-    def on_finish(self, now, net):
-        self.finished_at = now
 
 
 class Forwarder(Recorder):
@@ -59,9 +57,9 @@ class Forwarder(Recorder):
 
 def build(latency=2.0, bandwidth=None, codec=None):
     net = SimNetwork(
-        default_latency_ms=latency,
-        default_bandwidth_bytes_per_ms=bandwidth,
-        default_codec=codec if codec is not None else BinaryCodec(),
+        latency_ms=latency,
+        bandwidth_bytes_per_ms=bandwidth,
+        codec=codec if codec is not None else BinaryCodec(),
     )
     root = Recorder("root")
     local = Forwarder("local", "root")
@@ -113,13 +111,6 @@ class TestDelivery:
         net.run()
         assert local.ticks == [25, 50, 75, 100]
 
-    def test_finish_fires_after_stream(self):
-        net, root, local = build()
-        last = net.inject_stream("local", [Event(0, "a", 1.0)])
-        net.schedule_finish("local", last + 1_000)
-        net.run()
-        assert local.finished_at == 1_000
-
     def test_run_until_pauses(self):
         net, root, local = build()
         net.inject_stream("local", [Event(10, "a", 1.0), Event(500, "a", 2.0)])
@@ -156,14 +147,8 @@ class TestAccounting:
             net.inject_stream("ghost", [Event(0, "a", 1.0)])
 
 
-def build_reliable(plan, *, latency=2.0, timeout=50.0, retries=8):
-    net = SimNetwork(
-        default_latency_ms=latency,
-        default_codec=BinaryCodec(),
-        fault_plan=plan,
-        retransmit_timeout_ms=timeout,
-        max_retries=retries,
-    )
+def build_reliable(plan, *, latency=2.0):
+    net = SimNetwork(latency_ms=latency, codec=BinaryCodec(), fault_plan=plan)
     root = Recorder("root")
     local = Forwarder("local", "root")
     net.add_node(root)
@@ -242,13 +227,18 @@ class TestReliableChannel:
         assert stats.retransmits > 0
 
     def test_exhausted_retries_give_up_and_terminate(self):
-        net, root, local = build_reliable(
-            FaultPlan(seed=0, drop_rate=1.0), timeout=20.0, retries=1
-        )
+        net, root, local = build_reliable(FaultPlan(seed=0, drop_rate=1.0))
         net.inject_stream("local", list(STREAM))
         net.run()  # must not spin forever
         assert root.messages == []
-        assert net.stats().retransmit_exhausted == len(STREAM)
+        stats = net.stats()
+        assert stats.retransmits == MAX_RETRIES * len(STREAM)
+        assert stats.retransmit_exhausted == len(STREAM)
+        # the last frame is abandoned after the full doubling schedule:
+        # retry k fires RETRANSMIT_TIMEOUT_MS * 2**(k-1) after retry k-1
+        assert net.now == STREAM[-1].time + RETRANSMIT_TIMEOUT_MS * (
+            2 ** (MAX_RETRIES + 1) - 1
+        )
 
     def test_same_seed_replays_identically(self):
         def run_once():
@@ -288,7 +278,7 @@ class TestReliableAccounting:
         assert drop.goodput_data_bytes == zero.data_bytes
 
     def test_acks_bill_the_control_bucket(self):
-        none = SimNetwork(default_latency_ms=2.0, default_codec=BinaryCodec())
+        none = SimNetwork(latency_ms=2.0, codec=BinaryCodec())
         none.add_node(Recorder("root"))
         none.add_node(Forwarder("local", "root"))
         none.connect("local", "root")
