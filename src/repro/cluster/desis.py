@@ -144,7 +144,13 @@ class DesisCluster(Deployment):
 
     def add_local_node(self, node_id: str, parent: str,
                        stream: Iterable[Event] = ()) -> None:
-        """Attach a new local node at runtime and announce the topology."""
+        """Attach a new local node at runtime and announce the topology.
+
+        The node ticks up to the deployment's end boundary, wherever its
+        own stream ends, so its parent's coverage never waits on it.  A
+        stream that ends past the boundary moves it, and every other
+        local then ticks on to the new boundary too.
+        """
         self.topology.add_node(node_id, parent, NodeRole.LOCAL)
         node = LocalNode(
             node_id, parent, self.plan, self.config, recorder=self.recorder
@@ -153,12 +159,18 @@ class DesisCluster(Deployment):
         self.net.add_node(node)
         self.net.connect(node_id, parent)
         self._parent_node(parent).add_child(node_id, int(self.net.now))
-        events, end = self._inject({node_id: stream})
-        if events:
-            now = int(self.net.now)
-            self._tick_locals(
-                [node_id], start=now - now % self.config.tick_interval, end=end
-            )
+        boundary = self._end_boundary
+        self._inject({node_id: stream})
+        # The parent attached the node covered only to its own progress,
+        # so the node ticks on every grid point from now on, a tick at
+        # ``now`` included: a window ending there waits on it.
+        tick = self.config.tick_interval
+        first = -(-int(self.net.now) // tick) * tick
+        self._tick_locals([node_id], start=first - tick, end=self._end_boundary)
+        self._tick_locals(
+            [other for other in self.locals if other != node_id],
+            start=boundary, end=self._end_boundary,
+        )
         self._broadcast_attributes()
 
     def remove_node(self, node_id: str) -> None:

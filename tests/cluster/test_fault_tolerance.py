@@ -95,6 +95,29 @@ class TestMembership:
         )
         assert "local-9" in result.local_stats
         assert result.local_stats["local-9"].events == 200
+        # its stream outlasts the others', so they tick on to its end, and
+        # no window waits for the end-of-stream flush
+        assert max(r.end for r in result.sink) == 6_000
+        assert all(r.emitted_at - r.end <= TICK for r in result.sink)
+
+    def test_a_local_added_without_a_stream_ticks_to_the_end(self):
+        """An added local ticks up to the deployment's end boundary
+        whatever its own stream holds: its parent's coverage never waits
+        on it (at the parent commit, every row waited for the flush at
+        the end of the stream)."""
+        tick = 100
+
+        def run(actions=None):
+            cluster = DesisCluster(
+                [avg()], three_tier(2, 1), config=ClusterConfig(tick_interval=tick)
+            )
+            return cluster.run(make_streams(2, 1_500), actions=actions).sink
+
+        added = run([(1_000, lambda c: c.add_local_node("local-9", "mid-0"))])
+        assert [(r.start, r.value) for r in added] == [
+            (r.start, r.value) for r in run()
+        ]
+        assert all(r.emitted_at - r.end <= tick for r in added)
 
     def test_remove_local_node_mid_run(self):
         streams = make_streams(3, 600)

@@ -155,15 +155,15 @@ PINNED = {
     },
     "desis-checkpointed": {
         "rows": 139,
-        "rows_sha": "2e84490d6bda17961af14354fd68673f2c5fedc28312ffd98b78f2a52e72fa1b",
-        "network_sha": "fc13634b123b5dd79429d23e3d5cc934786e9e2888388ce0c5a01a22627dee13",
-        "data_bytes": 237820,
+        "rows_sha": "6b2f88fa96146e5c3a9339946d0b24f0ad333000a77c79d3e710f44cd5e5d310",
+        "network_sha": "85e1f12ec3b325342f1866f541268df3a9798ef01ef231186ed54bd585310942",
+        "data_bytes": 275928,
         "events": 3000,
-        "local_stats_sha": "84e5b29f3679c06adbf76e1691788f84187b1c18ca305d4ccdc8638feacd1a68",
+        "local_stats_sha": "37dee1444ffbd3f327f44ff5f0091c3159ee5124949a8ceeebb825cf2bb91f10",
         "nodes": ["root", "local-0", "local-1", "local-2", "mid-0", "local-9"],
         "roles": ["intermediate", "local", "root"],
-        "trace_sha": "50350189aff05248ec9bef153ef45886e1bc146dc56cbe2228c95be3eaf8994b",
-        "counters": [17, 1, 0, 0, 912, 0, 0, 0, 0],
+        "trace_sha": "a628d57718473c9d7e475d85426a5e4d2c1c379df1f8d6d67177af9d4e36db1c",
+        "counters": [52, 1, 0, 0, 912, 0, 0, 0, 0],
     },
     "scotty": {
         "rows": 108,
