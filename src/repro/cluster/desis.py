@@ -69,6 +69,9 @@ class DesisCluster(Deployment):
             )
         self.reroutes = 0
         self._dead_intermediates: list[IntermediateNode] = []
+        #: whether locals and intermediates keep what they shipped for a
+        #: recovering parent; settled at :meth:`_arm_recovery`
+        self._retain_shipped = False
         self._build_nodes()
 
     # -- construction -------------------------------------------------------------------
@@ -155,6 +158,8 @@ class DesisCluster(Deployment):
         node = LocalNode(
             node_id, parent, self.plan, self.config, recorder=self.recorder
         )
+        if self._retain_shipped:
+            node.retain_shipped()
         self.locals[node_id] = node
         self.net.add_node(node)
         self.net.connect(node_id, parent)
@@ -200,16 +205,17 @@ class DesisCluster(Deployment):
 
     def _arm_recovery(self, end: int) -> None:
         """Seal the fault plan at end-of-stream, enable batch retention
-        where recovery could re-request shipped suffixes, and schedule the
-        restarts of finite state-losing crash windows."""
+        where recovery could re-request shipped suffixes (also on locals
+        added later), and schedule the restarts of finite state-losing
+        crash windows."""
         plan = self.config.fault_plan
         if plan is None:
             return
         plan.seal(end)
-        needs_retention = self.checkpoint_store is not None or any(
+        self._retain_shipped = self.checkpoint_store is not None or any(
             w.lose_state or w.end is None or w.end >= end for w in plan.crashes
         )
-        if needs_retention:
+        if self._retain_shipped:
             for node in (*self.locals.values(), *self.intermediates.values()):
                 node.retain_shipped()
         for window in plan.crashes:

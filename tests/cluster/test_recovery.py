@@ -29,6 +29,7 @@ from repro.cluster.checkpoint import (
 from repro.cluster.root import RootAssembler, derive_ops_from_timed
 from repro.core.analyzer import analyze
 from repro.core.errors import ClusterError
+from repro.core.event import Event
 from repro.core.functions import finalize
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction, WindowMeasure
@@ -327,6 +328,39 @@ class TestLateQueryGroup:
         after = lambda found: [r for r in rows(found) if r[1] >= settle]  # noqa: E731
         assert after(result) == after(baseline)
         assert {r[0] for r in after(result)} == {"avg_1000", "late"}
+
+
+class TestLateLocal:
+    """A local added at runtime under a parent inside a state-losing
+    crash window keeps what it ships like every other local, so the
+    restored parent is served the suffix it lost (at the parent commit
+    the run failed with ``missing slices … expected seq 0``)."""
+
+    def run(self, plan):
+        cluster = DesisCluster(
+            QUERIES["mixed"],
+            three_tier(3, 1),
+            config=ClusterConfig(
+                tick_interval=100,
+                fault_plan=plan,
+                checkpoint_interval=700,
+                node_timeout=NEVER,
+            ),
+        )
+        extra = [Event(3_000 + 7 * i, "k", float(i % 13)) for i in range(150)]
+        return cluster.run(
+            make_streams(3, 1_000, seed=5, gap_every=150),
+            actions=[
+                (2_900, lambda c: c.add_local_node("local-9", "mid-0", extra))
+            ],
+        )
+
+    def test_a_local_added_under_a_crashed_parent_is_recovered(self):
+        crash = CrashWindow("mid-0", 2_500, 4_000, lose_state=True)
+        result = self.run(FaultPlan(seed=2, crashes=(crash,)))
+        assert result.recoveries == 1
+        assert result.local_stats["local-9"].events == 150
+        assert rows(result) == rows(self.run(FaultPlan(seed=2)))
 
 
 class TestIntermediateFailover:
