@@ -1315,16 +1315,20 @@ class AggregationEngine:
         self.stats.events += 1
 
     def _process_ungrouped(self, event: Event) -> None:
-        """:meth:`process` until the first query-group exists: no group
-        keeps stream time yet, so the engine does, and refuses an event
-        out of order as :meth:`process_batch` does."""
-        last = self._ungrouped_time
-        if last is not None and event.time < last:
-            raise OutOfOrderError(
-                f"event at t={event.time} arrived after stream time {last}"
-            )
-        self._ungrouped_time = event.time
+        """:meth:`process` until the first query-group exists."""
+        self._keep_ungrouped_time(event.time, event.time)
         self.stats.events += 1
+
+    def _keep_ungrouped_time(self, first: int, last: int) -> None:
+        """Keep stream time across rows ``first`` .. ``last`` (in order)
+        while no group keeps it, and refuse rows before it as a group
+        would."""
+        now = self._ungrouped_time
+        if now is not None and first < now:
+            raise OutOfOrderError(
+                f"event at t={first} arrived after stream time {now}"
+            )
+        self._ungrouped_time = last
 
     def process_batch(self, events: Sequence[Event]) -> None:
         """Process an ordered batch of events through the fast path.
@@ -1342,6 +1346,8 @@ class AggregationEngine:
             keys = any(group.reads_keys for group in self.groups)
             markers = any(group.reads_markers for group in self.groups)
             _ingest_columns(self.groups, *_columns(events, keys, markers))
+            if not self.groups:
+                self._keep_ungrouped_time(events[0].time, events[-1].time)
             self.stats.events += len(events)
 
     def process_columns(
@@ -1367,6 +1373,8 @@ class AggregationEngine:
             raise NaNValueError("a values column holding NaN refused")
         if times:
             _ingest_columns(self.groups, times, keys, values, markers or {})
+            if not self.groups:
+                self._keep_ungrouped_time(times[0], times[-1])
             self.stats.events += len(times)
 
     def process_many(self, events: Iterable[Event]) -> None:

@@ -537,3 +537,30 @@ class TestRejectedEventsAreNotBilled:
         engine.process(Event(12, "k", 2.0))
         # the query joined at stream time 10: its first window starts there
         assert [(r.start, r.value) for r in engine.close(30)] == [(10, 2.0)]
+
+    @pytest.mark.parametrize("first", ["process", "process_batch", "process_columns"])
+    @pytest.mark.parametrize("then", ["process_batch", "process_columns"])
+    def test_batches_without_a_group(self, first, then):
+        # The batch entry points keep the ungrouped stream time too (at
+        # the parent commit neither checked nor advanced it).
+        def feed(engine, how, *times):
+            events = [Event(t, "k", 1.0) for t in times]
+            if how == "process":
+                for event in events:
+                    engine.process(event)
+            elif how == "process_batch":
+                engine.process_batch(events)
+            else:
+                engine.process_columns(list(times), ["k"] * len(times),
+                                       [1.0] * len(times))
+
+        engine = AggregationEngine([])
+        feed(engine, first, 4, 10)
+        with pytest.raises(OutOfOrderError):
+            feed(engine, then, 5, 11)
+        assert engine.stats.events == 2
+        feed(engine, then, 10, 12)
+        engine.add_query(Query.of("sum", WindowSpec.tumbling(10), AggFunction.SUM))
+        engine.process(Event(15, "k", 2.0))
+        # the query joined at the batch's last time, 12
+        assert [(r.start, r.value) for r in engine.close(30)] == [(12, 2.0)]
