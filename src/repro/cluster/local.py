@@ -20,8 +20,6 @@ its events.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.core.analyzer import QueryGroup, QueryPlan
 from repro.core.engine import EngineStats, GroupRuntime
 from repro.core.event import Event
@@ -47,7 +45,7 @@ class _LocalGroup:
     """Slicing-only engine runtime for one query-group, and the staging
     buffer of its closed slice records with their upward sequence."""
 
-    def __init__(self, node_id: str, group: QueryGroup, config: ClusterConfig,
+    def __init__(self, node_id: str, group: QueryGroup, origin: int,
                  stats: EngineStats, recorder=None) -> None:
         self.node_id = node_id
         self.group = group
@@ -67,7 +65,7 @@ class _LocalGroup:
         )
         # Anchor fixed-window schedules at the shared origin so slice
         # boundaries align across all local nodes (Sec 5.1.1).
-        self.runtime.advance(config.origin)
+        self.runtime.advance(origin)
         self._userdef_ids = {
             q.query_id
             for q in group.queries
@@ -194,7 +192,7 @@ class LocalNode(Shipper):
             _LocalGroup(
                 self.node_id,
                 group,
-                replace(self.config, origin=origin),
+                origin,
                 self.stats,
                 self.recorder,
             )

@@ -368,12 +368,6 @@ class Scenario:
         return sum(len(v) for v in self.build_streams().values())
 
     @property
-    def has_user_defined(self) -> bool:
-        return any(
-            q.window_type == WindowType.USER_DEFINED.value for q in self.queries
-        )
-
-    @property
     def fixed_time_only(self) -> bool:
         """Whether every query is a fixed-size time window (Disco's domain)."""
         return all(

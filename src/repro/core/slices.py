@@ -83,10 +83,6 @@ class Slice:
         self.contexts.clear()
         self.closed = True
 
-    @property
-    def total_inserts(self) -> int:
-        return sum(self.insert_counts.values())
-
     def __repr__(self) -> str:
         status = "closed" if self.closed else "open"
         return f"Slice(#{self.index} [{self.start}..{self.end}) {status})"

@@ -93,10 +93,6 @@ class Topology:
             hops += 1
         return hops
 
-    def depth_order(self) -> list[str]:
-        """Nodes sorted deepest-first (locals before their ancestors)."""
-        return sorted(self.nodes(), key=self.hops_to_root, reverse=True)
-
     # -- runtime membership (Sec 3.2) ----------------------------------------------
 
     def add_node(self, node: str, parent: str, role: NodeRole) -> None:

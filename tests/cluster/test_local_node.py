@@ -29,20 +29,18 @@ K = OperatorKind
 shipper_kinds = pytest.mark.parametrize("kind", ["local", "intermediate"])
 
 
-def local_group(root_evaluated, *queries, tick=1_000):
+def local_group(root_evaluated, *queries):
     plan = analyze(queries, decentralized=True)
     (group,) = [g for g in plan.groups if g.root_evaluated == root_evaluated]
-    return _LocalGroup(
-        "local-0", group, ClusterConfig(tick_interval=tick), EngineStats()
-    )
+    return _LocalGroup("local-0", group, 0, EngineStats())
 
 
-def sliced_group(*queries, tick=1_000):
-    return local_group(False, *queries, tick=tick)
+def sliced_group(*queries):
+    return local_group(False, *queries)
 
 
-def rooteval_group(*queries, tick=1_000):
-    return local_group(True, *queries, tick=tick)
+def rooteval_group(*queries):
+    return local_group(True, *queries)
 
 
 class TestSlicedLocalGroup:

@@ -150,13 +150,6 @@ class TestFlags:
         )
         assert not with_session.fixed_time_only
 
-    def test_has_user_defined(self):
-        scenario = small_scenario(
-            queries=(QuerySpec("q0", "user_defined", "min", end_marker="end"),),
-            marker_every=7,
-        )
-        assert scenario.has_user_defined
-
 
 class TestGenerator:
     def test_same_seed_same_scenarios(self):

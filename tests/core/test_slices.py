@@ -40,7 +40,6 @@ class TestSlice:
         assert s.partials[0][K.COUNT] == 2
         assert s.partials[1][K.SUM] == 5.0
         assert s.insert_counts == {0: 2, 1: 1}
-        assert s.total_inserts == 3
         assert not s.contexts  # open state is discarded
 
     def test_double_close_raises(self):

@@ -33,11 +33,6 @@ class TestBuilders:
     def test_chain_zero_hops_is_star(self):
         assert chain(2, hops=0).intermediates() == []
 
-    def test_depth_order_is_deepest_first(self):
-        topo = three_tier(2, 1)
-        order = topo.depth_order()
-        assert order.index("local-0") < order.index("mid-0") < order.index("root")
-
     @pytest.mark.parametrize(
         "bad", [lambda: star(0), lambda: three_tier(0), lambda: chain(1, -1)]
     )
