@@ -73,8 +73,9 @@ _RESTART = 6
 #: share of the credit cap that stalled it (hysteresis, DESIGN.md §12)
 CREDIT_RESUME_FRACTION = 0.8
 
-#: simulated ms before an unacked reliable frame is first retransmitted;
-#: retry ``k`` waits ``RETRANSMIT_TIMEOUT_MS * 2**k`` (DESIGN.md §6)
+#: simulated ms after its send that an unacked reliable frame is first
+#: retransmitted; each later retry waits twice as long as the one before
+#: (DESIGN.md §6)
 RETRANSMIT_TIMEOUT_MS = 100.0
 #: retransmissions of one frame before the channel abandons it and counts
 #: it as ``retransmit_exhausted``
