@@ -577,7 +577,7 @@ class SimNetwork:
             arrival = link.transfer(
                 len(data), self.now, control=isinstance(message, ControlMessage)
             )
-            self._push(arrival, _MESSAGE, (dst, data, link))
+            self._push(arrival, _MESSAGE, (data, link))
             return
         control = isinstance(
             message, (ControlMessage, AckMessage, ResyncMessage, CheckpointMessage)
@@ -804,7 +804,7 @@ class SimNetwork:
                 delay += rng.uniform(0.0, faults.jitter_ms)
             if faults.reorder_rate and rng.random() < faults.reorder_rate:
                 delay += rng.uniform(0.0, faults.reorder_delay_ms)
-            self._push(arrival + delay, _MESSAGE, (link.dst, data, link))
+            self._push(arrival + delay, _MESSAGE, (data, link))
 
     def _handle_retry(self, at: float, payload: tuple[str, str, int, int]) -> None:
         src, dst, epoch, seq = payload
@@ -965,7 +965,8 @@ class SimNetwork:
                 node.cpu_time += _time.perf_counter() - started
                 node.events_handled += len(events)
             elif kind == _MESSAGE:
-                node_id, data, link = payload
+                data, link = payload
+                node_id = link.dst
                 if self.fault_plan is not None and self.fault_plan.crashed(
                     node_id, self.now
                 ):
