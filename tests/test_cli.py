@@ -237,22 +237,24 @@ class TestReport:
         assert "ms (ingest" in out  # the waterfall header
 
     #: the CI span-smoke ``report --trace-out`` command lines, each with
-    #: the sha256 of the trace file it writes
+    #: the sha256 of the trace file it writes and the sha256 of its
+    #: records as a multiset (see :meth:`_record_multiset_sha`)
     CI_TRACES = {
         "drop-rate": (
             ["--locals", "3", "--drop-rate", "0.05", "--explain"],
             "ff49999c56729485ba5429988e6e07eb341592381c6d911d01c426dfe720f96e",
+            "d2c66f92ea180f676dc7c38e936dbc71c2dd5770c9c3e01cd207e389d6472f3b",
         ),
         "crash-checkpoint": (
             ["--locals", "4", "--drop-rate", "0.02",
              "--crash", "mid-0:1500:2500", "--checkpoint-interval", "400"],
             "afcae1b529fad0a2cc8ecc5d1eb4d4f8608d5285953b239d5b1cdeb2a1e86933",
+            "6ac078dca12c9bb83f9aff3e2868d7f049facaa583e038e085a5e85cb2ba2d4d",
         ),
     }
 
-    @pytest.mark.parametrize("name", sorted(CI_TRACES))
-    def test_ci_span_smoke_traces_are_pinned(self, name, capsys, tmp_path):
-        flags, pinned = self.CI_TRACES[name]
+    def _ci_trace(self, name, capsys, tmp_path) -> bytes:
+        flags = self.CI_TRACES[name][0]
         trace = tmp_path / "trace.jsonl"
         code = main(
             ["report", "--events", "4000", "--rate", "5000", "--seed", "8",
@@ -260,7 +262,30 @@ class TestReport:
         )
         capsys.readouterr()
         assert code == 0
-        assert hashlib.sha256(trace.read_bytes()).hexdigest() == pinned
+        return trace.read_bytes()
+
+    @staticmethod
+    def _record_multiset_sha(data: bytes) -> str:
+        """The sha256 of a trace's records with ``seq`` dropped, each
+        dumped with sorted keys and the lines sorted: what the trace
+        holds, whatever order records stamped alike were written in."""
+        records = [json.loads(line) for line in data.splitlines()]
+        for record in records:
+            del record["seq"]
+        lines = sorted(json.dumps(record, sort_keys=True) for record in records)
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(CI_TRACES))
+    def test_ci_span_smoke_traces_are_pinned(self, name, capsys, tmp_path):
+        data = self._ci_trace(name, capsys, tmp_path)
+        assert hashlib.sha256(data).hexdigest() == self.CI_TRACES[name][1]
+
+    @pytest.mark.parametrize("name", sorted(CI_TRACES))
+    def test_ci_span_smoke_traces_hold_their_records(
+        self, name, capsys, tmp_path
+    ):
+        data = self._ci_trace(name, capsys, tmp_path)
+        assert self._record_multiset_sha(data) == self.CI_TRACES[name][2]
 
 
 class TestProfile:
