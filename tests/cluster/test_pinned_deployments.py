@@ -96,6 +96,17 @@ def _digest(obj) -> str:
     ).hexdigest()
 
 
+def record_multiset_sha(jsonl: str) -> str:
+    """The sha256 of a JSONL trace's records with ``seq`` dropped, each
+    dumped with sorted keys and the lines sorted: what the trace holds,
+    whatever order records stamped alike were written in."""
+    records = [json.loads(line) for line in jsonl.splitlines()]
+    for record in records:
+        del record["seq"]
+    lines = sorted(json.dumps(record, sort_keys=True) for record in records)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def observe(result) -> dict:
     """Everything a run produced that does not take seconds."""
     net = dataclasses.asdict(result.network)
@@ -118,6 +129,10 @@ def observe(result) -> dict:
         "nodes": list(result.node_cpu),
         "roles": sorted(role.value for role in result.cpu_by_role),
         "trace_sha": _digest(render_trace_jsonl(result.recorder)),
+        "trace_records_sha": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "trace_records_sha": record_multiset_sha(
+            render_trace_jsonl(result.recorder)
+        ),
         "counters": [
             result.checkpoints, result.recoveries, result.reroutes,
             result.duplicates_suppressed, result.root_merge_ops,
@@ -139,6 +154,7 @@ PINNED = {
         "nodes": ["root", "local-0", "local-1", "local-2", "mid-0"],
         "roles": ["intermediate", "local", "root"],
         "trace_sha": "12ae32cb1ec02d01eda3581b127c1fee3b0dc53572ed6baf239721a03d82e126",
+        "trace_records_sha": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "counters": [0, 0, 0, 0, 780, 0, 0, 0, 0],
     },
     "desis-faulty": {
@@ -151,6 +167,7 @@ PINNED = {
         "nodes": ["root", "local-0", "local-1", "local-2", "mid-0"],
         "roles": ["intermediate", "local", "root"],
         "trace_sha": "12ae32cb1ec02d01eda3581b127c1fee3b0dc53572ed6baf239721a03d82e126",
+        "trace_records_sha": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "counters": [0, 0, 0, 0, 780, 0, 0, 0, 0],
     },
     "desis-checkpointed": {
@@ -163,6 +180,7 @@ PINNED = {
         "nodes": ["root", "local-0", "local-1", "local-2", "mid-0", "local-9"],
         "roles": ["intermediate", "local", "root"],
         "trace_sha": "a628d57718473c9d7e475d85426a5e4d2c1c379df1f8d6d67177af9d4e36db1c",
+        "trace_records_sha": "491121d03dbc5141da3e5f78459f3f0ac6549fb0a85860da1aca4a81b6199209",
         "counters": [52, 1, 0, 0, 912, 0, 0, 0, 0],
     },
     "scotty": {
@@ -175,6 +193,7 @@ PINNED = {
         "nodes": ["root", "local-0", "local-1", "local-2", "mid-0"],
         "roles": ["intermediate", "local", "root"],
         "trace_sha": "12ae32cb1ec02d01eda3581b127c1fee3b0dc53572ed6baf239721a03d82e126",
+        "trace_records_sha": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "counters": [0, 0, 0, 0, 0, 0, 0, 0, 0],
     },
     "disco": {
@@ -187,6 +206,7 @@ PINNED = {
         "nodes": ["root", "local-0", "local-1", "local-2", "local-3", "mid-0", "mid-1"],
         "roles": ["intermediate", "local", "root"],
         "trace_sha": "12ae32cb1ec02d01eda3581b127c1fee3b0dc53572ed6baf239721a03d82e126",
+        "trace_records_sha": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "counters": [0, 0, 0, 0, 0, 0, 0, 0, 0],
     },
 }

@@ -29,7 +29,9 @@ from repro.obs import (
     top_slowest,
 )
 
+from repro.obs.exporters import render_trace_jsonl
 from tests.cluster.test_desis_parity import TICK, make_streams
+from tests.cluster.test_pinned_deployments import record_multiset_sha
 
 QUERIES = [Query.of("q", WindowSpec.tumbling(1_000), AggFunction.SUM)]
 
@@ -236,27 +238,32 @@ class TestPinnedTraces:
             bandwidth_bytes_per_ms=0.2,
         ),
     }
-    #: run -> (windows, sha256 of the paths' to_dict(), sha256 of the spans)
+    #: run -> (windows, sha256 of the paths' to_dict(), sha256 of the
+    #: spans, sha256 of the trace's records as a multiset)
     PINS = {
         "clean": (
             50,
             "ac9a8e3f8c0e130368ddb30d7f717f7c74b8fe825bc30ed2c5f678ec9e88c866",
             "464926be871d4f793e642a183160bf26b3d63b16d7b9690c5797b85f48772489",
+            "3c24412de2aa2c00d92bfadbf5f00fadfc23ae98a38e3eaf133bf04665049839",
         ),
         "faulty": (
             50,
             "f2ed12f741d3664a7d740a0cb78ed2b86b81ae7c0d6637778a319cd9e759339b",
             "bc448c112856b77f40176a0bbde88295359f241cbcc29f31ec9d3b938943b03f",
+            "293c4682789127f1b091d6154e021efd0563ba9780a28cea21fe0da5e56190ab",
         ),
         "crash-recover": (
             50,
             "596cf776295d1481622bc2eda47c235449cac8682a3a3e3c56c927b797ef26cd",
             "a69adda953ac82a4c2604a7f2b13f28fa8519f6474ed49997630cc2655b1aa19",
+            "6a79c0987b08a68dce58d144e2bc48d91c7ec62376947f8ea52528435a33d818",
         ),
         "overload": (
             50,
             "b3599778141170dc8fdc7ecf9b719e35bfb95ff5597c4c026c0b5f84d7e135bb",
             "d669f7d9137f767ad2e0880c5d75d9ea1a914d42d73bf011129fc138113e2695",
+            "f81cf1ac9c735f2429087cfba9b33dcbadb076da5a25e29652d1d232c459e599",
         ),
     }
 
@@ -287,6 +294,7 @@ class TestPinnedTraces:
             len(paths),
             self._digest(json.dumps([path.to_dict() for path in paths])),
             self._digest(render_spans_jsonl(traces)),
+            record_multiset_sha(render_trace_jsonl(result.recorder)),
         )
         assert got == self.PINS[run]
 

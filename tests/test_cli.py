@@ -9,6 +9,8 @@ import pytest
 
 from repro.__main__ import SHARED_FLAGS, build_parser, main
 
+from tests.cluster.test_pinned_deployments import record_multiset_sha
+
 
 class TestRun:
     def test_run_single_query(self, capsys):
@@ -238,7 +240,7 @@ class TestReport:
 
     #: the CI span-smoke ``report --trace-out`` command lines, each with
     #: the sha256 of the trace file it writes and the sha256 of its
-    #: records as a multiset (see :meth:`_record_multiset_sha`)
+    #: records as a multiset (``record_multiset_sha``)
     CI_TRACES = {
         "drop-rate": (
             ["--locals", "3", "--drop-rate", "0.05", "--explain"],
@@ -264,17 +266,6 @@ class TestReport:
         assert code == 0
         return trace.read_bytes()
 
-    @staticmethod
-    def _record_multiset_sha(data: bytes) -> str:
-        """The sha256 of a trace's records with ``seq`` dropped, each
-        dumped with sorted keys and the lines sorted: what the trace
-        holds, whatever order records stamped alike were written in."""
-        records = [json.loads(line) for line in data.splitlines()]
-        for record in records:
-            del record["seq"]
-        lines = sorted(json.dumps(record, sort_keys=True) for record in records)
-        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
     @pytest.mark.parametrize("name", sorted(CI_TRACES))
     def test_ci_span_smoke_traces_are_pinned(self, name, capsys, tmp_path):
         data = self._ci_trace(name, capsys, tmp_path)
@@ -285,7 +276,7 @@ class TestReport:
         self, name, capsys, tmp_path
     ):
         data = self._ci_trace(name, capsys, tmp_path)
-        assert self._record_multiset_sha(data) == self.CI_TRACES[name][2]
+        assert record_multiset_sha(data.decode()) == self.CI_TRACES[name][2]
 
 
 class TestProfile:
