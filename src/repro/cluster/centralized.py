@@ -34,9 +34,6 @@ class _ForwardingLocal(SimNode):
         self.parent = parent
         self.pending: list[Event] = []
 
-    def on_event(self, event: Event, now: int, net: SimNetwork) -> None:
-        self.pending.append(event)
-
     def on_events(self, events: list[Event], now: int, net: SimNetwork) -> None:
         self.pending.extend(events)
 
@@ -148,7 +145,7 @@ class CentralizedCluster(Deployment):
 
     def run(self, streams: dict[str, Iterable[Event]]) -> ClusterRunResult:
         started = _time.perf_counter()
-        events, end = self._inject(streams, batch_ms=self.config.batch_ms)
+        events, end = self._inject(streams)
         self._tick_locals(self.locals, start=self.config.origin, end=end)
         self.net.run()
         self._finish_locals()

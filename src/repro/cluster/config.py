@@ -22,6 +22,9 @@ class ClusterConfig:
             and ship pending partial results every tick; it is also the
             granularity at which coverage advances, i.e. the paper's
             watermark for terminating data-driven windows (Sec 5.1.2).
+            Local streams enter their nodes in batches cut on this grid
+            and at the run's action times
+            (:meth:`~repro.network.simnet.SimNetwork.inject_stream`).
         latency_ms: per-link one-way latency.
         bandwidth_bytes_per_ms: per-link bandwidth cap (``None`` =
             unlimited; ~131 bytes/ms models the Pi cluster's 1G Ethernet).
@@ -30,13 +33,11 @@ class ClusterConfig:
             child whose upward channel stays credit-stalled this long is
             evicted as a slow consumer too.  Heartbeats follow from it
             (:attr:`heartbeat_interval`).
-        batch_ms: when set, inject each local stream in per-tick event
-            batches of this granularity (see
-            :meth:`~repro.network.simnet.SimNetwork.inject_stream`), so
-            nodes with a batched ingestion path process slice-runs in one
-            handler call.  ``None`` (the default) keeps per-event
-            injection; deployments with runtime actions always use
-            per-event injection regardless.
+        batch_ms: read by nothing.  Its one setter is
+            ``benchmarks/e2e/measure.py``, which builds
+            ``ClusterConfig(tick_interval=100, batch_ms=100)``; the next
+            change to the benchmark deletes this field together with
+            that line.
         fault_plan: seeded description of link faults and node crashes
             (see :class:`~repro.network.simnet.FaultPlan`).  ``None`` (the
             default) keeps the lossless network byte-for-byte; any plan —

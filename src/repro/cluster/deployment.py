@@ -125,6 +125,9 @@ class Deployment:
         #: the aligned tick past the latest injected event: where the
         #: locals flush
         self._end_boundary = config.origin
+        #: sorted times the deployment acts at between queue pops; no
+        #: injected batch spans one
+        self._cuts: tuple[int, ...] = ()
 
     def _add_nodes(
         self,
@@ -152,8 +155,10 @@ class Deployment:
         return intermediates
 
     def _inject(self, streams: dict[str, Iterable[Event]], *,
-                batch_ms: int | None = None) -> tuple[int, int]:
-        """Schedule each local's stream at its own timestamps.
+                grid: int | None = None) -> tuple[int, int]:
+        """Schedule each local's stream at its own timestamps, in batches
+        cut on ``grid`` (the tick interval unless given) and at the
+        deployment's cut times.
 
         Returns the number of events and the aligned tick past the latest
         one, and moves the end boundary out to that tick.
@@ -167,7 +172,10 @@ class Deployment:
             events += len(materialized)
             last = max(
                 last,
-                self.net.inject_stream(node_id, materialized, batch_ms=batch_ms),
+                self.net.inject_stream(
+                    node_id, materialized, grid or self.config.tick_interval,
+                    self._cuts,
+                ),
             )
         interval = self.config.tick_interval
         end = (last // interval + 1) * interval

@@ -292,13 +292,12 @@ class DesisCluster(Deployment):
         """
         started = _time.perf_counter()
         self._broadcast_attributes()
-        # Batched injection is only safe without runtime actions: an
-        # action fires between queue pops (``net.run(until=at)``), and a
-        # batch spanning its timestamp would let events past the action
-        # be processed before it runs.
-        events, end = self._inject(
-            streams, batch_ms=self.config.batch_ms if not actions else None
-        )
+        actions = sorted(actions or [], key=lambda pair: pair[0])
+        # An action fires between queue pops (``net.run(until=at)``): no
+        # batch may span its time, or events past it would be processed
+        # before it runs.
+        self._cuts = tuple(sorted({at for at, _ in actions}))
+        events, end = self._inject(streams)
         self._arm_recovery(end)
         self._tick_locals(list(self.locals), start=self.config.origin, end=end)
         for node_id in self.intermediates:
@@ -317,7 +316,7 @@ class DesisCluster(Deployment):
                 end=end,
                 interval=self.config.heartbeat_interval,
             )
-        for at, action in sorted(actions or [], key=lambda pair: pair[0]):
+        for at, action in actions:
             self.net.run(until=at)
             action(self)
         self.net.run()

@@ -110,11 +110,14 @@ class _DiscoLocal(SimNode):
                 ),
             )
 
-    def on_event(self, event: Event, now: int, net: SimNetwork) -> None:
+    def on_events(self, events: list[Event], now: int, net: SimNetwork) -> None:
+        # One timestamp per batch (a 1 ms grid), so a window an event
+        # closes is sent at that event's time.
         self._net, self._now = net, now
-        self.stats.events += 1
-        for runtime in self.runtimes:
-            runtime.process(event)
+        for event in events:
+            self.stats.events += 1
+            for runtime in self.runtimes:
+                runtime.process(event)
 
     def on_tick(self, now: int, net: SimNetwork) -> None:
         self._net, self._now = net, now
@@ -316,10 +319,10 @@ class DiscoCluster(Deployment):
 
     def run(self, streams: dict[str, Iterable[Event]]) -> ClusterRunResult:
         started = _time.perf_counter()
-        # Per event whatever ``batch_ms`` says: a local sends a window's
-        # partials when an event closes it, and a batch would send them
-        # at the batch's first event.
-        events, end = self._inject(streams)
+        # On a 1 ms grid: a local sends a window's partials when an event
+        # closes it, so each batch holds the events of one timestamp and
+        # runs at that time.
+        events, end = self._inject(streams, grid=1)
         self._tick_locals(self.locals, start=self.config.origin, end=end)
         self.net.run()
         self._finish_locals()

@@ -111,9 +111,6 @@ class _LocalGroup:
         if query_id in self.runtime.tracker_by_query:
             self.runtime.remove_query(query_id)
 
-    def on_event(self, event: Event) -> None:
-        self.runtime.process(event)
-
     def on_events(self, events: list[Event]) -> None:
         # Slice-run fast path: the runtime splits the batch at its own
         # punctuations and at its data-driven windows' opens and closes.
@@ -225,11 +222,6 @@ class LocalNode(Shipper):
         shed = group.pending[: len(group.pending) - low]
         group.pending = group.pending[len(shed):]
         self._shed(group, shed, net)
-
-    def on_event(self, event: Event, now: int, net: SimNetwork) -> None:
-        self.stats.events += 1
-        for group in self.groups:
-            group.on_event(event)
 
     def on_events(self, events: list[Event], now: int, net: SimNetwork) -> None:
         self.stats.events += len(events)

@@ -225,7 +225,6 @@ def run_scotty(scenario, streams) -> ExecutionResult:
 def _cluster_config(scenario: Scenario, *, fault) -> ClusterConfig:
     return ClusterConfig(
         tick_interval=scenario.tick_interval,
-        batch_ms=scenario.batch_ms,
         fault_plan=fault,
         checkpoint_interval=scenario.checkpoint_interval,
         node_timeout=NEVER if fault is not None else 15_000,

@@ -256,7 +256,6 @@ class Scenario:
     n_intermediates: int = 1  # three_tier width / chain hops
     # knob cross-product
     tick_interval: int = 500
-    batch_ms: int | None = None
     #: worker count for the parallel-sharded executor (DESIGN.md §13);
     #: only meaningful when the query mix is fixed-size time windows
     shards: int = 1
@@ -399,8 +398,6 @@ class Scenario:
             out["gap_ms"] = self.gap_ms
         if self.marker_every is not None:
             out["marker_every"] = self.marker_every
-        if self.batch_ms is not None:
-            out["batch_ms"] = self.batch_ms
         # shards and specials are emitted only when set, so the committed
         # corpus digests (written before either existed) stay stable
         if self.shards != 1:
@@ -546,7 +543,6 @@ class ScenarioGenerator:
             topology=topology,
             n_intermediates=n_intermediates,
             tick_interval=500,
-            batch_ms=rng.choice((None, None, 500)),
             checkpoint_interval=checkpoint_interval,
             fault=fault,
             overload=overload,

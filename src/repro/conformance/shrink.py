@@ -96,7 +96,6 @@ def _shrink_knobs(scenario: Scenario, predicate: Predicate,
         lambda s: replace(s, overload=None),
         lambda s: replace(s, fault=None),
         lambda s: replace(s, checkpoint_interval=None),
-        lambda s: replace(s, batch_ms=None),
         lambda s: replace(s, max_lateness=0),
     ):
         candidate = simplify(scenario)

@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_left
 import time as _time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.errors import TopologyError
 from repro.core.event import Event
@@ -62,7 +63,6 @@ __all__ = [
     "CrashWindow",
 ]
 
-_EVENT = 0
 _TICK = 1
 _MESSAGE = 2
 _EVENT_BATCH = 4
@@ -291,16 +291,9 @@ class SimNode:
         self.events_handled = 0
         self.messages_handled = 0
 
-    def on_event(self, event: Event, now: int, net: "SimNetwork") -> None:
-        """A stream event arrived at this (local) node."""
-
     def on_events(self, events: list[Event], now: int, net: "SimNetwork") -> None:
-        """A batch of in-order stream events arrived (see
-        :meth:`SimNetwork.inject_stream` with ``batch_ms``).  The default
-        keeps per-event semantics; nodes with a batched ingestion path
-        override this."""
-        for event in events:
-            self.on_event(event, now, net)
+        """A batch of in-order stream events arrived at this (local) node
+        (see :meth:`SimNetwork.inject_stream`)."""
 
     def on_message(self, message: Message, now: int, net: "SimNetwork") -> None:
         """A message from another node was delivered."""
@@ -500,31 +493,29 @@ class SimNetwork:
         heapq.heappush(self._queue, (at, self._seq, kind, payload))
 
     def inject_stream(
-        self, node_id: str, events: Iterable[Event], *, batch_ms: int | None = None
+        self, node_id: str, events: Iterable[Event], grid: int,
+        cuts: Sequence[float] = (),
     ) -> int:
-        """Schedule a local node's events at their own timestamps.
+        """Schedule a local node's events in batches at their own timestamps.
 
-        With ``batch_ms`` set, consecutive events are grouped into
-        per-tick batches delivered through :meth:`SimNode.on_events` in a
-        single handler call: a batch starts at some event time ``t`` and
-        extends through events up to the next ``batch_ms`` grid point
-        ``>= t`` — the cadence watermark ticks fire on — so no tick (or
-        later-scheduled message) can fall between a batch's first and last
-        event.  The batch is scheduled at its first event's time, exactly
-        where per-event scheduling would deliver that event.
+        Consecutive events are grouped into batches, each delivered
+        through :meth:`SimNode.on_events` in a single handler call.  A
+        batch starts at some event time ``t`` and extends through the
+        events up to the next ``grid`` point ``>= t`` (the cadence
+        watermark ticks fire on) or, if it comes first, the next of the
+        sorted ``cuts`` ``>= t`` (the times a caller acts between queue
+        pops, ``run(until=cut)``).  So no tick and no cut falls between
+        a batch's first and last event.  The batch is scheduled at its
+        first event's time; with a grid of 1 a batch holds exactly the
+        events of one timestamp.
 
         Returns the last event time (or 0 for an empty stream).
         """
         if node_id not in self.nodes:
             raise TopologyError(f"unknown node: {node_id!r}")
+        if grid <= 0:
+            raise TopologyError(f"grid must be positive, got {grid}")
         last = 0
-        if batch_ms is None:
-            for event in events:
-                self._push(float(event.time), _EVENT, (node_id, event))
-                last = event.time
-            return last
-        if batch_ms <= 0:
-            raise TopologyError(f"batch_ms must be positive, got {batch_ms}")
         batch: list[Event] = []
         boundary = 0
         for event in events:
@@ -534,8 +525,11 @@ class SimNetwork:
             if not batch:
                 # Smallest grid point >= the batch's first event: events at
                 # exactly a tick time still precede that tick (they were
-                # scheduled first), matching per-event pop order.
-                boundary = ((event.time + batch_ms - 1) // batch_ms) * batch_ms
+                # scheduled first).
+                boundary = -(-event.time // grid) * grid
+                i = bisect_left(cuts, event.time)
+                if i < len(cuts) and cuts[i] < boundary:
+                    boundary = cuts[i]
             batch.append(event)
             last = event.time
         if batch:
@@ -950,14 +944,7 @@ class SimNetwork:
                 self._handle_retry(at, payload)
                 continue
             self.now = max(self.now, at)
-            if kind == _EVENT:
-                node_id, event = payload
-                node = self.nodes[node_id]
-                started = _time.perf_counter()
-                node.on_event(event, int(self.now), self)
-                node.cpu_time += _time.perf_counter() - started
-                node.events_handled += 1
-            elif kind == _EVENT_BATCH:
+            if kind == _EVENT_BATCH:
                 node_id, events = payload
                 node = self.nodes[node_id]
                 started = _time.perf_counter()

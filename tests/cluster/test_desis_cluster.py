@@ -162,8 +162,9 @@ class TestBatchedInjection:
         """The end-to-end benchmark's query mix — fixed windows plus one
         session in the pushed-down group, MEDIAN in the root-evaluated one —
         on three tiers: per-tick batches (slice-run kernel at the locals,
-        bisect cuts for the root-evaluated group) against per-event
-        injection, same sink rows and the same bytes on the wire."""
+        bisect cuts for the root-evaluated group) against the same batches
+        also cut at no-op actions every 37 ms, same sink rows, the same
+        bytes on the wire and the same local work."""
         from repro.datagen.events import DataGenerator, DataGeneratorConfig
         from repro.interface import parse_query
 
@@ -183,23 +184,25 @@ class TestBatchedInjection:
             gap_every_ms=2_000, gap_ms=200,
         )
 
-        def run(batch_ms):
+        def run(actions):
             queries = [parse_query(t, query_id=f"q{i}") for i, t in enumerate(texts)]
             cluster = DesisCluster(
-                queries, three_tier(4, 2),
-                config=ClusterConfig(tick_interval=100, batch_ms=batch_ms),
+                queries, three_tier(4, 2), config=ClusterConfig(tick_interval=100)
             )
             assert [g.root_evaluated for g in cluster.plan.groups] == [False, True]
-            result = cluster.run(DataGenerator(generator, seed=3).streams(4, 2_500))
+            result = cluster.run(
+                DataGenerator(generator, seed=3).streams(4, 2_500), actions=actions
+            )
             rows = [
                 (r.query_id, r.start, r.end, r.value, r.event_count, r.emitted_at)
                 for r in result.sink.results
             ]
             return rows, result.network.total_bytes, result.local_stats
 
-        batched, per_event = run(100), run(None)
+        batched = run(None)
+        cut = run([(at, lambda cluster: None) for at in range(37, 6_000, 37)])
         assert len(batched[0]) > 300
         assert {"q15", "q16"} <= {row[0] for row in batched[0]}  # MEDIAN, session
-        assert batched[0] == per_event[0]
-        assert batched[1] == per_event[1]
-        assert batched[2] == per_event[2]
+        assert batched[0] == cut[0]
+        assert batched[1] == cut[1]
+        assert batched[2] == cut[2]

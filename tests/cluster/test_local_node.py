@@ -48,8 +48,7 @@ class TestSlicedLocalGroup:
         handler = sliced_group(
             Query.of("avg", WindowSpec.tumbling(500), AggFunction.AVERAGE)
         )
-        for t in range(0, 1_000, 100):
-            handler.on_event(Event(t, "k", 2.0))
+        handler.on_events([Event(t, "k", 2.0) for t in range(0, 1_000, 100)])
         message = handler.flush(1_000)
         assert message.covered_to == 1_000
         assert len(message.records) == 2  # two 500ms slices
@@ -62,9 +61,9 @@ class TestSlicedLocalGroup:
         handler = sliced_group(
             Query.of("avg", WindowSpec.tumbling(500), AggFunction.AVERAGE)
         )
-        handler.on_event(Event(100, "k", 1.0))
+        handler.on_events([Event(100, "k", 1.0)])
         first = handler.flush(1_000)
-        handler.on_event(Event(1_100, "k", 1.0))
+        handler.on_events([Event(1_100, "k", 1.0)])
         second = handler.flush(2_000)
         assert first.first_slice_seq == 0
         assert second.first_slice_seq == len(first.records)
@@ -81,8 +80,7 @@ class TestSlicedLocalGroup:
         handler = sliced_group(
             Query.of("s", WindowSpec.session(300), AggFunction.SUM)
         )
-        handler.on_event(Event(120, "k", 1.0))
-        handler.on_event(Event(180, "k", 1.0))
+        handler.on_events([Event(120, "k", 1.0), Event(180, "k", 1.0)])
         message = handler.flush(1_000)
         spans = [
             part.span
@@ -97,8 +95,7 @@ class TestSlicedLocalGroup:
                 "u", WindowSpec.user_defined(end_marker="end"), AggFunction.SUM
             )
         )
-        handler.on_event(Event(100, "k", 1.0))
-        handler.on_event(Event(200, "k", 2.0, "end"))
+        handler.on_events([Event(100, "k", 1.0), Event(200, "k", 2.0, "end")])
         message = handler.flush(1_000)
         eps = [ep for record in message.records for ep in record.userdef_eps]
         assert eps == [("u", 200)]
@@ -109,8 +106,9 @@ class TestRootEvalLocalGroup:
         handler = rooteval_group(
             Query.of("m", WindowSpec.tumbling(1_000), AggFunction.MEDIAN)
         )
-        for t, v in ((10, 5.0), (20, 1.0), (30, 3.0)):
-            handler.on_event(Event(t, "k", v))
+        handler.on_events(
+            [Event(t, "k", v) for t, v in ((10, 5.0), (20, 1.0), (30, 3.0))]
+        )
         message = handler.flush(1_000)
         (record,) = message.records
         assert record.contexts[0].ops[K.NON_DECOMPOSABLE_SORT] == [1.0, 3.0, 5.0]
@@ -123,7 +121,7 @@ class TestRootEvalLocalGroup:
                 AggFunction.SUM,
             )
         )
-        handler.on_event(Event(10, "k", 5.0))
+        handler.on_events([Event(10, "k", 5.0)])
         message = handler.flush(1_000)
         (record,) = message.records
         assert record.contexts[0].timed == [(10, 5.0)]
@@ -133,8 +131,8 @@ class TestRootEvalLocalGroup:
         handler = rooteval_group(
             Query.of("m", WindowSpec.tumbling(1_000), AggFunction.MEDIAN)
         )
-        handler.on_event(Event(999, "k", 1.0))
-        handler.on_event(Event(1_000, "k", 2.0))  # exactly at the tick
+        # the second event lies exactly at the tick
+        handler.on_events([Event(999, "k", 1.0), Event(1_000, "k", 2.0)])
         first = handler.flush(1_000)
         assert first.records[0].contexts[0].count == 1
         second = handler.flush(2_000)
@@ -144,8 +142,8 @@ class TestRootEvalLocalGroup:
         handler = rooteval_group(
             Query.of("m", WindowSpec.tumbling(1_000), AggFunction.MEDIAN)
         )
-        handler.on_event(Event(499, "k", 1.0))
-        handler.on_event(Event(500, "k", 2.0))  # on a tick, not a punctuation
+        # the second event lies on a tick, not a punctuation
+        handler.on_events([Event(499, "k", 1.0), Event(500, "k", 2.0)])
         (record,) = handler.flush(500).records
         assert (record.end, record.contexts[0].count) == (500, 2)
 
@@ -164,8 +162,7 @@ class TestRootEvalLocalGroup:
                 selection=Selection(key="b"),
             ),
         )
-        handler.on_event(Event(10, "a", 1.0))
-        handler.on_event(Event(20, "b", 2.0))
+        handler.on_events([Event(10, "a", 1.0), Event(20, "b", 2.0)])
         message = handler.flush(1_000)
         (record,) = message.records
         assert len(record.contexts) == 2
@@ -197,14 +194,14 @@ def open_slice(handler):
 class TestRootEvalBatchedIngest:
     """``on_events`` hands the batch to the runtime's slice-run kernel,
     which cuts by bisect on the time column; whatever the batch, it must
-    ship exactly the records per-event ``on_event`` ships."""
+    ship exactly the records per-event ``GroupRuntime.process`` ships."""
 
     MEDIAN = (Query.of("m", WindowSpec.tumbling(200), AggFunction.MEDIAN),)
 
     def assert_same(self, queries, events, batches):
         reference = rooteval_group(*queries)
         for event in events:
-            reference.on_event(event)
+            reference.runtime.process(event)
         batched = rooteval_group(*queries)
         done = 0
         for size in batches:
@@ -449,7 +446,7 @@ class TestRootEvalBatchedIngest:
         queries, events = self.data_driven(WindowSpec.user_defined(end_marker="end"))
         reference = rooteval_group(*queries)
         for event in events:
-            reference.on_event(event)
+            reference.runtime.process(event)
         expected = rooteval_state(reference)
         ends = [(record.userdef_eps, record.end) for record in expected[3]
                 if record.userdef_eps]

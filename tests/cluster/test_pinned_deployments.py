@@ -1,6 +1,6 @@
 """The three simulated deployments' outputs, pinned.
 
-Desis (clean and batched, over a lossy network, and checkpointed through
+Desis (clean, over a lossy network, and checkpointed through
 a state-losing crash of its intermediate, with a node and a query added
 mid-run), centralized Scotty and Disco each replay one seeded stream.
 Every run pins its rows in emission order with their emission times, its
@@ -63,7 +63,7 @@ def _streams():
 
 
 RUNS = {
-    "desis-clean": lambda: _desis(batch_ms=50),
+    "desis-clean": lambda: _desis(),
     "desis-faulty": lambda: _desis(
         fault_plan=FaultPlan(
             seed=3, drop_rate=0.05, duplicate_rate=0.02, jitter_ms=2.0
@@ -81,11 +81,11 @@ RUNS = {
     ),
     "scotty": lambda: CentralizedCluster(
         MIXED, three_tier(3, 1), ScottyProcessor,
-        config=ClusterConfig(tick_interval=100, batch_ms=50),
+        config=ClusterConfig(tick_interval=100),
     ).run(_streams()),
-    # batch_ms is set and must not matter: Disco's locals ingest per event
+    # Disco's locals take one timestamp per batch, whatever the tick
     "disco": lambda: DiscoCluster(
-        FIXED, three_tier(4, 2), config=ClusterConfig(tick_interval=100, batch_ms=50),
+        FIXED, three_tier(4, 2), config=ClusterConfig(tick_interval=100),
     ).run(make_streams(4, 800, seed=9)),
 }
 

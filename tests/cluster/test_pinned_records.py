@@ -2,8 +2,9 @@
 
 A seeded :class:`~repro.cluster.DesisCluster` with two root-evaluated,
 fixed-window groups — MEDIAN and a sliding QUANTILE over the whole
-stream, keyed and value-ranged MEDIANs beside them — runs per event and
-with batched injection.  Every 100 ms tick is a punctuation of both
+stream, keyed and value-ranged MEDIANs beside them — runs with its
+streams batched on the tick grid, and again with every batch also cut at
+the times of no-op actions.  Every 100 ms tick is a punctuation of both
 groups, so where a record ends never depends on whether a tick or an
 event stamped on it arrives first.  Every record the locals put on the
 wire is hashed in send order; a change to how locals slice, sort or
@@ -37,17 +38,22 @@ QUERIES = [
              selection=Selection(key="b", lo=10.0, hi=60.0)),
 ]
 
-#: batch_ms -> (records shipped by locals, sha256 of their reprs in order)
+#: run -> (records shipped by locals, sha256 of their reprs in order)
 PINNED = {
-    None: (1_272, "c9f78b1bab8a07d4180a33dc4789f52d000350354b4bb94d74e2d182558df1e2"),
-    50: (1_272, "c9f78b1bab8a07d4180a33dc4789f52d000350354b4bb94d74e2d182558df1e2"),
+    "batched": (1_272, "c9f78b1bab8a07d4180a33dc4789f52d000350354b4bb94d74e2d182558df1e2"),
+    "cut": (1_272, "c9f78b1bab8a07d4180a33dc4789f52d000350354b4bb94d74e2d182558df1e2"),
+}
+
+#: run -> the run's actions: none, or no-op ones that cut batches mid-tick
+ACTIONS = {
+    "batched": None,
+    "cut": [(at, lambda cluster: None) for at in range(37, 16_000, 37)],
 }
 
 
-def shipped_records(batch_ms):
+def shipped_records(run):
     cluster = DesisCluster(
-        QUERIES, three_tier(4, 2),
-        config=ClusterConfig(tick_interval=100, batch_ms=batch_ms),
+        QUERIES, three_tier(4, 2), config=ClusterConfig(tick_interval=100)
     )
     assert all(group.root_evaluated for group in cluster.plan.groups)
     assert len(cluster.plan.groups) == 2
@@ -64,13 +70,13 @@ def shipped_records(batch_ms):
 
     cluster.net.send = capture
     streams = make_streams(4, 1_500, keys=("a", "b", "c"), seed=23)
-    result = cluster.run(streams)
+    result = cluster.run(streams, actions=ACTIONS[run])
     assert len(result.sink.results) > 100
     return records
 
 
-@pytest.mark.parametrize("batch_ms", list(PINNED), ids=["per-event", "batched"])
-def test_local_records_are_pinned(batch_ms):
-    records = shipped_records(batch_ms)
+@pytest.mark.parametrize("run", list(PINNED))
+def test_local_records_are_pinned(run):
+    records = shipped_records(run)
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    assert (len(records), digest) == PINNED[batch_ms]
+    assert (len(records), digest) == PINNED[run]

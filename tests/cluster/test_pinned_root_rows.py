@@ -3,9 +3,9 @@
 Seeded :class:`~repro.cluster.DesisCluster` runs over two groups: a
 pushed-down group of tumbling, sliding, session and user-defined (trip)
 windows over one context, and a root-evaluated group of a count-based
-window beside a MEDIAN.  Each runs per event, with batched injection, and
-with a state-losing crash — of the intermediate, and of the root — under
-checkpointing, so that a trip and a session are open across a checkpoint
+window beside a MEDIAN.  Each runs as it is, with its batches also cut
+at the times of no-op actions, and with a state-losing crash — of the
+intermediate, and of the root — under checkpointing, so that a trip and a session are open across a checkpoint
 the root writes and restores.  No overload caps: no row is degraded.
 Every row is hashed in emission order; a change to how the root
 assembles, frees or checkpoints window state moves the digest.
@@ -40,8 +40,8 @@ QUERIES = [
 NEVER = 10**9  # a node_timeout that never fires: isolate recovery from eviction
 
 RUNS = {
-    "per-event": {},
-    "batched": {"batch_ms": 50},
+    "batched": {},
+    "cut": {"actions": [(at, lambda cluster: None) for at in range(41, 24_000, 41)]},
     "mid-crash": {
         "fault_plan": FaultPlan(
             seed=2, crashes=(CrashWindow("mid-0", 4_500, 6_000, lose_state=True),)
@@ -61,22 +61,24 @@ RUNS = {
 #: run -> (rows emitted, sha256 of their ``(query, start, end, count,
 #: value)`` reprs in order)
 PINNED = {
-    "per-event": (248, "cb4c57d8f8bc98da538155b49ff1c13a1683106dcde54bd1fd8a1ff204fbb5d5"),
     "batched": (248, "cb4c57d8f8bc98da538155b49ff1c13a1683106dcde54bd1fd8a1ff204fbb5d5"),
+    "cut": (248, "cb4c57d8f8bc98da538155b49ff1c13a1683106dcde54bd1fd8a1ff204fbb5d5"),
     "mid-crash": (248, "cb4c57d8f8bc98da538155b49ff1c13a1683106dcde54bd1fd8a1ff204fbb5d5"),
     "root-crash": (248, "cb4c57d8f8bc98da538155b49ff1c13a1683106dcde54bd1fd8a1ff204fbb5d5"),
 }
 
 
 def root_rows(run):
+    settings = dict(RUNS[run])
+    actions = settings.pop("actions", None)
     cluster = DesisCluster(
         QUERIES, three_tier(3, 1),
-        config=ClusterConfig(tick_interval=100, **RUNS[run]),
+        config=ClusterConfig(tick_interval=100, **settings),
     )
     assert [group.root_evaluated for group in cluster.plan.groups] == [False, True]
     streams = make_streams(3, 1_200, seed=7, gap_every=150, marker_every=97)
-    result = cluster.run(streams)
-    if "fault_plan" in RUNS[run]:
+    result = cluster.run(streams, actions=actions)
+    if "fault_plan" in settings:
         assert result.recoveries == 1 and result.checkpoints > 0
     return [
         repr((r.query_id, r.start, r.end, r.event_count, r.value))

@@ -29,7 +29,6 @@ class TestSerialization:
     def test_json_roundtrip_identical(self):
         scenario = small_scenario(
             max_lateness=40,
-            batch_ms=500,
             checkpoint_interval=2_000,
             fault=FaultSpec(seed=9, drop_rate=0.05),
         )

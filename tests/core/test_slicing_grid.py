@@ -326,7 +326,8 @@ class TestLocalNodeOpensNoFixedWindow:
         events = [Event(7 * i, "k", float(i % 11)) for i in range(300)]
         node.on_events(events[:150], 0, None)
         for event in events[150:]:
-            node.on_event(event, 0, None)
+            for group in node.groups:
+                group.runtime.process(event)
         for group in node.groups:
             group.flush(2_200)
         assert node.stats.windows_opened == 0

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import TopologyError
 from repro.core.event import Event
@@ -29,8 +31,8 @@ class Recorder(SimNode):
         self.messages: list[tuple[int, object]] = []
         self.ticks: list[int] = []
 
-    def on_event(self, event, now, net):
-        self.events.append((now, event))
+    def on_events(self, events, now, net):
+        self.events.extend((now, event) for event in events)
 
     def on_message(self, message, now, net):
         self.messages.append((now, message))
@@ -46,13 +48,20 @@ class Forwarder(Recorder):
         super().__init__(node_id, NodeRole.LOCAL)
         self.parent = parent
 
-    def on_event(self, event, now, net):
-        super().on_event(event, now, net)
-        net.send(
-            self.node_id,
-            self.parent,
-            EventBatchMessage(sender=self.node_id, covered_to=now, events=[event]),
-        )
+    def on_events(self, events, now, net):
+        super().on_events(events, now, net)
+        for event in events:
+            net.send(
+                self.node_id,
+                self.parent,
+                EventBatchMessage(
+                    sender=self.node_id, covered_to=now, events=[event]
+                ),
+            )
+
+
+#: the injection grid of these tests: one timestamp per batch
+GRID = 1
 
 
 def build(latency=2.0, bandwidth=None, codec=None):
@@ -72,13 +81,13 @@ def build(latency=2.0, bandwidth=None, codec=None):
 class TestDelivery:
     def test_events_arrive_in_time_order(self):
         net, root, local = build()
-        net.inject_stream("local", [Event(10, "a", 1.0), Event(30, "a", 2.0)])
+        net.inject_stream("local", [Event(10, "a", 1.0), Event(30, "a", 2.0)], GRID)
         net.run()
         assert [e.time for _, e in local.events] == [10, 30]
 
     def test_messages_delayed_by_latency(self):
         net, root, local = build(latency=5.0)
-        net.inject_stream("local", [Event(10, "a", 1.0)])
+        net.inject_stream("local", [Event(10, "a", 1.0)], GRID)
         net.run()
         (arrival, message), = root.messages
         assert arrival == 15
@@ -86,7 +95,7 @@ class TestDelivery:
 
     def test_roundtrip_through_codec(self):
         net, root, local = build(codec=StringCodec())
-        net.inject_stream("local", [Event(10, "a", 1.5, "end")])
+        net.inject_stream("local", [Event(10, "a", 1.5, "end")], GRID)
         net.run()
         (_, message), = root.messages
         assert isinstance(message, EventBatchMessage)
@@ -96,7 +105,7 @@ class TestDelivery:
         # 1 byte/ms: two back-to-back messages queue behind each other.
         net, root, local = build(latency=0.0, bandwidth=1.0)
         net.inject_stream(
-            "local", [Event(0, "a", 1.0), Event(0, "a", 2.0)]
+            "local", [Event(0, "a", 1.0), Event(0, "a", 2.0)], GRID
         )
         net.run()
         first, second = (t for t, _ in root.messages)
@@ -106,24 +115,90 @@ class TestDelivery:
 
     def test_ticks_fire_between_events(self):
         net, root, local = build()
-        net.inject_stream("local", [Event(0, "a", 1.0), Event(100, "a", 1.0)])
+        net.inject_stream("local", [Event(0, "a", 1.0), Event(100, "a", 1.0)], GRID)
         net.schedule_ticks("local", start=0, end=100, interval=25)
         net.run()
         assert local.ticks == [25, 50, 75, 100]
 
     def test_run_until_pauses(self):
         net, root, local = build()
-        net.inject_stream("local", [Event(10, "a", 1.0), Event(500, "a", 2.0)])
+        net.inject_stream("local", [Event(10, "a", 1.0), Event(500, "a", 2.0)], GRID)
         net.run(until=100)
         assert len(local.events) == 1
         net.run()
         assert len(local.events) == 2
 
 
+class Batches(SimNode):
+    """Test node that keeps each delivered batch with its delivery time."""
+
+    def __init__(self):
+        super().__init__("local", NodeRole.LOCAL)
+        self.batches: list[tuple[int, list[Event]]] = []
+
+    def on_events(self, events, now, net):
+        self.batches.append((now, events))
+
+
+class TestInjectStream:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(st.integers(0, 40), max_size=60),
+        grid=st.integers(1, 50),
+        cuts=st.lists(st.integers(0, 1_200), max_size=8, unique=True),
+    )
+    def test_batches_split_the_stream_at_grid_points_and_cuts(
+        self, steps, grid, cuts
+    ):
+        times, t = [], 0
+        for step in steps:
+            t += step
+            times.append(t)
+        stream = [Event(time, "k", float(i)) for i, time in enumerate(times)]
+        net = SimNetwork()
+        node = Batches()
+        net.add_node(node)
+        cuts = sorted(cuts)
+        last = net.inject_stream("local", stream, grid, cuts)
+        net.run()
+        assert last == (times[-1] if times else 0)
+        # the batches concatenate back to the stream
+        assert [e for _, batch in node.batches for e in batch] == stream
+        points = [*range(0, (times[-1] if times else 0) + grid, grid), *cuts]
+        for now, batch in node.batches:
+            first, end = batch[0].time, batch[-1].time
+            # each batch is scheduled at its first event's time
+            assert now == first
+            # no grid point or cut p with first <= p < end: an event
+            # stamped p goes before p, the events after it after
+            assert not [p for p in points if first <= p < end]
+            if grid == 1:
+                assert end == first  # one timestamp per batch
+
+    def test_an_action_at_a_cut_runs_between_its_batches(self):
+        net = SimNetwork()
+        node = Batches()
+        net.add_node(node)
+        stream = [Event(t, "k", 1.0) for t in (10, 20, 30, 40, 60)]
+        net.inject_stream("local", stream, 100, [30])
+        net.run(until=30)
+        assert [e.time for _, batch in node.batches for e in batch] == [10, 20, 30]
+        net.run()
+        assert [[e.time for e in batch] for _, batch in node.batches] == [
+            [10, 20, 30], [40, 60]
+        ]
+
+    def test_grid_must_be_positive(self):
+        net = SimNetwork()
+        net.add_node(Batches())
+        with pytest.raises(TopologyError):
+            net.inject_stream("local", [Event(0, "k", 1.0)], 0)
+
+
 class TestAccounting:
     def test_stats_rollup(self):
         net, root, local = build()
-        net.inject_stream("local", [Event(10, "a", 1.0), Event(20, "a", 2.0)])
+        net.inject_stream("local", [Event(10, "a", 1.0), Event(20, "a", 2.0)], GRID)
         net.run()
         stats = net.stats()
         assert stats.total_messages == 2
@@ -144,7 +219,7 @@ class TestAccounting:
     def test_inject_into_unknown_node_raises(self):
         net, root, local = build()
         with pytest.raises(TopologyError):
-            net.inject_stream("ghost", [Event(0, "a", 1.0)])
+            net.inject_stream("ghost", [Event(0, "a", 1.0)], GRID)
 
 
 def build_reliable(plan, *, latency=2.0):
@@ -168,7 +243,7 @@ def batch_times(root):
 class TestReliableChannel:
     def test_zero_rate_plan_delivers_in_order_with_acks(self):
         net, root, local = build_reliable(FaultPlan(seed=0))
-        net.inject_stream("local", list(STREAM))
+        net.inject_stream("local", list(STREAM), GRID)
         net.run()
         assert batch_times(root) == [e.time for e in STREAM]
         stats = net.stats()
@@ -179,7 +254,7 @@ class TestReliableChannel:
 
     def test_drops_are_retransmitted_exactly_once_in_order(self):
         net, root, local = build_reliable(FaultPlan(seed=1, drop_rate=0.3))
-        net.inject_stream("local", list(STREAM))
+        net.inject_stream("local", list(STREAM), GRID)
         net.run()
         assert batch_times(root) == [e.time for e in STREAM]
         stats = net.stats()
@@ -189,7 +264,7 @@ class TestReliableChannel:
 
     def test_duplicates_are_deduplicated(self):
         net, root, local = build_reliable(FaultPlan(seed=2, duplicate_rate=1.0))
-        net.inject_stream("local", list(STREAM))
+        net.inject_stream("local", list(STREAM), GRID)
         net.run()
         assert batch_times(root) == [e.time for e in STREAM]
         stats = net.stats()
@@ -199,14 +274,14 @@ class TestReliableChannel:
     def test_reorder_and_jitter_still_deliver_in_order(self):
         plan = FaultPlan(seed=3, reorder_rate=1.0, reorder_delay_ms=40.0, jitter_ms=9.0)
         net, root, local = build_reliable(plan)
-        net.inject_stream("local", list(STREAM))
+        net.inject_stream("local", list(STREAM), GRID)
         net.run()
         assert batch_times(root) == [e.time for e in STREAM]
 
     def test_sender_crash_buffers_and_reships_after_restart(self):
         plan = FaultPlan(seed=0, crashes=(CrashWindow("local", 250, 650),))
         net, root, local = build_reliable(plan)
-        net.inject_stream("local", list(STREAM))
+        net.inject_stream("local", list(STREAM), GRID)
         net.run()
         # Crash is a partition: the local still sees its own events...
         assert [e.time for _, e in local.events] == [e.time for e in STREAM]
@@ -219,7 +294,7 @@ class TestReliableChannel:
     def test_receiver_crash_drops_inbound_until_restart(self):
         plan = FaultPlan(seed=0, crashes=(CrashWindow("root", 250, 650),))
         net, root, local = build_reliable(plan)
-        net.inject_stream("local", list(STREAM))
+        net.inject_stream("local", list(STREAM), GRID)
         net.run()
         assert batch_times(root) == [e.time for e in STREAM]
         stats = net.stats()
@@ -228,7 +303,7 @@ class TestReliableChannel:
 
     def test_exhausted_retries_give_up_and_terminate(self):
         net, root, local = build_reliable(FaultPlan(seed=0, drop_rate=1.0))
-        net.inject_stream("local", list(STREAM))
+        net.inject_stream("local", list(STREAM), GRID)
         net.run()  # must not spin forever
         assert root.messages == []
         stats = net.stats()
@@ -244,7 +319,7 @@ class TestReliableChannel:
         def run_once():
             plan = FaultPlan(seed=7, drop_rate=0.25, duplicate_rate=0.2, jitter_ms=4.0)
             net, root, local = build_reliable(plan)
-            net.inject_stream("local", list(STREAM))
+            net.inject_stream("local", list(STREAM), GRID)
             net.run()
             s = net.stats()
             return (
@@ -266,7 +341,7 @@ class TestReliableChannel:
 class TestReliableAccounting:
     def _stats(self, plan, **kw):
         net, root, local = build_reliable(plan, **kw)
-        net.inject_stream("local", list(STREAM))
+        net.inject_stream("local", list(STREAM), GRID)
         net.run()
         return net.stats()
 
@@ -282,7 +357,7 @@ class TestReliableAccounting:
         none.add_node(Recorder("root"))
         none.add_node(Forwarder("local", "root"))
         none.connect("local", "root")
-        none.inject_stream("local", list(STREAM))
+        none.inject_stream("local", list(STREAM), GRID)
         none.run()
         zero = self._stats(FaultPlan(seed=0))
         assert zero.ack_bytes > 0
