@@ -179,7 +179,7 @@ PINNED = {
         "local_stats_sha": "37dee1444ffbd3f327f44ff5f0091c3159ee5124949a8ceeebb825cf2bb91f10",
         "nodes": ["root", "local-0", "local-1", "local-2", "mid-0", "local-9"],
         "roles": ["intermediate", "local", "root"],
-        "trace_sha": "a628d57718473c9d7e475d85426a5e4d2c1c379df1f8d6d67177af9d4e36db1c",
+        "trace_sha": "7a16cd5ee395c93a4af17da60c190d8174e3636fda65d4a583f1de9d08ad57c5",
         "trace_records_sha": "491121d03dbc5141da3e5f78459f3f0ac6549fb0a85860da1aca4a81b6199209",
         "counters": [52, 1, 0, 0, 912, 0, 0, 0, 0],
     },

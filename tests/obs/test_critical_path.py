@@ -244,25 +244,25 @@ class TestPinnedTraces:
         "clean": (
             50,
             "ac9a8e3f8c0e130368ddb30d7f717f7c74b8fe825bc30ed2c5f678ec9e88c866",
-            "464926be871d4f793e642a183160bf26b3d63b16d7b9690c5797b85f48772489",
+            "56064c007a3be2c8dd4f6a32dada92a1c5343071706c6672873244e245bbc512",
             "3c24412de2aa2c00d92bfadbf5f00fadfc23ae98a38e3eaf133bf04665049839",
         ),
         "faulty": (
             50,
             "f2ed12f741d3664a7d740a0cb78ed2b86b81ae7c0d6637778a319cd9e759339b",
-            "bc448c112856b77f40176a0bbde88295359f241cbcc29f31ec9d3b938943b03f",
+            "dcbd7c521bc2b4d7c09051a4f9902459b65e112d16c8453a7b7ca8f8ac5a5cad",
             "293c4682789127f1b091d6154e021efd0563ba9780a28cea21fe0da5e56190ab",
         ),
         "crash-recover": (
             50,
             "596cf776295d1481622bc2eda47c235449cac8682a3a3e3c56c927b797ef26cd",
-            "a69adda953ac82a4c2604a7f2b13f28fa8519f6474ed49997630cc2655b1aa19",
+            "53c8dd5aa4fe69da9c6ae8ec19414120be5c48d43908807d2b488b5bf3e08533",
             "6a79c0987b08a68dce58d144e2bc48d91c7ec62376947f8ea52528435a33d818",
         ),
         "overload": (
             50,
             "b3599778141170dc8fdc7ecf9b719e35bfb95ff5597c4c026c0b5f84d7e135bb",
-            "d669f7d9137f767ad2e0880c5d75d9ea1a914d42d73bf011129fc138113e2695",
+            "e9c845a39a8c637decc8a4865fa520f8c285304aad802f2321b6c0e2f720e4ba",
             "f81cf1ac9c735f2429087cfba9b33dcbadb076da5a25e29652d1d232c459e599",
         ),
     }
