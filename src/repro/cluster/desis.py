@@ -72,6 +72,9 @@ class DesisCluster(Deployment):
         #: whether locals and intermediates keep what they shipped for a
         #: recovering parent; settled at :meth:`_arm_recovery`
         self._retain_shipped = False
+        #: whether :meth:`run` has begun; before it, :meth:`run` ticks and
+        #: announces every local, an added one included
+        self._running = False
         self._build_nodes()
 
     # -- construction -------------------------------------------------------------------
@@ -152,7 +155,8 @@ class DesisCluster(Deployment):
         The node ticks up to the deployment's end boundary, wherever its
         own stream ends, so its parent's coverage never waits on it.  A
         stream that ends past the boundary moves it, and every other
-        local then ticks on to the new boundary too.
+        local then ticks on to the new boundary too.  Before :meth:`run`,
+        only the stream is scheduled: :meth:`run` ticks every local.
         """
         self.topology.add_node(node_id, parent, NodeRole.LOCAL)
         node = LocalNode(
@@ -166,6 +170,8 @@ class DesisCluster(Deployment):
         self._parent_node(parent).add_child(node_id, int(self.net.now))
         boundary = self._end_boundary
         self._inject({node_id: stream})
+        if not self._running:
+            return
         # The parent attached the node covered only to its own progress,
         # so the node ticks on every grid point from now on, a tick at
         # ``now`` included: a window ending there waits on it.
@@ -291,13 +297,16 @@ class DesisCluster(Deployment):
         simulated time passes their timestamp (runtime query/node changes).
         """
         started = _time.perf_counter()
+        self._running = True
         self._broadcast_attributes()
         actions = sorted(actions or [], key=lambda pair: pair[0])
         # An action fires between queue pops (``net.run(until=at)``): no
         # batch may span its time, or events past it would be processed
         # before it runs.
         self._cuts = tuple(sorted({at for at, _ in actions}))
-        events, end = self._inject(streams)
+        events, _ = self._inject(streams)
+        # a local added before the run may end past the run's streams
+        end = self._end_boundary
         self._arm_recovery(end)
         self._tick_locals(list(self.locals), start=self.config.origin, end=end)
         for node_id in self.intermediates:

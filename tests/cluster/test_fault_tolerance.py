@@ -9,6 +9,7 @@ from repro.core.event import Event
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction, WindowMeasure
 from repro.cluster import ClusterConfig, DesisCluster
+from repro.cluster.local import LocalNode
 from repro.network.simnet import FaultPlan
 from repro.network.topology import star, three_tier
 
@@ -118,6 +119,48 @@ class TestMembership:
             (r.start, r.value) for r in run()
         ]
         assert all(r.emitted_at - r.end <= tick for r in added)
+
+    def test_a_local_added_before_the_run_ticks_once_per_grid_point(
+        self, monkeypatch
+    ):
+        """``add_local_node`` before ``run()`` leaves the new local's
+        ticks and the topology announcement to ``run()``, which ticks
+        every local once per grid point up to the end boundary (before,
+        the new local ticked 33 times on 18 distinct times), so the run
+        is the one with the node in the topology from the start."""
+        ticks: dict[tuple[str, int], int] = {}
+        on_tick = LocalNode.on_tick
+
+        def counting(node, now, net):
+            key = (node.node_id, now)
+            ticks[key] = ticks.get(key, 0) + 1
+            on_tick(node, now, net)
+
+        monkeypatch.setattr(LocalNode, "on_tick", counting)
+        cluster = DesisCluster(
+            [avg()], three_tier(2, 1), config=ClusterConfig(tick_interval=100)
+        )
+        extra = [Event(500 + 10 * i, "k", float(i)) for i in range(100)]
+        cluster.add_local_node("local-9", "mid-0", extra)
+        result = cluster.run(make_streams(2, 300))
+        assert result.local_stats["local-9"].events == 100
+        assert set(ticks.values()) == {1}
+        times = {
+            node: sorted(t for n, t in ticks if n == node)
+            for node in ("local-0", "local-1", "local-9")
+        }
+        assert times["local-9"] == times["local-0"] == times["local-1"]
+        assert times["local-9"] == list(range(100, times["local-9"][-1] + 1, 100))
+        # the same run as with the node in the topology from the start
+        streams = {**make_streams(2, 300), "local-2": extra}
+        monkeypatch.setattr(LocalNode, "on_tick", on_tick)
+        built = DesisCluster(
+            [avg()], three_tier(3, 1), config=ClusterConfig(tick_interval=100)
+        ).run(streams)
+        assert [(r.start, r.value, r.emitted_at) for r in result.sink] == [
+            (r.start, r.value, r.emitted_at) for r in built.sink
+        ]
+        assert result.network.total_bytes == built.network.total_bytes
 
     def test_remove_local_node_mid_run(self):
         streams = make_streams(3, 600)
