@@ -795,7 +795,13 @@ class BinaryCodec(Codec):
 
 
 class StringCodec(Codec):
-    """Disco-style JSON-text encoding (verbose on purpose)."""
+    """Disco-style JSON-text encoding (verbose on purpose).
+
+    It carries the frames a Disco deployment sends — window partials and
+    control messages, in sequenced frames with acks under a fault plan —
+    and raw event batches; encoding any other message type raises
+    ``CodecError``.
+    """
 
     name = "string"
 
@@ -832,48 +838,6 @@ def _ops_from_jsonable(data: dict[str, Any]) -> dict[OperatorKind, Any]:
     return out
 
 
-def _records_to_jsonable(records: list[SliceRecord]) -> list[dict[str, Any]]:
-    return [
-        {
-            "start": record.start,
-            "end": record.end,
-            "contexts": {
-                str(ctx): {
-                    "count": part.count,
-                    "ops": _ops_to_jsonable(part.ops),
-                    "span": part.span,
-                    "timed": part.timed,
-                }
-                for ctx, part in record.contexts.items()
-            },
-            "userdef_eps": record.userdef_eps,
-        }
-        for record in records
-    ]
-
-
-def _records_from_jsonable(data: list[dict[str, Any]]) -> list[SliceRecord]:
-    return [
-        SliceRecord(
-            start=record["start"],
-            end=record["end"],
-            contexts={
-                int(ctx): ContextPartial(
-                    count=part["count"],
-                    ops=_ops_from_jsonable(part["ops"]),
-                    span=tuple(part["span"]) if part["span"] else None,
-                    timed=[tuple(tv) for tv in part["timed"]]
-                    if part["timed"] is not None
-                    else None,
-                )
-                for ctx, part in record["contexts"].items()
-            },
-            userdef_eps=[tuple(ep) for ep in record["userdef_eps"]],
-        )
-        for record in data
-    ]
-
-
 def _event_from_jsonable(row: list[Any]) -> Event:
     time, key, value, marker = row
     if (
@@ -887,18 +851,6 @@ def _event_from_jsonable(row: list[Any]) -> Event:
 
 
 def _to_jsonable(message: Message) -> dict[str, Any]:
-    if isinstance(message, PartialBatchMessage):
-        out = {
-            "type": "partial",
-            "sender": message.sender,
-            "group_id": message.group_id,
-            "first_slice_seq": message.first_slice_seq,
-            "covered_to": message.covered_to,
-            "records": _records_to_jsonable(message.records),
-        }
-        if message.shed:  # optional, mirroring the binary trailing block
-            out["shed"] = [list(entry) for entry in message.shed]
-        return out
     if isinstance(message, EventBatchMessage):
         return {
             "type": "events",
@@ -944,71 +896,11 @@ def _to_jsonable(message: Message) -> dict[str, Any]:
             "cumulative": message.cumulative,
             "selective": message.selective,
         }
-    if isinstance(message, ResyncMessage):
-        return {
-            "type": "resync",
-            "sender": message.sender,
-            "epoch": message.epoch,
-            "entries": {
-                str(group_id): list(entry)
-                for group_id, entry in message.entries.items()
-            },
-            "recover": message.recover,
-            "new_parent": message.new_parent,
-        }
-    if isinstance(message, CheckpointMessage):
-        return {
-            "type": "checkpoint",
-            "sender": message.sender,
-            "checkpoint_id": message.checkpoint_id,
-            "at": message.at,
-            "emit_seq": message.emit_seq,
-            "groups": {
-                str(group_id): list(entry)
-                for group_id, entry in message.groups.items()
-            },
-            "cursors": [list(cursor) for cursor in message.cursors],
-            "safe_to": {
-                str(group_id): safe
-                for group_id, safe in message.safe_to.items()
-            },
-        }
-    if isinstance(message, SnapshotChunk):
-        try:
-            state = json.loads(json.dumps(message.state, sort_keys=True))
-        except TypeError as exc:
-            raise CodecError(
-                f"snapshot state not JSON-serializable: {exc}"
-            ) from exc
-        return {
-            "type": "snapshot",
-            "sender": message.sender,
-            "checkpoint_id": message.checkpoint_id,
-            "group_id": message.group_id,
-            "kind": message.kind,
-            "child": message.child,
-            "seq": message.seq,
-            "covered": message.covered,
-            "records": _records_to_jsonable(message.records),
-            "state": state,
-        }
     raise CodecError(f"cannot encode message type {type(message).__name__}")
 
 
 def _from_jsonable(data: dict[str, Any]) -> Message:
     kind = data.get("type")
-    if kind == "partial":
-        return PartialBatchMessage(
-            sender=data["sender"],
-            group_id=data["group_id"],
-            first_slice_seq=data["first_slice_seq"],
-            covered_to=data["covered_to"],
-            records=_records_from_jsonable(data["records"]),
-            shed=[
-                (node_id, start, end)
-                for node_id, start, end in data.get("shed", [])
-            ],
-        )
     if kind == "events":
         return EventBatchMessage(
             sender=data["sender"],
@@ -1041,47 +933,5 @@ def _from_jsonable(data: dict[str, Any]) -> Message:
             epoch=data["epoch"],
             cumulative=data["cumulative"],
             selective=list(data["selective"]),
-        )
-    if kind == "resync":
-        return ResyncMessage(
-            sender=data["sender"],
-            epoch=data["epoch"],
-            entries={
-                int(group_id): tuple(entry)
-                for group_id, entry in data["entries"].items()
-            },
-            recover=bool(data.get("recover", False)),
-            new_parent=data.get("new_parent", ""),
-        )
-    if kind == "checkpoint":
-        return CheckpointMessage(
-            sender=data["sender"],
-            checkpoint_id=data["checkpoint_id"],
-            at=data["at"],
-            emit_seq=data["emit_seq"],
-            groups={
-                int(group_id): tuple(entry)
-                for group_id, entry in data["groups"].items()
-            },
-            cursors=[
-                (group_id, child, next_seq, covered)
-                for group_id, child, next_seq, covered in data["cursors"]
-            ],
-            safe_to={
-                int(group_id): safe
-                for group_id, safe in data["safe_to"].items()
-            },
-        )
-    if kind == "snapshot":
-        return SnapshotChunk(
-            sender=data["sender"],
-            checkpoint_id=data["checkpoint_id"],
-            group_id=data["group_id"],
-            kind=data["kind"],
-            child=data["child"],
-            seq=data["seq"],
-            covered=data["covered"],
-            records=_records_from_jsonable(data["records"]),
-            state=data["state"],
         )
     raise CodecError(f"unknown string message type: {kind!r}")

@@ -1,4 +1,10 @@
-"""Codec tests: exact roundtrips for both wire formats."""
+"""Codec tests: exact roundtrips for both wire formats.
+
+The binary codec carries every message type.  The string codec carries
+only what a Disco deployment sends (window partials and control messages,
+sequenced frames and acks under a fault plan) and raw event batches; it
+refuses any other type with ``CodecError``.
+"""
 
 from __future__ import annotations
 
@@ -34,6 +40,22 @@ from repro.network.messages import (
 
 K = OperatorKind
 CODECS = [BinaryCodec(), StringCodec()]
+#: the message types ``StringCodec`` carries
+STRING_TYPES = (
+    EventBatchMessage, WindowPartialMessage, ControlMessage,
+    SequencedMessage, AckMessage,
+)
+
+
+def assert_round_trip(codec, message):
+    """``codec`` returns ``message`` unchanged if it carries its type (and
+    a sequenced frame's inner type) and refuses it otherwise."""
+    inner = message.inner if isinstance(message, SequencedMessage) else message
+    if isinstance(codec, StringCodec) and not isinstance(inner, STRING_TYPES):
+        with pytest.raises(CodecError, match="cannot encode"):
+            codec.encode(message)
+    else:
+        assert codec.decode(codec.encode(message)) == message
 
 floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
 times = st.integers(0, 2**40)
@@ -501,52 +523,52 @@ class TestShardFrames:
 class TestRoundtrip:
     @given(message=partial_msg_strategy)
     def test_partial_batch(self, codec, message):
-        assert codec.decode(codec.encode(message)) == message
+        assert_round_trip(codec, message)
 
     @given(message=event_msg_strategy)
     def test_event_batch(self, codec, message):
-        assert codec.decode(codec.encode(message)) == message
+        assert_round_trip(codec, message)
 
     @given(message=window_msg_strategy)
     def test_window_partial(self, codec, message):
-        assert codec.decode(codec.encode(message)) == message
+        assert_round_trip(codec, message)
 
     def test_control(self, codec):
         message = ControlMessage(
             sender="root", kind="topology", payload={"a": [1, 2], "b": "x"}
         )
-        assert codec.decode(codec.encode(message)) == message
+        assert_round_trip(codec, message)
 
     @given(message=ack_msg_strategy)
     def test_ack(self, codec, message):
-        assert codec.decode(codec.encode(message)) == message
+        assert_round_trip(codec, message)
 
     @given(message=resync_msg_strategy)
     def test_resync(self, codec, message):
-        assert codec.decode(codec.encode(message)) == message
+        assert_round_trip(codec, message)
 
     @given(message=sequenced_msg_strategy)
     def test_sequenced(self, codec, message):
-        assert codec.decode(codec.encode(message)) == message
+        assert_round_trip(codec, message)
 
     @given(message=checkpoint_msg_strategy)
     def test_checkpoint(self, codec, message):
-        assert codec.decode(codec.encode(message)) == message
+        assert_round_trip(codec, message)
 
     @given(message=snapshot_msg_strategy)
     def test_snapshot(self, codec, message):
-        assert codec.decode(codec.encode(message)) == message
+        assert_round_trip(codec, message)
 
     def test_checkpoint_empty_state_edge(self, codec):
         """A virgin node's checkpoint — no groups, cursors, or floors."""
         message = CheckpointMessage(sender="mid-0", checkpoint_id=1, at=0)
-        assert codec.decode(codec.encode(message)) == message
+        assert_round_trip(codec, message)
 
     def test_snapshot_empty_state_edge(self, codec):
         message = SnapshotChunk(
             sender="root", checkpoint_id=1, group_id=0, kind="assembler"
         )
-        assert codec.decode(codec.encode(message)) == message
+        assert_round_trip(codec, message)
 
     def test_checkpoint_max_group_count_edge(self, codec):
         """The binary wire counts groups in a u16: the maximum load —
@@ -560,7 +582,7 @@ class TestRoundtrip:
             groups={g: (g, g + 1, g + 2) for g in range(n)},
             safe_to={0: 1_000, n - 1: 2_000},
         )
-        assert codec.decode(codec.encode(message)) == message
+        assert_round_trip(codec, message)
 
     def test_snapshot_max_group_id_edge(self, codec):
         message = SnapshotChunk(
@@ -572,7 +594,7 @@ class TestRoundtrip:
             seq=2**40,
             covered=2**40,
         )
-        assert codec.decode(codec.encode(message)) == message
+        assert_round_trip(codec, message)
 
     def test_snapshot_unjsonable_state_raises(self, codec):
         message = SnapshotChunk(
@@ -643,6 +665,29 @@ class TestSizes:
     def test_unknown_string_type_raises(self):
         with pytest.raises(CodecError):
             StringCodec().decode(b'{"type": "mystery"}')
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            PartialBatchMessage(sender="l", group_id=0, first_slice_seq=0,
+                                covered_to=100),
+            ResyncMessage(sender="r", epoch=1),
+            CheckpointMessage(sender="r", checkpoint_id=1, at=0),
+            SnapshotChunk(sender="r", checkpoint_id=1, group_id=0,
+                          kind="assembler"),
+        ],
+        ids=lambda message: type(message).__name__,
+    )
+    def test_string_codec_refuses_what_disco_never_sends(self, message):
+        codec = StringCodec()
+        with pytest.raises(CodecError, match="cannot encode"):
+            codec.encode(message)
+        with pytest.raises(CodecError, match="cannot encode"):
+            codec.encode(SequencedMessage(epoch=0, seq=0, inner=message))
+        frame = json.loads(codec.encode(ControlMessage(sender="r", kind="x")))
+        for kind in ("partial", "resync", "checkpoint", "snapshot"):
+            with pytest.raises(CodecError, match="unknown string message type"):
+                codec.decode(json.dumps({**frame, "type": kind}).encode())
 
     def test_control_payload_must_be_jsonable(self):
         message = ControlMessage(sender="r", kind="x", payload={1, 2})
