@@ -127,7 +127,7 @@ class Deployment:
         self._end_boundary = config.origin
         #: sorted times the deployment acts at between queue pops; no
         #: injected batch spans one
-        self._cuts: tuple[int, ...] = ()
+        self._cuts: tuple[float, ...] = ()
 
     def _add_nodes(
         self,

@@ -303,7 +303,7 @@ class DesisCluster(Deployment):
         # An action fires between queue pops (``net.run(until=at)``): no
         # batch may span its time, or events past it would be processed
         # before it runs.
-        self._cuts = tuple(sorted({at for at, _ in actions}))
+        self._cuts = tuple(at for at, _ in actions)
         events, _ = self._inject(streams)
         # a local added before the run may end past the run's streams
         end = self._end_boundary

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from bisect import bisect_left
 import time as _time
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -526,7 +526,7 @@ class SimNetwork:
                 # Smallest grid point >= the batch's first event: events at
                 # exactly a tick time still precede that tick (they were
                 # scheduled first).
-                boundary = -(-event.time // grid) * grid
+                boundary = ((event.time + grid - 1) // grid) * grid
                 i = bisect_left(cuts, event.time)
                 if i < len(cuts) and cuts[i] < boundary:
                     boundary = cuts[i]
