@@ -5,7 +5,7 @@ for one differential-fuzzing case: the stream shape (nodes, events, keys,
 inter-arrival steps, session gaps, user-defined markers), the query mix
 over every operator kind and window type, the disorder bound, the cluster
 topology, the fault plan, and the full knob cross-product the engines
-expose (batch vs per-event ingestion, checkpoint cadence, sharding).
+expose (checkpoint cadence, sharding).
 
 Determinism is the whole point: ``Scenario.build_streams()`` derives every
 event from the scenario seed alone, so a scenario file replays bit-for-bit
