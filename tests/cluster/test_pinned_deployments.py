@@ -1,11 +1,12 @@
 """The three simulated deployments' outputs, pinned.
 
-Desis (clean, over a lossy network, and checkpointed through
-a state-losing crash of its intermediate, with a node and a query added
-mid-run), centralized Scotty and Disco each replay one seeded stream.
-Every run pins its rows in emission order with their emission times, its
-trace, all
-of its :class:`~repro.network.simnet.NetworkStats` counters, and every
+Desis (clean, over a lossy network, checkpointed through a state-losing
+crash of its intermediate with a node and a query added mid-run,
+shedding under tight credits, soft-evicting and re-admitting silent
+children, and failing over a dead intermediate), centralized Scotty and
+Disco each replay one seeded stream.  Every run pins its rows in
+emission order with their emission times, its trace, all of its
+:class:`~repro.network.simnet.NetworkStats` counters, and every
 field of its :class:`~repro.cluster.ClusterRunResult` that does not
 measure seconds.  The deployments share one driver; a change to how it
 builds the network, injects, ticks or finishes moves a digest here.
@@ -23,10 +24,10 @@ from repro.baselines import ScottyProcessor
 from repro.cluster import CentralizedCluster, ClusterConfig, DesisCluster, DiscoCluster
 from repro.core.event import Event
 from repro.core.query import Query, WindowSpec
-from repro.core.types import AggFunction
+from repro.core.types import AggFunction, NodeRole
 from repro.network.simnet import CrashWindow, FaultPlan
 from repro.obs.exporters import render_trace_jsonl
-from repro.network.topology import three_tier
+from repro.network.topology import Topology, three_tier
 
 from tests.cluster.test_desis_parity import make_streams
 
@@ -50,12 +51,28 @@ def _add_node_and_query(cluster):
     )
 
 
-def _desis(**cfg):
+def _desis(topology=None, **cfg):
     actions = cfg.pop("actions", None)
     cluster = DesisCluster(
-        MIXED, three_tier(3, 1), config=ClusterConfig(tick_interval=100, **cfg)
+        MIXED,
+        topology if topology is not None else three_tier(3, 1),
+        config=ClusterConfig(tick_interval=100, **cfg),
     )
     return cluster.run(_streams(), actions=actions)
+
+
+def _four_tier():
+    """``local-0`` and intermediate ``mid-1`` under ``mid-0``, the other
+    two locals under ``mid-1``: when ``mid-0`` dies, a local and an
+    intermediate both fail over to the root."""
+    local, mid = NodeRole.LOCAL, NodeRole.INTERMEDIATE
+    return Topology(
+        root="root",
+        parents={"mid-0": "root", "mid-1": "mid-0", "local-0": "mid-0",
+                 "local-1": "mid-1", "local-2": "mid-1"},
+        roles={"root": NodeRole.ROOT, "mid-0": mid, "mid-1": mid,
+               "local-0": local, "local-1": local, "local-2": local},
+    )
 
 
 def _streams():
@@ -78,6 +95,39 @@ RUNS = {
         node_timeout=NEVER,
         trace=True,
         actions=[(4_500, _add_node_and_query)],
+    ),
+    # a slow link under tight credits and a staging cap: the locals and
+    # the intermediate shed, and credit-stalled children are soft-evicted
+    # and rejoin with their pruned records counted as shed
+    "desis-shedding": lambda: _desis(
+        fault_plan=FaultPlan(seed=7),
+        node_timeout=3_000,
+        channel_credit_bytes=1_500,
+        channel_credit_frames=6,
+        staging_limit=8,
+        latency_ms=20.0,
+        bandwidth_bytes_per_ms=2.0,
+        trace=True,
+    ),
+    # a local, then the intermediate, silent past the timeout: both are
+    # soft-evicted and rejoin on their next heartbeat
+    "desis-rejoin": lambda: _desis(
+        fault_plan=FaultPlan(
+            seed=4,
+            crashes=(CrashWindow("local-0", 3_000, 7_000),
+                     CrashWindow("mid-0", 10_000, 13_000)),
+        ),
+        node_timeout=3_000,
+        trace=True,
+    ),
+    # a permanent death: the dead intermediate's local and intermediate
+    # children reparent to the root, trimmed by its checkpoints
+    "desis-failover": lambda: _desis(
+        _four_tier(),
+        fault_plan=FaultPlan(seed=2, crashes=(CrashWindow("mid-0", 8_000, None),)),
+        node_timeout=3_000,
+        checkpoint_interval=1_500,
+        trace=True,
     ),
     "scotty": lambda: CentralizedCluster(
         MIXED, three_tier(3, 1), ScottyProcessor,
@@ -182,6 +232,45 @@ PINNED = {
         "trace_sha": "7a16cd5ee395c93a4af17da60c190d8174e3636fda65d4a583f1de9d08ad57c5",
         "trace_records_sha": "491121d03dbc5141da3e5f78459f3f0ac6549fb0a85860da1aca4a81b6199209",
         "counters": [52, 1, 0, 0, 912, 0, 0, 0, 0],
+    },
+    "desis-shedding": {
+        "rows": 75,
+        "rows_sha": "36037847d26d4ee191c5875991f98afc13be128af349030cd2df22e87f2aa08f",
+        "network_sha": "cafb614273c069df3a210d3a65f91b0dd636711cbc1bab908f2e0ed9d8e16c80",
+        "data_bytes": 281457,
+        "events": 3000,
+        "local_stats_sha": "3413861b8ccc0dcf6930e58d221cf3b901a307aae35d41b16fa03fa03c82dde0",
+        "nodes": ["root", "local-0", "local-1", "local-2", "mid-0"],
+        "roles": ["intermediate", "local", "root"],
+        "trace_sha": "1f91a8b5512b730639a18be0a879f9e9e32042a0781e9e19d183de5166e96a35",
+        "trace_records_sha": "f0d0fe3ab40e5536d607fd054f4d7e5773a4dba67dc8e5932fcafbf3bded5959",
+        "counters": [0, 0, 0, 0, 58, 69, 374, 16, 6],
+    },
+    "desis-rejoin": {
+        "rows": 97,
+        "rows_sha": "6653d1b171e2fdc37a4ab5f723c994fe07b9ba794709ca408191f2518190acab",
+        "network_sha": "b3381b70156e49bb402e5cc811914c9fc2940929e619900dc1763edc3851b52e",
+        "data_bytes": 214389,
+        "events": 3000,
+        "local_stats_sha": "3413861b8ccc0dcf6930e58d221cf3b901a307aae35d41b16fa03fa03c82dde0",
+        "nodes": ["root", "local-0", "local-1", "local-2", "mid-0"],
+        "roles": ["intermediate", "local", "root"],
+        "trace_sha": "ade1190b20ce7744a8ca6381e77e6049eedf05dcff2785eac9dffaa60171a5f7",
+        "trace_records_sha": "c3d82c003cd2ae93dc6edb767309ae7bee93ac095485527753caff581fcf4d54",
+        "counters": [0, 0, 0, 0, 622, 0, 0, 0, 0],
+    },
+    "desis-failover": {
+        "rows": 108,
+        "rows_sha": "c1453c4503fb8097e165da5fd8829ab7bd129fc816375019f39944cd730cdfb2",
+        "network_sha": "aeb53790ebdc0e5ad6f6160dd639206eb941fdf307ee40f7db4c59cf0cb11d87",
+        "data_bytes": 244169,
+        "events": 3000,
+        "local_stats_sha": "3413861b8ccc0dcf6930e58d221cf3b901a307aae35d41b16fa03fa03c82dde0",
+        "nodes": ["root", "local-0", "local-1", "local-2", "mid-0", "mid-1"],
+        "roles": ["intermediate", "local", "root"],
+        "trace_sha": "01aafa922574cd9490dee723d18e21d6824b1767ebad87ae702a08df67f77805",
+        "trace_records_sha": "b6c2da3949537e874cb1624db2dc2cfad0f9ccac0b74030582d5732e95b65599",
+        "counters": [30, 0, 2, 0, 780, 0, 0, 0, 0],
     },
     "scotty": {
         "rows": 108,
