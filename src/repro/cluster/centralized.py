@@ -145,9 +145,9 @@ class CentralizedCluster(Deployment):
 
     def run(self, streams: dict[str, Iterable[Event]]) -> ClusterRunResult:
         started = _time.perf_counter()
-        events, end = self._inject(streams)
+        end = self._inject(streams)
         self._tick_locals(self.locals, start=self.config.origin, end=end)
         self.net.run()
         self._finish_locals()
         self.root.finish()
-        return self._result(self.processor.sink, started, events)
+        return self._result(self.processor.sink, started)

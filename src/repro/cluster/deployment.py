@@ -128,6 +128,9 @@ class Deployment:
         #: sorted times the deployment acts at between queue pops; no
         #: injected batch spans one
         self._cuts: tuple[float, ...] = ()
+        #: every event injected, an added local's included: what
+        #: :attr:`ClusterRunResult.events` counts
+        self._events = 0
 
     def _add_nodes(
         self,
@@ -155,21 +158,20 @@ class Deployment:
         return intermediates
 
     def _inject(self, streams: dict[str, Iterable[Event]], *,
-                grid: int | None = None) -> tuple[int, int]:
+                grid: int | None = None) -> int:
         """Schedule each local's stream at its own timestamps, in batches
         cut on ``grid`` (the tick interval unless given) and at the
-        deployment's cut times.
+        deployment's cut times, and count its events.
 
-        Returns the number of events and the aligned tick past the latest
-        one, and moves the end boundary out to that tick.
+        Returns the aligned tick past the latest event, and moves the end
+        boundary out to that tick.
         """
         last = self.config.origin
-        events = 0
         for node_id, stream in streams.items():
             if node_id not in self.locals:
                 raise ClusterError(f"{node_id!r} is not a local node")
             materialized = list(stream)
-            events += len(materialized)
+            self._events += len(materialized)
             last = max(
                 last,
                 self.net.inject_stream(
@@ -180,7 +182,7 @@ class Deployment:
         interval = self.config.tick_interval
         end = (last // interval + 1) * interval
         self._end_boundary = max(self._end_boundary, end)
-        return events, end
+        return end
 
     def _tick_locals(self, node_ids: Iterable[str], *, start: int,
                      end: int) -> None:
@@ -196,7 +198,7 @@ class Deployment:
             node.on_finish(self._end_boundary, self.net)
         self.net.run()
 
-    def _result(self, sink: ResultSink, started: float, events: int,
+    def _result(self, sink: ResultSink, started: float,
                 **fields) -> ClusterRunResult:
         """The run's result; ``fields`` are the deployment's own."""
         wall = _time.perf_counter() - started
@@ -205,7 +207,7 @@ class Deployment:
             network=self.net.stats(),
             cpu_by_role=self.net.cpu_time_by_role(),
             wall_seconds=wall,
-            events=events,
+            events=self._events,
             node_cpu={
                 node_id: node.cpu_time
                 for node_id, node in self.net.nodes.items()

@@ -304,7 +304,7 @@ class DesisCluster(Deployment):
         # batch may span its time, or events past it would be processed
         # before it runs.
         self._cuts = tuple(at for at, _ in actions)
-        events, _ = self._inject(streams)
+        self._inject(streams)
         # a local added before the run may end past the run's streams
         end = self._end_boundary
         self._arm_recovery(end)
@@ -347,7 +347,6 @@ class DesisCluster(Deployment):
         result = self._result(
             self.root.sink,
             started,
-            events,
             local_stats={
                 node_id: node.stats for node_id, node in self.locals.items()
             },
@@ -365,7 +364,7 @@ class DesisCluster(Deployment):
         _log.info(
             "run finished %s",
             kv(
-                events=events,
+                events=result.events,
                 results=len(self.root.sink),
                 wall_s=round(result.wall_seconds, 3),
                 traced=len(self.recorder) if self.recorder.enabled else 0,

@@ -322,7 +322,7 @@ class DiscoCluster(Deployment):
         # On a 1 ms grid: a local sends a window's partials when an event
         # closes it, so each batch holds the events of one timestamp and
         # runs at that time.
-        events, end = self._inject(streams, grid=1)
+        end = self._inject(streams, grid=1)
         self._tick_locals(self.locals, start=self.config.origin, end=end)
         self.net.run()
         self._finish_locals()
@@ -336,7 +336,6 @@ class DiscoCluster(Deployment):
         return self._result(
             self.root.sink,
             started,
-            events,
             local_stats={
                 node_id: node.stats for node_id, node in self.locals.items()
             },

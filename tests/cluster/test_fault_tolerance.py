@@ -162,6 +162,28 @@ class TestMembership:
         ]
         assert result.network.total_bytes == built.network.total_bytes
 
+    @pytest.mark.parametrize("at", [None, 1_000])
+    def test_an_added_locals_events_are_counted(self, at):
+        """``events`` counts an added local's stream, whether it was added
+        before ``run()`` or as an action, like the locals' own stats (at
+        the parent commit it counted only the streams given to ``run()``,
+        600 both times)."""
+        cluster = DesisCluster(
+            [avg()], three_tier(2, 1), config=ClusterConfig(tick_interval=100)
+        )
+        extra = [Event(1_500 + 10 * i, "k", float(i)) for i in range(100)]
+
+        def add(c):
+            c.add_local_node("local-9", "mid-0", extra)
+
+        if at is None:
+            add(cluster)
+        result = cluster.run(
+            make_streams(2, 300), actions=[(at, add)] if at is not None else None
+        )
+        assert result.events == 700
+        assert result.events == sum(s.events for s in result.local_stats.values())
+
     def test_remove_local_node_mid_run(self):
         streams = make_streams(3, 600)
         cluster = build([avg()], three_tier(3, 1))
