@@ -225,7 +225,7 @@ PINNED = {
         "rows_sha": "6b2f88fa96146e5c3a9339946d0b24f0ad333000a77c79d3e710f44cd5e5d310",
         "network_sha": "85e1f12ec3b325342f1866f541268df3a9798ef01ef231186ed54bd585310942",
         "data_bytes": 275928,
-        "events": 3000,
+        "events": 3150,
         "local_stats_sha": "37dee1444ffbd3f327f44ff5f0091c3159ee5124949a8ceeebb825cf2bb91f10",
         "nodes": ["root", "local-0", "local-1", "local-2", "mid-0", "local-9"],
         "roles": ["intermediate", "local", "root"],
