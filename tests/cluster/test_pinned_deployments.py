@@ -179,7 +179,6 @@ def observe(result) -> dict:
         "nodes": list(result.node_cpu),
         "roles": sorted(role.value for role in result.cpu_by_role),
         "trace_sha": _digest(render_trace_jsonl(result.recorder)),
-        "trace_records_sha": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "trace_records_sha": record_multiset_sha(
             render_trace_jsonl(result.recorder)
         ),
