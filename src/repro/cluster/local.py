@@ -26,15 +26,8 @@ from repro.core.event import Event
 from repro.core.results import ResultSink
 from repro.core.types import NodeRole, WindowType
 from repro.cluster.config import ClusterConfig
-from repro.cluster.roles import SHED_WATERMARK, Shipper
-from repro.network.messages import (
-    CheckpointMessage,
-    ContextPartial,
-    ControlMessage,
-    PartialBatchMessage,
-    ResyncMessage,
-    SliceRecord,
-)
+from repro.cluster.roles import Shipper
+from repro.network.messages import ContextPartial, ControlMessage, SliceRecord
 from repro.network.simnet import SimNetwork
 from repro.obs.tracing import NULL_RECORDER
 
@@ -43,7 +36,7 @@ __all__ = ["LocalNode"]
 
 class _LocalGroup:
     """Slicing-only engine runtime for one query-group, and the staging
-    buffer of its closed slice records with their upward sequence."""
+    buffer of its closed slice records."""
 
     def __init__(self, node_id: str, group: QueryGroup, origin: int,
                  stats: EngineStats, recorder=None) -> None:
@@ -51,9 +44,6 @@ class _LocalGroup:
         self.group = group
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.pending: list[SliceRecord] = []
-        self.ship_seq = 0
-        #: shed coverage awaiting the next flush: (node_id, start, end)
-        self.shed_pending: list[tuple[str, int, int]] = []
         self.runtime = GroupRuntime(
             group,
             ResultSink(keep=False),
@@ -122,53 +112,23 @@ class _LocalGroup:
         Used when the upward channel is credit-stalled: slices keep
         accumulating in the bounded staging buffer (``pending``) so the
         shedding policy has whole slices to account for, and the slice-seq
-        protocol stays gapless — sequences are only assigned at flush.
+        protocol stays gapless — sequences are only assigned at shipping.
         """
         self.runtime.advance(now)
         if self.runtime.current.start < now:
             self.runtime._cut(now, [], [])
 
-    def flush(self, now: int) -> PartialBatchMessage:
-        """Cut at the watermark boundary and drain pending slice records."""
+    def drain(self, now: int) -> list[SliceRecord]:
+        """Cut at the watermark boundary and take the staged records."""
         self.stage(now)
-        message = PartialBatchMessage(
-            sender=self.node_id,
-            group_id=self.group.group_id,
-            first_slice_seq=self.ship_seq,
-            covered_to=now,
-            records=self.pending,
-            shed=self.shed_pending,
-        )
-        self.shed_pending = []
-        if self.recorder.enabled and self.pending:
-            self.recorder.record(
-                "partial.ship",
-                now,
-                node=self.node_id,
-                group=self.group.group_id,
-                first_seq=self.ship_seq,
-                records=len(self.pending),
-                start=self.pending[0].start,
-                end=self.pending[-1].end,
-                covered_to=now,
-            )
-        self.ship_seq += len(self.pending)
-        self.pending = []
-        return message
-
-    def resync(self, next_seq: int, covered: int) -> None:
-        """Restart the upward slice sequence after a parent resync.
-
-        Pending records at or below ``covered`` belong to windows the
-        parent already closed (degraded) without this node — shipping
-        them again would corrupt session and user-defined assembly.
-        """
-        self.ship_seq = next_seq
-        self.pending = [r for r in self.pending if r.end > covered]
+        records, self.pending = self.pending, []
+        return records
 
 
 class LocalNode(Shipper):
     """A Desis local node: a shipper with one group handler per query-group."""
+
+    ship_kind = "partial.ship"
 
     def __init__(self, node_id: str, parent: str, plan: QueryPlan,
                  config: ClusterConfig, recorder=None) -> None:
@@ -177,51 +137,13 @@ class LocalNode(Shipper):
         self.groups: list[_LocalGroup] = []
         for group in plan.groups:
             self.add_group(group, config.origin)
-        # Overload control (DESIGN.md §12): high-water mark of the staging
-        # buffers and slices deliberately shed.  Both stay zero at default
-        # config.
-        self.peak_staging = 0
-        self.slices_shed = 0
 
     def add_group(self, group: QueryGroup, origin: int) -> None:
         """Start slicing a query-group, its schedules anchored at ``origin``."""
         self.groups.append(
-            _LocalGroup(
-                self.node_id,
-                group,
-                origin,
-                self.stats,
-                self.recorder,
-            )
+            _LocalGroup(self.node_id, group, origin, self.stats, self.recorder)
         )
-
-    # -- overload control (DESIGN.md §12) ----------------------------------------------
-
-    def _shed(self, group, shed: list[SliceRecord], net: SimNetwork) -> None:
-        """Account whole slices dropped from ``group``'s staging buffer.
-        Their coverage is remembered per group and rides up with the next
-        flushed batch, so the root can stamp affected windows with
-        ``completeness < 1.0``."""
-        self.slices_shed += len(shed)
-        net.note_shed(self.node_id, group.group.group_id, shed)
-        group.shed_pending.extend(
-            (self.node_id, record.start, record.end) for record in shed
-        )
-
-    def _shed_overflow(self, group, net: SimNetwork) -> None:
-        """Shed oldest whole slices once staging exceeds its cap.
-
-        Deterministic oldest-slice-first policy with hysteresis: shed down
-        to ``staging_limit * SHED_WATERMARK`` records so the buffer does
-        not oscillate at the cap.
-        """
-        limit = self.config.staging_limit
-        if limit is None or len(group.pending) <= limit:
-            return
-        low = max(int(limit * SHED_WATERMARK), 0)
-        shed = group.pending[: len(group.pending) - low]
-        group.pending = group.pending[len(shed):]
-        self._shed(group, shed, net)
+        self._open_upward()
 
     def on_events(self, events: list[Event], now: int, net: SimNetwork) -> None:
         self.stats.events += len(events)
@@ -234,75 +156,55 @@ class LocalNode(Shipper):
         # Credit-based backpressure: a stalled upward channel defers the
         # flush — slices accumulate in the bounded staging buffer instead
         # of growing the channel's unacked backlog without limit.
-        deferred = self.config.overload_control and net.channel_stalled(
-            self.node_id, self.parent
-        )
-        for group in self.groups:
+        deferred = self._stalled(net)
+        for group_id, group in enumerate(self.groups):
             if deferred:
                 group.stage(now)
-                self._shed_overflow(group, net)
-                continue
-            self._shed_overflow(group, net)
-            message = group.flush(now)
-            net.send(self.node_id, self.parent, message)
-            if self._retain:
-                self._retained.append(message)
+                self._shed_overflow(group_id, net)
+            else:
+                self._flush(group_id, now, net)
         if deferred or self.config.staging_limit is not None:
-            occupancy = sum(len(group.pending) for group in self.groups)
-            if occupancy > self.peak_staging:
-                self.peak_staging = occupancy
-        if self._retain:
-            self._cap_retention()
+            self.peak_staging = max(
+                self.peak_staging, sum(len(group.pending) for group in self.groups)
+            )
         self._heartbeat(now, net)
 
     def on_finish(self, now: int, net: SimNetwork) -> None:
         if not self.alive:
             return
-        for group in self.groups:
-            # End of stream overrides backpressure: ship what survived the
-            # cap so every closable window still closes.
-            self._shed_overflow(group, net)
-            message = group.flush(now)
-            net.send(self.node_id, self.parent, message)
-            if self._retain:
-                self._retained.append(message)
-        self._cap_retention()
+        # End of stream overrides backpressure: ship what survived the
+        # cap so every closable window still closes.
+        for group_id in range(len(self.groups)):
+            self._flush(group_id, now, net)
+
+    def _flush(self, group_id: int, now: int, net: SimNetwork) -> None:
+        self._shed_overflow(group_id, net)
+        self._ship(group_id, now, self.groups[group_id].drain(now), now, net)
+
+    def _shed_overflow(self, group_id: int, net: SimNetwork) -> None:
+        """Shed the oldest whole slices once staging exceeds its cap."""
+        group = self.groups[group_id]
+        count = self._overflow(len(group.pending))
+        if count:
+            shed, group.pending = group.pending[:count], group.pending[count:]
+            self._shed(group_id, shed, net)
 
     def on_message(self, message, now: int, net: SimNetwork) -> None:
-        # Locals receive control traffic (queries, topology), their
-        # parent's retention trims, and its resyncs: after a failover, a
-        # parent restart, or a soft-eviction outage.
-        if isinstance(message, CheckpointMessage):
-            self._apply_trim(message.safe_to)
-        elif isinstance(message, ResyncMessage):
-            if message.new_parent:
-                self._reparent(message, net)
-            elif message.recover:
-                self._fast_forward(message, net)
-            else:
-                self._resync(message, net)
-        elif isinstance(message, ControlMessage) and message.kind == "query_remove":
-            for group in self.groups:
-                group.remove_query(message.payload)
+        # Locals take control traffic (queries, topology) and, through
+        # the shipping half, their parent's trims and resyncs.
+        if isinstance(message, ControlMessage):
+            if message.kind == "query_remove":
+                for group in self.groups:
+                    group.remove_query(message.payload)
+        else:
+            super().on_message(message, now, net)
 
-    def _resync(self, message: ResyncMessage, net: SimNetwork) -> None:
-        """Rejoin a parent that soft-evicted this node: restart the upward
-        slice sequences past the coverage it assembled meanwhile."""
-        for group_id, (next_seq, covered) in message.entries.items():
-            if group_id >= len(self.groups):
-                continue
-            group = self.groups[group_id]
-            if self.config.overload_control:
-                # Records the resync prunes are data dropped under overload
-                # (the outage was a stalled, not a silent, channel) —
-                # account them like any other shed so the completeness
-                # ledger stays truthful.
-                pruned = [r for r in group.pending if r.end <= covered]
-                if pruned:
-                    self._shed(group, pruned, net)
-            group.resync(next_seq, covered)
-        net.reset_channel(self.node_id, self.parent, message.epoch)
-
-    def _rebase(self, group_id: int, next_seq: int, floor: int) -> None:
-        if group_id < len(self.groups):
-            self.groups[group_id].resync(next_seq, floor)
+    def _drop_covered(self, group_id: int, floor: int, *,
+                      rejoin: bool) -> list[SliceRecord]:
+        # Pending records at or below the floor belong to windows the
+        # parent already closed (degraded) without this node — shipping
+        # them again would corrupt session and user-defined assembly.
+        group = self.groups[group_id]
+        dropped = [r for r in group.pending if r.end <= floor]
+        group.pending = [r for r in group.pending if r.end > floor]
+        return dropped

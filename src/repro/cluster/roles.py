@@ -6,15 +6,20 @@ local node is a :class:`Shipper` plus its group handlers, the root a
 :class:`Merger` plus its assemblers and exactly-once ledger, and an
 intermediate is both plus the forward between them.
 
-The roles hold the state and the behaviour of their half: retention and
-the parent's resyncs on the shipping side; membership, liveness, staging
-bounds, checkpointing and restart on the merging side.  What differs per
-node stays a small method the node overrides — :meth:`Shipper._rebase`,
-and the merger's three: :meth:`Merger._note_shed`,
-:meth:`Merger._snapshot`, and the :meth:`Merger._reset_for_restart` /
-:meth:`Merger._restore` pair.  Everything here is the cold path (ticks,
-restarts, resyncs, shedding); the per-batch paths stay in the node
-modules.
+The roles hold the state and the behaviour of their half.  The shipping
+side owns the upward protocol: per group, the slice sequence and the shed
+coverage awaiting the next batch; the one ship step that numbers, traces,
+sends and retains a batch; and the parent's trims and resyncs (failover,
+restart, soft rejoin).  The merging side owns the intake of a child's
+batch, membership, liveness, staging bounds, checkpointing and restart.
+Both shed a staging buffer over its cap the same way, down to one
+watermark.  What differs per node stays a small method the node
+overrides — where its records come from, :attr:`Shipper.ship_kind` and
+:meth:`Shipper._drop_covered` on the shipping side;
+:meth:`Merger._release`, :meth:`Merger._note_shed`,
+:meth:`Merger._snapshot` and the :meth:`Merger._reset_for_restart` /
+:meth:`Merger._restore` pair on the merging side.  These paths run per
+tick and per batch, not per event.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from repro.network.messages import (
     ControlMessage,
     PartialBatchMessage,
     ResyncMessage,
+    SliceRecord,
     SnapshotChunk,
 )
 from repro.network.simnet import SimNetwork, SimNode
@@ -53,16 +59,62 @@ __all__ = ["Shipper", "Merger"]
 SHED_WATERMARK = 0.8
 
 
-class Shipper(SimNode):
-    """The half of a node that has a parent: heartbeats, retention of what
-    it shipped, and serving the parent's trims and resyncs."""
+class _Node(SimNode):
+    """What both halves share: the configuration, the recorder, and the
+    overload accounting of a bounded staging buffer (DESIGN.md §12)."""
+
+    def __init__(self, node_id: str, role: NodeRole, config: ClusterConfig,
+                 recorder=None) -> None:
+        SimNode.__init__(self, node_id, role)
+        self.config = config
+        self.recorder = recorder if recorder is not None else NULL_RECORDER
+        # Both stay zero without the opt-in caps.
+        self.peak_staging = 0
+        self.slices_shed = 0
+
+    def _overflow(self, occupancy: int) -> int:
+        """How many of ``occupancy`` staged slices to shed: none within
+        ``staging_limit``, else down to the hysteresis low watermark
+        ``staging_limit * SHED_WATERMARK``, so the buffer does not
+        oscillate at the cap."""
+        limit = self.config.staging_limit
+        if limit is None or occupancy <= limit:
+            return 0
+        return occupancy - max(int(limit * SHED_WATERMARK), 0)
+
+    def _shed(self, group_id: int, shed: list[SliceRecord], net: SimNetwork) -> None:
+        """Account whole slices dropped from ``group_id``'s staging buffer
+        and hand their coverage to :meth:`_note_shed`, so the root can
+        stamp the windows they degrade with ``completeness < 1.0``."""
+        self.slices_shed += len(shed)
+        net.note_shed(self.node_id, group_id, shed)
+        self._note_shed(
+            group_id, [(self.node_id, record.start, record.end) for record in shed]
+        )
+
+    def _note_shed(self, group_id: int, entries) -> None:
+        """Role hook: where shed coverage ``(node_id, start, end)`` — shed
+        here or reported by a descendant — waits to degrade its windows."""
+        raise NotImplementedError
+
+    def _stalled(self, net: SimNetwork) -> bool:
+        """Whether the upward channel is out of credit: never without a
+        parent."""
+        return False
+
+
+class Shipper(_Node):
+    """The half of a node that has a parent: the upward slice sequence of
+    every group, the ship step, heartbeats, retention of what it shipped,
+    and serving the parent's trims and resyncs."""
+
+    #: trace kind of a shipped batch that carries records
+    ship_kind: str
 
     def __init__(self, node_id: str, role: NodeRole, parent: str,
                  config: ClusterConfig, recorder=None) -> None:
-        SimNode.__init__(self, node_id, role)
+        _Node.__init__(self, node_id, role, config, recorder)
         self.parent = parent
-        self.config = config
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.alive = True
         self._last_heartbeat = config.origin
         # Retention (DESIGN.md §8): when the deployment asks for it, every
@@ -72,10 +124,65 @@ class Shipper(SimNode):
         self._retain = False
         self._retained: list[PartialBatchMessage] = []
         self.retention_evicted = 0
+        self._reset_upward()
 
     def retain_shipped(self) -> None:
         """Keep shipped batches from now on (recovery is in play)."""
         self._retain = True
+
+    # -- the upward protocol (Sec 5.1.1) ---------------------------------------------------
+
+    def _reset_upward(self) -> None:
+        #: per group, the slice seq the next upward batch starts at
+        self.ship_seq: list[int] = []
+        #: per group, shed coverage ``(node_id, start, end)`` awaiting the
+        #: next batch (DESIGN.md §12); stays empty at default config
+        self.shed_pending: list[list[tuple[str, int, int]]] = []
+
+    def _open_upward(self) -> None:
+        self.ship_seq.append(0)
+        self.shed_pending.append([])
+
+    def _ship(self, group_id: int, covered_to: int, records: list[SliceRecord],
+              now: int, net: SimNetwork) -> None:
+        """Ship ``records`` and coverage up to ``covered_to`` as the next
+        batch of ``group_id``'s slice sequence, with the shed coverage
+        noted since the last one; keep it while retention is on."""
+        batch = PartialBatchMessage(
+            sender=self.node_id,
+            group_id=group_id,
+            first_slice_seq=self.ship_seq[group_id],
+            covered_to=covered_to,
+            records=records,
+            shed=self.shed_pending[group_id],
+        )
+        self.shed_pending[group_id] = []
+        if self.recorder.enabled and records:
+            self.recorder.record(
+                self.ship_kind,
+                now,
+                node=self.node_id,
+                group=group_id,
+                first_seq=batch.first_slice_seq,
+                records=len(records),
+                start=records[0].start,
+                end=records[-1].end,
+                covered_to=covered_to,
+            )
+        self.ship_seq[group_id] += len(records)
+        net.send(self.node_id, self.parent, batch)
+        if self._retain:
+            self._retained.append(batch)
+            self._cap_retention()
+
+    def _note_shed(self, group_id: int, entries) -> None:
+        # Rides up with the next batch; the root's ledger is its home.
+        self.shed_pending[group_id].extend(entries)
+
+    def _stalled(self, net: SimNetwork) -> bool:
+        return self.config.overload_control and net.channel_stalled(
+            self.node_id, self.parent
+        )
 
     def _heartbeat(self, now: int, net: SimNetwork) -> None:
         if now - self._last_heartbeat >= self.config.heartbeat_interval:
@@ -92,6 +199,21 @@ class Shipper(SimNode):
             self.retention_evicted += len(self._retained) - limit
             self._retained = self._retained[-limit:]
 
+    # -- the parent's trims and resyncs ----------------------------------------------------
+
+    def on_message(self, message, now: int, net: SimNetwork) -> None:
+        """Serve the parent: a checkpoint's retention trim, or a resync
+        after a failover, a parent restart, or a soft-eviction outage."""
+        if isinstance(message, CheckpointMessage):
+            self._apply_trim(message.safe_to)
+        elif isinstance(message, ResyncMessage):
+            if message.new_parent:
+                self._reparent(message, net)
+            elif message.recover:
+                self._fast_forward(message, net)
+            else:
+                self._rejoin(message, net)
+
     def _apply_trim(self, safe_to: dict[int, int]) -> None:
         """Drop retained batches the parent has durably checkpointed past."""
         if not self._retained:
@@ -102,6 +224,23 @@ class Shipper(SimNode):
             if (floor := safe_to.get(batch.group_id)) is None
             or batch.covered_to > floor
         ]
+
+    def _rejoin(self, message: ResyncMessage, net: SimNetwork) -> None:
+        """Rejoin a parent that soft-evicted this node: restart the upward
+        slice sequences, and never ship again what lies within the
+        coverage the parent assembled meanwhile."""
+        for group_id, (next_seq, covered) in message.entries.items():
+            if group_id >= len(self.ship_seq):
+                continue
+            self.ship_seq[group_id] = next_seq
+            dropped = self._drop_covered(group_id, covered, rejoin=True)
+            if dropped and self.config.overload_control:
+                # Records the resync prunes are data dropped under overload
+                # (the outage was a stalled, not a silent, channel) —
+                # account them like any other shed so the completeness
+                # ledger stays truthful.
+                self._shed(group_id, dropped, net)
+        net.reset_channel(self.node_id, self.parent, message.epoch)
 
     def _fast_forward(self, message: ResyncMessage, net: SimNetwork) -> None:
         """Serve a parent that restarted from a checkpoint: re-ship only
@@ -138,29 +277,31 @@ class Shipper(SimNode):
             kept.append(batch)
         self._retained = kept
         for group_id, (_, floor) in message.entries.items():
-            self._rebase(group_id, counts.get(group_id, 0), floor)
+            if group_id < len(self.ship_seq):
+                self.ship_seq[group_id] = counts.get(group_id, 0)
+                self._drop_covered(group_id, floor, rejoin=False)
         net.reset_channel(self.node_id, self.parent, message.epoch)
         for batch in kept:
             net.send(self.node_id, self.parent, batch)
 
-    def _rebase(self, group_id: int, next_seq: int, floor: int) -> None:
-        """Role half of a failover: continue ``group_id``'s upward slice
-        sequence at ``next_seq`` and ship nothing at or below ``floor``."""
+    def _drop_covered(self, group_id: int, floor: int, *,
+                      rejoin: bool) -> list[SliceRecord]:
+        """Role hook: ship nothing of ``group_id`` at or below ``floor``,
+        coverage the parent (``rejoin``) or an adopter assembled without
+        this node; returns the staged records this drops."""
         raise NotImplementedError
 
 
-class Merger(SimNode):
+class Merger(_Node):
     """The half of a node that has children: one :class:`GroupMerger` per
-    query-group, membership and liveness, bounded staging, checkpoints,
-    and the restart that reloads them."""
+    query-group, the intake of their batches, membership and liveness,
+    bounded staging, checkpoints, and the restart that reloads them."""
 
     def __init__(self, node_id: str, role: NodeRole, children: list[str],
                  plan: QueryPlan, config: ClusterConfig, recorder=None) -> None:
-        SimNode.__init__(self, node_id, role)
+        _Node.__init__(self, node_id, role, config, recorder)
         self.children = list(children)
         self.plan = plan
-        self.config = config
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
         #: per group, the time its slicing is anchored at: ``config.origin``,
         #: or the tick a runtime query joined at.  Durable like the rest of
         #: the cluster metadata — a restart reopens each group where it began.
@@ -182,10 +323,8 @@ class Merger(SimNode):
         self._last_ckpt = config.origin
         self.checkpoints_taken = 0
         self.recoveries = 0
-        # Overload-control accounting (DESIGN.md §12); all stay zero
-        # without the opt-in caps.
-        self.peak_staging = 0
-        self.slices_shed = 0
+        #: children soft-evicted for persistent credit stalls (DESIGN.md
+        #: §12); zero without the opt-in caps
         self.slow_consumer_evictions = 0
 
     # -- query-groups --------------------------------------------------------------------
@@ -210,6 +349,39 @@ class Merger(SimNode):
         self.mergers: list[GroupMerger] = []
         for group, origin in zip(self.plan.groups, self.origins):
             self._open_group(group, origin)
+
+    # -- intake (Sec 5.1.1) --------------------------------------------------------------
+
+    def _take(self, message: PartialBatchMessage, now: int, net: SimNetwork) -> None:
+        """Merge a child's batch by slice id and release what every child
+        now covers.  Under overload control the merger sheds over its
+        staging cap first, and released coverage stays staged while the
+        upward channel is stalled."""
+        group_id = message.group_id
+        merger = self.mergers[group_id]
+        if message.shed:
+            # Before the advance below can close the windows it degrades.
+            self._note_shed(group_id, message.shed)
+        merger.on_batch(message)
+        if self.config.overload_control:
+            self._shed_staging_overflow(group_id, net)
+            self.peak_staging = max(
+                self.peak_staging,
+                sum(each.staging_occupancy() for each in self.mergers),
+            )
+            if self._stalled(net):
+                # Backpressure: leave the released coverage staged in the
+                # merger's pending buffers (just bounded) instead of
+                # growing the stalled channel's unacked backlog.
+                return
+        advanced = merger.advance()
+        if advanced is not None:
+            self._release(group_id, *advanced, now, net)
+
+    def _release(self, group_id: int, covered: int, records: list[SliceRecord],
+                 now: int, net: SimNetwork) -> None:
+        """Role hook: pass on ``records`` released up to ``covered``."""
+        raise NotImplementedError
 
     # -- membership (Sec 3.2) ------------------------------------------------------------
 
@@ -237,8 +409,7 @@ class Merger(SimNode):
     def on_tick(self, now: int, net: SimNetwork) -> None:
         if self.liveness is not None:
             self._sweep_children(now, net)
-        if self.store is not None:
-            self._maybe_checkpoint(now, net)
+        self._maybe_checkpoint(now, net)
 
     def _sweep_children(self, now: int, net: SimNetwork) -> None:
         """Soft-evict children gone silent (or, under overload control,
@@ -298,42 +469,18 @@ class Merger(SimNode):
     # -- overload control (DESIGN.md §12) ------------------------------------------------
 
     def _shed_staging_overflow(self, group_id: int, net: SimNetwork) -> None:
-        """Shed oldest pending slices once a merger exceeds the staging cap.
-
-        Whole slices only, oldest (smallest ``(end, start)``) first, down
-        to the hysteresis low watermark ``staging_limit * SHED_WATERMARK``
-        so the buffer does not oscillate at the cap.
-        """
-        limit = self.config.staging_limit
-        if limit is None:
-            return
+        """Shed a merger over the staging cap: whole slices only, oldest
+        (smallest ``(end, start)``) first."""
         merger = self.mergers[group_id]
-        occupancy = merger.staging_occupancy()
-        if occupancy <= limit:
-            return
-        low = max(int(limit * SHED_WATERMARK), 0)
-        shed = merger.shed_oldest(occupancy - low)
-        self.slices_shed += len(shed)
-        net.note_shed(self.node_id, group_id, shed)
-        self._note_shed(
-            group_id, [(self.node_id, record.start, record.end) for record in shed]
-        )
-
-    def _note_shed(self, group_id: int, entries) -> None:
-        """Role hook: where shed coverage ``(node_id, start, end)`` — shed
-        here or reported by a descendant — waits to degrade its windows."""
-        raise NotImplementedError
-
-    def _note_staging(self) -> None:
-        occupancy = sum(merger.staging_occupancy() for merger in self.mergers)
-        if occupancy > self.peak_staging:
-            self.peak_staging = occupancy
+        count = self._overflow(merger.staging_occupancy())
+        if count:
+            self._shed(group_id, merger.shed_oldest(count), net)
 
     # -- checkpointing and recovery (DESIGN.md §8) ---------------------------------------
 
     def _maybe_checkpoint(self, now: int, net: SimNetwork) -> None:
         interval = self.config.checkpoint_interval
-        if interval is None:
+        if self.store is None or interval is None:
             return
         if now - self._last_ckpt < interval:
             return

@@ -619,29 +619,8 @@ class RootNode(Merger):
                 self.last_seen[message.sender] = now
                 if self.liveness is not None:
                     self._beat(message.sender, now, net)
-            return
-        if not isinstance(message, PartialBatchMessage):
-            return
-        merger = self.mergers[message.group_id]
-        if message.shed:
-            # The ledger must see shed coverage before the advance below
-            # can close the windows it degrades.
-            self._note_shed(message.group_id, message.shed)
-        merger.on_batch(message)
-        if self.config.overload_control:
-            self._shed_staging_overflow(message.group_id, net)
-            self._note_staging()
-        advanced = merger.advance()
-        if advanced is None:
-            return
-        covered, records = advanced
-        group = self.plan.groups[message.group_id]
-        if group.root_evaluated:
-            for record in records:
-                derive_ops_from_timed(record, group.operators)
-        self.assemblers[message.group_id].consume(covered, records, now)
-        if self.store is not None:
-            self._maybe_checkpoint(now, net)
+        elif isinstance(message, PartialBatchMessage):
+            self._take(message, now, net)
 
     def finish(self, now: int) -> None:
         for assembler in self.assemblers:
@@ -674,6 +653,15 @@ class RootNode(Merger):
         )
 
     # -- the role halves (repro.cluster.roles) ----------------------------------------
+
+    def _release(self, group_id: int, covered: int, records: list[SliceRecord],
+                 now: int, net: SimNetwork) -> None:
+        group = self.plan.groups[group_id]
+        if group.root_evaluated:
+            for record in records:
+                derive_ops_from_timed(record, group.operators)
+        self.assemblers[group_id].consume(covered, records, now)
+        self._maybe_checkpoint(now, net)
 
     def _note_shed(self, group_id: int, entries) -> None:
         # The root is its own final consumer: straight into the ledger.

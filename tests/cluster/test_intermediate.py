@@ -151,7 +151,7 @@ QUERY = Query.of("q", WindowSpec.tumbling(1_000), AggFunction.SUM)
 
 #: where shed coverage lands, per role: on its way up, or in the ledger
 SHED_LANDS = {
-    "intermediate": lambda node: node._shed_pending[0],
+    "intermediate": lambda node: node.shed_pending[0],
     "root": lambda node: node.assemblers[0].shed,
 }
 

@@ -43,13 +43,32 @@ def rooteval_group(*queries):
     return local_group(True, *queries)
 
 
+def local_node(*queries):
+    """A local ``n`` under an :class:`Inbox` parent ``p``."""
+    plan = analyze(queries, decentralized=True)
+    net = SimNetwork(codec=BinaryCodec(), latency_ms=0.0)
+    node = LocalNode("n", "p", plan, ClusterConfig())
+    parent = Inbox("p", NodeRole.ROOT)
+    net.add_node(parent)
+    net.add_node(node)
+    net.connect("n", "p")
+    return net, node, parent
+
+
+def ship(net, node, parent, now):
+    """Tick ``node`` at ``now``; the batch its parent receives."""
+    node.on_tick(now, net)
+    net.run()
+    return parent.messages.pop()
+
+
 class TestSlicedLocalGroup:
+    AVG = Query.of("avg", WindowSpec.tumbling(500), AggFunction.AVERAGE)
+
     def test_flush_ships_partials_not_events(self):
-        handler = sliced_group(
-            Query.of("avg", WindowSpec.tumbling(500), AggFunction.AVERAGE)
-        )
-        handler.on_events([Event(t, "k", 2.0) for t in range(0, 1_000, 100)])
-        message = handler.flush(1_000)
+        net, node, parent = local_node(self.AVG)
+        node.on_events([Event(t, "k", 2.0) for t in range(0, 1_000, 100)], 0, net)
+        message = ship(net, node, parent, 1_000)
         assert message.covered_to == 1_000
         assert len(message.records) == 2  # two 500ms slices
         first = message.records[0]
@@ -58,21 +77,17 @@ class TestSlicedLocalGroup:
         assert first.contexts[0].count == 5
 
     def test_slice_seq_increments_across_flushes(self):
-        handler = sliced_group(
-            Query.of("avg", WindowSpec.tumbling(500), AggFunction.AVERAGE)
-        )
-        handler.on_events([Event(100, "k", 1.0)])
-        first = handler.flush(1_000)
-        handler.on_events([Event(1_100, "k", 1.0)])
-        second = handler.flush(2_000)
+        net, node, parent = local_node(self.AVG)
+        node.on_events([Event(100, "k", 1.0)], 0, net)
+        first = ship(net, node, parent, 1_000)
+        node.on_events([Event(1_100, "k", 1.0)], 1_000, net)
+        second = ship(net, node, parent, 2_000)
         assert first.first_slice_seq == 0
         assert second.first_slice_seq == len(first.records)
 
     def test_empty_interval_still_advances_coverage(self):
-        handler = sliced_group(
-            Query.of("avg", WindowSpec.tumbling(500), AggFunction.AVERAGE)
-        )
-        message = handler.flush(1_000)
+        net, node, parent = local_node(self.AVG)
+        message = ship(net, node, parent, 1_000)
         assert message.covered_to == 1_000
         assert message.records == []
 
@@ -81,10 +96,9 @@ class TestSlicedLocalGroup:
             Query.of("s", WindowSpec.session(300), AggFunction.SUM)
         )
         handler.on_events([Event(120, "k", 1.0), Event(180, "k", 1.0)])
-        message = handler.flush(1_000)
         spans = [
             part.span
-            for record in message.records
+            for record in handler.drain(1_000)
             for part in record.contexts.values()
         ]
         assert (120, 180) in spans
@@ -96,8 +110,7 @@ class TestSlicedLocalGroup:
             )
         )
         handler.on_events([Event(100, "k", 1.0), Event(200, "k", 2.0, "end")])
-        message = handler.flush(1_000)
-        eps = [ep for record in message.records for ep in record.userdef_eps]
+        eps = [ep for record in handler.drain(1_000) for ep in record.userdef_eps]
         assert eps == [("u", 200)]
 
 
@@ -109,8 +122,7 @@ class TestRootEvalLocalGroup:
         handler.on_events(
             [Event(t, "k", v) for t, v in ((10, 5.0), (20, 1.0), (30, 3.0))]
         )
-        message = handler.flush(1_000)
-        (record,) = message.records
+        (record,) = handler.drain(1_000)
         assert record.contexts[0].ops[K.NON_DECOMPOSABLE_SORT] == [1.0, 3.0, 5.0]
 
     def test_count_groups_ship_timestamps(self):
@@ -122,8 +134,7 @@ class TestRootEvalLocalGroup:
             )
         )
         handler.on_events([Event(10, "k", 5.0)])
-        message = handler.flush(1_000)
-        (record,) = message.records
+        (record,) = handler.drain(1_000)
         assert record.contexts[0].timed == [(10, 5.0)]
         assert not record.contexts[0].ops
 
@@ -133,10 +144,10 @@ class TestRootEvalLocalGroup:
         )
         # the second event lies exactly at the tick
         handler.on_events([Event(999, "k", 1.0), Event(1_000, "k", 2.0)])
-        first = handler.flush(1_000)
-        assert first.records[0].contexts[0].count == 1
-        second = handler.flush(2_000)
-        assert second.records[0].contexts[0].count == 1
+        first = handler.drain(1_000)
+        assert first[0].contexts[0].count == 1
+        second = handler.drain(2_000)
+        assert second[0].contexts[0].count == 1
 
     def test_event_on_a_tick_between_punctuations_joins_the_record_ending_there(self):
         handler = rooteval_group(
@@ -144,7 +155,7 @@ class TestRootEvalLocalGroup:
         )
         # the second event lies on a tick, not a punctuation
         handler.on_events([Event(499, "k", 1.0), Event(500, "k", 2.0)])
-        (record,) = handler.flush(500).records
+        (record,) = handler.drain(500)
         assert (record.end, record.contexts[0].count) == (500, 2)
 
     def test_selection_contexts_separated(self):
@@ -163,13 +174,12 @@ class TestRootEvalLocalGroup:
             ),
         )
         handler.on_events([Event(10, "a", 1.0), Event(20, "b", 2.0)])
-        message = handler.flush(1_000)
-        (record,) = message.records
+        (record,) = handler.drain(1_000)
         assert len(record.contexts) == 2
 
 
 def rooteval_state(handler):
-    """The records staged so far and those a final flush ships, each with
+    """The records staged so far and those a final drain takes, each with
     the context order it carries (the order the partials go on the wire
     in), and the counters at both points."""
     state = (
@@ -177,7 +187,7 @@ def rooteval_state(handler):
         [list(record.contexts) for record in handler.pending],
         replace(handler.runtime.stats),
     )
-    records = handler.flush(10_000).records
+    records = handler.drain(10_000)
     return state + (
         records, [list(record.contexts) for record in records], handler.runtime.stats
     )
@@ -225,7 +235,7 @@ class TestRootEvalBatchedIngest:
         self.assert_same(self.MEDIAN, events, (2, 3, 2))
         handler = rooteval_group(*self.MEDIAN)
         handler.on_events(events)
-        assert [(r.start, r.end) for r in handler.flush(10_000).records] == [
+        assert [(r.start, r.end) for r in handler.drain(10_000)] == [
             (0, 200), (200, 400), (1_000, 1_200), (1_600, 1_800),
         ]
 
@@ -349,7 +359,7 @@ class TestRootEvalBatchedIngest:
         for size in splits + [len(events)]:
             handler.on_events(events[done:done + size])
             done += size
-        records = handler.flush(10_000).records
+        records = handler.drain(10_000)
         #: per context, its matching rows not shipped yet, in arrival order
         queues = {
             ctx: [e for e in events if selection.matches(e)]
@@ -471,12 +481,6 @@ class TestShipperHalf:
     parent leave a local and an intermediate in the same state."""
 
     QUERY = Query.of("q", WindowSpec.tumbling(1_000), AggFunction.SUM)
-    #: the slice sequence the node's next upward batch of group 0 starts at
-    NEXT_SEQ = {
-        "local": lambda node: node.groups[0].ship_seq,
-        "intermediate": lambda node: node.ship_seq[0],
-    }
-
     def build(self, kind, **cfg):
         """A shipper ``n`` under parent ``p`` (adopter ``q`` standing by)
         that has shipped, and retained, one record per second up to 3 s."""
@@ -553,7 +557,7 @@ class TestShipperHalf:
             (1, 3_000, [(2_000, 3_000)]),
         ]
         assert [b.first_slice_seq for b in node._retained] == [0, 1]
-        assert self.NEXT_SEQ[kind](node) == 2
+        assert node.ship_seq[0] == 2
 
     @shipper_kinds
     def test_retention_cap_evicts_oldest_first(self, kind):

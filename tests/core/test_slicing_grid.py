@@ -329,7 +329,7 @@ class TestLocalNodeOpensNoFixedWindow:
             for group in node.groups:
                 group.runtime.process(event)
         for group in node.groups:
-            group.flush(2_200)
+            group.drain(2_200)
         assert node.stats.windows_opened == 0
         assert node.stats.windows_closed == 0
         assert node.stats.peak_open_windows == 0
