@@ -16,7 +16,7 @@ from __future__ import annotations
 import time as _time
 from typing import Callable, Iterable
 
-from repro.core.analyzer import QueryGroup, QueryPlan, analyze
+from repro.core.analyzer import QueryPlan, analyze
 from repro.core.errors import ClusterError
 from repro.core.event import Event
 from repro.core.query import Query
@@ -124,13 +124,7 @@ class DesisCluster(Deployment):
         """Register a new query at runtime as its own query-group."""
         if query.query_id in self.plan:
             raise ClusterError(f"duplicate query id: {query.query_id!r}")
-        group = QueryGroup(group_id=len(self.plan.groups))
-        group.root_evaluated = (
-            not query.is_decomposable or query.is_count_based
-        )
-        group._admit(query)
-        group._replan()
-        self.plan.groups.append(group)
+        group = self.plan.open_group(query)
         progress = int(self.net.now) - int(self.net.now) % self.config.tick_interval
         origin = max(self.config.origin, progress)
         for node in (*self.locals.values(), *self.intermediates.values(), self.root):

@@ -138,6 +138,21 @@ class QueryPlan:
         group._admit(query)
         return group
 
+    def open_group(self, query: Query) -> QueryGroup:
+        """Add ``query`` as the only member of a new, planned group: a
+        query a running deployment takes on (Sec 3.2), placed like any
+        other."""
+        if query.query_id in self:
+            raise QueryError(f"duplicate query id: {query.query_id!r}")
+        group = QueryGroup(
+            group_id=len(self.groups),
+            root_evaluated=self.decentralized and _placement_root(query),
+        )
+        group._admit(query)
+        group._replan()
+        self.groups.append(group)
+        return group
+
 
 def _policy_key(query: Query, policy: SharingPolicy):
     """The partition key a sharing policy imposes on top of selections."""

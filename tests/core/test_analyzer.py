@@ -172,6 +172,27 @@ class TestDecentralizedPlacement:
         ]
         assert len(analyze(queries, decentralized=False).groups) == 1
 
+    @pytest.mark.parametrize("decentralized", [True, False])
+    def test_a_runtime_query_opens_its_own_planned_group(self, decentralized):
+        """``open_group`` places a query as ``admit`` would, but alone,
+        beside a group it could share with, and planned."""
+        plan = analyze(
+            [q("t", WindowSpec.tumbling(1_000), AggFunction.SUM)],
+            decentralized=decentralized,
+        )
+        for query in mixed_queries():
+            group = plan.open_group(query)
+            assert group is plan.groups[-1]
+            assert group.group_id == len(plan.groups) - 1
+            assert group.queries == [query]
+            assert group.root_evaluated == (
+                decentralized
+                and (not query.is_decomposable or query.is_count_based)
+            )
+            assert group.operators and group.needs_timestamps == query.is_count_based
+        with pytest.raises(QueryError):
+            plan.open_group(q("t", WindowSpec.tumbling(10), AggFunction.MAX))
+
 
 class TestRuntimeRemoval:
     def test_remove_query_replans_operators(self):
