@@ -29,7 +29,6 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.roles import Shipper
 from repro.network.messages import ContextPartial, ControlMessage, SliceRecord
 from repro.network.simnet import SimNetwork
-from repro.obs.tracing import NULL_RECORDER
 
 __all__ = ["LocalNode"]
 
@@ -40,9 +39,6 @@ class _LocalGroup:
 
     def __init__(self, node_id: str, group: QueryGroup, origin: int,
                  stats: EngineStats, recorder=None) -> None:
-        self.node_id = node_id
-        self.group = group
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.pending: list[SliceRecord] = []
         self.runtime = GroupRuntime(
             group,
@@ -50,7 +46,7 @@ class _LocalGroup:
             stats,
             assemble=False,
             slice_sink=self._on_cut,
-            recorder=self.recorder,
+            recorder=recorder,
             node_id=node_id,
         )
         # Anchor fixed-window schedules at the shared origin so slice
