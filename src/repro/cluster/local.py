@@ -21,7 +21,7 @@ its events.
 from __future__ import annotations
 
 from repro.core.analyzer import QueryGroup, QueryPlan
-from repro.core.engine import EngineStats, GroupRuntime
+from repro.core.engine import EngineStats, GroupRuntime, ingest_events
 from repro.core.event import Event
 from repro.core.results import ResultSink
 from repro.core.types import NodeRole, WindowType
@@ -59,6 +59,7 @@ class _LocalGroup:
         }
 
     def _on_cut(self, closed, eps, spans, timed) -> None:
+        counts = closed.insert_counts
         contexts: dict[int, ContextPartial] = {}
         for ctx, partials in closed.partials.items():
             span = spans.get(ctx)
@@ -66,41 +67,36 @@ class _LocalGroup:
             # from them on arrival (Sec 5.2).
             pairs = timed.get(ctx)
             contexts[ctx] = ContextPartial(
-                count=closed.insert_counts.get(ctx, 0),
-                ops=partials if pairs is None else {},
-                span=tuple(span) if span is not None else None,
-                timed=pairs,
+                counts[ctx],
+                partials if pairs is None else {},
+                None if span is None else tuple(span),
+                pairs,
             )
-        userdef_eps = [
-            (query.query_id, end)
-            for window, end in eps
-            for query in window.queries
-            if query.query_id in self._userdef_ids
-        ]
-        # A marker cut closes *after* inserting the marker event, so the
-        # slice contains an event stamped exactly ``closed.end``.  Ship it
-        # with its truthful exclusive end (``end + 1``) — otherwise a
-        # marker landing on a fixed-window boundary leaks its event into
-        # the windows *ending* there instead of the ones *starting* there.
-        inclusive = any(end == closed.end for _, end in userdef_eps)
+        end = closed.end
+        userdef_eps = []
+        if eps:
+            userdef_eps = [
+                (query.query_id, at)
+                for window, at in eps
+                for query in window.queries
+                if query.query_id in self._userdef_ids
+            ]
+            # A marker cut closes *after* inserting the marker event, so
+            # the slice contains an event stamped exactly ``closed.end``.
+            # Ship it with its truthful exclusive end (``end + 1``) —
+            # otherwise a marker landing on a fixed-window boundary leaks
+            # its event into the windows *ending* there instead of the
+            # ones *starting* there.
+            if any(at == end for _, at in userdef_eps):
+                end += 1
         if contexts or userdef_eps:
             self.pending.append(
-                SliceRecord(
-                    start=closed.start,
-                    end=closed.end + 1 if inclusive else closed.end,
-                    contexts=contexts,
-                    userdef_eps=userdef_eps,
-                )
+                SliceRecord(closed.start, end, contexts, userdef_eps)
             )
 
     def remove_query(self, query_id: str) -> None:
         if query_id in self.runtime.tracker_by_query:
             self.runtime.remove_query(query_id)
-
-    def on_events(self, events: list[Event]) -> None:
-        # Slice-run fast path: the runtime splits the batch at its own
-        # punctuations and at its data-driven windows' opens and closes.
-        self.runtime.process_batch(events)
 
     def stage(self, now: int) -> None:
         """Cut at the watermark boundary without shipping.
@@ -140,11 +136,28 @@ class LocalNode(Shipper):
             _LocalGroup(self.node_id, group, origin, self.stats, self.recorder)
         )
         self._open_upward()
+        self._sync_lanes()
+
+    def _sync_lanes(self) -> None:
+        """Each group's runtime is a lane of its own: a local emits no
+        rows, so its groups cut their runs at their own punctuations only
+        (see :func:`~repro.core.engine.ingest_events`), and the batch is
+        split into the columns any of them reads."""
+        runtimes = [group.runtime for group in self.groups]
+        self._lanes = [(runtime,) for runtime in runtimes]
+        self._reads = (
+            any(runtime.reads_keys for runtime in runtimes),
+            any(runtime.reads_markers for runtime in runtimes),
+        )
 
     def on_events(self, events: list[Event], now: int, net: SimNetwork) -> None:
+        if not self.alive:
+            return
         self.stats.events += len(events)
-        for group in self.groups:
-            group.on_events(events)
+        if events:
+            # Slice-run kernel: each runtime splits the batch at its own
+            # punctuations and its data-driven windows' opens and closes.
+            ingest_events(self._lanes, events, *self._reads)
 
     def on_tick(self, now: int, net: SimNetwork) -> None:
         if not self.alive:
@@ -192,6 +205,7 @@ class LocalNode(Shipper):
             if message.kind == "query_remove":
                 for group in self.groups:
                     group.remove_query(message.payload)
+                self._sync_lanes()
         else:
             super().on_message(message, now, net)
 

@@ -54,7 +54,13 @@ from repro.core.windows import (
     WindowInstance,
 )
 
-__all__ = ["AggregationEngine", "EngineStats", "GroupRuntime", "required_kinds"]
+__all__ = [
+    "AggregationEngine",
+    "EngineStats",
+    "GroupRuntime",
+    "ingest_events",
+    "required_kinds",
+]
 
 # Heap entry tags.
 _SP_FIXED = 0
@@ -193,7 +199,6 @@ class GroupRuntime:
         self._spans: dict[int, list[int]] = {}
         self._timed: dict[int, list[tuple[int, float]]] = {}
 
-        self._sync_selections()
         #: per-open-slice seen-event sets for deduplicating contexts
         self._dedup_seen: dict[int, set] = {}
         self.operators = group.operators
@@ -209,9 +214,6 @@ class GroupRuntime:
         #: user-defined trackers with no open window: the only ones that
         #: must be checked for opens on every event
         self._userdef_closed: list[UserDefinedWindowTracker] = []
-        #: whether any session, user-defined or count tracker is live:
-        #: only then do events punctuate (kept by add_query/remove_query)
-        self._data_driven = False
         #: window deduplication (see repro.core.windows): queries sharing a
         #: window spec and selection context share one tracker
         self._tracker_index: dict[tuple, object] = {}
@@ -230,6 +232,7 @@ class GroupRuntime:
             self.grid = PunctuationGrid()
             # Shadows the method: no other runtime's drain tests for a grid.
             self._drain = self._drain_grid
+        self._sync_selections()
         self._seq = 0
         self.open_windows: dict[int, WindowInstance] = {}
         self._uid = 0
@@ -276,6 +279,7 @@ class GroupRuntime:
                     for kind in plan_operators((query.function,))
                     if kind in missing
                 )
+                self.current.spare = {}  # sets of the kinds before
             if new_ctx:
                 self._sync_selections()
         self._kinds_of = {}
@@ -315,7 +319,7 @@ class GroupRuntime:
             self._userdef_closed.append(tracker)
         else:  # pragma: no cover - enum is exhaustive
             raise QueryError(f"unsupported window type: {kind!r}")
-        self._data_driven = bool(self.sessions or self.userdef or self.counts)
+        self._sync_kernel()
         return tracker
 
     def _sync_selections(self) -> None:
@@ -331,6 +335,28 @@ class GroupRuntime:
             for index, selection in enumerate(self.selections)
             if selection.deduplicate
         )
+        self._sync_kernel()
+
+    def _sync_kernel(self) -> None:
+        """Re-read what the slice-run kernel asks of every call, kept
+        here because it changes only with the queries and contexts."""
+        #: whether any session, user-defined or count tracker is live:
+        #: only then do events punctuate
+        self._data_driven = bool(self.sessions or self.userdef or self.counts)
+        #: whether the kernel reads the key column: only for contexts it
+        #: routes row by row -- the key index, the deduplication signature
+        #: and the run bounds of keyed data-driven windows
+        #: (:meth:`_run_bound`) all belong to such contexts
+        self.reads_keys = self._router.routed
+        #: whether the kernel reads the marker map: for the deduplication
+        #: signature and for user-defined windows
+        self.reads_markers = bool(self._dedup_ctxs or self.userdef)
+        #: the sessions whose open windows a run on a grid hops over
+        #: (:meth:`_hop_sessions`): those over whole contexts
+        whole = self._router.whole
+        self._hops = [
+            tracker for tracker in self.sessions if tracker.ctx in whole
+        ]
 
     def remove_query(self, query_id: str, *, drain: bool = False) -> None:
         """Detach a query (Sec 3.2).
@@ -356,7 +382,7 @@ class GroupRuntime:
             if tracker in self._userdef_closed:
                 self._userdef_closed.remove(tracker)
             self._tracker_index.pop((tracker.spec, tracker.ctx), None)
-            self._data_driven = bool(self.sessions or self.userdef or self.counts)
+            self._sync_kernel()
             if self.grid is not None and self._bootstrapped:
                 self._regrid(self.stream_time)
         if not drain:
@@ -516,7 +542,7 @@ class GroupRuntime:
         windows' first slice is the one opened here.
         """
         closing = self.current
-        closing.close(time)
+        spare = closing.close(time)
         self.stats.slices_closed += 1
         self.slice_seq += 1
         if self.recorder.enabled:
@@ -545,7 +571,7 @@ class GroupRuntime:
                 self._timed = {}
         if self._dedup_seen:
             self._dedup_seen = {}
-        self.current = Slice(index=closing.index + 1, start=time)
+        self.current = Slice(closing.index + 1, time, spare)
         for window, end_time in eps:
             if window.uid in self.open_windows:
                 self._close_window(window, end_time, closing.index)
@@ -715,7 +741,10 @@ class GroupRuntime:
             for ctx in matched:
                 state = contexts.get(ctx)
                 if state is None:
-                    state = contexts[ctx] = OperatorSetState(self.operators)
+                    state = contexts[ctx] = (
+                        self.current.spare.pop(ctx, None)
+                        or OperatorSetState(self.operators)
+                    )
                 state.inserts += 1
                 pending = state.pending
                 pending.append(value)
@@ -816,24 +845,13 @@ class GroupRuntime:
             return self._heap[0][0]
         return due
 
-    @property
-    def reads_keys(self) -> bool:
-        """Whether the slice-run kernel reads the key column: only for
-        contexts it routes row by row — the key index, the deduplication
-        signature and the run bounds of keyed data-driven windows
-        (:meth:`_run_bound`) all belong to such contexts."""
-        return self._router.routed
-
-    @property
-    def reads_markers(self) -> bool:
-        """Whether the slice-run kernel reads the marker map: for the
-        deduplication signature and for user-defined windows."""
-        return bool(self._dedup_ctxs or self.userdef)
-
-    def begin_run(self, time: int) -> int | None:
-        """Start a slice-run at ``time``: advance the stream clock, drain
-        due punctuations, and return the next punctuation deadline (every
-        event strictly before it lands in the currently open slice)."""
+    def begin_run(self, times: Sequence[int], start: int) -> int | None:
+        """Start a slice-run at row ``start`` of the time column: advance
+        the stream clock, drain due punctuations, hop the open sessions
+        over the rows ahead (:meth:`_hop_sessions`), and return the next
+        punctuation deadline (every event strictly before it lands in
+        the currently open slice)."""
+        time = times[start]
         if not self._bootstrapped:
             self._bootstrap(time)
         elif self.stream_time is not None and time < self.stream_time:
@@ -841,8 +859,56 @@ class GroupRuntime:
                 f"event at t={time} arrived after stream time {self.stream_time}"
             )
         self.stream_time = time
-        self._drain(time)
+        # The drains' own first tests, as in process().
+        heap = self._heap
+        due = self._grid_next
+        if (heap and heap[0][0] <= time) or (due is not None and due <= time):
+            self._drain(time)
+        if self._hops and self.grid is not None:
+            self._hop_sessions(times, start)
         return self._next_punctuation()
+
+    def _hop_sessions(self, times: Sequence[int], start: int) -> None:
+        """Re-arm each open session of :attr:`_hops` in place at the end
+        the rows from ``start`` on give it, so a run does not stop at a
+        tentative end those rows are about to make stale.
+
+        Its context takes every row, so the session lasts through the
+        first row a gap or more after the row before it: ``bisect`` hops
+        a gap at a time along the time column.  Only a grid hops: there
+        nothing reads the order of same-time closes, while an assembling
+        runtime emits its results in it, so its stale ends stay lazy
+        (:meth:`_classify`).
+        """
+        for tracker in self._hops:
+            if tracker.window is None:
+                continue
+            gap = tracker.gap
+            end = tracker.tentative_end
+            k = start
+            while True:
+                hop = bisect_left(times, end, k)
+                if hop == k:
+                    break
+                k = hop
+                end = times[k - 1] + gap
+            if k > start:
+                self._rearm(tracker, end)
+
+    def _rearm(self, tracker: SessionWindowTracker, time: int) -> None:
+        """Move ``tracker``'s armed end to ``time`` in place, with the
+        generation current before the run: a grid's heap holds one end
+        per session and nothing else, so it is found by a scan and
+        re-heaped whole.  The run's rows then leave it stale by
+        generation only, so when it fires :meth:`_classify` re-arms it
+        at the same time, and it closes in the same drain."""
+        heap = self._heap
+        for index, entry in enumerate(heap):
+            if entry[3][0] is tracker:
+                heap[index] = (time, entry[1], _SESSION_EP,
+                               (tracker, tracker.generation))
+                heapq.heapify(heap)
+                return
 
     def process_batch(self, events: Sequence[Event]) -> None:
         """Process an ordered batch of events in slice-runs: maximal
@@ -852,9 +918,7 @@ class GroupRuntime:
         Results, state and :class:`EngineStats` are per-event
         :meth:`process`'s."""
         if events:
-            _ingest_columns(
-                (self,), *_columns(events, self.reads_keys, self.reads_markers)
-            )
+            ingest_events(((self,),), events, self.reads_keys, self.reads_markers)
 
     def _process_run(
         self,
@@ -873,69 +937,34 @@ class GroupRuntime:
         row and closing only at its last (:meth:`_run_bound`), where the
         hooks read those rows' fields.  A whole context (see
         :class:`~repro.core.predicates.SelectionRouter`) takes the run's
-        stretch of the value column as is, a row loop buffers the routed
-        ones', and each context's run goes in through one bulk insert;
-        ``markers`` is sparse (row -> marker).  Stats bill the work as
-        per event (``selection_checks`` the full linear scan).
+        stretch of the value column as is, routed ones what
+        :meth:`_route_run` buffers, and each context's run goes in through
+        one bulk insert; ``markers`` is sparse (row -> marker).  Stats
+        bill the work as per event (``selection_checks`` the full linear
+        scan).
         """
         stats = self.stats
         router = self._router
-        whole = router.whole
-        data_driven = self._data_driven
-        run_values: dict[int, list[float]] = {}
-        #: ctx -> first / last matching row, and the times of the routed
-        #: rows when tracked (tracked runs only)
-        first: dict[int, int] = {}
-        last: dict[int, int] = {}
-        run_times: dict[int, list[int]] | None = {} if self.track_times else None
+        stop_time = times[stop - 1]
         if router.routed:
-            candidates = router.candidates
-            dedup_ctxs = self._dedup_ctxs
-            if dedup_ctxs or whole or data_driven or self._tracking:
-                for k in range(start, stop):
-                    value = values[k]
-                    for ctx, lo, hi in candidates(keys[k]):
-                        if (lo is None or value >= lo) and (hi is None or value < hi):
-                            if ctx in dedup_ctxs and not self._apply_dedup(
-                                (times[k], keys[k], value, markers.get(k)), [ctx]
-                            ):
-                                continue
-                            bucket = run_values.get(ctx)
-                            if bucket is None:
-                                bucket = run_values[ctx] = []
-                                first[ctx] = k
-                            bucket.append(value)
-                            last[ctx] = k
-                            if run_times is not None:
-                                run_times.setdefault(ctx, []).append(times[k])
-            else:
-                for k in range(start, stop):
-                    value = values[k]
-                    for ctx, lo, hi in candidates(keys[k]):
-                        if (lo is None or value >= lo) and (hi is None or value < hi):
-                            bucket = run_values.get(ctx)
-                            if bucket is None:
-                                bucket = run_values[ctx] = []
-                            bucket.append(value)
-        if whole:
-            run = values[start:stop]
-            for ctx in whole:
-                run_values[ctx] = run
-                first[ctx] = start
-                last[ctx] = stop - 1
-            if len(run_values) > len(whole):
-                # process() files a context new to the slice at its first
-                # kept row, a row's contexts in ctx order.
-                run_values = {
-                    ctx: run_values[ctx]
-                    for ctx in sorted(run_values, key=lambda ctx: (first[ctx], ctx))
-                }
-        self.stream_time = times[stop - 1]
+            run_values, first, last, run_times = self._route_run(
+                times, keys, values, markers, start, stop
+            )
+        else:
+            # Every context takes every row: no row is looked at.
+            run_values = dict.fromkeys(router.whole, values[start:stop])
+            first = last = run_times = None
+        self.stream_time = stop_time
         stats.selection_checks += router.total * (stop - start)
+        data_driven = self._data_driven
         if data_driven:
-            taken = {
-                ctx: (times[last[ctx]], len(run)) for ctx, run in run_values.items()
-            }
+            if last is None:
+                taken = dict.fromkeys(run_values, (stop_time, stop - start))
+            else:
+                taken = {
+                    ctx: (times[last[ctx]], len(run))
+                    for ctx, run in run_values.items()
+                }
             self._open_data_driven(
                 times[start], keys[start] if keys else None, markers.get(start),
                 taken,
@@ -954,29 +983,95 @@ class GroupRuntime:
         if data_driven:
             k = stop - 1
             self._close_data_driven(
-                times[k], keys[k] if keys else None, markers.get(k), taken
+                stop_time, keys[k] if keys else None, markers.get(k), taken
             )
 
+    def _route_run(
+        self,
+        times: Sequence[int],
+        keys: Sequence[str],
+        values: Sequence[float],
+        markers: dict[int, str],
+        start: int,
+        stop: int,
+    ) -> tuple[dict[int, list[float]], dict[int, int], dict[int, int],
+               dict[int, list[int]] | None]:
+        """The run ``[start, stop)`` of a group that routes contexts: ctx
+        -> its values, in the order :meth:`process` files contexts new to
+        the slice; ctx -> its first and last row, and the times of the
+        routed rows when times are tracked."""
+        router = self._router
+        whole = router.whole
+        run_values: dict[int, list[float]] = {}
+        first: dict[int, int] = {}
+        last: dict[int, int] = {}
+        run_times: dict[int, list[int]] | None = {} if self.track_times else None
+        candidates = router.candidates
+        dedup_ctxs = self._dedup_ctxs
+        if dedup_ctxs or whole or self._data_driven or self._tracking:
+            for k in range(start, stop):
+                value = values[k]
+                for ctx, lo, hi in candidates(keys[k]):
+                    if (lo is None or value >= lo) and (hi is None or value < hi):
+                        if ctx in dedup_ctxs and not self._apply_dedup(
+                            (times[k], keys[k], value, markers.get(k)), [ctx]
+                        ):
+                            continue
+                        bucket = run_values.get(ctx)
+                        if bucket is None:
+                            bucket = run_values[ctx] = []
+                            first[ctx] = k
+                        bucket.append(value)
+                        last[ctx] = k
+                        if run_times is not None:
+                            run_times.setdefault(ctx, []).append(times[k])
+        else:
+            for k in range(start, stop):
+                value = values[k]
+                for ctx, lo, hi in candidates(keys[k]):
+                    if (lo is None or value >= lo) and (hi is None or value < hi):
+                        bucket = run_values.get(ctx)
+                        if bucket is None:
+                            bucket = run_values[ctx] = []
+                        bucket.append(value)
+        if whole:
+            run = values[start:stop]
+            for ctx in whole:
+                run_values[ctx] = run
+                first[ctx] = start
+                last[ctx] = stop - 1
+            if len(run_values) > len(whole):
+                # process() files a context new to the slice at its first
+                # kept row, a row's contexts in ctx order.
+                run_values = {
+                    ctx: run_values[ctx]
+                    for ctx in sorted(run_values, key=lambda ctx: (first[ctx], ctx))
+                }
+        return run_values, first, last, run_times
+
     def _track_run(
-        self, times: Sequence[int], start: int, stop: int, first: dict[int, int],
-        last: dict[int, int], run_times: dict[int, list[int]] | None,
+        self, times: Sequence[int], start: int, stop: int,
+        first: dict[int, int] | None, last: dict[int, int] | None,
+        run_times: dict[int, list[int]] | None,
         run_values: dict[int, list[float]],
     ) -> None:
         """What :meth:`_track_event` notes, for the run ``[start, stop)``:
-        a whole context took every row's time, a routed one the times
+        a whole context took every row's time (all of them do when
+        ``first`` and ``last`` are ``None``), a routed one the times
         ``run_times`` collected."""
         if self.track_spans:
             spans = self._spans
-            for ctx, k in last.items():
+            for ctx in run_values:
+                k = stop - 1 if last is None else last[ctx]
                 span = spans.get(ctx)
                 if span is None:
-                    spans[ctx] = [times[first[ctx]], times[k]]
+                    spans[ctx] = [times[start if first is None else first[ctx]], times[k]]
                 else:
                     span[1] = times[k]
         if self.track_times:
             timed = self._timed
             for ctx, run in run_values.items():
-                at = run_times.get(ctx) or times[start:stop]
+                at = (run_times and run_times.get(ctx)) or times[start:stop]
                 pairs = timed.get(ctx)
                 if pairs is None:
                     timed[ctx] = list(zip(at, run))
@@ -1167,26 +1262,41 @@ def _relevant_row(
     return stop
 
 
+def ingest_events(
+    lanes: Sequence[Sequence[GroupRuntime]], events: Sequence[Event],
+    with_keys: bool, with_markers: bool,
+) -> None:
+    """Split ordered ``events`` into columns once and drive every lane of
+    runtimes through them (:func:`_ingest_columns`); the key column and
+    the marker map only when some runtime reads them
+    (:attr:`GroupRuntime.reads_keys`, :attr:`~GroupRuntime.reads_markers`)."""
+    _ingest_columns(lanes, *_columns(events, with_keys, with_markers))
+
+
 def _ingest_columns(
-    groups: Sequence[GroupRuntime],
+    lanes: Sequence[Sequence[GroupRuntime]],
     times: Sequence[int],
     keys: Sequence[str],
     values: Sequence[float],
     markers: dict[int, str],
 ) -> None:
-    """Drive ``groups`` through ordered columns in synchronized slice-runs.
+    """Drive each lane of runtimes through ordered columns in slice-runs.
 
-    Every chunk ends at the groups' earliest next punctuation (by
-    ``bisect``: rows *at* it start the next run) or sooner, where a group's
-    data-driven windows need it (:meth:`GroupRuntime._run_bound`).  So
-    results interleave across groups as per event: drains emit at a
-    chunk's first row and data-driven closes at its last, each in group
-    order — and a group that opens or closes a window at the first row,
-    making the chunk that row alone, runs it before the next group drains.
-    The time column is validated up front, so a mid-batch regression
-    cannot leave groups at diverging stream times.
+    A lane's runtimes share their chunk boundaries.  Every chunk ends at
+    their earliest next punctuation (by ``bisect``: rows *at* it start
+    the next run) or sooner, where a runtime's data-driven windows need
+    it (:meth:`GroupRuntime._run_bound`).  So results interleave across
+    the lane as per event: drains emit at a chunk's first row and
+    data-driven closes at its last, each in lane order — and a runtime
+    that opens or closes a window at the first row, making the chunk
+    that row alone, runs it before the next one drains.  Runtimes whose
+    results nobody interleaves (a local node's groups, which emit none)
+    each make a lane of their own, and cut their runs at their own
+    punctuations only.  The time column is validated up front, so a
+    mid-batch regression cannot leave runtimes at diverging stream times.
     """
-    if sorted(times) != times:
+    n = len(times)
+    if n > 2 and sorted(times) != times or n == 2 and times[1] < times[0]:
         prev = times[0]
         for time in times:
             if time < prev:
@@ -1194,36 +1304,35 @@ def _ingest_columns(
                     f"event at t={time} arrived after stream time {prev}"
                 )
             prev = time
-    marked = sorted(markers.items())
-    i = 0
-    n = len(times)
-    while i < n:
-        time = times[i]
-        deadline: int | None = None
-        early = []
-        for group in groups:
-            due = group.begin_run(time)
-            if due is not None and (deadline is None or due < deadline):
-                deadline = due
-            # A window opened or closed at row i makes the chunk row i
-            # alone: run it now, before the next group drains there.
-            if group._data_driven and group._run_bound(
-                keys, values, marked, i, min(i + 2, n)
-            ) == i + 1:
-                group._process_run(times, keys, values, markers, i, i + 1)
-                early.append(group)
-        if early:
-            j = i + 1
-            rest = [group for group in groups if group not in early]
-        else:
-            j = n if deadline is None else bisect_left(times, deadline, i + 1)
+    marked = sorted(markers.items()) if markers else ()
+    for groups in lanes:
+        i = 0
+        while i < n:
+            deadline: int | None = None
+            early = []
             for group in groups:
-                if group._data_driven:
-                    j = group._run_bound(keys, values, marked, i, j)
-            rest = groups
-        for group in rest:
-            group._process_run(times, keys, values, markers, i, j)
-        i = j
+                due = group.begin_run(times, i)
+                if due is not None and (deadline is None or due < deadline):
+                    deadline = due
+                # A window opened or closed at row i makes the chunk row i
+                # alone: run it now, before the next runtime drains there.
+                if group._data_driven and group._run_bound(
+                    keys, values, marked, i, min(i + 2, n)
+                ) == i + 1:
+                    group._process_run(times, keys, values, markers, i, i + 1)
+                    early.append(group)
+            if early:
+                j = i + 1
+                rest = [group for group in groups if group not in early]
+            else:
+                j = n if deadline is None else bisect_left(times, deadline, i + 1)
+                for group in groups:
+                    if group._data_driven:
+                        j = group._run_bound(keys, values, marked, i, j)
+                rest = groups
+            for group in rest:
+                group._process_run(times, keys, values, markers, i, j)
+            i = j
 
 
 def _closed(*_args, **_kwargs):
@@ -1287,6 +1396,7 @@ class AggregationEngine:
         ]
         #: stream time while no group keeps it (:meth:`_process_ungrouped`)
         self._ungrouped_time: int | None = None
+        self._sync_reads()
         if not self.groups:
             self.process = self._process_ungrouped
 
@@ -1298,6 +1408,14 @@ class AggregationEngine:
             emit_empty=self.config.emit_empty,
             recorder=self.recorder,
             node_id="engine",
+        )
+
+    def _sync_reads(self) -> None:
+        """Which optional columns the groups read (``process_batch``
+        splits only those), re-read whenever a query comes or goes."""
+        self._reads = (
+            any(group.reads_keys for group in self.groups),
+            any(group.reads_markers for group in self.groups),
         )
 
     @property
@@ -1343,9 +1461,7 @@ class AggregationEngine:
         if not isinstance(events, (list, tuple)):
             events = list(events)
         if events:
-            keys = any(group.reads_keys for group in self.groups)
-            markers = any(group.reads_markers for group in self.groups)
-            _ingest_columns(self.groups, *_columns(events, keys, markers))
+            ingest_events((self.groups,), events, *self._reads)
             if not self.groups:
                 self._keep_ungrouped_time(events[0].time, events[-1].time)
             self.stats.events += len(events)
@@ -1372,7 +1488,7 @@ class AggregationEngine:
         if holds_nan(values):
             raise NaNValueError("a values column holding NaN refused")
         if times:
-            _ingest_columns(self.groups, times, keys, values, markers or {})
+            _ingest_columns((self.groups,), times, keys, values, markers or {})
             if not self.groups:
                 self._keep_ungrouped_time(times[0], times[-1])
             self.stats.events += len(times)
@@ -1436,6 +1552,7 @@ class AggregationEngine:
         runtime = self.groups[group.group_id]
         runtime.remove_query(query_id, drain=drain)
         group.remove_query(query_id)
+        self._sync_reads()
 
     def add_query(self, query: Query) -> None:
         """Attach a new query at runtime (Sec 3.2).
@@ -1449,10 +1566,12 @@ class AggregationEngine:
         group = self.plan.admit(query)
         if group.group_id < len(self.groups):
             self.groups[group.group_id].add_query(query)
+            self._sync_reads()
             return
         group._replan()
         runtime = self._runtime(group)
         self.groups.append(runtime)
+        self._sync_reads()
         if len(self.groups) == 1:
             del self.process  # the group keeps stream time from here
         # Bootstrap the new group at the current stream time so its first

@@ -9,7 +9,9 @@ Each operator has two representations:
 
 * a mutable *state* (:class:`SumState` etc.) that folds the values of the
   currently open slice, and
-* an immutable *partial result* produced when the slice is terminated.
+* an immutable *partial result* produced when the slice is terminated:
+  ``partial()`` reads it off an open state, ``take()`` takes it and
+  leaves the state as new, so a slice's states serve the next slice.
 
 A state has one way in, the bulk ``insert_many`` fold.  The values of one
 selection context are buffered by its :class:`OperatorSetState` — at most
@@ -98,6 +100,11 @@ class SumState:
     def partial(self) -> float:
         return self.total
 
+    def take(self) -> float:
+        total = self.total
+        self.total = 0.0
+        return total
+
 
 class CountState:
     """Running count of inserted values."""
@@ -113,6 +120,11 @@ class CountState:
 
     def partial(self) -> int:
         return self.count
+
+    def take(self) -> int:
+        count = self.count
+        self.count = 0
+        return count
 
 
 class MultiplicationState:
@@ -133,6 +145,11 @@ class MultiplicationState:
     def partial(self) -> float:
         return self.product
 
+    def take(self) -> float:
+        product = self.product
+        self.product = 1.0
+        return product
+
 
 class DecomposableSortState:
     """Incremental sort that drops events: keeps only the running extrema."""
@@ -145,25 +162,30 @@ class DecomposableSortState:
         self.hi: float | None = None
 
     def insert_many(self, values: Sequence[float]) -> None:
-        # One comparison per value, in stream order (min()/max() would
-        # treat NaNs differently), run on locals.
-        lo = self.lo
-        hi = self.hi
-        for value in values:
-            if lo is None:
-                lo = value
-                hi = value
-            elif value < lo:
-                lo = value
-            elif value > hi:
-                hi = value
-        self.lo = lo
-        self.hi = hi
+        # C min()/max() over the old extremum and the run: each keeps
+        # its current item unless a later one compares strictly less
+        # (greater), which is the per-value fold in stream order, ties
+        # (``-0.0`` vs ``0.0``) included.
+        if not values:
+            return
+        if self.lo is None:
+            self.lo = min(values)
+            self.hi = max(values)
+        else:
+            self.lo = min(self.lo, *values)
+            self.hi = max(self.hi, *values)
 
     def partial(self) -> tuple[float, float] | None:
         if self.lo is None:
             return None
         return (self.lo, self.hi)  # type: ignore[return-value]
+
+    def take(self) -> tuple[float, float] | None:
+        if self.lo is None:
+            return None
+        extrema = (self.lo, self.hi)
+        self.lo = self.hi = None
+        return extrema  # type: ignore[return-value]
 
 
 class SumOfSquaresState:
@@ -189,6 +211,11 @@ class SumOfSquaresState:
     def partial(self) -> float:
         return self.total
 
+    def take(self) -> float:
+        total = self.total
+        self.total = 0.0
+        return total
+
 
 class NonDecomposableSortState:
     """Full sort executed lazily when the slice terminates.
@@ -209,6 +236,12 @@ class NonDecomposableSortState:
     def partial(self) -> list[float]:
         self.values.sort()
         return self.values
+
+    def take(self) -> list[float]:
+        values = self.values
+        values.sort()
+        self.values = []
+        return values
 
 
 _STATE_FACTORIES = {
@@ -501,6 +534,15 @@ class OperatorSetState:
         if self.pending:
             self.fold()
         return {state.kind: state.partial() for state in self.states}
+
+    def take(self) -> dict[OperatorKind, Any]:
+        """:meth:`partials`, leaving the set as a new one is (no value,
+        no insert), so the next slice can take it over instead of
+        building its own."""
+        if self.pending:
+            self.fold()
+        self.inserts = 0
+        return {state.kind: state.take() for state in self.states}
 
     @property
     def calculations(self) -> int:

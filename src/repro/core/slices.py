@@ -42,14 +42,19 @@ class Slice:
         "partials",
         "insert_counts",
         "closed",
+        "spare",
     )
 
-    def __init__(self, index: int, start: int) -> None:
+    def __init__(self, index: int, start: int,
+                 spare: dict[int, OperatorSetState] | None = None) -> None:
         self.index = index
         self.start = start
         self.end: int | None = None
         #: open state: context index -> operator states (created lazily)
         self.contexts: dict[int, OperatorSetState] = {}
+        #: the emptied states of the slice before, by context: a context
+        #: takes its own over at its first value instead of a new set
+        self.spare: dict[int, OperatorSetState] = spare if spare is not None else {}
         #: closed state: context index -> operator kind -> partial result
         self.partials: Partials = {}
         #: context index -> number of events inserted
@@ -68,20 +73,28 @@ class Slice:
         """
         state = self.contexts.get(ctx)
         if state is None:
-            state = OperatorSetState(kinds)
-            self.contexts[ctx] = state
+            state = self.contexts[ctx] = (
+                self.spare.pop(ctx, None) or OperatorSetState(kinds)
+            )
         state.insert_many(values)
 
-    def close(self, end: int) -> None:
-        """Freeze the slice: compute partial results for every context."""
+    def close(self, end: int) -> dict[int, OperatorSetState]:
+        """Freeze the slice: compute partial results for every context.
+        Returns the operator states, emptied, for the next slice."""
         if self.closed:
             raise EngineError(f"slice {self.index} closed twice")
         self.end = end
+        partials = self.partials
+        counts = self.insert_counts
         for ctx, state in self.contexts.items():
-            self.partials[ctx] = state.partials()
-            self.insert_counts[ctx] = state.inserts
-        self.contexts.clear()
+            counts[ctx] = state.inserts
+            partials[ctx] = state.take()
+        spare = self.spare
+        spare.update(self.contexts)
+        self.contexts = {}
+        self.spare = {}
         self.closed = True
+        return spare
 
     def __repr__(self) -> str:
         status = "closed" if self.closed else "open"

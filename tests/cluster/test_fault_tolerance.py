@@ -195,6 +195,28 @@ class TestMembership:
         assert any(r.end > 4_000 for r in result.sink)
         assert "local-2" not in cluster.topology.nodes()
 
+    def test_a_removed_local_ingests_nothing_more(self):
+        # Its stream keeps arriving after the removal; the node takes none
+        # of it, as it takes no tick.
+        streams = make_streams(2, 600)
+        cluster = DesisCluster(
+            [avg()], three_tier(2, 1), config=ClusterConfig(tick_interval=100)
+        )
+        removed = cluster.locals["local-0"]
+        calls = []
+        on_events = removed.on_events
+
+        def counted(events, now, net):
+            calls.append(len(events))
+            on_events(events, now, net)
+
+        removed.on_events = counted
+        cluster.run(streams, actions=[(500, lambda c: c.remove_node("local-0"))])
+        before = sum(1 for event in streams["local-0"] if event.time <= 500)
+        assert 0 < before < len(streams["local-0"]) == sum(calls)
+        assert removed.stats.events == before
+        assert removed.groups[0].runtime.stream_time <= 500
+
     def test_remove_node_leaves_no_stale_state(self):
         # Regression: hard removal must free *all* per-child state — the
         # reliable-channel tables (else retransmits fire into the void),

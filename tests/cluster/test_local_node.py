@@ -95,7 +95,7 @@ class TestSlicedLocalGroup:
         handler = sliced_group(
             Query.of("s", WindowSpec.session(300), AggFunction.SUM)
         )
-        handler.on_events([Event(120, "k", 1.0), Event(180, "k", 1.0)])
+        handler.runtime.process_batch([Event(120, "k", 1.0), Event(180, "k", 1.0)])
         spans = [
             part.span
             for record in handler.drain(1_000)
@@ -109,7 +109,7 @@ class TestSlicedLocalGroup:
                 "u", WindowSpec.user_defined(end_marker="end"), AggFunction.SUM
             )
         )
-        handler.on_events([Event(100, "k", 1.0), Event(200, "k", 2.0, "end")])
+        handler.runtime.process_batch([Event(100, "k", 1.0), Event(200, "k", 2.0, "end")])
         eps = [ep for record in handler.drain(1_000) for ep in record.userdef_eps]
         assert eps == [("u", 200)]
 
@@ -119,7 +119,7 @@ class TestRootEvalLocalGroup:
         handler = rooteval_group(
             Query.of("m", WindowSpec.tumbling(1_000), AggFunction.MEDIAN)
         )
-        handler.on_events(
+        handler.runtime.process_batch(
             [Event(t, "k", v) for t, v in ((10, 5.0), (20, 1.0), (30, 3.0))]
         )
         (record,) = handler.drain(1_000)
@@ -133,7 +133,7 @@ class TestRootEvalLocalGroup:
                 AggFunction.SUM,
             )
         )
-        handler.on_events([Event(10, "k", 5.0)])
+        handler.runtime.process_batch([Event(10, "k", 5.0)])
         (record,) = handler.drain(1_000)
         assert record.contexts[0].timed == [(10, 5.0)]
         assert not record.contexts[0].ops
@@ -143,7 +143,7 @@ class TestRootEvalLocalGroup:
             Query.of("m", WindowSpec.tumbling(1_000), AggFunction.MEDIAN)
         )
         # the second event lies exactly at the tick
-        handler.on_events([Event(999, "k", 1.0), Event(1_000, "k", 2.0)])
+        handler.runtime.process_batch([Event(999, "k", 1.0), Event(1_000, "k", 2.0)])
         first = handler.drain(1_000)
         assert first[0].contexts[0].count == 1
         second = handler.drain(2_000)
@@ -154,7 +154,7 @@ class TestRootEvalLocalGroup:
             Query.of("m", WindowSpec.tumbling(1_000), AggFunction.MEDIAN)
         )
         # the second event lies on a tick, not a punctuation
-        handler.on_events([Event(499, "k", 1.0), Event(500, "k", 2.0)])
+        handler.runtime.process_batch([Event(499, "k", 1.0), Event(500, "k", 2.0)])
         (record,) = handler.drain(500)
         assert (record.end, record.contexts[0].count) == (500, 2)
 
@@ -173,7 +173,7 @@ class TestRootEvalLocalGroup:
                 selection=Selection(key="b"),
             ),
         )
-        handler.on_events([Event(10, "a", 1.0), Event(20, "b", 2.0)])
+        handler.runtime.process_batch([Event(10, "a", 1.0), Event(20, "b", 2.0)])
         (record,) = handler.drain(1_000)
         assert len(record.contexts) == 2
 
@@ -202,7 +202,7 @@ def open_slice(handler):
 
 
 class TestRootEvalBatchedIngest:
-    """``on_events`` hands the batch to the runtime's slice-run kernel,
+    """A group's runtime takes a batch through the slice-run kernel,
     which cuts by bisect on the time column; whatever the batch, it must
     ship exactly the records per-event ``GroupRuntime.process`` ships."""
 
@@ -215,7 +215,7 @@ class TestRootEvalBatchedIngest:
         batched = rooteval_group(*queries)
         done = 0
         for size in batches:
-            batched.on_events(events[done:done + size])
+            batched.runtime.process_batch(events[done:done + size])
             done += size
         assert done >= len(events)
         assert rooteval_state(batched) == rooteval_state(reference)
@@ -234,7 +234,7 @@ class TestRootEvalBatchedIngest:
         self.assert_same(self.MEDIAN, events, (7,))
         self.assert_same(self.MEDIAN, events, (2, 3, 2))
         handler = rooteval_group(*self.MEDIAN)
-        handler.on_events(events)
+        handler.runtime.process_batch(events)
         assert [(r.start, r.end) for r in handler.drain(10_000)] == [
             (0, 200), (200, 400), (1_000, 1_200), (1_600, 1_800),
         ]
@@ -242,7 +242,7 @@ class TestRootEvalBatchedIngest:
     def test_event_on_a_boundary_belongs_to_the_next_slice(self):
         events = [Event(t, "k", 1.0) for t in (199, 200, 200, 201, 400)]
         handler = rooteval_group(*self.MEDIAN)
-        handler.on_events(events)
+        handler.runtime.process_batch(events)
         assert [(r.start, r.end, r.contexts[0].count) for r in handler.pending] == [
             (0, 200, 1), (200, 400, 3),
         ]
@@ -252,7 +252,7 @@ class TestRootEvalBatchedIngest:
 
     def test_empty_batch(self):
         handler = rooteval_group(*self.MEDIAN)
-        handler.on_events([])
+        handler.runtime.process_batch([])
         assert (handler.pending, open_slice(handler)) == ([], (0, {}))
         assert handler.runtime.stats == rooteval_group(*self.MEDIAN).runtime.stats
         self.assert_same(self.MEDIAN, [Event(250, "k", 1.0)], (0, 1, 0))
@@ -288,7 +288,7 @@ class TestRootEvalBatchedIngest:
         self.assert_same(queries, events, (64, 64, 72))
         self.assert_same(queries, events, (200,))
         handler = rooteval_group(*queries)
-        handler.on_events(events)
+        handler.runtime.process_batch(events)
         ends = {record.end for record in handler.pending}
         assert len(ends) > 20 and {end % 100 for end in ends} == {0}
         assert any(end % 300 and end % 200 for end in ends)  # a window *end*
@@ -357,7 +357,7 @@ class TestRootEvalBatchedIngest:
         runtime = handler.runtime
         done = 0
         for size in splits + [len(events)]:
-            handler.on_events(events[done:done + size])
+            handler.runtime.process_batch(events[done:done + size])
             done += size
         records = handler.drain(10_000)
         #: per context, its matching rows not shipped yet, in arrival order
@@ -446,7 +446,7 @@ class TestRootEvalBatchedIngest:
             raise AssertionError("process_batch fell back to process")
 
         monkeypatch.setattr(GroupRuntime, "process", refuse)
-        handler.on_events(events)
+        handler.runtime.process_batch(events)
 
     def test_user_defined_runs_in_slice_runs(self, monkeypatch):
         """An end marker closes its window at the last row of a run, so a
@@ -470,7 +470,7 @@ class TestRootEvalBatchedIngest:
             handler = rooteval_group(*queries)
             done = 0
             for size in batches:
-                handler.on_events(events[done:done + size])
+                handler.runtime.process_batch(events[done:done + size])
                 done += size
             assert rooteval_state(handler) == expected, batches
 

@@ -373,3 +373,54 @@ class TestBufferedFoldBitExact:
             ops.insert(1.0)
             assert len(ops.pending) < PENDING_CAP
         assert ops.partials() == {} and ops.inserts == 3 * PENDING_CAP
+
+
+#: runs for the extrema fold: the tie set, subnormals and infinities
+#: among ordinary floats, one-value runs and empty ones included
+extrema_runs = st.lists(
+    st.lists(
+        st.one_of(
+            st.sampled_from(EDGE_FLOATS),
+            st.floats(allow_nan=False, allow_subnormal=True),
+        ),
+        max_size=12,
+    ),
+    max_size=8,
+)
+
+
+class TestExtremaFold:
+    """``DecomposableSortState.insert_many`` folds a run with C ``min()``
+    and ``max()`` over the old extremum and the run: bit for bit the
+    strict-compare loop, one value at a time, whatever the runs."""
+
+    @given(runs=extrema_runs)
+    @example(runs=[[0.0], [-0.0, 0.0], [-0.0]])
+    @example(runs=[[-0.0, 0.0, -0.0], [0.0], [5e-324, -5e-324]])
+    @example(runs=[[math.inf], [-math.inf, math.inf], [], [1.0]])
+    def test_runs_fold_like_the_loop(self, runs):
+        state = DecomposableSortState()
+        reference = DecomposableSortState()
+        for run in runs:
+            state.insert_many(run)
+            for value in run:
+                _insert_decomposable_sort(reference, value)
+            assert partial_bits(state.partial()) == partial_bits(reference.partial())
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @given(values=st.lists(st.sampled_from(EDGE_FLOATS), max_size=20),
+           more=st.lists(st.sampled_from(EDGE_FLOATS), max_size=20))
+    def test_take_leaves_a_state_as_new(self, kind, values, more):
+        """``take`` returns what ``partial`` reads and leaves the state as
+        a fresh one, so the next slice may take it over."""
+        ops = OperatorSetState((kind,))
+        ops.insert_many(values)
+        expected = partial_bits(ops.partials()[kind])
+        assert partial_bits(ops.take()[kind]) == expected
+        assert ops.inserts == 0 and not ops.pending
+        fresh = OperatorSetState((kind,))
+        for target in (ops, fresh):
+            target.insert_many(more)
+        assert partial_bits(ops.partials()[kind]) == partial_bits(
+            fresh.partials()[kind]
+        )
