@@ -279,7 +279,7 @@ class GroupRuntime:
                     for kind in plan_operators((query.function,))
                     if kind in missing
                 )
-                self.current.spare = {}  # sets of the kinds before
+                self.current.spare = {}  # its spare sets lack the new kinds
             if new_ctx:
                 self._sync_selections()
         self._kinds_of = {}

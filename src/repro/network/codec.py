@@ -65,11 +65,10 @@ _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 
-# The slice-record path packs a record with one Struct compiled for its
-# layout (:func:`_layout_struct`), and unpacks one Struct per fixed-layout
-# stretch: a call per record or stretch, not per field, is where its
-# speed comes from.  The layout itself is pinned by
-# tests/network/test_wire_golden.py.
+# The slice-record path packs a whole partial batch with one Struct
+# compiled for its layout (:func:`_layout_struct`), and unpacks one Struct
+# per fixed-layout stretch: a call per frame or stretch, not per field.
+# The layout itself is pinned by tests/network/test_wire_golden.py.
 _BATCH_HEAD = struct.Struct(">Hqq")  # group id, first slice seq, covered_to
 _RECORD_HEAD = struct.Struct(">qqH")  # start, end, context count
 # a context's head (ctx, event count, flags), and its span when flags & 1
