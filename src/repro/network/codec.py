@@ -891,21 +891,20 @@ class BinaryCodec(Codec):
         before its optional trailing shed block is the valid frame of the
         same batch with nothing shed.
         """
-        r = _Reader(data)
         try:
             if data[0] == _TAG_PARTIAL:  # the frame of every tick
-                message, r.pos = _read_partial(data, 1)
+                message, pos = _read_partial(data, 1)
             else:
+                r = _Reader(data)
                 message = self._decode_any(r)
+                pos = r.pos
         except (struct.error, LookupError, ValueError) as exc:
             # LookupError: a byte indexed past the end, or an unknown op
             # code; ValueError: undecodable text, JSON cut short, or
             # an event value that is NaN (NaNValueError)
             raise CodecError(f"truncated or corrupt message: {exc}") from exc
-        if r.pos != len(data):
-            raise CodecError(
-                f"{len(data) - r.pos} trailing bytes after the message"
-            )
+        if pos != len(data):
+            raise CodecError(f"{len(data) - pos} trailing bytes after the message")
         return message
 
 
