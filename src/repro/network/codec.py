@@ -65,16 +65,18 @@ _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 
-# The slice-record path packs a whole partial batch with one Struct
-# compiled for its layout (:func:`_layout_struct`), and unpacks one Struct
-# per fixed-layout stretch: a call per frame or stretch, not per field.
-# The layout itself is pinned by tests/network/test_wire_golden.py.
+# The slice-record path packs and unpacks one Struct per fixed-layout
+# stretch: a call per stretch, not per field, is where its speed comes
+# from.  The layout itself is pinned by tests/network/test_wire_golden.py.
 _BATCH_HEAD = struct.Struct(">Hqq")  # group id, first slice seq, covered_to
 _RECORD_HEAD = struct.Struct(">qqH")  # start, end, context count
 # a context's head (ctx, event count, flags), and its span when flags & 1
 _CONTEXT_HEAD = struct.Struct(">HIB")
 _CONTEXT_SPAN = struct.Struct(">HIBqq")
 _SPAN = struct.Struct(">qq")
+_OP_F64 = struct.Struct(">Bd")  # op code, scalar partial
+_OP_I64 = struct.Struct(">Bq")  # op code, count
+_OP_EXTREMA = struct.Struct(">BBdd")  # op code, present, min, max
 _TIMED_PAIR = struct.Struct(">qd")
 _F64_PAIR = struct.Struct(">dd")
 
@@ -98,52 +100,6 @@ def _float_struct(n: int) -> struct.Struct:
         if len(_float_structs) < _FLOAT_STRUCT_CACHE_MAX:
             _float_structs[n] = cached
     return cached
-
-
-#: bound on the record-layout Struct memo, as on the float-array one: a
-#: group's records take a handful of layouts, but sorted runs, timed pairs
-#: and marker ends make any number, and those beyond the bound are
-#: compiled each time instead of growing the table forever
-_LAYOUT_STRUCT_CACHE_MAX = 256
-_layout_structs: dict[str, struct.Struct] = {}
-
-
-def _layout_struct(layout: str) -> struct.Struct:
-    """A cached Struct for the big-endian format ``layout``."""
-    cached = _layout_structs.get(layout)
-    if cached is None:
-        cached = struct.Struct(layout)
-        if len(_layout_structs) < _LAYOUT_STRUCT_CACHE_MAX:
-            _layout_structs[layout] = cached
-    return cached
-
-
-def _op_layout(ops: dict[OperatorKind, Any], fmt: list[str], args: list) -> None:
-    """Append an op-set's wire layout to the format pieces ``fmt`` and its
-    fields to ``args``, after its op count (the caller's): per op its code
-    and partial (a scalar; a presence byte and the extrema; a length and
-    the sorted values)."""
-    for kind, partial in ops.items():
-        code = _OP_CODES[kind]
-        if kind in _FLOAT_OPS:
-            fmt.append("Bd")
-            args += (code, float(partial))
-        elif kind is OperatorKind.COUNT:
-            fmt.append("Bq")
-            args += (code, int(partial))
-        elif kind is OperatorKind.DECOMPOSABLE_SORT:
-            if partial is None:
-                fmt.append("BB")
-                args += (code, 0)
-            else:
-                fmt.append("BBdd")
-                args += (code, 1, partial[0], partial[1])
-        elif kind is OperatorKind.NON_DECOMPOSABLE_SORT:
-            fmt.append(f"BI{len(partial)}d")
-            args += (code, len(partial))
-            args += partial
-        else:  # pragma: no cover - enum exhaustive
-            raise CodecError(f"cannot encode operator {kind!r}")
 
 
 def _read_records(data: bytes, pos: int) -> tuple[list[SliceRecord], int]:
@@ -209,72 +165,6 @@ def _read_partial(data: bytes, pos: int) -> tuple[PartialBatchMessage, int]:
     return PartialBatchMessage(sender, group_id, first_seq, covered, records, shed), pos
 
 
-def _text_layout(text: str, fmt: list[str], args: list) -> None:
-    """Append a length-prefixed UTF-8 string's layout and fields."""
-    raw = text.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise CodecError(f"string too long to encode: {len(raw)} bytes")
-    fmt.append(f"H{len(raw)}s")
-    args += (len(raw), raw)
-
-
-def _pack_partial(msg: PartialBatchMessage) -> bytes:
-    """A partial batch's frame in one ``pack`` of the Struct its layout
-    compiles to (:func:`_layout_struct`)."""
-    sender = msg.sender.encode("utf-8")
-    if len(sender) > 0xFFFF:
-        raise CodecError(f"string too long to encode: {len(sender)} bytes")
-    records = msg.records
-    fmt = [f">BH{len(sender)}sHqqI"]
-    args = [_TAG_PARTIAL, len(sender), sender, msg.group_id,
-            msg.first_slice_seq, msg.covered_to, len(records)]
-    _records_layout(records, fmt, args)
-    # Shed-coverage report is a trailing optional block: absent when
-    # nothing was shed, so overload-free traffic stays byte-identical.
-    # Partial batches are always tail-positioned (a sequenced frame
-    # encodes its inner message last), which makes presence detectable
-    # from the remaining buffer length.
-    if msg.shed:
-        fmt.append("I")
-        args.append(len(msg.shed))
-        for node_id, start, end in msg.shed:
-            _text_layout(node_id, fmt, args)
-            fmt.append("qq")
-            args += (start, end)
-    return _layout_struct("".join(fmt)).pack(*args)
-
-
-def _records_layout(records: list[SliceRecord], fmt: list[str], args: list) -> None:
-    """Append per record its head, per context its head, span, op-set and
-    timed pairs, then its user-defined ends (the count is the caller's)."""
-    for record in records:
-        contexts = record.contexts
-        fmt.append("qqH")
-        args += (record.start, record.end, len(contexts))
-        for ctx, part in contexts.items():
-            span, timed, ops = part.span, part.timed, part.ops
-            flags = (span is not None) | (timed is not None) << 1
-            if span is None:
-                fmt.append("HIBB")
-                args += (ctx, part.count, flags, len(ops))
-            else:
-                fmt.append("HIBqqB")
-                args += (ctx, part.count, flags, span[0], span[1], len(ops))
-            _op_layout(ops, fmt, args)
-            if timed is not None:
-                fmt.append("I" + "qd" * len(timed))
-                args.append(len(timed))
-                for pair in timed:
-                    args += pair
-        eps = record.userdef_eps
-        fmt.append("H")
-        args.append(len(eps))
-        for query_id, end in eps:
-            _text_layout(query_id, fmt, args)
-            fmt.append("q")
-            args.append(end)
-
-
 def _read_ops(data: bytes, pos: int) -> tuple[dict[OperatorKind, Any], int]:
     """The op-set at ``pos`` and the position after it.  Single bytes are
     read by indexing, payloads by one ``unpack_from`` each: both raise on
@@ -298,22 +188,32 @@ def _read_ops(data: bytes, pos: int) -> tuple[dict[OperatorKind, Any], int]:
                 ops[kind] = None
                 pos += 2
         else:
-            (size,) = _U32.unpack_from(data, pos + 1)
-            pos += 5
-            ops[kind] = list(_float_struct(size).unpack_from(data, pos))
-            pos += 8 * size
+            ops[kind], pos = _read_floats(data, pos + 1)
     return ops, pos
 
 
-def _read_text(data: bytes, pos: int) -> tuple[str, int]:
-    """The length-prefixed UTF-8 string at ``pos`` and the position after
-    it; a string cut short raises, as a slice would not."""
-    (size,) = _U16.unpack_from(data, pos)
-    pos += 2
+def _read_floats(data: bytes, pos: int) -> tuple[list[float], int]:
+    """The length-prefixed float array at ``pos`` and the position after it."""
+    (size,) = _U32.unpack_from(data, pos)
+    pos += 4
+    return list(_float_struct(size).unpack_from(data, pos)), pos + 8 * size
+
+
+def _read_raw(data: bytes, pos: int, size: int) -> tuple[bytes, int]:
+    """``size`` bytes at ``pos`` and the position after them; a slice past
+    the end would come back short without complaint, so the length is
+    checked here."""
     end = pos + size
     if end > len(data):
         raise CodecError(f"truncated message: {size}-byte block cut short")
-    return data[pos:end].decode("utf-8"), end
+    return data[pos:end], end
+
+
+def _read_text(data: bytes, pos: int) -> tuple[str, int]:
+    """The length-prefixed UTF-8 string at ``pos`` and the position after it."""
+    (size,) = _U16.unpack_from(data, pos)
+    raw, end = _read_raw(data, pos + 2, size)
+    return raw.decode("utf-8"), end
 
 
 class _Writer:
@@ -388,22 +288,15 @@ class _Reader:
         return self._take(_F64)
 
     def raw(self, n: int) -> bytes:
-        """``n`` bytes; a slice past the end would come back short
-        without complaint, so the length is checked here."""
-        end = self.pos + n
-        if end > len(self.data):
-            raise CodecError(f"truncated message: {n}-byte block cut short")
-        raw = self.data[self.pos : end]
-        self.pos = end
+        raw, self.pos = _read_raw(self.data, self.pos, n)
         return raw
 
     def text(self) -> str:
-        return self.raw(self.u16()).decode("utf-8")
+        text, self.pos = _read_text(self.data, self.pos)
+        return text
 
     def floats(self) -> list[float]:
-        n = self.u32()
-        values = list(_float_struct(n).unpack_from(self.data, self.pos))
-        self.pos += 8 * n
+        values, self.pos = _read_floats(self.data, self.pos)
         return values
 
     def column(self, code: str) -> list:
@@ -433,8 +326,6 @@ class BinaryCodec(Codec):
     # -- encoding ---------------------------------------------------------------
 
     def encode(self, message: Message) -> bytes:
-        if type(message) is PartialBatchMessage:  # the frame of every tick
-            return _pack_partial(message)
         w = _Writer()
         if isinstance(message, SequencedMessage):
             self._encode_sequenced(w, message)
@@ -443,27 +334,74 @@ class BinaryCodec(Codec):
         return w.bytes()
 
     def _encode_ops(self, w: _Writer, ops: dict[OperatorKind, Any]) -> None:
-        fmt = [">B"]
-        args: list = [len(ops)]
-        _op_layout(ops, fmt, args)
-        w.parts.append(_layout_struct("".join(fmt)).pack(*args))
+        append = w.parts.append
+        append(_U8.pack(len(ops)))
+        for kind, partial in ops.items():
+            code = _OP_CODES[kind]
+            if kind in _FLOAT_OPS:
+                append(_OP_F64.pack(code, float(partial)))
+            elif kind is OperatorKind.COUNT:
+                append(_OP_I64.pack(code, int(partial)))
+            elif kind is OperatorKind.DECOMPOSABLE_SORT:
+                if partial is None:
+                    append(bytes((code, 0)))
+                else:
+                    append(_OP_EXTREMA.pack(code, 1, partial[0], partial[1]))
+            elif kind is OperatorKind.NON_DECOMPOSABLE_SORT:
+                w.u8(code)
+                w.floats(partial)
+            else:  # pragma: no cover - enum exhaustive
+                raise CodecError(f"cannot encode operator {kind!r}")
 
     def _decode_ops(self, r: _Reader) -> dict[OperatorKind, Any]:
         ops, r.pos = _read_ops(r.data, r.pos)
         return ops
 
     def _encode_records(self, w: _Writer, records: list[SliceRecord]) -> None:
-        fmt = [">I"]
-        args: list = [len(records)]
-        _records_layout(records, fmt, args)
-        w.parts.append(_layout_struct("".join(fmt)).pack(*args))
+        append = w.parts.append
+        append(_U32.pack(len(records)))
+        for record in records:
+            contexts = record.contexts
+            append(_RECORD_HEAD.pack(record.start, record.end, len(contexts)))
+            for ctx, part in contexts.items():
+                span, timed = part.span, part.timed
+                flags = (span is not None) | (timed is not None) << 1
+                append(_CONTEXT_HEAD.pack(ctx, part.count, flags))
+                if span is not None:
+                    append(_SPAN.pack(span[0], span[1]))
+                self._encode_ops(w, part.ops)
+                if timed is not None:
+                    w.u32(len(timed))
+                    for time, value in timed:
+                        w.i64(time)
+                        w.f64(value)
+            append(_U16.pack(len(record.userdef_eps)))
+            for query_id, end in record.userdef_eps:
+                w.text(query_id)
+                w.i64(end)
 
     def _decode_records(self, r: _Reader) -> list[SliceRecord]:
         records, r.pos = _read_records(r.data, r.pos)
         return records
 
     def _encode_partial(self, w: _Writer, msg: PartialBatchMessage) -> None:
-        w.parts.append(_pack_partial(msg))
+        w.u8(_TAG_PARTIAL)
+        w.text(msg.sender)
+        w.parts.append(
+            _BATCH_HEAD.pack(msg.group_id, msg.first_slice_seq, msg.covered_to)
+        )
+        self._encode_records(w, msg.records)
+        # Shed-coverage report is a trailing optional block: absent when
+        # nothing was shed, so overload-free traffic stays byte-identical.
+        # Partial batches are always tail-positioned (a sequenced frame
+        # encodes its inner message last), which makes presence detectable
+        # from the remaining buffer length.
+        if msg.shed:
+            w.u32(len(msg.shed))
+            for node_id, start, end in msg.shed:
+                w.text(node_id)
+                w.i64(start)
+                w.i64(end)
 
     def _decode_partial(self, r: _Reader) -> PartialBatchMessage:
         message, r.pos = _read_partial(r.data, r.pos)
