@@ -56,6 +56,7 @@ every run being in order, which holds because no value is NaN
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.errors import EngineError
@@ -162,18 +163,20 @@ class DecomposableSortState:
         self.hi: float | None = None
 
     def insert_many(self, values: Sequence[float]) -> None:
-        # C min()/max() over the old extremum and the run: each keeps
-        # its current item unless a later one compares strictly less
-        # (greater), which is the per-value fold in stream order, ties
-        # (``-0.0`` vs ``0.0``) included.
+        # C min()/max() over the old extremum chained to the run: each
+        # keeps its current item unless a later one compares strictly
+        # less (greater), which is the per-value fold in stream order,
+        # ties (``-0.0`` vs ``0.0``) included.  Taking the run's extremum
+        # first and then comparing would not be: a run that opens with a
+        # NaN would yield that NaN, which the fold skips.
         if not values:
             return
         if self.lo is None:
             self.lo = min(values)
             self.hi = max(values)
         else:
-            self.lo = min(self.lo, *values)
-            self.hi = max(self.hi, *values)
+            self.lo = min(chain((self.lo,), values))
+            self.hi = max(chain((self.hi,), values))
 
     def partial(self) -> tuple[float, float] | None:
         if self.lo is None:

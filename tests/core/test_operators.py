@@ -391,13 +391,14 @@ extrema_runs = st.lists(
 
 class TestExtremaFold:
     """``DecomposableSortState.insert_many`` folds a run with C ``min()``
-    and ``max()`` over the old extremum and the run: bit for bit the
-    strict-compare loop, one value at a time, whatever the runs."""
+    and ``max()`` over the old extremum chained to the run: bit for bit
+    the strict-compare loop, one value at a time, whatever the runs."""
 
     @given(runs=extrema_runs)
     @example(runs=[[0.0], [-0.0, 0.0], [-0.0]])
     @example(runs=[[-0.0, 0.0, -0.0], [0.0], [5e-324, -5e-324]])
     @example(runs=[[math.inf], [-math.inf, math.inf], [], [1.0]])
+    @example(runs=[[-math.inf], [math.nan, -2.5]])
     def test_runs_fold_like_the_loop(self, runs):
         state = DecomposableSortState()
         reference = DecomposableSortState()
