@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import DeBucketProcessor, DesisProcessor
+from repro.core.config import EngineConfig
 from repro.core.engine import AggregationEngine
 from repro.core.query import Query, WindowSpec
 from repro.core.types import AggFunction, SharingPolicy
@@ -47,7 +48,7 @@ def test_ablation_operator_sharing(events, benchmark):
     full = run_processor(DesisProcessor, shared, events)
     unshared = run_processor(
         lambda qs, sink=None: AggregationEngine(
-            qs, policy=SharingPolicy.NONE, sink=sink
+            qs, config=EngineConfig(policy=SharingPolicy.NONE), sink=sink
         ),
         shared,
         events,

@@ -39,7 +39,9 @@ class DesisProcessor(AggregationEngine):
     name = "Desis"
 
     def __init__(self, queries: Iterable[Query], sink: ResultSink | None = None):
-        super().__init__(queries, policy=SharingPolicy.FULL, sink=sink)
+        super().__init__(
+            queries, config=EngineConfig(policy=SharingPolicy.FULL), sink=sink
+        )
 
 
 class ShardedDesisProcessor(ShardedEngine):
@@ -73,7 +75,10 @@ class ScottyProcessor(AggregationEngine):
     name = "Scotty"
 
     def __init__(self, queries: Iterable[Query], sink: ResultSink | None = None):
-        super().__init__(queries, policy=SharingPolicy.SAME_FUNCTION, sink=sink)
+        super().__init__(
+            queries, config=EngineConfig(policy=SharingPolicy.SAME_FUNCTION),
+            sink=sink,
+        )
 
     def process_batch(self, events: "list[Event]") -> None:
         # Scotty "checks each arriving event" (Sec 6.2.1): batch input
@@ -88,7 +93,9 @@ class DeSWProcessor(AggregationEngine):
 
     def __init__(self, queries: Iterable[Query], sink: ResultSink | None = None):
         super().__init__(
-            queries, policy=SharingPolicy.SAME_FUNCTION_AND_MEASURE, sink=sink
+            queries,
+            config=EngineConfig(policy=SharingPolicy.SAME_FUNCTION_AND_MEASURE),
+            sink=sink,
         )
 
     def process_batch(self, events: "list[Event]") -> None:

@@ -129,7 +129,8 @@ class Deployment:
         #: injected batch spans one
         self._cuts: tuple[float, ...] = ()
         #: every event injected, an added local's included: what
-        #: :attr:`ClusterRunResult.events` counts
+        #: :attr:`ClusterRunResult.events` counts where the deployment does
+        #: not count what its locals took
         self._events = 0
 
     def _add_nodes(
@@ -200,14 +201,15 @@ class Deployment:
 
     def _result(self, sink: ResultSink, started: float,
                 **fields) -> ClusterRunResult:
-        """The run's result; ``fields`` are the deployment's own."""
+        """The run's result; ``fields`` are the deployment's own (and
+        ``events``, if it counts them otherwise than as injected)."""
         wall = _time.perf_counter() - started
+        fields.setdefault("events", self._events)
         return ClusterRunResult(
             sink=sink,
             network=self.net.stats(),
             cpu_by_role=self.net.cpu_time_by_role(),
             wall_seconds=wall,
-            events=self._events,
             node_cpu={
                 node_id: node.cpu_time
                 for node_id, node in self.net.nodes.items()

@@ -17,6 +17,7 @@ import time as _time
 from typing import Callable, Iterable
 
 from repro.core.analyzer import QueryPlan, analyze
+from repro.core.engine import EngineStats
 from repro.core.errors import ClusterError
 from repro.core.event import Event
 from repro.core.query import Query
@@ -69,6 +70,9 @@ class DesisCluster(Deployment):
             )
         self.reroutes = 0
         self._dead_intermediates: list[IntermediateNode] = []
+        #: the stats of locals :meth:`remove_node` removed: what they took
+        #: before is still part of the run
+        self._removed_stats: dict[str, EngineStats] = {}
         #: whether locals and intermediates keep what they shipped for a
         #: recovering parent; settled at :meth:`_arm_recovery`
         self._retain_shipped = False
@@ -186,7 +190,7 @@ class DesisCluster(Deployment):
         parent = self.topology.parent(node_id)
         node.alive = False
         self.topology.remove_node(node_id)
-        del self.locals[node_id]
+        self._removed_stats[node_id] = self.locals.pop(node_id).stats
         self._parent_node(parent).remove_child(node_id)
         # Hard removal frees the transport too: reliable-channel state for
         # a departed node must not linger (or retransmit into the void).
@@ -338,12 +342,15 @@ class DesisCluster(Deployment):
             self.root, *self.intermediates.values(), *self._dead_intermediates
         ]
         nodes = [*mergers, *self.locals.values()]
+        local_stats = self._removed_stats | {
+            node_id: node.stats for node_id, node in self.locals.items()
+        }
         result = self._result(
             self.root.sink,
             started,
-            local_stats={
-                node_id: node.stats for node_id, node in self.locals.items()
-            },
+            # only what a live local took: a removed one's stream may go on
+            events=sum(stats.events for stats in local_stats.values()),
+            local_stats=local_stats,
             recorder=self.recorder,
             checkpoints=sum(n.checkpoints_taken for n in mergers),
             recoveries=sum(n.recoveries for n in mergers),

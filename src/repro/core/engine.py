@@ -8,16 +8,12 @@ start/end punctuations, and each slice runs the group's shared operator set
 result is assembled by merging the partial results of its covered slices
 and finalizing its aggregation function.
 
-Window ends are computed in advance, and a runtime finds the next
-punctuation through one of two drains, chosen by its role:
-
-* the punctuation heap, when it assembles windows: upcoming window starts
-  and ends live in a priority queue, so an event only pays for
-  punctuations that are actually due;
-* the punctuation grid, when it only slices (``assemble=False``): the
-  fixed trackers' punctuations are a
-  :class:`~repro.core.grid.PunctuationGrid`, and the heap holds session
-  ends only.
+Window ends are computed in advance: the starts and ends of a group's
+tumbling and sliding windows are the points of one
+:class:`~repro.core.grid.PunctuationGrid`, and a heap holds only the ends
+no grid can compute (sessions, and the windows of a removed query still
+draining).  One drain cuts at the earlier of the two, so an event only
+pays for punctuations that are actually due.
 """
 
 from __future__ import annotations
@@ -26,6 +22,7 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import inf
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from repro.core.analyzer import QueryGroup, analyze
@@ -40,12 +37,7 @@ from repro.core.query import Query
 from repro.core.results import ResultSink, WindowResult
 from repro.core.slices import Slice, SliceStore
 from repro.obs.tracing import NULL_RECORDER
-from repro.core.types import (
-    OperatorKind,
-    SharingPolicy,
-    WindowMeasure,
-    WindowType,
-)
+from repro.core.types import OperatorKind, WindowMeasure, WindowType
 from repro.core.windows import (
     CountWindowTracker,
     FixedWindowTracker,
@@ -62,8 +54,8 @@ __all__ = [
     "required_kinds",
 ]
 
-# Heap entry tags.
-_SP_FIXED = 0
+# Heap entry tags: the end of a window whose tracker is gone, and a
+# session's tentative end.
 _EP = 1
 _SESSION_EP = 2
 
@@ -133,19 +125,19 @@ class EngineStats:
 class GroupRuntime:
     """Execution state of one query-group.
 
-    The runtime owns the group's slice store, open windows, punctuation
-    heap, and window trackers.  It can also run in *slicing-only* mode
+    The runtime owns the group's slice store, open windows, window
+    trackers, the :class:`~repro.core.grid.PunctuationGrid` of its fixed
+    trackers and the heap of the ends the grid cannot compute.  It cuts
+    at every grid point, empty slices included, so slice ids count
+    punctuations.  It can also run in *slicing-only* mode
     (``assemble=False``), in which closed slices are handed to a slice
     sink instead of being assembled into results — this is how local
     nodes reuse the engine in decentralized aggregation (Sec 5.1).
 
     A slicing-only runtime has punctuations, not windows: its fixed
-    trackers open no :class:`WindowInstance`; it cuts at every point of
-    their :class:`~repro.core.grid.PunctuationGrid` (empty slices
-    included, so slice ids count punctuations) and its heap holds session
-    ends only.  It keeps no count trackers either: a node slicing its own
-    events cannot tell where a count window of the merged stream ends, so
-    only the root counts (Sec 5.2).
+    trackers open no :class:`WindowInstance`.  It keeps no count trackers
+    either: a node slicing its own events cannot tell where a count
+    window of the merged stream ends, so only the root counts (Sec 5.2).
     """
 
     def __init__(
@@ -178,7 +170,7 @@ class GroupRuntime:
         self._stale_streams = False
         #: called at every cut with (closed_slice, eps, spans, timed); eps
         #: are the (window, end_time) pairs it closes — data-driven windows
-        #: only on a grid — spans maps ctx -> [first, last] matching-event
+        #: only when slicing-only — spans maps ctx -> [first, last] matching-event
         #: times inside the closed slice (when track_spans) and timed ctx ->
         #: its (time, value) pairs in arrival order (when track_times).
         self.slice_sink = slice_sink
@@ -221,17 +213,12 @@ class GroupRuntime:
         self.tracker_by_query: dict[str, object] = {}
 
         self._heap: list[tuple[int, int, int, object]] = []
-        #: slicing-only: the punctuations of the live fixed trackers
-        #: (``None`` everywhere else), the earliest one not cut yet, and
-        #: the trackers attached since the last drain — the time they
-        #: joined at is their first punctuation, and still due
-        self.grid: PunctuationGrid | None = None
+        #: the punctuations of the live fixed trackers, the earliest one
+        #: not cut yet, and the trackers attached since the last drain —
+        #: the time they joined at is their first punctuation, and still due
+        self.grid = PunctuationGrid()
         self._grid_next: int | None = None
         self._joining: list[FixedWindowTracker] = []
-        if not assemble:
-            self.grid = PunctuationGrid()
-            # Shadows the method: no other runtime's drain tests for a grid.
-            self._drain = self._drain_grid
         self._sync_selections()
         self._seq = 0
         self.open_windows: dict[int, WindowInstance] = {}
@@ -304,12 +291,8 @@ class GroupRuntime:
             tracker = FixedWindowTracker(query, ctx)
             self.fixed.append(tracker)
             if self._bootstrapped:
-                start = tracker.bootstrap(self.stream_time or 0)
-                if self.grid is not None:
-                    self._joining.append(tracker)
-                    self._regrid(start)
-                else:
-                    self._push(start, _SP_FIXED, tracker)
+                self._joining.append(tracker)
+                self._regrid(tracker.bootstrap(self.stream_time or 0))
         elif kind is WindowType.SESSION:
             tracker = SessionWindowTracker(query, ctx)
             self.sessions.append(tracker)
@@ -351,10 +334,10 @@ class GroupRuntime:
         #: whether the kernel reads the marker map: for the deduplication
         #: signature and for user-defined windows
         self.reads_markers = bool(self._dedup_ctxs or self.userdef)
-        #: the sessions whose open windows a run on a grid hops over
+        #: the sessions whose open windows a slicing-only run hops over
         #: (:meth:`_hop_sessions`): those over whole contexts
         whole = self._router.whole
-        self._hops = [
+        self._hops = [] if self.assemble else [
             tracker for tracker in self.sessions if tracker.ctx in whole
         ]
 
@@ -366,10 +349,10 @@ class GroupRuntime:
         last window to end") already-open windows still produce their
         results, but no new windows include the query.
 
-        Stale heap punctuations for the query are ignored when they fire
-        (start punctuations check tracker membership, end punctuations
-        check the open-window table); on a grid, which has no window to
-        drain, they go with the tracker either way.
+        A fixed tracker that loses its last subscriber leaves the grid, and
+        the ends of its windows move to the heap (:data:`_EP`), so nothing
+        cuts at its starts any more; an end whose window was discarded is
+        ignored when it fires.
         """
         tracker = self.tracker_by_query.pop(query_id, None)
         if tracker is None:
@@ -383,8 +366,11 @@ class GroupRuntime:
                 self._userdef_closed.remove(tracker)
             self._tracker_index.pop((tracker.spec, tracker.ctx), None)
             self._sync_kernel()
-            if self.grid is not None and self._bootstrapped:
+            if self._bootstrapped:
                 self._regrid(self.stream_time)
+            if isinstance(tracker, FixedWindowTracker):
+                for window in tracker.windows:  # their ends leave the grid
+                    self._push(window.end, _EP, window)
         if not drain:
             for window in list(self.open_windows.values()):
                 if not any(q.query_id == query_id for q in window.queries):
@@ -398,7 +384,7 @@ class GroupRuntime:
         self._stale_streams = True
         self._windows_left()
 
-    # -- punctuation heap -----------------------------------------------------
+    # -- punctuations -----------------------------------------------------------
 
     def _push(self, time: int, tag: int, payload: object) -> None:
         self._seq += 1
@@ -408,24 +394,20 @@ class GroupRuntime:
         self._bootstrapped = True
         self.current.start = origin
         for tracker in self.fixed:
-            start = tracker.bootstrap(origin)
-            if self.grid is not None:
-                self._joining.append(tracker)
-            else:
-                self._push(start, _SP_FIXED, tracker)
-        if self.grid is not None:
-            self._regrid(origin)
+            tracker.bootstrap(origin)
+            self._joining.append(tracker)
+        self._regrid(origin)
 
     def _regrid(self, now: int) -> None:
-        """Rebuild the grid from the live fixed trackers (never advanced
-        on a grid, so ``next_start`` is each one's own origin).  All up to
-        the stream time ``now`` is cut, except ``now`` itself while a
-        tracker that joined there awaits the drain."""
+        """Rebuild the grid from the live fixed trackers, each from its own
+        origin.  All up to the stream time ``now`` is cut, except ``now``
+        itself while a tracker that joined there awaits the drain."""
+        fixed = self.fixed
         self.grid = PunctuationGrid(
-            (tracker.next_start, tracker.length, tracker.slide)
-            for tracker in self.fixed
+            (tracker.origin, tracker.length, tracker.slide) for tracker in fixed
         )
-        if any(tracker in self.fixed for tracker in self._joining):
+        self._joining = [tracker for tracker in self._joining if tracker in fixed]
+        if self._joining:
             self._grid_next = now
         else:
             self._grid_next = self.grid.after(now)
@@ -610,23 +592,10 @@ class GroupRuntime:
     # -- punctuation draining -------------------------------------------------
 
     def _drain(self, now: int) -> None:
-        """An assembling runtime's drain: one cut per distinct time up to
-        ``now`` at which a heap punctuation opens or closes a window."""
-        heap = self._heap
-        while heap and heap[0][0] <= now:
-            time = heap[0][0]
-            eps: list = []
-            sps: list = []
-            while heap and heap[0][0] == time:
-                _, _, tag, payload = heapq.heappop(heap)
-                self._classify(time, tag, payload, eps, sps)
-            if eps or sps:
-                self._cut(time, eps, sps)
-
-    def _drain_grid(self, now: int) -> None:
-        """A grid-driven runtime's drain: one cut per distinct time up to
-        ``now`` that is a grid punctuation (whether or not anything ends
-        there) or closes a session."""
+        """One cut per distinct time up to ``now`` that is a grid point
+        (whether or not anything ends there) or a heap end that closes a
+        window.  Fixed windows closing at one cut close in the order they
+        opened, after the sessions closing there."""
         heap = self._heap
         due = self._grid_next
         while True:
@@ -634,26 +603,59 @@ class GroupRuntime:
             if time is None or time > now:
                 return
             eps: list = []
+            ends: list = []
             while heap and heap[0][0] == time:
                 _, _, tag, payload = heapq.heappop(heap)
-                self._classify(time, tag, payload, eps, ())
+                self._classify(time, tag, payload, eps, ends)
+            opening = ()
             if time == due:
                 due = self._grid_next = self.grid.after(time)
-                self._joining.clear()
-            elif not eps:
+                if self.assemble:
+                    opening = self._turn(time, ends)
+                self._joining = []
+            elif not (eps or ends):
                 continue
+            if ends:
+                if len(ends) > 1:
+                    ends.sort(key=attrgetter("uid"))
+                eps += [(window, time) for window in ends]
             self._cut(time, eps, ())
+            for tracker in opening:
+                window = self._open_window(
+                    tracker.snapshot(), tracker.ctx, time, time + tracker.length,
+                    slide=tracker.slide,
+                )
+                tracker.windows.append(window)
+                tracker.opened = window.uid
 
-    def _classify(self, time: int, tag: int, payload, eps: list, sps: list) -> None:
+    def _turn(self, time: int, ends: list) -> list[FixedWindowTracker]:
+        """Grid point ``time`` of an assembling runtime: the fixed windows
+        ending there join ``ends``, and the trackers with a window starting
+        there are returned in the order their previous windows opened.
+        Trackers that joined at ``time`` have opened none, and open alone,
+        in join order: the grid was cut up to ``time`` when they joined."""
+        if self._joining:
+            return self._joining
+        opening = []
+        open_windows = self.open_windows
+        for tracker in self.fixed:
+            windows = tracker.windows
+            if windows and windows[0].end == time:
+                window = windows.popleft()
+                if window.uid in open_windows:
+                    ends.append(window)
+            if not (time - tracker.origin) % tracker.slide:
+                opening.append(tracker)
+        if len(opening) > 1:
+            opening.sort(key=attrgetter("opened"))
+        return opening
+
+    def _classify(self, time: int, tag: int, payload, eps: list, ends: list) -> None:
+        """A heap entry due at ``time``: a session's end goes to ``eps``,
+        a removed tracker's window to ``ends``, if it is still open."""
         if tag == _EP:
-            window = payload
-            if window.uid in self.open_windows:
-                eps.append((window, time))
-            return
-        if tag == _SP_FIXED:
-            tracker = payload
-            if tracker in self.fixed:  # ignore punctuations of removed queries
-                sps.append(self._make_fixed_opener(tracker, time))
+            if payload.uid in self.open_windows:
+                ends.append(payload)
             return
         if tag == _SESSION_EP:
             tracker, generation = payload
@@ -674,17 +676,6 @@ class GroupRuntime:
             return
         raise EngineError(f"unknown punctuation tag: {tag!r}")
 
-    def _make_fixed_opener(self, tracker: FixedWindowTracker, time: int):
-        def open_fixed() -> None:
-            window = self._open_window(
-                tracker.snapshot(), tracker.ctx, time, time + tracker.length,
-                slide=tracker.slide,
-            )
-            self._push(window.end, _EP, window)
-            self._push(tracker.advance(), _SP_FIXED, tracker)
-
-        return open_fixed
-
     # -- event processing -----------------------------------------------------
 
     def process(self, event: Event) -> None:
@@ -696,8 +687,8 @@ class GroupRuntime:
                 f"event at t={time} arrived after stream time {self.stream_time}"
             )
         self.stream_time = time
-        # The drains' own first tests, so an event with nothing due pays a
-        # compare and not a call (a grid's session ends are in the heap).
+        # The drain's own first tests, so an event with nothing due pays a
+        # compare and not a call.
         heap = self._heap
         due = self._grid_next
         if (heap and heap[0][0] <= time) or (due is not None and due <= time):
@@ -837,8 +828,7 @@ class GroupRuntime:
 
         Valid right after a drain: the heap top is strictly in the future
         (possibly stale entries only shorten runs), and so is the next
-        grid punctuation of a grid-driven runtime.  ``None`` means no
-        punctuation is pending.
+        grid point.  ``None`` means no punctuation is pending.
         """
         due = self._grid_next
         if self._heap and (due is None or self._heap[0][0] < due):
@@ -859,12 +849,12 @@ class GroupRuntime:
                 f"event at t={time} arrived after stream time {self.stream_time}"
             )
         self.stream_time = time
-        # The drains' own first tests, as in process().
+        # The drain's own first tests, as in process().
         heap = self._heap
         due = self._grid_next
         if (heap and heap[0][0] <= time) or (due is not None and due <= time):
             self._drain(time)
-        if self._hops and self.grid is not None:
+        if self._hops:
             self._hop_sessions(times, start)
         return self._next_punctuation()
 
@@ -875,10 +865,10 @@ class GroupRuntime:
 
         Its context takes every row, so the session lasts through the
         first row a gap or more after the row before it: ``bisect`` hops
-        a gap at a time along the time column.  Only a grid hops: there
-        nothing reads the order of same-time closes, while an assembling
-        runtime emits its results in it, so its stale ends stay lazy
-        (:meth:`_classify`).
+        a gap at a time along the time column.  Only a slicing-only
+        runtime hops: there nothing reads the order of same-time closes,
+        while an assembling runtime emits its results in it, so its stale
+        ends stay lazy (:meth:`_classify`).
         """
         for tracker in self._hops:
             if tracker.window is None:
@@ -897,8 +887,9 @@ class GroupRuntime:
 
     def _rearm(self, tracker: SessionWindowTracker, time: int) -> None:
         """Move ``tracker``'s armed end to ``time`` in place, with the
-        generation current before the run: a grid's heap holds one end
-        per session and nothing else, so it is found by a scan and
+        generation current before the run: a slicing-only runtime's heap
+        holds one end per session and nothing else (it opens no fixed
+        window, so no :data:`_EP` either), so it is found by a scan and
         re-heaped whole.  The run's rows then leave it stale by
         generation only, so when it fires :meth:`_classify` re-arms it
         at the same time, and it closes in the same drain."""
@@ -1204,8 +1195,8 @@ class GroupRuntime:
         """
         final = at_time if at_time is not None else (self.stream_time or 0)
         self.advance(final)
-        if not self.open_windows and (self.grid is None or not self.fixed):
-            return  # (the fixed windows a grid stands in for are always open)
+        if not self.open_windows and (self.assemble or not self.fixed):
+            return  # (a slicing-only runtime's fixed windows are always open)
         eps = []
         for window in list(self.open_windows.values()):
             end = window.end if window.end is not None else final
@@ -1354,12 +1345,10 @@ class AggregationEngine:
     Args:
         queries: the continuous queries to execute.
         config: an :class:`~repro.core.config.EngineConfig` carrying every
-            behavioural knob; the keyword arguments below override single
-            fields of it.  ``config.shards`` is informational here — this
-            class always runs in-process; sharded execution is enacted by
+            behavioural knob (the sharing ``policy``, ``emit_empty``).
+            ``config.shards`` is informational here — this class always
+            runs in-process; sharded execution is enacted by
             :class:`repro.parallel.ShardedEngine`.
-        policy: how aggressively to share (Desis = ``FULL``).
-        emit_empty: also emit results for windows without matching events.
         sink: custom result sink (default: an in-memory :class:`ResultSink`).
     """
 
@@ -1368,26 +1357,16 @@ class AggregationEngine:
         queries: Iterable[Query],
         *,
         config: "EngineConfig | None" = None,
-        policy: SharingPolicy | None = None,
-        emit_empty: bool | None = None,
         sink: ResultSink | None = None,
         recorder=None,
     ) -> None:
         from repro.core.config import EngineConfig
 
-        resolved = config if config is not None else EngineConfig()
-        overrides: dict[str, object] = {}
-        if policy is not None:
-            overrides["policy"] = policy
-        if emit_empty is not None:
-            overrides["emit_empty"] = emit_empty
-        if overrides:
-            resolved = resolved.with_options(**overrides)
-        #: the resolved configuration this engine runs with
-        self.config = resolved
+        #: the configuration this engine runs with
+        self.config = config if config is not None else EngineConfig()
         self.sink = sink if sink is not None else ResultSink()
         self.stats = EngineStats()
-        self.plan = analyze(queries, policy=resolved.policy)
+        self.plan = analyze(queries, policy=self.config.policy)
         self.policy = self.plan.policy
         #: opt-in slice-lifecycle tracing (repro.obs.tracing.TraceRecorder)
         self.recorder = recorder if recorder is not None else NULL_RECORDER

@@ -5,10 +5,12 @@ start (*sp*) or window end (*ep*) punctuation (Sec 4.1).  The classes here
 track when those punctuations occur:
 
 * :class:`FixedWindowTracker` — tumbling and sliding time-based windows.
-  Their punctuations form a deterministic schedule, so the engine keeps
-  only the *next* start in a heap instead of checking every event — this
-  "calculate window ends in advance" behaviour is why Desis beats the
-  per-event-checking baselines in Fig 6b.
+  Their punctuations form a deterministic schedule from the tracker's
+  origin, so the engine reads them off its group's punctuation grid
+  instead of checking every event — this "calculate window ends in
+  advance" behaviour is why Desis beats the per-event-checking baselines
+  in Fig 6b.  The tracker keeps its open windows in opening order, which
+  is also their closing order.
 * :class:`SessionWindowTracker` — session windows.  Ends are data-driven:
   a window closes ``gap`` ms after its last matching event.  The tracker
   keeps one *tentative* end punctuation alive in the engine's heap and
@@ -30,6 +32,8 @@ lifecycle transitions.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from repro.core.query import Query, WindowSpec
 from repro.core.types import WindowType
@@ -113,27 +117,27 @@ class _TrackerBase:
 
 
 class FixedWindowTracker(_TrackerBase):
-    """Deterministic start schedule for tumbling/sliding time windows."""
+    """Deterministic schedule for tumbling/sliding time windows: one
+    starts at ``origin + k * slide`` for every ``k >= 0``."""
 
-    __slots__ = ("length", "slide", "next_start")
+    __slots__ = ("length", "slide", "origin", "windows", "opened")
 
     def __init__(self, query: Query, ctx: int) -> None:
         super().__init__(query, ctx)
         assert query.window.length is not None
         self.length = query.window.length
         self.slide = query.window.effective_slide
-        self.next_start: int | None = None
+        self.origin: int | None = None
+        #: the windows it opened that have not ended, oldest first (so
+        #: in the order they end)
+        self.windows: deque[WindowInstance] = deque()
+        #: uid of the last window opened, ``0`` before the first
+        self.opened = 0
 
     def bootstrap(self, origin: int) -> int:
         """Set (and return) the first window start at the stream origin."""
-        self.next_start = origin
+        self.origin = origin
         return origin
-
-    def advance(self) -> int:
-        """Consume the pending start and return the following one."""
-        assert self.next_start is not None
-        self.next_start += self.slide
-        return self.next_start
 
 
 class SessionWindowTracker(_TrackerBase):

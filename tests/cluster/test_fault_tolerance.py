@@ -217,6 +217,23 @@ class TestMembership:
         assert removed.stats.events == before
         assert removed.groups[0].runtime.stream_time <= 500
 
+    def test_a_removed_locals_later_events_are_not_counted(self):
+        """``events`` counts what the locals took, a removed one's included,
+        and its stats stay in ``local_stats`` (at the parent commit
+        ``events`` read 1 200, though no node took local-0's events after
+        the removal, and ``local_stats`` no longer listed it)."""
+        streams = make_streams(2, 600)
+        cluster = DesisCluster(
+            [avg()], three_tier(2, 1), config=ClusterConfig(tick_interval=100)
+        )
+        result = cluster.run(
+            streams, actions=[(500, lambda c: c.remove_node("local-0"))]
+        )
+        taken = sum(1 for event in streams["local-0"] if event.time <= 500)
+        assert result.local_stats["local-0"].events == taken
+        assert result.events == sum(s.events for s in result.local_stats.values())
+        assert result.events == taken + 600 < 1_200
+
     def test_remove_node_leaves_no_stale_state(self):
         # Regression: hard removal must free *all* per-child state — the
         # reliable-channel tables (else retransmits fire into the void),

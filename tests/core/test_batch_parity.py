@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import EngineConfig
 from repro.core.engine import AggregationEngine, EngineStats, GroupRuntime
 from repro.core.errors import EngineError, OutOfOrderError
 from repro.core.event import Event
@@ -45,7 +46,7 @@ def replay(queries, events, *, policy=SharingPolicy.FULL, batch=None,
     the batched path, at the nearest preceding chunk boundary — callers
     align indices to chunk boundaries for strict parity).
     """
-    engine = AggregationEngine(queries, policy=policy)
+    engine = AggregationEngine(queries, config=EngineConfig(policy=policy))
     pending = sorted(actions, key=lambda pair: pair[0])
     i = 0
     while i < len(events):
@@ -313,7 +314,9 @@ class TestAddQueryBootstrap:
 
     def test_new_group_joins_at_stream_time(self):
         queries = [Query.of("sum", WindowSpec.tumbling(100), AggFunction.SUM)]
-        engine = AggregationEngine(queries, policy=SharingPolicy.SAME_FUNCTION)
+        engine = AggregationEngine(
+            queries, config=EngineConfig(policy=SharingPolicy.SAME_FUNCTION)
+        )
         engine.process(Event(time=950, key="a", value=1.0))
         late = Query.of("max", WindowSpec.tumbling(100), AggFunction.MAX)
         engine.add_query(late)
@@ -328,7 +331,9 @@ class TestAddQueryBootstrap:
 
     def test_new_group_windows_align_with_stream(self):
         queries = [Query.of("sum", WindowSpec.tumbling(100), AggFunction.SUM)]
-        engine = AggregationEngine(queries, policy=SharingPolicy.SAME_FUNCTION)
+        engine = AggregationEngine(
+            queries, config=EngineConfig(policy=SharingPolicy.SAME_FUNCTION)
+        )
         engine.process(Event(time=955, key="a", value=1.0))
         engine.add_query(
             Query.of("max", WindowSpec.tumbling(100), AggFunction.MAX)
@@ -359,7 +364,8 @@ class TestAddQueryBootstrap:
         emitted = []
         for up_front in (True, False):
             engine = AggregationEngine(
-                [base, late] if up_front else [base], emit_empty=True
+                [base, late] if up_front else [base],
+                config=EngineConfig(emit_empty=True),
             )
             engine.process(events[0])
             if not up_front:
@@ -581,7 +587,7 @@ class TestColumnKernel:
     @staticmethod
     def assert_kernel_parity(queries, events, monkeypatch):
         policy = SharingPolicy.SAME_FUNCTION
-        reference = AggregationEngine(queries, policy=policy)
+        reference = AggregationEngine(queries, config=EngineConfig(policy=policy))
         for event in events:
             reference.process(event)
         expected_state = copy.deepcopy(session_state(reference))
@@ -594,7 +600,7 @@ class TestColumnKernel:
         monkeypatch.setattr(GroupRuntime, "process", refuse)
         for frame in (1, 7, 64, 100_000):
             for feed in ("process_batch", "process_columns"):
-                engine = AggregationEngine(queries, policy=policy)
+                engine = AggregationEngine(queries, config=EngineConfig(policy=policy))
                 assert len(engine.groups) > 1
                 for i in range(0, len(events), frame):
                     if feed == "process_batch":
@@ -704,8 +710,8 @@ class TestSessionRuns:
             list(range(batch, len(events), batch)) for batch in batches
         ]
         for split in splits:
-            reference = AggregationEngine(queries, policy=policy)
-            engine = AggregationEngine(queries, policy=policy)
+            reference = AggregationEngine(queries, config=EngineConfig(policy=policy))
+            engine = AggregationEngine(queries, config=EngineConfig(policy=policy))
             for e in (reference, engine):
                 for runtime in e.groups:
                     runtime.track_spans = runtime._tracking = track
@@ -878,7 +884,9 @@ class TestSessionRuns:
             Query.of("ses-long", WindowSpec.session(2_000), AggFunction.MAX,
                      selection=Selection(lo=20.0, hi=70.0)),
         ]
-        engine = AggregationEngine(queries, policy=SharingPolicy.NONE)
+        engine = AggregationEngine(
+            queries, config=EngineConfig(policy=SharingPolicy.NONE)
+        )
         assert len(engine.groups) == len(queries)
         self.assert_session_parity(queries, events, policy=SharingPolicy.NONE)
         for policy in POLICIES:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.conformance.oracle import naive_results
+from repro.core.config import EngineConfig
 from repro.core.engine import AggregationEngine
 from repro.core.predicates import Selection
 from repro.core.query import Query, WindowSpec
@@ -20,7 +21,7 @@ from tests.conftest import make_stream
 
 
 def run_engine(queries, events, *, policy=SharingPolicy.FULL):
-    engine = AggregationEngine(queries, policy=policy)
+    engine = AggregationEngine(queries, config=EngineConfig(policy=policy))
     for event in events:
         engine.process(event)
     return engine.close(), engine

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.conformance.oracle import naive_results
+from repro.core.config import EngineConfig
 from repro.core.engine import AggregationEngine
 from repro.core.errors import OutOfOrderError
 from repro.core.event import Event
@@ -96,7 +97,7 @@ def query_lists(draw, max_queries=4):
 
 
 def _run(queries, events, policy=SharingPolicy.FULL):
-    engine = AggregationEngine(queries, policy=policy)
+    engine = AggregationEngine(queries, config=EngineConfig(policy=policy))
     for event in events:
         engine.process(event)
     return engine.close()

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.config import EngineConfig
 from repro.core.engine import AggregationEngine, required_kinds
 from repro.core.errors import EngineError, QueryError
 from repro.core.event import Event
@@ -23,7 +24,7 @@ K = OperatorKind
 
 
 def run(queries, events, policy=SharingPolicy.FULL):
-    engine = AggregationEngine(queries, policy=policy)
+    engine = AggregationEngine(queries, config=EngineConfig(policy=policy))
     for event in events:
         engine.process(event)
     engine.close()
@@ -212,7 +213,7 @@ class TestRuntimeQueries:
     def test_added_query_new_group_when_incompatible(self):
         engine = AggregationEngine(
             [Query.of("q0", WindowSpec.tumbling(100), AggFunction.SUM)],
-            policy=SharingPolicy.SAME_FUNCTION,
+            config=EngineConfig(policy=SharingPolicy.SAME_FUNCTION),
         )
         engine.process(Event(0, "a", 1.0))
         engine.add_query(
@@ -238,7 +239,7 @@ class TestEmitEmpty:
     def test_emit_empty_true_emits_all(self):
         events = [Event(0, "a", 1.0), Event(5_000, "a", 2.0)]
         queries = [Query.of("q", WindowSpec.tumbling(1_000), AggFunction.SUM)]
-        engine = AggregationEngine(queries, emit_empty=True)
+        engine = AggregationEngine(queries, config=EngineConfig(emit_empty=True))
         for event in events:
             engine.process(event)
         sink = engine.close()

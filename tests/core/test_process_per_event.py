@@ -1,8 +1,8 @@
 """The per-event path pays for what the event does — and does what it did.
 
 ``GroupRuntime.process`` tests for a due punctuation inline (one compare
-per drain mode) and runs the data-driven passes only while the group has
-a session, user-defined or count tracker.  :func:`parent_process` keeps
+each for the heap and the grid) and runs the data-driven passes only
+while the group has a session, user-defined or count tracker.  :func:`parent_process` keeps
 the body it replaced (commit 02a0e3e: unconditional ``_drain``, both
 passes on every event, one slice insert per matched context) test-side,
 verbatim but for that insert — ``Slice.insert`` is gone, and a one-value
@@ -10,7 +10,7 @@ verbatim but for that insert — ``Slice.insert`` is gone, and a one-value
 pairs a slicing-only runtime of a count-window group now keeps for its
 sink, as the reference: after every event the runtime under test
 must stand exactly where the reference stands — rows, ``EngineStats``,
-heap layout, trackers — on the heap and on the grid, and the assembled
+heap layout, trackers — assembling and slicing-only, and the assembled
 results must be the naive oracle's.  The call-count pins at the bottom
 keep the flattening from silently growing back.
 """
@@ -129,7 +129,8 @@ def parent_process(self: GroupRuntime, event: Event) -> None:
         self._cut(time, eps, [])
 
 
-#: drain mode -> what makes a ``GroupRuntime`` drain that way
+#: runtime role -> what makes a ``GroupRuntime`` take it: "heap" assembles
+#: windows, "grid" only slices (named for the drains the two once had)
 MODES = {
     "heap": dict(),
     "grid": dict(assemble=False),
@@ -363,18 +364,14 @@ def counting(monkeypatch, *names: str) -> dict[str, int]:
 class TestCallCounts:
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_nothing_due_enters_no_drain_and_no_cut(self, mode, monkeypatch):
-        calls = counting(monkeypatch, "_drain", "_drain_grid", "_cut")
-
-        def drains() -> int:
-            return sum(n for name, n in calls.items() if name != "_cut")
-
+        calls = counting(monkeypatch, "_drain", "_cut")
         driven = Driven(mode, list(FIXED) + [SESSION], GroupRuntime.process)
         driven.feed(Event(0, "a", 1.0))
         driven.feed(Event(101, "b", 1.0))
         # the fixed windows' opening cut, the session's, the one at 100
         assert calls["_cut"] == 3
         before = dict(calls)
-        drained = drains()
+        drained = calls["_drain"]
         # next punctuations: the session's end as armed at 0 (150), then 200
         for time in (101, 120, 149, 149):
             driven.feed(Event(time, "a", 2.0))
@@ -382,9 +379,9 @@ class TestCallCounts:
         assert calls == before
         # a stale session end is due — drained, found extended, no cut
         driven.feed(Event(150, "c", 0.0))
-        assert (drains(), calls["_cut"]) == (drained + 1, before["_cut"])
+        assert (calls["_drain"], calls["_cut"]) == (drained + 1, before["_cut"])
         driven.feed(Event(200, "c", 0.0))
-        assert (drains(), calls["_cut"]) == (drained + 2, before["_cut"] + 1)
+        assert (calls["_drain"], calls["_cut"]) == (drained + 2, before["_cut"] + 1)
 
     @pytest.mark.parametrize(
         "window",

@@ -103,8 +103,9 @@ class TestWindowTrackers:
         query = Query.of("q", WindowSpec.sliding(1_000, 250), AggFunction.SUM)
         tracker = FixedWindowTracker(query, ctx=0)
         assert tracker.bootstrap(100) == 100
-        assert tracker.advance() == 350
-        assert tracker.advance() == 600
+        # the schedule is its origin: starts at 100 + k * 250
+        assert (tracker.origin, tracker.length, tracker.slide) == (100, 1_000, 250)
+        assert not tracker.windows and tracker.opened == 0
 
     def test_session_tracker_generations(self):
         from repro.core.query import Query, WindowSpec

@@ -53,12 +53,6 @@ class TestEngineConfig:
         engine = AggregationEngine([], config=EngineConfig(emit_empty=True))
         assert engine.config.emit_empty is True
 
-    def test_engine_kwargs_override_config(self):
-        engine = AggregationEngine(
-            [], config=EngineConfig(emit_empty=False), emit_empty=True
-        )
-        assert engine.config.emit_empty is True
-
 
 class TestClusterConfigSync:
     def test_engine_is_not_a_cluster_knob(self):

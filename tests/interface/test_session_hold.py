@@ -91,7 +91,7 @@ class Lockstep:
         self.session = DesisSession(config=EngineConfig(policy=policy))
         for query in queries:
             self.session.submit(query)
-        self.engine = AggregationEngine(queries, policy=policy)
+        self.engine = AggregationEngine(queries, config=EngineConfig(policy=policy))
         self.live = [query.query_id for query in queries]
         self.now = 0
 
