@@ -12,7 +12,7 @@ from repro.cluster.desis import DesisCluster
 from repro.cluster.disco import DiscoCluster
 from repro.cluster.intermediate import IntermediateNode
 from repro.cluster.local import LocalNode
-from repro.cluster.merger import GroupMerger, group_has_sessions, merge_records
+from repro.cluster.merger import GroupMerger, merge_records
 from repro.cluster.reliability import ChildLiveness, recovery_entries, resync_entries
 from repro.cluster.root import RootAssembler, RootNode
 
@@ -31,7 +31,6 @@ __all__ = [
     "LocalNode",
     "RootAssembler",
     "RootNode",
-    "group_has_sessions",
     "merge_records",
     "recovery_entries",
     "resync_entries",

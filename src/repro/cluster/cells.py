@@ -13,8 +13,8 @@ an engine's slices — the plain scan of
 Two-Stacks streams of :class:`~repro.core.incmerge.IncrementalMergeLayer` —
 closes them over cells unchanged.  This is the coarsest slicing all fixed
 windows of the group share (the rewrite Factor Windows plans, here read
-off the punctuations); the records of a session group, which
-:mod:`repro.cluster.merger` must pass up unmerged, are merged here.
+off the punctuations); records of different intervals within one cell,
+which :mod:`repro.cluster.merger` leaves apart, are merged here.
 
 Cells are derived state, and so are the Two-Stacks streams over them,
 whose positions are this grid's cell indices and which the store therefore

@@ -226,6 +226,8 @@ def restore_mergers(
         if state is not None:
             state.next_seq = next_seq
             state.covered = covered
+    for merger in mergers:
+        merger.recount()
     for chunk in chunks:
         if chunk.kind != "pending" or chunk.group_id >= len(mergers):
             continue

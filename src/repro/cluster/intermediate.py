@@ -2,9 +2,8 @@
 
 An intermediate node maintains one :class:`~repro.cluster.merger.GroupMerger`
 per query-group.  When all of its children have covered a boundary, the
-released records — merged across children for slice-aligned groups,
-passed through for session groups — are re-sequenced and forwarded to the
-parent in a single batch, so one intermediate serves many children with
+released records, merged across children by interval, are re-sequenced
+and forwarded to the parent in a single batch, so one intermediate serves many children with
 one upward message per tick (the fan-in the scalability experiment of
 Fig 7c exercises).
 """

@@ -7,15 +7,13 @@ all children), and release records whose interval is fully covered.
 
 Released records from different children with the *same* interval are
 merged (the paper's "intermediate slice whose length equals the number of
-child nodes").  Groups containing session windows are passed through
-unmerged instead: merging would fuse different children's activity spans
-and hide cross-child gaps, breaking exact session assembly at the root
-(Sec 5.1.2).  Their records also do not share intervals — each child cuts
-where its own sessions end — so they merge where that stops mattering:
-at the root, which feeds its session assembly the raw records and folds
-each one, once, into the cell of fixed punctuations it lies in
-(:mod:`repro.cluster.cells`), so the group's tumbling and sliding windows
-read one partial per cell however many children reported.
+child nodes"), in every group.  A session group's merged span is the hull
+of its children's spans and hides no gap between them: a local cuts at
+each of its own session ends (DESIGN.md §3), so if child A's span ends at
+``lA`` and child B's begins at ``fB >= lA + gap`` inside one ``[s, e)``, A
+cut at ``lA + gap`` in ``(s, e)`` and its record is not ``[s, e)``.  With
+several session queries on one context the smallest gap decides; an
+intermediate does not cut, so one tier up the argument holds again.
 
 Duplicate and missing slices are detected with the per-child
 auto-incrementing slice ids (Sec 5.1.1): a batch whose ``first_slice_seq``
@@ -29,60 +27,57 @@ from dataclasses import dataclass, field
 from repro.core.analyzer import QueryGroup
 from repro.core.errors import ClusterError
 from repro.core.operators import merge_partials
-from repro.core.types import WindowType
 from repro.network.messages import ContextPartial, PartialBatchMessage, SliceRecord
 
-__all__ = ["GroupMerger", "group_has_sessions", "merge_records"]
+__all__ = ["GroupMerger", "merge_records"]
 
 
-def group_has_sessions(group: QueryGroup) -> bool:
-    return any(
-        q.window.window_type is WindowType.SESSION for q in group.queries
-    )
+def _fold_context(into: ContextPartial, part: ContextPartial) -> None:
+    """Merge ``part`` into ``into``, a copy :func:`merge_records` owns."""
+    into.count += part.count
+    ops = into.ops
+    for kind, partial in part.ops.items():
+        ops[kind] = merge_partials(kind, ops[kind], partial) if kind in ops else partial
+    if part.span is not None:
+        span = into.span or part.span
+        into.span = (min(span[0], part.span[0]), max(span[1], part.span[1]))
+    if into.timed is not None or part.timed is not None:
+        into.timed = into.timed or []
+        into.timed.extend(part.timed or ())
+        into.timed.sort()
 
 
-def _merge_context(left: ContextPartial, right: ContextPartial) -> ContextPartial:
-    ops = dict(left.ops)
-    for kind, partial in right.ops.items():
-        if kind in ops:
-            ops[kind] = merge_partials(kind, ops[kind], partial)
-        else:
-            ops[kind] = partial
-    span = left.span
-    if right.span is not None:
-        span = (
-            right.span
-            if span is None
-            else (min(span[0], right.span[0]), max(span[1], right.span[1]))
-        )
-    timed = None
-    if left.timed is not None or right.timed is not None:
-        timed = sorted((left.timed or []) + (right.timed or []))
-    return ContextPartial(
-        count=left.count + right.count, ops=ops, span=span, timed=timed
-    )
+def _own(part: ContextPartial) -> ContextPartial:
+    timed = None if part.timed is None else list(part.timed)
+    return ContextPartial(part.count, dict(part.ops), part.span, timed)
 
 
 def merge_records(records: list[SliceRecord]) -> list[SliceRecord]:
-    """Merge records with identical ``[start, end)`` intervals."""
+    """Merge records with identical ``[start, end)`` intervals, sorted by
+    ``(end, start)``.  A record merged into is copied once, its contexts
+    with it, and folded into in place; the inputs are left as they were."""
     merged: dict[tuple[int, int], SliceRecord] = {}
+    owned: set[tuple[int, int]] = set()
     for record in records:
         key = (record.start, record.end)
-        existing = merged.get(key)
-        if existing is None:
-            merged[key] = SliceRecord(
-                start=record.start,
-                end=record.end,
-                contexts=dict(record.contexts),
-                userdef_eps=list(record.userdef_eps),
-            )
+        into = merged.get(key)
+        if into is None:
+            merged[key] = record
             continue
+        if key not in owned:
+            owned.add(key)
+            into = merged[key] = SliceRecord(
+                into.start, into.end,
+                {ctx: _own(part) for ctx, part in into.contexts.items()},
+                list(into.userdef_eps),
+            )
+        contexts = into.contexts
         for ctx, part in record.contexts.items():
-            if ctx in existing.contexts:
-                existing.contexts[ctx] = _merge_context(existing.contexts[ctx], part)
+            if ctx in contexts:
+                _fold_context(contexts[ctx], part)
             else:
-                existing.contexts[ctx] = part
-        existing.userdef_eps.extend(record.userdef_eps)
+                contexts[ctx] = _own(part)
+        into.userdef_eps.extend(record.userdef_eps)
     return sorted(merged.values(), key=lambda r: (r.end, r.start))
 
 
@@ -104,7 +99,8 @@ class GroupMerger:
             child: _ChildState(covered=origin) for child in children
         }
         self.forwarded_to = origin
-        self.merge_intervals = not group_has_sessions(group)
+        #: children still at ``forwarded_to``: coverage advances at zero
+        self.holding = len(self.children)
         self.duplicates_dropped = 0
         #: batches from unknown senders (e.g. in flight when their node was
         #: removed, Sec 3.2); dropped, not fatal.
@@ -118,9 +114,16 @@ class GroupMerger:
         # A new child starts covered up to the merger's progress so it does
         # not stall coverage retroactively.
         self.children[child] = _ChildState(covered=self.forwarded_to)
+        self.recount()
 
     def remove_child(self, child: str) -> None:
         self.children.pop(child, None)
+        self.recount()
+
+    def recount(self) -> None:
+        """Recount :attr:`holding` after a membership change or a restore."""
+        floor = self.forwarded_to
+        self.holding = sum(s.covered <= floor for s in self.children.values())
 
     # -- ingestion ------------------------------------------------------------------
 
@@ -147,12 +150,9 @@ class GroupMerger:
         state.next_seq = seq + len(records)
         state.pending.extend(records)
         if message.covered_to > state.covered:
+            if state.covered <= self.forwarded_to < message.covered_to:
+                self.holding -= 1
             state.covered = message.covered_to
-
-    def coverage(self) -> int:
-        if not self.children:
-            return self.forwarded_to
-        return min(state.covered for state in self.children.values())
 
     # -- overload control (DESIGN.md §12) -------------------------------------------
 
@@ -195,12 +195,14 @@ class GroupMerger:
         Returns ``(covered, records)`` with records sorted by interval, or
         ``None`` when coverage has not advanced.
         """
-        covered = self.coverage()
-        if covered <= self.forwarded_to:
+        if self.holding or not self.children:
             return None
+        covered = min(state.covered for state in self.children.values())
         self.forwarded_to = covered
         released: list[SliceRecord] = []
+        holding = 0
         for state in self.children.values():
+            holding += state.covered == covered
             keep: list[SliceRecord] = []
             for record in state.pending:
                 if record.end <= covered:
@@ -208,8 +210,5 @@ class GroupMerger:
                 else:
                     keep.append(record)
             state.pending = keep
-        if self.merge_intervals:
-            released = merge_records(released)
-        else:
-            released.sort(key=lambda r: (r.end, r.start))
-        return covered, released
+        self.holding = holding
+        return covered, merge_records(released)

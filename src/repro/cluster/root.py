@@ -5,8 +5,8 @@ children plus a :class:`RootAssembler` that turns released slice records
 into window results:
 
 * **Fixed windows.**  Each record is folded once, on arrival, into the
-  cell it lies in (:mod:`repro.cluster.cells` — also where the unmerged
-  records of a session group finally merge).  A window then closes once
+  cell it lies in (:mod:`repro.cluster.cells` — also where records of
+  different intervals within one cell merge).  A window then closes once
   per ``(ctx, length, slide)`` tracker, for all its subscribers, through
   :meth:`~repro.core.incmerge.IncrementalMergeLayer.close`, the helper
   the engine closes windows over slices with: Two-Stacks streams for

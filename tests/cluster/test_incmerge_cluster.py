@@ -121,7 +121,7 @@ class TestModeParity:
     def test_mixed_group_with_sessions_stays_correct(self):
         """A session query in the group no longer sends its sliding
         trackers back to the full fold: the root decides per tracker, the
-        session's own (unmerged, unaligned) records notwithstanding."""
+        session's own unaligned records notwithstanding."""
         queries = SLIDING + [
             Query.of("sess", WindowSpec.session(gap=300), AggFunction.COUNT),
         ]

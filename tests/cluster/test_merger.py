@@ -6,15 +6,23 @@ import heapq
 import math
 import random
 import struct
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster import ClusterConfig, DesisCluster
+from repro.conformance.oracle import tolerance_for, values_match
 from repro.core.analyzer import analyze
 from repro.core.errors import ClusterError
+from repro.core.event import Event
+from repro.core.predicates import Selection
 from repro.core.query import Query, WindowSpec
-from repro.core.types import AggFunction, OperatorKind
-from repro.cluster.merger import GroupMerger, group_has_sessions, merge_records
+from repro.core.types import AggFunction, OperatorKind, WindowType
+from repro.cluster.merger import GroupMerger, merge_records
 from repro.network.messages import ContextPartial, PartialBatchMessage, SliceRecord
+from repro.network.topology import three_tier
 
 K = OperatorKind
 
@@ -172,17 +180,23 @@ class TestGroupMerger:
         merger = GroupMerger(tumbling_group(), ["a"], origin=0)
         merger.on_batch(batch("ghost", 0, 100, [record(0, 100)]))
         assert merger.stray_batches == 1
-        assert merger.coverage() == 0
+        assert merger.advance() is None
 
-    def test_session_group_passes_through_unmerged(self):
-        """Merging would fuse spans across children and hide gaps."""
-        group = session_group()
-        assert group_has_sessions(group)
-        merger = GroupMerger(group, ["a", "b"], origin=0)
-        merger.on_batch(batch("a", 0, 100, [record(0, 100)]))
-        merger.on_batch(batch("b", 0, 100, [record(0, 100)]))
-        covered, records = merger.advance()
-        assert len(records) == 2  # one per child, unmerged
+    def test_session_group_merges_into_the_span_hull(self):
+        """A session group merges like any other: one record per interval,
+        whose activity span is the hull of its children's spans."""
+        merger = GroupMerger(session_group(), ["a", "b"], origin=0)
+        a, b = record(0, 100, 2.0, 2), record(0, 100, 3.0, 1)
+        a.contexts[0].span = (10, 30)
+        b.contexts[0].span = (60, 70)
+        merger.on_batch(batch("a", 0, 100, [a]))
+        merger.on_batch(batch("b", 0, 100, [b]))
+        covered, (merged,) = merger.advance()
+        assert covered == 100
+        part = merged.contexts[0]
+        assert (part.count, part.ops[K.SUM], part.span) == (3, 5.0, (10, 70))
+        # the inputs are copied on their first merge, not folded into
+        assert (a.contexts[0].count, a.contexts[0].span) == (2, (10, 30))
 
     def test_add_child_starts_at_progress(self):
         merger = GroupMerger(tumbling_group(), ["a"], origin=0)
@@ -190,7 +204,7 @@ class TestGroupMerger:
         merger.advance()
         merger.add_child("b")
         # New child must not stall previously-forwarded coverage.
-        assert merger.coverage() == 100
+        assert merger.children["b"].covered == merger.forwarded_to == 100
 
     def test_remove_child_unblocks_coverage(self):
         merger = GroupMerger(tumbling_group(), ["a", "b"], origin=0)
@@ -199,3 +213,140 @@ class TestGroupMerger:
         merger.remove_child("b")
         covered, records = merger.advance()
         assert covered == 100
+
+    def test_holding_counts_the_children_at_the_floor(self):
+        merger = GroupMerger(tumbling_group(), ["a", "b", "c"], origin=0)
+        assert merger.holding == 3
+        merger.on_batch(batch("a", 0, 200, [record(0, 100), record(100, 200)]))
+        merger.on_batch(batch("b", 0, 100, [record(0, 100)]))
+        assert merger.holding == 1 and merger.advance() is None
+        merger.on_batch(batch("c", 0, 100, [record(0, 100)]))
+        covered, _ = merger.advance()
+        # b and c hold coverage at 100; a is past it
+        assert (covered, merger.holding) == (100, 2)
+        merger.remove_child("b")
+        merger.remove_child("c")
+        assert merger.holding == 0
+        assert merger.advance()[0] == 200
+        merger.add_child("d")
+        assert merger.holding == 2  # a, and d, which joins at the floor
+
+
+# -- merged session records against the pass-through merger ------------------------
+
+
+class PassThroughMerger(GroupMerger):
+    """The reference: a group that holds a session query passes its
+    records up one per child, sorted by interval, instead of merging
+    those with identical intervals."""
+
+    def advance(self):
+        if not any(
+            q.window.window_type is WindowType.SESSION for q in self.group.queries
+        ):
+            return super().advance()
+        if not self.children:
+            return None
+        covered = min(state.covered for state in self.children.values())
+        if covered <= self.forwarded_to:
+            return None
+        self.forwarded_to = covered
+        released = []
+        for state in self.children.values():
+            released.extend(r for r in state.pending if r.end <= covered)
+            state.pending = [r for r in state.pending if r.end > covered]
+        self.recount()
+        return covered, sorted(released, key=lambda r: (r.end, r.start))
+
+
+def run_both(queries, topology, tick, streams):
+    """The cluster's rows, merged and through the pass-through merger."""
+
+    def run():
+        cluster = DesisCluster(
+            queries, topology, config=ClusterConfig(tick_interval=tick)
+        )
+        return list(cluster.run({k: list(v) for k, v in streams.items()}).sink)
+
+    merged = run()
+    with mock.patch("repro.cluster.roles.GroupMerger", PassThroughMerger):
+        reference = run()
+    return merged, reference
+
+
+def assert_same_rows(queries, merged, reference):
+    def key(row):
+        return (row.query_id, row.start, row.end, row.event_count,
+                row.emitted_at, row.completeness)
+
+    assert [key(r) for r in merged] == [key(r) for r in reference]
+    by_id = {q.query_id: q for q in queries}
+    for got, want in zip(merged, reference):
+        policy = tolerance_for(by_id[got.query_id], cross_fold=True)
+        assert values_match(want.value, got.value, policy), (got, want)
+
+
+@st.composite
+def bursty_streams(draw, n_locals):
+    """Per-local in-order streams of bursts: runs of close events split
+    by pauses around the session gaps."""
+    streams = {}
+    for i in range(n_locals):
+        t = draw(st.integers(0, 60))
+        events = []
+        for _ in range(draw(st.integers(0, 6))):
+            t += draw(st.sampled_from([0, 19, 20, 21, 49, 50, 51, 99, 100, 170, 400]))
+            for _ in range(draw(st.integers(1, 12))):
+                t += draw(st.integers(0, 12))
+                events.append(Event(
+                    t,
+                    draw(st.sampled_from("ab")),
+                    draw(st.integers(-40, 40)) / 10,
+                ))
+        streams[f"local-{i}"] = events
+    return streams
+
+
+@st.composite
+def session_scenarios(draw):
+    n_locals = draw(st.integers(2, 6))
+    n_mids = draw(st.integers(1, 2))
+    gaps = draw(st.lists(st.sampled_from([20, 50, 100, 170]), min_size=3, max_size=3))
+    fixed = draw(st.sampled_from([100, 200, 300]))
+    queries = [
+        Query.of("t", WindowSpec.tumbling(fixed), AggFunction.SUM),
+        Query.of("w", WindowSpec.sliding(2 * fixed, fixed), AggFunction.AVERAGE),
+        # two session queries on one context: the smaller gap cuts
+        Query.of("s1", WindowSpec.session(gaps[0]), AggFunction.COUNT),
+        Query.of("s2", WindowSpec.session(gaps[1]), AggFunction.AVERAGE),
+        Query.of("s_keyed", WindowSpec.session(gaps[2]), AggFunction.SUM,
+                 selection=Selection(key="a")),
+        Query.of("m", WindowSpec.tumbling(fixed), AggFunction.MEDIAN),
+    ]
+    queries = draw(st.lists(st.sampled_from(queries), min_size=2, max_size=6,
+                            unique_by=lambda q: q.query_id)
+                   .filter(lambda qs: any(q.query_id.startswith("s") for q in qs)))
+    tick = draw(st.sampled_from([50, 100, 200]))
+    return queries, three_tier(n_locals, n_mids), tick, draw(bursty_streams(n_locals))
+
+
+class TestSessionMergeDifferential:
+    @settings(deadline=None)
+    @given(scenario=session_scenarios())
+    def test_rows_match_the_pass_through_merger(self, scenario):
+        queries, topology, tick, streams = scenario
+        merged, reference = run_both(queries, topology, tick, streams)
+        assert_same_rows(queries, merged, reference)
+
+    def test_a_span_ending_one_gap_before_the_interval_end(self):
+        """``lA + gap == e``: child A's session ends on the tick that
+        closes the interval, so A does not cut inside it, and B's event
+        just before that end joins A's session in both mergers."""
+        queries = [Query.of("s", WindowSpec.session(50), AggFunction.SUM),
+                   Query.of("t", WindowSpec.tumbling(100), AggFunction.SUM)]
+        streams = {"local-0": [Event(10, "a", 1.0), Event(50, "a", 2.0)],
+                   "local-1": [Event(99, "a", 4.0), Event(300, "a", 8.0)]}
+        merged, reference = run_both(queries, three_tier(2, 1), 100, streams)
+        assert_same_rows(queries, merged, reference)
+        sessions = [(r.start, r.end, r.event_count) for r in merged if r.query_id == "s"]
+        assert sessions == [(10, 149, 3), (300, 350, 1)]

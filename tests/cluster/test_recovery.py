@@ -571,8 +571,8 @@ MIXED = [
 
 
 def mixed_batches(queries=MIXED, seed=5, children=2, horizon=1_600):
-    """``(covered, records)`` batches as the root's merger releases them
-    for the unmerged group of ``queries``: every child cuts at the fixed
+    """``(covered, records)`` batches of the group of ``queries``, each
+    child's records left unmerged: every child cuts at the fixed
     punctuations (100 ms starts, sliding ends at 450 + k*100) and at a
     dozen times of its own; integer values, so float sums are exact
     whatever their association.  ``ASSEMBLER_CHECKPOINT`` was taken from

@@ -75,7 +75,7 @@ def test_sliding_session_incremental_is_one_group_merged_incrementally():
     assert scenario.topology == "three_tier"
     assert scenario.fault is not None and scenario.fault.link_faults_only
     # one group: the session and the marker window share the root
-    # assembler (and the unmerged, unaligned records) of the sliding ones
+    # assembler (and the unaligned records) of the sliding ones
     (group,) = analyze(scenario.build_queries(), decentralized=True).groups
     assert not group.root_evaluated
     assert [q.window.window_type for q in group.queries] == [

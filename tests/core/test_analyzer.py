@@ -74,6 +74,18 @@ class TestFullSharing:
         )
         assert len(plan.groups) == 2
 
+    def test_a_pass_all_selection_does_not_join_a_keyed_one(self):
+        """Containment is partial overlap (``predicates.compatible``): a
+        pass-all query's events strictly contain a keyed query's."""
+        plan = analyze(
+            [
+                q("a", WindowSpec.sliding(300, 100), AggFunction.SUM),
+                q("b", WindowSpec.sliding(200, 100), AggFunction.SUM,
+                  selection=Selection(key="k")),
+            ]
+        )
+        assert len(plan.groups) == 2
+
     def test_duplicate_query_id_rejected(self):
         queries = [
             q("dup", WindowSpec.tumbling(10), AggFunction.SUM),
