@@ -29,6 +29,7 @@ from repro.network.simnet import CrashWindow, FaultPlan
 from repro.obs.exporters import render_trace_jsonl
 from repro.network.topology import Topology, three_tier
 
+from tests.cluster.test_chaos import _assert_shed_accounting
 from tests.cluster.test_desis_parity import make_streams
 
 NEVER = 10**9  # a node_timeout that never fires
@@ -196,80 +197,80 @@ PINNED = {
     "desis-clean": {
         "rows": 108,
         "rows_sha": "177a544dc7c57ae0fcf710dd57c9067c1b0acb1b05939dd995f693993729030b",
-        "network_sha": "ac06b4e6956adebf0c9b6863510b1f2d06de1310fb88b19c66324a85a19d6585",
-        "data_bytes": 158973,
+        "network_sha": "1c9a51ae716f072350acbd58747ca85d14c7905d73478b32f51c60e807dac970",
+        "data_bytes": 145373,
         "events": 3000,
         "local_stats_sha": "3413861b8ccc0dcf6930e58d221cf3b901a307aae35d41b16fa03fa03c82dde0",
         "nodes": ["root", "local-0", "local-1", "local-2", "mid-0"],
         "roles": ["intermediate", "local", "root"],
         "trace_sha": "12ae32cb1ec02d01eda3581b127c1fee3b0dc53572ed6baf239721a03d82e126",
         "trace_records_sha": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "counters": [0, 0, 0, 0, 780, 0, 0, 0, 0],
+        "counters": [0, 0, 0, 0, 440, 0, 0, 0, 0],
     },
     "desis-faulty": {
         "rows": 108,
         "rows_sha": "10ee9faadeecf5c547bab31275074035d8e006dc10a5fe5fd5debd21be796ced",
-        "network_sha": "52e590d28b2aeb17115abf1778e7257cc46413888f6e7ef6a9ba49e69fdda4c0",
-        "data_bytes": 195782,
+        "network_sha": "886ae56f7cd0009bf9409ea6f8b5192e040ffc9fd2fe43b9ce5fb52f48e48424",
+        "data_bytes": 181062,
         "events": 3000,
         "local_stats_sha": "3413861b8ccc0dcf6930e58d221cf3b901a307aae35d41b16fa03fa03c82dde0",
         "nodes": ["root", "local-0", "local-1", "local-2", "mid-0"],
         "roles": ["intermediate", "local", "root"],
         "trace_sha": "12ae32cb1ec02d01eda3581b127c1fee3b0dc53572ed6baf239721a03d82e126",
         "trace_records_sha": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "counters": [0, 0, 0, 0, 780, 0, 0, 0, 0],
+        "counters": [0, 0, 0, 0, 440, 0, 0, 0, 0],
     },
     "desis-checkpointed": {
         "rows": 139,
         "rows_sha": "6b2f88fa96146e5c3a9339946d0b24f0ad333000a77c79d3e710f44cd5e5d310",
-        "network_sha": "85e1f12ec3b325342f1866f541268df3a9798ef01ef231186ed54bd585310942",
-        "data_bytes": 275928,
+        "network_sha": "90f138e048d1575e9a5f904c513a1cc13288dcb0d0493bea10815998c628199b",
+        "data_bytes": 262328,
         "events": 3150,
         "local_stats_sha": "37dee1444ffbd3f327f44ff5f0091c3159ee5124949a8ceeebb825cf2bb91f10",
         "nodes": ["root", "local-0", "local-1", "local-2", "mid-0", "local-9"],
         "roles": ["intermediate", "local", "root"],
-        "trace_sha": "7a16cd5ee395c93a4af17da60c190d8174e3636fda65d4a583f1de9d08ad57c5",
-        "trace_records_sha": "491121d03dbc5141da3e5f78459f3f0ac6549fb0a85860da1aca4a81b6199209",
-        "counters": [52, 1, 0, 0, 912, 0, 0, 0, 0],
+        "trace_sha": "fb67596f8bd7bc099768b2254a176726d354ed40d29bfed9083a098113f36438",
+        "trace_records_sha": "da4012a667b7c5776787c9c21df1af588c799d7bdae0c1ee3d92af2fbd85f135",
+        "counters": [52, 1, 0, 0, 572, 0, 0, 0, 0],
     },
     "desis-shedding": {
-        "rows": 75,
-        "rows_sha": "36037847d26d4ee191c5875991f98afc13be128af349030cd2df22e87f2aa08f",
-        "network_sha": "cafb614273c069df3a210d3a65f91b0dd636711cbc1bab908f2e0ed9d8e16c80",
-        "data_bytes": 281457,
+        "rows": 76,
+        "rows_sha": "11a39359f9cf8e2cdff054368a1ae1fa6067749f171efaf5c2f9729e3b0370bc",
+        "network_sha": "ef16dfd205515f51dc4d4d2e5a333882b7661190a6282f98d4a94c1066cb7718",
+        "data_bytes": 274919,
         "events": 3000,
         "local_stats_sha": "3413861b8ccc0dcf6930e58d221cf3b901a307aae35d41b16fa03fa03c82dde0",
         "nodes": ["root", "local-0", "local-1", "local-2", "mid-0"],
         "roles": ["intermediate", "local", "root"],
-        "trace_sha": "1f91a8b5512b730639a18be0a879f9e9e32042a0781e9e19d183de5166e96a35",
-        "trace_records_sha": "f0d0fe3ab40e5536d607fd054f4d7e5773a4dba67dc8e5932fcafbf3bded5959",
-        "counters": [0, 0, 0, 0, 58, 69, 374, 16, 6],
+        "trace_sha": "d1d28d3ebe5de390833d95d3ff978474b7356ce67124d0e0b849ba16e3f17cc0",
+        "trace_records_sha": "b06006597b3aa285036fa20dcea853ddb7eb5a1af51c1eabcf4c48d4c3207468",
+        "counters": [0, 0, 0, 0, 49, 70, 367, 16, 6],
     },
     "desis-rejoin": {
         "rows": 97,
         "rows_sha": "6653d1b171e2fdc37a4ab5f723c994fe07b9ba794709ca408191f2518190acab",
-        "network_sha": "b3381b70156e49bb402e5cc811914c9fc2940929e619900dc1763edc3851b52e",
-        "data_bytes": 214389,
+        "network_sha": "1c9ed283a164a79b08046f5c11cfe6d6402dcbb0b3e9d54dbda20da1aed7d76b",
+        "data_bytes": 204149,
         "events": 3000,
         "local_stats_sha": "3413861b8ccc0dcf6930e58d221cf3b901a307aae35d41b16fa03fa03c82dde0",
         "nodes": ["root", "local-0", "local-1", "local-2", "mid-0"],
         "roles": ["intermediate", "local", "root"],
-        "trace_sha": "ade1190b20ce7744a8ca6381e77e6049eedf05dcff2785eac9dffaa60171a5f7",
-        "trace_records_sha": "c3d82c003cd2ae93dc6edb767309ae7bee93ac095485527753caff581fcf4d54",
-        "counters": [0, 0, 0, 0, 622, 0, 0, 0, 0],
+        "trace_sha": "36d9e7440fe67e0f6afab73d75c8c8cc02409a1dc97e1c0074f2fc77cb955e03",
+        "trace_records_sha": "117e16fd8e22e6e4bcdf90a2c68291588fab6f6a5903558f097670b703e1d0ee",
+        "counters": [0, 0, 0, 0, 366, 0, 0, 0, 0],
     },
     "desis-failover": {
         "rows": 108,
         "rows_sha": "c1453c4503fb8097e165da5fd8829ab7bd129fc816375019f39944cd730cdfb2",
-        "network_sha": "aeb53790ebdc0e5ad6f6160dd639206eb941fdf307ee40f7db4c59cf0cb11d87",
-        "data_bytes": 244169,
+        "network_sha": "40510f1a3e7e92b8d5974fbf8b8052cc2ce71f84405086baed9cd78970ec6b1e",
+        "data_bytes": 227449,
         "events": 3000,
         "local_stats_sha": "3413861b8ccc0dcf6930e58d221cf3b901a307aae35d41b16fa03fa03c82dde0",
         "nodes": ["root", "local-0", "local-1", "local-2", "mid-0", "mid-1"],
         "roles": ["intermediate", "local", "root"],
-        "trace_sha": "01aafa922574cd9490dee723d18e21d6824b1767ebad87ae702a08df67f77805",
-        "trace_records_sha": "b6c2da3949537e874cb1624db2dc2cfad0f9ccac0b74030582d5732e95b65599",
-        "counters": [30, 0, 2, 0, 780, 0, 0, 0, 0],
+        "trace_sha": "5e5b6db8c303170115987cff1227a02143ccb1315e9feb704b4a8989f1db2e39",
+        "trace_records_sha": "0ceeafc606f7f553471f81f9190150d93b27fb375766263fee531d6abb20794d",
+        "counters": [30, 0, 2, 0, 440, 0, 0, 0, 0],
     },
     "scotty": {
         "rows": 108,
@@ -303,3 +304,14 @@ PINNED = {
 @pytest.mark.parametrize("run", list(RUNS))
 def test_deployment_outputs_are_pinned(run):
     assert observe(RUNS[run]()) == PINNED[run]
+
+
+def test_shedding_run_explains_every_degraded_row():
+    """The root's staging cap counts records, and an intermediate's record
+    stands for all its children's slices of one interval; whatever was
+    shed, each degraded row's shed intervals account for its
+    completeness."""
+    result = RUNS["desis-shedding"]()
+    assert sum(row.completeness < 1.0 for row in result.sink) == 70
+    assert all(row.shed_slices for row in result.sink if row.completeness < 1.0)
+    _assert_shed_accounting(result)
