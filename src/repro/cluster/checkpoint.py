@@ -216,24 +216,16 @@ def restore_mergers(
 ) -> None:
     """Apply checkpointed coverage, cursors, and pending buffers to fresh
     mergers (children must already be attached)."""
-    for group_id, (_, _, forwarded_to) in header.groups.items():
-        if group_id < len(mergers):
-            mergers[group_id].forwarded_to = forwarded_to
+    cursors: dict[int, dict] = {}
     for group_id, child, next_seq, covered in header.cursors:
-        if group_id >= len(mergers):
-            continue
-        state = mergers[group_id].children.get(child)
-        if state is not None:
-            state.next_seq = next_seq
-            state.covered = covered
-    for merger in mergers:
-        merger.recount()
+        cursors.setdefault(group_id, {})[child] = (next_seq, covered)
+    pending: dict[int, dict] = {}
     for chunk in chunks:
-        if chunk.kind != "pending" or chunk.group_id >= len(mergers):
-            continue
-        state = mergers[chunk.group_id].children.get(chunk.child)
-        if state is not None:
-            state.pending = list(chunk.records)
+        if chunk.kind == "pending":
+            pending.setdefault(chunk.group_id, {})[chunk.child] = chunk.records
+    for group_id, merger in enumerate(mergers):
+        floor = header.groups.get(group_id, (0, 0, merger.forwarded_to))[2]
+        merger.restore(floor, cursors.get(group_id, {}), pending.get(group_id, {}))
 
 
 # -- retained upward batches ------------------------------------------------------

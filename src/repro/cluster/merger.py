@@ -23,6 +23,7 @@ is behind the expected sequence has its already-seen prefix dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.core.analyzer import QueryGroup
 from repro.core.errors import ClusterError
@@ -44,7 +45,7 @@ def _fold_context(into: ContextPartial, part: ContextPartial) -> None:
     if into.timed is not None or part.timed is not None:
         into.timed = into.timed or []
         into.timed.extend(part.timed or ())
-        into.timed.sort()
+        into.timed.sort(key=itemgetter(0))  # stable: a child's ties keep their order
 
 
 def _own(part: ContextPartial) -> ContextPartial:
@@ -114,16 +115,24 @@ class GroupMerger:
         # A new child starts covered up to the merger's progress so it does
         # not stall coverage retroactively.
         self.children[child] = _ChildState(covered=self.forwarded_to)
-        self.recount()
+        self._recount()
 
     def remove_child(self, child: str) -> None:
         self.children.pop(child, None)
-        self.recount()
+        self._recount()
 
-    def recount(self) -> None:
-        """Recount :attr:`holding` after a membership change or a restore."""
-        floor = self.forwarded_to
-        self.holding = sum(s.covered <= floor for s in self.children.values())
+    def restore(self, forwarded_to: int, cursors: dict, pending: dict) -> None:
+        """Apply a checkpoint's floor and children's cursors and pending records."""
+        self.forwarded_to = forwarded_to
+        for child, state in self.children.items():
+            if child in cursors:
+                state.next_seq, state.covered = cursors[child]
+            if child in pending:
+                state.pending = list(pending[child])
+        self._recount()
+
+    def _recount(self) -> None:
+        self.holding = sum(s.covered <= self.forwarded_to for s in self.children.values())
 
     # -- ingestion ------------------------------------------------------------------
 

@@ -467,9 +467,9 @@ class RootAssembler:
                 runs.append(part.timed)
         if not runs:
             return
-        # Not a stable sort: the runs are ordered by time alone, so sorting
-        # the pairs would reorder the values of one timestamp.
-        for time, value in heapq.merge(*runs):
+        # Merged on time alone: a timestamp's values keep their order in a
+        # run, and ties between runs go by run order, not by value.
+        for time, value in heapq.merge(*runs, key=lambda pair: pair[0]):
             if state.seen % state.slide == 0:
                 state.open.append((time, OperatorSetState(state.kinds)))
             for _, ops in state.open:

@@ -18,7 +18,7 @@ from repro.core.analyzer import analyze
 from repro.core.errors import ClusterError
 from repro.core.event import Event
 from repro.core.predicates import Selection
-from repro.core.query import Query, WindowSpec
+from repro.core.query import Query, WindowMeasure, WindowSpec
 from repro.core.types import AggFunction, OperatorKind, WindowType
 from repro.cluster.merger import GroupMerger, merge_records
 from repro.network.messages import ContextPartial, PartialBatchMessage, SliceRecord
@@ -87,6 +87,18 @@ class TestMergeRecords:
         b.contexts[0].timed = [(10, 3.0)]
         merged = merge_records([a, b])
         assert merged[0].contexts[0].timed == [(5, 1.0), (10, 3.0), (50, 2.0)]
+
+    def test_timed_ties_keep_each_childs_arrival_order(self):
+        # a count window at the root counts one timestamp's values in the
+        # order they arrived, so the merge sorts on time alone, stably
+        a = record(0, 100)
+        a.contexts[0].timed = [(10, 9.0), (10, 5.0), (10, 3.0)]
+        b = record(0, 100)
+        b.contexts[0].timed = [(5, 2.0), (10, 1.0)]
+        merged = merge_records([a, b])
+        assert merged[0].contexts[0].timed == [
+            (5, 2.0), (10, 9.0), (10, 5.0), (10, 3.0), (10, 1.0)
+        ]
 
     def test_userdef_eps_concatenated(self):
         a = record(0, 100)
@@ -231,6 +243,15 @@ class TestGroupMerger:
         merger.add_child("d")
         assert merger.holding == 2  # a, and d, which joins at the floor
 
+    def test_restore_sets_the_children_and_recounts(self):
+        merger = GroupMerger(tumbling_group(), ["a", "b"], origin=0)
+        merger.restore(100, {"a": (3, 200), "b": (2, 100)}, {"b": [record(100, 200)]})
+        assert (merger.forwarded_to, merger.holding) == (100, 1)  # b holds
+        assert (merger.children["a"].next_seq, merger.children["a"].covered) == (3, 200)
+        merger.on_batch(batch("b", 2, 200, [record(100, 200)]))
+        covered, (merged,) = merger.advance()
+        assert (covered, merged.contexts[0].count, merger.holding) == (200, 2, 2)
+
 
 # -- merged session records against the pass-through merger ------------------------
 
@@ -255,7 +276,7 @@ class PassThroughMerger(GroupMerger):
         for state in self.children.values():
             released.extend(r for r in state.pending if r.end <= covered)
             state.pending = [r for r in state.pending if r.end > covered]
-        self.recount()
+        self._recount()
         return covered, sorted(released, key=lambda r: (r.end, r.start))
 
 
@@ -322,6 +343,10 @@ def session_scenarios(draw):
         Query.of("s_keyed", WindowSpec.session(gaps[2]), AggFunction.SUM,
                  selection=Selection(key="a")),
         Query.of("m", WindowSpec.tumbling(fixed), AggFunction.MEDIAN),
+        # a root-evaluated session group: its records ship ``timed`` pairs
+        Query.of("s_median", WindowSpec.session(gaps[0]), AggFunction.MEDIAN),
+        Query.of("c", WindowSpec.sliding(5, 2, measure=WindowMeasure.COUNT),
+                 AggFunction.SUM),
     ]
     queries = draw(st.lists(st.sampled_from(queries), min_size=2, max_size=6,
                             unique_by=lambda q: q.query_id)
@@ -350,3 +375,23 @@ class TestSessionMergeDifferential:
         assert_same_rows(queries, merged, reference)
         sessions = [(r.start, r.end, r.event_count) for r in merged if r.query_id == "s"]
         assert sessions == [(10, 149, 3), (300, 350, 1)]
+
+    def test_count_windows_count_one_timestamp_in_arrival_order(self):
+        """A session MEDIAN and a count window share a root-evaluated
+        group; both locals' records are ``[10, 100)`` and merge, and the
+        values local-0 took at 10 ms still reach the count window in the
+        order they arrived, as in the centralized stream."""
+        queries = [
+            Query.of("c", WindowSpec.tumbling(2, measure=WindowMeasure.COUNT),
+                     AggFunction.SUM),
+            Query.of("m", WindowSpec.session(100), AggFunction.MEDIAN),
+        ]
+        streams = {
+            "local-0": [Event(10, "a", 9.0), Event(10, "a", 5.0),
+                        Event(10, "a", 3.0), Event(80, "a", 7.0)],
+            "local-1": [Event(10, "a", 20.0), Event(85, "a", 2.0)],
+        }
+        merged, reference = run_both(queries, three_tier(2, 1), 100, streams)
+        assert_same_rows(queries, merged, reference)
+        counts = [(r.start, r.end, r.value) for r in merged if r.query_id == "c"]
+        assert counts == [(10, 10, 14.0), (10, 10, 23.0), (80, 85, 9.0)]

@@ -305,7 +305,9 @@ class TestTimedDerivation:
     def test_count_replay_keeps_each_run_in_time_order(self):
         """A run of ``(time, value)`` pairs is ordered by time alone: the
         replay must not sort one timestamp's values, which one stable
-        sort of the pairs would (1.0 before 3.0 here)."""
+        sort of the pairs would (1.0 before 3.0 here), and it puts ties
+        between runs in run order, not by value (a merge of the pairs
+        would put 2.0 first)."""
         assembler, emitted = assembler_for(
             Query.of(
                 "c",
@@ -320,8 +322,8 @@ class TestTimedDerivation:
         assembler.consume(1_000, records, now=1_000)
         assembler.finish(2_000)
         assert emitted == [
-            ("c", 5, 5, {K.DECOMPOSABLE_SORT: (2.0, 3.0)}, 2),
-            ("c", 5, 1_000, {K.DECOMPOSABLE_SORT: (1.0, 1.0)}, 1),
+            ("c", 5, 5, {K.DECOMPOSABLE_SORT: (1.0, 3.0)}, 2),
+            ("c", 5, 1_000, {K.DECOMPOSABLE_SORT: (2.0, 2.0)}, 1),
         ]
 
 
