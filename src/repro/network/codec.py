@@ -9,12 +9,19 @@ rather than size-estimated:
 * :class:`StringCodec` — JSON text.  Disco "uses strings to send events
   and messages between nodes", which is why its traffic is higher for the
   same payload (Fig 11b).
+
+Every frame kind but the partial batch is described once, in
+:data:`_FRAMES`: its tag, its name in string frames, and its fields in
+wire order.  Both codecs read that table; the partial batch — the frame
+of every tick — and the event row keep hand-packed paths.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
+from operator import attrgetter, itemgetter
 from typing import Any
 
 from repro.core.errors import CodecError
@@ -41,16 +48,6 @@ from repro.network.messages import (
 __all__ = ["Codec", "BinaryCodec", "StringCodec", "FRAME_HEADER_BYTES"]
 
 _TAG_PARTIAL = 1
-_TAG_EVENTS = 2
-_TAG_WINDOW = 3
-_TAG_CONTROL = 4
-_TAG_SEQUENCED = 5
-_TAG_ACK = 6
-_TAG_RESYNC = 7
-_TAG_CHECKPOINT = 8
-_TAG_SNAPSHOT = 9
-_TAG_SHARD_BATCH = 10
-_TAG_SHARD_RESULT = 11
 
 #: wire overhead a :class:`SequencedMessage` envelope adds to its inner
 #: message in the binary codec: tag (u8) + epoch (u32) + seq (i64).
@@ -65,8 +62,8 @@ _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 
-# The slice-record path packs and unpacks one Struct per fixed-layout
-# stretch: a call per stretch, not per field, is where its speed comes
+# The hand-packed paths pack and unpack one Struct per fixed-layout
+# stretch: a call per stretch, not per field, is where their speed comes
 # from.  The layout itself is pinned by tests/network/test_wire_golden.py.
 _BATCH_HEAD = struct.Struct(">Hqq")  # group id, first slice seq, covered_to
 _RECORD_HEAD = struct.Struct(">qqH")  # start, end, context count
@@ -79,27 +76,297 @@ _OP_I64 = struct.Struct(">Bq")  # op code, count
 _OP_EXTREMA = struct.Struct(">BBdd")  # op code, present, min, max
 _TIMED_PAIR = struct.Struct(">qd")
 _F64_PAIR = struct.Struct(">dd")
+_EVENT_HEAD = struct.Struct(">qH")  # time, key length
+_EVENT_TAIL = struct.Struct(">dB")  # value, marker present
 
 _FLOAT_OPS = frozenset(
     (OperatorKind.SUM, OperatorKind.MULTIPLICATION, OperatorKind.SUM_OF_SQUARES)
 )
 
-#: bound on the float-array Struct memo: partial batches reuse a handful
-#: of run lengths, but raw value arrays can take any length — beyond the
-#: bound, odd sizes fall back to one-shot pack/unpack instead of growing
-#: the table forever.
-_FLOAT_STRUCT_CACHE_MAX = 256
-_float_structs: dict[int, struct.Struct] = {}
+#: bound on each run field's Struct memo: partial batches reuse a handful
+#: of run lengths, but raw value arrays and shard columns can take any
+#: length — beyond the bound, odd sizes are compiled per call instead of
+#: growing the table forever.
+_RUN_STRUCT_CACHE_MAX = 256
+
+#: what ``struct``, ``str.encode`` and ``json.dumps`` raise for a field
+#: its frame cannot carry (out of range, wrong type, not serializable)
+_ENCODE_ERRORS = (struct.error, TypeError, ValueError, OverflowError, LookupError)
 
 
-def _float_struct(n: int) -> struct.Struct:
-    """A cached big-endian ``n``-float Struct (compiled format strings)."""
-    cached = _float_structs.get(n)
-    if cached is None:
-        cached = struct.Struct(f">{n}d")
-        if len(_float_structs) < _FLOAT_STRUCT_CACHE_MAX:
-            _float_structs[n] = cached
-    return cached
+class _Field:
+    """One field kind: packs a value's bytes, reads them back, and gives
+    its JSON form (``None`` where the value is its own JSON form; only the
+    kinds Disco's frames carry define another).  ``code`` is the ``struct``
+    code of a fixed-size scalar, so runs of them pack as one Struct."""
+
+    __slots__ = ("pack", "read", "to_json", "from_json", "code")
+
+    def __init__(self, pack, read, to_json=None, from_json=None, code=None):
+        self.pack = pack  # (value, append) -> None
+        self.read = read  # (data, pos) -> (value, pos after it)
+        self.to_json = to_json
+        self.from_json = from_json
+        self.code = code
+
+
+def _scalar(code: str) -> _Field:
+    fmt = struct.Struct(">" + code)
+    size = fmt.size
+
+    def pack(value, append):
+        append(fmt.pack(value))
+
+    def read(data, pos):
+        return fmt.unpack_from(data, pos)[0], pos + size
+
+    return _Field(pack, read, code=code)
+
+
+def _pack_text(value: str, append) -> None:
+    raw = value.encode("utf-8")
+    append(_U16.pack(len(raw)))
+    append(raw)
+
+
+def _read_text(data: bytes, pos: int) -> tuple[str, int]:
+    """The length-prefixed UTF-8 string at ``pos`` and the position after
+    it; a slice past the end would come back short without complaint, so
+    the length is checked here."""
+    (size,) = _U16.unpack_from(data, pos)
+    end = pos + 2 + size
+    if end > len(data):
+        raise CodecError(f"truncated message: {size}-byte text cut short")
+    return data[pos + 2 : end].decode("utf-8"), end
+
+
+def _json_blob(sort_keys: bool) -> _Field:
+    """A ``>I`` length and UTF-8 JSON text; in string frames the value
+    itself."""
+
+    def pack(value, append):
+        raw = json.dumps(value, sort_keys=sort_keys).encode("utf-8")
+        append(_U32.pack(len(raw)))
+        append(raw)
+
+    def read(data, pos):
+        (size,) = _U32.unpack_from(data, pos)
+        end = pos + 4 + size
+        if end > len(data):
+            raise CodecError(f"truncated message: {size}-byte JSON cut short")
+        return json.loads(data[pos + 4 : end].decode("utf-8")), end
+
+    return _Field(pack, read)
+
+
+def _run(count: str, code: str) -> _Field:
+    """A counted run of one scalar type (``code`` with its byte order),
+    packed and unpacked by one Struct per length."""
+    head = struct.Struct(count)
+    order, kind = code[0], code[1:]
+    structs: dict[int, struct.Struct] = {}
+
+    def compiled(n):
+        fmt = structs.get(n)
+        if fmt is None:
+            fmt = struct.Struct(f"{order}{n}{kind}")
+            if len(structs) < _RUN_STRUCT_CACHE_MAX:
+                structs[n] = fmt
+        return fmt
+
+    def pack(values, append):
+        append(head.pack(len(values)))
+        append(compiled(len(values)).pack(*values))
+
+    def read(data, pos):
+        (n,) = head.unpack_from(data, pos)
+        fmt = compiled(n)
+        pos += head.size
+        return list(fmt.unpack_from(data, pos)), pos + fmt.size
+
+    return _Field(pack, read)
+
+
+def _maybe(field: _Field) -> _Field:
+    """``None`` as a 0 byte, anything else as a 1 byte and the value."""
+    inner_pack, inner_read = field.pack, field.read
+
+    def pack(value, append):
+        if value is None:
+            append(b"\x00")
+        else:
+            append(b"\x01")
+            inner_pack(value, append)
+
+    def read(data, pos):
+        if data[pos]:
+            return inner_read(data, pos + 1)
+        return None, pos + 1
+
+    def to_json(value):
+        return None if value is None else field.to_json(value)
+
+    def from_json(value):
+        return None if value is None else field.from_json(value)
+
+    return _Field(pack, read, field.to_json and to_json, field.from_json and from_json)
+
+
+def _seq(count: str, item: _Field, make=list) -> _Field:
+    """A counted sequence of ``item``s, read back into ``make``."""
+    head = struct.Struct(count)
+    item_pack, item_read = item.pack, item.read
+
+    def pack(values, append):
+        append(head.pack(len(values)))
+        for value in values:
+            item_pack(value, append)
+
+    def read(data, pos):
+        (n,) = head.unpack_from(data, pos)
+        pos += head.size
+        values = []
+        for _ in range(n):
+            value, pos = item_read(data, pos)
+            values.append(value)
+        return (values if make is list else make(values)), pos
+
+    return _Field(pack, read)
+
+
+def _map(count: str, key: _Field, value: _Field) -> _Field:
+    """A counted map: each entry its key, then its value."""
+    head = struct.Struct(count)
+    key_pack, key_read, value_pack, value_read = key.pack, key.read, value.pack, value.read
+
+    def pack(entries, append):
+        append(head.pack(len(entries)))
+        for k, v in entries.items():
+            key_pack(k, append)
+            value_pack(v, append)
+
+    def read(data, pos):
+        (n,) = head.unpack_from(data, pos)
+        pos += head.size
+        entries = {}
+        for _ in range(n):
+            k, pos = key_read(data, pos)
+            entries[k], pos = value_read(data, pos)
+        return entries, pos
+
+    return _Field(pack, read)
+
+
+def _row(*items: _Field) -> _Field:
+    """A tuple of ``items``; one Struct when every item is a scalar."""
+    if all(item.code for item in items):
+        fmt = struct.Struct(">" + "".join(item.code for item in items))
+        size = fmt.size
+
+        def pack(value, append):
+            append(fmt.pack(*value))
+
+        def read(data, pos):
+            return fmt.unpack_from(data, pos), pos + size
+
+        return _Field(pack, read)
+
+    packs = [item.pack for item in items]
+    reads = [item.read for item in items]
+
+    def pack(value, append):
+        for item_pack, part in zip(packs, value):
+            item_pack(part, append)
+
+    def read(data, pos):
+        parts = []
+        for item_read in reads:
+            part, pos = item_read(data, pos)
+            parts.append(part)
+        return tuple(parts), pos
+
+    return _Field(pack, read)
+
+
+def _pack_ops(ops: dict[OperatorKind, Any], append) -> None:
+    append(_U8.pack(len(ops)))
+    for kind, partial in ops.items():
+        code = _OP_CODES[kind]
+        if kind in _FLOAT_OPS:
+            append(_OP_F64.pack(code, float(partial)))
+        elif kind is OperatorKind.COUNT:
+            append(_OP_I64.pack(code, int(partial)))
+        elif kind is OperatorKind.DECOMPOSABLE_SORT:
+            if partial is None:
+                append(bytes((code, 0)))
+            else:
+                append(_OP_EXTREMA.pack(code, 1, partial[0], partial[1]))
+        else:  # NON_DECOMPOSABLE_SORT: a float run
+            append(_U8.pack(code))
+            _floats.pack(partial, append)
+
+
+def _read_ops(data: bytes, pos: int) -> tuple[dict[OperatorKind, Any], int]:
+    """The op-set at ``pos`` and the position after it.  Single bytes are
+    read by indexing, payloads by one ``unpack_from`` each: both raise on
+    a short buffer (see :meth:`BinaryCodec.decode`)."""
+    ops: dict[OperatorKind, Any] = {}
+    count = data[pos]
+    pos += 1
+    for _ in range(count):
+        kind = _OP_KINDS[data[pos]]
+        if kind in _FLOAT_OPS:
+            (ops[kind],) = _F64.unpack_from(data, pos + 1)
+            pos += 9
+        elif kind is OperatorKind.COUNT:
+            (ops[kind],) = _I64.unpack_from(data, pos + 1)
+            pos += 9
+        elif kind is OperatorKind.DECOMPOSABLE_SORT:
+            if data[pos + 1]:
+                ops[kind] = _F64_PAIR.unpack_from(data, pos + 2)
+                pos += 18
+            else:
+                ops[kind] = None
+                pos += 2
+        else:
+            ops[kind], pos = _floats.read(data, pos + 1)
+    return ops, pos
+
+
+def _ops_to_jsonable(ops: dict[OperatorKind, Any]) -> dict[str, Any]:
+    return {kind.value: partial for kind, partial in ops.items()}
+
+
+def _ops_from_jsonable(data: dict[str, Any]) -> dict[OperatorKind, Any]:
+    out: dict[OperatorKind, Any] = {}
+    for key, partial in data.items():
+        kind = OperatorKind(key)
+        if kind is OperatorKind.DECOMPOSABLE_SORT and partial is not None:
+            partial = tuple(partial)
+        out[kind] = partial
+    return out
+
+
+def _pack_records(records: list[SliceRecord], append) -> None:
+    append(_U32.pack(len(records)))
+    for record in records:
+        contexts = record.contexts
+        append(_RECORD_HEAD.pack(record.start, record.end, len(contexts)))
+        for ctx, part in contexts.items():
+            span, timed = part.span, part.timed
+            flags = (span is not None) | (timed is not None) << 1
+            append(_CONTEXT_HEAD.pack(ctx, part.count, flags))
+            if span is not None:
+                append(_SPAN.pack(span[0], span[1]))
+            _pack_ops(part.ops, append)
+            if timed is not None:
+                append(_U32.pack(len(timed)))
+                for time, value in timed:
+                    append(_TIMED_PAIR.pack(time, value))
+        append(_U16.pack(len(record.userdef_eps)))
+        for query_id, end in record.userdef_eps:
+            _pack_text(query_id, append)
+            append(_I64.pack(end))
 
 
 def _read_records(data: bytes, pos: int) -> tuple[list[SliceRecord], int]:
@@ -145,6 +412,23 @@ def _read_records(data: bytes, pos: int) -> tuple[list[SliceRecord], int]:
     return records, pos
 
 
+def _pack_partial(msg: PartialBatchMessage, append) -> None:
+    append(b"\x01")  # _TAG_PARTIAL
+    _pack_text(msg.sender, append)
+    append(_BATCH_HEAD.pack(msg.group_id, msg.first_slice_seq, msg.covered_to))
+    _pack_records(msg.records, append)
+    # Shed-coverage report is a trailing optional block: absent when
+    # nothing was shed, so overload-free traffic stays byte-identical.
+    # Partial batches are always tail-positioned (a sequenced frame
+    # encodes its inner message last), which makes presence detectable
+    # from the remaining buffer length.
+    if msg.shed:
+        append(_U32.pack(len(msg.shed)))
+        for node_id, start, end in msg.shed:
+            _pack_text(node_id, append)
+            append(_SPAN.pack(start, end))
+
+
 def _read_partial(data: bytes, pos: int) -> tuple[PartialBatchMessage, int]:
     """The partial batch whose tag ends at ``pos``, and the position after
     it (its optional shed block runs to the end of the frame)."""
@@ -165,145 +449,356 @@ def _read_partial(data: bytes, pos: int) -> tuple[PartialBatchMessage, int]:
     return PartialBatchMessage(sender, group_id, first_seq, covered, records, shed), pos
 
 
-def _read_ops(data: bytes, pos: int) -> tuple[dict[OperatorKind, Any], int]:
-    """The op-set at ``pos`` and the position after it.  Single bytes are
-    read by indexing, payloads by one ``unpack_from`` each: both raise on
-    a short buffer (see :meth:`BinaryCodec.decode`)."""
-    ops: dict[OperatorKind, Any] = {}
-    count = data[pos]
-    pos += 1
-    for _ in range(count):
-        kind = _OP_KINDS[data[pos]]
-        if kind in _FLOAT_OPS:
-            (ops[kind],) = _F64.unpack_from(data, pos + 1)
-            pos += 9
-        elif kind is OperatorKind.COUNT:
-            (ops[kind],) = _I64.unpack_from(data, pos + 1)
-            pos += 9
-        elif kind is OperatorKind.DECOMPOSABLE_SORT:
-            if data[pos + 1]:
-                ops[kind] = _F64_PAIR.unpack_from(data, pos + 2)
-                pos += 18
-            else:
-                ops[kind] = None
-                pos += 2
+def _pack_events(events: list[Event], append) -> None:
+    """The event rows: time, key, value, and the marker when there is one
+    (a raw event frame carries thousands, so they are packed by hand)."""
+    append(_U32.pack(len(events)))
+    for event in events:
+        key = event.key.encode("utf-8")
+        append(_EVENT_HEAD.pack(event.time, len(key)))
+        append(key)
+        marker = event.marker
+        if marker is None:
+            append(_EVENT_TAIL.pack(event.value, 0))
         else:
-            ops[kind], pos = _read_floats(data, pos + 1)
-    return ops, pos
+            append(_EVENT_TAIL.pack(event.value, 1))
+            _pack_text(marker, append)
 
 
-def _read_floats(data: bytes, pos: int) -> tuple[list[float], int]:
-    """The length-prefixed float array at ``pos`` and the position after it."""
-    (size,) = _U32.unpack_from(data, pos)
+def _read_events(data: bytes, pos: int) -> tuple[list[Event], int]:
+    (count,) = _U32.unpack_from(data, pos)
     pos += 4
-    return list(_float_struct(size).unpack_from(data, pos)), pos + 8 * size
+    events = []
+    for _ in range(count):
+        time, size = _EVENT_HEAD.unpack_from(data, pos)
+        pos += 10
+        end = pos + size
+        if end > len(data):
+            raise CodecError(f"truncated message: {size}-byte text cut short")
+        key = data[pos:end].decode("utf-8")
+        value, marked = _EVENT_TAIL.unpack_from(data, end)
+        pos = end + 9
+        marker = None
+        if marked:
+            marker, pos = _read_text(data, pos)
+        events.append(Event(time, key, value, marker))
+    return events, pos
 
 
-def _read_raw(data: bytes, pos: int, size: int) -> tuple[bytes, int]:
-    """``size`` bytes at ``pos`` and the position after them; a slice past
-    the end would come back short without complaint, so the length is
-    checked here."""
-    end = pos + size
-    if end > len(data):
-        raise CodecError(f"truncated message: {size}-byte block cut short")
-    return data[pos:end], end
+def _events_to_json(events: list[Event]) -> list[list[Any]]:
+    return [[e.time, e.key, e.value, e.marker] for e in events]
 
 
-def _read_text(data: bytes, pos: int) -> tuple[str, int]:
-    """The length-prefixed UTF-8 string at ``pos`` and the position after it."""
-    (size,) = _U16.unpack_from(data, pos)
-    raw, end = _read_raw(data, pos + 2, size)
-    return raw.decode("utf-8"), end
+def _events_from_json(rows: list[list[Any]]) -> list[Event]:
+    events = []
+    for row in rows:
+        time, key, value, marker = row
+        if (
+            type(time) is not int
+            or type(key) is not str
+            or type(value) not in (float, int)
+            or not (marker is None or type(marker) is str)
+        ):
+            raise TypeError(f"malformed event row: {row!r}")
+        events.append(Event(time, key, value, marker))
+    return events
 
 
-class _Writer:
-    __slots__ = ("parts",)
-
-    def __init__(self) -> None:
-        self.parts: list[bytes] = []
-
-    def u8(self, v: int) -> None:
-        self.parts.append(_U8.pack(v))
-
-    def u16(self, v: int) -> None:
-        self.parts.append(_U16.pack(v))
-
-    def u32(self, v: int) -> None:
-        self.parts.append(_U32.pack(v))
-
-    def i64(self, v: int) -> None:
-        self.parts.append(_I64.pack(v))
-
-    def f64(self, v: float) -> None:
-        self.parts.append(_F64.pack(v))
-
-    def text(self, s: str) -> None:
-        raw = s.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise CodecError(f"string too long to encode: {len(raw)} bytes")
-        self.u16(len(raw))
-        self.parts.append(raw)
-
-    def floats(self, values) -> None:
-        self.u32(len(values))
-        self.parts.append(_float_struct(len(values)).pack(*values))
-
-    def column(self, code: str, values) -> None:
-        """One shard-batch column (struct type ``code``), little-endian:
-        these frames never leave the host, and CPython packs ``<q`` about
-        three times faster than ``>q`` on the little-endian hosts it
-        runs on."""
-        self.u32(len(values))
-        self.parts.append(struct.pack(f"<{len(values)}{code}", *values))
-
-    def bytes(self) -> bytes:
-        return b"".join(self.parts)
+def _pack_inner(message: Message, append) -> None:
+    if type(message) is SequencedMessage:
+        raise CodecError("sequenced frames do not nest")
+    _pack_message(message, append)
 
 
-class _Reader:
-    __slots__ = ("data", "pos")
+def _read_inner(data: bytes, pos: int) -> tuple[Message, int]:
+    message, pos = _read_message(data, pos)
+    if type(message) is SequencedMessage:
+        raise CodecError("sequenced frames do not nest")
+    return message, pos
 
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
 
-    def _take(self, fmt: struct.Struct):
-        value = fmt.unpack_from(self.data, self.pos)[0]
-        self.pos += fmt.size
-        return value
+def _inner_to_json(message: Message) -> dict[str, Any]:
+    if type(message) is SequencedMessage:
+        raise CodecError("sequenced frames do not nest")
+    return _to_json(message)
 
-    def u8(self) -> int:
-        return self._take(_U8)
 
-    def u16(self) -> int:
-        return self._take(_U16)
+def _inner_from_json(data: dict[str, Any]) -> Message:
+    message = _from_json(data)
+    if type(message) is SequencedMessage:
+        raise CodecError("sequenced frames do not nest")
+    return message
 
-    def u32(self) -> int:
-        return self._take(_U32)
 
-    def i64(self) -> int:
-        return self._take(_I64)
+_u16 = _scalar("H")
+_u32 = _scalar("I")
+_i64 = _scalar("q")
+_text = _Field(_pack_text, _read_text)
+_floats = _run(">I", ">d")
+_ops = _Field(_pack_ops, _read_ops, _ops_to_jsonable, _ops_from_jsonable)
+_records = _Field(_pack_records, _read_records)
+_events = _Field(_pack_events, _read_events, _events_to_json, _events_from_json)
+_inner = _Field(_pack_inner, _read_inner, _inner_to_json, _inner_from_json)
+#: a flag bit of its layout's flags byte that carries no bytes of its own:
+#: the value is ``True`` when the bit is set, ``False`` when it is not
+_bit = _Field(None, None)
+#: marks where a layout's flags byte sits; each ``(name, _bit)`` and
+#: ``(name, field, absent)`` entry is a bit of it, in order (1, 2, 4, ...),
+#: and a flagged field's bytes follow only when its value is not ``absent``
+_FLAGS = object()
 
-    def f64(self) -> float:
-        return self._take(_F64)
 
-    def raw(self, n: int) -> bytes:
-        raw, self.pos = _read_raw(self.data, self.pos, n)
-        return raw
+def _getter(make, names: list[str]):
+    """``make(*names)`` (an ``attrgetter`` or ``itemgetter``) that returns
+    a tuple for a single name too."""
+    get = make(*names)
+    return get if len(names) > 1 else lambda obj: (get(obj),)
 
-    def text(self) -> str:
-        text, self.pos = _read_text(self.data, self.pos)
-        return text
 
-    def floats(self) -> list[float]:
-        values, self.pos = _read_floats(self.data, self.pos)
-        return values
+class _Layout(_Field):
+    """An object's fields in wire order, read back by keyword.  Each
+    entry is ``(name, field)``, the flags byte ``_FLAGS``, or a flagged
+    ``(name, field, absent)``; adjacent scalars pack as one Struct."""
 
-    def column(self, code: str) -> list:
-        fmt = struct.Struct(f"<{self.u32()}{code}")
-        values = list(fmt.unpack_from(self.data, self.pos))
-        self.pos += fmt.size
-        return values
+    __slots__ = ("cls", "encoders", "decoders")
+
+    def __init__(self, cls, *entries) -> None:
+        super().__init__(self._pack, self._read)
+        self.cls = cls
+        self.encoders: list = []  # (getter, pack(value, append))
+        self.decoders: list = []  # decode(data, pos, kw) -> pos
+        flagged = [
+            (entry[0], 1 << bit, entry[2] if len(entry) == 3 else False)
+            for bit, entry in enumerate(
+                e for e in entries if e is not _FLAGS and (len(e) == 3 or e[1] is _bit)
+            )
+        ]
+        scalars: list[tuple[str, _Field]] = []
+        for entry in entries:
+            if entry is not _FLAGS and len(entry) == 2 and entry[1].code:
+                scalars.append(entry)
+                continue
+            self._add_scalars(scalars)
+            scalars = []
+            if entry is _FLAGS:
+                self._add_flags(flagged)
+            elif len(entry) == 3:
+                self._add_flagged(*entry)
+            elif entry[1] is not _bit:
+                self._add(*entry)
+        self._add_scalars(scalars)
+
+    def _add(self, name: str, field: _Field) -> None:
+        read = field.read
+
+        def decode(data, pos, kw):
+            kw[name], pos = read(data, pos)
+            return pos
+
+        self.encoders.append((attrgetter(name), field.pack))
+        self.decoders.append(decode)
+
+    def _add_scalars(self, scalars: list[tuple[str, _Field]]) -> None:
+        if not scalars:
+            return
+        names = [name for name, _ in scalars]
+        fmt = struct.Struct(">" + "".join(field.code for _, field in scalars))
+        size = fmt.size
+
+        def encode(values, append):
+            append(fmt.pack(*values))
+
+        def decode(data, pos, kw):
+            kw.update(zip(names, fmt.unpack_from(data, pos)))
+            return pos + size
+
+        self.encoders.append((_getter(attrgetter, names), encode))
+        self.decoders.append(decode)
+
+    def _add_flags(self, flagged: list[tuple[str, int, Any]]) -> None:
+        def encode(values, append):
+            flags = 0
+            for (_, bit, absent), value in zip(flagged, values):
+                if value != absent:
+                    flags |= bit
+            append(_U8.pack(flags))
+
+        def decode(data, pos, kw):
+            flags = data[pos]
+            for name, bit, _ in flagged:
+                kw[name] = bool(flags & bit)
+            return pos + 1
+
+        self.encoders.append((_getter(attrgetter, [n for n, _, _ in flagged]), encode))
+        self.decoders.append(decode)
+
+    def _add_flagged(self, name: str, field: _Field, absent: Any) -> None:
+        pack, read = field.pack, field.read
+
+        def encode(value, append):
+            if value != absent:
+                pack(value, append)
+
+        def decode(data, pos, kw):
+            if kw[name]:
+                kw[name], pos = read(data, pos)
+            else:
+                kw[name] = absent
+            return pos
+
+        self.encoders.append((attrgetter(name), encode))
+        self.decoders.append(decode)
+
+    def _pack(self, obj, append) -> None:
+        for get, pack in self.encoders:
+            pack(get(obj), append)
+
+    def _read(self, data: bytes, pos: int):
+        kw: dict[str, Any] = {}
+        for decode in self.decoders:
+            pos = decode(data, pos, kw)
+        return self.cls(**kw), pos
+
+
+class _Frame(_Layout):
+    """A message kind: its tag byte, its layout, and its name in string
+    frames (``None`` where Disco never sends it), whose JSON object holds
+    every field under its name, in its JSON form."""
+
+    __slots__ = ("tag", "name", "json_out", "take_all", "json_in")
+
+    def __init__(self, cls, tag: int, name: str | None, *entries) -> None:
+        super().__init__(cls, *entries)
+        self.tag = bytes((tag,))
+        self.name = name
+        fields = {entry[0]: entry[1] for entry in entries if entry is not _FLAGS}
+        self.json_out = [(n, field.to_json) for n, field in fields.items()]
+        # read back positionally, in the dataclass's field order
+        order = [f.name for f in dataclasses.fields(cls)]
+        self.take_all = _getter(itemgetter, order)
+        self.json_in = [
+            (i, fields[n].from_json) for i, n in enumerate(order) if fields[n].from_json
+        ]
+
+
+_FRAMES = (
+    _Frame(
+        EventBatchMessage, 2, "events",
+        ("sender", _text), ("covered_to", _i64), ("events", _events),
+    ),
+    _Frame(
+        WindowPartialMessage, 3, "window",
+        ("sender", _text), ("query_id", _text), ("start", _i64), ("end", _i64),
+        ("count", _u32), ("covered_to", _i64), ("ops", _ops),
+        ("values", _maybe(_floats)),
+    ),
+    _Frame(
+        ControlMessage, 4, "control",
+        ("sender", _text), ("kind", _text), ("payload", _json_blob(sort_keys=False)),
+    ),
+    _Frame(
+        SequencedMessage, 5, "sequenced",
+        ("epoch", _u32), ("seq", _i64), ("inner", _inner),
+    ),
+    _Frame(
+        AckMessage, 6, "ack",
+        ("sender", _text), ("epoch", _u32), ("cumulative", _i64),
+        ("selective", _run(">H", ">q")),
+    ),
+    _Frame(
+        ResyncMessage, 7, None,
+        ("sender", _text), ("epoch", _u32),
+        ("entries", _map(">H", _u16, _row(_i64, _i64))),
+        _FLAGS, ("recover", _bit), ("new_parent", _text, ""),
+    ),
+    _Frame(
+        CheckpointMessage, 8, None,
+        ("sender", _text), ("checkpoint_id", _i64), ("at", _i64),
+        ("emit_seq", _i64),
+        ("groups", _map(">H", _u16, _row(_i64, _i64, _i64))),
+        ("cursors", _seq(">I", _row(_u16, _text, _i64, _i64))),
+        ("safe_to", _map(">H", _u16, _i64)),
+    ),
+    _Frame(
+        SnapshotChunk, 9, None,
+        ("sender", _text), ("checkpoint_id", _i64), ("group_id", _u16),
+        ("kind", _text), ("child", _text), ("seq", _i64), ("covered", _i64),
+        ("records", _records), ("state", _maybe(_json_blob(sort_keys=True))),
+    ),
+    # the sharded backend's pipe frames never leave the host: their
+    # columns are little-endian, which CPython packs about three times
+    # faster than big-endian on the little-endian hosts it runs on
+    _Frame(
+        ShardBatchMessage, 10, None,
+        ("seq", _i64),
+        _FLAGS, ("advance_before", _i64, None), ("advance_after", _i64, None),
+        ("close", _bit), ("final_time", _i64, None),
+        ("key_table", _seq(">I", _text)),
+        ("times", _run(">I", "<q")), ("key_index", _run(">I", "<I")),
+        ("values", _run(">I", "<d")),
+        ("markers", _seq(">I", _row(_u32, _text))),
+    ),
+    _Frame(
+        ShardResultMessage, 11, None,
+        ("shard", _u16), ("seq", _i64),
+        _FLAGS, ("done", _bit), ("busy_ns", _i64), ("error", _text, ""),
+        ("stats", _map(">H", _text, _i64)),
+        ("windows", _seq(">I", _Layout(
+            ShardWindowRecord,
+            ("group_id", _u16), ("ctx", _u16), ("start", _i64), ("end", _i64),
+            ("event_count", _u32), ("emitted_at", _i64),
+            ("query_ids", _seq(">H", _text, tuple)), ("ops", _ops),
+        ))),
+    ),
+)
+_BY_CLASS = {frame.cls: frame for frame in _FRAMES}
+_BY_TAG = {frame.tag[0]: frame for frame in _FRAMES}
+_BY_NAME = {frame.name: frame for frame in _FRAMES if frame.name is not None}
+
+
+def _pack_message(message: Message, append) -> None:
+    if type(message) is PartialBatchMessage:
+        _pack_partial(message, append)
+        return
+    frame = _BY_CLASS.get(type(message))
+    if frame is None:
+        raise CodecError(f"cannot encode message type {type(message).__name__}")
+    append(frame.tag)
+    frame.pack(message, append)
+
+
+def _read_message(data: bytes, pos: int) -> tuple[Message, int]:
+    tag = data[pos]
+    if tag == _TAG_PARTIAL:  # the frame of every tick
+        return _read_partial(data, pos + 1)
+    frame = _BY_TAG.get(tag)
+    if frame is None:
+        raise CodecError(f"unknown message tag: {tag}")
+    return frame.read(data, pos + 1)
+
+
+def _to_json(message: Message) -> dict[str, Any]:
+    frame = _BY_CLASS.get(type(message))
+    if frame is None or frame.name is None:
+        raise CodecError(f"cannot encode message type {type(message).__name__}")
+    out: dict[str, Any] = {"type": frame.name}
+    for name, to_json in frame.json_out:
+        value = getattr(message, name)
+        out[name] = value if to_json is None else to_json(value)
+    return out
+
+
+def _from_json(data: dict[str, Any]) -> Message:
+    kind = data.get("type")
+    frame = _BY_NAME.get(kind) if type(kind) is str else None
+    if frame is None:
+        raise CodecError(f"unknown string message type: {kind!r}")
+    args = frame.take_all(data)
+    if frame.json_in:
+        args = list(args)
+        for i, from_json in frame.json_in:
+            args[i] = from_json(args[i])
+    return frame.cls(*args)
 
 
 class Codec:
@@ -323,502 +818,15 @@ class BinaryCodec(Codec):
 
     name = "binary"
 
-    # -- encoding ---------------------------------------------------------------
-
     def encode(self, message: Message) -> bytes:
-        w = _Writer()
-        if isinstance(message, SequencedMessage):
-            self._encode_sequenced(w, message)
-        else:
-            self._encode_any(w, message)
-        return w.bytes()
-
-    def _encode_ops(self, w: _Writer, ops: dict[OperatorKind, Any]) -> None:
-        append = w.parts.append
-        append(_U8.pack(len(ops)))
-        for kind, partial in ops.items():
-            code = _OP_CODES[kind]
-            if kind in _FLOAT_OPS:
-                append(_OP_F64.pack(code, float(partial)))
-            elif kind is OperatorKind.COUNT:
-                append(_OP_I64.pack(code, int(partial)))
-            elif kind is OperatorKind.DECOMPOSABLE_SORT:
-                if partial is None:
-                    append(bytes((code, 0)))
-                else:
-                    append(_OP_EXTREMA.pack(code, 1, partial[0], partial[1]))
-            elif kind is OperatorKind.NON_DECOMPOSABLE_SORT:
-                w.u8(code)
-                w.floats(partial)
-            else:  # pragma: no cover - enum exhaustive
-                raise CodecError(f"cannot encode operator {kind!r}")
-
-    def _decode_ops(self, r: _Reader) -> dict[OperatorKind, Any]:
-        ops, r.pos = _read_ops(r.data, r.pos)
-        return ops
-
-    def _encode_records(self, w: _Writer, records: list[SliceRecord]) -> None:
-        append = w.parts.append
-        append(_U32.pack(len(records)))
-        for record in records:
-            contexts = record.contexts
-            append(_RECORD_HEAD.pack(record.start, record.end, len(contexts)))
-            for ctx, part in contexts.items():
-                span, timed = part.span, part.timed
-                flags = (span is not None) | (timed is not None) << 1
-                append(_CONTEXT_HEAD.pack(ctx, part.count, flags))
-                if span is not None:
-                    append(_SPAN.pack(span[0], span[1]))
-                self._encode_ops(w, part.ops)
-                if timed is not None:
-                    w.u32(len(timed))
-                    for time, value in timed:
-                        w.i64(time)
-                        w.f64(value)
-            append(_U16.pack(len(record.userdef_eps)))
-            for query_id, end in record.userdef_eps:
-                w.text(query_id)
-                w.i64(end)
-
-    def _decode_records(self, r: _Reader) -> list[SliceRecord]:
-        records, r.pos = _read_records(r.data, r.pos)
-        return records
-
-    def _encode_partial(self, w: _Writer, msg: PartialBatchMessage) -> None:
-        w.u8(_TAG_PARTIAL)
-        w.text(msg.sender)
-        w.parts.append(
-            _BATCH_HEAD.pack(msg.group_id, msg.first_slice_seq, msg.covered_to)
-        )
-        self._encode_records(w, msg.records)
-        # Shed-coverage report is a trailing optional block: absent when
-        # nothing was shed, so overload-free traffic stays byte-identical.
-        # Partial batches are always tail-positioned (a sequenced frame
-        # encodes its inner message last), which makes presence detectable
-        # from the remaining buffer length.
-        if msg.shed:
-            w.u32(len(msg.shed))
-            for node_id, start, end in msg.shed:
-                w.text(node_id)
-                w.i64(start)
-                w.i64(end)
-
-    def _decode_partial(self, r: _Reader) -> PartialBatchMessage:
-        message, r.pos = _read_partial(r.data, r.pos)
-        return message
-
-    def _encode_events(self, w: _Writer, msg: EventBatchMessage) -> None:
-        w.u8(_TAG_EVENTS)
-        w.text(msg.sender)
-        w.i64(msg.covered_to)
-        w.u32(len(msg.events))
-        for event in msg.events:
-            w.i64(event.time)
-            w.text(event.key)
-            w.f64(event.value)
-            if event.marker is None:
-                w.u8(0)
-            else:
-                w.u8(1)
-                w.text(event.marker)
-
-    def _decode_events(self, r: _Reader) -> EventBatchMessage:
-        sender = r.text()
-        covered = r.i64()
-        events = []
-        for _ in range(r.u32()):
-            time = r.i64()
-            key = r.text()
-            value = r.f64()
-            marker = r.text() if r.u8() else None
-            events.append(Event(time, key, value, marker))
-        return EventBatchMessage(sender=sender, covered_to=covered, events=events)
-
-    def _encode_window(self, w: _Writer, msg: WindowPartialMessage) -> None:
-        w.u8(_TAG_WINDOW)
-        w.text(msg.sender)
-        w.text(msg.query_id)
-        w.i64(msg.start)
-        w.i64(msg.end)
-        w.u32(msg.count)
-        w.i64(msg.covered_to)
-        self._encode_ops(w, msg.ops)
-        if msg.values is None:
-            w.u8(0)
-        else:
-            w.u8(1)
-            w.floats(msg.values)
-
-    def _decode_window(self, r: _Reader) -> WindowPartialMessage:
-        sender = r.text()
-        query_id = r.text()
-        start = r.i64()
-        end = r.i64()
-        count = r.u32()
-        covered = r.i64()
-        ops = self._decode_ops(r)
-        values = r.floats() if r.u8() else None
-        return WindowPartialMessage(
-            sender=sender,
-            query_id=query_id,
-            start=start,
-            end=end,
-            count=count,
-            covered_to=covered,
-            ops=ops,
-            values=values,
-        )
-
-    def _encode_control(self, w: _Writer, msg: ControlMessage) -> None:
-        w.u8(_TAG_CONTROL)
-        w.text(msg.sender)
-        w.text(msg.kind)
+        """The frame of ``message``; a field its frame cannot carry (out
+        of its wire range, or not JSON-serializable) raises ``CodecError``."""
+        parts: list[bytes] = []
         try:
-            payload = json.dumps(msg.payload)
-        except TypeError as exc:
-            raise CodecError(f"control payload not JSON-serializable: {exc}") from exc
-        raw = payload.encode("utf-8")
-        w.u32(len(raw))
-        w.parts.append(raw)
-
-    def _decode_control(self, r: _Reader) -> ControlMessage:
-        sender = r.text()
-        kind = r.text()
-        raw = r.raw(r.u32())
-        return ControlMessage(
-            sender=sender, kind=kind, payload=json.loads(raw.decode("utf-8"))
-        )
-
-    def _encode_sequenced(self, w: _Writer, msg: SequencedMessage) -> None:
-        if isinstance(msg.inner, SequencedMessage):
-            raise CodecError("sequenced frames do not nest")
-        w.u8(_TAG_SEQUENCED)
-        w.u32(msg.epoch)
-        w.i64(msg.seq)
-        self._encode_any(w, msg.inner)
-
-    def _decode_sequenced(self, r: _Reader) -> SequencedMessage:
-        epoch = r.u32()
-        seq = r.i64()
-        inner = self._decode_any(r)
-        if isinstance(inner, SequencedMessage):
-            raise CodecError("sequenced frames do not nest")
-        return SequencedMessage(epoch=epoch, seq=seq, inner=inner)
-
-    def _encode_ack(self, w: _Writer, msg: AckMessage) -> None:
-        w.u8(_TAG_ACK)
-        w.text(msg.sender)
-        w.u32(msg.epoch)
-        w.i64(msg.cumulative)
-        w.u16(len(msg.selective))
-        for seq in msg.selective:
-            w.i64(seq)
-
-    def _decode_ack(self, r: _Reader) -> AckMessage:
-        sender = r.text()
-        epoch = r.u32()
-        cumulative = r.i64()
-        selective = [r.i64() for _ in range(r.u16())]
-        return AckMessage(
-            sender=sender, epoch=epoch, cumulative=cumulative, selective=selective
-        )
-
-    def _encode_resync(self, w: _Writer, msg: ResyncMessage) -> None:
-        w.u8(_TAG_RESYNC)
-        w.text(msg.sender)
-        w.u32(msg.epoch)
-        w.u16(len(msg.entries))
-        for group_id, (next_seq, covered_to) in msg.entries.items():
-            w.u16(group_id)
-            w.i64(next_seq)
-            w.i64(covered_to)
-        flags = (1 if msg.recover else 0) | (2 if msg.new_parent else 0)
-        w.u8(flags)
-        if msg.new_parent:
-            w.text(msg.new_parent)
-
-    def _decode_resync(self, r: _Reader) -> ResyncMessage:
-        sender = r.text()
-        epoch = r.u32()
-        entries = {}
-        for _ in range(r.u16()):
-            group_id = r.u16()
-            entries[group_id] = (r.i64(), r.i64())
-        flags = r.u8()
-        new_parent = r.text() if flags & 2 else ""
-        return ResyncMessage(
-            sender=sender,
-            epoch=epoch,
-            entries=entries,
-            recover=bool(flags & 1),
-            new_parent=new_parent,
-        )
-
-    def _encode_checkpoint(self, w: _Writer, msg: CheckpointMessage) -> None:
-        w.u8(_TAG_CHECKPOINT)
-        w.text(msg.sender)
-        w.i64(msg.checkpoint_id)
-        w.i64(msg.at)
-        w.i64(msg.emit_seq)
-        w.u16(len(msg.groups))
-        for group_id, (ship_seq, floor, forwarded) in msg.groups.items():
-            w.u16(group_id)
-            w.i64(ship_seq)
-            w.i64(floor)
-            w.i64(forwarded)
-        w.u32(len(msg.cursors))
-        for group_id, child, next_seq, covered in msg.cursors:
-            w.u16(group_id)
-            w.text(child)
-            w.i64(next_seq)
-            w.i64(covered)
-        w.u16(len(msg.safe_to))
-        for group_id, safe in msg.safe_to.items():
-            w.u16(group_id)
-            w.i64(safe)
-
-    def _decode_checkpoint(self, r: _Reader) -> CheckpointMessage:
-        sender = r.text()
-        checkpoint_id = r.i64()
-        at = r.i64()
-        emit_seq = r.i64()
-        groups = {}
-        for _ in range(r.u16()):
-            group_id = r.u16()
-            groups[group_id] = (r.i64(), r.i64(), r.i64())
-        cursors = []
-        for _ in range(r.u32()):
-            group_id = r.u16()
-            child = r.text()
-            cursors.append((group_id, child, r.i64(), r.i64()))
-        safe_to = {}
-        for _ in range(r.u16()):
-            group_id = r.u16()
-            safe_to[group_id] = r.i64()
-        return CheckpointMessage(
-            sender=sender,
-            checkpoint_id=checkpoint_id,
-            at=at,
-            emit_seq=emit_seq,
-            groups=groups,
-            cursors=cursors,
-            safe_to=safe_to,
-        )
-
-    def _encode_snapshot(self, w: _Writer, msg: SnapshotChunk) -> None:
-        w.u8(_TAG_SNAPSHOT)
-        w.text(msg.sender)
-        w.i64(msg.checkpoint_id)
-        w.u16(msg.group_id)
-        w.text(msg.kind)
-        w.text(msg.child)
-        w.i64(msg.seq)
-        w.i64(msg.covered)
-        self._encode_records(w, msg.records)
-        if msg.state is None:
-            w.u8(0)
-        else:
-            w.u8(1)
-            try:
-                raw = json.dumps(msg.state, sort_keys=True).encode("utf-8")
-            except TypeError as exc:
-                raise CodecError(
-                    f"snapshot state not JSON-serializable: {exc}"
-                ) from exc
-            w.u32(len(raw))
-            w.parts.append(raw)
-
-    def _decode_snapshot(self, r: _Reader) -> SnapshotChunk:
-        sender = r.text()
-        checkpoint_id = r.i64()
-        group_id = r.u16()
-        kind = r.text()
-        child = r.text()
-        seq = r.i64()
-        covered = r.i64()
-        records = self._decode_records(r)
-        state = None
-        if r.u8():
-            state = json.loads(r.raw(r.u32()).decode("utf-8"))
-        return SnapshotChunk(
-            sender=sender,
-            checkpoint_id=checkpoint_id,
-            group_id=group_id,
-            kind=kind,
-            child=child,
-            seq=seq,
-            covered=covered,
-            records=records,
-            state=state,
-        )
-
-    def _encode_shard_batch(self, w: _Writer, msg: ShardBatchMessage) -> None:
-        w.u8(_TAG_SHARD_BATCH)
-        w.i64(msg.seq)
-        flags = (
-            (1 if msg.advance_before is not None else 0)
-            | (2 if msg.advance_after is not None else 0)
-            | (4 if msg.close else 0)
-            | (8 if msg.final_time is not None else 0)
-        )
-        w.u8(flags)
-        if msg.advance_before is not None:
-            w.i64(msg.advance_before)
-        if msg.advance_after is not None:
-            w.i64(msg.advance_after)
-        if msg.final_time is not None:
-            w.i64(msg.final_time)
-        w.u32(len(msg.key_table))
-        for key in msg.key_table:
-            w.text(key)
-        w.column("q", msg.times)
-        w.column("I", msg.key_index)
-        w.column("d", msg.values)
-        w.u32(len(msg.markers))
-        for row, marker in msg.markers:
-            w.u32(row)
-            w.text(marker)
-
-    def _decode_shard_batch(self, r: _Reader) -> ShardBatchMessage:
-        seq = r.i64()
-        flags = r.u8()
-        advance_before = r.i64() if flags & 1 else None
-        advance_after = r.i64() if flags & 2 else None
-        final_time = r.i64() if flags & 8 else None
-        key_table = [r.text() for _ in range(r.u32())]
-        times = r.column("q")
-        key_index = r.column("I")
-        values = r.column("d")
-        markers = [(r.u32(), r.text()) for _ in range(r.u32())]
-        return ShardBatchMessage(
-            seq=seq,
-            advance_before=advance_before,
-            advance_after=advance_after,
-            close=bool(flags & 4),
-            final_time=final_time,
-            times=times,
-            values=values,
-            key_table=key_table,
-            key_index=key_index,
-            markers=markers,
-        )
-
-    def _encode_shard_result(self, w: _Writer, msg: ShardResultMessage) -> None:
-        w.u8(_TAG_SHARD_RESULT)
-        w.u16(msg.shard)
-        w.i64(msg.seq)
-        flags = (1 if msg.done else 0) | (2 if msg.error else 0)
-        w.u8(flags)
-        w.i64(msg.busy_ns)
-        if msg.error:
-            w.text(msg.error)
-        w.u16(len(msg.stats))
-        for name, value in msg.stats.items():
-            w.text(name)
-            w.i64(value)
-        w.u32(len(msg.windows))
-        for rec in msg.windows:
-            w.u16(rec.group_id)
-            w.u16(rec.ctx)
-            w.i64(rec.start)
-            w.i64(rec.end)
-            w.u32(rec.event_count)
-            w.i64(rec.emitted_at)
-            w.u16(len(rec.query_ids))
-            for query_id in rec.query_ids:
-                w.text(query_id)
-            self._encode_ops(w, rec.ops)
-
-    def _decode_shard_result(self, r: _Reader) -> ShardResultMessage:
-        shard = r.u16()
-        seq = r.i64()
-        flags = r.u8()
-        busy_ns = r.i64()
-        error = r.text() if flags & 2 else ""
-        stats = {r.text(): r.i64() for _ in range(r.u16())}
-        windows = []
-        for _ in range(r.u32()):
-            group_id = r.u16()
-            ctx = r.u16()
-            start = r.i64()
-            end = r.i64()
-            event_count = r.u32()
-            emitted_at = r.i64()
-            query_ids = tuple(r.text() for _ in range(r.u16()))
-            ops = self._decode_ops(r)
-            windows.append(
-                ShardWindowRecord(
-                    group_id=group_id,
-                    ctx=ctx,
-                    start=start,
-                    end=end,
-                    event_count=event_count,
-                    emitted_at=emitted_at,
-                    query_ids=query_ids,
-                    ops=ops,
-                )
-            )
-        return ShardResultMessage(
-            shard=shard,
-            seq=seq,
-            windows=windows,
-            done=bool(flags & 1),
-            busy_ns=busy_ns,
-            stats=stats,
-            error=error,
-        )
-
-    # -- decoding ----------------------------------------------------------------
-
-    def _encode_any(self, w: _Writer, message: Message) -> None:
-        if isinstance(message, PartialBatchMessage):
-            self._encode_partial(w, message)
-        elif isinstance(message, EventBatchMessage):
-            self._encode_events(w, message)
-        elif isinstance(message, WindowPartialMessage):
-            self._encode_window(w, message)
-        elif isinstance(message, ControlMessage):
-            self._encode_control(w, message)
-        elif isinstance(message, AckMessage):
-            self._encode_ack(w, message)
-        elif isinstance(message, ResyncMessage):
-            self._encode_resync(w, message)
-        elif isinstance(message, CheckpointMessage):
-            self._encode_checkpoint(w, message)
-        elif isinstance(message, SnapshotChunk):
-            self._encode_snapshot(w, message)
-        elif isinstance(message, ShardBatchMessage):
-            self._encode_shard_batch(w, message)
-        elif isinstance(message, ShardResultMessage):
-            self._encode_shard_result(w, message)
-        else:
-            raise CodecError(f"cannot encode message type {type(message).__name__}")
-
-    def _decode_any(self, r: _Reader) -> Message:
-        tag = r.u8()
-        if tag == _TAG_PARTIAL:
-            return self._decode_partial(r)
-        if tag == _TAG_EVENTS:
-            return self._decode_events(r)
-        if tag == _TAG_WINDOW:
-            return self._decode_window(r)
-        if tag == _TAG_CONTROL:
-            return self._decode_control(r)
-        if tag == _TAG_SEQUENCED:
-            return self._decode_sequenced(r)
-        if tag == _TAG_ACK:
-            return self._decode_ack(r)
-        if tag == _TAG_RESYNC:
-            return self._decode_resync(r)
-        if tag == _TAG_CHECKPOINT:
-            return self._decode_checkpoint(r)
-        if tag == _TAG_SNAPSHOT:
-            return self._decode_snapshot(r)
-        if tag == _TAG_SHARD_BATCH:
-            return self._decode_shard_batch(r)
-        if tag == _TAG_SHARD_RESULT:
-            return self._decode_shard_result(r)
-        raise CodecError(f"unknown message tag: {tag}")
+            _pack_message(message, parts.append)
+        except _ENCODE_ERRORS as exc:
+            raise CodecError(f"cannot encode {type(message).__name__}: {exc}") from exc
+        return b"".join(parts)
 
     def decode(self, data: bytes) -> Message:
         """Decode one whole frame; anything else raises ``CodecError``.
@@ -830,12 +838,7 @@ class BinaryCodec(Codec):
         same batch with nothing shed.
         """
         try:
-            if data[0] == _TAG_PARTIAL:  # the frame of every tick
-                message, pos = _read_partial(data, 1)
-            else:
-                r = _Reader(data)
-                message = self._decode_any(r)
-                pos = r.pos
+            message, pos = _read_message(data, 0)
         except (struct.error, LookupError, ValueError) as exc:
             # LookupError: a byte indexed past the end, or an unknown op
             # code; ValueError: undecodable text, JSON cut short, or
@@ -851,15 +854,19 @@ class StringCodec(Codec):
 
     It carries the frames a Disco deployment sends — window partials and
     control messages, in sequenced frames with acks under a fault plan —
-    and raw event batches; encoding any other message type raises
-    ``CodecError``.
+    and raw event batches, each as a JSON object of its ``_FRAMES``
+    fields; encoding any other message type raises ``CodecError``.
     """
 
     name = "string"
 
     def encode(self, message: Message) -> bytes:
-        payload = _to_jsonable(message)
-        return json.dumps(payload).encode("utf-8")
+        """The JSON text of ``message``; a payload that is not
+        JSON-serializable raises ``CodecError``."""
+        try:
+            return json.dumps(_to_json(message)).encode("utf-8")
+        except _ENCODE_ERRORS as exc:
+            raise CodecError(f"cannot encode {type(message).__name__}: {exc}") from exc
 
     def decode(self, data: bytes) -> Message:
         """Decode one frame; anything malformed raises ``CodecError``:
@@ -867,123 +874,10 @@ class StringCodec(Codec):
         an unknown message type or operator kind, and an event whose
         value is not a number or is NaN."""
         try:
-            return _from_jsonable(json.loads(data.decode("utf-8")))
+            return _from_json(json.loads(data.decode("utf-8")))
         except (LookupError, TypeError, ValueError, AttributeError) as exc:
             # LookupError: a missing key; TypeError / AttributeError: a
             # field of the wrong JSON type; ValueError: undecodable text,
             # an unknown operator kind, a row of the wrong length, or an
             # event value that is NaN (NaNValueError)
             raise CodecError(f"corrupt string message: {exc}") from exc
-
-
-def _ops_to_jsonable(ops: dict[OperatorKind, Any]) -> dict[str, Any]:
-    return {kind.value: partial for kind, partial in ops.items()}
-
-
-def _ops_from_jsonable(data: dict[str, Any]) -> dict[OperatorKind, Any]:
-    out: dict[OperatorKind, Any] = {}
-    for key, partial in data.items():
-        kind = OperatorKind(key)
-        if kind is OperatorKind.DECOMPOSABLE_SORT and partial is not None:
-            partial = tuple(partial)
-        out[kind] = partial
-    return out
-
-
-def _event_from_jsonable(row: list[Any]) -> Event:
-    time, key, value, marker = row
-    if (
-        type(time) is not int
-        or type(key) is not str
-        or type(value) not in (float, int)
-        or not (marker is None or type(marker) is str)
-    ):
-        raise TypeError(f"malformed event row: {row!r}")
-    return Event(time, key, value, marker)
-
-
-def _to_jsonable(message: Message) -> dict[str, Any]:
-    if isinstance(message, EventBatchMessage):
-        return {
-            "type": "events",
-            "sender": message.sender,
-            "covered_to": message.covered_to,
-            "events": [
-                [e.time, e.key, e.value, e.marker] for e in message.events
-            ],
-        }
-    if isinstance(message, WindowPartialMessage):
-        return {
-            "type": "window",
-            "sender": message.sender,
-            "query_id": message.query_id,
-            "start": message.start,
-            "end": message.end,
-            "count": message.count,
-            "covered_to": message.covered_to,
-            "ops": _ops_to_jsonable(message.ops),
-            "values": message.values,
-        }
-    if isinstance(message, ControlMessage):
-        return {
-            "type": "control",
-            "sender": message.sender,
-            "kind": message.kind,
-            "payload": message.payload,
-        }
-    if isinstance(message, SequencedMessage):
-        if isinstance(message.inner, SequencedMessage):
-            raise CodecError("sequenced frames do not nest")
-        return {
-            "type": "sequenced",
-            "epoch": message.epoch,
-            "seq": message.seq,
-            "inner": _to_jsonable(message.inner),
-        }
-    if isinstance(message, AckMessage):
-        return {
-            "type": "ack",
-            "sender": message.sender,
-            "epoch": message.epoch,
-            "cumulative": message.cumulative,
-            "selective": message.selective,
-        }
-    raise CodecError(f"cannot encode message type {type(message).__name__}")
-
-
-def _from_jsonable(data: dict[str, Any]) -> Message:
-    kind = data.get("type")
-    if kind == "events":
-        return EventBatchMessage(
-            sender=data["sender"],
-            covered_to=data["covered_to"],
-            events=[_event_from_jsonable(row) for row in data["events"]],
-        )
-    if kind == "window":
-        return WindowPartialMessage(
-            sender=data["sender"],
-            query_id=data["query_id"],
-            start=data["start"],
-            end=data["end"],
-            count=data["count"],
-            covered_to=data["covered_to"],
-            ops=_ops_from_jsonable(data["ops"]),
-            values=data["values"],
-        )
-    if kind == "control":
-        return ControlMessage(
-            sender=data["sender"], kind=data["kind"], payload=data["payload"]
-        )
-    if kind == "sequenced":
-        inner = _from_jsonable(data["inner"])
-        if isinstance(inner, SequencedMessage):
-            raise CodecError("sequenced frames do not nest")
-        return SequencedMessage(epoch=data["epoch"], seq=data["seq"], inner=inner)
-    if kind == "ack":
-        return AckMessage(
-            sender=data["sender"],
-            epoch=data["epoch"],
-            cumulative=data["cumulative"],
-            selective=list(data["selective"]),
-        )
-    raise CodecError(f"unknown string message type: {kind!r}")

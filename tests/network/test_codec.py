@@ -424,6 +424,40 @@ def test_an_event_frame_holding_a_nan_value_is_a_codec_error():
         codec.decode(frame.replace(value, struct.pack(">d", math.nan)))
 
 
+#: one message per frame kind with one field out of its binary wire range
+OUT_OF_RANGE = [
+    PartialBatchMessage("l", 70_000, 0, 0, []),  # group id: u16
+    EventBatchMessage("l", 2**63, []),  # covered_to: i64
+    WindowPartialMessage("l", "q", 0, 1, -1, 1),  # count: u32
+    ControlMessage("r", "x" * 70_000),  # kind: u16 length
+    SequencedMessage(2**32, 0, ControlMessage("a", "b")),  # epoch: u32
+    AckMessage("a", 0, 0, list(range(70_000))),  # selective: u16 count
+    ResyncMessage("r", epoch=-1),  # epoch: u32
+    CheckpointMessage("r", 1, 0, groups={70_000: (0, 0, 0)}),  # group id: u16
+    SnapshotChunk("r", 1, 0, "pending", seq=2**64),  # seq: i64
+    ShardBatchMessage(seq=0, times=[0], values=[1.0], key_index=[2**32]),  # u32
+    ShardResultMessage(shard=-1, seq=0),  # shard: u16
+]
+
+
+@pytest.mark.parametrize("message", OUT_OF_RANGE, ids=_label)
+def test_a_field_out_of_its_wire_range_is_a_codec_error(message):
+    with pytest.raises(CodecError):
+        BinaryCodec().encode(message)
+    # JSON has no ranges: the string codec carries the message, or refuses
+    # its kind
+    assert_round_trip(StringCodec(), message)
+
+
+@pytest.mark.parametrize("codec", CODECS, ids=lambda c: c.name)
+def test_an_unserializable_payload_is_a_codec_error(codec):
+    message = ControlMessage(sender="r", kind="x", payload={1, 2})
+    with pytest.raises(CodecError):
+        codec.encode(message)
+    with pytest.raises(CodecError):
+        codec.encode(SequencedMessage(epoch=0, seq=1, inner=message))
+
+
 class TestMalformedStringFrames:
     """Hand-edited JSON frames: whatever is wrong with one, decoding it
     raises ``CodecError`` and nothing else."""
