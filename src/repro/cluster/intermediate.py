@@ -85,7 +85,7 @@ class IntermediateNode(Shipper, Merger):
                 if self.liveness is not None:
                     self._beat(message.sender, now, net)
                 net.send(self.node_id, self.parent, message)
-            elif message.kind in ("queries", "topology"):
+            elif message.kind == "queries":
                 for child in self.children:
                     net.send(self.node_id, child, message)
         elif isinstance(message, PartialBatchMessage):

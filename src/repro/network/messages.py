@@ -12,8 +12,8 @@ Four payload families cover every deployment in the evaluation:
 * :class:`WindowPartialMessage` — Disco's per-*window* partial results;
   one message per window per node, which is why Disco's traffic grows with
   the number of concurrent windows (Fig 11d) while Desis' does not.
-* :class:`ControlMessage` — query distribution, topology updates, and
-  heartbeats (Sec 3.2).
+* :class:`ControlMessage` — query distribution (with the topology),
+  heartbeats, query removals, and Disco's progress marks (Sec 3.2).
 
 When a :class:`~repro.network.simnet.FaultPlan` is active, three transport
 types join them (the paper assumes lossless links, Sec 5; we do not):
@@ -164,10 +164,11 @@ class WindowPartialMessage:
 
 @dataclass(slots=True)
 class ControlMessage:
-    """Cluster management traffic (Sec 3.2): queries, topology, heartbeats."""
+    """Cluster management traffic (Sec 3.2): the query set with the
+    topology, heartbeats, query removals, and Disco's progress marks."""
 
     sender: str
-    kind: str  # "queries" | "topology" | "heartbeat" | "query_add" | "query_remove"
+    kind: str  # "queries" | "heartbeat" | "query_remove" | "progress"
     payload: Any = None
 
 
