@@ -1,4 +1,8 @@
-"""Fuzz tests: codecs must fail cleanly on arbitrary bytes."""
+"""Fuzz tests: codecs must fail cleanly on arbitrary bytes.
+
+Each property keeps its example count in tier-1; the nightly hypothesis
+profile (tests/conftest.py) raises every one to its own count.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ from repro.network.codec import BinaryCodec, StringCodec
 from repro.network.messages import Message
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(data=st.binary(max_size=300))
 def test_binary_decode_never_crashes(data):
     """Arbitrary bytes either decode to a message or raise CodecError —
@@ -24,7 +28,7 @@ def test_binary_decode_never_crashes(data):
     assert isinstance(message, Message)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(data=st.binary(max_size=300))
 def test_string_decode_never_crashes(data):
     """JSON that parses but has the wrong shape is a CodecError too."""
@@ -36,7 +40,7 @@ def test_string_decode_never_crashes(data):
     assert isinstance(message, Message)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
 @given(data=st.binary(min_size=1, max_size=300))
 def test_truncations_of_valid_messages_fail_cleanly(data):
     """Prefixes of a real message must raise CodecError, not misparse
@@ -55,7 +59,7 @@ def test_truncations_of_valid_messages_fail_cleanly(data):
         codec.decode(encoded[: len(data) % len(encoded)])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
 @given(data=st.binary(min_size=1, max_size=300))
 def test_truncated_reliability_frames_fail_cleanly(data):
     """The reliable-channel frames get the same truncation guarantee:
@@ -86,7 +90,7 @@ def test_truncated_reliability_frames_fail_cleanly(data):
             codec.decode(encoded[: len(data) % len(encoded)])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
 @given(data=st.binary(min_size=1, max_size=300))
 def test_truncated_checkpoint_messages_fail_cleanly(data):
     """Checkpoint headers and snapshot chunks — the persisted recovery
