@@ -504,30 +504,21 @@ def _events_from_json(rows: list[list[Any]]) -> list[Event]:
     return events
 
 
-def _pack_inner(message: Message, append) -> None:
+def _unnested(message: Message) -> Message:
+    """``message``, which a sequenced frame wraps: anything but another
+    sequenced frame."""
     if type(message) is SequencedMessage:
         raise CodecError("sequenced frames do not nest")
-    _pack_message(message, append)
+    return message
+
+
+def _pack_inner(message: Message, append) -> None:
+    _pack_message(_unnested(message), append)
 
 
 def _read_inner(data: bytes, pos: int) -> tuple[Message, int]:
     message, pos = _read_message(data, pos)
-    if type(message) is SequencedMessage:
-        raise CodecError("sequenced frames do not nest")
-    return message, pos
-
-
-def _inner_to_json(message: Message) -> dict[str, Any]:
-    if type(message) is SequencedMessage:
-        raise CodecError("sequenced frames do not nest")
-    return _to_json(message)
-
-
-def _inner_from_json(data: dict[str, Any]) -> Message:
-    message = _from_json(data)
-    if type(message) is SequencedMessage:
-        raise CodecError("sequenced frames do not nest")
-    return message
+    return _unnested(message), pos
 
 
 _u16 = _scalar("H")
@@ -538,7 +529,11 @@ _floats = _run(">I", ">d")
 _ops = _Field(_pack_ops, _read_ops, _ops_to_jsonable, _ops_from_jsonable)
 _records = _Field(_pack_records, _read_records)
 _events = _Field(_pack_events, _read_events, _events_to_json, _events_from_json)
-_inner = _Field(_pack_inner, _read_inner, _inner_to_json, _inner_from_json)
+_inner = _Field(
+    _pack_inner, _read_inner,
+    lambda message: _to_json(_unnested(message)),
+    lambda data: _unnested(_from_json(data)),
+)
 #: a flag bit of its layout's flags byte that carries no bytes of its own:
 #: the value is ``True`` when the bit is set, ``False`` when it is not
 _bit = _Field(None, None)
