@@ -48,6 +48,7 @@ from repro.network.messages import (
 __all__ = ["Codec", "BinaryCodec", "StringCodec", "FRAME_HEADER_BYTES"]
 
 _TAG_PARTIAL = 1
+_PARTIAL_HEAD = bytes((_TAG_PARTIAL,))
 
 #: wire overhead a :class:`SequencedMessage` envelope adds to its inner
 #: message in the binary codec: tag (u8) + epoch (u32) + seq (i64).
@@ -76,7 +77,6 @@ _OP_I64 = struct.Struct(">Bq")  # op code, count
 _OP_EXTREMA = struct.Struct(">BBdd")  # op code, present, min, max
 _TIMED_PAIR = struct.Struct(">qd")
 _F64_PAIR = struct.Struct(">dd")
-_EVENT_HEAD = struct.Struct(">qH")  # time, key length
 _EVENT_TAIL = struct.Struct(">dB")  # value, marker present
 
 _FLOAT_OPS = frozenset(
@@ -413,7 +413,7 @@ def _read_records(data: bytes, pos: int) -> tuple[list[SliceRecord], int]:
 
 
 def _pack_partial(msg: PartialBatchMessage, append) -> None:
-    append(b"\x01")  # _TAG_PARTIAL
+    append(_PARTIAL_HEAD)
     _pack_text(msg.sender, append)
     append(_BATCH_HEAD.pack(msg.group_id, msg.first_slice_seq, msg.covered_to))
     _pack_records(msg.records, append)
@@ -450,13 +450,13 @@ def _read_partial(data: bytes, pos: int) -> tuple[PartialBatchMessage, int]:
 
 
 def _pack_events(events: list[Event], append) -> None:
-    """The event rows: time, key, value, and the marker when there is one
-    (a raw event frame carries thousands, so they are packed by hand)."""
+    """The event rows: time, key, then value and marker flag as one
+    Struct, and the marker when there is one (a raw event frame carries
+    thousands, so they are packed by hand)."""
     append(_U32.pack(len(events)))
     for event in events:
-        key = event.key.encode("utf-8")
-        append(_EVENT_HEAD.pack(event.time, len(key)))
-        append(key)
+        append(_I64.pack(event.time))
+        _pack_text(event.key, append)
         marker = event.marker
         if marker is None:
             append(_EVENT_TAIL.pack(event.value, 0))
@@ -470,14 +470,10 @@ def _read_events(data: bytes, pos: int) -> tuple[list[Event], int]:
     pos += 4
     events = []
     for _ in range(count):
-        time, size = _EVENT_HEAD.unpack_from(data, pos)
-        pos += 10
-        end = pos + size
-        if end > len(data):
-            raise CodecError(f"truncated message: {size}-byte text cut short")
-        key = data[pos:end].decode("utf-8")
-        value, marked = _EVENT_TAIL.unpack_from(data, end)
-        pos = end + 9
+        (time,) = _I64.unpack_from(data, pos)
+        key, pos = _read_text(data, pos + 8)
+        value, marked = _EVENT_TAIL.unpack_from(data, pos)
+        pos += 9
         marker = None
         if marked:
             marker, pos = _read_text(data, pos)
